@@ -5,15 +5,14 @@
 //! simulated once through a single globally scheduled pool
 //! (longest-job-first, see [`emissary_bench::campaign`]); the figures
 //! then render by replaying from the campaign memo, bit-identically to
-//! running them one at a time. `EMISSARY_SEQUENTIAL=1` restores the old
-//! figure-at-a-time execution (each with its own checkpoint file) for
-//! before/after measurement — both modes produce byte-identical tables.
+//! running them one at a time.
 //!
 //! The sweep's wall-clock and job counts land in `BENCH_campaign.json`
-//! (label `before` under `EMISSARY_SEQUENTIAL=1`, else `after`), keeping
-//! the campaign-scale perf trajectory visible across PRs. Expect the
+//! under the label `after` (entries under other labels, such as the
+//! recorded pre-campaign `before` run, are kept as history). Expect the
 //! sweep to take a while at default run lengths; scale down with
-//! `EMISSARY_MEASURE_INSNS` for a quick pass.
+//! `EMISSARY_MEASURE_INSNS` for a quick pass. A malformed `EMISSARY_*`
+//! value exits with status 2 before the checkpoint is opened.
 
 use std::time::Instant;
 
@@ -34,64 +33,52 @@ fn exit_interrupted(done: emissary_bench::checkpoint::JobCounters) -> ! {
 }
 
 fn main() {
+    // Resolve the knobs first: a malformed value exits here, before the
+    // checkpoint is opened (and possibly truncated).
+    let threads = scale::knobs().threads;
     chaos::install_signal_handlers();
     // A second SIGINT/SIGTERM during the cooperative drain forces an
     // immediate (still checkpoint-safe) exit with a distinct code.
     chaos::spawn_escalation_watcher("campaign");
     let cfg = emissary_bench::base_config();
-    let sequential = scale::sequential();
     eprintln!(
-        "running all experiments: warmup={} measure={} threads={} mode={}",
-        cfg.warmup_instrs,
-        cfg.measure_instrs,
-        emissary_bench::threads(),
-        if sequential { "sequential" } else { "campaign" }
+        "running all experiments: warmup={} measure={} threads={threads}",
+        cfg.warmup_instrs, cfg.measure_instrs,
     );
     let start = Instant::now();
-    if metrics::start_periodic_dump() {
-        eprintln!(
-            "metrics: periodic dump to {} enabled",
-            metrics::default_prom_path().display()
-        );
-    }
     let plan = experiments::campaign_jobs(&cfg);
     let requested = plan.len();
     let unique = campaign::dedup_jobs(plan.clone()).len();
 
-    // Campaign mode: simulate the deduplicated union up front through one
-    // globally scheduled pool; the per-figure runs below then replay from
-    // the memo instead of simulating.
-    let prefetch = if sequential {
-        None
-    } else {
-        checkpoint::begin("campaign");
-        let model = CostModel::new();
+    // Simulate the deduplicated union up front through one globally
+    // scheduled pool; the per-figure runs below then replay from the memo
+    // instead of simulating.
+    checkpoint::begin("campaign");
+    let prefetch = {
         let global = checkpoint::global_handle();
-        let summary = campaign::prefetch(
+        campaign::prefetch(
             plan,
             &emissary_bench::PoolOptions::from_env(),
             global.as_ref(),
-            &model,
-        );
-        drop(global);
-        eprintln!(
-            "campaign: prefetched {} unique of {} requested jobs ({} simulated, {} replayed, {} failed, {} interrupted) in {:.1}s",
-            summary.unique,
-            summary.requested,
-            summary.simulated,
-            summary.replayed,
-            summary.failed,
-            summary.interrupted,
-            summary.wall_seconds
-        );
-        if summary.interrupted > 0 || chaos::shutdown_requested() {
-            // Don't render figures from a partial memo: the interrupted
-            // jobs would re-simulate during render and the tables would
-            // mix this run with the next.
-            exit_interrupted(checkpoint::counters());
-        }
-        Some(summary)
+            &CostModel::new(),
+        )
     };
+    eprintln!(
+        "campaign: prefetched {} unique of {} requested jobs ({} simulated, {} replayed, {} failed, {} interrupted) in {:.1}s",
+        prefetch.unique,
+        prefetch.requested,
+        prefetch.simulated,
+        prefetch.replayed,
+        prefetch.failed,
+        prefetch.interrupted,
+        prefetch.wall_seconds
+    );
+    if prefetch.interrupted > 0 || chaos::shutdown_requested() {
+        // Don't render figures from a partial memo: the interrupted jobs
+        // would re-simulate during render and the tables would mix this
+        // run with the next.
+        exit_interrupted(checkpoint::counters());
+    }
 
     type Runner<'a> = Box<dyn Fn() -> experiments::Experiment + 'a>;
     let runs: Vec<(&str, Runner)> = vec![
@@ -112,31 +99,21 @@ fn main() {
             exit_interrupted(checkpoint::counters());
         }
         eprintln!("=== {name} ===");
-        emissary_bench::checkpoint::begin(name);
+        checkpoint::begin(name);
         let exp = run();
         emissary_bench::results::emit(name, &exp);
     }
     let after_render = checkpoint::counters();
 
-    // In campaign mode, every job the figures need was prefetched, so the
-    // render phase must simulate nothing: fresh simulations here mean the
-    // planner and the figures disagree on some job (drift), which would
-    // silently erode the dedup win.
-    let drift = if prefetch.is_some() {
-        after_render.simulated - before_render.simulated
-    } else {
-        0
-    };
+    // Every job the figures need was prefetched, so the render phase must
+    // simulate nothing: fresh simulations here mean the planner and the
+    // figures disagree on some job (drift), which would silently erode
+    // the dedup win.
+    let drift = after_render.simulated - before_render.simulated;
     let wall = start.elapsed().as_secs_f64();
-    let totals = checkpoint::counters();
-    let (simulated, replayed, failed) = match &prefetch {
-        Some(p) => (
-            p.simulated + drift,
-            after_render.replayed - before_render.replayed + p.replayed,
-            totals.failed,
-        ),
-        None => (totals.simulated, totals.replayed, totals.failed),
-    };
+    let simulated = prefetch.simulated + drift;
+    let replayed = after_render.replayed - before_render.replayed + prefetch.replayed;
+    let failed = after_render.failed;
     let (ckpt_recovered, ckpt_quarantined) = {
         let global = checkpoint::global_handle();
         global
@@ -153,7 +130,7 @@ fn main() {
          ckpt_recovered={ckpt_recovered} ckpt_quarantined={ckpt_quarantined} wall={wall:.1}s{}",
         metrics::summary_suffix()
     );
-    if scale::metrics() {
+    if scale::knobs().metrics {
         let prom_path = metrics::default_prom_path();
         match metrics::write_prom(&prom_path) {
             Ok(()) => eprintln!("metrics: wrote {}", prom_path.display()),
@@ -161,7 +138,7 @@ fn main() {
         }
     }
 
-    let label = if sequential { "before" } else { "after" };
+    let label = "after";
     let path = "BENCH_campaign.json";
     let mut entries = load_campaign_other_labels(path, label);
     entries.push(CampaignEntry {
@@ -177,7 +154,7 @@ fn main() {
         path,
         cfg.warmup_instrs,
         cfg.measure_instrs,
-        emissary_bench::threads(),
+        threads,
         &entries,
     ) {
         Ok(()) => eprintln!("wrote {path}"),

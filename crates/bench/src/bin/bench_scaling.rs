@@ -94,15 +94,6 @@ impl Round {
     }
 }
 
-/// The `EMISSARY_SCALING_GATE` threshold: minimum fraction of the first
-/// round's MIPS every later round must reach (unset disables the gate).
-fn scaling_gate() -> Option<f64> {
-    std::env::var("EMISSARY_SCALING_GATE")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&g: &f64| g > 0.0)
-}
-
 /// Thread counts to measure: CLI arguments, or `1 2 4 <parallelism>`
 /// deduplicated and sorted.
 fn thread_counts() -> Vec<usize> {
@@ -112,7 +103,7 @@ fn thread_counts() -> Vec<usize> {
         .filter(|&n| n > 0)
         .collect();
     if counts.is_empty() {
-        counts = vec![1, 2, 4, scale::threads()];
+        counts = vec![1, 2, 4, scale::knobs().threads];
     }
     counts.sort_unstable();
     counts.dedup();
@@ -186,15 +177,16 @@ fn write_json(rounds: &[Round]) -> std::io::Result<()> {
     let entries: Vec<String> = rounds.iter().map(|r| r.to_json(base)).collect();
     let mut obj = JsonObject::new();
     obj.field_str("benchmark", "scaling")
-        .field_u64("warmup_instrs", scale::warmup_instrs())
-        .field_u64("measure_instrs", scale::measure_instrs())
+        .field_u64("warmup_instrs", scale::knobs().warmup_instrs)
+        .field_u64("measure_instrs", scale::knobs().measure_instrs)
         .field_raw("entries", &format!("[{}]", entries.join(",")));
     let mut f = std::fs::File::create("BENCH_scaling.json")?;
     writeln!(f, "{}", obj.finish())
 }
 
 fn main() {
-    if !scale::metrics() {
+    let knobs = scale::knobs();
+    if !knobs.metrics {
         eprintln!("bench_scaling: EMISSARY_METRICS=0 would zero every stage total; unset it");
         std::process::exit(2);
     }
@@ -203,8 +195,8 @@ fn main() {
     eprintln!(
         "bench_scaling: {} jobs (warmup={} measure={}) at {counts:?} thread(s)",
         jobs.len(),
-        scale::warmup_instrs(),
-        scale::measure_instrs()
+        knobs.warmup_instrs,
+        knobs.measure_instrs
     );
     // Pre-build every program once so round 1's build stage measures the
     // same Arc-lookup work as every later round (the shared store caches
@@ -245,7 +237,7 @@ fn main() {
     // Regression gate: every round past the first must hold at least
     // `gate ×` the first round's wall-clock MIPS. The JSON is written
     // first so a failing run still leaves its evidence on disk.
-    if let (Some(gate), Some(base)) = (scaling_gate(), rounds.first()) {
+    if let (Some(gate), Some(base)) = (knobs.scaling_gate, rounds.first()) {
         for r in &rounds[1..] {
             if r.mips() < gate * base.mips() {
                 eprintln!(

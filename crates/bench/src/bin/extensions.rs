@@ -25,7 +25,7 @@ fn main() {
         "extensions: warmup={} measure={} threads={}",
         cfg.warmup_instrs,
         cfg.measure_instrs,
-        emissary_bench::threads()
+        emissary_bench::scale::knobs().threads
     );
     let policies: Vec<PolicySpec> = [
         "M:1",

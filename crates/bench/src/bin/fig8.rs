@@ -9,7 +9,7 @@ fn main() {
         "running with warmup={} measure={} threads={} reset={}",
         cfg.warmup_instrs,
         cfg.measure_instrs,
-        emissary_bench::threads(),
+        emissary_bench::scale::knobs().threads,
         with_reset
     );
     emissary_bench::checkpoint::begin("fig8");

@@ -8,7 +8,7 @@ fn main() {
         "running with warmup={} measure={} threads={}",
         cfg.warmup_instrs,
         cfg.measure_instrs,
-        emissary_bench::threads()
+        emissary_bench::scale::knobs().threads
     );
     emissary_bench::checkpoint::begin("ideal_l2");
     let exp = emissary_bench::experiments::ideal_l2(&cfg);

@@ -33,7 +33,7 @@ fn main() {
         eprintln!("unknown benchmark {bench:?}");
         std::process::exit(2);
     });
-    let instrs = emissary_bench::measure_instrs();
+    let instrs = emissary_bench::scale::knobs().measure_instrs;
     eprintln!("mpki-only replay: {bench}, {instrs} instructions per policy");
 
     let cfg = SimConfig::default();

@@ -251,7 +251,7 @@ pub fn prefetch(
     let unique_count = unique.len();
     let ordered = schedule(unique, model);
     let before = checkpoint::counters();
-    let progress = Progress::new(&ordered, model, scale::progress());
+    let progress = Progress::new(&ordered, model, scale::knobs().progress);
     let outcomes = run_parallel_outcomes_hooked(&ordered, opts, campaign, |i, outcome| {
         progress.tick(&ordered[i], outcome);
     });

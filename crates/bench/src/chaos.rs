@@ -43,13 +43,6 @@ use crate::checkpoint::fnv1a64;
 use crate::shard::SlotRegistry;
 use crate::FaultInjection;
 
-/// Environment variable: chaos seed. Setting it (to any u64) enables
-/// fault injection.
-pub const ENV_CHAOS_SEED: &str = "EMISSARY_CHAOS_SEED";
-/// Environment variable: per-site fault probability in `[0, 1]`
-/// (default [`DEFAULT_CHAOS_RATE`] when the seed is set).
-pub const ENV_CHAOS_RATE: &str = "EMISSARY_CHAOS_RATE";
-
 /// Default injection probability per fault site when `EMISSARY_CHAOS_SEED`
 /// is set but `EMISSARY_CHAOS_RATE` is not.
 pub const DEFAULT_CHAOS_RATE: f64 = 0.01;
@@ -115,19 +108,6 @@ impl FaultPlan {
         }
     }
 
-    /// Builds the plan `EMISSARY_CHAOS_SEED` / `EMISSARY_CHAOS_RATE`
-    /// describe, or `None` when the seed is unset (chaos disabled).
-    pub fn from_env() -> Option<Arc<FaultPlan>> {
-        let seed: u64 = std::env::var(ENV_CHAOS_SEED)
-            .ok()
-            .and_then(|v| v.parse().ok())?;
-        let rate = std::env::var(ENV_CHAOS_RATE)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_CHAOS_RATE);
-        Some(Arc::new(FaultPlan::new(seed, rate)))
-    }
-
     /// The plan's seed.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -188,11 +168,16 @@ impl FaultPlan {
     }
 }
 
-/// The process-wide plan from the environment, resolved once. `None`
-/// when `EMISSARY_CHAOS_SEED` is unset.
+/// The process-wide plan `EMISSARY_CHAOS_SEED` / `EMISSARY_CHAOS_RATE`
+/// describe, built once. `None` when the seed is unset.
 pub fn plan_from_env() -> Option<Arc<FaultPlan>> {
     static PLAN: OnceLock<Option<Arc<FaultPlan>>> = OnceLock::new();
-    PLAN.get_or_init(FaultPlan::from_env).clone()
+    PLAN.get_or_init(|| {
+        let k = crate::scale::knobs();
+        k.chaos_seed
+            .map(|seed| Arc::new(FaultPlan::new(seed, k.chaos_rate)))
+    })
+    .clone()
 }
 
 // ---------------------------------------------------------------------------

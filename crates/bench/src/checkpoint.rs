@@ -19,10 +19,9 @@
 //!
 //! The process-global campaign spans experiments: [`begin`] opens the
 //! unified `results/campaign.ckpt.jsonl` once and later calls merely
-//! relabel the experiment metadata (under `EMISSARY_SEQUENTIAL=1` it
-//! reverts to the old one-file-per-figure behaviour, for before/after
-//! measurement). `EMISSARY_RESUME=1` loads completed jobs at open, so a
-//! second campaign over a warm checkpoint simulates nothing.
+//! relabel the experiment metadata. `EMISSARY_RESUME=1` loads completed
+//! jobs at open, so a second campaign over a warm checkpoint simulates
+//! nothing.
 //!
 //! The checkpoint file is append-only JSONL. Failed jobs are recorded too
 //! (with their failure kind and attempt number), but only
@@ -622,31 +621,23 @@ static CAMPAIGN: Mutex<Option<Campaign>> = Mutex::new(None);
 
 /// Opens (or relabels) the global campaign for experiment `name`.
 ///
-/// By default all experiments in a process share one campaign file,
+/// All experiments in a process share one campaign file,
 /// `results/campaign.ckpt.jsonl`, keyed purely by config fingerprint: the
 /// first call opens it (resuming when `EMISSARY_RESUME=1`) and later
 /// calls only update the experiment metadata, so resume state and the
-/// in-process memo span figures. With `EMISSARY_SEQUENTIAL=1` each call
-/// opens the old per-figure `results/<name>.ckpt.jsonl` instead,
-/// reproducing the pre-dedup behaviour (figure-siloed state).
+/// in-process memo span figures.
 pub fn begin(name: &str) {
     let mut slot = global();
-    if !crate::scale::sequential() {
-        if let Some(c) = slot.as_ref() {
-            c.set_experiment(name);
-            return;
-        }
+    if let Some(c) = slot.as_ref() {
+        c.set_experiment(name);
+        return;
     }
-    let file = if crate::scale::sequential() {
-        name
-    } else {
-        UNIFIED_CAMPAIGN
-    };
-    let campaign = Campaign::begin_with(file, Path::new("results"), crate::scale::resume());
+    let resume = crate::scale::knobs().resume;
+    let campaign = Campaign::begin_with(UNIFIED_CAMPAIGN, Path::new("results"), resume);
     campaign.set_experiment(name);
     if campaign.resumable() > 0 || campaign.quarantined() > 0 {
         eprintln!(
-            "checkpoint: resuming {file}: {} completed job(s) will be replayed, \
+            "checkpoint: resuming {UNIFIED_CAMPAIGN}: {} completed job(s) will be replayed, \
              {} unusable line(s) quarantined",
             campaign.resumable(),
             campaign.quarantined()

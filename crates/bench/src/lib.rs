@@ -3,56 +3,11 @@
 //!
 //! Each `fig*`/`table5`/`ideal_l2` binary in `src/bin/` prints the same
 //! rows/series the paper reports, as an aligned text table plus TSV. Run
-//! lengths scale through environment variables so the full study fits any
-//! time budget:
-//!
-//! * `EMISSARY_MEASURE_INSNS` — measurement window per run (default 8M);
-//! * `EMISSARY_WARMUP_INSNS` — warmup per run (default 4M);
-//! * `EMISSARY_THREADS` — worker threads (default: available parallelism).
-//!
-//! Observability (see DESIGN.md "Telemetry & tracing" and "Metrics &
-//! profiling"):
-//!
-//! * `EMISSARY_SAMPLE_INTERVAL` — per-job interval sampling period in
-//!   committed instructions (time series in `results/<name>.jsonl`);
-//! * `EMISSARY_TRACE_OUT` — directory receiving one cycle-stamped event
-//!   trace (`.jsonl`) per simulation job;
-//! * `EMISSARY_METRICS=0` — disable the campaign metrics registry
-//!   (worker/stage spans, post-run sim counters, `results/metrics.prom`);
-//! * `EMISSARY_METRICS_INTERVAL_MS` — re-render `results/metrics.prom`
-//!   at this period while jobs run ([`metrics`]).
-//!
-//! Fault tolerance (see DESIGN.md "Failure handling & resume"):
-//!
-//! * `EMISSARY_JOB_TIMEOUT_MS` — per-job wall-clock budget;
-//! * `EMISSARY_STALL_CYCLES` — forward-progress watchdog (`0` disables);
-//! * `EMISSARY_AUDIT=1` — cache-hierarchy invariant auditor at epoch
-//!   boundaries;
-//! * `EMISSARY_RESUME=1` — replay completed jobs from the campaign
-//!   checkpoint instead of re-simulating;
-//! * `EMISSARY_INJECT_PANIC=<benchmark>/<policy>` — fire drill: the
-//!   matching job panics, exercising the failure path end to end;
-//! * `EMISSARY_JOB_RETRIES` — bounded retry budget for panicked /
-//!   retryable-aborted jobs (default 1; `0` disables);
-//! * `EMISSARY_RETRY_BACKOFF_MS` — backoff base between retry attempts
-//!   (default 25; `0` disables the sleep), jittered deterministically
-//!   per job from the chaos seed so herds of simultaneous retries
-//!   spread out;
-//! * `EMISSARY_CHAOS_SEED` / `EMISSARY_CHAOS_RATE` — deterministic
-//!   fault injection across the campaign I/O and job paths (see
-//!   [`chaos`]).
-//!
-//! Campaign-scale execution (see DESIGN.md "Campaign-scale execution"):
-//!
-//! * `EMISSARY_SEQUENTIAL=1` — figure-at-a-time execution with
-//!   per-figure checkpoint files instead of the deduped, globally
-//!   scheduled campaign over `results/campaign.ckpt.jsonl`;
-//! * `EMISSARY_PROGRAM_STORE=0` — rebuild each benchmark's program per
-//!   job instead of sharing one `Arc<Program>` per profile per process;
-//! * `EMISSARY_PROGRESS=0` — silence the campaign's stderr progress
-//!   line;
-//! * `EMISSARY_PIN_CORES=1` — pin each pool worker to a core
-//!   (round-robin over available parallelism; opt-in).
+//! lengths, parallelism, observability, fault tolerance and the job
+//! server are tuned through `EMISSARY_*` environment variables, all
+//! parsed once by [`scale`] (the knob table; README "Environment
+//! variables" documents each one). A malformed value stops any binary
+//! with exit status 2 before it touches a checkpoint.
 //!
 //! The Criterion benches (`benches/figures.rs`, `benches/components.rs`)
 //! exercise scaled-down versions of every experiment plus component
@@ -72,7 +27,6 @@ pub use pool::{
     run_job, run_parallel, run_parallel_observed, run_parallel_outcomes, JobOutcome, PoolOptions,
 };
 pub use results::ThroughputEntry;
-pub use scale::{measure_instrs, sample_interval, threads, trace_out, warmup_instrs};
 
 use emissary_core::spec::PolicySpec;
 use emissary_obs::{JsonlSink, MetricsHub, Tracer};
@@ -85,8 +39,8 @@ use emissary_workloads::Profile;
 /// recency, run lengths from the environment.
 pub fn base_config() -> SimConfig {
     SimConfig {
-        warmup_instrs: warmup_instrs(),
-        measure_instrs: measure_instrs(),
+        warmup_instrs: scale::knobs().warmup_instrs,
+        measure_instrs: scale::knobs().measure_instrs,
         ..SimConfig::default()
     }
 }
@@ -179,10 +133,10 @@ impl Job {
             Some(FaultInjection::Stall) => fault.stall_cycles = Some(1),
             None => {}
         }
-        let (tracer, trace_path) = match scale::trace_out() {
+        let (tracer, trace_path) = match &scale::knobs().trace_out {
             Some(dir) => {
                 let path = dir.join(self.trace_file_name());
-                let _ = std::fs::create_dir_all(&dir);
+                let _ = std::fs::create_dir_all(dir);
                 match std::fs::File::create(&path).map(std::io::BufWriter::new) {
                     Ok(w) => {
                         // Under chaos, trace writes go through an
@@ -228,7 +182,7 @@ impl Job {
         let build_start = std::time::Instant::now();
         let program = self.profile.shared_program();
         let build_ns = metrics::elapsed_ns(build_start);
-        let obs = ObsConfig::new(guard.tracer.clone(), scale::sample_interval())
+        let obs = ObsConfig::new(guard.tracer.clone(), scale::knobs().sample_interval)
             .with_metrics(hub.clone());
         let result = run_sim_checked_on(&program, &self.profile, &self.config, &obs, &fault);
         hub.with(|m| {
@@ -275,7 +229,7 @@ impl Job {
         if self.inject.is_some() {
             return self.inject;
         }
-        let target = scale::inject_panic()?;
+        let target = scale::knobs().inject_panic.as_deref()?;
         let me = format!("{}/{}", self.profile.name, self.config.l2_policy);
         (target == me).then_some(FaultInjection::Panic)
     }

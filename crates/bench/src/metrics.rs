@@ -20,7 +20,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use emissary_obs::metrics::global;
 use emissary_obs::{render_prometheus, Metric, MetricValue, MetricsHub};
@@ -78,7 +78,7 @@ pub fn worker_global_locks() -> u64 {
 /// gauge, so `.prom` snapshots carry it (the pool calls this at the end
 /// of every parallel run).
 pub fn publish_worker_global_locks() {
-    if scale::metrics() {
+    if scale::knobs().metrics {
         global().set_gauge(WORKER_GLOBAL_LOCKS, &[], worker_global_locks() as f64);
     }
 }
@@ -86,7 +86,7 @@ pub fn publish_worker_global_locks() {
 /// A hub for one worker thread: recording when `EMISSARY_METRICS` is on
 /// (the default), disabled otherwise.
 pub fn worker_hub() -> MetricsHub {
-    if scale::metrics() {
+    if scale::knobs().metrics {
         MetricsHub::recording()
     } else {
         MetricsHub::default()
@@ -127,29 +127,6 @@ pub fn time_stage<T>(worker: &str, stage: &'static str, f: impl FnOnce() -> T) -
 /// Nanoseconds since `t0`, saturated into `u64` (584 years of headroom).
 pub fn elapsed_ns(t0: Instant) -> u64 {
     u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Starts the optional periodic exposition thread
-/// (`EMISSARY_METRICS_INTERVAL_MS`): re-renders
-/// `results/metrics.prom` at the configured period until the process
-/// exits. Returns whether a dumper was started. The thread is detached —
-/// a campaign end always writes a final snapshot anyway.
-pub fn start_periodic_dump() -> bool {
-    let Some(interval) = scale::metrics_interval_ms() else {
-        return false;
-    };
-    if !scale::metrics() {
-        return false;
-    }
-    let path = default_prom_path();
-    std::thread::spawn(move || loop {
-        std::thread::sleep(Duration::from_millis(interval));
-        if let Err(e) = write_prom(&path) {
-            eprintln!("metrics: periodic dump failed: {e}");
-            break;
-        }
-    });
-    true
 }
 
 /// Total seconds recorded for one [`STAGE_NS`] stage across all workers
@@ -237,7 +214,7 @@ mod tests {
     fn time_stage_records_into_the_global_registry() {
         // The registry is process-global and other tests may interleave:
         // assert growth, not absolute values.
-        if !scale::metrics() {
+        if !scale::knobs().metrics {
             return; // EMISSARY_METRICS=0 in this environment
         }
         let before = counter_sum(&global().snapshot(), STAGE_NS, Some(("stage", "render")));

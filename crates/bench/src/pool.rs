@@ -21,8 +21,7 @@
 //! pool calls [`Campaign::sync`] after the scope joins, so every record
 //! is on disk before this function returns — exactly the visibility the
 //! chaos/resume suites (and the serve journal-before-ack ordering)
-//! assume. `EMISSARY_PIN_CORES=1` additionally pins workers round-robin
-//! to cores.
+//! assume.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -211,18 +210,18 @@ pub struct PoolOptions {
 }
 
 impl PoolOptions {
-    /// Reads `EMISSARY_THREADS`, `EMISSARY_JOB_TIMEOUT_MS`,
-    /// `EMISSARY_STALL_CYCLES`, `EMISSARY_AUDIT`, `EMISSARY_JOB_RETRIES`,
-    /// `EMISSARY_RETRY_BACKOFF_MS`, and the chaos plan
-    /// (`EMISSARY_CHAOS_SEED`/`EMISSARY_CHAOS_RATE`).
+    /// The options the process's knobs ([`scale::knobs`]) describe:
+    /// threads, job budget, watchdog, audit, retry, backoff, and the
+    /// chaos plan.
     pub fn from_env() -> Self {
+        let k = scale::knobs();
         Self {
-            workers: scale::threads(),
-            timeout: scale::job_timeout_ms().map(Duration::from_millis),
-            stall_cycles: scale::stall_cycles(),
-            audit: scale::audit(),
-            retries: scale::job_retries(),
-            backoff_ms: scale::retry_backoff_ms(),
+            workers: k.threads,
+            timeout: k.job_timeout_ms.map(Duration::from_millis),
+            stall_cycles: k.stall_cycles,
+            audit: k.audit,
+            retries: k.job_retries,
+            backoff_ms: k.retry_backoff_ms,
             chaos: chaos::plan_from_env(),
         }
     }
@@ -250,7 +249,7 @@ impl PoolOptions {
     }
 }
 
-/// Runs all jobs, using up to [`scale::threads`] workers, and returns
+/// Runs all jobs, using up to `EMISSARY_THREADS` workers, and returns
 /// reports in job order.
 ///
 /// # Panics
@@ -354,7 +353,6 @@ pub fn run_parallel_outcomes_hooked(
         for w in 0..workers {
             let cursor = &cursor;
             handles.push(scope.spawn(move || {
-                pin_worker(w);
                 // Private result buffer: every `results::log_*` call from
                 // this worker lands here and drains into the process
                 // globals once, when the scope drops after the last job.
@@ -435,7 +433,7 @@ pub fn run_parallel_outcomes_hooked(
     // checkpoint file immediately after.
     if let Some(c) = campaign {
         c.sync();
-        if scale::metrics() {
+        if scale::knobs().metrics {
             emissary_obs::metrics::global().set_gauge(
                 metrics::CKPT_DRAINED,
                 &[],
@@ -591,47 +589,6 @@ pub(crate) fn run_one(
         metrics::record_stage(hub, worker, "checkpoint", metrics::elapsed_ns(t0));
     }
     outcome
-}
-
-/// Pins the calling thread to a core chosen round-robin by worker
-/// `index`, when `EMISSARY_PIN_CORES=1` (default off). Keeps the hot
-/// cycle loop's working set on one L1/L2 instead of migrating with the
-/// scheduler. Best-effort and Linux-only: failures warn and run
-/// unpinned; other platforms are a no-op. Callable from any long-lived
-/// worker (the serve daemon pins its workers too).
-pub fn pin_worker(index: usize) {
-    if !scale::pin_cores() {
-        return;
-    }
-    #[cfg(target_os = "linux")]
-    affinity::pin_to(index);
-    #[cfg(not(target_os = "linux"))]
-    let _ = index;
-}
-
-#[cfg(target_os = "linux")]
-mod affinity {
-    // The C library is already linked by std (mirroring the `signal`
-    // binding in `crate::chaos`); no crate dependency needed for one
-    // syscall wrapper. With pid 0 the affinity applies to the calling
-    // thread.
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-
-    pub fn pin_to(index: usize) {
-        let cores = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        let core = index % cores;
-        // 16 × u64 = 1024 CPUs, the kernel's default CONFIG_NR_CPUS cap.
-        let mut mask = [0u64; 16];
-        mask[core / 64] |= 1u64 << (core % 64);
-        let rc = unsafe { sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr()) };
-        if rc != 0 {
-            eprintln!("pool: pinning worker {index} to core {core} failed; running unpinned");
-        }
-    }
 }
 
 /// Renders a caught panic payload (the two shapes `panic!` produces).

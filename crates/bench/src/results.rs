@@ -486,7 +486,7 @@ pub fn throughput_footer(runs: &[SimRun]) -> Option<String> {
     Some(format!(
         "host throughput: {} run(s), {} thread(s), {:.1}s host time, {:.2} Mcycles/s, {:.2} MIPS",
         timed.len(),
-        scale::threads(),
+        scale::knobs().threads,
         host,
         cycles as f64 / host / 1e6,
         committed as f64 / host / 1e6,
@@ -562,11 +562,14 @@ pub fn write_records(
     meta.field_str("record", "meta")
         .field_str("experiment", name)
         .field_str("title", &exp.title)
-        .field_u64("warmup_instrs", scale::warmup_instrs())
-        .field_u64("measure_instrs", scale::measure_instrs())
-        .field_u64("sample_interval", scale::sample_interval().unwrap_or(0))
+        .field_u64("warmup_instrs", scale::knobs().warmup_instrs)
+        .field_u64("measure_instrs", scale::knobs().measure_instrs)
+        .field_u64(
+            "sample_interval",
+            scale::knobs().sample_interval.unwrap_or(0),
+        )
         .field_u64("runs", runs.len() as u64)
-        .field_u64("threads", scale::threads() as u64)
+        .field_u64("threads", scale::knobs().threads as u64)
         .field_f64("host_seconds", host_seconds)
         .field_f64("host_mips", host_mips);
     writeln!(out, "{}", meta.finish())?;

@@ -1,274 +1,495 @@
-//! Run-length, parallelism, and observability scaling via environment
-//! variables.
+//! The knob table: every `EMISSARY_*` environment variable the harness
+//! recognises, parsed once per process into one typed [`Knobs`] value.
+//!
+//! This module is the only code in the workspace that reads the process
+//! environment (a tripwire test holds that). [`parse`] is a pure function
+//! of the variables it is given: a malformed value is an error naming the
+//! variable, and an `EMISSARY_*` name missing from the table is collected
+//! in [`Knobs::unknown`] instead of being silently ignored. [`knobs`]
+//! resolves the real environment once; on an error it prints the message
+//! and exits with status 2, so every entry point refuses a bad
+//! configuration before it opens a checkpoint or a journal.
+//!
+//! Value rules, shared by every knob:
+//!
+//! * an empty value means unset;
+//! * numbers may use `_` separators (`8_000_000`);
+//! * flags are exactly `0` or `1`;
+//! * where a knob documents `0` as "off", `0` switches it off.
 
-use std::env;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    env::var(name)
-        .ok()
-        .and_then(|v| v.replace('_', "").parse().ok())
-        .filter(|&v| v > 0)
-        .unwrap_or(default)
+/// Every harness knob, resolved. Field docs name the variable and its
+/// default; README "Environment variables" is the user-facing table.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Knobs {
+    /// Measurement window in committed instructions
+    /// (`EMISSARY_MEASURE_INSNS`, default 8,000,000). EMISSARY's `R(1/r)`
+    /// filter accumulates protected lines over tens of millions of
+    /// instructions (the paper simulates 100M); shorter windows shift the
+    /// best `r` toward larger probabilities — see EXPERIMENTS.md.
+    pub measure_instrs: u64,
+    /// Warmup in committed instructions (`EMISSARY_WARMUP_INSNS`, default
+    /// 4,000,000). Warmup also accumulates EMISSARY priority marks
+    /// (microarchitectural state persists across the measurement
+    /// boundary, as in the paper's checkpoint-restore protocol).
+    pub warmup_instrs: u64,
+    /// Worker threads (`EMISSARY_THREADS`, default: available
+    /// parallelism).
+    pub threads: usize,
+    /// Interval-sampling period in committed instructions
+    /// (`EMISSARY_SAMPLE_INTERVAL`; unset or `0` disables). Every job
+    /// snapshots IPC, L1I/L2I MPKI, starvation cycles, and the per-set
+    /// priority-occupancy histogram at this period into the experiment's
+    /// `results/<name>.jsonl`.
+    pub sample_interval: Option<u64>,
+    /// Event-trace output directory (`EMISSARY_TRACE_OUT`; unset
+    /// disables). Every job streams its cycle-stamped event trace to one
+    /// `.jsonl` file under this directory.
+    pub trace_out: Option<PathBuf>,
+    /// Whether the metrics subsystem records (`EMISSARY_METRICS`, default
+    /// on). Metrics merge at drain and export only after each simulation
+    /// finishes, so leaving them on cannot perturb simulated behaviour.
+    pub metrics: bool,
+    /// Per-job wall-clock budget in milliseconds
+    /// (`EMISSARY_JOB_TIMEOUT_MS`; unset or `0` disables). The deadline
+    /// starts when the job starts, not when the campaign does.
+    pub job_timeout_ms: Option<u64>,
+    /// Forward-progress watchdog threshold in cycles
+    /// (`EMISSARY_STALL_CYCLES`, default
+    /// [`emissary_sim::fault::DEFAULT_STALL_CYCLES`]; `0` disables).
+    pub stall_cycles: Option<u64>,
+    /// Run the invariant auditor at epoch boundaries (`EMISSARY_AUDIT`).
+    pub audit: bool,
+    /// Resume campaigns from their checkpoint files (`EMISSARY_RESUME`).
+    /// Off truncates the checkpoint, so a mistyped value must never read
+    /// as off: it is a parse error instead.
+    pub resume: bool,
+    /// Retry budget for panicked / retryable-aborted jobs
+    /// (`EMISSARY_JOB_RETRIES`, default 1; `0` disables retry). A job is
+    /// attempted at most `1 + retries` times.
+    pub job_retries: u32,
+    /// Base retry backoff in milliseconds (`EMISSARY_RETRY_BACKOFF_MS`,
+    /// default [`crate::pool::RETRY_BACKOFF_MS`]; `0` disables the
+    /// sleep), jittered per job by [`crate::chaos::retry_backoff`].
+    pub retry_backoff_ms: u64,
+    /// Fire drill (`EMISSARY_INJECT_PANIC=<benchmark>/<policy>`): the
+    /// matching job panics instead of running.
+    pub inject_panic: Option<String>,
+    /// Chaos seed (`EMISSARY_CHAOS_SEED`; unset disables fault
+    /// injection, see [`crate::chaos`]).
+    pub chaos_seed: Option<u64>,
+    /// Per-site chaos fault probability in `[0, 1]`
+    /// (`EMISSARY_CHAOS_RATE`, default
+    /// [`crate::chaos::DEFAULT_CHAOS_RATE`]).
+    pub chaos_rate: f64,
+    /// Whether the campaign scheduler prints its stderr progress line
+    /// (`EMISSARY_PROGRESS`, default on).
+    pub progress: bool,
+    /// `bench_scaling` regression gate (`EMISSARY_SCALING_GATE`; unset
+    /// disables): the minimum fraction of the first round's MIPS every
+    /// later round must reach.
+    pub scaling_gate: Option<f64>,
+    /// Golden-report bless mode (`EMISSARY_BLESS`): print the digests
+    /// the current build produces instead of failing on a mismatch.
+    pub bless: bool,
+    /// `emissary-serve` listen address (`EMISSARY_SERVE_ADDR`, default
+    /// `127.0.0.1:7464`).
+    pub serve_addr: String,
+    /// `emissary-serve` journal/checkpoint directory
+    /// (`EMISSARY_SERVE_DIR`, default `results`).
+    pub serve_dir: PathBuf,
+    /// Queued-job bound (`EMISSARY_SERVE_QUEUE_DEPTH`, default 256).
+    pub serve_queue_depth: usize,
+    /// Per-tenant unfinished-job bound (`EMISSARY_SERVE_TENANT_INFLIGHT`,
+    /// default 8).
+    pub serve_tenant_inflight: usize,
+    /// Concurrent-connection cap (`EMISSARY_SERVE_MAX_CONNS`, default 64).
+    pub serve_max_conns: usize,
+    /// Request-body byte cap (`EMISSARY_SERVE_MAX_BODY`, default 65,536).
+    pub serve_max_body: usize,
+    /// Per-connection socket timeout in milliseconds
+    /// (`EMISSARY_SERVE_IO_TIMEOUT_MS`, default 10,000).
+    pub serve_io_timeout_ms: u64,
+    /// Raw `tenant=token,...` auth table (`EMISSARY_SERVE_TOKENS`; empty
+    /// means one anonymous tenant).
+    pub serve_tokens: String,
+    /// `EMISSARY_*` names that are not in the table, in input order.
+    /// [`knobs`] warns once on stderr for each.
+    pub unknown: Vec<String>,
 }
 
-/// Measurement window in committed instructions
-/// (`EMISSARY_MEASURE_INSNS`, default 8,000,000). EMISSARY's `R(1/r)`
-/// filter accumulates protected lines over tens of millions of
-/// instructions (the paper simulates 100M); shorter windows shift the
-/// best `r` toward larger probabilities — see EXPERIMENTS.md.
-pub fn measure_instrs() -> u64 {
-    env_u64("EMISSARY_MEASURE_INSNS", 8_000_000)
-}
-
-/// Warmup in committed instructions
-/// (`EMISSARY_WARMUP_INSNS`, default 4,000,000). Warmup also accumulates
-/// EMISSARY priority marks (microarchitectural state persists across the
-/// measurement boundary, as in the paper's checkpoint-restore protocol).
-pub fn warmup_instrs() -> u64 {
-    env_u64("EMISSARY_WARMUP_INSNS", 4_000_000)
-}
-
-/// Interval-sampling period in committed instructions
-/// (`EMISSARY_SAMPLE_INTERVAL`; unset or `0` disables sampling). When
-/// set, every job snapshots IPC, L1I/L2I MPKI, starvation cycles, and
-/// the per-set priority-occupancy histogram at this period, and the
-/// samples land in the experiment's `results/<name>.jsonl`.
-pub fn sample_interval() -> Option<u64> {
-    env::var("EMISSARY_SAMPLE_INTERVAL")
-        .ok()
-        .and_then(|v| v.replace('_', "").parse().ok())
-        .filter(|&v| v > 0)
-}
-
-/// Event-trace output directory (`EMISSARY_TRACE_OUT`; unset disables
-/// tracing). When set, every job streams its cycle-stamped event trace
-/// (L2 fills/evictions/bypasses, priority marks, Algorithm 1 protection
-/// decisions, decode-starvation episodes) to one `.jsonl` file under
-/// this directory.
-pub fn trace_out() -> Option<PathBuf> {
-    env::var("EMISSARY_TRACE_OUT")
-        .ok()
-        .filter(|v| !v.is_empty())
-        .map(PathBuf::from)
-}
-
-/// Per-job wall-clock budget in milliseconds (`EMISSARY_JOB_TIMEOUT_MS`;
-/// unset or `0` disables the budget). The deadline starts when the job
-/// starts, not when the campaign does.
-pub fn job_timeout_ms() -> Option<u64> {
-    env::var("EMISSARY_JOB_TIMEOUT_MS")
-        .ok()
-        .and_then(|v| v.replace('_', "").parse().ok())
-        .filter(|&v| v > 0)
-}
-
-/// Forward-progress watchdog threshold in cycles
-/// (`EMISSARY_STALL_CYCLES`, default
-/// [`emissary_sim::fault::DEFAULT_STALL_CYCLES`]; `0` disables it).
-pub fn stall_cycles() -> Option<u64> {
-    match env::var("EMISSARY_STALL_CYCLES")
-        .ok()
-        .and_then(|v| v.replace('_', "").parse().ok())
-    {
-        Some(0) => None,
-        Some(n) => Some(n),
-        None => Some(emissary_sim::fault::DEFAULT_STALL_CYCLES),
+impl Default for Knobs {
+    fn default() -> Self {
+        Self {
+            measure_instrs: 8_000_000,
+            warmup_instrs: 4_000_000,
+            threads: std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(4),
+            sample_interval: None,
+            trace_out: None,
+            metrics: true,
+            job_timeout_ms: None,
+            stall_cycles: Some(emissary_sim::fault::DEFAULT_STALL_CYCLES),
+            audit: false,
+            resume: false,
+            job_retries: 1,
+            retry_backoff_ms: crate::pool::RETRY_BACKOFF_MS,
+            inject_panic: None,
+            chaos_seed: None,
+            chaos_rate: crate::chaos::DEFAULT_CHAOS_RATE,
+            progress: true,
+            scaling_gate: None,
+            bless: false,
+            serve_addr: "127.0.0.1:7464".to_string(),
+            serve_dir: PathBuf::from("results"),
+            serve_queue_depth: 256,
+            serve_tenant_inflight: 8,
+            serve_max_conns: 64,
+            serve_max_body: 65_536,
+            serve_io_timeout_ms: 10_000,
+            serve_tokens: String::new(),
+            unknown: Vec::new(),
+        }
     }
 }
 
-/// Whether the invariant auditor runs at epoch boundaries
-/// (`EMISSARY_AUDIT=1`).
-pub fn audit() -> bool {
-    env::var("EMISSARY_AUDIT")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+/// A malformed knob value, naming the variable.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KnobError {
+    /// The variable (`EMISSARY_…`).
+    pub name: String,
+    /// Its rejected value.
+    pub value: String,
+    /// What the value should have been.
+    pub reason: String,
 }
 
-/// Whether campaigns resume from their checkpoint files
-/// (`EMISSARY_RESUME=1`).
-pub fn resume() -> bool {
-    env::var("EMISSARY_RESUME")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+impl std::fmt::Display for KnobError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "invalid {}={:?}: {}", self.name, self.value, self.reason)
+    }
 }
 
-/// Whether campaign-scale dedup and scheduling are disabled
-/// (`EMISSARY_SEQUENTIAL=1`): experiments keep per-figure checkpoint
-/// files and `all_experiments` runs figure by figure with no job
-/// prefetch — the pre-dedup execution model, kept for before/after
-/// measurement (`BENCH_campaign.json`) and debugging.
-pub fn sequential() -> bool {
-    env::var("EMISSARY_SEQUENTIAL")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+impl std::error::Error for KnobError {}
+
+type Setter = fn(&mut Knobs, &str) -> Result<(), String>;
+
+/// The knob table: every recognised name and how its value sets a field.
+#[rustfmt::skip]
+const TABLE: &[(&str, Setter)] = &[
+    ("EMISSARY_MEASURE_INSNS", |k, v| positive(v).map(|x| k.measure_instrs = x)),
+    ("EMISSARY_WARMUP_INSNS", |k, v| positive(v).map(|x| k.warmup_instrs = x)),
+    ("EMISSARY_THREADS", |k, v| positive(v).map(|x| k.threads = x)),
+    ("EMISSARY_SAMPLE_INTERVAL", |k, v| zero_off(v).map(|x| k.sample_interval = x)),
+    ("EMISSARY_TRACE_OUT", |k, v| text(v).map(|x| k.trace_out = Some(x.into()))),
+    ("EMISSARY_METRICS", |k, v| flag(v).map(|x| k.metrics = x)),
+    ("EMISSARY_JOB_TIMEOUT_MS", |k, v| zero_off(v).map(|x| k.job_timeout_ms = x)),
+    ("EMISSARY_STALL_CYCLES", |k, v| zero_off(v).map(|x| k.stall_cycles = x)),
+    ("EMISSARY_AUDIT", |k, v| flag(v).map(|x| k.audit = x)),
+    ("EMISSARY_RESUME", |k, v| flag(v).map(|x| k.resume = x)),
+    ("EMISSARY_JOB_RETRIES", |k, v| number(v).map(|x| k.job_retries = x)),
+    ("EMISSARY_RETRY_BACKOFF_MS", |k, v| number(v).map(|x| k.retry_backoff_ms = x)),
+    ("EMISSARY_INJECT_PANIC", |k, v| text(v).map(|x| k.inject_panic = Some(x))),
+    ("EMISSARY_CHAOS_SEED", |k, v| number(v).map(|x| k.chaos_seed = Some(x))),
+    ("EMISSARY_CHAOS_RATE", |k, v| fraction(v).map(|x| k.chaos_rate = x)),
+    ("EMISSARY_PROGRESS", |k, v| flag(v).map(|x| k.progress = x)),
+    ("EMISSARY_SCALING_GATE", |k, v| positive_f64(v).map(|x| k.scaling_gate = Some(x))),
+    ("EMISSARY_BLESS", |k, v| flag(v).map(|x| k.bless = x)),
+    ("EMISSARY_SERVE_ADDR", |k, v| text(v).map(|x| k.serve_addr = x)),
+    ("EMISSARY_SERVE_DIR", |k, v| text(v).map(|x| k.serve_dir = x.into())),
+    ("EMISSARY_SERVE_QUEUE_DEPTH", |k, v| number(v).map(|x| k.serve_queue_depth = x)),
+    ("EMISSARY_SERVE_TENANT_INFLIGHT", |k, v| number(v).map(|x| k.serve_tenant_inflight = x)),
+    ("EMISSARY_SERVE_MAX_CONNS", |k, v| number(v).map(|x| k.serve_max_conns = x)),
+    ("EMISSARY_SERVE_MAX_BODY", |k, v| number(v).map(|x| k.serve_max_body = x)),
+    ("EMISSARY_SERVE_IO_TIMEOUT_MS", |k, v| number(v).map(|x| k.serve_io_timeout_ms = x)),
+    ("EMISSARY_SERVE_TOKENS", |k, v| text(v).map(|x| k.serve_tokens = x)),
+];
+
+/// Every recognised `EMISSARY_*` name, in table order.
+pub fn names() -> impl Iterator<Item = &'static str> {
+    TABLE.iter().map(|(name, _)| *name)
 }
 
-/// Whether the campaign scheduler prints its stderr progress line
-/// (`EMISSARY_PROGRESS=0` silences it; default on).
-pub fn progress() -> bool {
-    env::var("EMISSARY_PROGRESS")
-        .map(|v| v != "0")
-        .unwrap_or(true)
+/// The numeric parser every knob shares: `_` separators are allowed.
+fn number<T: std::str::FromStr>(v: &str) -> Result<T, String> {
+    v.replace('_', "")
+        .parse()
+        .map_err(|_| "expected a number".to_string())
 }
 
-/// Bounded retry budget for `Panicked`/retryable-`Aborted` job outcomes
-/// (`EMISSARY_JOB_RETRIES`, default 1; `0` disables retry). A job is
-/// attempted at most `1 + retries` times; each failed attempt is recorded
-/// as a `job_failure` JSONL record carrying its attempt number.
-pub fn job_retries() -> u32 {
-    env::var("EMISSARY_JOB_RETRIES")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
+fn text(v: &str) -> Result<String, String> {
+    Ok(v.to_string())
 }
 
-/// Base retry-backoff unit in milliseconds (`EMISSARY_RETRY_BACKOFF_MS`,
-/// default [`crate::pool::RETRY_BACKOFF_MS`]; `0` disables the sleep
-/// entirely). Attempt `n` sleeps roughly `n × base` before attempt
-/// `n + 1`, with a seed-deterministic jitter component so many workers
-/// retrying at once do not synchronize into a thundering herd (see
-/// [`crate::chaos::retry_backoff`]).
-pub fn retry_backoff_ms() -> u64 {
-    env::var("EMISSARY_RETRY_BACKOFF_MS")
-        .ok()
-        .and_then(|v| v.replace('_', "").parse().ok())
-        .unwrap_or(crate::pool::RETRY_BACKOFF_MS)
+fn positive<T: std::str::FromStr + PartialOrd + Default>(v: &str) -> Result<T, String> {
+    let n: T = number(v)?;
+    if n > T::default() {
+        Ok(n)
+    } else {
+        Err("expected a number above 0".to_string())
+    }
 }
 
-/// Fault-injection drill (`EMISSARY_INJECT_PANIC=<benchmark>/<policy>`):
-/// the matching job panics instead of running, exercising the harness's
-/// failure path end to end.
-pub fn inject_panic() -> Option<String> {
-    env::var("EMISSARY_INJECT_PANIC")
-        .ok()
-        .filter(|v| !v.is_empty())
+fn zero_off(v: &str) -> Result<Option<u64>, String> {
+    number(v).map(|n: u64| (n > 0).then_some(n))
 }
 
-/// Whether the metrics subsystem records (`EMISSARY_METRICS`, default
-/// on; `0` disables). Metrics are merge-at-drain and export only after
-/// each simulation finishes, so leaving them on cannot perturb
-/// simulated behaviour (the metrics-smoke test holds both bit-identity
-/// and a < 2% throughput overhead budget).
-pub fn metrics() -> bool {
-    env::var(emissary_obs::ENV_METRICS)
-        .map(|v| v != "0")
-        .unwrap_or(true)
+fn positive_f64(v: &str) -> Result<f64, String> {
+    positive(v).and_then(|x: f64| {
+        x.is_finite()
+            .then_some(x)
+            .ok_or_else(|| "expected a finite number".to_string())
+    })
 }
 
-/// Optional periodic metrics-dump interval in milliseconds
-/// (`EMISSARY_METRICS_INTERVAL_MS`; unset or `0` disables). When set,
-/// the campaign re-renders `results/metrics.prom` at this period while
-/// jobs run, so long campaigns can be watched live.
-pub fn metrics_interval_ms() -> Option<u64> {
-    env::var(emissary_obs::ENV_METRICS_INTERVAL_MS)
-        .ok()
-        .and_then(|v| v.replace('_', "").parse().ok())
-        .filter(|&v| v > 0)
+fn fraction(v: &str) -> Result<f64, String> {
+    let x: f64 = number(v)?;
+    if (0.0..=1.0).contains(&x) {
+        Ok(x)
+    } else {
+        Err("expected a probability in [0, 1]".to_string())
+    }
 }
 
-/// Whether pool workers pin themselves to cores (`EMISSARY_PIN_CORES=1`,
-/// default off). Pinning trades scheduler freedom for cache locality;
-/// it only helps when the host is otherwise idle and the worker count
-/// matches the core count, so it stays opt-in.
-pub fn pin_cores() -> bool {
-    env::var("EMISSARY_PIN_CORES")
-        .map(|v| v == "1")
-        .unwrap_or(false)
+fn flag(v: &str) -> Result<bool, String> {
+    match v {
+        "0" => Ok(false),
+        "1" => Ok(true),
+        _ => Err("expected 0 or 1".to_string()),
+    }
 }
 
-/// Worker threads (`EMISSARY_THREADS`, default: available parallelism).
-pub fn threads() -> usize {
-    env::var("EMISSARY_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&v: &usize| v > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-        })
+/// Resolves knobs from `(name, value)` pairs, starting from the defaults.
+/// Names outside the `EMISSARY_` prefix are ignored; empty values count
+/// as unset. Pure: the result depends only on `vars` (and, for the
+/// `EMISSARY_THREADS` default, the host's parallelism).
+pub fn parse<I, K, V>(vars: I) -> Result<Knobs, KnobError>
+where
+    I: IntoIterator<Item = (K, V)>,
+    K: AsRef<str>,
+    V: AsRef<str>,
+{
+    let mut knobs = Knobs::default();
+    for (name, value) in vars {
+        let (name, value) = (name.as_ref(), value.as_ref());
+        if !name.starts_with("EMISSARY_") {
+            continue;
+        }
+        match TABLE.iter().find(|(known, _)| *known == name) {
+            None => knobs.unknown.push(name.to_string()),
+            Some(_) if value.is_empty() => {}
+            Some((_, set)) => set(&mut knobs, value).map_err(|reason| KnobError {
+                name: name.to_string(),
+                value: value.to_string(),
+                reason,
+            })?,
+        }
+    }
+    Ok(knobs)
+}
+
+/// The process's knobs, parsed from the environment on first use. Warns
+/// once on stderr per unknown `EMISSARY_*` name; on a malformed value,
+/// prints the error and exits with status 2.
+pub fn knobs() -> &'static Knobs {
+    static KNOBS: OnceLock<Knobs> = OnceLock::new();
+    KNOBS.get_or_init(|| {
+        let vars = std::env::vars_os().map(|(k, v)| {
+            (
+                k.to_string_lossy().into_owned(),
+                v.to_string_lossy().into_owned(),
+            )
+        });
+        match parse(vars) {
+            Ok(knobs) => {
+                for name in &knobs.unknown {
+                    eprintln!(
+                        "warning: unknown knob {name} ignored \
+                         (README \"Environment variables\" lists the recognised ones)"
+                    );
+                }
+                knobs
+            }
+            Err(e) => {
+                eprintln!("error: {e}");
+                std::process::exit(2);
+            }
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn defaults_are_positive() {
-        // Don't mutate the environment (tests run in parallel); defaults
-        // apply when unset.
-        assert!(measure_instrs() > 0);
-        assert!(warmup_instrs() > 0);
-        assert!(threads() > 0);
+    fn parsed(vars: &[(&str, &str)]) -> Result<Knobs, KnobError> {
+        parse(vars.iter().copied())
+    }
+
+    fn rejects(name: &str, value: &str) {
+        let err = parsed(&[(name, value)]).expect_err(&format!("{name}={value:?} must fail"));
+        assert_eq!(err.name, name);
+        assert_eq!(err.value, value);
+        assert!(err.to_string().contains(name), "{err}");
     }
 
     #[test]
-    fn env_parser_handles_underscores_and_garbage() {
-        assert_eq!(env_u64("EMISSARY_TEST_UNSET_VAR_XYZ", 42), 42);
-    }
-
-    #[test]
-    fn observability_defaults_to_off() {
-        // Unset in the test environment: both knobs must read as disabled.
-        assert_eq!(sample_interval(), None);
-        assert_eq!(trace_out(), None);
-    }
-
-    #[test]
-    fn fault_knobs_default_sanely() {
-        // Unset in the test environment: no budget, watchdog armed at its
-        // default threshold, no injection.
-        assert_eq!(job_timeout_ms(), None);
+    fn empty_environment_yields_the_documented_defaults() {
+        let k = parsed(&[]).unwrap();
+        assert_eq!(k.measure_instrs, 8_000_000);
+        assert_eq!(k.warmup_instrs, 4_000_000);
+        assert!(k.threads > 0);
+        assert_eq!(k.sample_interval, None);
+        assert_eq!(k.trace_out, None);
+        assert!(k.metrics);
+        assert_eq!(k.job_timeout_ms, None);
         assert_eq!(
-            stall_cycles(),
+            k.stall_cycles,
             Some(emissary_sim::fault::DEFAULT_STALL_CYCLES)
         );
-        assert_eq!(inject_panic(), None);
-        // Like the audit flag below, compare against the live environment
-        // rather than assuming the knob is unset.
+        assert!(!k.audit);
+        assert!(!k.resume);
+        assert_eq!(k.job_retries, 1);
+        assert_eq!(k.retry_backoff_ms, crate::pool::RETRY_BACKOFF_MS);
+        assert_eq!(k.inject_panic, None);
+        assert_eq!(k.chaos_seed, None);
+        assert_eq!(k.chaos_rate, crate::chaos::DEFAULT_CHAOS_RATE);
+        assert!(k.progress);
+        assert_eq!(k.scaling_gate, None);
+        assert!(!k.bless);
+        assert_eq!(k.serve_addr, "127.0.0.1:7464");
+        assert_eq!(k.serve_dir, PathBuf::from("results"));
+        assert!(k.unknown.is_empty());
+    }
+
+    #[test]
+    fn every_flag_takes_exactly_0_or_1() {
+        type Get = fn(&Knobs) -> bool;
+        let flags: &[(&str, Get)] = &[
+            ("EMISSARY_METRICS", |k| k.metrics),
+            ("EMISSARY_AUDIT", |k| k.audit),
+            ("EMISSARY_RESUME", |k| k.resume),
+            ("EMISSARY_PROGRESS", |k| k.progress),
+            ("EMISSARY_BLESS", |k| k.bless),
+        ];
+        for &(name, get) in flags {
+            assert!(get(&parsed(&[(name, "1")]).unwrap()), "{name}=1");
+            assert!(!get(&parsed(&[(name, "0")]).unwrap()), "{name}=0");
+            for bad in ["true", "yes", "on", "2", " 1"] {
+                rejects(name, bad);
+            }
+        }
+    }
+
+    #[test]
+    fn numbers_accept_underscore_separators() {
+        let k = parsed(&[
+            ("EMISSARY_MEASURE_INSNS", "1_000_000"),
+            ("EMISSARY_WARMUP_INSNS", "250_000"),
+            ("EMISSARY_THREADS", "3"),
+            ("EMISSARY_JOB_RETRIES", "1_0"),
+            ("EMISSARY_CHAOS_SEED", "12_345"),
+            ("EMISSARY_SERVE_MAX_BODY", "1_048_576"),
+            ("EMISSARY_SERVE_IO_TIMEOUT_MS", "2_500"),
+        ])
+        .unwrap();
+        assert_eq!(k.measure_instrs, 1_000_000);
+        assert_eq!(k.warmup_instrs, 250_000);
+        assert_eq!(k.threads, 3);
+        assert_eq!(k.job_retries, 10);
+        assert_eq!(k.chaos_seed, Some(12_345));
+        assert_eq!(k.serve_max_body, 1_048_576);
+        assert_eq!(k.serve_io_timeout_ms, 2_500);
+    }
+
+    #[test]
+    fn zero_switches_off_the_knobs_that_document_it() {
+        let zero = |name| parsed(&[(name, "0")]).unwrap();
+        assert_eq!(zero("EMISSARY_STALL_CYCLES").stall_cycles, None);
+        assert_eq!(zero("EMISSARY_JOB_TIMEOUT_MS").job_timeout_ms, None);
+        assert_eq!(zero("EMISSARY_SAMPLE_INTERVAL").sample_interval, None);
+        assert_eq!(zero("EMISSARY_RETRY_BACKOFF_MS").retry_backoff_ms, 0);
+        assert_eq!(zero("EMISSARY_JOB_RETRIES").job_retries, 0);
+        let on = parsed(&[
+            ("EMISSARY_STALL_CYCLES", "500"),
+            ("EMISSARY_JOB_TIMEOUT_MS", "9_000"),
+            ("EMISSARY_SAMPLE_INTERVAL", "50_000"),
+        ])
+        .unwrap();
+        assert_eq!(on.stall_cycles, Some(500));
+        assert_eq!(on.job_timeout_ms, Some(9_000));
+        assert_eq!(on.sample_interval, Some(50_000));
+    }
+
+    #[test]
+    fn malformed_values_name_their_variable() {
+        for (name, bad) in [
+            ("EMISSARY_MEASURE_INSNS", "8M"),
+            ("EMISSARY_MEASURE_INSNS", "0"),
+            ("EMISSARY_WARMUP_INSNS", "-1"),
+            ("EMISSARY_THREADS", "0"),
+            ("EMISSARY_STALL_CYCLES", "never"),
+            ("EMISSARY_JOB_RETRIES", "-1"),
+            ("EMISSARY_CHAOS_SEED", "0x10"),
+            ("EMISSARY_CHAOS_RATE", "1.5"),
+            ("EMISSARY_CHAOS_RATE", "NaN"),
+            ("EMISSARY_SCALING_GATE", "0"),
+            ("EMISSARY_SCALING_GATE", "inf"),
+            ("EMISSARY_SERVE_QUEUE_DEPTH", "lots"),
+        ] {
+            rejects(name, bad);
+        }
+    }
+
+    #[test]
+    fn a_mistyped_resume_value_is_an_error_not_a_fresh_campaign() {
+        let err = parsed(&[("EMISSARY_RESUME", "true")]).unwrap_err();
+        assert_eq!(err.name, "EMISSARY_RESUME");
         assert_eq!(
-            retry_backoff_ms(),
-            env::var("EMISSARY_RETRY_BACKOFF_MS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(crate::pool::RETRY_BACKOFF_MS)
-        );
-        // CI runs the suite with EMISSARY_AUDIT=1, so compare the flags
-        // against the live environment instead of assuming unset.
-        assert_eq!(
-            audit(),
-            env::var("EMISSARY_AUDIT")
-                .map(|v| v == "1")
-                .unwrap_or(false)
-        );
-        assert_eq!(
-            resume(),
-            env::var("EMISSARY_RESUME")
-                .map(|v| v == "1")
-                .unwrap_or(false)
+            err.to_string(),
+            "invalid EMISSARY_RESUME=\"true\": expected 0 or 1"
         );
     }
 
     #[test]
-    fn campaign_knobs_default_to_scheduled_with_progress() {
-        assert_eq!(
-            sequential(),
-            env::var("EMISSARY_SEQUENTIAL")
-                .map(|v| v == "1")
-                .unwrap_or(false)
-        );
-        assert_eq!(
-            progress(),
-            env::var("EMISSARY_PROGRESS")
-                .map(|v| v != "0")
-                .unwrap_or(true)
-        );
-        assert_eq!(
-            pin_cores(),
-            env::var("EMISSARY_PIN_CORES")
-                .map(|v| v == "1")
-                .unwrap_or(false)
-        );
+    fn unknown_names_are_collected_and_otherwise_ignored() {
+        let k = parsed(&[
+            ("EMISSARY_RESUMEE", "1"),
+            ("PATH", "/usr/bin"),
+            ("EMISSARY_SEQUENTIAL", "1"),
+        ])
+        .unwrap();
+        assert!(!k.resume);
+        assert_eq!(k.unknown, ["EMISSARY_RESUMEE", "EMISSARY_SEQUENTIAL"]);
+    }
+
+    #[test]
+    fn strings_paths_and_empty_values() {
+        let k = parsed(&[
+            ("EMISSARY_TRACE_OUT", "traces"),
+            ("EMISSARY_INJECT_PANIC", "tomcat/P(8):S&E"),
+            ("EMISSARY_CHAOS_RATE", "0.02"),
+            ("EMISSARY_SCALING_GATE", "1.0"),
+            ("EMISSARY_SERVE_TOKENS", "a=x,b=y"),
+            ("EMISSARY_MEASURE_INSNS", ""),
+        ])
+        .unwrap();
+        assert_eq!(k.trace_out, Some(PathBuf::from("traces")));
+        assert_eq!(k.inject_panic.as_deref(), Some("tomcat/P(8):S&E"));
+        assert_eq!(k.chaos_rate, 0.02);
+        assert_eq!(k.scaling_gate, Some(1.0));
+        assert_eq!(k.serve_tokens, "a=x,b=y");
+        assert_eq!(k.measure_instrs, 8_000_000, "empty means unset");
+    }
+
+    #[test]
+    fn table_names_are_unique_and_prefixed() {
+        let all: Vec<&str> = names().collect();
+        let unique: std::collections::BTreeSet<&str> = all.iter().copied().collect();
+        assert_eq!(unique.len(), all.len(), "duplicate knob name");
+        assert!(all.iter().all(|n| n.starts_with("EMISSARY_")));
     }
 }

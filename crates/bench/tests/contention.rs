@@ -16,7 +16,7 @@ use emissary_bench::{metrics, Job};
 use emissary_core::spec::PolicySpec;
 use emissary_obs::JsonValue;
 use emissary_sim::SimConfig;
-use emissary_workloads::{shared_program, store, Profile};
+use emissary_workloads::{shared_program, Profile};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("emissary_contend_{}_{tag}", std::process::id()));
@@ -156,9 +156,6 @@ fn hammered_drain_loses_no_records_and_workers_take_no_global_locks() {
 
 #[test]
 fn sharded_store_coalesces_under_an_8_thread_hammer() {
-    if !store::enabled() {
-        return; // EMISSARY_PROGRAM_STORE=0: nothing to coalesce
-    }
     let profiles: Vec<Profile> = Profile::all().into_iter().take(4).collect();
     let canon: Vec<_> = profiles.iter().map(shared_program).collect();
     std::thread::scope(|s| {

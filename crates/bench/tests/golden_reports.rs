@@ -79,9 +79,7 @@ fn golden_config(g: &Golden) -> SimConfig {
 
 #[test]
 fn reports_are_bit_identical_to_seed_behaviour() {
-    let bless = std::env::var("EMISSARY_BLESS")
-        .map(|v| v == "1")
-        .unwrap_or(false);
+    let bless = emissary_bench::scale::knobs().bless;
     let mut failures = Vec::new();
     for g in GOLDEN {
         let profile = Profile::by_name(g.benchmark).expect("golden benchmark");

@@ -144,7 +144,7 @@ pub enum TraceEvent {
         /// Cycle the episode started (duration = cycle - start_cycle).
         start_cycle: u64,
     },
-    /// The invariant auditor (`EMISSARY_AUDIT=1`) found simulated state
+    /// The invariant auditor (opt-in, at epoch boundaries) found simulated state
     /// violating a structural invariant.
     AuditViolation {
         /// Cycle the audit ran.

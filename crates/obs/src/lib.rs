@@ -46,16 +46,3 @@ pub use parse::{jsonl_lines, JsonParseError, JsonValue, JsonlLine};
 pub use sample::{interval_chunks, IntervalSample, SampleCounters, SampleSeries};
 pub use sink::{JsonlSink, NullSink, RingBuffer, RingSink, TraceSink};
 pub use tracer::Tracer;
-
-/// Env var naming a directory for per-run JSONL event traces.
-pub const ENV_TRACE_OUT: &str = "EMISSARY_TRACE_OUT";
-
-/// Env var setting the interval-sampler period in committed instructions.
-pub const ENV_SAMPLE_INTERVAL: &str = "EMISSARY_SAMPLE_INTERVAL";
-
-/// Env var toggling the metrics subsystem (default on; `0` disables).
-pub const ENV_METRICS: &str = "EMISSARY_METRICS";
-
-/// Env var setting an optional periodic metrics-dump interval in
-/// milliseconds (unset disables the periodic dump).
-pub const ENV_METRICS_INTERVAL_MS: &str = "EMISSARY_METRICS_INTERVAL_MS";

@@ -40,15 +40,8 @@ use crate::metrics::{count_job, count_rejection, count_request, set_queue_gauges
 use crate::queue::{FairQueue, QueueLimits, Ticket};
 use crate::state::{JobStatus, JobsTable};
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.replace('_', "").parse().ok())
-        .unwrap_or(default)
-}
-
-/// Everything the daemon reads from its environment (see crate docs for
-/// the knob table).
+/// Everything the daemon takes from its environment (see crate docs for
+/// the knobs; [`emissary_bench::scale`] parses them).
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address (`EMISSARY_SERVE_ADDR`; port 0 picks an ephemeral
@@ -76,10 +69,11 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// Reads the full configuration from the environment.
+    /// The configuration the process's knobs describe.
     pub fn from_env() -> Self {
-        let tokens = std::env::var("EMISSARY_SERVE_TOKENS")
-            .unwrap_or_default()
+        let k = emissary_bench::scale::knobs();
+        let tokens = k
+            .serve_tokens
             .split(',')
             .filter_map(|pair| {
                 let (tenant, token) = pair.trim().split_once('=')?;
@@ -90,18 +84,15 @@ impl ServeConfig {
             })
             .collect();
         ServeConfig {
-            addr: std::env::var("EMISSARY_SERVE_ADDR")
-                .unwrap_or_else(|_| "127.0.0.1:7464".to_string()),
-            dir: PathBuf::from(
-                std::env::var("EMISSARY_SERVE_DIR").unwrap_or_else(|_| "results".to_string()),
-            ),
+            addr: k.serve_addr.clone(),
+            dir: k.serve_dir.clone(),
             limits: QueueLimits {
-                depth: env_u64("EMISSARY_SERVE_QUEUE_DEPTH", 256) as usize,
-                tenant_inflight: env_u64("EMISSARY_SERVE_TENANT_INFLIGHT", 8) as usize,
+                depth: k.serve_queue_depth,
+                tenant_inflight: k.serve_tenant_inflight,
             },
-            max_conns: env_u64("EMISSARY_SERVE_MAX_CONNS", 64) as usize,
-            max_body: env_u64("EMISSARY_SERVE_MAX_BODY", 65_536) as usize,
-            io_timeout: Duration::from_millis(env_u64("EMISSARY_SERVE_IO_TIMEOUT_MS", 10_000)),
+            max_conns: k.serve_max_conns,
+            max_body: k.serve_max_body,
+            io_timeout: Duration::from_millis(k.serve_io_timeout_ms),
             tokens,
             pool: PoolOptions::from_env(),
         }
@@ -255,7 +246,6 @@ impl Server {
                 thread::Builder::new()
                     .name(format!("serve-worker-{w}"))
                     .spawn(move || {
-                        emissary_bench::pool::pin_worker(w);
                         // Worker-local result buffers: failures and
                         // trace/ckpt errors accumulate here and drain to
                         // the process logs when the worker exits.

@@ -13,14 +13,6 @@
 
 use std::time::Instant;
 
-/// Environment variable: per-job wall-clock budget in milliseconds.
-pub const ENV_JOB_TIMEOUT_MS: &str = "EMISSARY_JOB_TIMEOUT_MS";
-/// Environment variable: cycles without a commit before declaring a stall.
-pub const ENV_STALL_CYCLES: &str = "EMISSARY_STALL_CYCLES";
-/// Environment variable: set to `1` to run the invariant auditor at epoch
-/// boundaries.
-pub const ENV_AUDIT: &str = "EMISSARY_AUDIT";
-
 /// Default forward-progress threshold: no real configuration keeps an
 /// 8-wide machine from committing for this many consecutive cycles (a full
 /// DRAM round-trip is ~150 cycles; mispredict re-steers are single-digit).
@@ -57,30 +49,6 @@ impl FaultConfig {
             deadline: None,
             stall_cycles: Some(DEFAULT_STALL_CYCLES),
             audit: false,
-        }
-    }
-
-    /// Reads `EMISSARY_JOB_TIMEOUT_MS`, `EMISSARY_STALL_CYCLES`, and
-    /// `EMISSARY_AUDIT`. With none of them set, this is
-    /// [`FaultConfig::watchdog`]: the stall detector is armed (it is free
-    /// and read-only) but no wall-clock budget applies.
-    pub fn from_env() -> Self {
-        let timeout_ms = std::env::var(ENV_JOB_TIMEOUT_MS)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&ms| ms > 0);
-        let stall = std::env::var(ENV_STALL_CYCLES)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok());
-        let audit = std::env::var(ENV_AUDIT).map(|v| v == "1").unwrap_or(false);
-        Self {
-            deadline: timeout_ms.map(|ms| Instant::now() + std::time::Duration::from_millis(ms)),
-            stall_cycles: match stall {
-                Some(0) => None, // explicit opt-out
-                Some(n) => Some(n),
-                None => Some(DEFAULT_STALL_CYCLES),
-            },
-            audit,
         }
     }
 

@@ -15,10 +15,6 @@
 //! across a build). The map itself is lock-striped across [`SHARDS`]
 //! shards keyed by the profile hash, so concurrent lookups of different
 //! profiles do not serialize on one global mutex either.
-//!
-//! `EMISSARY_PROGRAM_STORE=0` disables the cache (every call builds a
-//! fresh program) — useful for measuring what the cache is worth and for
-//! reproducing pre-store behaviour exactly.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -54,13 +50,6 @@ fn shard_for(key: u64) -> &'static Mutex<HashMap<u64, Cell>> {
     &shards()[(key as usize) % SHARDS]
 }
 
-/// Whether the store caches programs (`EMISSARY_PROGRAM_STORE` != `"0"`).
-pub fn enabled() -> bool {
-    std::env::var("EMISSARY_PROGRAM_STORE")
-        .map(|v| v != "0")
-        .unwrap_or(true)
-}
-
 /// Number of distinct programs currently cached.
 pub fn cached_programs() -> usize {
     shards()
@@ -70,13 +59,8 @@ pub fn cached_programs() -> usize {
 }
 
 /// Returns the shared program for `profile`, building it on first use.
-///
-/// With the store disabled (`EMISSARY_PROGRAM_STORE=0`) every call builds
-/// a fresh program, exactly like [`Profile::build`].
+/// Identical in content to [`Profile::build`].
 pub fn shared_program(profile: &Profile) -> Arc<Program> {
-    if !enabled() {
-        return Arc::new(build_program(&profile.shape));
-    }
     let key = profile_key(profile);
     let cell: Cell = {
         let mut map = shard_for(key).lock().expect("program store poisoned");
