@@ -11,8 +11,9 @@
 //!   this *named site* fire?" and the answer is a pure function of the
 //!   seed, the site name, and a site-local key, so two runs with the same
 //!   `EMISSARY_CHAOS_SEED` inject the identical fault set.
-//! * [`CkptIo`] — a small trait over the checkpoint layer's filesystem
-//!   operations. [`RealIo`] passes straight through to `std::fs`;
+//! * [`CkptIo`] — a small trait over the filesystem operations of the
+//!   append-only log ([`crate::append_log`]) behind the campaign
+//!   checkpoint and the serve journal. [`RealIo`] passes straight through to `std::fs`;
 //!   [`ChaosIo`] wraps it and injects I/O errors, torn (partial) line
 //!   writes, and failed rotations according to the plan.
 //! * [`ChaosWriter`] — a `Write` adapter that injects I/O errors into
@@ -181,16 +182,17 @@ pub fn plan_from_env() -> Option<Arc<FaultPlan>> {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint I/O indirection
+// Append-log I/O indirection
 // ---------------------------------------------------------------------------
 
-/// The filesystem operations the checkpoint layer performs, as a trait so
-/// chaos (and tests) can interpose on every one of them.
+/// The filesystem operations the append-only log ([`crate::append_log`])
+/// performs for the campaign checkpoint and the serve journal, as a
+/// trait so chaos (and tests) can interpose on every one of them.
 pub trait CkptIo: Send + Sync + std::fmt::Debug {
     /// `fs::create_dir_all`.
     fn create_dir_all(&self, dir: &Path) -> io::Result<()>;
 
-    /// `fs::read_to_string` (checkpoint resume load).
+    /// `fs::read_to_string` (salvage on open).
     fn read_to_string(&self, path: &Path) -> io::Result<String>;
 
     /// Opens `path` for writing: appending when `append`, truncating

@@ -29,28 +29,23 @@
 //! campaign re-runs exactly the jobs that did not finish. Records are
 //! replayed last-wins per fingerprint.
 //!
-//! Resume is corruption-tolerant: lines that do not parse as complete
-//! checkpoint records (torn tails from a killed process, garbage from a
-//! bad disk) are **quarantined** — moved verbatim to
-//! `<name>.ckpt.quarantine` — and the checkpoint file is atomically
-//! rewritten (temp file + fsync + rename) with only the good lines, so
-//! the next resume starts from a clean segment. All filesystem access
-//! goes through [`crate::chaos::CkptIo`], so the chaos layer can inject
-//! I/O errors and torn writes at every step; any open/append failure
-//! logs a `ckpt_error` record (see [`crate::results`]) and degrades the
-//! campaign to memo-only (in-process) mode instead of silently not
-//! persisting.
+//! The file itself is an [`AppendLog`], which owns salvage, quarantine
+//! and torn-append handling: on resume, lines that do not decode as
+//! checkpoint records are moved verbatim to `<name>.ckpt.quarantine`
+//! and the checkpoint is atomically rewritten without them. This module
+//! keeps only the record codec and its answer to a log that stops
+//! persisting: the campaign degrades to memo-only (in-process) mode
+//! instead of failing.
 
 use std::collections::HashMap;
-use std::fs;
-use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
-use emissary_obs::{jsonl_lines, JsonObject, JsonValue};
+use emissary_obs::{JsonObject, JsonValue};
 use emissary_sim::{SimReport, SimRun};
 
+use crate::append_log::AppendLog;
 use crate::chaos::{lock_unpoisoned, CkptIo};
 use crate::pool::JobOutcome;
 use crate::Job;
@@ -125,8 +120,8 @@ pub(crate) fn note_failed() {
 
 /// One campaign's dedup state: the fingerprint → run memo (seeded from
 /// the checkpoint file on resume, grown by every fresh completion) plus
-/// a **single-writer drain thread** that owns the `BufWriter` and the
-/// campaign's [`CkptIo`]. Workers never touch the writer: [`record`]
+/// a **single-writer drain thread** that owns the campaign's
+/// [`AppendLog`]. Workers never touch the log: [`record`]
 /// inserts into a lock-striped memo (16 stripes keyed by the
 /// fingerprint hash, so concurrent completions of different jobs rarely
 /// share a stripe) and sends a pre-rendered record down an unbounded
@@ -145,8 +140,8 @@ pub struct Campaign {
     memo: [Mutex<HashMap<String, SimRun>>; MEMO_STRIPES],
     loaded: usize,
     quarantined: u64,
-    /// False once the campaign is memo-only (writer failed at open, or
-    /// the drain thread dropped it after an unsalvageable append).
+    /// False once the campaign is memo-only (the log failed to open, or
+    /// stopped persisting after an unsalvageable append).
     persistent: Arc<AtomicBool>,
     /// Records the drain thread has processed (appended or, in
     /// memo-only mode, discarded).
@@ -257,16 +252,11 @@ impl CkptRecord {
     }
 }
 
-/// The drain thread: sole owner of the writer and the [`CkptIo`].
-/// Append failures degrade exactly as the old in-line path did — log a
-/// `ckpt_error`, terminate the torn line with a bare newline, and drop
-/// to memo-only if even that fails. Must never panic: the pool and the
-/// serve layer block on [`Campaign::sync`] acks.
+/// The drain thread: sole owner of the [`AppendLog`]. Must never panic:
+/// the pool and the serve layer block on [`Campaign::sync`] acks.
 fn drain_loop(
     rx: &mpsc::Receiver<DrainMsg>,
-    io: &dyn CkptIo,
-    mut writer: Option<BufWriter<fs::File>>,
-    path: &Path,
+    mut log: AppendLog,
     mut experiment: String,
     persistent: &AtomicBool,
     drained: &AtomicU64,
@@ -275,28 +265,15 @@ fn drain_loop(
         match msg {
             DrainMsg::SetExperiment(name) => experiment = name,
             DrainMsg::Flush(ack) => {
-                // Appends flush per line; this catches a salvage newline
-                // that may still sit in the BufWriter.
-                if let Some(w) = writer.as_mut() {
-                    let _ = w.flush();
-                }
+                log.flush();
                 let _ = ack.send(());
             }
             DrainMsg::Record(rec) => {
                 drained.fetch_add(1, Ordering::Relaxed);
-                let Some(w) = writer.as_mut() else { continue };
-                let line = rec.render(&experiment);
-                if let Err(e) = io.append_line(w, &line) {
-                    crate::results::log_ckpt_error(path, "append", &e);
-                    eprintln!("checkpoint: write to {} failed: {e}", path.display());
-                    // Terminate whatever prefix landed so the *next*
-                    // record gets its own line; the torn one quarantines
-                    // on resume.
-                    let salvage = w.write_all(b"\n").and_then(|()| w.flush());
-                    if salvage.is_err() {
-                        writer = None; // memo-only from here on
-                        persistent.store(false, Ordering::Relaxed);
-                    }
+                if log.persistent() && log.append(&rec.render(&experiment)).is_err() {
+                    // The log reported the failure; memo-only from here
+                    // on if it could not salvage the line.
+                    persistent.store(log.persistent(), Ordering::Relaxed);
                 }
             }
         }
@@ -316,58 +293,51 @@ impl Campaign {
 
     /// [`Campaign::begin_with`] over an explicit [`CkptIo`].
     ///
-    /// Every failure degrades instead of aborting: an unreadable
-    /// checkpoint resumes empty, unusable lines are quarantined to
-    /// `<name>.ckpt.quarantine` (and the checkpoint atomically rewritten
-    /// without them), and an unopenable writer leaves the campaign in
-    /// memo-only mode — in-process dedup still works, nothing persists.
-    /// Each degradation logs a `ckpt_error` record.
+    /// Every failure degrades instead of aborting (see [`AppendLog`]):
+    /// an unreadable checkpoint resumes empty, unusable lines are
+    /// quarantined to `<name>.ckpt.quarantine`, and an unopenable file
+    /// leaves the campaign in memo-only mode — in-process dedup still
+    /// works, nothing persists.
     pub fn begin_with_io(name: &str, dir: &Path, resume: bool, io: Box<dyn CkptIo>) -> Campaign {
         let path = dir.join(format!("{name}.ckpt.jsonl"));
         let quarantine_path = dir.join(format!("{name}.ckpt.quarantine"));
-        let (loaded_memo, quarantined) = if resume {
-            salvage_checkpoint(&*io, &path, &quarantine_path)
-        } else {
-            (HashMap::new(), 0)
-        };
-        if let Err(e) = io.create_dir_all(dir) {
-            crate::results::log_ckpt_error(&path, "mkdir", &e);
-            eprintln!("checkpoint: cannot create {}: {e}", dir.display());
-        }
-        let writer = match io.open_writer(&path, resume) {
-            Ok(f) => Some(BufWriter::new(f)),
-            Err(e) => {
-                crate::results::log_ckpt_error(&path, "open", &e);
-                eprintln!(
-                    "checkpoint: cannot open {}: {e}; continuing memo-only \
-                     (in-process dedup still active, nothing will persist)",
-                    path.display()
-                );
-                None
-            }
-        };
-        let loaded = loaded_memo.len();
         let memo: [Mutex<HashMap<String, SimRun>>; MEMO_STRIPES] =
             std::array::from_fn(|_| Mutex::new(HashMap::new()));
-        for (fp, run) in loaded_memo {
-            lock_unpoisoned(&memo[stripe_of(&fp)]).insert(fp, run);
+        let log = AppendLog::open(
+            io,
+            &path,
+            &quarantine_path,
+            resume,
+            |v| match decode_record(v) {
+                Ok(Some((fp, run))) => {
+                    lock_unpoisoned(&memo[stripe_of(&fp)]).insert(fp, run);
+                    true
+                }
+                Ok(None) => true,
+                Err(()) => false,
+            },
+        );
+        if !log.persistent() {
+            eprintln!(
+                "checkpoint: continuing memo-only (in-process dedup still active, \
+                 nothing will persist)"
+            );
         }
-        // `persistent` reflects the writer synchronously at open time —
+        let loaded = memo.iter().map(|s| lock_unpoisoned(s).len()).sum();
+        // `persistent` reflects the log synchronously at open time —
         // memo-only degradation must be observable before any record is
         // drained.
-        let persistent = Arc::new(AtomicBool::new(writer.is_some()));
+        let persistent = Arc::new(AtomicBool::new(log.persistent()));
+        let quarantined = log.quarantined();
         let drained = Arc::new(AtomicU64::new(0));
         let (tx, rx) = mpsc::channel();
         let drain = {
-            let path = path.clone();
             let experiment = name.to_string();
             let persistent = Arc::clone(&persistent);
             let drained = Arc::clone(&drained);
             std::thread::Builder::new()
                 .name("ckpt-drain".into())
-                .spawn(move || {
-                    drain_loop(&rx, &*io, writer, &path, experiment, &persistent, &drained);
-                })
+                .spawn(move || drain_loop(&rx, log, experiment, &persistent, &drained))
                 .expect("spawn checkpoint drain thread")
         };
         Campaign {
@@ -442,10 +412,8 @@ impl Campaign {
     /// Durability is deferred to [`Campaign::sync`]; a killed campaign
     /// loses at most the records not yet synced, which resume re-runs.
     ///
-    /// A failed append in the drain thread logs a `ckpt_error` record
-    /// and tries to terminate the (possibly torn) line with a bare
-    /// newline so the next record starts clean; if even that fails the
-    /// writer is dropped and the campaign continues memo-only.
+    /// A failed append is salvaged by the [`AppendLog`]; if the log
+    /// stops persisting, the campaign continues memo-only.
     pub fn record(&self, fp: &str, outcome: &JobOutcome) {
         if let JobOutcome::Completed { run, .. } = outcome {
             lock_unpoisoned(&self.memo[stripe_of(fp)]).insert(fp.to_string(), (**run).clone());
@@ -520,95 +488,6 @@ fn decode_record(v: &JsonValue) -> Result<Option<(String, SimRun)>, ()> {
             measure_seconds: seconds("measure_seconds"),
         },
     )))
-}
-
-/// Loads a checkpoint file for resume, quarantining every unusable line.
-///
-/// Good lines (complete JSON checkpoint records — completed runs with a
-/// parseable report, or failure records) are kept; completed runs enter
-/// the returned memo last-wins per fingerprint. Bad lines (torn tails,
-/// garbage, records missing their payload) are appended verbatim to
-/// `quarantine` and the checkpoint is atomically rewritten (temp file +
-/// fsync + rename) with only the good lines, so the next resume starts
-/// from a clean segment. Returns the memo and the quarantined-line count.
-fn salvage_checkpoint(
-    io: &dyn CkptIo,
-    path: &Path,
-    quarantine: &Path,
-) -> (HashMap<String, SimRun>, u64) {
-    let text = match io.read_to_string(path) {
-        Ok(text) => text,
-        Err(e) => {
-            if e.kind() != io::ErrorKind::NotFound {
-                crate::results::log_ckpt_error(path, "read", &e);
-                eprintln!(
-                    "checkpoint: cannot read {}: {e}; resuming empty",
-                    path.display()
-                );
-            }
-            return (HashMap::new(), 0);
-        }
-    };
-    let mut memo = HashMap::new();
-    let mut good: Vec<&str> = Vec::new();
-    let mut bad: Vec<&str> = Vec::new();
-    for line in jsonl_lines(&text) {
-        let usable = line.parsed.as_ref().map_err(|_| ()).and_then(decode_record);
-        match usable {
-            Ok(entry) => {
-                good.push(line.raw);
-                if let Some((fp, run)) = entry {
-                    memo.insert(fp, run);
-                }
-            }
-            Err(()) => bad.push(line.raw),
-        }
-    }
-    if !bad.is_empty() {
-        quarantine_lines(io, quarantine, &bad);
-        // Rotate the checkpoint to just the good lines so torn tails are
-        // not re-parsed (and re-quarantined) by every later resume.
-        let mut contents = good.join("\n");
-        if !contents.is_empty() {
-            contents.push('\n');
-        }
-        if let Err(e) = io.replace_file(path, &contents) {
-            crate::results::log_ckpt_error(path, "rotate", &e);
-            eprintln!(
-                "checkpoint: cannot rewrite {} after quarantine: {e}",
-                path.display()
-            );
-        }
-    }
-    (memo, bad.len() as u64)
-}
-
-/// Appends unusable checkpoint lines verbatim to the quarantine file
-/// (best-effort: quarantine exists for post-mortems, losing it must not
-/// block the resume itself).
-fn quarantine_lines(io: &dyn CkptIo, quarantine: &Path, lines: &[&str]) {
-    let mut w = match io.open_writer(quarantine, true) {
-        Ok(f) => BufWriter::new(f),
-        Err(e) => {
-            crate::results::log_ckpt_error(quarantine, "quarantine", &e);
-            eprintln!(
-                "checkpoint: cannot open quarantine {}: {e}; {} bad line(s) dropped",
-                quarantine.display(),
-                lines.len()
-            );
-            return;
-        }
-    };
-    for line in lines {
-        if let Err(e) = io.append_line(&mut w, line) {
-            crate::results::log_ckpt_error(quarantine, "quarantine", &e);
-            eprintln!(
-                "checkpoint: quarantine write to {} failed: {e}",
-                quarantine.display()
-            );
-            return;
-        }
-    }
 }
 
 /// The name of the unified cross-experiment campaign file under

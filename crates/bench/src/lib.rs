@@ -13,6 +13,7 @@
 //! exercise scaled-down versions of every experiment plus component
 //! microbenchmarks.
 
+pub mod append_log;
 pub mod campaign;
 pub mod chaos;
 pub mod checkpoint;

@@ -1,27 +1,29 @@
 //! The admission journal: the durability half of the server's
 //! journal-before-ack contract.
 //!
-//! Every accepted job appends one `job` record — through the same
-//! [`CkptIo`] path as campaign checkpoints, flushed per line — **before**
-//! the 201 acknowledgment is written to the socket. Terminal transitions
-//! append `done`/`cancel` records. Recovery replays the journal into a
+//! The journal is an [`AppendLog`], the same file protocol as the
+//! campaign checkpoint; this module keeps only the record codec. Every
+//! accepted job appends one `job` record, flushed, **before** the 201
+//! acknowledgment is written to the socket. Terminal transitions append
+//! `done`/`cancel` records. Recovery replays the journal into a
 //! last-state-wins map: jobs with no terminal record re-queue, jobs whose
 //! `done` landed replay their result from the campaign checkpoint, and
-//! unusable lines (torn tails from a `kill -9` mid-append) are
+//! unusable lines (torn tails from a `kill -9` or a failed append) are
 //! quarantined verbatim to `serve.jobs.quarantine` with the journal
-//! atomically rewritten — the same salvage contract as checkpoint resume.
+//! atomically rewritten.
 //!
 //! Losing a `done`/`cancel` record is benign (the job re-queues and
 //! replays instantly from the checkpoint memo); losing a `job` record is
 //! not, which is exactly why only `job` appends gate the acknowledgment.
 
 use std::collections::HashMap;
-use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::io;
+use std::path::Path;
 use std::sync::Mutex;
 
-use emissary_bench::chaos::{lock_unpoisoned, CkptIo, FaultPlan};
-use emissary_obs::{jsonl_lines, JsonObject, JsonValue};
+use emissary_bench::append_log::AppendLog;
+use emissary_bench::chaos::{lock_unpoisoned, CkptIo};
+use emissary_obs::{JsonObject, JsonValue};
 
 use crate::jobspec::JobSpec;
 
@@ -50,132 +52,59 @@ pub struct RecoveredJob {
 /// The append-side journal handle plus what recovery found.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
-    io: Box<dyn CkptIo>,
-    writer: Mutex<Option<std::fs::File>>,
-    plan: Option<std::sync::Arc<FaultPlan>>,
-    quarantined: u64,
+    log: Mutex<AppendLog>,
 }
 
 impl Journal {
     /// Opens (creating if needed) the journal under `dir`, replaying any
-    /// existing records. Returns the handle and the recovered jobs in
-    /// admission order.
+    /// existing records into per-job last-state-wins entries. Returns the
+    /// handle and the recovered jobs in admission order.
     ///
     /// A journal that cannot be read resumes empty; one that cannot be
     /// opened for append leaves the handle degraded — [`Journal::persistent`]
     /// turns false, and the server refuses admissions (503) rather than
     /// acknowledging jobs it cannot make durable.
-    pub fn open(
-        dir: &Path,
-        io: Box<dyn CkptIo>,
-        plan: Option<std::sync::Arc<FaultPlan>>,
-    ) -> (Journal, Vec<RecoveredJob>) {
-        let path = dir.join(JOURNAL_FILE);
-        let quarantine = dir.join(QUARANTINE_FILE);
-        if let Err(e) = io.create_dir_all(dir) {
-            eprintln!("serve: cannot create {}: {e}", dir.display());
-        }
-        let (recovered, quarantined) = Self::salvage(&*io, &path, &quarantine);
-        let writer = match io.open_writer(&path, true) {
-            Ok(f) => Some(f),
-            Err(e) => {
-                eprintln!(
-                    "serve: cannot open journal {}: {e}; refusing admissions \
-                     (jobs cannot be made durable)",
-                    path.display()
-                );
-                None
-            }
-        };
-        (
-            Journal {
-                path,
-                io,
-                writer: Mutex::new(writer),
-                plan,
-                quarantined,
-            },
-            recovered,
-        )
-    }
-
-    /// Replays the journal into per-job last-state-wins entries,
-    /// quarantining unusable lines and rewriting the journal without
-    /// them (the checkpoint salvage contract).
-    fn salvage(io: &dyn CkptIo, path: &Path, quarantine: &Path) -> (Vec<RecoveredJob>, u64) {
-        let text = match io.read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                if e.kind() != io::ErrorKind::NotFound {
-                    eprintln!("serve: cannot read journal {}: {e}", path.display());
-                }
-                return (Vec::new(), 0);
-            }
-        };
+    pub fn open(dir: &Path, io: Box<dyn CkptIo>) -> (Journal, Vec<RecoveredJob>) {
         let mut order: Vec<String> = Vec::new();
         let mut jobs: HashMap<String, RecoveredJob> = HashMap::new();
-        let mut good: Vec<&str> = Vec::new();
-        let mut bad: Vec<&str> = Vec::new();
-        for line in jsonl_lines(&text) {
-            match line.parsed.as_ref().ok().and_then(Self::decode) {
-                Some(record) => {
-                    good.push(line.raw);
-                    match record {
-                        Record::Job(job) => {
-                            if !jobs.contains_key(&job.id) {
-                                order.push(job.id.clone());
-                            }
-                            jobs.insert(job.id.clone(), job);
+        let log = AppendLog::open(
+            io,
+            &dir.join(JOURNAL_FILE),
+            &dir.join(QUARANTINE_FILE),
+            true,
+            |v| {
+                match Self::decode(v) {
+                    Some(Record::Job(job)) => {
+                        if !jobs.contains_key(&job.id) {
+                            order.push(job.id.clone());
                         }
-                        Record::Done { id, status } => {
-                            if let Some(j) = jobs.get_mut(&id) {
-                                j.terminal = Some(status);
-                            }
-                        }
-                        Record::Cancel { id } => {
-                            if let Some(j) = jobs.get_mut(&id) {
-                                j.cancelled = true;
-                            }
+                        jobs.insert(job.id.clone(), job);
+                    }
+                    Some(Record::Done { id, status }) => {
+                        if let Some(j) = jobs.get_mut(&id) {
+                            j.terminal = Some(status);
                         }
                     }
+                    Some(Record::Cancel { id }) => {
+                        if let Some(j) = jobs.get_mut(&id) {
+                            j.cancelled = true;
+                        }
+                    }
+                    None => return false,
                 }
-                None => bad.push(line.raw),
-            }
-        }
-        if !bad.is_empty() {
-            let mut lines = String::new();
-            for b in &bad {
-                lines.push_str(b);
-                lines.push('\n');
-            }
-            // Quarantine is best-effort (post-mortem evidence); the
-            // journal rewrite is what keeps later recoveries clean.
-            if let Err(e) = io
-                .open_writer(quarantine, true)
-                .and_then(|mut f| f.write_all(lines.as_bytes()).and_then(|()| f.flush()))
-            {
-                eprintln!(
-                    "serve: cannot quarantine journal lines to {}: {e}",
-                    quarantine.display()
-                );
-            }
-            let mut contents = good.join("\n");
-            if !contents.is_empty() {
-                contents.push('\n');
-            }
-            if let Err(e) = io.replace_file(path, &contents) {
-                eprintln!(
-                    "serve: cannot rewrite journal {} after quarantine: {e}",
-                    path.display()
-                );
-            }
-        }
+                true
+            },
+        );
         let recovered = order
             .into_iter()
             .filter_map(|id| jobs.remove(&id))
             .collect();
-        (recovered, bad.len() as u64)
+        (
+            Journal {
+                log: Mutex::new(log),
+            },
+            recovered,
+        )
     }
 
     fn decode(v: &JsonValue) -> Option<Record> {
@@ -205,16 +134,7 @@ impl Journal {
     }
 
     fn append(&self, line: &str) -> io::Result<()> {
-        if let Some(plan) = &self.plan {
-            if plan.fires("serve.journal") {
-                return Err(FaultPlan::io_error("serve.journal"));
-            }
-        }
-        let mut writer = lock_unpoisoned(&self.writer);
-        match writer.as_mut() {
-            Some(f) => self.io.append_line(f, line),
-            None => Err(io::Error::other("journal writer unavailable")),
-        }
+        lock_unpoisoned(&self.log).append(line)
     }
 
     /// Journals an admission. **Must succeed before the job is
@@ -244,9 +164,7 @@ impl Journal {
         o.field_str("record", "done")
             .field_str("id", id)
             .field_str("status", status);
-        if let Err(e) = self.append(&o.finish()) {
-            eprintln!("serve: journal done({id}) failed: {e}");
-        }
+        let _ = self.append(&o.finish());
     }
 
     /// Journals a cancellation (best-effort, same contract as
@@ -255,25 +173,18 @@ impl Journal {
     pub fn append_cancel(&self, id: &str) {
         let mut o = JsonObject::new();
         o.field_str("record", "cancel").field_str("id", id);
-        if let Err(e) = self.append(&o.finish()) {
-            eprintln!("serve: journal cancel({id}) failed: {e}");
-        }
+        let _ = self.append(&o.finish());
     }
 
     /// Whether the append side is live. When false the server refuses
     /// admissions rather than acknowledging non-durable work.
     pub fn persistent(&self) -> bool {
-        lock_unpoisoned(&self.writer).is_some()
+        lock_unpoisoned(&self.log).persistent()
     }
 
     /// Unusable lines quarantined during recovery.
     pub fn quarantined(&self) -> u64 {
-        self.quarantined
-    }
-
-    /// The journal file path.
-    pub fn path(&self) -> &Path {
-        &self.path
+        lock_unpoisoned(&self.log).quarantined()
     }
 }
 
@@ -287,6 +198,7 @@ enum Record {
 mod tests {
     use super::*;
     use emissary_bench::chaos::RealIo;
+    use std::path::PathBuf;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -312,7 +224,7 @@ mod tests {
     fn journal_round_trips_admissions_and_terminals() {
         let dir = tmpdir("roundtrip");
         {
-            let (j, recovered) = Journal::open(&dir, Box::new(RealIo), None);
+            let (j, recovered) = Journal::open(&dir, Box::new(RealIo));
             assert!(recovered.is_empty());
             assert!(j.persistent());
             j.append_job("j1", "acme", "fp1", &spec()).unwrap();
@@ -321,7 +233,7 @@ mod tests {
             j.append_done("j1", "completed");
             j.append_cancel("j3");
         }
-        let (j, recovered) = Journal::open(&dir, Box::new(RealIo), None);
+        let (j, recovered) = Journal::open(&dir, Box::new(RealIo));
         assert_eq!(j.quarantined(), 0);
         assert_eq!(recovered.len(), 3);
         assert_eq!(recovered[0].terminal.as_deref(), Some("completed"));
@@ -336,7 +248,7 @@ mod tests {
     fn torn_tail_is_quarantined_and_journal_rewritten() {
         let dir = tmpdir("torn");
         {
-            let (j, _) = Journal::open(&dir, Box::new(RealIo), None);
+            let (j, _) = Journal::open(&dir, Box::new(RealIo));
             j.append_job("j1", "acme", "fp1", &spec()).unwrap();
         }
         // Simulate a kill -9 mid-append: a torn half record.
@@ -348,25 +260,15 @@ mod tests {
         f.write_all(b"{\"record\":\"job\",\"id\":\"j2\",\"tena")
             .unwrap();
         drop(f);
-        let (j, recovered) = Journal::open(&dir, Box::new(RealIo), None);
+        let (j, recovered) = Journal::open(&dir, Box::new(RealIo));
         assert_eq!(recovered.len(), 1);
         assert_eq!(j.quarantined(), 1);
         let quarantine = std::fs::read_to_string(dir.join(QUARANTINE_FILE)).unwrap();
         assert!(quarantine.contains("\"j2\""));
         // Rewritten journal is clean: a third open quarantines nothing.
-        let (j, recovered) = Journal::open(&dir, Box::new(RealIo), None);
+        let (j, recovered) = Journal::open(&dir, Box::new(RealIo));
         assert_eq!(recovered.len(), 1);
         assert_eq!(j.quarantined(), 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn chaos_site_serve_journal_fails_admission_appends() {
-        let dir = tmpdir("chaos");
-        let plan = std::sync::Arc::new(FaultPlan::new(3, 1.0));
-        let (j, _) = Journal::open(&dir, Box::new(RealIo), Some(plan));
-        let err = j.append_job("j1", "acme", "fp1", &spec()).unwrap_err();
-        assert!(err.to_string().contains("serve.journal"), "{err}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -24,8 +24,9 @@
 //!
 //! # Durability contract
 //!
-//! Every accepted job is journaled through the [`emissary_bench::chaos::CkptIo`]
-//! checkpoint path **before** the 201 acknowledgment leaves the socket
+//! Every accepted job is journaled to an
+//! [`emissary_bench::append_log::AppendLog`] — the campaign checkpoint's
+//! file protocol — **before** the 201 acknowledgment leaves the socket
 //! ([`journal`]); results land in the standard campaign checkpoint keyed
 //! by config fingerprint. After `kill -9` + restart, journaled-but-
 //! unstarted jobs re-queue, jobs that completed before the kill replay
@@ -55,7 +56,8 @@
 //! the campaign knobs (`EMISSARY_THREADS`, `EMISSARY_JOB_RETRIES`,
 //! `EMISSARY_RETRY_BACKOFF_MS`, `EMISSARY_CHAOS_SEED`, …); the chaos
 //! plan additionally drives the server-side fault sites `serve.accept`,
-//! `serve.read`, `serve.write`, and `serve.journal`.
+//! `serve.read` and `serve.write`; journal appends fail through the
+//! checkpoint I/O sites (`ckpt.append` tears, `ckpt.open`).
 
 pub mod http;
 pub mod jobspec;

@@ -173,7 +173,7 @@ impl Server {
 
         let plan = chaos::plan_from_env();
         let campaign = Campaign::begin_with("serve", &cfg.dir, true);
-        let (journal, recovered_jobs) = Journal::open(&cfg.dir, chaos::io_from_env(), plan.clone());
+        let (journal, recovered_jobs) = Journal::open(&cfg.dir, chaos::io_from_env());
         let queue = FairQueue::new(cfg.limits);
         let jobs = JobsTable::new();
         let mut specs = HashMap::new();

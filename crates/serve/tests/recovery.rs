@@ -7,12 +7,13 @@
 //! is quarantined. The CI `serve-smoke` job runs the same drill with a
 //! real SIGKILL against the release binary.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
-use emissary_bench::chaos::RealIo;
+use emissary_bench::chaos::{CkptIo, RealIo};
 use emissary_bench::checkpoint::{fingerprint, Campaign};
 use emissary_bench::metrics::worker_hub;
 use emissary_bench::{run_job, PoolOptions};
@@ -86,7 +87,7 @@ fn killed_server_state_recovers_byte_identically() {
             "phase1",
         );
         let report = outcome.run().expect("phase-1 run failed").report.to_json();
-        let (journal, recovered) = Journal::open(&dir, Box::new(RealIo), None);
+        let (journal, recovered) = Journal::open(&dir, Box::new(RealIo));
         assert!(recovered.is_empty());
         journal
             .append_job("j1", "public", &fingerprint(&done_job), &done_spec)
@@ -171,7 +172,7 @@ fn double_restart_converges() {
     .unwrap();
     let job = spec.build().unwrap();
     {
-        let (journal, _) = Journal::open(&dir, Box::new(RealIo), None);
+        let (journal, _) = Journal::open(&dir, Box::new(RealIo));
         journal
             .append_job("j1", "public", &fingerprint(&job), &spec)
             .unwrap();
@@ -200,5 +201,75 @@ fn double_restart_converges() {
         server.join();
     }
     assert_eq!(reports[0], reports[1]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A [`CkptIo`] whose first `append_line` is torn (half the line lands,
+/// then the write fails, as on a full disk); everything else is real.
+#[derive(Debug, Default)]
+struct TearFirstAppend {
+    torn: AtomicBool,
+}
+
+impl CkptIo for TearFirstAppend {
+    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+        RealIo.create_dir_all(dir)
+    }
+    fn read_to_string(&self, path: &Path) -> io::Result<String> {
+        RealIo.read_to_string(path)
+    }
+    fn open_writer(&self, path: &Path, append: bool) -> io::Result<std::fs::File> {
+        RealIo.open_writer(path, append)
+    }
+    fn append_line(&self, w: &mut dyn Write, line: &str) -> io::Result<()> {
+        if !self.torn.swap(true, Ordering::SeqCst) {
+            w.write_all(&line.as_bytes()[..line.len() / 2])?;
+            w.flush()?;
+            return Err(io::Error::other("test: torn append"));
+        }
+        RealIo.append_line(w, line)
+    }
+    fn replace_file(&self, path: &Path, contents: &str) -> io::Result<()> {
+        RealIo.replace_file(path, contents)
+    }
+}
+
+/// A torn admission append (the server answers 503) must not swallow the
+/// next admission (answered 201): that job's record has to start its own
+/// line, survive the restart, and leave only the torn fragment in
+/// quarantine.
+#[test]
+fn torn_append_does_not_lose_the_next_acknowledged_job() {
+    let dir = std::env::temp_dir().join(format!(
+        "emissary_serve_recovery_torn_{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = JobSpec::parse(
+        r#"{"benchmark":"xapian","policy":"M:1","warmup_instrs":1000,"measure_instrs":5000,"seed":31}"#,
+    )
+    .unwrap();
+    let fp = fingerprint(&spec.build().unwrap());
+    {
+        let (journal, _) = Journal::open(&dir, Box::new(TearFirstAppend::default()));
+        assert!(journal.append_job("j1", "public", &fp, &spec).is_err());
+        journal.append_job("j2", "public", &fp, &spec).unwrap();
+    }
+    let text = std::fs::read_to_string(dir.join(JOURNAL_FILE)).unwrap();
+    let fragment = text.lines().next().unwrap().to_string();
+    assert!(fragment.contains("\"j1\""), "{text}");
+
+    let (journal, recovered) = Journal::open(&dir, Box::new(RealIo));
+    let ids: Vec<&str> = recovered.iter().map(|j| j.id.as_str()).collect();
+    assert_eq!(ids, ["j2"], "journal was: {text}");
+    assert_eq!(journal.quarantined(), 1);
+    let quarantine = std::fs::read_to_string(dir.join(QUARANTINE_FILE)).unwrap();
+    assert_eq!(quarantine, format!("{fragment}\n"));
+    drop(journal);
+
+    let (journal, recovered) = Journal::open(&dir, Box::new(RealIo));
+    assert_eq!(recovered.len(), 1);
+    assert_eq!(journal.quarantined(), 0);
     let _ = std::fs::remove_dir_all(&dir);
 }
