@@ -7,17 +7,15 @@
 //! then render by replaying from the campaign memo, bit-identically to
 //! running them one at a time.
 //!
-//! The sweep's wall-clock and job counts land in `BENCH_campaign.json`
-//! under the label `after` (entries under other labels, such as the
-//! recorded pre-campaign `before` run, are kept as history). Expect the
-//! sweep to take a while at default run lengths; scale down with
-//! `EMISSARY_MEASURE_INSNS` for a quick pass. A malformed `EMISSARY_*`
-//! value exits with status 2 before the checkpoint is opened.
+//! The `campaign summary:` line on stderr reports the sweep's job counts
+//! and wall-clock. Expect the sweep to take a while at default run
+//! lengths; scale down with `EMISSARY_MEASURE_INSNS` for a quick pass. A
+//! malformed `EMISSARY_*` value exits with status 2 before the
+//! checkpoint is opened.
 
 use std::time::Instant;
 
 use emissary_bench::campaign::CostModel;
-use emissary_bench::results::{load_campaign_other_labels, write_campaign_file, CampaignEntry};
 use emissary_bench::{campaign, chaos, checkpoint, experiments, metrics, scale};
 
 /// Reports progress so far and exits with the conventional SIGINT code.
@@ -136,28 +134,5 @@ fn main() {
             Ok(()) => eprintln!("metrics: wrote {}", prom_path.display()),
             Err(e) => eprintln!("metrics: cannot write {}: {e}", prom_path.display()),
         }
-    }
-
-    let label = "after";
-    let path = "BENCH_campaign.json";
-    let mut entries = load_campaign_other_labels(path, label);
-    entries.push(CampaignEntry {
-        label: label.to_string(),
-        requested: requested as u64,
-        unique: unique as u64,
-        simulated,
-        replayed,
-        failed,
-        wall_seconds: wall,
-    });
-    match write_campaign_file(
-        path,
-        cfg.warmup_instrs,
-        cfg.measure_instrs,
-        threads,
-        &entries,
-    ) {
-        Ok(()) => eprintln!("wrote {path}"),
-        Err(e) => eprintln!("error: cannot write {path}: {e}"),
     }
 }

@@ -13,10 +13,6 @@
 //! * `metrics [file]` — a Prometheus snapshot
 //!   (default `results/metrics.prom`): flame-style per-stage span table
 //!   and per-worker scheduler utilization.
-//! * `scaling [file]` — `BENCH_scaling.json` from the `bench_scaling`
-//!   harness: per-thread-count throughput, parallel efficiency, and the
-//!   bottleneck stage — cross-checked against each round's `.prom`
-//!   snapshot so the JSON totals stay reproducible from raw metrics.
 //!
 //! Everything prints to stdout; exit code 2 flags unusable input.
 
@@ -51,18 +47,11 @@ fn main() -> ExitCode {
                 print!("{}", analyze_metrics(name, text));
             })
         }
-        "scaling" => {
-            let default = "BENCH_scaling.json".to_string();
-            run_on_files(&or_default(files, default), |name, text| {
-                print!("{}", analyze_scaling(name, text, &read_prom_for));
-            })
-        }
         _ => {
             eprintln!(
                 "usage: emissary-inspect trace <file.jsonl>...\n\
                  \x20      emissary-inspect checkpoint [file]\n\
-                 \x20      emissary-inspect metrics [file.prom]\n\
-                 \x20      emissary-inspect scaling [BENCH_scaling.json]"
+                 \x20      emissary-inspect metrics [file.prom]"
             );
             ExitCode::from(2)
         }
@@ -89,14 +78,6 @@ fn run_on_files(files: &[String], f: impl Fn(&str, &str)) -> ExitCode {
         }
     }
     code
-}
-
-/// Loads the `.prom` snapshot a scaling entry points at (`None` when the
-/// file is missing — the cross-check then reports it unverified).
-fn read_prom_for(path: &str) -> Option<Vec<PromSample>> {
-    std::fs::read_to_string(path)
-        .ok()
-        .map(|t| parse_prometheus(&t))
 }
 
 // ---------------------------------------------------------------------------
@@ -400,135 +381,6 @@ fn analyze_metrics(name: &str, text: &str) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// scaling
-// ---------------------------------------------------------------------------
-
-/// Stage totals the JSON entry claims, as `(stage, seconds)`.
-fn entry_stages(entry: &JsonValue) -> Vec<(&'static str, f64)> {
-    STAGES
-        .iter()
-        .map(|&s| {
-            (
-                s,
-                entry
-                    .get(&format!("{s}_seconds"))
-                    .and_then(JsonValue::as_f64)
-                    .unwrap_or(0.0),
-            )
-        })
-        .collect()
-}
-
-fn analyze_scaling(
-    name: &str,
-    text: &str,
-    load_prom: &dyn Fn(&str) -> Option<Vec<PromSample>>,
-) -> String {
-    let mut out = format!("== scaling {name} ==\n");
-    let Ok(doc) = JsonValue::parse(text.trim()) else {
-        out.push_str("not a JSON document\n");
-        return out;
-    };
-    let Some(entries) = doc.get("entries").and_then(JsonValue::as_array) else {
-        out.push_str("no entries\n");
-        return out;
-    };
-    let num = |e: &JsonValue, k: &str| e.get(k).and_then(JsonValue::as_f64).unwrap_or(0.0);
-    let base_mips = entries.first().map(|e| num(e, "mips")).unwrap_or(0.0);
-    let base_threads = entries
-        .first()
-        .map(|e| num(e, "threads"))
-        .unwrap_or(1.0)
-        .max(1.0);
-    let _ = writeln!(
-        out,
-        "{:>7} {:>9} {:>9} {:>9} {:>5} {:>10} {:>10}",
-        "threads", "wall_s", "mips", "speedup", "eff", "measure_s", "util"
-    );
-    for e in entries {
-        let threads = num(e, "threads");
-        let mips = num(e, "mips");
-        let speedup = if base_mips > 0.0 {
-            mips / base_mips
-        } else {
-            0.0
-        };
-        // Prefer the recorded parallel_efficiency field (newer files);
-        // recompute from mips/threads for files that predate it.
-        let eff = match e.get("parallel_efficiency").and_then(JsonValue::as_f64) {
-            Some(v) if v > 0.0 => v,
-            _ if threads > 0.0 => speedup / (threads / base_threads),
-            _ => 0.0,
-        };
-        let _ = writeln!(
-            out,
-            "{threads:>7.0} {:>9.1} {mips:>9.2} {speedup:>8.2}x {:>4.0}% {:>10.1} {:>9.0}%",
-            num(e, "wall_seconds"),
-            eff * 100.0,
-            num(e, "measure_seconds"),
-            num(e, "utilization") * 100.0,
-        );
-    }
-    // Cross-check each entry's stage totals against its .prom snapshot:
-    // the JSON must be reproducible from the raw metrics it summarizes.
-    let mut verified = 0usize;
-    let mut mismatched = 0usize;
-    for e in entries {
-        let threads = num(e, "threads");
-        let Some(prom) = e.get("prom").and_then(JsonValue::as_str) else {
-            continue;
-        };
-        let Some(samples) = load_prom(prom) else {
-            let _ = writeln!(out, "t={threads:.0}: {prom} missing — totals unverified");
-            continue;
-        };
-        let mut bad = Vec::new();
-        for (stage, claimed) in entry_stages(e) {
-            let measured = sample_sum(&samples, metrics::STAGE_NS, Some(("stage", stage))) / 1e9;
-            if (measured - claimed).abs() > 1e-6 + 0.001 * claimed.abs() {
-                bad.push(format!("{stage} json={claimed:.6}s prom={measured:.6}s"));
-            }
-        }
-        if bad.is_empty() {
-            verified += 1;
-        } else {
-            mismatched += 1;
-            let _ = writeln!(
-                out,
-                "t={threads:.0}: MISMATCH vs {prom}: {}",
-                bad.join(", ")
-            );
-        }
-    }
-    let _ = writeln!(
-        out,
-        "stage totals: {verified} round(s) reproduced from .prom snapshots, {mismatched} mismatched"
-    );
-    // Name the bottleneck: the dominant stage at the widest round, and
-    // whether utilization decay or serial stages explain the efficiency.
-    if let Some(last) = entries.last() {
-        let mut stages = entry_stages(last);
-        stages.sort_by(|a, b| b.1.total_cmp(&a.1));
-        if let Some((stage, secs)) = stages.first() {
-            let total: f64 = entry_stages(last).iter().map(|(_, s)| s).sum();
-            let share = if total > 0.0 {
-                secs / total * 100.0
-            } else {
-                0.0
-            };
-            let _ = writeln!(
-                out,
-                "bottleneck at {:.0} thread(s): {stage} stage ({share:.0}% of attributed time, \
-                 util {:.0}%)",
-                num(last, "threads"),
-                num(last, "utilization") * 100.0,
-            );
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,48 +428,5 @@ emissary_jobs_total{worker=\"0\",status=\"completed\"} 12\n";
         assert!(report.contains("measure"), "{report}");
         assert!(report.contains("50.0%"), "{report}"); // worker util
         assert!(report.contains("12"), "{report}");
-    }
-
-    #[test]
-    fn scaling_analysis_cross_checks_prom_totals() {
-        let json = "{\"benchmark\":\"scaling\",\"entries\":[\
-{\"threads\":1,\"wall_seconds\":10.0,\"mips\":5.0,\"measure_seconds\":8.0,\
-\"build_seconds\":0.0,\"warmup_seconds\":2.0,\"checkpoint_seconds\":0.0,\
-\"render_seconds\":0.0,\"utilization\":0.99,\"prom\":\"p1\"},\
-{\"threads\":2,\"wall_seconds\":6.0,\"mips\":8.0,\"measure_seconds\":8.2,\
-\"build_seconds\":0.0,\"warmup_seconds\":2.0,\"checkpoint_seconds\":0.0,\
-\"render_seconds\":0.0,\"utilization\":0.93,\"prom\":\"p2\"}]}";
-        let load = |path: &str| -> Option<Vec<PromSample>> {
-            let measure_ns = if path == "p1" { 8.0e9_f64 } else { 8.2e9 };
-            Some(parse_prometheus(&format!(
-                "emissary_stage_ns_total{{stage=\"measure\",worker=\"0\"}} {measure_ns:.0}\n\
-                 emissary_stage_ns_total{{stage=\"warmup\",worker=\"0\"}} 2000000000\n"
-            )))
-        };
-        let report = analyze_scaling("s", json, &load);
-        assert!(
-            report.contains("2 round(s) reproduced from .prom snapshots, 0 mismatched"),
-            "{report}"
-        );
-        assert!(
-            report.contains("bottleneck at 2 thread(s): measure stage"),
-            "{report}"
-        );
-        // Speedup column: 8/5 = 1.6x at 2 threads, efficiency 80%.
-        assert!(report.contains("1.60x"), "{report}");
-        assert!(report.contains("80%"), "{report}");
-    }
-
-    #[test]
-    fn scaling_analysis_flags_mismatches() {
-        let json = "{\"entries\":[{\"threads\":1,\"mips\":5.0,\
-\"measure_seconds\":8.0,\"prom\":\"p1\"}]}";
-        let load = |_: &str| {
-            Some(parse_prometheus(
-                "emissary_stage_ns_total{stage=\"measure\",worker=\"0\"} 1000000000\n",
-            ))
-        };
-        let report = analyze_scaling("s", json, &load);
-        assert!(report.contains("MISMATCH"), "{report}");
     }
 }

@@ -8,10 +8,6 @@
 //! parsed once by [`scale`] (the knob table; README "Environment
 //! variables" documents each one). A malformed value stops any binary
 //! with exit status 2 before it touches a checkpoint.
-//!
-//! The Criterion benches (`benches/figures.rs`, `benches/components.rs`)
-//! exercise scaled-down versions of every experiment plus component
-//! microbenchmarks.
 
 pub mod append_log;
 pub mod campaign;
@@ -27,7 +23,6 @@ pub mod shard;
 pub use pool::{
     run_job, run_parallel, run_parallel_observed, run_parallel_outcomes, JobOutcome, PoolOptions,
 };
-pub use results::ThroughputEntry;
 
 use emissary_core::spec::PolicySpec;
 use emissary_obs::{JsonlSink, MetricsHub, Tracer};

@@ -167,188 +167,6 @@ pub struct CkptError {
     pub error: String,
 }
 
-/// One end-to-end throughput measurement — a full simulator run timed on
-/// the host clock — as recorded in `BENCH_throughput.json` by the
-/// `bench_throughput` binary. Entries are labelled (`before`/`after`) so
-/// one file carries both sides of a perf comparison.
-#[derive(Debug, Clone)]
-pub struct ThroughputEntry {
-    /// Measurement label (`before`/`after`).
-    pub label: String,
-    /// Benchmark name.
-    pub benchmark: String,
-    /// L2 policy notation.
-    pub policy: String,
-    /// Simulated cycles in the measured run.
-    pub cycles: u64,
-    /// Committed instructions in the measured run.
-    pub committed: u64,
-    /// Host wall-clock seconds for the run (warmup + measurement).
-    pub host_seconds: f64,
-}
-
-impl ThroughputEntry {
-    /// Simulated cycles per host second.
-    pub fn cycles_per_sec(&self) -> f64 {
-        self.cycles as f64 / self.host_seconds
-    }
-
-    /// Committed instructions per host second, in millions (host MIPS).
-    pub fn mips(&self) -> f64 {
-        self.committed as f64 / self.host_seconds / 1e6
-    }
-}
-
-/// Writes `BENCH_throughput.json`: the run lengths, every entry with its
-/// derived rates, and a `speedups` array pairing each `after` entry with
-/// the `before` entry for the same (benchmark, policy).
-pub fn write_throughput_file(
-    path: &str,
-    warmup_instrs: u64,
-    measure_instrs: u64,
-    entries: &[ThroughputEntry],
-) -> io::Result<()> {
-    let entry_jsons: Vec<String> = entries
-        .iter()
-        .map(|e| {
-            let mut obj = JsonObject::new();
-            obj.field_str("label", &e.label)
-                .field_str("benchmark", &e.benchmark)
-                .field_str("policy", &e.policy)
-                .field_u64("cycles", e.cycles)
-                .field_u64("committed", e.committed)
-                .field_f64("host_seconds", e.host_seconds)
-                .field_f64("cycles_per_sec", e.cycles_per_sec())
-                .field_f64("mips", e.mips());
-            obj.finish()
-        })
-        .collect();
-    let mut speedups = Vec::new();
-    for after in entries.iter().filter(|e| e.label == "after") {
-        let before = entries.iter().find(|e| {
-            e.label == "before" && e.benchmark == after.benchmark && e.policy == after.policy
-        });
-        if let Some(before) = before {
-            let mut obj = JsonObject::new();
-            obj.field_str("benchmark", &after.benchmark)
-                .field_str("policy", &after.policy)
-                .field_f64("before_mips", before.mips())
-                .field_f64("after_mips", after.mips())
-                .field_f64("speedup", after.cycles_per_sec() / before.cycles_per_sec());
-            speedups.push(obj.finish());
-        }
-    }
-    let mut root = JsonObject::new();
-    root.field_u64("warmup_instrs", warmup_instrs)
-        .field_u64("measure_instrs", measure_instrs)
-        .field_raw("entries", &format!("[{}]", entry_jsons.join(",")))
-        .field_raw("speedups", &format!("[{}]", speedups.join(",")));
-    fs::write(path, root.finish() + "\n")
-}
-
-/// One end-to-end campaign measurement — a full `all_experiments` sweep
-/// timed on the host clock — as recorded in `BENCH_campaign.json`.
-/// Entries are labelled (`before` = sequential per-figure execution,
-/// `after` = deduped globally scheduled execution) so one file carries
-/// both sides of the perf comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignEntry {
-    /// Measurement label (`before`/`after`).
-    pub label: String,
-    /// Jobs requested across all experiments, duplicates included.
-    pub requested: u64,
-    /// Unique jobs after config-fingerprint dedup.
-    pub unique: u64,
-    /// Jobs freshly simulated.
-    pub simulated: u64,
-    /// Jobs replayed from the campaign memo/checkpoint.
-    pub replayed: u64,
-    /// Jobs that panicked, aborted, or were rejected.
-    pub failed: u64,
-    /// Host wall-clock seconds for the whole sweep.
-    pub wall_seconds: f64,
-}
-
-/// Writes `BENCH_campaign.json`: run lengths, worker count, every entry,
-/// and a `speedups` array pairing each `after` entry's wall-clock against
-/// the `before` entry's.
-pub fn write_campaign_file(
-    path: &str,
-    warmup_instrs: u64,
-    measure_instrs: u64,
-    threads: usize,
-    entries: &[CampaignEntry],
-) -> io::Result<()> {
-    let entry_jsons: Vec<String> = entries
-        .iter()
-        .map(|e| {
-            let mut obj = JsonObject::new();
-            obj.field_str("label", &e.label)
-                .field_u64("requested", e.requested)
-                .field_u64("unique", e.unique)
-                .field_u64("simulated", e.simulated)
-                .field_u64("replayed", e.replayed)
-                .field_u64("failed", e.failed)
-                .field_f64("wall_seconds", e.wall_seconds);
-            obj.finish()
-        })
-        .collect();
-    let mut speedups = Vec::new();
-    for after in entries.iter().filter(|e| e.label == "after") {
-        let before = entries
-            .iter()
-            .find(|e| e.label == "before" && e.wall_seconds > 0.0);
-        if let Some(before) = before {
-            let mut obj = JsonObject::new();
-            obj.field_f64("before_wall_seconds", before.wall_seconds)
-                .field_f64("after_wall_seconds", after.wall_seconds)
-                .field_f64(
-                    "speedup",
-                    before.wall_seconds / after.wall_seconds.max(1e-9),
-                );
-            speedups.push(obj.finish());
-        }
-    }
-    let mut root = JsonObject::new();
-    root.field_u64("warmup_instrs", warmup_instrs)
-        .field_u64("measure_instrs", measure_instrs)
-        .field_u64("threads", threads as u64)
-        .field_raw("entries", &format!("[{}]", entry_jsons.join(",")))
-        .field_raw("speedups", &format!("[{}]", speedups.join(",")));
-    fs::write(path, root.finish() + "\n")
-}
-
-/// Loads entries recorded under *other* labels from an existing
-/// `BENCH_campaign.json`, so re-running one side of the comparison never
-/// discards the other.
-pub fn load_campaign_other_labels(path: &str, label: &str) -> Vec<CampaignEntry> {
-    let Ok(text) = fs::read_to_string(path) else {
-        return Vec::new();
-    };
-    let Ok(v) = emissary_obs::JsonValue::parse(&text) else {
-        eprintln!("warning: {path} is unparseable; starting fresh");
-        return Vec::new();
-    };
-    let Some(entries) = v.get("entries").and_then(|e| e.as_array()) else {
-        return Vec::new();
-    };
-    entries
-        .iter()
-        .filter_map(|e| {
-            let entry = CampaignEntry {
-                label: e.get("label")?.as_str()?.to_string(),
-                requested: e.get("requested")?.as_u64()?,
-                unique: e.get("unique")?.as_u64()?,
-                simulated: e.get("simulated")?.as_u64()?,
-                replayed: e.get("replayed")?.as_u64()?,
-                failed: e.get("failed")?.as_u64()?,
-                wall_seconds: e.get("wall_seconds")?.as_f64()?,
-            };
-            (entry.label != label).then_some(entry)
-        })
-        .collect()
-}
-
 /// Appends one run to this worker's buffer, or the process-global run
 /// log outside a worker scope.
 pub fn log_run(run: &SimRun) {
@@ -739,45 +557,6 @@ mod tests {
         assert!(lines[3].contains("\"record\":\"ckpt_error\""));
         assert!(lines[3].contains("\"op\":\"append\""));
         assert!(lines[3].contains("\"error\":\"disk full\""));
-    }
-
-    #[test]
-    fn campaign_file_roundtrips_and_preserves_other_labels() {
-        let path =
-            std::env::temp_dir().join(format!("emissary_campaign_{}.json", std::process::id()));
-        let path = path.to_str().unwrap().to_string();
-        let before = CampaignEntry {
-            label: "before".into(),
-            requested: 1148,
-            unique: 1148,
-            simulated: 1148,
-            replayed: 0,
-            failed: 0,
-            wall_seconds: 20.0,
-        };
-        write_campaign_file(&path, 1_000, 4_000, 8, std::slice::from_ref(&before)).unwrap();
-        // An `after` run loads the other side and writes both plus the
-        // speedup pairing.
-        let mut entries = load_campaign_other_labels(&path, "after");
-        assert_eq!(entries, vec![before.clone()]);
-        entries.push(CampaignEntry {
-            label: "after".into(),
-            requested: 1148,
-            unique: 697,
-            simulated: 697,
-            replayed: 1148,
-            failed: 0,
-            wall_seconds: 8.0,
-        });
-        write_campaign_file(&path, 1_000, 4_000, 8, &entries).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.contains("\"speedup\":2.5"));
-        assert!(text.contains("\"threads\":8"));
-        // Re-running the `before` side keeps the `after` entry.
-        let kept = load_campaign_other_labels(&path, "before");
-        assert_eq!(kept.len(), 1);
-        assert_eq!(kept[0].label, "after");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

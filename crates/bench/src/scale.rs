@@ -87,10 +87,6 @@ pub struct Knobs {
     /// Whether the campaign scheduler prints its stderr progress line
     /// (`EMISSARY_PROGRESS`, default on).
     pub progress: bool,
-    /// `bench_scaling` regression gate (`EMISSARY_SCALING_GATE`; unset
-    /// disables): the minimum fraction of the first round's MIPS every
-    /// later round must reach.
-    pub scaling_gate: Option<f64>,
     /// Golden-report bless mode (`EMISSARY_BLESS`): print the digests
     /// the current build produces instead of failing on a mismatch.
     pub bless: bool,
@@ -141,7 +137,6 @@ impl Default for Knobs {
             chaos_seed: None,
             chaos_rate: crate::chaos::DEFAULT_CHAOS_RATE,
             progress: true,
-            scaling_gate: None,
             bless: false,
             serve_addr: "127.0.0.1:7464".to_string(),
             serve_dir: PathBuf::from("results"),
@@ -196,7 +191,6 @@ const TABLE: &[(&str, Setter)] = &[
     ("EMISSARY_CHAOS_SEED", |k, v| number(v).map(|x| k.chaos_seed = Some(x))),
     ("EMISSARY_CHAOS_RATE", |k, v| fraction(v).map(|x| k.chaos_rate = x)),
     ("EMISSARY_PROGRESS", |k, v| flag(v).map(|x| k.progress = x)),
-    ("EMISSARY_SCALING_GATE", |k, v| positive_f64(v).map(|x| k.scaling_gate = Some(x))),
     ("EMISSARY_BLESS", |k, v| flag(v).map(|x| k.bless = x)),
     ("EMISSARY_SERVE_ADDR", |k, v| text(v).map(|x| k.serve_addr = x)),
     ("EMISSARY_SERVE_DIR", |k, v| text(v).map(|x| k.serve_dir = x.into())),
@@ -235,14 +229,6 @@ fn positive<T: std::str::FromStr + PartialOrd + Default>(v: &str) -> Result<T, S
 
 fn zero_off(v: &str) -> Result<Option<u64>, String> {
     number(v).map(|n: u64| (n > 0).then_some(n))
-}
-
-fn positive_f64(v: &str) -> Result<f64, String> {
-    positive(v).and_then(|x: f64| {
-        x.is_finite()
-            .then_some(x)
-            .ok_or_else(|| "expected a finite number".to_string())
-    })
 }
 
 fn fraction(v: &str) -> Result<f64, String> {
@@ -358,7 +344,6 @@ mod tests {
         assert_eq!(k.chaos_seed, None);
         assert_eq!(k.chaos_rate, crate::chaos::DEFAULT_CHAOS_RATE);
         assert!(k.progress);
-        assert_eq!(k.scaling_gate, None);
         assert!(!k.bless);
         assert_eq!(k.serve_addr, "127.0.0.1:7464");
         assert_eq!(k.serve_dir, PathBuf::from("results"));
@@ -436,8 +421,6 @@ mod tests {
             ("EMISSARY_CHAOS_SEED", "0x10"),
             ("EMISSARY_CHAOS_RATE", "1.5"),
             ("EMISSARY_CHAOS_RATE", "NaN"),
-            ("EMISSARY_SCALING_GATE", "0"),
-            ("EMISSARY_SCALING_GATE", "inf"),
             ("EMISSARY_SERVE_QUEUE_DEPTH", "lots"),
         ] {
             rejects(name, bad);
@@ -460,10 +443,18 @@ mod tests {
             ("EMISSARY_RESUMEE", "1"),
             ("PATH", "/usr/bin"),
             ("EMISSARY_SEQUENTIAL", "1"),
+            ("EMISSARY_SCALING_GATE", "1.0"),
         ])
         .unwrap();
         assert!(!k.resume);
-        assert_eq!(k.unknown, ["EMISSARY_RESUMEE", "EMISSARY_SEQUENTIAL"]);
+        assert_eq!(
+            k.unknown,
+            [
+                "EMISSARY_RESUMEE",
+                "EMISSARY_SEQUENTIAL",
+                "EMISSARY_SCALING_GATE"
+            ]
+        );
     }
 
     #[test]
@@ -472,7 +463,6 @@ mod tests {
             ("EMISSARY_TRACE_OUT", "traces"),
             ("EMISSARY_INJECT_PANIC", "tomcat/P(8):S&E"),
             ("EMISSARY_CHAOS_RATE", "0.02"),
-            ("EMISSARY_SCALING_GATE", "1.0"),
             ("EMISSARY_SERVE_TOKENS", "a=x,b=y"),
             ("EMISSARY_MEASURE_INSNS", ""),
         ])
@@ -480,7 +470,6 @@ mod tests {
         assert_eq!(k.trace_out, Some(PathBuf::from("traces")));
         assert_eq!(k.inject_panic.as_deref(), Some("tomcat/P(8):S&E"));
         assert_eq!(k.chaos_rate, 0.02);
-        assert_eq!(k.scaling_gate, Some(1.0));
         assert_eq!(k.serve_tokens, "a=x,b=y");
         assert_eq!(k.measure_instrs, 8_000_000, "empty means unset");
     }

@@ -369,11 +369,6 @@ impl MetricsRegistry {
             })
             .sum()
     }
-
-    /// Removes every series (used between `bench_scaling` rounds).
-    pub fn clear(&self) {
-        self.lock().clear();
-    }
 }
 
 /// The process-global registry campaign workers drain into.
@@ -522,8 +517,6 @@ mod tests {
         }
         let depth = snap.iter().find(|m| m.name == "depth").unwrap();
         assert_eq!(depth.value, MetricValue::Gauge(4.0));
-        reg.clear();
-        assert!(reg.snapshot().is_empty());
     }
 
     #[test]
