@@ -582,7 +582,15 @@ mod tests {
         let mut b = a.clone();
         b.config.seed ^= 1;
         assert_ne!(fingerprint(&a), fingerprint(&b));
-        assert!(fingerprint(&a).starts_with("xapian|M:1|"));
+        // Pinned literals: a change to the key encoding (or to the `Debug`
+        // text of any `SimConfig` field) would orphan every checkpoint and
+        // serve memo, so it must show up here first.
+        assert_eq!(fingerprint(&a), "xapian|M:1|dcfc32e070af01c6");
+        let preferred = Job::new(profile, &cfg, emissary_core::spec::PolicySpec::PREFERRED);
+        assert_eq!(
+            fingerprint(&preferred),
+            "xapian|P(8):S&E&R(1/32)|79433d7a7fc27ddf"
+        );
     }
 
     #[test]

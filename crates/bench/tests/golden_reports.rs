@@ -3,8 +3,10 @@
 //!
 //! The digests below were captured from the simulator *before* the
 //! hot-path optimisation work (allocation-free cycle loop, open-addressing
-//! miss tables, devirtualized policy dispatch) landed, so this test proves
-//! those rewrites are behaviour-preserving: any change to the cycle-level
+//! miss tables, devirtualized policy dispatch) landed, and the `GHRP`,
+//! `+BYPASS` and Figure 1 rows before the `P(N)` variants were folded into
+//! one statically-dispatched policy, so this test proves those rewrites are
+//! behaviour-preserving: any change to the cycle-level
 //! execution — timing, replacement decisions, stats plumbing — shifts at
 //! least one digest. Run with `EMISSARY_BLESS=1` and `--nocapture` to
 //! print the digests the current build produces (for intentional
@@ -15,54 +17,91 @@ use emissary_bench::checkpoint::fnv1a64;
 use emissary_sim::{run_sim, SimConfig};
 use emissary_workloads::Profile;
 
-/// One golden configuration: benchmark, L2 policy notation, optional §6
-/// priority-reset interval, and the expected FNV-1a 64 digest of the
-/// run's `SimReport::to_json()` bytes.
+/// One golden configuration: base machine config, benchmark, L2 policy
+/// notation, optional §6 priority-reset interval, and the expected FNV-1a
+/// 64 digest of the run's `SimReport::to_json()` bytes.
 struct Golden {
+    config: fn() -> SimConfig,
     benchmark: &'static str,
     policy: &'static str,
     reset_interval: Option<u64>,
     digest: u64,
 }
 
-/// Fixed-seed configs spanning every statically-dispatched policy family
-/// plus the dynamically-dispatched EMISSARY and GHRP paths.
+/// Fixed-seed configs spanning the policy families: the baseline, every
+/// `P(N)` variant (plain, `+BYPASS`, `+GHRP`, with a §6 reset), standalone
+/// GHRP, and prior work, over both the default tree-PLRU machine and
+/// Figure 1's true-LRU one.
 const GOLDEN: &[Golden] = &[
     Golden {
+        config: SimConfig::default,
         benchmark: "xapian",
         policy: "M:1",
         reset_interval: None,
         digest: 0xc82b123f71afd1e0,
     },
     Golden {
+        config: SimConfig::default,
         benchmark: "xapian",
         policy: "P(8):S&E&R(1/32)",
         reset_interval: None,
         digest: 0xb63f6e9256cfd5eb,
     },
     Golden {
+        config: SimConfig::default,
         benchmark: "tomcat",
         policy: "DRRIP",
         reset_interval: None,
         digest: 0xa125531feec6602b,
     },
     Golden {
+        config: SimConfig::default,
         benchmark: "wikipedia",
         policy: "PDP",
         reset_interval: None,
         digest: 0x67bd819151494287,
     },
     Golden {
+        config: SimConfig::default,
         benchmark: "verilator",
         policy: "P(14):S&E",
         reset_interval: Some(50_000),
         digest: 0x88c865b341d3d80e,
     },
     Golden {
+        config: SimConfig::default,
         benchmark: "specjbb",
         policy: "P(8):S&E+GHRP",
         reset_interval: None,
         digest: 0x61236f4324d45248,
+    },
+    Golden {
+        config: SimConfig::default,
+        benchmark: "specjbb",
+        policy: "GHRP",
+        reset_interval: None,
+        digest: 0x38900959b2d7c3b8,
+    },
+    Golden {
+        config: SimConfig::default,
+        benchmark: "kafka",
+        policy: "P(8):S&E&R(1/32)+BYPASS",
+        reset_interval: None,
+        digest: 0xd7c7598ea3adfc21,
+    },
+    Golden {
+        config: SimConfig::figure1,
+        benchmark: "tomcat",
+        policy: "P(8):S",
+        reset_interval: None,
+        digest: 0x736e3ea7851ff9bc,
+    },
+    Golden {
+        config: SimConfig::figure1,
+        benchmark: "kafka",
+        policy: "GHRP",
+        reset_interval: None,
+        digest: 0xb6076e4b549fd249,
     },
 ];
 
@@ -70,7 +109,7 @@ fn golden_config(g: &Golden) -> SimConfig {
     let mut cfg = SimConfig {
         warmup_instrs: 20_000,
         measure_instrs: 100_000,
-        ..SimConfig::default()
+        ..(g.config)()
     }
     .with_policy(g.policy.parse().expect("golden policy notation"));
     cfg.priority_reset_interval = g.reset_interval;
