@@ -10,7 +10,7 @@
 
 use emissary_bench::experiments::Experiment;
 use emissary_bench::{results, Job};
-use emissary_core::dual::RecencyFlavor;
+use emissary_cache::policy::RecencyBase;
 use emissary_core::spec::PolicySpec;
 use emissary_sim::{SimConfig, SimReport};
 use emissary_stats::summary::speedup_pct;
@@ -88,7 +88,7 @@ fn main() {
 
         // Recency flavor: exact dual LRU instead of dual tree-PLRU.
         let mut v = emis.clone();
-        v.recency = RecencyFlavor::TrueLru;
+        v.recency = RecencyBase::TrueLru;
         row("dual true-LRU recency", &v);
 
         // §6 reset at a quarter of the measurement window.

@@ -42,7 +42,7 @@ pub struct Cache {
 
 impl Cache {
     /// Creates a cache from a validated config and a policy sized for it.
-    pub fn new(cfg: CacheConfig, policy: impl Into<PolicyImpl>) -> Self {
+    pub fn new(cfg: CacheConfig, policy: PolicyImpl) -> Self {
         let sets = cfg.sets();
         let ways = cfg.ways;
         Self {
@@ -50,7 +50,7 @@ impl Cache {
             sets,
             ways,
             lines: vec![LineState::invalid(); sets * ways],
-            policy: policy.into(),
+            policy,
             stats: CacheStats::default(),
         }
     }

@@ -3,8 +3,7 @@
 //! * Private L1I / L1D (TPLRU by default; true LRU for Figure 1's setup).
 //! * Unified **inclusive** L2 whose replacement policy is the experimental
 //!   variable — injected by the caller (TPLRU baseline, `M:` treatments,
-//!   RRIP family, PDP, DCLIP, or the EMISSARY `P(N)` family from
-//!   `emissary-core`).
+//!   RRIP family, PDP, DCLIP, or the EMISSARY `P(N)` family).
 //! * Shared **exclusive victim** L3 running DRRIP with the SFL bit: an L2
 //!   line that was served from L3 re-enters L3 at the MRU position on
 //!   eviction; lines fetched from memory enter L3 only when evicted from L2.
@@ -126,11 +125,7 @@ impl Hierarchy {
     /// Builds the hierarchy with the given L2 policy. L1s use `l1_policy`
     /// (TPLRU in the main evaluation, true LRU in Figure 1); the L3 always
     /// runs DRRIP (§5.1).
-    pub fn new(
-        cfg: HierarchyConfig,
-        l1_policy: PolicyKind,
-        l2_policy: impl Into<PolicyImpl>,
-    ) -> Self {
+    pub fn new(cfg: HierarchyConfig, l1_policy: PolicyKind, l2_policy: PolicyImpl) -> Self {
         let l1i = Cache::new(
             cfg.l1i.clone(),
             l1_policy.build(cfg.l1i.sets(), cfg.l1i.ways, cfg.seed ^ 1),
@@ -173,7 +168,7 @@ impl Hierarchy {
     }
 
     /// Convenience constructor with TPLRU L1s (the paper's default).
-    pub fn with_l2_policy(cfg: HierarchyConfig, l2_policy: impl Into<PolicyImpl>) -> Self {
+    pub fn with_l2_policy(cfg: HierarchyConfig, l2_policy: PolicyImpl) -> Self {
         Self::new(cfg, PolicyKind::TreePlru, l2_policy)
     }
 
@@ -900,27 +895,7 @@ mod tests {
 mod bypass_tests {
     use super::*;
     use crate::config::CacheConfig;
-    use crate::line::LineState;
-    use crate::policy::AccessInfo;
-
-    /// A policy that bypasses every instruction fill — exercises the
-    /// hierarchy's streamed-fetch path.
-    #[derive(Debug)]
-    struct AlwaysBypass;
-
-    impl crate::policy::ReplacementPolicy for AlwaysBypass {
-        fn name(&self) -> &'static str {
-            "always-bypass"
-        }
-        fn on_hit(&mut self, _: usize, _: usize, _: &[LineState], _: &AccessInfo) {}
-        fn on_fill(&mut self, _: usize, _: usize, _: &[LineState], _: &AccessInfo) {}
-        fn victim(&mut self, _: usize, lines: &[LineState], _: &AccessInfo) -> usize {
-            lines.iter().position(|l| l.valid).expect("valid line")
-        }
-        fn should_bypass(&mut self, _: usize, _: &[LineState], info: &AccessInfo) -> bool {
-            info.kind.is_instruction()
-        }
-    }
+    use crate::policy::{EmissaryPolicy, RecencyBase};
 
     fn tiny_cfg() -> HierarchyConfig {
         HierarchyConfig {
@@ -937,14 +912,31 @@ mod bypass_tests {
         }
     }
 
+    /// §2's bypass variant at `N = 0` over an L2 whose set 0 is full of
+    /// data lines: with no line marked, the set counts as saturated, so
+    /// every low-priority instruction fill into it bypasses.
+    fn saturated_bypass_hierarchy() -> Hierarchy {
+        let cfg = tiny_cfg();
+        let policy = EmissaryPolicy::new(
+            0,
+            RecencyBase::TreePlru,
+            cfg.l2.sets(),
+            cfg.l2.ways,
+            "P(0):1+BYPASS",
+        )
+        .with_bypass();
+        let mut h = Hierarchy::with_l2_policy(cfg, PolicyImpl::Emissary(policy));
+        for (t, line) in [4u64, 8, 12, 16].into_iter().enumerate() {
+            h.access_data(line, t as u64 * 1_000, false, false);
+        }
+        assert_eq!(h.l2.iter_valid().count(), 4, "L2 set 0 pre-filled");
+        h
+    }
+
     #[test]
     fn bypassed_instruction_fetch_streams_uncached() {
-        let cfg = tiny_cfg();
-        let mut h = Hierarchy::with_l2_policy(
-            cfg,
-            Box::new(AlwaysBypass) as Box<dyn crate::policy::ReplacementPolicy>,
-        );
-        let m = h.access_instr(100, 0, false);
+        let mut h = saturated_bypass_hierarchy();
+        let m = h.access_instr(100, 10_000, false);
         // Served from memory, full latency, but installed nowhere.
         assert_eq!(m.served_by, ServedBy::Memory);
         assert!(
@@ -955,22 +947,19 @@ mod bypass_tests {
         assert!(!h.l2.contains(100));
         assert!(h.check_inclusion());
         // A repeat access misses again (nothing was cached).
-        let m2 = h.access_instr(100, 1_000, false);
+        let m2 = h.access_instr(100, 11_000, false);
         assert_eq!(m2.served_by, ServedBy::Memory);
         assert!(h.l2.stats().bypasses >= 2);
     }
 
     #[test]
     fn bypassing_policy_still_caches_data() {
-        let cfg = tiny_cfg();
-        let mut h = Hierarchy::with_l2_policy(
-            cfg,
-            Box::new(AlwaysBypass) as Box<dyn crate::policy::ReplacementPolicy>,
-        );
-        h.access_data(500, 0, false, false);
+        let mut h = saturated_bypass_hierarchy();
+        h.access_data(500, 10_000, false, false);
         assert!(h.l1d.contains(500));
         assert!(h.l2.contains(500));
         assert!(h.check_inclusion());
+        assert_eq!(h.l2.stats().bypasses, 0);
     }
 
     #[test]

@@ -8,11 +8,13 @@
 //!   (validity, dirtiness, instruction/data kind, the EMISSARY priority bit,
 //!   the L2 "served-from-L3" SFL bit) and a pluggable
 //!   [`policy::ReplacementPolicy`].
-//! * [`policy`] — the prior-work replacement policies the paper compares
-//!   against: true LRU, tree pseudo-LRU (TPLRU), the `M:` insertion-treatment
-//!   family (LIP, BIP, `M:S&E`, …), SRRIP/BRRIP/DRRIP, PDP and DCLIP. The
-//!   EMISSARY `P(N)` family itself lives in the `emissary-core` crate, which
-//!   implements the same trait.
+//! * [`policy`] — every replacement mechanism, statically dispatched through
+//!   [`policy::PolicyImpl`]: the paper's EMISSARY `P(N)` policy
+//!   (Algorithm 1 over dual recency, with §2's bypass and §7.2's GHRP
+//!   variants) and the prior work it is compared against — true LRU, tree
+//!   pseudo-LRU (TPLRU), the `M:` insertion-treatment family (LIP, BIP,
+//!   `M:S&E`, …), SRRIP/BRRIP/DRRIP, PDP, DCLIP, GHRP, LIN and LACS. The
+//!   `emissary-core` crate maps the paper's notation onto them.
 //! * [`hierarchy::Hierarchy`] — the three-level hierarchy of the paper:
 //!   private L1I/L1D, a unified *inclusive* L2, and an *exclusive victim* L3
 //!   running DRRIP with the SFL insertion hint, plus next-line prefetchers

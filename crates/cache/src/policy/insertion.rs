@@ -18,16 +18,7 @@
 
 use crate::line::LineState;
 use crate::policy::plru::valid_mask;
-use crate::policy::{AccessInfo, ReplacementPolicy, TreePlruPolicy, TrueLruPolicy};
-
-/// Which recency structure backs the insertion treatment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecencyBase {
-    /// Exact LRU stack (used in Figure 1's "true LRU" environment).
-    TrueLru,
-    /// Tree pseudo-LRU (used in the main evaluation, §4.2).
-    TreePlru,
-}
+use crate::policy::{AccessInfo, RecencyBase, ReplacementPolicy, TreePlruPolicy, TrueLruPolicy};
 
 #[derive(Debug)]
 enum Base {

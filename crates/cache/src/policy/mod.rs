@@ -1,4 +1,5 @@
-//! Replacement-policy abstraction and the prior-work policies from Table 3.
+//! Replacement-policy abstraction, the EMISSARY `P(N)` policy (Algorithm 1)
+//! and the prior-work policies from Table 3.
 //!
 //! A [`ReplacementPolicy`] owns only *recency/prediction metadata*; line
 //! contents and flag bits (validity, the EMISSARY `P` bit, …) live in the
@@ -19,20 +20,22 @@
 
 mod clip;
 mod costaware;
+mod dual;
+mod emissary;
+mod ghrp;
 mod insertion;
 mod lru;
 mod pdp;
 mod plru;
-mod random;
 mod rrip;
 
 pub use clip::DclipPolicy;
 pub use costaware::{LacsPolicy, LinPolicy};
-pub use insertion::{InsertionPolicy, RecencyBase};
+pub use emissary::EmissaryPolicy;
+pub use insertion::InsertionPolicy;
 pub use lru::TrueLruPolicy;
 pub use pdp::PdpPolicy;
 pub use plru::{PlruTree, TreePlruPolicy};
-pub use random::RandomPolicy;
 pub use rrip::{RripMode, RripPolicy};
 
 use crate::line::{LineKind, LineState};
@@ -97,7 +100,18 @@ impl AccessInfo {
     }
 }
 
-/// A cache replacement policy.
+/// Which recency structure backs a recency-ordered policy: the plain
+/// baseline, the `M:` insertion treatments and EMISSARY's dual classes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RecencyBase {
+    /// Exact LRU (Figure 1's "true LRU" environment).
+    TrueLru,
+    /// Tree pseudo-LRU (the main evaluation, §4.2).
+    TreePlru,
+}
+
+/// A cache replacement policy: the per-policy contract that each
+/// [`PolicyImpl`] variant fulfils.
 ///
 /// Implementations must be deterministic given their seed; all randomness
 /// goes through [`crate::rng::XorShift64`].
@@ -165,22 +179,15 @@ pub trait ReplacementPolicy: std::fmt::Debug + Send {
     }
 }
 
-/// Factory covering the prior-work policies implemented in this crate.
-///
-/// The EMISSARY `P(N)` family implements [`ReplacementPolicy`] in the
-/// `emissary-core` crate; its factory composes with this one.
+/// Factory covering the fixed-geometry prior-work policies. The `M:`
+/// treatments and the EMISSARY `P(N)` family take notation-derived
+/// parameters, so `emissary-core`'s `PolicySpec` builds them directly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyKind {
     /// Classic true LRU (`M:1` baseline in Figure 1).
     TrueLru,
     /// Tree pseudo-LRU (the TPLRU baseline of §5).
     TreePlru,
-    /// `M:` insertion treatment over true LRU: instruction lines insert LRU
-    /// and are promoted to MRU when the resolved selection says
-    /// high-priority; data lines insert MRU (covers LIP/BIP/M:S&E/…).
-    InsertionTrueLru,
-    /// `M:` insertion treatment over tree PLRU.
-    InsertionTreePlru,
     /// Static re-reference interval prediction.
     Srrip,
     /// Bimodal RRIP with 1/32 long insertion.
@@ -191,8 +198,6 @@ pub enum PolicyKind {
     Pdp,
     /// Dynamic code line preservation (DCLIP/CLIP).
     Dclip,
-    /// Uniform-random victim (testing baseline).
-    Random,
     /// MLP-aware LIN approximation (§7.1 related work).
     Lin,
     /// LACS approximation (§7.1 related work).
@@ -207,12 +212,6 @@ impl PolicyKind {
         match self {
             PolicyKind::TrueLru => PolicyImpl::TrueLru(TrueLruPolicy::new(sets, ways)),
             PolicyKind::TreePlru => PolicyImpl::TreePlru(TreePlruPolicy::new(sets, ways)),
-            PolicyKind::InsertionTrueLru => {
-                PolicyImpl::Insertion(InsertionPolicy::new(RecencyBase::TrueLru, sets, ways))
-            }
-            PolicyKind::InsertionTreePlru => {
-                PolicyImpl::Insertion(InsertionPolicy::new(RecencyBase::TreePlru, sets, ways))
-            }
             PolicyKind::Srrip => {
                 PolicyImpl::Rrip(RripPolicy::new(RripMode::Static, sets, ways, seed))
             }
@@ -226,7 +225,6 @@ impl PolicyKind {
                 PolicyImpl::Pdp(PdpPolicy::new(sets, ways, PdpPolicy::DEFAULT_DISTANCE))
             }
             PolicyKind::Dclip => PolicyImpl::Dclip(DclipPolicy::new(sets, ways, seed)),
-            PolicyKind::Random => PolicyImpl::Random(RandomPolicy::new(seed)),
             PolicyKind::Lin => PolicyImpl::Lin(LinPolicy::new(sets, ways)),
             PolicyKind::Lacs => PolicyImpl::Lacs(LacsPolicy::new(sets, ways)),
         }
@@ -251,11 +249,10 @@ pub fn intern_name(s: &str) -> &'static str {
 
 /// A replacement policy with enum dispatch on the per-access hot path.
 ///
-/// Every policy in this crate gets its own variant, so [`crate::cache::Cache`]
-/// calls resolve to direct (inlinable) method calls instead of a vtable
-/// lookup per access. Policies defined elsewhere (the EMISSARY family in
-/// `emissary-core`, test doubles) ride in the [`PolicyImpl::Dyn`] fallback,
-/// which keeps the [`ReplacementPolicy`] trait as the extension point.
+/// Every policy has its own variant, so [`crate::cache::Cache`] calls
+/// resolve to direct (inlinable) method calls instead of a vtable lookup
+/// per access. A new policy implements [`ReplacementPolicy`] in this module
+/// and adds a variant here.
 #[derive(Debug)]
 pub enum PolicyImpl {
     /// Classic true LRU.
@@ -270,21 +267,13 @@ pub enum PolicyImpl {
     Pdp(PdpPolicy),
     /// DCLIP/CLIP.
     Dclip(DclipPolicy),
-    /// Uniform-random victim.
-    Random(RandomPolicy),
     /// MLP-aware LIN approximation.
     Lin(LinPolicy),
     /// LACS approximation.
     Lacs(LacsPolicy),
-    /// Dynamically-dispatched fallback for policies defined outside this
-    /// crate (EMISSARY, GHRP, test doubles).
-    Dyn(Box<dyn ReplacementPolicy>),
-}
-
-impl From<Box<dyn ReplacementPolicy>> for PolicyImpl {
-    fn from(policy: Box<dyn ReplacementPolicy>) -> Self {
-        PolicyImpl::Dyn(policy)
-    }
+    /// EMISSARY `P(N)` with its bypass and GHRP variants, and standalone
+    /// GHRP.
+    Emissary(EmissaryPolicy),
 }
 
 /// Expands to a match over every variant, binding the inner policy as `$p`.
@@ -297,10 +286,9 @@ macro_rules! dispatch {
             PolicyImpl::Rrip($p) => $call,
             PolicyImpl::Pdp($p) => $call,
             PolicyImpl::Dclip($p) => $call,
-            PolicyImpl::Random($p) => $call,
             PolicyImpl::Lin($p) => $call,
             PolicyImpl::Lacs($p) => $call,
-            PolicyImpl::Dyn($p) => $call,
+            PolicyImpl::Emissary($p) => $call,
         }
     };
 }
@@ -390,14 +378,11 @@ mod tests {
         for kind in [
             PolicyKind::TrueLru,
             PolicyKind::TreePlru,
-            PolicyKind::InsertionTrueLru,
-            PolicyKind::InsertionTreePlru,
             PolicyKind::Srrip,
             PolicyKind::Brrip,
             PolicyKind::Drrip,
             PolicyKind::Pdp,
             PolicyKind::Dclip,
-            PolicyKind::Random,
             PolicyKind::Lin,
             PolicyKind::Lacs,
         ] {

@@ -12,10 +12,10 @@
 
 use std::str::FromStr;
 
-use emissary_cache::policy::{intern_name, InsertionPolicy, PolicyImpl, PolicyKind, RecencyBase};
+use emissary_cache::policy::{
+    intern_name, EmissaryPolicy, InsertionPolicy, PolicyImpl, PolicyKind, RecencyBase,
+};
 
-use crate::dual::RecencyFlavor;
-use crate::emissary::EmissaryPolicy;
 use crate::selection::SelectionExpr;
 
 /// A parsed cache replacement policy specification.
@@ -149,11 +149,12 @@ impl PolicySpec {
 
     /// Builds the L2 policy with the evaluation default (TPLRU recency).
     pub fn build_l2_policy(&self, sets: usize, ways: usize, seed: u64) -> PolicyImpl {
-        self.build_l2_policy_with(RecencyFlavor::TreePlru, sets, ways, seed)
+        self.build_l2_policy_with(RecencyBase::TreePlru, sets, ways, seed)
     }
 
     /// Builds the L2 policy over the chosen recency flavor (Figure 1 uses
-    /// [`RecencyFlavor::TrueLru`]).
+    /// [`RecencyBase::TrueLru`]). Standalone GHRP ignores the flavor and
+    /// always runs over tree-PLRU.
     ///
     /// # Panics
     ///
@@ -161,48 +162,37 @@ impl PolicySpec {
     /// [`EmissaryPolicy::new`]).
     pub fn build_l2_policy_with(
         &self,
-        flavor: RecencyFlavor,
+        flavor: RecencyBase,
         sets: usize,
         ways: usize,
         seed: u64,
     ) -> PolicyImpl {
         let plain = |sets, ways, seed| match flavor {
-            RecencyFlavor::TrueLru => PolicyKind::TrueLru.build(sets, ways, seed),
-            RecencyFlavor::TreePlru => PolicyKind::TreePlru.build(sets, ways, seed),
+            RecencyBase::TrueLru => PolicyKind::TrueLru.build(sets, ways, seed),
+            RecencyBase::TreePlru => PolicyKind::TreePlru.build(sets, ways, seed),
         };
-        let base = match flavor {
-            RecencyFlavor::TrueLru => RecencyBase::TrueLru,
-            RecencyFlavor::TreePlru => RecencyBase::TreePlru,
-        };
+        let emissary = |n| EmissaryPolicy::new(n, flavor, sets, ways, self.notation());
         match *self {
             // M:1 degenerates to the plain recency policy (every line MRU).
             PolicySpec::MruInsert(SelectionExpr::Always) => plain(sets, ways, seed),
             PolicySpec::MruInsert(_) => {
-                PolicyImpl::Insertion(InsertionPolicy::new(base, sets, ways))
+                PolicyImpl::Insertion(InsertionPolicy::new(flavor, sets, ways))
             }
             // "An N of 0 is equivalent to the baseline" (§5.5).
             PolicySpec::Protect { n: 0, .. }
             | PolicySpec::ProtectBypass { n: 0, .. }
             | PolicySpec::ProtectGhrp { n: 0, .. } => plain(sets, ways, seed),
-            PolicySpec::Protect { n, .. } => PolicyImpl::Dyn(Box::new(EmissaryPolicy::new(
-                n,
-                flavor,
-                sets,
-                ways,
-                self.notation(),
-            ))),
-            PolicySpec::ProtectBypass { n, .. } => PolicyImpl::Dyn(Box::new(
-                EmissaryPolicy::new(n, flavor, sets, ways, self.notation()).with_bypass(),
-            )),
-            PolicySpec::ProtectGhrp { n, .. } => PolicyImpl::Dyn(Box::new(
-                crate::ghrp::EmissaryGhrpPolicy::new(n, flavor, sets, ways, self.notation()),
-            )),
+            PolicySpec::Protect { n, .. } => PolicyImpl::Emissary(emissary(n)),
+            PolicySpec::ProtectBypass { n, .. } => PolicyImpl::Emissary(emissary(n).with_bypass()),
+            PolicySpec::ProtectGhrp { n, .. } => {
+                PolicyImpl::Emissary(emissary(n).with_dead_block_prediction())
+            }
+            PolicySpec::Ghrp => PolicyImpl::Emissary(EmissaryPolicy::ghrp(sets, ways)),
             PolicySpec::Srrip => PolicyKind::Srrip.build(sets, ways, seed),
             PolicySpec::Brrip => PolicyKind::Brrip.build(sets, ways, seed),
             PolicySpec::Drrip => PolicyKind::Drrip.build(sets, ways, seed),
             PolicySpec::Pdp => PolicyKind::Pdp.build(sets, ways, seed),
             PolicySpec::Dclip => PolicyKind::Dclip.build(sets, ways, seed),
-            PolicySpec::Ghrp => PolicyImpl::Dyn(Box::new(crate::ghrp::GhrpPolicy::new(sets, ways))),
             PolicySpec::Lin => PolicyKind::Lin.build(sets, ways, seed),
             PolicySpec::Lacs => PolicyKind::Lacs.build(sets, ways, seed),
         }
@@ -434,7 +424,7 @@ mod tests {
     fn baseline_builds_plain_recency() {
         let p = PolicySpec::BASELINE.build_l2_policy(64, 16, 1);
         assert_eq!(p.name(), "tplru");
-        let p = PolicySpec::BASELINE.build_l2_policy_with(RecencyFlavor::TrueLru, 64, 16, 1);
+        let p = PolicySpec::BASELINE.build_l2_policy_with(RecencyBase::TrueLru, 64, 16, 1);
         assert_eq!(p.name(), "lru");
     }
 

@@ -5,10 +5,8 @@ use proptest::prelude::*;
 use emissary_cache::cache::Cache;
 use emissary_cache::config::CacheConfig;
 use emissary_cache::line::{LineKind, LineState};
-use emissary_cache::policy::{AccessInfo, ReplacementPolicy};
+use emissary_cache::policy::{AccessInfo, EmissaryPolicy, RecencyBase, ReplacementPolicy};
 use emissary_cache::rng::XorShift64;
-use emissary_core::dual::RecencyFlavor;
-use emissary_core::emissary::EmissaryPolicy;
 use emissary_core::selection::{MissFlags, SelectionExpr};
 use emissary_core::spec::PolicySpec;
 
@@ -35,7 +33,7 @@ proptest! {
     fn algorithm_one_truth_table(
         high_mask in 0u16..0xffff,
         n_protect in 0usize..15,
-        flavor in prop_oneof![Just(RecencyFlavor::TrueLru), Just(RecencyFlavor::TreePlru)],
+        flavor in prop_oneof![Just(RecencyBase::TrueLru), Just(RecencyBase::TreePlru)],
         touches in proptest::collection::vec(0usize..16, 0..64),
     ) {
         let ways = 16;

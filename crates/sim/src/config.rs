@@ -1,8 +1,7 @@
 //! Simulation configuration (paper Table 4's Alderlake-like model).
 
 use emissary_cache::config::HierarchyConfig;
-use emissary_cache::policy::PolicyKind;
-use emissary_core::dual::RecencyFlavor;
+use emissary_cache::policy::{PolicyKind, RecencyBase};
 use emissary_core::spec::{PolicySpec, PolicySpecError};
 use emissary_frontend::FrontendConfig;
 
@@ -141,7 +140,7 @@ pub struct SimConfig {
     /// The L2 policy under test.
     pub l2_policy: PolicySpec,
     /// Recency flavor for LRU-family L2 policies.
-    pub recency: RecencyFlavor,
+    pub recency: RecencyBase,
     /// Committed instructions of cache/predictor warmup before measuring.
     pub warmup_instrs: u64,
     /// Committed instructions in the measurement window.
@@ -163,7 +162,7 @@ impl Default for SimConfig {
             hierarchy: HierarchyConfig::alderlake_like(),
             l1_policy: PolicyKind::TreePlru,
             l2_policy: PolicySpec::BASELINE,
-            recency: RecencyFlavor::TreePlru,
+            recency: RecencyBase::TreePlru,
             warmup_instrs: 200_000,
             measure_instrs: 2_000_000,
             priority_reset_interval: None,
@@ -180,7 +179,7 @@ impl SimConfig {
         Self {
             hierarchy: HierarchyConfig::figure1(),
             l1_policy: PolicyKind::TrueLru,
-            recency: RecencyFlavor::TrueLru,
+            recency: RecencyBase::TrueLru,
             ..Self::default()
         }
     }
@@ -234,7 +233,7 @@ mod tests {
     fn figure1_uses_true_lru_and_no_nlp() {
         let f = SimConfig::figure1();
         assert_eq!(f.l1_policy, PolicyKind::TrueLru);
-        assert_eq!(f.recency, RecencyFlavor::TrueLru);
+        assert_eq!(f.recency, RecencyBase::TrueLru);
         assert!(!f.hierarchy.l2_nlp);
     }
 

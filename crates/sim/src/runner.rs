@@ -333,64 +333,86 @@ mod tests {
         assert_eq!(a.footprint_bytes, b.footprint_bytes);
     }
 
+    /// Shrinks the L2 (and L3) so a short tomcat run evicts from the L2:
+    /// tomcat's 2.6 MB footprint needs millions of instructions to wrap on
+    /// the real 1 MB L2.
+    fn evicting(mut cfg: SimConfig) -> SimConfig {
+        cfg.hierarchy.l2 = emissary_cache::config::CacheConfig::new("l2", 64 * 1024, 16, 12);
+        cfg.hierarchy.l3 = emissary_cache::config::CacheConfig::new("l3", 128 * 1024, 16, 32);
+        cfg
+    }
+
+    /// The inputs of the observability and audit tests: the paper's
+    /// preferred policy, and §7.2's GHRP combination on an L2 that evicts.
+    fn observed_inputs() -> [(&'static str, SimConfig); 2] {
+        [
+            ("xapian", quick(PolicySpec::PREFERRED)),
+            ("tomcat", evicting(quick("P(8):S&E+GHRP".parse().unwrap()))),
+        ]
+    }
+
     #[test]
     fn tracing_and_sampling_do_not_change_the_simulation() {
         // Observability must be passive: a run with a recording sink and
         // interval sampling must produce a bit-identical SimReport to the
         // default NullSink/unsampled run (ISSUE acceptance criterion).
-        let p = Profile::by_name("xapian").unwrap();
-        let cfg = quick(PolicySpec::PREFERRED);
-        let plain = run_sim(&p, &cfg);
-        // An enabled tracer that discards (NullSink) must also be inert.
-        let nulled = run_sim_observed(&p, &cfg, &ObsConfig::new(Tracer::new(NullSink), None));
-        assert_eq!(plain, nulled.report, "NullSink tracing perturbed the run");
-        let sink = RingSink::new(4096);
-        let buffer = sink.buffer();
-        let obs = ObsConfig::new(Tracer::new(sink), Some(7_000));
-        let observed = run_sim_observed(&p, &cfg, &obs);
-        assert_eq!(plain, observed.report, "observability perturbed the run");
-        // 40k instructions / 7k interval -> ceil = 6 samples, and the
-        // recorded counters must agree with the aggregate report.
-        assert_eq!(observed.samples.len(), 6);
-        let last = observed.samples.last().unwrap();
-        assert_eq!(last.instructions, plain.committed);
-        assert_eq!(last.cycles, plain.cycles);
-        let starved: u64 = observed.samples.iter().map(|s| s.starvation_cycles).sum();
-        assert_eq!(starved, plain.starvation_cycles);
-        assert_eq!(last.priority_histogram, plain.priority_histogram);
-        // The EMISSARY policy under a thrashing-free quick run still
-        // records fills and evictions; the sink must have seen events.
-        assert!(buffer.lock().unwrap().total_recorded() > 0);
+        let mut protects = Vec::new();
+        for (bench, cfg) in observed_inputs() {
+            let p = Profile::by_name(bench).unwrap();
+            let plain = run_sim(&p, &cfg);
+            // An enabled tracer that discards (NullSink) must also be inert.
+            let nulled = run_sim_observed(&p, &cfg, &ObsConfig::new(Tracer::new(NullSink), None));
+            assert_eq!(plain, nulled.report, "NullSink tracing perturbed the run");
+            let sink = RingSink::new(4096);
+            let buffer = sink.buffer();
+            let obs = ObsConfig::new(Tracer::new(sink), Some(7_000));
+            let observed = run_sim_observed(&p, &cfg, &obs);
+            assert_eq!(plain, observed.report, "observability perturbed the run");
+            // 40k instructions / 7k interval -> ceil = 6 samples, and the
+            // recorded counters must agree with the aggregate report.
+            assert_eq!(observed.samples.len(), 6);
+            let last = observed.samples.last().unwrap();
+            assert_eq!(last.instructions, plain.committed);
+            assert_eq!(last.cycles, plain.cycles);
+            let starved: u64 = observed.samples.iter().map(|s| s.starvation_cycles).sum();
+            assert_eq!(starved, plain.starvation_cycles);
+            assert_eq!(last.priority_histogram, plain.priority_histogram);
+            // Every run records fills and evictions; the sink must have
+            // seen events.
+            let buffer = buffer.lock().unwrap();
+            assert!(buffer.total_recorded() > 0);
+            protects.push(buffer.events().filter(|e| e.kind() == "protect").count());
+        }
+        // Every P(N) variant reports its Algorithm 1 decisions, the GHRP
+        // combination on an evicting L2 included.
+        assert!(protects[1] > 0, "no protect events from P(N)+GHRP");
     }
 
     #[test]
     fn checked_run_with_audit_matches_plain_run() {
         // The auditor at every epoch boundary must find a clean hierarchy
         // and must not perturb the simulation (read-only guarantee).
-        let p = Profile::by_name("xapian").unwrap();
-        let cfg = quick(PolicySpec::PREFERRED);
-        let plain = run_sim(&p, &cfg);
-        let fault = FaultConfig::watchdog().with_audit();
-        let checked = run_sim_checked(
-            &p,
-            &cfg,
-            &ObsConfig::new(Tracer::disabled(), Some(7_000)),
-            &fault,
-        )
-        .expect("audit must be clean on a healthy run");
-        assert_eq!(plain, checked.report, "fault checking perturbed the run");
-        assert_eq!(checked.samples.len(), 6);
+        for (bench, cfg) in observed_inputs() {
+            let p = Profile::by_name(bench).unwrap();
+            let plain = run_sim(&p, &cfg);
+            let fault = FaultConfig::watchdog().with_audit();
+            let checked = run_sim_checked(
+                &p,
+                &cfg,
+                &ObsConfig::new(Tracer::disabled(), Some(7_000)),
+                &fault,
+            )
+            .expect("audit must be clean on a healthy run");
+            assert_eq!(plain, checked.report, "fault checking perturbed the run");
+            assert_eq!(checked.samples.len(), 6);
+        }
     }
 
     #[test]
     fn ideal_l2_mode_is_no_slower() {
-        // Shrink the L2 so non-compulsory instruction misses occur within a
-        // short run (tomcat's 2.6 MB footprint needs millions of
-        // instructions to wrap on the real 1 MB L2).
+        // Non-compulsory instruction misses must occur within a short run.
         let p = Profile::by_name("tomcat").unwrap();
-        let mut base = quick(PolicySpec::BASELINE);
-        base.hierarchy.l2 = emissary_cache::config::CacheConfig::new("l2", 64 * 1024, 16, 12);
-        base.hierarchy.l3 = emissary_cache::config::CacheConfig::new("l3", 128 * 1024, 16, 32);
+        let base = evicting(quick(PolicySpec::BASELINE));
         let mut ideal = base.clone();
         ideal.hierarchy.ideal_l2_instr = true;
         let r0 = run_sim(&p, &base);
