@@ -29,26 +29,26 @@
 //! A stderr progress line (`campaign: 123/1148 jobs, 40 replayed, eta
 //! 93s`) tracks long sweeps; silence it with `EMISSARY_PROGRESS=0`.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
+use crate::chaos::lock_unpoisoned;
 use crate::checkpoint::{self, Campaign};
 use crate::pool::{run_parallel_outcomes_hooked, JobOutcome, PoolOptions};
-use crate::shard::SlotRegistry;
 use crate::{scale, Job};
 
 /// Host-throughput estimates feeding the scheduler: observed MIPS per
 /// benchmark (updated as jobs complete), with a footprint-scaled fallback
 /// for benchmarks not yet measured.
 ///
-/// Observations accumulate in lock-free [`SlotRegistry`] slots as
-/// fixed-point milli-MIPS (cell A = scaled sum, cell B = count), so
-/// workers recording a finished run never contend on a mutex.
+/// Observations accumulate as fixed-point milli-MIPS sums, so the mean
+/// is exact for the precisions fed to it.
 #[derive(Debug, Default)]
 pub struct CostModel {
     /// benchmark name → (sum of observed milli-MIPS, observation count).
-    observed: SlotRegistry,
+    observed: Mutex<HashMap<String, (u64, u64)>>,
 }
 
 /// Baseline host MIPS assumed for a small-footprint benchmark before any
@@ -72,16 +72,18 @@ impl CostModel {
         if mips <= 0.0 {
             return;
         }
-        self.observed
-            .add_pair(benchmark, (mips * MIPS_SCALE).round() as u64, 1);
+        let mut observed = lock_unpoisoned(&self.observed);
+        let (sum_milli, n) = observed.entry(benchmark.to_string()).or_default();
+        *sum_milli += (mips * MIPS_SCALE).round() as u64;
+        *n += 1;
     }
 
     /// The model's current MIPS estimate for a benchmark: mean of the
     /// observations, else the footprint fallback (bigger instruction
     /// footprints miss more and simulate slower).
     pub fn mips(&self, benchmark: &str, code_kb: u32) -> f64 {
-        match self.observed.get_pair(benchmark) {
-            Some((sum_milli, n)) if n > 0 => sum_milli as f64 / MIPS_SCALE / n as f64,
+        match lock_unpoisoned(&self.observed).get(benchmark) {
+            Some(&(sum_milli, n)) if n > 0 => sum_milli as f64 / MIPS_SCALE / n as f64,
             _ => FALLBACK_MIPS / (1.0 + f64::from(code_kb) / 2048.0),
         }
     }
@@ -150,8 +152,11 @@ struct Progress<'m> {
     total: usize,
     done: AtomicUsize,
     replayed: AtomicUsize,
-    /// Estimated cost of completed jobs, in microseconds (atomic f64
-    /// stand-in; precision loss is irrelevant for an ETA).
+    /// Each job's estimated cost in microseconds, fixed when the pass
+    /// starts: the model keeps learning, but done and total must stay in
+    /// the same units for the ETA to converge.
+    cost_us: Vec<u64>,
+    /// Estimated cost of completed jobs, in microseconds.
     done_cost_us: AtomicU64,
     total_cost_us: u64,
     started: Instant,
@@ -164,16 +169,17 @@ struct Progress<'m> {
 
 impl<'m> Progress<'m> {
     fn new(jobs: &[Job], model: &'m CostModel, enabled: bool) -> Self {
-        let total_cost_us = jobs
+        let cost_us: Vec<u64> = jobs
             .iter()
             .map(|j| (model.estimate_seconds(j) * 1e6) as u64)
-            .sum();
+            .collect();
         Progress {
             total: jobs.len(),
             done: AtomicUsize::new(0),
             replayed: AtomicUsize::new(0),
+            total_cost_us: cost_us.iter().sum(),
+            cost_us,
             done_cost_us: AtomicU64::new(0),
-            total_cost_us,
             started: Instant::now(),
             last_line_ms: AtomicU64::new(0),
             enabled,
@@ -181,8 +187,8 @@ impl<'m> Progress<'m> {
         }
     }
 
-    /// Ticks one finished job and prints a throttled progress line.
-    fn tick(&self, job: &Job, outcome: &JobOutcome) {
+    /// Ticks finished job `i` and prints a throttled progress line.
+    fn tick(&self, i: usize, outcome: &JobOutcome) {
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
         let mut replayed = self.replayed.load(Ordering::Relaxed);
         match outcome {
@@ -194,10 +200,8 @@ impl<'m> Progress<'m> {
             }
             _ => {}
         }
-        self.done_cost_us.fetch_add(
-            (self.model.estimate_seconds(job) * 1e6) as u64,
-            Ordering::Relaxed,
-        );
+        self.done_cost_us
+            .fetch_add(self.cost_us[i], Ordering::Relaxed);
         if !self.enabled {
             return;
         }
@@ -253,7 +257,7 @@ pub fn prefetch(
     let before = checkpoint::counters();
     let progress = Progress::new(&ordered, model, scale::knobs().progress);
     let outcomes = run_parallel_outcomes_hooked(&ordered, opts, campaign, |i, outcome| {
-        progress.tick(&ordered[i], outcome);
+        progress.tick(i, outcome);
     });
     let interrupted = outcomes
         .iter()
@@ -335,6 +339,28 @@ mod tests {
         // Replays carry no timing; zero observations are ignored.
         model.observe("xapian", 0.0);
         assert_eq!(model.mips("xapian", 300), 15.0);
+    }
+
+    #[test]
+    fn progress_cost_stays_in_the_units_it_started_in() {
+        // The model learns mid-pass; ticking every job must still add
+        // up to exactly the total the ETA divides by.
+        let model = CostModel::new();
+        let jobs = vec![job("xapian", "M:1", 2_000), job("tomcat", "M:1", 8_000)];
+        let progress = Progress::new(&jobs, &model, false);
+        model.observe("xapian", 500.0);
+        model.observe("tomcat", 0.01);
+        for (i, j) in jobs.iter().enumerate() {
+            let outcome = JobOutcome::Interrupted {
+                benchmark: j.profile.name.to_string(),
+                policy: j.config.l2_policy.to_string(),
+            };
+            progress.tick(i, &outcome);
+        }
+        assert_eq!(
+            progress.done_cost_us.load(Ordering::Relaxed),
+            progress.total_cost_us
+        );
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! byte-identical to an unchaosed run — the decision layer itself never
 //! touches simulation state.
 
+use std::collections::HashMap;
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
@@ -41,7 +42,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::checkpoint::fnv1a64;
-use crate::shard::SlotRegistry;
 use crate::FaultInjection;
 
 /// Default injection probability per fault site when `EMISSARY_CHAOS_SEED`
@@ -77,14 +77,11 @@ pub struct FaultPlan {
     seed: u64,
     /// Probability scaled to parts-per-million.
     rate_ppm: u64,
-    /// Per-site call counters. A lock-free slot registry rather than a
-    /// `Mutex<HashMap>`: with chaos enabled this sits on the fault-site
-    /// path of *every* checkpoint/journal/trace I/O call, so workers
-    /// must not serialize on it. Each site's counter stays gap-free
-    /// (`fetch_add`), so the decision sequence per site is still a pure
-    /// function of the seed — only which caller observes which decision
-    /// depends on scheduling, exactly as before.
-    counters: SlotRegistry,
+    /// Per-site call counters. Each site's counter is gap-free (read and
+    /// bumped under one lock), so the decision sequence per site is a
+    /// pure function of the seed — only which caller observes which
+    /// decision depends on scheduling.
+    counters: Mutex<HashMap<String, u64>>,
     injected: AtomicU64,
 }
 
@@ -104,7 +101,7 @@ impl FaultPlan {
         Self {
             seed,
             rate_ppm,
-            counters: SlotRegistry::new(),
+            counters: Mutex::new(HashMap::new()),
             injected: AtomicU64::new(0),
         }
     }
@@ -139,7 +136,12 @@ impl FaultPlan {
     /// The decision sequence at each site is deterministic; which caller
     /// observes which decision depends on thread interleaving.
     pub fn fires(&self, site: &str) -> bool {
-        let key = self.counters.fetch_add(site, 1);
+        let key = {
+            let mut counters = lock_unpoisoned(&self.counters);
+            let next = counters.entry(site.to_string()).or_insert(0);
+            *next += 1;
+            *next - 1
+        };
         self.fires_keyed(site, key)
     }
 

@@ -39,8 +39,8 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use emissary_obs::{JsonObject, JsonValue};
 use emissary_sim::{SimReport, SimRun};
@@ -119,165 +119,60 @@ pub(crate) fn note_failed() {
 }
 
 /// One campaign's dedup state: the fingerprint → run memo (seeded from
-/// the checkpoint file on resume, grown by every fresh completion) plus
-/// a **single-writer drain thread** that owns the campaign's
-/// [`AppendLog`]. Workers never touch the log: [`record`]
-/// inserts into a lock-striped memo (16 stripes keyed by the
-/// fingerprint hash, so concurrent completions of different jobs rarely
-/// share a stripe) and sends a pre-rendered record down an unbounded
-/// channel; the drain thread appends and flushes in arrival order.
-/// [`sync`] is the durability barrier: it round-trips a flush token
-/// through the channel, so when it returns every previously sent record
-/// is on disk — the pool calls it before returning, and the serve layer
-/// calls it before journaling a job done (journal-before-ack holds at
-/// the drain point).
+/// the checkpoint file on resume, grown by every fresh completion) and
+/// the campaign's [`AppendLog`], behind one lock. [`record`] inserts
+/// into the memo, then appends and flushes the record line before it
+/// returns, so a record is durable when `record` returns and a
+/// duplicate submission replays at once. Appends under the one lock
+/// also keep the lines (and a chaos plan's `ckpt.append` decisions) in
+/// file order.
 ///
 /// [`record`]: Campaign::record
-/// [`sync`]: Campaign::sync
 pub struct Campaign {
     path: PathBuf,
     quarantine_path: PathBuf,
-    memo: [Mutex<HashMap<String, SimRun>>; MEMO_STRIPES],
     loaded: usize,
     quarantined: u64,
-    /// False once the campaign is memo-only (the log failed to open, or
-    /// stopped persisting after an unsalvageable append).
-    persistent: Arc<AtomicBool>,
-    /// Records the drain thread has processed (appended or, in
-    /// memo-only mode, discarded).
-    drained: Arc<AtomicU64>,
-    tx: Option<mpsc::Sender<DrainMsg>>,
-    drain: Option<std::thread::JoinHandle<()>>,
+    state: Mutex<State>,
 }
 
-/// Memo stripe count. Power of two; 16 stripes keep completions of
-/// different fingerprints off each other's locks without bloating an
-/// idle campaign.
-const MEMO_STRIPES: usize = 16;
-
-/// What workers send to the drain thread. Records carry their JSON
-/// payload pre-rendered (report + samples serialization is the
-/// expensive part and parallelizes in the workers); the drain thread
-/// owns the current experiment label and assembles the final line.
-enum DrainMsg {
-    Record(CkptRecord),
-    SetExperiment(String),
-    /// Durability barrier: ack after everything before it is flushed.
-    Flush(mpsc::SyncSender<()>),
+/// What [`Campaign`]'s lock guards.
+struct State {
+    memo: HashMap<String, SimRun>,
+    /// Non-persistent once the campaign is memo-only (the log failed to
+    /// open, or stopped persisting after an unsalvageable append).
+    log: AppendLog,
+    /// The experiment label written on each record.
+    experiment: String,
 }
 
-/// One checkpoint record, rendered on the worker except for the
-/// experiment label (drain-thread state).
-struct CkptRecord {
-    fp: String,
-    benchmark: String,
-    policy: String,
-    status: &'static str,
-    attempts: u32,
-    payload: RecordPayload,
-}
-
-enum RecordPayload {
-    Completed {
-        report_json: String,
-        samples_json: String,
-        host_seconds: f64,
-        warmup_seconds: f64,
-        measure_seconds: f64,
-    },
-    Failed {
-        error: String,
-    },
-}
-
-impl CkptRecord {
-    fn from_outcome(fp: &str, outcome: &JobOutcome) -> CkptRecord {
-        let payload = match outcome {
-            JobOutcome::Completed { run, .. } => {
-                let samples: Vec<String> = run.samples.iter().map(|s| s.to_json()).collect();
-                RecordPayload::Completed {
-                    report_json: run.report.to_json(),
-                    samples_json: format!("[{}]", samples.join(",")),
-                    host_seconds: run.host_seconds,
-                    warmup_seconds: run.warmup_seconds,
-                    measure_seconds: run.measure_seconds,
-                }
-            }
-            failed => RecordPayload::Failed {
-                error: failed.describe(),
-            },
-        };
-        CkptRecord {
-            fp: fp.to_string(),
-            benchmark: outcome.benchmark().to_string(),
-            policy: outcome.policy().to_string(),
-            status: outcome.status(),
-            attempts: outcome.attempts(),
-            payload,
+/// Renders one checkpoint record line.
+fn render_record(fp: &str, outcome: &JobOutcome, experiment: &str) -> String {
+    let mut obj = JsonObject::new();
+    obj.field_str("record", "ckpt")
+        .field_str("fingerprint", fp)
+        .field_str("experiment", experiment)
+        .field_str("benchmark", outcome.benchmark())
+        .field_str("policy", outcome.policy())
+        .field_str("status", outcome.status())
+        .field_u64("attempts", u64::from(outcome.attempts()));
+    match outcome {
+        JobOutcome::Completed { run, .. } => {
+            let samples: Vec<String> = run.samples.iter().map(|s| s.to_json()).collect();
+            obj.field_raw("report", &run.report.to_json());
+            obj.field_raw("samples", &format!("[{}]", samples.join(",")));
+            // Timing fields stay last: the chaos byte-identity test (and
+            // any reader comparing records sans wall-clock noise) strips
+            // the record tail starting at `host_seconds`.
+            obj.field_raw("host_seconds", &format!("{:.6}", run.host_seconds));
+            obj.field_raw("warmup_seconds", &format!("{:.6}", run.warmup_seconds));
+            obj.field_raw("measure_seconds", &format!("{:.6}", run.measure_seconds));
+        }
+        failed => {
+            obj.field_str("error", &failed.describe());
         }
     }
-
-    fn render(&self, experiment: &str) -> String {
-        let mut obj = JsonObject::new();
-        obj.field_str("record", "ckpt")
-            .field_str("fingerprint", &self.fp)
-            .field_str("experiment", experiment)
-            .field_str("benchmark", &self.benchmark)
-            .field_str("policy", &self.policy)
-            .field_str("status", self.status)
-            .field_u64("attempts", u64::from(self.attempts));
-        match &self.payload {
-            RecordPayload::Completed {
-                report_json,
-                samples_json,
-                host_seconds,
-                warmup_seconds,
-                measure_seconds,
-            } => {
-                obj.field_raw("report", report_json);
-                obj.field_raw("samples", samples_json);
-                // Timing fields stay last: the chaos byte-identity test
-                // (and any reader comparing records sans wall-clock
-                // noise) strips the record tail starting at
-                // `host_seconds`.
-                obj.field_raw("host_seconds", &format!("{host_seconds:.6}"));
-                obj.field_raw("warmup_seconds", &format!("{warmup_seconds:.6}"));
-                obj.field_raw("measure_seconds", &format!("{measure_seconds:.6}"));
-            }
-            RecordPayload::Failed { error } => {
-                obj.field_str("error", error);
-            }
-        }
-        obj.finish()
-    }
-}
-
-/// The drain thread: sole owner of the [`AppendLog`]. Must never panic:
-/// the pool and the serve layer block on [`Campaign::sync`] acks.
-fn drain_loop(
-    rx: &mpsc::Receiver<DrainMsg>,
-    mut log: AppendLog,
-    mut experiment: String,
-    persistent: &AtomicBool,
-    drained: &AtomicU64,
-) {
-    while let Ok(msg) = rx.recv() {
-        match msg {
-            DrainMsg::SetExperiment(name) => experiment = name,
-            DrainMsg::Flush(ack) => {
-                log.flush();
-                let _ = ack.send(());
-            }
-            DrainMsg::Record(rec) => {
-                drained.fetch_add(1, Ordering::Relaxed);
-                if log.persistent() && log.append(&rec.render(&experiment)).is_err() {
-                    // The log reported the failure; memo-only from here
-                    // on if it could not salvage the line.
-                    persistent.store(log.persistent(), Ordering::Relaxed);
-                }
-            }
-        }
-    }
+    obj.finish()
 }
 
 impl Campaign {
@@ -301,8 +196,7 @@ impl Campaign {
     pub fn begin_with_io(name: &str, dir: &Path, resume: bool, io: Box<dyn CkptIo>) -> Campaign {
         let path = dir.join(format!("{name}.ckpt.jsonl"));
         let quarantine_path = dir.join(format!("{name}.ckpt.quarantine"));
-        let memo: [Mutex<HashMap<String, SimRun>>; MEMO_STRIPES] =
-            std::array::from_fn(|_| Mutex::new(HashMap::new()));
+        let mut memo = HashMap::new();
         let log = AppendLog::open(
             io,
             &path,
@@ -310,7 +204,7 @@ impl Campaign {
             resume,
             |v| match decode_record(v) {
                 Ok(Some((fp, run))) => {
-                    lock_unpoisoned(&memo[stripe_of(&fp)]).insert(fp, run);
+                    memo.insert(fp, run);
                     true
                 }
                 Ok(None) => true,
@@ -323,33 +217,16 @@ impl Campaign {
                  nothing will persist)"
             );
         }
-        let loaded = memo.iter().map(|s| lock_unpoisoned(s).len()).sum();
-        // `persistent` reflects the log synchronously at open time —
-        // memo-only degradation must be observable before any record is
-        // drained.
-        let persistent = Arc::new(AtomicBool::new(log.persistent()));
-        let quarantined = log.quarantined();
-        let drained = Arc::new(AtomicU64::new(0));
-        let (tx, rx) = mpsc::channel();
-        let drain = {
-            let experiment = name.to_string();
-            let persistent = Arc::clone(&persistent);
-            let drained = Arc::clone(&drained);
-            std::thread::Builder::new()
-                .name("ckpt-drain".into())
-                .spawn(move || drain_loop(&rx, log, experiment, &persistent, &drained))
-                .expect("spawn checkpoint drain thread")
-        };
         Campaign {
             path,
             quarantine_path,
-            memo,
-            loaded,
-            quarantined,
-            persistent,
-            drained,
-            tx: Some(tx),
-            drain: Some(drain),
+            loaded: memo.len(),
+            quarantined: log.quarantined(),
+            state: Mutex::new(State {
+                memo,
+                log,
+                experiment: name.to_string(),
+            }),
         }
     }
 
@@ -377,81 +254,50 @@ impl Campaign {
     /// Whether outcomes are persisting to the checkpoint file (false
     /// after degradation to memo-only mode).
     pub fn persistent(&self) -> bool {
-        self.persistent.load(Ordering::Relaxed)
+        lock_unpoisoned(&self.state).log.persistent()
     }
 
     /// Number of completed jobs currently replayable (loaded + fresh).
     pub fn memoized(&self) -> usize {
-        self.memo.iter().map(|s| lock_unpoisoned(s).len()).sum()
-    }
-
-    /// Number of records the drain thread has processed so far.
-    pub fn drained_records(&self) -> u64 {
-        self.drained.load(Ordering::Relaxed)
+        lock_unpoisoned(&self.state).memo.len()
     }
 
     /// Relabels the experiment recorded on subsequent checkpoint lines.
-    /// Metadata only: the memo and fingerprints are unaffected. The
-    /// relabel travels through the drain channel, so it applies to
-    /// exactly the records sent after it.
+    /// Metadata only: the memo and fingerprints are unaffected.
     pub fn set_experiment(&self, name: &str) {
-        if let Some(tx) = &self.tx {
-            let _ = tx.send(DrainMsg::SetExperiment(name.to_string()));
-        }
+        lock_unpoisoned(&self.state).experiment = name.to_string();
     }
 
     /// Looks up a completed run for this fingerprint.
     pub fn cached(&self, fp: &str) -> Option<SimRun> {
-        lock_unpoisoned(&self.memo[stripe_of(fp)]).get(fp).cloned()
+        lock_unpoisoned(&self.state).memo.get(fp).cloned()
     }
 
-    /// Records one outcome: completed runs enter the in-process memo
-    /// synchronously (read-your-writes — a duplicate submission replays
-    /// the instant this returns), and the rendered record is queued for
-    /// the drain thread, which appends and flushes it in order.
-    /// Durability is deferred to [`Campaign::sync`]; a killed campaign
-    /// loses at most the records not yet synced, which resume re-runs.
+    /// Records one outcome: a completed run enters the in-process memo
+    /// (a duplicate submission replays the instant this returns), and
+    /// the record line is appended and flushed before this returns.
     ///
     /// A failed append is salvaged by the [`AppendLog`]; if the log
     /// stops persisting, the campaign continues memo-only.
     pub fn record(&self, fp: &str, outcome: &JobOutcome) {
+        let mut state = lock_unpoisoned(&self.state);
         if let JobOutcome::Completed { run, .. } = outcome {
-            lock_unpoisoned(&self.memo[stripe_of(fp)]).insert(fp.to_string(), (**run).clone());
+            state.memo.insert(fp.to_string(), (**run).clone());
         }
-        if let Some(tx) = &self.tx {
-            let _ = tx.send(DrainMsg::Record(CkptRecord::from_outcome(fp, outcome)));
+        if state.log.persistent() {
+            let line = render_record(fp, outcome, &state.experiment);
+            // The log reports a failed append itself.
+            let _ = state.log.append(&line);
         }
     }
 
-    /// Durability barrier: blocks until every record sent before this
-    /// call has been appended and flushed (or discarded, in memo-only
-    /// mode). The pool calls this before returning from a parallel run;
-    /// the serve layer calls it before journaling a job done.
+    /// Flushes the checkpoint file. [`Campaign::record`] already flushes
+    /// each line, so this only restates the ordering for callers that
+    /// sequence their own writes after the checkpoint's (the serve layer
+    /// calls it before journaling a job done).
     pub fn sync(&self) {
-        if let Some(tx) = &self.tx {
-            let (ack_tx, ack_rx) = mpsc::sync_channel(0);
-            if tx.send(DrainMsg::Flush(ack_tx)).is_ok() {
-                let _ = ack_rx.recv();
-            }
-        }
+        lock_unpoisoned(&self.state).log.flush();
     }
-}
-
-impl Drop for Campaign {
-    fn drop(&mut self) {
-        // Close the channel, then join: the drain thread finishes the
-        // queued tail and exits, so dropping a campaign is itself a
-        // durability barrier.
-        drop(self.tx.take());
-        if let Some(h) = self.drain.take() {
-            let _ = h.join();
-        }
-    }
-}
-
-/// Memo stripe index for a fingerprint.
-fn stripe_of(fp: &str) -> usize {
-    (fnv1a64(fp.as_bytes()) as usize) % MEMO_STRIPES
 }
 
 /// Decodes one parsed checkpoint record. `Ok(Some(..))` is a completed
@@ -540,8 +386,8 @@ pub fn end() -> Option<Campaign> {
 }
 
 /// Locks the global campaign for the duration of a pool run. A panic
-/// while the lock is held (the legacy pool APIs panic on job failure)
-/// cannot corrupt the campaign, so poisoning is ignored.
+/// while the lock is held cannot corrupt the campaign, so poisoning is
+/// ignored.
 pub(crate) fn global() -> std::sync::MutexGuard<'static, Option<Campaign>> {
     CAMPAIGN.lock().unwrap_or_else(|p| p.into_inner())
 }
@@ -619,8 +465,7 @@ mod tests {
                 attempts: 1,
             },
         );
-        // Metadata on the line, not in the key. `sync` is the barrier
-        // that makes the drained record visible to this read.
+        // Metadata on the line, not in the key.
         c.sync();
         let text = std::fs::read_to_string(c.path()).unwrap();
         assert!(text.contains("\"experiment\":\"fig_x\""));
@@ -629,6 +474,36 @@ mod tests {
         c.set_experiment("fig_y");
         let replayed = c.cached(&fp).expect("memoized");
         assert_eq!(replayed.report, run.report);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn record_is_on_disk_when_record_returns() {
+        // Serve journals a job done right after its record: the line
+        // must already be in the file, with no `sync` in between.
+        let dir = std::env::temp_dir().join(format!("emissary_ckpt_sync_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let c = Campaign::begin_with("durable", &dir, false);
+        let cfg = emissary_sim::SimConfig::default();
+        let job = Job::new(
+            emissary_workloads::Profile::by_name("xapian").unwrap(),
+            &cfg,
+            emissary_core::spec::PolicySpec::BASELINE,
+        );
+        let fp = fingerprint(&job);
+        c.record(
+            &fp,
+            &JobOutcome::Panicked {
+                benchmark: "xapian".into(),
+                policy: "M:1".into(),
+                message: "boom".into(),
+                attempts: 1,
+            },
+        );
+        let text = std::fs::read_to_string(c.path()).unwrap();
+        assert_eq!(text.lines().count(), 1, "{text}");
+        assert!(text.contains(&format!("\"fingerprint\":\"{fp}\"")));
+        assert!(text.ends_with('\n'));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

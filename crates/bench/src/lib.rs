@@ -18,11 +18,8 @@ pub mod metrics;
 pub mod pool;
 pub mod results;
 pub mod scale;
-pub mod shard;
 
-pub use pool::{
-    run_job, run_parallel, run_parallel_observed, run_parallel_outcomes, JobOutcome, PoolOptions,
-};
+pub use pool::{run_job, run_parallel_outcomes, JobOutcome, PoolOptions};
 
 use emissary_core::spec::PolicySpec;
 use emissary_obs::{JsonlSink, MetricsHub, Tracer};

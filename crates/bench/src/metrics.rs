@@ -19,7 +19,6 @@
 
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use emissary_obs::metrics::global;
@@ -46,42 +45,6 @@ pub const WORKER_WALL_NS: &str = "emissary_worker_wall_ns_total";
 
 /// The stage names [`STAGE_NS`] is recorded under, in pipeline order.
 pub const STAGES: &[&str] = &["build", "warmup", "measure", "checkpoint", "render"];
-
-/// Counter family: global-mutex acquisitions from worker threads on the
-/// steady-state job path. Structurally zero — workers buffer results
-/// locally and the checkpoint drains through a channel — so any nonzero
-/// value is a scaling regression. The contention stress test asserts a
-/// zero delta across an 8-thread run.
-pub const WORKER_GLOBAL_LOCKS: &str = "emissary_worker_global_lock_acquisitions_total";
-
-/// Gauge: records processed by the active campaign's checkpoint drain
-/// thread (published by the pool after each parallel run).
-pub const CKPT_DRAINED: &str = "emissary_ckpt_drained_records";
-
-/// Backing cell for [`WORKER_GLOBAL_LOCKS`]. A plain process atomic
-/// (not a hub) because the whole point is to observe the path that
-/// bypasses per-worker state.
-static WORKER_GLOBAL_LOCK_COUNT: AtomicU64 = AtomicU64::new(0);
-
-/// Counts one worker-thread acquisition of a process-global log mutex
-/// (called by the `results` fallback path — see [`WORKER_GLOBAL_LOCKS`]).
-pub fn note_worker_global_lock() {
-    WORKER_GLOBAL_LOCK_COUNT.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Current [`WORKER_GLOBAL_LOCKS`] value.
-pub fn worker_global_locks() -> u64 {
-    WORKER_GLOBAL_LOCK_COUNT.load(Ordering::Relaxed)
-}
-
-/// Publishes the current tripwire value into the global registry as a
-/// gauge, so `.prom` snapshots carry it (the pool calls this at the end
-/// of every parallel run).
-pub fn publish_worker_global_locks() {
-    if scale::knobs().metrics {
-        global().set_gauge(WORKER_GLOBAL_LOCKS, &[], worker_global_locks() as f64);
-    }
-}
 
 /// A hub for one worker thread: recording when `EMISSARY_METRICS` is on
 /// (the default), disabled otherwise.

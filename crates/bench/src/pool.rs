@@ -3,23 +3,17 @@
 //!
 //! Simulations are CPU-bound and independent; a shared atomic cursor over
 //! the job list gives near-perfect load balancing without external
-//! dependencies. Claiming is **chunked** (guided self-scheduling): a
-//! worker grabs a fraction of the remaining jobs in one `fetch_add`,
-//! shrinking toward per-job claiming at the tail, so large matrices
-//! touch the cursor O(workers·log n) times instead of once per job while
-//! the LPT order still load-balances the tail. Every job runs under
-//! `catch_unwind` plus the simulator's fault detector, so one panicking,
-//! stalling, or over-budget simulation produces a [`JobOutcome`]
-//! describing the failure instead of tearing down the whole campaign —
-//! the worker that caught it moves straight on to the next job.
+//! dependencies: each worker claims one job at a time with a
+//! `fetch_add`, so the LPT order the campaign engine hands in also
+//! balances the tail. Every job runs under `catch_unwind` plus the
+//! simulator's fault detector, so one panicking, stalling, or
+//! over-budget simulation produces a [`JobOutcome`] describing the
+//! failure instead of tearing down the whole campaign — the worker that
+//! caught it moves straight on to the next job.
 //!
-//! Workers own their shared-state traffic: each installs a private
-//! result buffer ([`crate::results::worker_log_scope`]) and streams
-//! checkpoint records through the campaign's single-writer drain
-//! thread, so the steady-state job path acquires **no global mutex**
-//! (tripwired by `emissary_worker_global_lock_acquisitions_total`). The
-//! pool calls [`Campaign::sync`] after the scope joins, so every record
-//! is on disk before this function returns — exactly the visibility the
+//! Each outcome is recorded to the campaign as its job finishes
+//! ([`Campaign::record`] appends and flushes before it returns), so every
+//! record is on disk before the pool returns — the visibility the
 //! chaos/resume suites (and the serve journal-before-ack ordering)
 //! assume.
 
@@ -28,7 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use emissary_sim::{ConfigError, FaultConfig, SimAbort, SimReport, SimRun};
+use emissary_sim::{ConfigError, FaultConfig, SimAbort, SimRun};
 
 use emissary_obs::MetricsHub;
 
@@ -249,58 +243,6 @@ impl PoolOptions {
     }
 }
 
-/// Runs all jobs, using up to `EMISSARY_THREADS` workers, and returns
-/// reports in job order.
-///
-/// # Panics
-///
-/// Panics on the first failed job (legacy all-or-nothing semantics); use
-/// [`run_parallel_outcomes`] to handle failures row by row.
-pub fn run_parallel(jobs: &[Job]) -> Vec<SimReport> {
-    run_parallel_observed(jobs)
-        .into_iter()
-        .map(|r| r.report)
-        .collect()
-}
-
-/// Runs all jobs on exactly `workers` threads. Panics on failures, like
-/// [`run_parallel`].
-pub fn run_parallel_with(jobs: &[Job], workers: usize) -> Vec<SimReport> {
-    run_parallel_observed_with(jobs, workers)
-        .into_iter()
-        .map(|r| r.report)
-        .collect()
-}
-
-/// [`run_parallel`] keeping each run's observability by-products
-/// (interval samples), still in job order. Panics on failures.
-pub fn run_parallel_observed(jobs: &[Job]) -> Vec<SimRun> {
-    expect_all(run_parallel_outcomes(jobs))
-}
-
-/// Runs all jobs on exactly `workers` threads, keeping full [`SimRun`]s.
-/// Panics on failures, like [`run_parallel`].
-pub fn run_parallel_observed_with(jobs: &[Job], workers: usize) -> Vec<SimRun> {
-    let opts = PoolOptions {
-        workers,
-        ..PoolOptions::from_env()
-    };
-    let campaign = checkpoint::global();
-    expect_all(run_parallel_outcomes_with(jobs, &opts, campaign.as_ref()))
-}
-
-fn expect_all(outcomes: Vec<JobOutcome>) -> Vec<SimRun> {
-    outcomes
-        .into_iter()
-        .map(|o| {
-            let label = format!("{}/{}", o.benchmark(), o.policy());
-            let detail = o.describe();
-            o.into_run()
-                .unwrap_or_else(|| panic!("job {label} failed: {detail}"))
-        })
-        .collect()
-}
-
 /// Runs all jobs with options and the active global campaign from the
 /// environment, returning one outcome per job (never panicking on job
 /// failure).
@@ -353,10 +295,6 @@ pub fn run_parallel_outcomes_hooked(
         for w in 0..workers {
             let cursor = &cursor;
             handles.push(scope.spawn(move || {
-                // Private result buffer: every `results::log_*` call from
-                // this worker lands here and drains into the process
-                // globals once, when the scope drops after the last job.
-                let _log_scope = results::worker_log_scope();
                 // Per-worker metrics cells: plain u64 adds while the
                 // worker runs, one merge into the global registry at
                 // exit. Nothing here executes inside the cycle loop.
@@ -365,51 +303,26 @@ pub fn run_parallel_outcomes_hooked(
                 let wall_start = Instant::now();
                 let mut busy_ns = 0u64;
                 let mut local = Vec::new();
-                'claim: loop {
-                    // Cooperative shutdown: stop claiming jobs; everything
-                    // already completed is flushed to the checkpoint, and
-                    // unclaimed jobs surface as `Interrupted` outcomes.
-                    if chaos::shutdown_requested() {
-                        break;
-                    }
-                    // Guided self-scheduling: claim a 1/(2·workers) slice
-                    // of the remaining jobs in one fetch_add (capped so a
-                    // stale `remaining` read cannot hoard), degrading to
-                    // per-job claiming at the tail so the LPT order still
-                    // load-balances the stragglers.
-                    let claimed = cursor.load(Ordering::Relaxed);
-                    let remaining = jobs.len().saturating_sub(claimed);
-                    if remaining == 0 {
-                        break;
-                    }
-                    let want = (remaining / (workers * 2)).clamp(1, 32);
-                    let start = cursor.fetch_add(want, Ordering::Relaxed);
-                    if start >= jobs.len() {
-                        break;
-                    }
-                    let end = start.saturating_add(want).min(jobs.len());
-                    for (i, job) in jobs.iter().enumerate().take(end).skip(start) {
-                        // A chunk claimed before shutdown still honors it:
-                        // unrun jobs stay unrecorded and surface as
-                        // `Interrupted`, exactly like unclaimed ones.
-                        if chaos::shutdown_requested() {
-                            break 'claim;
-                        }
-                        let job_start = Instant::now();
-                        let outcome = run_one(job, opts, campaign, &hub, &worker);
-                        let job_ns = metrics::elapsed_ns(job_start);
-                        busy_ns += job_ns;
-                        hub.with(|m| {
-                            m.record(metrics::JOB_NS, &[("worker", &worker)], job_ns);
-                            m.count(
-                                metrics::JOBS_TOTAL,
-                                &[("worker", &worker), ("status", outcome.status())],
-                                1,
-                            );
-                        });
-                        hook(i, &outcome);
-                        local.push((i, outcome));
-                    }
+                // Cooperative shutdown: stop claiming jobs; everything
+                // already completed is in the checkpoint, and unclaimed
+                // jobs surface as `Interrupted` outcomes.
+                while !chaos::shutdown_requested() {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    let Some(job) = jobs.get(i) else { break };
+                    let job_start = Instant::now();
+                    let outcome = run_job(job, opts, campaign, &hub, &worker);
+                    let job_ns = metrics::elapsed_ns(job_start);
+                    busy_ns += job_ns;
+                    hub.with(|m| {
+                        m.record(metrics::JOB_NS, &[("worker", &worker)], job_ns);
+                        m.count(
+                            metrics::JOBS_TOTAL,
+                            &[("worker", &worker), ("status", outcome.status())],
+                            1,
+                        );
+                    });
+                    hook(i, &outcome);
+                    local.push((i, outcome));
                 }
                 hub.with(|m| {
                     m.count(metrics::WORKER_BUSY_NS, &[("worker", &worker)], busy_ns);
@@ -428,20 +341,6 @@ pub fn run_parallel_outcomes_hooked(
             .flat_map(|h| h.join().expect("worker panics are caught per job"))
             .collect()
     });
-    // Durability barrier: every record the workers sent is on disk (or
-    // discarded, memo-only) before the pool returns — callers read the
-    // checkpoint file immediately after.
-    if let Some(c) = campaign {
-        c.sync();
-        if scale::knobs().metrics {
-            emissary_obs::metrics::global().set_gauge(
-                metrics::CKPT_DRAINED,
-                &[],
-                c.drained_records() as f64,
-            );
-        }
-    }
-    metrics::publish_worker_global_locks();
     for (i, r) in results {
         slots[i] = Some(r);
     }
@@ -461,28 +360,15 @@ pub fn run_parallel_outcomes_hooked(
 
 /// Executes one job under the full isolation stack (checkpoint replay →
 /// validation → catch_unwind + fault detector → bounded retry) and
-/// records the outcome — the public single-job entry point for callers
-/// outside the batch pool. The `emissary-serve` daemon runs each
-/// dequeued job through this, inheriting panic isolation, watchdogs,
-/// chaos injection, retry, and checkpoint/replay identically to a batch
-/// campaign; `worker` labels the per-stage metric spans.
+/// records the outcome. Pool workers run every job through this, and so
+/// does the `emissary-serve` daemon for each dequeued job, inheriting
+/// panic isolation, watchdogs, chaos injection, retry, and
+/// checkpoint/replay identically to a batch campaign; `worker` labels
+/// the per-stage metric spans.
 ///
 /// Metrics recorded on `hub` are the caller's to drain (workers merge
 /// into the global registry at thread exit — see
 /// [`crate::metrics::worker_hub`]).
-pub fn run_job(
-    job: &Job,
-    opts: &PoolOptions,
-    campaign: Option<&Campaign>,
-    hub: &MetricsHub,
-    worker: &str,
-) -> JobOutcome {
-    run_one(job, opts, campaign, hub, worker)
-}
-
-/// Executes one job under the full isolation stack (checkpoint replay →
-/// validation → catch_unwind + fault detector → bounded retry) and
-/// records the outcome.
 ///
 /// Panicked and retryable-aborted attempts (see [`SimAbort::retryable`])
 /// are retried up to `opts.retries` times with deterministic backoff;
@@ -490,7 +376,7 @@ pub fn run_job(
 /// results JSONL before the next attempt, so the attempt history survives
 /// even when the job eventually completes. Only the final outcome counts
 /// toward the process-wide simulated/failed counters.
-pub(crate) fn run_one(
+pub fn run_job(
     job: &Job,
     opts: &PoolOptions,
     campaign: Option<&Campaign>,
@@ -633,36 +519,35 @@ mod tests {
     #[test]
     fn preserves_job_order_and_count() {
         let jobs = quick_jobs(5);
-        let reports = run_parallel_with(&jobs, 3);
-        assert_eq!(reports.len(), 5);
-        for r in &reports {
-            assert_eq!(r.benchmark, "xapian");
+        let outcomes = run_parallel_outcomes_with(&jobs, &PoolOptions::with_workers(3), None);
+        assert_eq!(outcomes.len(), 5);
+        for o in &outcomes {
+            assert_eq!(o.run().expect("completed").report.benchmark, "xapian");
         }
     }
 
     #[test]
     fn empty_jobs_return_empty() {
-        assert!(run_parallel(&[]).is_empty());
+        assert!(run_parallel_outcomes_with(&[], &PoolOptions::with_workers(2), None).is_empty());
     }
 
     #[test]
     fn parallel_equals_serial() {
         let jobs = quick_jobs(3);
         let serial: Vec<u64> = jobs.iter().map(|j| j.run().cycles).collect();
-        let parallel: Vec<u64> = run_parallel_with(&jobs, 3)
-            .iter()
-            .map(|r| r.cycles)
-            .collect();
+        let parallel: Vec<u64> =
+            run_parallel_outcomes_with(&jobs, &PoolOptions::with_workers(3), None)
+                .iter()
+                .map(|o| o.run().expect("completed").report.cycles)
+                .collect();
         assert_eq!(serial, parallel);
     }
 
     #[test]
-    fn chunked_claiming_covers_every_job_exactly_once() {
-        // Enough jobs that workers claim multi-job chunks before the
-        // tail degrades to per-job claiming: every slot must be filled,
-        // in order, with no job run twice (the pool would panic on a
-        // double write only via result divergence, so completeness is
-        // the assertion).
+    fn claiming_covers_every_job_exactly_once() {
+        // Four workers racing on the cursor: every slot must be filled,
+        // with no job skipped (an empty slot would surface as
+        // `Interrupted`).
         let jobs = quick_jobs(40);
         let outcomes = run_parallel_outcomes_with(&jobs, &PoolOptions::with_workers(4), None);
         assert_eq!(outcomes.len(), 40);
@@ -735,13 +620,5 @@ mod tests {
         assert_eq!(serial[1].0, "panicked");
         assert_eq!(serial[2].0, "rejected");
         assert_eq!(serial[3].0, "completed");
-    }
-
-    #[test]
-    #[should_panic(expected = "failed: panicked")]
-    fn legacy_api_panics_on_failure_with_job_identity() {
-        let mut jobs = quick_jobs(1);
-        jobs[0].inject = Some(FaultInjection::Panic);
-        let _ = run_parallel_with(&jobs, 1);
     }
 }

@@ -23,7 +23,6 @@
 //! each [`emit`]/[`write_experiment`], matching the
 //! one-experiment-at-a-time structure of the binaries.
 
-use std::cell::{Cell, RefCell};
 use std::fs;
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -41,81 +40,6 @@ static RUN_LOG: Mutex<Vec<SimRun>> = Mutex::new(Vec::new());
 static TRACE_ERRORS: Mutex<Vec<TraceError>> = Mutex::new(Vec::new());
 static FAILURES: Mutex<Vec<JobFailure>> = Mutex::new(Vec::new());
 static CKPT_ERRORS: Mutex<Vec<CkptError>> = Mutex::new(Vec::new());
-
-thread_local! {
-    /// Per-worker result buffer, installed by [`worker_log_scope`]. When
-    /// present, every `log_*` call on this thread appends here — no
-    /// global mutex — and the buffer drains into the process-global logs
-    /// exactly once, when the scope drops at worker exit.
-    static LOCAL_LOG: RefCell<Option<Box<LocalLog>>> = const { RefCell::new(None) };
-    /// Whether this thread is a pool/serve worker. A worker that reaches
-    /// a global log mutex anyway (a regression re-introducing shared
-    /// state on the job path) trips the
-    /// `emissary_worker_global_lock_acquisitions_total` counter.
-    static IS_WORKER: Cell<bool> = const { Cell::new(false) };
-}
-
-#[derive(Default)]
-struct LocalLog {
-    runs: Vec<SimRun>,
-    trace_errors: Vec<TraceError>,
-    failures: Vec<JobFailure>,
-    ckpt_errors: Vec<CkptError>,
-}
-
-/// Runs `f` against this thread's local buffer, or returns `None` (take
-/// the global path) when no worker scope is installed.
-fn with_local<T>(f: impl FnOnce(&mut LocalLog) -> T) -> Option<T> {
-    LOCAL_LOG.with(|l| l.borrow_mut().as_deref_mut().map(f))
-}
-
-/// Tripwire for the global fallback path: counts the acquisition when
-/// taken from a worker thread. Structurally zero — workers always have a
-/// local buffer — so a nonzero count is a contention regression, and the
-/// scaling stress test asserts exactly that.
-fn note_global_path() {
-    if IS_WORKER.with(Cell::get) {
-        metrics::note_worker_global_lock();
-    }
-}
-
-/// Marks this thread as a pool worker and installs its private result
-/// buffer. On drop the buffer drains into the process-global logs in one
-/// lock acquisition per log — the only time a worker touches them.
-/// Returned guard must outlive every job the worker runs.
-pub fn worker_log_scope() -> WorkerLogScope {
-    LOCAL_LOG.with(|l| *l.borrow_mut() = Some(Box::default()));
-    IS_WORKER.with(|w| w.set(true));
-    WorkerLogScope { _priv: () }
-}
-
-/// RAII guard for a worker's private result buffer (see
-/// [`worker_log_scope`]).
-pub struct WorkerLogScope {
-    _priv: (),
-}
-
-impl Drop for WorkerLogScope {
-    fn drop(&mut self) {
-        let buf = LOCAL_LOG.with(|l| l.borrow_mut().take());
-        IS_WORKER.with(|w| w.set(false));
-        let Some(buf) = buf else { return };
-        // The end-of-scope drain is the sanctioned global touch: one
-        // acquisition per non-empty log per worker, after the last job.
-        if !buf.runs.is_empty() {
-            lock_unpoisoned(&RUN_LOG).extend(buf.runs);
-        }
-        if !buf.trace_errors.is_empty() {
-            lock_unpoisoned(&TRACE_ERRORS).extend(buf.trace_errors);
-        }
-        if !buf.failures.is_empty() {
-            lock_unpoisoned(&FAILURES).extend(buf.failures);
-        }
-        if !buf.ckpt_errors.is_empty() {
-            lock_unpoisoned(&CKPT_ERRORS).extend(buf.ckpt_errors);
-        }
-    }
-}
 
 /// A failed attempt to open a per-job event-trace sink: the run proceeded
 /// untraced, and the experiment's results file records the degradation.
@@ -167,50 +91,28 @@ pub struct CkptError {
     pub error: String,
 }
 
-/// Appends one run to this worker's buffer, or the process-global run
-/// log outside a worker scope.
+/// Appends one run to the process-global run log.
 pub fn log_run(run: &SimRun) {
-    if with_local(|l| l.runs.push(run.clone())).is_some() {
-        return;
-    }
-    note_global_path();
     lock_unpoisoned(&RUN_LOG).push(run.clone());
 }
 
-/// Records a failed trace-sink open (or a sink that degraded mid-run) in
-/// this worker's buffer, or the process-global log outside a scope.
+/// Records a failed trace-sink open (or a sink that degraded mid-run).
 pub fn log_trace_error(benchmark: &str, policy: &str, path: &str, error: &str) {
-    let te = TraceError {
+    lock_unpoisoned(&TRACE_ERRORS).push(TraceError {
         benchmark: benchmark.to_string(),
         policy: policy.to_string(),
         path: path.to_string(),
         error: error.to_string(),
-    };
-    match with_local(|l| l.trace_errors.push(te.clone())) {
-        Some(()) => {}
-        None => {
-            note_global_path();
-            lock_unpoisoned(&TRACE_ERRORS).push(te);
-        }
-    }
+    });
 }
 
-/// Records a checkpoint I/O failure in this worker's buffer, or the
-/// process-global log outside a scope (the checkpoint drain thread and
-/// campaign open both land here).
+/// Records a checkpoint (or journal) I/O failure.
 pub fn log_ckpt_error(path: &Path, op: &str, error: &io::Error) {
-    let ce = CkptError {
+    lock_unpoisoned(&CKPT_ERRORS).push(CkptError {
         path: path.display().to_string(),
         op: op.to_string(),
         error: error.to_string(),
-    };
-    match with_local(|l| l.ckpt_errors.push(ce.clone())) {
-        Some(()) => {}
-        None => {
-            note_global_path();
-            lock_unpoisoned(&CKPT_ERRORS).push(ce);
-        }
-    }
+    });
 }
 
 impl JobFailure {
@@ -231,11 +133,10 @@ impl JobFailure {
     }
 }
 
-/// Records a failed job outcome in this worker's buffer, or the
-/// process-global log outside a scope (completed outcomes are ignored).
+/// Records a failed job outcome (completed outcomes are ignored).
 pub fn log_failure(outcome: &crate::pool::JobOutcome) {
     if let Some(f) = JobFailure::from_outcome(outcome) {
-        push_failure(f);
+        lock_unpoisoned(&FAILURES).push(f);
     }
 }
 
@@ -245,26 +146,12 @@ pub fn log_failure(outcome: &crate::pool::JobOutcome) {
 pub fn log_retried_failure(outcome: &crate::pool::JobOutcome) {
     if let Some(mut f) = JobFailure::from_outcome(outcome) {
         f.retried = true;
-        push_failure(f);
-    }
-}
-
-fn push_failure(f: JobFailure) {
-    match with_local(|l| l.failures.push(f.clone())) {
-        Some(()) => {}
-        None => {
-            note_global_path();
-            lock_unpoisoned(&FAILURES).push(f);
-        }
+        lock_unpoisoned(&FAILURES).push(f);
     }
 }
 
 /// Appends runs to the process-global run log (in the given order).
 pub fn log_runs(runs: &[SimRun]) {
-    if with_local(|l| l.runs.extend_from_slice(runs)).is_some() {
-        return;
-    }
-    note_global_path();
     lock_unpoisoned(&RUN_LOG).extend_from_slice(runs);
 }
 
@@ -557,28 +444,6 @@ mod tests {
         assert!(lines[3].contains("\"record\":\"ckpt_error\""));
         assert!(lines[3].contains("\"op\":\"append\""));
         assert!(lines[3].contains("\"error\":\"disk full\""));
-    }
-
-    #[test]
-    fn worker_scope_buffers_until_drop() {
-        let marker = format!("scope-test-{}", std::process::id());
-        let m2 = marker.clone();
-        std::thread::spawn(move || {
-            let _scope = worker_log_scope();
-            log_trace_error("bench", "M:1", &m2, "buffered");
-            // Still buffered: the global log must not hold it yet.
-            assert!(!lock_unpoisoned(&TRACE_ERRORS).iter().any(|t| t.path == m2));
-        })
-        .join()
-        .unwrap();
-        // Scope dropped at thread exit → drained into the global log.
-        let mut all = take_trace_errors();
-        assert_eq!(all.iter().filter(|t| t.path == marker).count(), 1);
-        // Re-log everything that belongs to concurrently running tests.
-        all.retain(|t| t.path != marker);
-        for t in all {
-            log_trace_error(&t.benchmark, &t.policy, &t.path, &t.error);
-        }
     }
 
     #[test]

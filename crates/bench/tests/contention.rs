@@ -1,8 +1,6 @@
-//! Contention stress: 8 workers hammering the sharded program store and
-//! the single-writer checkpoint drain while chaos tears appends at the
-//! journal site — no `SimRun` record may be lost or duplicated, and the
-//! steady-state job path must acquire **zero** process-global log locks
-//! (the `emissary_worker_global_lock_acquisitions_total` tripwire).
+//! Contention stress: 8 workers hammering the program store and the
+//! campaign checkpoint while chaos tears appends at the checkpoint site —
+//! no `SimRun` record may be lost or duplicated.
 
 use std::collections::HashSet;
 use std::io::{self, Write};
@@ -12,7 +10,7 @@ use std::sync::Arc;
 use emissary_bench::chaos::{CkptIo, FaultPlan, RealIo};
 use emissary_bench::checkpoint::{fingerprint, Campaign};
 use emissary_bench::pool::{run_parallel_outcomes_with, PoolOptions};
-use emissary_bench::{metrics, Job};
+use emissary_bench::Job;
 use emissary_core::spec::PolicySpec;
 use emissary_obs::JsonValue;
 use emissary_sim::SimConfig;
@@ -27,7 +25,7 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 /// The full 26-job campaign matrix (13 profiles × 2 policies) at tiny
 /// windows — enough distinct fingerprints that 8 workers genuinely
-/// overlap in the store, the memo stripes, and the drain channel.
+/// overlap in the store and the campaign's memo and log.
 fn jobs() -> Vec<Job> {
     let cfg = SimConfig {
         warmup_instrs: 500,
@@ -45,8 +43,8 @@ fn jobs() -> Vec<Job> {
 
 /// A [`CkptIo`] that tears appends (half the line lands, then the write
 /// fails) per the plan's `ckpt.append` schedule, and leaves every other
-/// operation healthy — so the campaign file stays open and the drain
-/// thread's salvage path runs under fire, without the open/mkdir faults
+/// operation healthy — so the campaign file stays open and the log's
+/// salvage path runs under fire, without the open/mkdir faults
 /// [`emissary_bench::chaos::ChaosIo`] would add.
 #[derive(Debug)]
 struct TearAppends {
@@ -81,7 +79,7 @@ impl CkptIo for TearAppends {
 }
 
 #[test]
-fn hammered_drain_loses_no_records_and_workers_take_no_global_locks() {
+fn torn_appends_under_8_workers_lose_and_duplicate_no_records() {
     let dir = tmpdir("drain");
     let plan = Arc::new(FaultPlan::new(9, 0.3));
     let c = Campaign::begin_with_io(
@@ -93,17 +91,10 @@ fn hammered_drain_loses_no_records_and_workers_take_no_global_locks() {
     assert!(c.persistent());
     let jobs = jobs();
 
-    let locks_before = metrics::worker_global_locks();
     let outcomes = run_parallel_outcomes_with(&jobs, &PoolOptions::with_workers(8), Some(&c));
-    let locks_after = metrics::worker_global_locks();
-    assert_eq!(
-        locks_after - locks_before,
-        0,
-        "steady-state job path acquired a process-global log mutex from a worker"
-    );
 
-    // Nothing lost: every job completed, every fingerprint is memoized,
-    // and the drain processed exactly one record per job.
+    // Nothing lost: every job completed and every fingerprint is
+    // memoized.
     assert!(outcomes.iter().all(|o| o.status() == "completed"));
     for job in &jobs {
         assert!(
@@ -113,8 +104,6 @@ fn hammered_drain_loses_no_records_and_workers_take_no_global_locks() {
         );
     }
     assert_eq!(c.memoized(), jobs.len());
-    c.sync();
-    assert_eq!(c.drained_records(), jobs.len() as u64);
 
     // The torn-append schedule is a pure function of (seed, site, key):
     // the live injection count must match the precomputed schedule.
@@ -146,16 +135,10 @@ fn hammered_drain_loses_no_records_and_workers_take_no_global_locks() {
     }
     assert_eq!(fps.len(), jobs.len() - torn);
     assert_eq!(debris, torn);
-
-    // Tripwire liveness: the zero above is meaningful only if the
-    // counter actually counts.
-    let before = metrics::worker_global_locks();
-    metrics::note_worker_global_lock();
-    assert_eq!(metrics::worker_global_locks(), before + 1);
 }
 
 #[test]
-fn sharded_store_coalesces_under_an_8_thread_hammer() {
+fn store_coalesces_under_an_8_thread_hammer() {
     let profiles: Vec<Profile> = Profile::all().into_iter().take(4).collect();
     let canon: Vec<_> = profiles.iter().map(shared_program).collect();
     std::thread::scope(|s| {

@@ -246,10 +246,6 @@ impl Server {
                 thread::Builder::new()
                     .name(format!("serve-worker-{w}"))
                     .spawn(move || {
-                        // Worker-local result buffers: failures and
-                        // trace/ckpt errors accumulate here and drain to
-                        // the process logs when the worker exits.
-                        let _log_scope = emissary_bench::results::worker_log_scope();
                         let name = format!("serve-{w}");
                         while let Some(ticket) = shared.queue.next() {
                             run_ticket(&shared, &ticket, &name);
@@ -817,10 +813,11 @@ fn finish(
     shared
         .jobs
         .set_terminal(&ticket.id, status, detail, attempts, resumed, report_json);
-    // Checkpoint-before-journal: the campaign's drain thread must have
-    // durably appended this job's result before the journal records it
-    // `done` — otherwise a crash in the gap would replay a "done" job
-    // with no memoized result. `sync()` is the drain-point barrier.
+    // Checkpoint-before-journal: this job's result must be in the
+    // checkpoint before the journal records it `done` — otherwise a crash
+    // in the gap would replay a "done" job with no memoized result.
+    // `run_job` appended and flushed the record already; `sync()` keeps
+    // the ordering explicit.
     shared.campaign.sync();
     shared.journal.append_done(&ticket.id, status.name());
     lock_unpoisoned(&shared.specs).remove(&ticket.id);

@@ -9,12 +9,11 @@
 //!
 //! Programs are keyed by a stable hash of the full [`Profile`] (shape and
 //! seed), so two profiles that differ in any generation knob never share
-//! a program. Construction is memoized per key: the first caller builds
-//! while later callers for the same key wait on that build, and callers
-//! for *different* keys build concurrently (no map lock is ever held
-//! across a build). The map itself is lock-striped across [`SHARDS`]
-//! shards keyed by the profile hash, so concurrent lookups of different
-//! profiles do not serialize on one global mutex either.
+//! a program. Construction is memoized per key through a per-profile
+//! `OnceLock`: the first caller builds while later callers for the same
+//! key wait on that build, and callers for *different* keys build
+//! concurrently, because the map's one lock is held only to find the
+//! cell, never across a build.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -36,26 +35,10 @@ fn profile_key(profile: &Profile) -> u64 {
 
 type Cell = Arc<OnceLock<Arc<Program>>>;
 
-/// Stripe count for the program map. Power of two so the modulo folds to
-/// a mask; 16 stripes is plenty for 13 profiles and keeps the footprint
-/// of an idle store negligible.
-const SHARDS: usize = 16;
-
-fn shards() -> &'static [Mutex<HashMap<u64, Cell>>; SHARDS] {
-    static CACHE: OnceLock<[Mutex<HashMap<u64, Cell>>; SHARDS]> = OnceLock::new();
-    CACHE.get_or_init(|| std::array::from_fn(|_| Mutex::new(HashMap::new())))
-}
-
-fn shard_for(key: u64) -> &'static Mutex<HashMap<u64, Cell>> {
-    &shards()[(key as usize) % SHARDS]
-}
-
-/// Number of distinct programs currently cached.
-pub fn cached_programs() -> usize {
-    shards()
-        .iter()
-        .map(|s| s.lock().expect("program store poisoned").len())
-        .sum()
+/// The program map: profile key → its build cell.
+fn cells() -> &'static Mutex<HashMap<u64, Cell>> {
+    static CELLS: OnceLock<Mutex<HashMap<u64, Cell>>> = OnceLock::new();
+    CELLS.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
 /// Returns the shared program for `profile`, building it on first use.
@@ -63,10 +46,10 @@ pub fn cached_programs() -> usize {
 pub fn shared_program(profile: &Profile) -> Arc<Program> {
     let key = profile_key(profile);
     let cell: Cell = {
-        let mut map = shard_for(key).lock().expect("program store poisoned");
+        let mut map = cells().lock().expect("program store poisoned");
         map.entry(key).or_default().clone()
     };
-    // Build outside the shard lock: a slow build for one benchmark must
+    // Build outside the map lock: a slow build for one benchmark must
     // not block lookups (or builds) for any other, and two builds of the
     // same profile still coalesce on the cell's `OnceLock`.
     cell.get_or_init(|| Arc::new(build_program(&profile.shape)))
