@@ -22,7 +22,7 @@ pub mod scale;
 pub use pool::{run_job, run_parallel_outcomes, JobOutcome, PoolOptions};
 
 use emissary_core::spec::PolicySpec;
-use emissary_obs::{JsonlSink, MetricsHub, Tracer};
+use emissary_obs::{JsonlSink, MetricsRegistry, Tracer};
 use emissary_sim::{
     run_sim_checked_on, FaultConfig, ObsConfig, SimAbort, SimConfig, SimReport, SimRun,
 };
@@ -103,18 +103,19 @@ impl Job {
     /// each job's trace file in place instead of minting a fresh sequence
     /// number per process.
     pub fn run_checked(&self, fault: &FaultConfig) -> Result<SimRun, SimAbort> {
-        self.run_checked_metered(fault, &MetricsHub::default(), "main")
+        self.run_checked_metered(fault, None, "main")
     }
 
     /// [`Job::run_checked`] with per-stage span attribution: program
-    /// build, warmup, and measurement host time land in `hub`'s
-    /// `emissary_stage_ns_total` cells under the given `worker` label
-    /// (the pool passes each worker's index). With a disabled hub this
-    /// is exactly [`Job::run_checked`].
+    /// build, warmup, and measurement host time land in `registry`'s
+    /// `emissary_stage_ns_total` series under the given `worker` label
+    /// (the pool passes each worker's index), next to the run's
+    /// end-of-run counters. With `None` this is exactly
+    /// [`Job::run_checked`].
     pub fn run_checked_metered(
         &self,
         fault: &FaultConfig,
-        hub: &MetricsHub,
+        registry: Option<&'static MetricsRegistry>,
         worker: &str,
     ) -> Result<SimRun, SimAbort> {
         let mut fault = fault.clone();
@@ -176,27 +177,14 @@ impl Job {
         let program = self.profile.shared_program();
         let build_ns = metrics::elapsed_ns(build_start);
         let obs = ObsConfig::new(guard.tracer.clone(), scale::knobs().sample_interval)
-            .with_metrics(hub.clone());
+            .with_metrics(registry);
         let result = run_sim_checked_on(&program, &self.profile, &self.config, &obs, &fault);
-        hub.with(|m| {
-            m.count(
-                metrics::STAGE_NS,
-                &[("stage", "build"), ("worker", worker)],
-                build_ns,
-            );
-            if let Ok(run) = &result {
-                m.count(
-                    metrics::STAGE_NS,
-                    &[("stage", "warmup"), ("worker", worker)],
-                    (run.warmup_seconds * 1e9) as u64,
-                );
-                m.count(
-                    metrics::STAGE_NS,
-                    &[("stage", "measure"), ("worker", worker)],
-                    (run.measure_seconds * 1e9) as u64,
-                );
-            }
-        });
+        metrics::record_stage(registry, worker, "build", build_ns);
+        if let Ok(run) = &result {
+            let ns = |s: f64| (s * 1e9) as u64;
+            metrics::record_stage(registry, worker, "warmup", ns(run.warmup_seconds));
+            metrics::record_stage(registry, worker, "measure", ns(run.measure_seconds));
+        }
         result
     }
 

@@ -1,8 +1,8 @@
-//! Bench-side metrics glue: worker hubs, stage spans, Prometheus
-//! exposition, and campaign-summary aggregates.
+//! Bench-side metrics glue: the `EMISSARY_METRICS` switch, stage spans,
+//! Prometheus exposition, and campaign-summary aggregates.
 //!
-//! The obs crate owns the mechanism ([`emissary_obs::MetricsRegistry`],
-//! [`MetricsHub`], [`emissary_obs::render_prometheus`]); this module
+//! The obs crate owns the mechanism ([`MetricsRegistry`],
+//! [`emissary_obs::render_prometheus`]); this module
 //! owns the policy — which spans exist, what they are named, where the
 //! snapshot file lives, and how the campaign summary line condenses it.
 //!
@@ -13,16 +13,16 @@
 //! `checkpoint` | `render`), a per-worker job-duration histogram
 //! ([`JOB_NS`]), a per-worker per-status job counter ([`JOBS_TOTAL`]),
 //! and per-worker busy/wall counters ([`WORKER_BUSY_NS`],
-//! [`WORKER_WALL_NS`]) whose ratio is scheduler utilization. Each worker
-//! owns its cells and drains them into the process registry once, when
-//! it exits — never inside the simulator's cycle loop.
+//! [`WORKER_WALL_NS`]) whose ratio is scheduler utilization. Workers
+//! record straight into the process registry at job boundaries and at
+//! exit — never inside the simulator's cycle loop.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use emissary_obs::metrics::global;
-use emissary_obs::{render_prometheus, Metric, MetricValue, MetricsHub};
+use emissary_obs::{render_prometheus, Metric, MetricValue, MetricsRegistry};
 
 use crate::scale;
 
@@ -46,14 +46,10 @@ pub const WORKER_WALL_NS: &str = "emissary_worker_wall_ns_total";
 /// The stage names [`STAGE_NS`] is recorded under, in pipeline order.
 pub const STAGES: &[&str] = &["build", "warmup", "measure", "checkpoint", "render"];
 
-/// A hub for one worker thread: recording when `EMISSARY_METRICS` is on
-/// (the default), disabled otherwise.
-pub fn worker_hub() -> MetricsHub {
-    if scale::knobs().metrics {
-        MetricsHub::recording()
-    } else {
-        MetricsHub::default()
-    }
+/// The registry to record into: the global one when `EMISSARY_METRICS`
+/// is on (the default), `None` when it is off.
+pub fn registry() -> Option<&'static MetricsRegistry> {
+    scale::knobs().metrics.then(global)
 }
 
 /// Where the campaign's Prometheus snapshot lands.
@@ -70,20 +66,19 @@ pub fn write_prom(path: &Path) -> io::Result<()> {
     std::fs::write(path, render_prometheus(&global().snapshot()))
 }
 
-/// Adds `ns` to the per-worker stage counter (no-op on a disabled hub).
-pub fn record_stage(hub: &MetricsHub, worker: &str, stage: &'static str, ns: u64) {
-    hub.with(|m| m.count(STAGE_NS, &[("stage", stage), ("worker", worker)], ns));
+/// Adds `ns` to the per-worker stage counter (no-op when `m` is `None`).
+pub fn record_stage(m: Option<&MetricsRegistry>, worker: &str, stage: &'static str, ns: u64) {
+    if let Some(m) = m {
+        m.add_counter(STAGE_NS, &[("stage", stage), ("worker", worker)], ns);
+    }
 }
 
-/// Times `f` as a `stage` span attributed to `worker`, draining straight
-/// into the global registry. For main-thread stages (result rendering);
-/// workers keep a long-lived hub instead.
+/// Times `f` as a `stage` span attributed to `worker`, recorded into
+/// [`registry`]. For main-thread stages (result rendering).
 pub fn time_stage<T>(worker: &str, stage: &'static str, f: impl FnOnce() -> T) -> T {
-    let hub = worker_hub();
     let t0 = Instant::now();
     let out = f();
-    record_stage(&hub, worker, stage, elapsed_ns(t0));
-    hub.drain_to(global());
+    record_stage(registry(), worker, stage, elapsed_ns(t0));
     out
 }
 
@@ -153,16 +148,12 @@ mod tests {
 
     #[test]
     fn stage_and_utilization_aggregates_sum_across_workers() {
-        let hub = MetricsHub::recording();
-        record_stage(&hub, "0", "measure", 1_500_000_000);
-        record_stage(&hub, "1", "measure", 500_000_000);
-        record_stage(&hub, "0", "build", 250_000_000);
-        hub.with(|m| {
-            m.count(WORKER_BUSY_NS, &[("worker", "0")], 2_000_000_000);
-            m.count(WORKER_WALL_NS, &[("worker", "0")], 4_000_000_000);
-        });
-        let reg = emissary_obs::MetricsRegistry::new();
-        hub.drain_to(&reg);
+        let reg = MetricsRegistry::new();
+        record_stage(Some(&reg), "0", "measure", 1_500_000_000);
+        record_stage(Some(&reg), "1", "measure", 500_000_000);
+        record_stage(Some(&reg), "0", "build", 250_000_000);
+        reg.add_counter(WORKER_BUSY_NS, &[("worker", "0")], 2_000_000_000);
+        reg.add_counter(WORKER_WALL_NS, &[("worker", "0")], 4_000_000_000);
         let snap = reg.snapshot();
         assert!((stage_seconds(&snap, "measure") - 2.0).abs() < 1e-9);
         assert!((stage_seconds(&snap, "build") - 0.25).abs() < 1e-9);

@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use emissary_sim::{ConfigError, FaultConfig, SimAbort, SimRun};
 
-use emissary_obs::MetricsHub;
+use emissary_obs::MetricsRegistry;
 
 use crate::chaos::{self, FaultPlan};
 use crate::checkpoint::{self, fingerprint, Campaign};
@@ -295,10 +295,9 @@ pub fn run_parallel_outcomes_hooked(
         for w in 0..workers {
             let cursor = &cursor;
             handles.push(scope.spawn(move || {
-                // Per-worker metrics cells: plain u64 adds while the
-                // worker runs, one merge into the global registry at
-                // exit. Nothing here executes inside the cycle loop.
-                let hub = metrics::worker_hub();
+                // Metrics are recorded at job boundaries and at exit;
+                // nothing here executes inside the cycle loop.
+                let registry = metrics::registry();
                 let worker = w.to_string();
                 let wall_start = Instant::now();
                 let mut busy_ns = 0u64;
@@ -310,29 +309,28 @@ pub fn run_parallel_outcomes_hooked(
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(job) = jobs.get(i) else { break };
                     let job_start = Instant::now();
-                    let outcome = run_job(job, opts, campaign, &hub, &worker);
+                    let outcome = run_job(job, opts, campaign, registry, &worker);
                     let job_ns = metrics::elapsed_ns(job_start);
                     busy_ns += job_ns;
-                    hub.with(|m| {
-                        m.record(metrics::JOB_NS, &[("worker", &worker)], job_ns);
-                        m.count(
+                    if let Some(m) = registry {
+                        m.observe(metrics::JOB_NS, &[("worker", &worker)], job_ns);
+                        m.add_counter(
                             metrics::JOBS_TOTAL,
                             &[("worker", &worker), ("status", outcome.status())],
                             1,
                         );
-                    });
+                    }
                     hook(i, &outcome);
                     local.push((i, outcome));
                 }
-                hub.with(|m| {
-                    m.count(metrics::WORKER_BUSY_NS, &[("worker", &worker)], busy_ns);
-                    m.count(
+                if let Some(m) = registry {
+                    m.add_counter(metrics::WORKER_BUSY_NS, &[("worker", &worker)], busy_ns);
+                    m.add_counter(
                         metrics::WORKER_WALL_NS,
                         &[("worker", &worker)],
                         metrics::elapsed_ns(wall_start),
                     );
-                });
-                hub.drain_to(emissary_obs::metrics::global());
+                }
                 local
             }));
         }
@@ -364,11 +362,8 @@ pub fn run_parallel_outcomes_hooked(
 /// does the `emissary-serve` daemon for each dequeued job, inheriting
 /// panic isolation, watchdogs, chaos injection, retry, and
 /// checkpoint/replay identically to a batch campaign; `worker` labels
-/// the per-stage metric spans.
-///
-/// Metrics recorded on `hub` are the caller's to drain (workers merge
-/// into the global registry at thread exit — see
-/// [`crate::metrics::worker_hub`]).
+/// the per-stage metric spans recorded into `registry` (`None` records
+/// nothing; see [`crate::metrics::registry`]).
 ///
 /// Panicked and retryable-aborted attempts (see [`SimAbort::retryable`])
 /// are retried up to `opts.retries` times with deterministic backoff;
@@ -380,7 +375,7 @@ pub fn run_job(
     job: &Job,
     opts: &PoolOptions,
     campaign: Option<&Campaign>,
-    hub: &MetricsHub,
+    registry: Option<&'static MetricsRegistry>,
     worker: &str,
 ) -> JobOutcome {
     let fp = fingerprint(job);
@@ -417,7 +412,7 @@ pub fn run_job(
             // state locally, so resuming the pool after a caught panic
             // cannot observe broken invariants.
             let outcome = match catch_unwind(AssertUnwindSafe(|| {
-                attempt_job.run_checked_metered(&opts.fault_config(), hub, worker)
+                attempt_job.run_checked_metered(&opts.fault_config(), registry, worker)
             })) {
                 Ok(Ok(run)) => JobOutcome::Completed {
                     run: Box::new(run),
@@ -449,7 +444,7 @@ pub fn run_job(
             if let Some(c) = campaign {
                 let t0 = Instant::now();
                 c.record(&fp, &outcome);
-                metrics::record_stage(hub, worker, "checkpoint", metrics::elapsed_ns(t0));
+                metrics::record_stage(registry, worker, "checkpoint", metrics::elapsed_ns(t0));
             }
             eprintln!(
                 "pool: {benchmark}/{policy} attempt {attempt} {}; retrying ({}/{max_attempts})",
@@ -472,7 +467,7 @@ pub fn run_job(
     if let Some(c) = campaign {
         let t0 = Instant::now();
         c.record(&fp, &outcome);
-        metrics::record_stage(hub, worker, "checkpoint", metrics::elapsed_ns(t0));
+        metrics::record_stage(registry, worker, "checkpoint", metrics::elapsed_ns(t0));
     }
     outcome
 }

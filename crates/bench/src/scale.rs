@@ -49,8 +49,9 @@ pub struct Knobs {
     /// `.jsonl` file under this directory.
     pub trace_out: Option<PathBuf>,
     /// Whether the metrics subsystem records (`EMISSARY_METRICS`, default
-    /// on). Metrics merge at drain and export only after each simulation
-    /// finishes, so leaving them on cannot perturb simulated behaviour.
+    /// on). Metrics are recorded at job boundaries and exported only after
+    /// each simulation finishes, so leaving them on cannot perturb
+    /// simulated behaviour.
     pub metrics: bool,
     /// Per-job wall-clock budget in milliseconds
     /// (`EMISSARY_JOB_TIMEOUT_MS`; unset or `0` disables). The deadline

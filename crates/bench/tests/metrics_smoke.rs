@@ -1,18 +1,25 @@
 //! Metrics must observe the simulation without perturbing it.
 //!
 //! The design invariant (see DESIGN.md "Metrics & profiling"): workers
-//! record into plain per-worker cells at job boundaries and the simulator
-//! exports its counters only *after* the run finishes, so a recording hub
-//! and a disabled hub must produce bit-identical simulations. CI's
+//! record into the registry at job boundaries and the simulator exports
+//! its counters only *after* the run finishes, so a run that records and
+//! a run with metrics off must produce bit-identical simulations. CI's
 //! metrics-smoke job additionally byte-compares a whole campaign's stdout
 //! metrics-on vs metrics-off and holds the < 2% wall-clock overhead
 //! budget; this test pins the in-process half of the contract.
 
 use emissary_bench::{metrics, Job};
 use emissary_core::spec::PolicySpec;
-use emissary_obs::{parse_prometheus, render_prometheus, MetricsHub, MetricsRegistry};
+use emissary_obs::metrics::global;
+use emissary_obs::{parse_prometheus, render_prometheus, MetricsRegistry};
 use emissary_sim::{FaultConfig, SimConfig};
 use emissary_workloads::Profile;
+
+/// A registry private to one test, so concurrently running tests never
+/// see each other's series.
+fn test_registry() -> &'static MetricsRegistry {
+    Box::leak(Box::new(MetricsRegistry::new()))
+}
 
 fn quick_job() -> Job {
     let cfg = SimConfig {
@@ -31,11 +38,10 @@ fn quick_job() -> Job {
 fn recording_metrics_is_bit_identical_to_disabled() {
     let job = quick_job();
     let off = job
-        .run_checked_metered(&FaultConfig::none(), &MetricsHub::default(), "main")
+        .run_checked_metered(&FaultConfig::none(), None, "main")
         .expect("metrics-off run completes");
-    let hub = MetricsHub::recording();
     let on = job
-        .run_checked_metered(&FaultConfig::none(), &hub, "0")
+        .run_checked_metered(&FaultConfig::none(), Some(test_registry()), "0")
         .expect("metrics-on run completes");
     assert_eq!(
         on.report, off.report,
@@ -51,15 +57,13 @@ fn recording_metrics_is_bit_identical_to_disabled() {
 #[test]
 fn recorded_counters_match_the_report_exactly() {
     let job = quick_job();
-    let hub = MetricsHub::recording();
+    let registry = test_registry();
     let run = job
-        .run_checked_metered(&FaultConfig::none(), &hub, "7")
+        .run_checked_metered(&FaultConfig::none(), Some(registry), "7")
         .expect("run completes");
-    let registry = MetricsRegistry::new();
-    hub.drain_to(&registry);
     let snapshot = registry.snapshot();
     let counter = |family: &str| metrics::counter_sum(&snapshot, family, None);
-    // The sim counters are drained from the machine after the run, so
+    // The sim counters are exported from the machine after the run, so
     // they must agree with the report to the last unit.
     assert_eq!(counter("emissary_sim_cycles_total"), run.report.cycles);
     assert_eq!(
@@ -98,15 +102,14 @@ fn recorded_counters_match_the_report_exactly() {
 }
 
 #[test]
-fn disabled_hub_records_nothing() {
+fn metrics_off_records_nothing() {
     let job = quick_job();
-    let hub = MetricsHub::default();
-    job.run_checked_metered(&FaultConfig::none(), &hub, "0")
+    let before = global().snapshot();
+    job.run_checked_metered(&FaultConfig::none(), None, "0")
         .expect("run completes");
-    let registry = MetricsRegistry::new();
-    hub.drain_to(&registry);
-    assert!(
-        registry.snapshot().is_empty(),
-        "disabled hub must stay empty"
+    assert_eq!(
+        global().snapshot(),
+        before,
+        "a run with metrics off must not touch the global registry"
     );
 }

@@ -189,22 +189,22 @@ impl Hierarchy {
     }
 
     /// Exports per-level cache counters and hierarchy-wide counters into
-    /// metrics cells. Called once per run after simulation ends; never on
-    /// the access path.
-    pub fn metrics_into(&self, m: &mut emissary_obs::LocalMetrics) {
+    /// `m`. Called once per run after simulation ends; never on the
+    /// access path.
+    pub fn metrics_into(&self, m: &emissary_obs::MetricsRegistry) {
         self.l1i.stats().metrics_into("l1i", m);
         self.l1d.stats().metrics_into("l1d", m);
         self.l2.stats().metrics_into("l2", m);
         self.l3.stats().metrics_into("l3", m);
-        m.count("emissary_dram_reads_total", &[], self.stats.dram_reads);
-        m.count("emissary_dram_writes_total", &[], self.stats.dram_writes);
-        m.count("emissary_nlp_issued_total", &[], self.stats.nlp_issued);
-        m.count(
+        m.add_counter("emissary_dram_reads_total", &[], self.stats.dram_reads);
+        m.add_counter("emissary_dram_writes_total", &[], self.stats.dram_writes);
+        m.add_counter("emissary_nlp_issued_total", &[], self.stats.nlp_issued);
+        m.add_counter(
             "emissary_ideal_l2_saves_total",
             &[],
             self.stats.ideal_l2_saves,
         );
-        m.count(
+        m.add_counter(
             "emissary_inflight_joins_total",
             &[],
             self.stats.inflight_joins,

@@ -1,6 +1,6 @@
 //! Per-cache event counters.
 
-use emissary_obs::LocalMetrics;
+use emissary_obs::MetricsRegistry;
 
 use crate::line::LineKind;
 
@@ -101,9 +101,9 @@ impl CacheStats {
         }
     }
 
-    /// Exports the counters into metrics cells, labelled with the cache
-    /// `level` (e.g. `l2`). Called once per run after simulation ends.
-    pub fn metrics_into(&self, level: &str, m: &mut LocalMetrics) {
+    /// Exports the counters into `m`, labelled with the cache `level`
+    /// (e.g. `l2`). Called once per run after simulation ends.
+    pub fn metrics_into(&self, level: &str, m: &MetricsRegistry) {
         let labels: &[(&'static str, &str)] = &[("level", level)];
         let pairs: &[(&'static str, u64)] = &[
             (
@@ -124,7 +124,7 @@ impl CacheStats {
             ("emissary_cache_bypasses_total", self.bypasses),
         ];
         for &(name, v) in pairs {
-            m.count(name, labels, v);
+            m.add_counter(name, labels, v);
         }
     }
 }

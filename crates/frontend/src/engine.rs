@@ -119,9 +119,9 @@ impl FrontendStats {
         self.cond_mispredicts + self.indirect_mispredicts + self.return_mispredicts
     }
 
-    /// Exports the counters into metrics cells. Called once per run after
+    /// Exports the counters into `m`. Called once per run after
     /// simulation ends; never on the prediction path.
-    pub fn metrics_into(&self, m: &mut emissary_obs::LocalMetrics) {
+    pub fn metrics_into(&self, m: &emissary_obs::MetricsRegistry) {
         let pairs: &[(&'static str, u64)] = &[
             ("emissary_frontend_blocks_total", self.blocks),
             ("emissary_frontend_btb_misses_total", self.btb_misses),
@@ -145,7 +145,7 @@ impl FrontendStats {
             ),
         ];
         for &(name, v) in pairs {
-            m.count(name, &[], v);
+            m.add_counter(name, &[], v);
         }
     }
 }

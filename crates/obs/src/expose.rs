@@ -160,41 +160,6 @@ impl PromSample {
     }
 }
 
-/// Renders parsed samples back to Prometheus text format, one
-/// `name{labels} value` line per sample (no `# TYPE` lines — sample
-/// lists carry no family metadata).
-///
-/// `render_samples` is a faithful inverse of [`parse_prometheus`] on its
-/// output: parsing rendered samples yields the samples back, and
-/// rendering is a fixed point after one normalization pass
-/// (property-tested against hostile input in
-/// `crates/obs/tests/expose_props.rs`).
-pub fn render_samples(samples: &[PromSample]) -> String {
-    let mut out = String::new();
-    for s in samples {
-        out.push_str(&s.name);
-        if !s.labels.is_empty() {
-            out.push('{');
-            let mut first = true;
-            for (k, v) in &s.labels {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(k);
-                out.push_str("=\"");
-                escape_label_into(&mut out, v);
-                out.push('"');
-            }
-            out.push('}');
-        }
-        out.push(' ');
-        write_f64(&mut out, s.value);
-        out.push('\n');
-    }
-    out
-}
-
 fn parse_value(s: &str) -> Option<f64> {
     match s {
         "+Inf" | "Inf" => Some(f64::INFINITY),
@@ -280,21 +245,19 @@ pub fn parse_prometheus(text: &str) -> Vec<PromSample> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::{LocalMetrics, MetricsRegistry};
+    use crate::metrics::MetricsRegistry;
 
-    fn snapshot_of(f: impl FnOnce(&mut LocalMetrics)) -> Vec<Metric> {
+    fn snapshot_of(f: impl FnOnce(&MetricsRegistry)) -> Vec<Metric> {
         let reg = MetricsRegistry::new();
-        let mut m = LocalMetrics::new();
-        f(&mut m);
-        reg.merge(&mut m);
+        f(&reg);
         reg.snapshot()
     }
 
     #[test]
     fn renders_counters_and_gauges_with_type_lines() {
         let snap = snapshot_of(|m| {
-            m.count("jobs_total", &[("worker", "0")], 3);
-            m.count("jobs_total", &[("worker", "1")], 4);
+            m.add_counter("jobs_total", &[("worker", "0")], 3);
+            m.add_counter("jobs_total", &[("worker", "1")], 4);
             m.set_gauge("depth", &[], 2.5);
         });
         let text = render_prometheus(&snap);
@@ -311,10 +274,10 @@ mod tests {
     #[test]
     fn renders_histogram_as_cumulative_buckets() {
         let snap = snapshot_of(|m| {
-            m.record("lat", &[], 0);
-            m.record("lat", &[], 1);
-            m.record("lat", &[], 3);
-            m.record("lat", &[], 3);
+            m.observe("lat", &[], 0);
+            m.observe("lat", &[], 1);
+            m.observe("lat", &[], 3);
+            m.observe("lat", &[], 3);
         });
         let text = render_prometheus(&snap);
         assert_eq!(
@@ -332,9 +295,9 @@ mod tests {
     #[test]
     fn parse_round_trips_rendered_output() {
         let snap = snapshot_of(|m| {
-            m.count("jobs_total", &[("worker", "0")], 3);
+            m.add_counter("jobs_total", &[("worker", "0")], 3);
             m.set_gauge("util", &[("worker", "0")], 0.75);
-            m.record("lat", &[("stage", "measure")], 1000);
+            m.observe("lat", &[("stage", "measure")], 1000);
         });
         let text = render_prometheus(&snap);
         let samples = parse_prometheus(&text);
@@ -352,6 +315,49 @@ mod tests {
             .find(|s| s.name == "lat_bucket" && s.label("le") == Some("+Inf"))
             .unwrap();
         assert_eq!(inf.value, 1.0);
+
+        // Escaped label values survive the round trip, and the parse
+        // yields every (name, labels, value) triple in file order.
+        let snap = snapshot_of(|m| {
+            m.add_counter("emissary_serve_jobs_total", &[("status", "completed")], 7);
+            m.set_gauge("emissary_serve_queue_depth", &[], 3.0);
+            m.observe("emissary_serve_job_wait_ns", &[("tenant", "a\"b\\c")], 1024);
+        });
+        let triples: Vec<_> = parse_prometheus(&render_prometheus(&snap))
+            .into_iter()
+            .map(|s| (s.name, s.labels, s.value))
+            .collect();
+        let labels = |pairs: &[(&str, &str)]| -> Vec<(String, String)> {
+            pairs
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v.to_string()))
+                .collect()
+        };
+        let tenant = ("tenant", "a\"b\\c");
+        let wait = "emissary_serve_job_wait_ns";
+        assert_eq!(
+            triples,
+            vec![
+                (
+                    format!("{wait}_bucket"),
+                    labels(&[tenant, ("le", "2047")]),
+                    1.0
+                ),
+                (
+                    format!("{wait}_bucket"),
+                    labels(&[tenant, ("le", "+Inf")]),
+                    1.0
+                ),
+                (format!("{wait}_sum"), labels(&[tenant]), 1024.0),
+                (format!("{wait}_count"), labels(&[tenant]), 1.0),
+                (
+                    "emissary_serve_jobs_total".to_string(),
+                    labels(&[("status", "completed")]),
+                    7.0
+                ),
+                ("emissary_serve_queue_depth".to_string(), Vec::new(), 3.0),
+            ]
+        );
     }
 
     #[test]

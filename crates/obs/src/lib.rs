@@ -1,6 +1,6 @@
 //! Observability layer for the EMISSARY simulator.
 //!
-//! Three pieces, all dependency-free:
+//! Four pieces, all dependency-free:
 //!
 //! 1. **Event tracing** — [`Tracer`] is a cheaply cloneable handle that the
 //!    cache hierarchy, the EMISSARY replacement policy, and the core wire
@@ -16,11 +16,10 @@
 //! 3. **JSONL emission** — a small hand-rolled [`json`] writer (string
 //!    escaping, non-finite f64 guards) used by the sinks and by the bench
 //!    harness's `results/<name>.jsonl` reports.
-//! 4. **Metrics** — [`MetricsRegistry`] / [`MetricsHub`] provide counters,
-//!    gauges, and log-2-bucketed histograms with allocation-free hot-path
-//!    updates (plain `u64` cells owned per worker, merged at drain — no
-//!    atomics in the cycle loop), plus Prometheus-text [`expose`]
-//!    rendering and parsing for the `emissary-inspect` analyzer.
+//! 4. **Metrics** — [`MetricsRegistry`] records counters, gauges, and
+//!    log-2-bucketed histograms under one mutex, plus Prometheus-text
+//!    [`expose`] rendering and parsing for the `emissary-inspect`
+//!    analyzer.
 //!
 //! Observability must never perturb simulation: nothing in this crate
 //! feeds back into simulated state, and a regression test in the `sim`
@@ -36,11 +35,10 @@ pub mod sink;
 pub mod tracer;
 
 pub use event::{Level, TraceEvent};
-pub use expose::{parse_prometheus, render_prometheus, render_samples, PromSample};
+pub use expose::{parse_prometheus, render_prometheus, PromSample};
 pub use json::JsonObject;
 pub use metrics::{
-    bucket_bound, bucket_index, CellId, LocalMetrics, Log2Hist, Metric, MetricValue, MetricsHub,
-    MetricsRegistry, HIST_BUCKETS,
+    bucket_bound, bucket_index, Log2Hist, Metric, MetricValue, MetricsRegistry, HIST_BUCKETS,
 };
 pub use parse::{jsonl_lines, JsonParseError, JsonValue, JsonlLine};
 pub use sample::{interval_chunks, IntervalSample, SampleCounters, SampleSeries};

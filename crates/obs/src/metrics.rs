@@ -1,15 +1,13 @@
-//! A low-overhead metrics subsystem: counters, gauges, and
-//! log-2-bucketed histograms with static names and label pairs.
+//! The metrics subsystem: counters, gauges, and log-2-bucketed
+//! histograms with static names and label pairs, recorded into one
+//! [`MetricsRegistry`] under its one mutex.
 //!
-//! The design mirrors the tracer's passivity contract ("observability
-//! must never perturb simulation") and adds a throughput contract on
-//! top: **no atomics, no locks, and no allocation on the hot path**.
-//! Each worker owns a [`LocalMetrics`] — a flat vector of plain `u64`
-//! cells — and increments through pre-registered [`CellId`] handles
-//! (one bounds check and an add). Cells are merged into the process
-//! [`MetricsRegistry`] only when the worker drains, so the simulator's
-//! cycle loop never sees a shared cache line, which preserves the
-//! campaign throughput and the bit-identity regression tests.
+//! Metrics follow the tracer's passivity contract ("observability must
+//! never perturb simulation"): nothing records inside the simulator's
+//! cycle loop. Every update happens at a job boundary or after a run
+//! ends (the `metrics_into` walkers, stage spans, serve request
+//! counters), so one uncontended lock per update costs nothing
+//! measurable.
 //!
 //! Histograms use log-2 buckets (`bucket i` holds `2^(i-1) ≤ v < 2^i`,
 //! bucket 0 holds zero): one `leading_zeros` and an indexed add per
@@ -19,10 +17,10 @@
 //!
 //! Metric identity is `(name, labels)`. Names and label *keys* are
 //! `&'static str` by construction; label *values* are small strings
-//! allocated once at registration (e.g. a worker index), never per
-//! update.
+//! copied once, when a series is first recorded.
 
-use std::sync::{Arc, Mutex, PoisonError};
+use std::cmp::Ordering;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Cells per [`Log2Hist`]: bucket 0 for zero, buckets 1..=64 for each
 /// power-of-two range of `u64`.
@@ -79,15 +77,6 @@ impl Log2Hist {
         self.buckets[bucket_index(v)] += 1;
     }
 
-    /// Adds another histogram's contents into this one.
-    pub fn merge(&mut self, other: &Log2Hist) {
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += *b;
-        }
-    }
-
     /// Mean observed value (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -130,18 +119,6 @@ impl MetricValue {
             MetricValue::Hist(_) => "histogram",
         }
     }
-
-    fn merge(&mut self, other: &MetricValue) {
-        match (self, other) {
-            (MetricValue::Counter(a), MetricValue::Counter(b)) => *a += *b,
-            (MetricValue::Gauge(a), MetricValue::Gauge(b)) => *a = *b,
-            (MetricValue::Hist(a), MetricValue::Hist(b)) => a.merge(b),
-            // Kind collisions cannot happen through the typed
-            // registration API (identity includes the kind); ignore
-            // rather than corrupt.
-            _ => {}
-        }
-    }
 }
 
 /// Label pairs identifying one series within a metric family. Keys are
@@ -159,128 +136,47 @@ pub struct Metric {
     pub value: MetricValue,
 }
 
-/// A handle to one pre-registered cell in a [`LocalMetrics`]; updating
-/// through it is an indexed add with no lookup.
-#[derive(Debug, Clone, Copy)]
-pub struct CellId(usize);
-
-/// A worker-owned, lock-free set of metric cells. See module docs.
-#[derive(Debug, Default)]
-pub struct LocalMetrics {
-    entries: Vec<Metric>,
+/// Orders a stored series against a `(name, labels)` identity the way
+/// [`MetricsRegistry::snapshot`] sorts: by name, then labels.
+fn cmp_identity(m: &Metric, name: &str, labels: &[(&'static str, &str)]) -> Ordering {
+    m.name.cmp(name).then_with(|| {
+        m.labels
+            .iter()
+            .map(|(k, v)| (*k, v.as_str()))
+            .cmp(labels.iter().copied())
+    })
 }
 
-impl LocalMetrics {
-    /// An empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn register(
-        &mut self,
-        name: &'static str,
-        labels: &[(&'static str, &str)],
-        mk: fn() -> MetricValue,
-    ) -> CellId {
-        let kind = mk().kind();
-        if let Some(i) = self.entries.iter().position(|m| {
-            m.name == name
-                && m.value.kind() == kind
-                && m.labels.len() == labels.len()
-                && m.labels
-                    .iter()
-                    .zip(labels.iter())
-                    .all(|((k0, v0), (k1, v1))| k0 == k1 && v0 == v1)
-        }) {
-            return CellId(i);
+/// The `(name, labels)` series in the sorted `all`, inserted with
+/// `empty()` first when absent.
+fn series<'a>(
+    all: &'a mut Vec<Metric>,
+    name: &'static str,
+    labels: &[(&'static str, &str)],
+    empty: fn() -> MetricValue,
+) -> &'a mut MetricValue {
+    let i = match all.binary_search_by(|m| cmp_identity(m, name, labels)) {
+        Ok(i) => i,
+        Err(i) => {
+            let labels = labels.iter().map(|&(k, v)| (k, v.to_string())).collect();
+            let value = empty();
+            all.insert(
+                i,
+                Metric {
+                    name,
+                    labels,
+                    value,
+                },
+            );
+            i
         }
-        self.entries.push(Metric {
-            name,
-            labels: labels.iter().map(|&(k, v)| (k, v.to_string())).collect(),
-            value: mk(),
-        });
-        CellId(self.entries.len() - 1)
-    }
-
-    /// Registers (or finds) a counter cell.
-    pub fn counter(&mut self, name: &'static str, labels: &[(&'static str, &str)]) -> CellId {
-        self.register(name, labels, || MetricValue::Counter(0))
-    }
-
-    /// Registers (or finds) a gauge cell.
-    pub fn gauge(&mut self, name: &'static str, labels: &[(&'static str, &str)]) -> CellId {
-        self.register(name, labels, || MetricValue::Gauge(0.0))
-    }
-
-    /// Registers (or finds) a histogram cell.
-    pub fn histogram(&mut self, name: &'static str, labels: &[(&'static str, &str)]) -> CellId {
-        self.register(name, labels, || {
-            MetricValue::Hist(Box::new(Log2Hist::new()))
-        })
-    }
-
-    /// Adds to a counter cell (plain `u64` add, no lock, no allocation).
-    #[inline]
-    pub fn add(&mut self, id: CellId, v: u64) {
-        if let MetricValue::Counter(c) = &mut self.entries[id.0].value {
-            *c += v;
-        }
-    }
-
-    /// Sets a gauge cell.
-    #[inline]
-    pub fn set(&mut self, id: CellId, v: f64) {
-        if let MetricValue::Gauge(g) = &mut self.entries[id.0].value {
-            *g = v;
-        }
-    }
-
-    /// Records a histogram observation.
-    #[inline]
-    pub fn observe(&mut self, id: CellId, v: u64) {
-        if let MetricValue::Hist(h) = &mut self.entries[id.0].value {
-            h.observe(v);
-        }
-    }
-
-    /// One-shot counter add (registration lookup included — fine off the
-    /// hot path; pre-register a [`CellId`] inside loops).
-    pub fn count(&mut self, name: &'static str, labels: &[(&'static str, &str)], v: u64) {
-        let id = self.counter(name, labels);
-        self.add(id, v);
-    }
-
-    /// One-shot gauge set.
-    pub fn set_gauge(&mut self, name: &'static str, labels: &[(&'static str, &str)], v: f64) {
-        let id = self.gauge(name, labels);
-        self.set(id, v);
-    }
-
-    /// One-shot histogram observation.
-    pub fn record(&mut self, name: &'static str, labels: &[(&'static str, &str)], v: u64) {
-        let id = self.histogram(name, labels);
-        self.observe(id, v);
-    }
-
-    /// The registered series, in registration order.
-    pub fn entries(&self) -> &[Metric] {
-        &self.entries
-    }
-
-    /// True when nothing has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Takes the series out, leaving this set empty (the drain half of
-    /// merge-at-drain).
-    pub fn take(&mut self) -> Vec<Metric> {
-        std::mem::take(&mut self.entries)
-    }
+    };
+    &mut all[i].value
 }
 
-/// The process-wide merge target. Workers drain their [`LocalMetrics`]
-/// here (one lock per drain, not per update); exposition snapshots it.
+/// The one place metrics are recorded. Every update takes the one
+/// mutex; the series stay sorted by `(name, labels)`, so lookups are a
+/// binary search and a snapshot is a clone.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     inner: Mutex<Vec<Metric>>,
@@ -294,136 +190,47 @@ impl MetricsRegistry {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, Vec<Metric>> {
-        // A poisoned registry is still structurally valid (worst case:
-        // one partially merged drain); metrics must never cascade a
-        // panic.
+    fn lock(&self) -> MutexGuard<'_, Vec<Metric>> {
+        // A poisoned registry is still structurally valid (each update
+        // is one step); metrics must never cascade a panic.
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Merges a batch of series: counters and histograms accumulate,
-    /// gauges last-write-win.
-    pub fn merge_entries(&self, entries: Vec<Metric>) {
-        let mut all = self.lock();
-        for m in entries {
-            if let Some(existing) = all
-                .iter_mut()
-                .find(|e| e.name == m.name && e.labels == m.labels)
-            {
-                existing.value.merge(&m.value);
-            } else {
-                all.push(m);
-            }
+    /// Adds `v` to a counter series.
+    pub fn add_counter(&self, name: &'static str, labels: &[(&'static str, &str)], v: u64) {
+        let empty = || MetricValue::Counter(0);
+        if let MetricValue::Counter(c) = series(&mut self.lock(), name, labels, empty) {
+            *c += v;
         }
     }
 
-    /// Drains a local set into the registry.
-    pub fn merge(&self, local: &mut LocalMetrics) {
-        self.merge_entries(local.take());
-    }
-
-    /// A sorted snapshot of every series (by name, then labels), so
-    /// exposition output is deterministic.
-    pub fn snapshot(&self) -> Vec<Metric> {
-        let mut all = self.lock().clone();
-        all.sort_by(|a, b| a.name.cmp(b.name).then_with(|| a.labels.cmp(&b.labels)));
-        all
-    }
-
-    /// Adds `v` to one counter series directly — registration and merge
-    /// in a single lock acquisition. For process-level counters with no
-    /// owning worker hub (e.g. drain-thread and pool-end aggregates);
-    /// per-update paths should keep using [`LocalMetrics`] cells.
-    pub fn add_counter(&self, name: &'static str, labels: &[(&'static str, &str)], v: u64) {
-        self.merge_entries(vec![Metric {
-            name,
-            labels: labels
-                .iter()
-                .map(|&(k, val)| (k, val.to_string()))
-                .collect(),
-            value: MetricValue::Counter(v),
-        }]);
-    }
-
-    /// Sets one gauge series directly (last-write-wins), same shape as
-    /// [`MetricsRegistry::add_counter`].
+    /// Sets a gauge series (last write wins).
     pub fn set_gauge(&self, name: &'static str, labels: &[(&'static str, &str)], v: f64) {
-        self.merge_entries(vec![Metric {
-            name,
-            labels: labels
-                .iter()
-                .map(|&(k, val)| (k, val.to_string()))
-                .collect(),
-            value: MetricValue::Gauge(v),
-        }]);
+        let empty = || MetricValue::Gauge(0.0);
+        if let MetricValue::Gauge(g) = series(&mut self.lock(), name, labels, empty) {
+            *g = v;
+        }
     }
 
-    /// Sum of every counter series in family `name` (0 when absent).
-    pub fn counter_total(&self, name: &str) -> u64 {
-        self.lock()
-            .iter()
-            .filter(|m| m.name == name)
-            .filter_map(|m| match &m.value {
-                MetricValue::Counter(c) => Some(*c),
-                _ => None,
-            })
-            .sum()
+    /// Records one observation into a [`Log2Hist`] series.
+    pub fn observe(&self, name: &'static str, labels: &[(&'static str, &str)], v: u64) {
+        let empty = || MetricValue::Hist(Box::default());
+        if let MetricValue::Hist(h) = series(&mut self.lock(), name, labels, empty) {
+            h.observe(v);
+        }
+    }
+
+    /// Every series, sorted by name, then labels, so exposition output
+    /// is deterministic.
+    pub fn snapshot(&self) -> Vec<Metric> {
+        self.lock().clone()
     }
 }
 
-/// The process-global registry campaign workers drain into.
+/// The process-global registry campaign and serve workers record into.
 pub fn global() -> &'static MetricsRegistry {
     static GLOBAL: MetricsRegistry = MetricsRegistry::new();
     &GLOBAL
-}
-
-/// A cheaply cloneable handle to one worker's [`LocalMetrics`],
-/// mirroring [`crate::Tracer`]'s disabled-by-default contract: disabled
-/// (the default), [`MetricsHub::with`] is a single branch and the
-/// closure never runs. Enabled, the mutex is uncontended — only the
-/// owning worker (and the final drain) ever lock it, and only at job
-/// boundaries, never inside the cycle loop.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsHub {
-    inner: Option<Arc<Mutex<LocalMetrics>>>,
-}
-
-impl MetricsHub {
-    /// The disabled hub (same as `MetricsHub::default()`).
-    pub fn disabled() -> Self {
-        Self { inner: None }
-    }
-
-    /// An enabled hub with an empty cell set.
-    pub fn recording() -> Self {
-        Self {
-            inner: Some(Arc::new(Mutex::new(LocalMetrics::new()))),
-        }
-    }
-
-    /// Whether updates will be recorded.
-    #[inline]
-    pub fn enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Runs `f` against the cells when enabled; a single branch when
-    /// disabled.
-    #[inline]
-    pub fn with(&self, f: impl FnOnce(&mut LocalMetrics)) {
-        if let Some(inner) = &self.inner {
-            f(&mut inner.lock().unwrap_or_else(PoisonError::into_inner));
-        }
-    }
-
-    /// Drains the cells into `registry` (no-op when disabled or empty).
-    pub fn drain_to(&self, registry: &MetricsRegistry) {
-        self.with(|local| {
-            if !local.is_empty() {
-                registry.merge_entries(local.take());
-            }
-        });
-    }
 }
 
 #[cfg(test)]
@@ -453,7 +260,7 @@ mod tests {
     }
 
     #[test]
-    fn histogram_observes_merges_and_summarizes() {
+    fn histogram_observes_and_summarizes() {
         let mut h = Log2Hist::new();
         for v in [0, 1, 2, 3, 1000] {
             h.observe(v);
@@ -465,51 +272,49 @@ mod tests {
         assert_eq!(h.buckets[2], 2);
         assert_eq!(h.buckets[10], 1);
         assert_eq!(h.max_bound(), 1023);
-        let mut other = Log2Hist::new();
-        other.observe(5);
-        h.merge(&other);
-        assert_eq!(h.count, 6);
-        assert_eq!(h.sum, 1011);
-        assert!((h.mean() - 1011.0 / 6.0).abs() < 1e-12);
+        assert!((h.mean() - 1006.0 / 5.0).abs() < 1e-12);
+    }
+
+    /// Sum of every counter series in family `name`.
+    fn family_sum(reg: &MetricsRegistry, name: &str) -> u64 {
+        reg.snapshot()
+            .iter()
+            .filter(|m| m.name == name)
+            .filter_map(|m| match m.value {
+                MetricValue::Counter(c) => Some(c),
+                _ => None,
+            })
+            .sum()
     }
 
     #[test]
     fn cells_register_once_and_update_in_place() {
-        let mut m = LocalMetrics::new();
-        let a = m.counter("jobs_total", &[("worker", "0")]);
-        let b = m.counter("jobs_total", &[("worker", "0")]);
-        let c = m.counter("jobs_total", &[("worker", "1")]);
-        m.add(a, 2);
-        m.add(b, 3);
-        m.add(c, 1);
-        assert_eq!(m.entries().len(), 2);
-        assert_eq!(m.entries()[0].value, MetricValue::Counter(5));
-        assert_eq!(m.entries()[1].value, MetricValue::Counter(1));
-        let g = m.gauge("depth", &[]);
-        m.set(g, 2.5);
-        let h = m.histogram("lat", &[]);
-        m.observe(h, 9);
-        assert_eq!(m.entries().len(), 4);
+        let reg = MetricsRegistry::new();
+        reg.add_counter("jobs_total", &[("worker", "0")], 2);
+        reg.add_counter("jobs_total", &[("worker", "0")], 3);
+        reg.add_counter("jobs_total", &[("worker", "1")], 1);
+        let snap = reg.snapshot();
+        assert_eq!(snap.len(), 2);
+        assert_eq!(snap[0].value, MetricValue::Counter(5));
+        assert_eq!(snap[1].value, MetricValue::Counter(1));
+        reg.set_gauge("depth", &[], 2.5);
+        reg.observe("lat", &[], 9);
+        assert_eq!(reg.snapshot().len(), 4);
     }
 
     #[test]
     fn registry_merges_counters_hists_and_overwrites_gauges() {
         let reg = MetricsRegistry::new();
-        let mut w0 = LocalMetrics::new();
-        w0.count("jobs", &[("worker", "0")], 2);
-        w0.record("lat", &[], 8);
-        w0.set_gauge("depth", &[], 1.0);
-        reg.merge(&mut w0);
-        assert!(w0.is_empty(), "merge must drain the local set");
-        let mut w1 = LocalMetrics::new();
-        w1.count("jobs", &[("worker", "0")], 3);
-        w1.count("jobs", &[("worker", "1")], 1);
-        w1.record("lat", &[], 1);
-        w1.set_gauge("depth", &[], 4.0);
-        reg.merge(&mut w1);
+        reg.add_counter("jobs", &[("worker", "0")], 2);
+        reg.observe("lat", &[], 8);
+        reg.set_gauge("depth", &[], 1.0);
+        reg.add_counter("jobs", &[("worker", "0")], 3);
+        reg.add_counter("jobs", &[("worker", "1")], 1);
+        reg.observe("lat", &[], 1);
+        reg.set_gauge("depth", &[], 4.0);
         let snap = reg.snapshot();
         assert_eq!(snap.len(), 4);
-        assert_eq!(reg.counter_total("jobs"), 6);
+        assert_eq!(family_sum(&reg, "jobs"), 6);
         let lat = snap.iter().find(|m| m.name == "lat").unwrap();
         match &lat.value {
             MetricValue::Hist(h) => assert_eq!(h.count, 2),
@@ -520,32 +325,11 @@ mod tests {
     }
 
     #[test]
-    fn direct_registry_updates_merge_like_drained_cells() {
-        let reg = MetricsRegistry::new();
-        reg.add_counter("direct", &[("site", "x")], 2);
-        reg.add_counter("direct", &[("site", "x")], 3);
-        reg.add_counter("direct", &[("site", "y")], 1);
-        reg.set_gauge("level", &[], 1.5);
-        reg.set_gauge("level", &[], 2.5);
-        assert_eq!(reg.counter_total("direct"), 6);
-        let snap = reg.snapshot();
-        let level = snap.iter().find(|m| m.name == "level").unwrap();
-        assert_eq!(level.value, MetricValue::Gauge(2.5));
-        // Interoperates with hub-drained series of the same identity.
-        let mut m = LocalMetrics::new();
-        m.count("direct", &[("site", "x")], 10);
-        reg.merge(&mut m);
-        assert_eq!(reg.counter_total("direct"), 16);
-    }
-
-    #[test]
     fn snapshot_is_sorted_and_deterministic() {
         let reg = MetricsRegistry::new();
-        let mut m = LocalMetrics::new();
-        m.count("z", &[], 1);
-        m.count("a", &[("w", "1")], 1);
-        m.count("a", &[("w", "0")], 1);
-        reg.merge(&mut m);
+        reg.add_counter("z", &[], 1);
+        reg.add_counter("a", &[("w", "1")], 1);
+        reg.add_counter("a", &[("w", "0")], 1);
         let names: Vec<_> = reg
             .snapshot()
             .iter()
@@ -562,24 +346,31 @@ mod tests {
     }
 
     #[test]
-    fn disabled_hub_never_runs_the_closure() {
-        let hub = MetricsHub::disabled();
-        assert!(!hub.enabled());
-        hub.with(|_| panic!("closure must not run when disabled"));
-        hub.drain_to(global());
-    }
-
-    #[test]
-    fn hub_clones_share_cells_and_drain_once() {
+    fn concurrent_updates_are_never_lost() {
+        const THREADS: u64 = 8;
+        const K: u64 = 2_000;
         let reg = MetricsRegistry::new();
-        let hub = MetricsHub::recording();
-        let clone = hub.clone();
-        hub.with(|m| m.count("x", &[], 1));
-        clone.with(|m| m.count("x", &[], 2));
-        hub.drain_to(&reg);
-        assert_eq!(reg.counter_total("x"), 3);
-        // Drained: a second drain adds nothing.
-        clone.drain_to(&reg);
-        assert_eq!(reg.counter_total("x"), 3);
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let reg = &reg;
+                s.spawn(move || {
+                    let worker = (t % 2).to_string();
+                    for i in 0..K {
+                        reg.add_counter("jobs", &[("worker", &worker)], 1);
+                        reg.observe("lat", &[], i);
+                    }
+                });
+            }
+        });
+        assert_eq!(family_sum(&reg, "jobs"), THREADS * K);
+        let snap = reg.snapshot();
+        let lat = snap.iter().find(|m| m.name == "lat").unwrap();
+        match &lat.value {
+            MetricValue::Hist(h) => {
+                assert_eq!(h.count, THREADS * K);
+                assert_eq!(h.sum, THREADS * (K * (K - 1) / 2));
+            }
+            other => panic!("expected histogram, got {other:?}"),
+        }
     }
 }

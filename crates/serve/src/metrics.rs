@@ -1,12 +1,9 @@
 //! Server-side metric names and the tiny helpers that record them.
 //!
-//! Every helper funnels through a short-lived [`MetricsHub`] drained into
-//! the process-global registry, the same discipline the worker pool uses:
-//! the hot path (connection threads) touches plain local cells and the
-//! shared registry is hit once per request, under one lock, at drain.
+//! Every helper records straight into the process-global registry, one
+//! lock per update, once per request or scrape.
 
 use emissary_obs::metrics::global;
-use emissary_obs::MetricsHub;
 
 /// Requests served, labelled by route class and status code.
 pub const HTTP_REQUESTS: &str = "emissary_serve_http_requests_total";
@@ -21,40 +18,28 @@ pub const INFLIGHT: &str = "emissary_serve_inflight";
 
 /// Records one completed HTTP exchange.
 pub fn count_request(route: &str, code: u16) {
-    let hub = MetricsHub::recording();
-    hub.with(|m| {
-        m.count(
-            HTTP_REQUESTS,
-            &[("route", route), ("code", &code.to_string())],
-            1,
-        );
-    });
-    hub.drain_to(global());
+    global().add_counter(
+        HTTP_REQUESTS,
+        &[("route", route), ("code", &code.to_string())],
+        1,
+    );
 }
 
 /// Records one typed admission rejection.
 pub fn count_rejection(reason: &str) {
-    let hub = MetricsHub::recording();
-    hub.with(|m| m.count(REJECTIONS, &[("reason", reason)], 1));
-    hub.drain_to(global());
+    global().add_counter(REJECTIONS, &[("reason", reason)], 1);
 }
 
 /// Records one job reaching a terminal state.
 pub fn count_job(status: &str) {
-    let hub = MetricsHub::recording();
-    hub.with(|m| m.count(JOBS, &[("status", status)], 1));
-    hub.drain_to(global());
+    global().add_counter(JOBS, &[("status", status)], 1);
 }
 
 /// Publishes the queue gauges (called on scrape, so they are exact at
 /// observation time rather than sampled).
 pub fn set_queue_gauges(queued: usize, running: usize) {
-    let hub = MetricsHub::recording();
-    hub.with(|m| {
-        m.set_gauge(QUEUE_DEPTH, &[], queued as f64);
-        m.set_gauge(INFLIGHT, &[], running as f64);
-    });
-    hub.drain_to(global());
+    global().set_gauge(QUEUE_DEPTH, &[], queued as f64);
+    global().set_gauge(INFLIGHT, &[], running as f64);
 }
 
 #[cfg(test)]

@@ -766,9 +766,14 @@ fn run_ticket(shared: &Arc<Shared>, ticket: &Ticket, worker: &str) {
             return;
         }
     };
-    let hub = emissary_bench::metrics::worker_hub();
-    let outcome = run_job(&job, &shared.cfg.pool, Some(&shared.campaign), &hub, worker);
-    hub.drain_to(global());
+    let registry = emissary_bench::metrics::registry();
+    let outcome = run_job(
+        &job,
+        &shared.cfg.pool,
+        Some(&shared.campaign),
+        registry,
+        worker,
+    );
     match &outcome {
         JobOutcome::Completed {
             run,

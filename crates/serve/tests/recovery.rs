@@ -15,7 +15,7 @@ use std::time::Duration;
 
 use emissary_bench::chaos::{CkptIo, RealIo};
 use emissary_bench::checkpoint::{fingerprint, Campaign};
-use emissary_bench::metrics::worker_hub;
+use emissary_bench::metrics::registry;
 use emissary_bench::{run_job, PoolOptions};
 use emissary_serve::journal::{Journal, JOURNAL_FILE, QUARANTINE_FILE};
 use emissary_serve::{JobSpec, QueueLimits, ServeConfig, Server};
@@ -83,7 +83,7 @@ fn killed_server_state_recovers_byte_identically() {
             &done_job,
             &PoolOptions::with_workers(1),
             Some(&campaign),
-            &worker_hub(),
+            registry(),
             "phase1",
         );
         let report = outcome.run().expect("phase-1 run failed").report.to_json();

@@ -877,10 +877,10 @@ impl<'p> Machine<'p> {
     }
 
     /// Exports the measurement-window counters (core, hierarchy,
-    /// front-end) into metrics cells. Called once by the runner after the
-    /// run finishes — strictly off the cycle loop, so metrics can never
+    /// front-end) into `m`. Called once by the runner after the run
+    /// finishes — strictly off the cycle loop, so metrics can never
     /// perturb simulated behaviour.
-    pub fn metrics_into(&self, m: &mut emissary_obs::LocalMetrics) {
+    pub fn metrics_into(&self, m: &emissary_obs::MetricsRegistry) {
         let s = &self.stats;
         let pairs: &[(&'static str, u64)] = &[
             ("emissary_sim_runs_total", 1),
@@ -902,7 +902,7 @@ impl<'p> Machine<'p> {
             ("emissary_sim_priority_marks_total", s.priority_marks),
         ];
         for &(name, v) in pairs {
-            m.count(name, &[], v);
+            m.add_counter(name, &[], v);
         }
         // Index mapping matches `SimReport::starvation_by_source`:
         // `[l1/unknown, l2, l3, memory]`.
@@ -910,7 +910,7 @@ impl<'p> Machine<'p> {
             .iter()
             .zip(s.starve_by_source.iter())
         {
-            m.count(
+            m.add_counter(
                 "emissary_sim_starvation_by_source_cycles_total",
                 &[("source", source)],
                 cycles,

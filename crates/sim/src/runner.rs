@@ -1,7 +1,7 @@
 //! Top-level simulation driver: warmup, measurement, report assembly.
 
 use emissary_energy::{ActivityCounts, EnergyParams};
-use emissary_obs::{interval_chunks, IntervalSample, MetricsHub, SampleSeries, Tracer};
+use emissary_obs::{interval_chunks, IntervalSample, MetricsRegistry, SampleSeries, Tracer};
 use emissary_stats::summary::mpki;
 use emissary_workloads::walker::Walker;
 use emissary_workloads::{Profile, Program};
@@ -21,11 +21,11 @@ pub struct ObsConfig {
     /// Snapshot interval in committed instructions (Figure-8-style time
     /// series). `None` or `Some(0)` disables sampling.
     pub sample_interval: Option<u64>,
-    /// Metrics cells the run exports its end-of-run counters into.
-    /// Disabled (the default), nothing is recorded. Export happens only
-    /// after the simulation finishes, so metrics can never perturb the
+    /// The registry the run exports its end-of-run counters into.
+    /// `None` (the default) records nothing. Export happens only after
+    /// the simulation finishes, so metrics can never perturb the
     /// simulated behaviour.
-    pub metrics: MetricsHub,
+    pub metrics: Option<&'static MetricsRegistry>,
 }
 
 impl ObsConfig {
@@ -34,12 +34,12 @@ impl ObsConfig {
         Self {
             tracer,
             sample_interval,
-            metrics: MetricsHub::default(),
+            metrics: None,
         }
     }
 
-    /// Attaches a metrics hub for end-of-run counter export.
-    pub fn with_metrics(mut self, metrics: MetricsHub) -> Self {
+    /// Attaches a registry for end-of-run counter export.
+    pub fn with_metrics(mut self, metrics: Option<&'static MetricsRegistry>) -> Self {
         self.metrics = metrics;
         self
     }
@@ -183,9 +183,11 @@ pub fn run_sim_checked_on(
     obs.tracer.flush();
     let samples = result?;
     let host_seconds = start.elapsed().as_secs_f64();
-    // Metrics export runs strictly after the simulation finished, so the
-    // hub cannot perturb simulated state (same contract as the tracer).
-    obs.metrics.with(|m| machine.metrics_into(m));
+    // Metrics export runs strictly after the simulation finished, so it
+    // cannot perturb simulated state (same contract as the tracer).
+    if let Some(m) = obs.metrics {
+        machine.metrics_into(m);
+    }
     Ok(SimRun {
         report: assemble_report(profile, cfg, &machine),
         samples,

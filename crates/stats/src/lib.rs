@@ -9,7 +9,6 @@
 //!   measurement exactly as defined in §3 of the paper ("the number of
 //!   unique lines accessed between two accesses to the same line"), used to
 //!   regenerate Figure 2.
-//! * [`histogram::Histogram`] — bucketed counters.
 //! * [`summary`] — geometric means, speedups and percent deltas.
 //! * [`table`] — plain-text/TSV table rendering for the harness binaries.
 //!
@@ -27,11 +26,9 @@
 //! ```
 
 pub mod fenwick;
-pub mod histogram;
 pub mod reuse;
 pub mod summary;
 pub mod table;
 
 pub use fenwick::Fenwick;
-pub use histogram::Histogram;
 pub use reuse::{ReuseBucket, ReuseTracker};
