@@ -1,7 +1,6 @@
-//! The append-only JSONL log behind both crash-safe files in the stack:
-//! the campaign checkpoint ([`crate::checkpoint`]) and the job server's
-//! admission journal. Each caller owns only its record codec; this module
-//! owns the file protocol over [`CkptIo`]:
+//! The append-only JSONL log behind the campaign checkpoint
+//! ([`crate::checkpoint`]), its one consumer. The checkpoint owns only its
+//! record codec; this module owns the file protocol over [`CkptIo`]:
 //!
 //! * **Salvage on open.** With `keep` set, every line of the existing
 //!   file is parsed and offered to the caller's `accept`. Lines that do
@@ -20,8 +19,7 @@
 //! Every failure is reported once: a `ckpt_error` record
 //! ([`crate::results::log_ckpt_error`]) and one stderr line naming the
 //! file and the operation. What a non-persistent log means is the
-//! caller's decision (the campaign continues memo-only; the server
-//! refuses admissions).
+//! caller's decision (the campaign continues memo-only).
 
 use std::fs;
 use std::io::{self, BufWriter, Write};

@@ -37,7 +37,7 @@ fn main() {
     chaos::install_signal_handlers();
     // A second SIGINT/SIGTERM during the cooperative drain forces an
     // immediate (still checkpoint-safe) exit with a distinct code.
-    chaos::spawn_escalation_watcher("campaign");
+    chaos::spawn_escalation_watcher();
     let cfg = emissary_bench::base_config();
     eprintln!(
         "running all experiments: warmup={} measure={} threads={threads}",

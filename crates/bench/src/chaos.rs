@@ -13,7 +13,7 @@
 //!   `EMISSARY_CHAOS_SEED` inject the identical fault set.
 //! * [`CkptIo`] — a small trait over the filesystem operations of the
 //!   append-only log ([`crate::append_log`]) behind the campaign
-//!   checkpoint and the serve journal. [`RealIo`] passes straight through to `std::fs`;
+//!   checkpoint. [`RealIo`] passes straight through to `std::fs`;
 //!   [`ChaosIo`] wraps it and injects I/O errors, torn (partial) line
 //!   writes, and failed rotations according to the plan.
 //! * [`ChaosWriter`] — a `Write` adapter that injects I/O errors into
@@ -188,8 +188,8 @@ pub fn plan_from_env() -> Option<Arc<FaultPlan>> {
 // ---------------------------------------------------------------------------
 
 /// The filesystem operations the append-only log ([`crate::append_log`])
-/// performs for the campaign checkpoint and the serve journal, as a
-/// trait so chaos (and tests) can interpose on every one of them.
+/// performs for the campaign checkpoint, as a trait so chaos (and tests)
+/// can interpose on every one of them.
 pub trait CkptIo: Send + Sync + std::fmt::Debug {
     /// `fs::create_dir_all`.
     fn create_dir_all(&self, dir: &Path) -> io::Result<()>;
@@ -410,17 +410,17 @@ pub fn clear_shutdown() {
 
 /// Spawns a detached watcher that forces the process down when a
 /// **second** shutdown signal arrives during a cooperative drain: it
-/// prints one `{what} aborted:` summary line and exits with
+/// prints one `campaign aborted:` summary line and exits with
 /// [`EXIT_ESCALATED`]. Safe at any point — completed work is flushed to
 /// the checkpoint per append, so the forced exit loses nothing that the
 /// next `EMISSARY_RESUME=1` run cannot replay.
-pub fn spawn_escalation_watcher(what: &'static str) {
+pub fn spawn_escalation_watcher() {
     std::thread::Builder::new()
         .name("signal-escalation".into())
-        .spawn(move || loop {
+        .spawn(|| loop {
             if shutdown_signals() >= 2 {
                 eprintln!(
-                    "{what} aborted: second signal forced immediate exit; \
+                    "campaign aborted: second signal forced immediate exit; \
                      checkpoint flushed — rerun with EMISSARY_RESUME=1 to continue"
                 );
                 std::process::exit(EXIT_ESCALATED);

@@ -292,9 +292,8 @@ impl Campaign {
     }
 
     /// Flushes the checkpoint file. [`Campaign::record`] already flushes
-    /// each line, so this only restates the ordering for callers that
-    /// sequence their own writes after the checkpoint's (the serve layer
-    /// calls it before journaling a job done).
+    /// each line, so this is only a flush; the benchmark times it as its
+    /// `bench.sync` span.
     pub fn sync(&self) {
         lock_unpoisoned(&self.state).log.flush();
     }
@@ -429,8 +428,8 @@ mod tests {
         b.config.seed ^= 1;
         assert_ne!(fingerprint(&a), fingerprint(&b));
         // Pinned literals: a change to the key encoding (or to the `Debug`
-        // text of any `SimConfig` field) would orphan every checkpoint and
-        // serve memo, so it must show up here first.
+        // text of any `SimConfig` field) would orphan every checkpoint, so
+        // it must show up here first.
         assert_eq!(fingerprint(&a), "xapian|M:1|dcfc32e070af01c6");
         let preferred = Job::new(profile, &cfg, emissary_core::spec::PolicySpec::PREFERRED);
         assert_eq!(
@@ -479,8 +478,8 @@ mod tests {
 
     #[test]
     fn record_is_on_disk_when_record_returns() {
-        // Serve journals a job done right after its record: the line
-        // must already be in the file, with no `sync` in between.
+        // A process killed right after a record must not lose it: the
+        // line is already in the file, with no `sync` in between.
         let dir = std::env::temp_dir().join(format!("emissary_ckpt_sync_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let c = Campaign::begin_with("durable", &dir, false);

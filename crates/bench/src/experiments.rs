@@ -2,8 +2,8 @@
 //!
 //! Every function takes a [`SimConfig`] template (run lengths and model
 //! already set) and returns an [`Experiment`] holding rendered tables. The
-//! binaries in `src/bin/` print them; the Criterion benches run them with
-//! tiny windows.
+//! binaries in `src/bin/` print them; the campaign test suite and the
+//! `benchmark/` campaign workload run them with tiny windows.
 //!
 //! Jobs run under the fault-isolating pool ([`crate::pool`]): a job that
 //! panics, times out, stalls, or fails validation becomes a `FAILED` cell

@@ -3,10 +3,10 @@
 //!
 //! Each `fig*`/`table5`/`ideal_l2` binary in `src/bin/` prints the same
 //! rows/series the paper reports, as an aligned text table plus TSV. Run
-//! lengths, parallelism, observability, fault tolerance and the job
-//! server are tuned through `EMISSARY_*` environment variables, all
-//! parsed once by [`scale`] (the knob table; README "Environment
-//! variables" documents each one). A malformed value stops any binary
+//! lengths, parallelism, observability and fault tolerance are tuned
+//! through `EMISSARY_*` environment variables, all parsed once by
+//! [`scale`] (the knob table; README "Environment variables" documents
+//! each one). A malformed value stops any binary
 //! with exit status 2 before it touches a checkpoint.
 
 pub mod append_log;
@@ -19,7 +19,7 @@ pub mod pool;
 pub mod results;
 pub mod scale;
 
-pub use pool::{run_job, run_parallel_outcomes, JobOutcome, PoolOptions};
+pub use pool::{run_parallel_outcomes, JobOutcome, PoolOptions};
 
 use emissary_core::spec::PolicySpec;
 use emissary_obs::{JsonlSink, MetricsRegistry, Tracer};

@@ -14,8 +14,7 @@
 //! Each outcome is recorded to the campaign as its job finishes
 //! ([`Campaign::record`] appends and flushes before it returns), so every
 //! record is on disk before the pool returns — the visibility the
-//! chaos/resume suites (and the serve journal-before-ack ordering)
-//! assume.
+//! chaos/resume suites assume.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -358,12 +357,9 @@ pub fn run_parallel_outcomes_hooked(
 
 /// Executes one job under the full isolation stack (checkpoint replay →
 /// validation → catch_unwind + fault detector → bounded retry) and
-/// records the outcome. Pool workers run every job through this, and so
-/// does the `emissary-serve` daemon for each dequeued job, inheriting
-/// panic isolation, watchdogs, chaos injection, retry, and
-/// checkpoint/replay identically to a batch campaign; `worker` labels
-/// the per-stage metric spans recorded into `registry` (`None` records
-/// nothing; see [`crate::metrics::registry`]).
+/// records the outcome. Pool workers run every job through this; `worker`
+/// labels the per-stage metric spans recorded into `registry` (`None`
+/// records nothing; see [`crate::metrics::registry`]).
 ///
 /// Panicked and retryable-aborted attempts (see [`SimAbort::retryable`])
 /// are retried up to `opts.retries` times with deterministic backoff;
@@ -371,7 +367,7 @@ pub fn run_parallel_outcomes_hooked(
 /// results JSONL before the next attempt, so the attempt history survives
 /// even when the job eventually completes. Only the final outcome counts
 /// toward the process-wide simulated/failed counters.
-pub fn run_job(
+fn run_job(
     job: &Job,
     opts: &PoolOptions,
     campaign: Option<&Campaign>,

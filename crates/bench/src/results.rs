@@ -106,7 +106,7 @@ pub fn log_trace_error(benchmark: &str, policy: &str, path: &str, error: &str) {
     });
 }
 
-/// Records a checkpoint (or journal) I/O failure.
+/// Records a checkpoint I/O failure.
 pub fn log_ckpt_error(path: &Path, op: &str, error: &io::Error) {
     lock_unpoisoned(&CKPT_ERRORS).push(CkptError {
         path: path.display().to_string(),

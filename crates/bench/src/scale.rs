@@ -8,7 +8,7 @@
 //! in [`Knobs::unknown`] instead of being silently ignored. [`knobs`]
 //! resolves the real environment once; on an error it prints the message
 //! and exits with status 2, so every entry point refuses a bad
-//! configuration before it opens a checkpoint or a journal.
+//! configuration before it opens a checkpoint.
 //!
 //! Value rules, shared by every knob:
 //!
@@ -91,27 +91,6 @@ pub struct Knobs {
     /// Golden-report bless mode (`EMISSARY_BLESS`): print the digests
     /// the current build produces instead of failing on a mismatch.
     pub bless: bool,
-    /// `emissary-serve` listen address (`EMISSARY_SERVE_ADDR`, default
-    /// `127.0.0.1:7464`).
-    pub serve_addr: String,
-    /// `emissary-serve` journal/checkpoint directory
-    /// (`EMISSARY_SERVE_DIR`, default `results`).
-    pub serve_dir: PathBuf,
-    /// Queued-job bound (`EMISSARY_SERVE_QUEUE_DEPTH`, default 256).
-    pub serve_queue_depth: usize,
-    /// Per-tenant unfinished-job bound (`EMISSARY_SERVE_TENANT_INFLIGHT`,
-    /// default 8).
-    pub serve_tenant_inflight: usize,
-    /// Concurrent-connection cap (`EMISSARY_SERVE_MAX_CONNS`, default 64).
-    pub serve_max_conns: usize,
-    /// Request-body byte cap (`EMISSARY_SERVE_MAX_BODY`, default 65,536).
-    pub serve_max_body: usize,
-    /// Per-connection socket timeout in milliseconds
-    /// (`EMISSARY_SERVE_IO_TIMEOUT_MS`, default 10,000).
-    pub serve_io_timeout_ms: u64,
-    /// Raw `tenant=token,...` auth table (`EMISSARY_SERVE_TOKENS`; empty
-    /// means one anonymous tenant).
-    pub serve_tokens: String,
     /// `EMISSARY_*` names that are not in the table, in input order.
     /// [`knobs`] warns once on stderr for each.
     pub unknown: Vec<String>,
@@ -139,14 +118,6 @@ impl Default for Knobs {
             chaos_rate: crate::chaos::DEFAULT_CHAOS_RATE,
             progress: true,
             bless: false,
-            serve_addr: "127.0.0.1:7464".to_string(),
-            serve_dir: PathBuf::from("results"),
-            serve_queue_depth: 256,
-            serve_tenant_inflight: 8,
-            serve_max_conns: 64,
-            serve_max_body: 65_536,
-            serve_io_timeout_ms: 10_000,
-            serve_tokens: String::new(),
             unknown: Vec::new(),
         }
     }
@@ -193,14 +164,6 @@ const TABLE: &[(&str, Setter)] = &[
     ("EMISSARY_CHAOS_RATE", |k, v| fraction(v).map(|x| k.chaos_rate = x)),
     ("EMISSARY_PROGRESS", |k, v| flag(v).map(|x| k.progress = x)),
     ("EMISSARY_BLESS", |k, v| flag(v).map(|x| k.bless = x)),
-    ("EMISSARY_SERVE_ADDR", |k, v| text(v).map(|x| k.serve_addr = x)),
-    ("EMISSARY_SERVE_DIR", |k, v| text(v).map(|x| k.serve_dir = x.into())),
-    ("EMISSARY_SERVE_QUEUE_DEPTH", |k, v| number(v).map(|x| k.serve_queue_depth = x)),
-    ("EMISSARY_SERVE_TENANT_INFLIGHT", |k, v| number(v).map(|x| k.serve_tenant_inflight = x)),
-    ("EMISSARY_SERVE_MAX_CONNS", |k, v| number(v).map(|x| k.serve_max_conns = x)),
-    ("EMISSARY_SERVE_MAX_BODY", |k, v| number(v).map(|x| k.serve_max_body = x)),
-    ("EMISSARY_SERVE_IO_TIMEOUT_MS", |k, v| number(v).map(|x| k.serve_io_timeout_ms = x)),
-    ("EMISSARY_SERVE_TOKENS", |k, v| text(v).map(|x| k.serve_tokens = x)),
 ];
 
 /// Every recognised `EMISSARY_*` name, in table order.
@@ -346,8 +309,6 @@ mod tests {
         assert_eq!(k.chaos_rate, crate::chaos::DEFAULT_CHAOS_RATE);
         assert!(k.progress);
         assert!(!k.bless);
-        assert_eq!(k.serve_addr, "127.0.0.1:7464");
-        assert_eq!(k.serve_dir, PathBuf::from("results"));
         assert!(k.unknown.is_empty());
     }
 
@@ -378,8 +339,8 @@ mod tests {
             ("EMISSARY_THREADS", "3"),
             ("EMISSARY_JOB_RETRIES", "1_0"),
             ("EMISSARY_CHAOS_SEED", "12_345"),
-            ("EMISSARY_SERVE_MAX_BODY", "1_048_576"),
-            ("EMISSARY_SERVE_IO_TIMEOUT_MS", "2_500"),
+            ("EMISSARY_SAMPLE_INTERVAL", "1_048_576"),
+            ("EMISSARY_RETRY_BACKOFF_MS", "2_500"),
         ])
         .unwrap();
         assert_eq!(k.measure_instrs, 1_000_000);
@@ -387,8 +348,8 @@ mod tests {
         assert_eq!(k.threads, 3);
         assert_eq!(k.job_retries, 10);
         assert_eq!(k.chaos_seed, Some(12_345));
-        assert_eq!(k.serve_max_body, 1_048_576);
-        assert_eq!(k.serve_io_timeout_ms, 2_500);
+        assert_eq!(k.sample_interval, Some(1_048_576));
+        assert_eq!(k.retry_backoff_ms, 2_500);
     }
 
     #[test]
@@ -422,7 +383,7 @@ mod tests {
             ("EMISSARY_CHAOS_SEED", "0x10"),
             ("EMISSARY_CHAOS_RATE", "1.5"),
             ("EMISSARY_CHAOS_RATE", "NaN"),
-            ("EMISSARY_SERVE_QUEUE_DEPTH", "lots"),
+            ("EMISSARY_RETRY_BACKOFF_MS", "lots"),
         ] {
             rejects(name, bad);
         }
@@ -464,14 +425,12 @@ mod tests {
             ("EMISSARY_TRACE_OUT", "traces"),
             ("EMISSARY_INJECT_PANIC", "tomcat/P(8):S&E"),
             ("EMISSARY_CHAOS_RATE", "0.02"),
-            ("EMISSARY_SERVE_TOKENS", "a=x,b=y"),
             ("EMISSARY_MEASURE_INSNS", ""),
         ])
         .unwrap();
         assert_eq!(k.trace_out, Some(PathBuf::from("traces")));
         assert_eq!(k.inject_panic.as_deref(), Some("tomcat/P(8):S&E"));
         assert_eq!(k.chaos_rate, 0.02);
-        assert_eq!(k.serve_tokens, "a=x,b=y");
         assert_eq!(k.measure_instrs, 8_000_000, "empty means unset");
     }
 

@@ -259,7 +259,7 @@ fn crate_sources() -> Vec<PathBuf> {
 
 /// Salvage, quarantine and atomic rewrite live in `append_log.rs` alone:
 /// outside it, only the `CkptIo` impls in `chaos.rs` may open writers or
-/// replace files, and the two logs' codecs call no `CkptIo` file method.
+/// replace files, and the checkpoint's codec calls no `CkptIo` file method.
 #[test]
 fn only_the_append_log_owns_the_file_protocol() {
     // Built at run time so this file does not match its own needles.
@@ -287,12 +287,11 @@ fn only_the_append_log_owns_the_file_protocol() {
     ]
     .map(needle);
     let root = workspace_root().join("crates");
-    for codec in ["bench/src/checkpoint.rs", "serve/src/journal.rs"] {
-        let src = std::fs::read_to_string(root.join(codec)).expect(codec);
-        let called: Vec<&String> = io_methods.iter().filter(|n| src.contains(*n)).collect();
-        assert!(
-            called.is_empty(),
-            "{codec} calls CkptIo directly ({called:?}); go through AppendLog"
-        );
-    }
+    let codec = "bench/src/checkpoint.rs";
+    let src = std::fs::read_to_string(root.join(codec)).expect(codec);
+    let called: Vec<&String> = io_methods.iter().filter(|n| src.contains(*n)).collect();
+    assert!(
+        called.is_empty(),
+        "{codec} calls CkptIo directly ({called:?}); go through AppendLog"
+    );
 }

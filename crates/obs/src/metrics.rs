@@ -5,9 +5,8 @@
 //! Metrics follow the tracer's passivity contract ("observability must
 //! never perturb simulation"): nothing records inside the simulator's
 //! cycle loop. Every update happens at a job boundary or after a run
-//! ends (the `metrics_into` walkers, stage spans, serve request
-//! counters), so one uncontended lock per update costs nothing
-//! measurable.
+//! ends (the `metrics_into` walkers, stage spans), so one uncontended
+//! lock per update costs nothing measurable.
 //!
 //! Histograms use log-2 buckets (`bucket i` holds `2^(i-1) ≤ v < 2^i`,
 //! bucket 0 holds zero): one `leading_zeros` and an indexed add per
@@ -227,7 +226,7 @@ impl MetricsRegistry {
     }
 }
 
-/// The process-global registry campaign and serve workers record into.
+/// The process-global registry campaign workers record into.
 pub fn global() -> &'static MetricsRegistry {
     static GLOBAL: MetricsRegistry = MetricsRegistry::new();
     &GLOBAL

@@ -1,11 +1,10 @@
 //! Property tests for the Prometheus exposition parser.
 //!
-//! `/metrics` on `emissary-serve` feeds `parse_prometheus` to tooling
-//! (and `emissary-inspect` reads `.prom` snapshots off disk), so the
-//! parser sees untrusted-adjacent bytes: truncated scrapes, torn writes,
-//! editor-mangled files. Two properties must hold: the parser never
-//! panics, and a torn scrape parses its complete leading lines exactly
-//! as the whole text does.
+//! Campaigns write `results/metrics.prom` and `emissary-inspect` reads it
+//! back through `parse_prometheus`, so the parser sees untrusted-adjacent
+//! bytes: truncated files, torn writes, editor-mangled text. Two
+//! properties must hold: the parser never panics, and a torn file parses
+//! its complete leading lines exactly as the whole text does.
 
 use emissary_obs::parse_prometheus;
 use proptest::collection::vec;
@@ -41,7 +40,7 @@ proptest! {
         text in hostile_text(),
         cut in 0usize..160,
     ) {
-        // Truncate at an arbitrary char boundary (a torn scrape) — the
+        // Truncate at an arbitrary char boundary (a torn file) — the
         // parser must cope, and complete leading lines must still parse
         // identically to the untruncated text.
         let cut = text
