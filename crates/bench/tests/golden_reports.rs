@@ -31,7 +31,8 @@ struct Golden {
 /// Fixed-seed configs spanning the policy families: the baseline, every
 /// `P(N)` variant (plain, `+BYPASS`, `+GHRP`, with a §6 reset), standalone
 /// GHRP, and prior work, over both the default tree-PLRU machine and
-/// Figure 1's true-LRU one.
+/// Figure 1's true-LRU one, plus three non-default core shapes (issue
+/// width, scheduler window, ALU latency) that pin the issue scheduler.
 const GOLDEN: &[Golden] = &[
     Golden {
         config: SimConfig::default,
@@ -103,7 +104,53 @@ const GOLDEN: &[Golden] = &[
         reset_interval: None,
         digest: 0xb6076e4b549fd249,
     },
+    Golden {
+        config: narrow_issue_full_reach,
+        benchmark: "tomcat",
+        policy: "P(8):S&E",
+        reset_interval: None,
+        digest: 0x8574d84b5c07750b,
+    },
+    Golden {
+        config: short_reach_slow_alu,
+        benchmark: "kafka",
+        policy: "M:1",
+        reset_interval: None,
+        digest: 0x41160bc5241257f7,
+    },
+    Golden {
+        config: zero_latency_alu,
+        benchmark: "xapian",
+        policy: "P(14):S&E",
+        reset_interval: None,
+        digest: 0x459b5e2ac1c4d63c,
+    },
 ];
+
+/// A 2-wide issue stage whose select logic reaches the whole issue queue
+/// (`scheduler_window` ≥ `iq_entries`).
+fn narrow_issue_full_reach() -> SimConfig {
+    let mut cfg = SimConfig::default();
+    cfg.core.issue_width = 2;
+    cfg.core.scheduler_window = 240;
+    cfg
+}
+
+/// An 8-entry select window over 3-cycle ALUs.
+fn short_reach_slow_alu() -> SimConfig {
+    let mut cfg = SimConfig::default();
+    cfg.core.scheduler_window = 8;
+    cfg.core.alu_latency = 3;
+    cfg
+}
+
+/// Zero-latency ALUs: a consumer becomes ready in the same issue scan as
+/// its ALU producer.
+fn zero_latency_alu() -> SimConfig {
+    let mut cfg = SimConfig::default();
+    cfg.core.alu_latency = 0;
+    cfg
+}
 
 fn golden_config(g: &Golden) -> SimConfig {
     let mut cfg = SimConfig {
