@@ -5,6 +5,8 @@ use emissary_cache::policy::{PolicyKind, RecencyBase};
 use emissary_core::spec::{PolicySpec, PolicySpecError};
 use emissary_frontend::FrontendConfig;
 
+use crate::machine::{COMP_RING, MAX_DEP_DISTANCE};
+
 /// Why a [`SimConfig`] was rejected before simulation started.
 ///
 /// Returned by [`SimConfig::validate`]; the experiment harness rejects a
@@ -15,6 +17,10 @@ pub enum ConfigError {
     /// A cache's geometry is degenerate (zero ways, zero sets, or a
     /// non-power-of-two set count).
     Geometry(String),
+    /// A core structure is degenerate: a zero width or capacity (the
+    /// pipeline would never make progress), or a ROB deep enough that live
+    /// slots of the completion-time ring alias.
+    Core(String),
     /// The L2 policy is inconsistent with the L2 geometry or carries a
     /// degenerate selection expression.
     Policy(PolicySpecError),
@@ -36,6 +42,7 @@ impl std::fmt::Display for ConfigError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ConfigError::Geometry(msg) => write!(f, "cache geometry: {msg}"),
+            ConfigError::Core(msg) => write!(f, "core: {msg}"),
             ConfigError::Policy(e) => write!(f, "l2 policy: {e}"),
             ConfigError::ZeroMeasureWindow => {
                 f.write_str("measure_instrs is zero; the measurement window would be empty")
@@ -97,6 +104,40 @@ pub struct CoreConfig {
 }
 
 impl CoreConfig {
+    /// Why this core cannot run, if it cannot: a zero-sized structure
+    /// stops the pipeline for good, and a ROB within `MAX_DEP_DISTANCE` of
+    /// the completion-time ring lets a newly dispatched instruction
+    /// overwrite a producer's completion time that an older in-flight
+    /// consumer still reads.
+    fn shape_error(&self) -> Option<String> {
+        let sizes = [
+            ("decode_width", self.decode_width as usize),
+            ("issue_width", self.issue_width as usize),
+            ("commit_width", self.commit_width as usize),
+            ("rob_entries", self.rob_entries),
+            ("iq_entries", self.iq_entries),
+            ("lq_entries", self.lq_entries),
+            ("sq_entries", self.sq_entries),
+            ("ftq_entries", self.ftq_entries),
+            ("ftq_instrs", self.ftq_instrs as usize),
+            ("decode_queue", self.decode_queue),
+            ("scheduler_window", self.scheduler_window),
+        ];
+        if let Some((name, _)) = sizes.iter().find(|&&(_, v)| v == 0) {
+            return Some(format!(
+                "{name} is zero; the pipeline would never make progress"
+            ));
+        }
+        if self.rob_entries >= COMP_RING - MAX_DEP_DISTANCE {
+            return Some(format!(
+                "rob_entries ({}) + the largest dependence distance ({MAX_DEP_DISTANCE}) \
+                 must stay below the {COMP_RING}-slot completion ring",
+                self.rob_entries
+            ));
+        }
+        None
+    }
+
     /// Table 4's Alderlake-like configuration.
     pub fn alderlake_like() -> Self {
         Self {
@@ -192,12 +233,16 @@ impl SimConfig {
 
     /// Checks the configuration for degenerate values that would panic (or
     /// quietly corrupt metrics) deep inside the machine: bad cache
-    /// geometry, a protect-`N` at or above the L2 associativity, invalid
-    /// selection expressions, an empty measurement window, or a warmup
-    /// longer than the window it is supposed to warm up for.
+    /// geometry, a zero-sized or ring-aliasing core, a protect-`N` at or
+    /// above the L2 associativity, invalid selection expressions, an empty
+    /// measurement window, or a warmup longer than the window it is
+    /// supposed to warm up for.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if let Some(msg) = self.hierarchy.geometry_error() {
             return Err(ConfigError::Geometry(msg));
+        }
+        if let Some(msg) = self.core.shape_error() {
+            return Err(ConfigError::Core(msg));
         }
         self.l2_policy.validate(self.hierarchy.l2.ways)?;
         if self.measure_instrs == 0 {
@@ -303,6 +348,24 @@ mod tests {
                 |e| matches!(e, ConfigError::Policy(_)),
             ),
             (
+                "zero issue width",
+                {
+                    let mut c = base();
+                    c.core.issue_width = 0;
+                    c
+                },
+                |e| matches!(e, ConfigError::Core(_)),
+            ),
+            (
+                "rob aliases the completion ring",
+                {
+                    let mut c = base();
+                    c.core.rob_entries = COMP_RING - MAX_DEP_DISTANCE;
+                    c
+                },
+                |e| matches!(e, ConfigError::Core(_)),
+            ),
+            (
                 "zero measurement window",
                 {
                     let mut c = base();
@@ -326,6 +389,36 @@ mod tests {
             assert!(expect(&err), "{label}: unexpected error {err}");
             assert!(!err.to_string().is_empty());
         }
+    }
+
+    #[test]
+    fn validate_rejects_every_zero_core_size() {
+        let zeroes: [fn(&mut CoreConfig); 11] = [
+            |c| c.decode_width = 0,
+            |c| c.issue_width = 0,
+            |c| c.commit_width = 0,
+            |c| c.rob_entries = 0,
+            |c| c.iq_entries = 0,
+            |c| c.lq_entries = 0,
+            |c| c.sq_entries = 0,
+            |c| c.ftq_entries = 0,
+            |c| c.ftq_instrs = 0,
+            |c| c.decode_queue = 0,
+            |c| c.scheduler_window = 0,
+        ];
+        for zero in zeroes {
+            let mut cfg = SimConfig::default();
+            zero(&mut cfg.core);
+            let err = cfg.validate().expect_err("zero core size accepted");
+            assert!(
+                matches!(&err, ConfigError::Core(msg) if msg.contains("is zero")),
+                "unexpected error {err}"
+            );
+        }
+        // The largest ROB the completion ring holds is accepted.
+        let mut cfg = SimConfig::default();
+        cfg.core.rob_entries = COMP_RING - MAX_DEP_DISTANCE - 1;
+        assert_eq!(cfg.validate(), Ok(()));
     }
 
     #[test]

@@ -49,9 +49,12 @@ use crate::config::SimConfig;
 use crate::fault::{FaultConfig, SimAbort};
 use crate::report::ReuseAttribution;
 
-/// Completion-time ring size; must exceed ROB size + max dep distance.
-const COMP_RING: usize = 4096;
-/// Sentinel for "not yet completed".
+/// Completion-time ring size; must exceed ROB size + max dep distance
+/// (`SimConfig::validate` rejects ROBs that would alias live slots).
+pub(crate) const COMP_RING: usize = 4096;
+/// Largest producer distance a [`DynInstr`] dependence can encode.
+pub(crate) const MAX_DEP_DISTANCE: usize = u8::MAX as usize;
+/// Sentinel for "not yet completed" / "not yet known".
 const PENDING: u64 = u64::MAX;
 
 /// Operation class of a ROB entry.
@@ -67,12 +70,36 @@ enum OpClass {
 struct RobEntry {
     seq: u64,
     op: OpClass,
-    dep1: u64,
-    dep2: u64,
     issued: bool,
     completed_at: u64,
     /// Terminator of a mispredicted block: triggers the re-steer.
     mispredict: bool,
+}
+
+/// An issue-queue entry: a dispatched, unissued instruction and its two
+/// producers (seq 0 = none).
+#[derive(Debug, Clone, Copy)]
+struct IqEntry {
+    seq: u64,
+    dep1: u64,
+    dep2: u64,
+    /// First cycle both operands are available, or [`PENDING`] while a
+    /// producer has not issued. A producer's completion time is fixed when
+    /// it issues, so once known this never changes.
+    ready_at: u64,
+}
+
+/// The cycle both producers' results are available, or [`PENDING`] while
+/// either has not issued (`PENDING` is `u64::MAX`, so it wins the `max`).
+fn operands_ready_at(comp_time: &[u64], dep1: u64, dep2: u64) -> u64 {
+    let at = |dep: u64| {
+        if dep == 0 {
+            0
+        } else {
+            comp_time[(dep as usize) & (COMP_RING - 1)]
+        }
+    };
+    at(dep1).max(at(dep2))
 }
 
 /// An instruction sitting in the decode queue waiting for its line.
@@ -125,8 +152,11 @@ pub struct Machine<'p> {
     pfq: PrefetchQueue,
     decode_queue: VecDeque<Fetched>,
     rob: VecDeque<RobEntry>,
-    /// Seqs dispatched but not yet issued (the issue queue).
-    iq: VecDeque<u64>,
+    /// Dispatched but not yet issued instructions, oldest first.
+    iq: VecDeque<IqEntry>,
+    /// No entry among the oldest `scheduler_window` of `iq` can issue
+    /// before this cycle, so `issue` sleeps until then.
+    iq_wake: u64,
     lq_count: usize,
     sq_count: usize,
     comp_time: Vec<u64>,
@@ -187,6 +217,7 @@ impl<'p> Machine<'p> {
             decode_queue: VecDeque::with_capacity(cfg.core.decode_queue),
             rob: VecDeque::with_capacity(cfg.core.rob_entries),
             iq: VecDeque::with_capacity(cfg.core.iq_entries),
+            iq_wake: 0,
             lq_count: 0,
             sq_count: 0,
             comp_time: vec![0; COMP_RING],
@@ -297,7 +328,9 @@ impl<'p> Machine<'p> {
 
     /// Runs the hierarchy invariant auditor (see `emissary_cache::audit`),
     /// emitting one [`TraceEvent::AuditViolation`] per finding when tracing
-    /// is enabled, and returns the rendered violations (empty = clean).
+    /// is enabled, then checks the issue scheduler's invariants, and
+    /// returns the rendered violations (empty = clean). Scheduler findings
+    /// name no cache level, so they appear only in the returned list.
     /// Read-only with respect to simulated state.
     pub fn run_audit(&mut self) -> Vec<String> {
         let violations = self.hierarchy.audit();
@@ -311,7 +344,60 @@ impl<'p> Machine<'p> {
                 detail,
             });
         }
-        violations.iter().map(|v| v.to_string()).collect()
+        let mut found: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
+        found.extend(self.scheduler_violations());
+        found
+    }
+
+    /// The issue queue holds unissued instructions in strictly increasing
+    /// seq order, every known `ready_at` is the producers' completion time,
+    /// and `iq_wake` is no later than the earliest cycle any entry in the
+    /// scheduler window can issue.
+    fn scheduler_violations(&self) -> Vec<String> {
+        let mut found = Vec::new();
+        let front_seq = self.rob.front().map_or(self.next_seq, |e| e.seq);
+        let mut prev = 0;
+        for e in &self.iq {
+            if e.seq <= prev {
+                found.push(format!("scheduler: iq seq {} follows {prev}", e.seq));
+            }
+            prev = e.seq;
+            let rob = e
+                .seq
+                .checked_sub(front_seq)
+                .and_then(|idx| self.rob.get(idx as usize));
+            if !rob.is_some_and(|r| r.seq == e.seq && !r.issued) {
+                found.push(format!(
+                    "scheduler: iq seq {} is not an unissued rob entry",
+                    e.seq
+                ));
+            }
+            let ready_at = operands_ready_at(&self.comp_time, e.dep1, e.dep2);
+            if e.ready_at != PENDING && e.ready_at != ready_at {
+                found.push(format!(
+                    "scheduler: iq seq {} ready_at {} but its producers complete at {ready_at}",
+                    e.seq, e.ready_at
+                ));
+            }
+        }
+        let earliest = self.window_ready_times().min().unwrap_or(PENDING);
+        if self.iq_wake > earliest {
+            found.push(format!(
+                "scheduler: iq_wake {} is after the window's earliest ready cycle {earliest}",
+                self.iq_wake
+            ));
+        }
+        found
+    }
+
+    /// The ready cycle of every scheduler-window entry whose producers have
+    /// all issued.
+    fn window_ready_times(&self) -> impl Iterator<Item = u64> + '_ {
+        self.iq
+            .iter()
+            .take(self.cfg.core.scheduler_window)
+            .map(|e| operands_ready_at(&self.comp_time, e.dep1, e.dep2))
+            .filter(|&t| t != PENDING)
     }
 
     /// Zeroes window counters (warmup boundary). Microarchitectural state
@@ -374,7 +460,19 @@ impl<'p> Machine<'p> {
 
     // --- Issue ------------------------------------------------------------
 
+    /// Oldest-first select over the oldest `scheduler_window` IQ entries,
+    /// up to `issue_width` whose operands are ready this cycle.
+    ///
+    /// A scan that issues nothing records the window's earliest known
+    /// `ready_at` in `iq_wake` and the scheduler sleeps until then. That is
+    /// exact: an entry whose `ready_at` is still unknown waits on an
+    /// unissued producer, which is older and so also in the window, and
+    /// nothing issues while the scheduler sleeps. While asleep the window
+    /// changes only by dispatch, which lowers `iq_wake` itself.
     fn issue(&mut self) {
+        if self.now < self.iq_wake {
+            return;
+        }
         let width = self.cfg.core.issue_width as usize;
         let window = self.cfg.core.scheduler_window;
         let alu_latency = self.cfg.core.alu_latency;
@@ -389,6 +487,7 @@ impl<'p> Machine<'p> {
         // never walk the full queue per cycle (it is ~4× the window).
         let Machine {
             iq,
+            iq_wake,
             rob,
             hierarchy,
             comp_time,
@@ -398,30 +497,29 @@ impl<'p> Machine<'p> {
             ..
         } = self;
         let now = *now;
-        let ready = |comp_time: &[u64], dep_seq: u64| {
-            dep_seq == 0 || comp_time[(dep_seq as usize) & (COMP_RING - 1)] <= now
-        };
         let q = iq.make_contiguous();
         let len = q.len();
-        let (mut issued, mut examined) = (0usize, 0usize);
-        let (mut read, mut write) = (0usize, 0usize);
-        while read < len && issued < width && examined < window {
-            let seq = q[read];
-            examined += 1;
-            let idx = (seq - front_seq) as usize;
-            // Entries ahead of front were committed already (impossible for
-            // unissued), so idx is in range.
-            let (dep1, dep2, op, mispredict) = {
-                let e = &rob[idx];
-                (e.dep1, e.dep2, e.op, e.mispredict)
-            };
-            if !ready(comp_time, dep1) || !ready(comp_time, dep2) {
-                q[write] = seq;
+        let reach = len.min(window);
+        let mut wake = PENDING;
+        let (mut issued, mut read, mut write) = (0usize, 0usize, 0usize);
+        while read < reach && issued < width {
+            let mut entry = q[read];
+            read += 1;
+            if entry.ready_at == PENDING {
+                // Producers issued earlier in this scan count: their
+                // completion times are already in the ring.
+                entry.ready_at = operands_ready_at(comp_time, entry.dep1, entry.dep2);
+            }
+            if entry.ready_at > now {
+                wake = wake.min(entry.ready_at);
+                q[write] = entry;
                 write += 1;
-                read += 1;
                 continue;
             }
-            let completed_at = match op {
+            // Entries ahead of front were committed already (impossible for
+            // unissued), so idx is in range.
+            let e = &mut rob[(entry.seq - front_seq) as usize];
+            let completed_at = match e.op {
                 OpClass::Alu | OpClass::Branch => now + alu_latency,
                 OpClass::Load(addr) => {
                     hierarchy
@@ -434,25 +532,22 @@ impl<'p> Machine<'p> {
                     now + 1
                 }
             };
-            {
-                let e = &mut rob[idx];
-                e.issued = true;
-                e.completed_at = completed_at;
-            }
-            comp_time[(seq as usize) & (COMP_RING - 1)] = completed_at;
-            if mispredict {
+            e.issued = true;
+            e.completed_at = completed_at;
+            comp_time[(entry.seq as usize) & (COMP_RING - 1)] = completed_at;
+            if e.mispredict {
                 // The mispredicted branch resolves: schedule the re-steer.
                 *resteer_done_at = Some(completed_at + resteer_penalty);
             }
             issued += 1;
             stats.issued += 1;
-            read += 1;
         }
         if write != read {
             q.copy_within(read..len, write);
             let new_len = len - (read - write);
             iq.truncate(new_len);
         }
+        *iq_wake = if issued == 0 { wake } else { 0 };
     }
 
     // --- Decode / dispatch --------------------------------------------------
@@ -508,13 +603,22 @@ impl<'p> Machine<'p> {
             self.rob.push_back(RobEntry {
                 seq,
                 op,
-                dep1: dep(f.instr.dep1),
-                dep2: dep(f.instr.dep2),
                 issued: false,
                 completed_at: PENDING,
                 mispredict: f.mispredict,
             });
-            self.iq.push_back(seq);
+            let (dep1, dep2) = (dep(f.instr.dep1), dep(f.instr.dep2));
+            let ready_at = operands_ready_at(&self.comp_time, dep1, dep2);
+            if self.iq.len() < self.cfg.core.scheduler_window {
+                // Lands inside a possibly sleeping scheduler's window.
+                self.iq_wake = self.iq_wake.min(ready_at);
+            }
+            self.iq.push_back(IqEntry {
+                seq,
+                dep1,
+                dep2,
+                ready_at,
+            });
             decoded += 1;
             self.stats.decoded += 1;
         }
@@ -824,12 +928,14 @@ impl<'p> Machine<'p> {
     /// One-line dump of pipeline occupancy for debugging stalls.
     pub fn debug_state(&self) -> String {
         format!(
-            "now={} rob={} iq={} dq={} dq_head_ready={:?} ftq={} ftq_instrs={} staged={} \
-             wp_active={} wp_pc={:#x} resteer={:?} btb_stall_until={} lq={} sq={} \
-             rob_head={:?} outstanding_misses={}",
+            "now={} rob={} iq={} iq_wake={:?} iq_window_ready={} dq={} dq_head_ready={:?} \
+             ftq={} ftq_instrs={} staged={} wp_active={} wp_pc={:#x} resteer={:?} \
+             btb_stall_until={} lq={} sq={} rob_head={:?} outstanding_misses={}",
             self.now,
             self.rob.len(),
             self.iq.len(),
+            (self.iq_wake != PENDING).then_some(self.iq_wake),
+            self.window_ready_times().filter(|&t| t <= self.now).count(),
             self.decode_queue.len(),
             self.decode_queue.front().map(|f| f.ready_at),
             self.ftq.len(),
@@ -935,7 +1041,9 @@ fn term_to_branch_class(class: TermClass) -> BranchClass {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CoreConfig;
     use emissary_workloads::builder::{build_program, ProgramShape};
+    use emissary_workloads::Profile;
 
     fn quick_cfg() -> SimConfig {
         SimConfig {
@@ -1076,6 +1184,12 @@ mod tests {
                 assert_eq!(stall_cycles, 1);
                 assert!(diagnostics.contains("rob="), "dump missing: {diagnostics}");
                 assert!(diagnostics.contains("outstanding_misses="));
+                // Whether the issue scheduler was asleep, and on what.
+                assert!(
+                    diagnostics.contains("iq_wake="),
+                    "dump missing: {diagnostics}"
+                );
+                assert!(diagnostics.contains("iq_window_ready="));
             }
             other => panic!("expected Stalled, got {other:?}"),
         }
@@ -1114,6 +1228,118 @@ mod tests {
             violations.iter().any(|v| v.contains("inclusion")),
             "expected an inclusion violation, got {violations:?}"
         );
+    }
+
+    #[test]
+    fn audit_catches_scheduler_corruption() {
+        let program = build_program(&ProgramShape::tiny());
+        let walker = Walker::new(&program, 1);
+        let mut m = Machine::new(walker, &quick_cfg());
+        m.run_instrs(20_000);
+        while m.iq.is_empty() {
+            m.step();
+        }
+        assert_eq!(m.run_audit(), Vec::<String>::new());
+        let expect = |m: &mut Machine<'_>, what: &str| {
+            let violations = m.run_audit();
+            assert!(
+                violations.iter().any(|v| v.contains(what)),
+                "expected a {what:?} violation, got {violations:?}"
+            );
+        };
+        // The oldest entry's producers have all issued, so its ready cycle
+        // is known: a scheduler asleep past it would miss it.
+        let wake = m.iq_wake;
+        m.iq_wake = PENDING;
+        expect(&mut m, "iq_wake");
+        m.iq_wake = wake;
+
+        let head = m.iq[0];
+        m.iq[0].ready_at = operands_ready_at(&m.comp_time, head.dep1, head.dep2) + 1;
+        expect(&mut m, "ready_at");
+        m.iq[0] = head;
+
+        m.iq.push_front(head);
+        expect(&mut m, "follows");
+        m.iq.pop_front();
+
+        let idx = (head.seq - m.rob[0].seq) as usize;
+        m.rob[idx].issued = true;
+        expect(&mut m, "not an unissued rob entry");
+    }
+
+    /// The rule the wakeup scheduler replaced, applied to the scheduler
+    /// window as it stood before a step: oldest first, up to `issue_width`
+    /// entries whose producers complete by `now`. Completion times are
+    /// read after the step; up to the first divergence that is exactly
+    /// what the old scan saw, because a producer issued this cycle sits
+    /// ahead of all its consumers.
+    fn oldest_first_scan(m: &Machine<'_>, window: &[IqEntry], now: u64) -> Vec<u64> {
+        let done = |dep: u64| dep == 0 || m.comp_time[(dep as usize) & (COMP_RING - 1)] <= now;
+        window
+            .iter()
+            .filter(|e| done(e.dep1) && done(e.dep2))
+            .map(|e| e.seq)
+            .take(m.cfg.core.issue_width as usize)
+            .collect()
+    }
+
+    /// One core shape: label, benchmark, and the edit from the default core.
+    type Shape = (&'static str, &'static str, fn(&mut CoreConfig));
+
+    #[test]
+    fn wakeup_scheduler_issues_exactly_what_the_oldest_first_scan_issues() {
+        // The default core and the golden reports' three non-default shapes.
+        let shapes: [Shape; 4] = [
+            ("default", "tomcat", |_| {}),
+            ("issue_width 2, window 240", "tomcat", |c| {
+                c.issue_width = 2;
+                c.scheduler_window = 240;
+            }),
+            ("window 8, alu_latency 3", "kafka", |c| {
+                c.scheduler_window = 8;
+                c.alu_latency = 3;
+            }),
+            ("alu_latency 0", "xapian", |c| c.alu_latency = 0),
+        ];
+        for (shape, bench, reshape) in shapes {
+            let profile = Profile::by_name(bench).expect("profile");
+            let program = profile.shared_program();
+            let mut cfg = quick_cfg();
+            reshape(&mut cfg.core);
+            let window = cfg.core.scheduler_window;
+            let mut m = Machine::new(Walker::new(&program, profile.seed), &cfg);
+            let mut slept = 0u64;
+            for _ in 0..50_000 {
+                let now = m.now();
+                let asleep = now < m.iq_wake;
+                let before: Vec<IqEntry> = m.iq.iter().take(window).copied().collect();
+                m.step();
+                // The queue loses entries only by issuing them.
+                let issued: Vec<u64> = before
+                    .iter()
+                    .map(|e| e.seq)
+                    .filter(|&seq| m.iq.binary_search_by_key(&seq, |e| e.seq).is_err())
+                    .collect();
+                let expected = oldest_first_scan(&m, &before, now);
+                assert_eq!(
+                    issued, expected,
+                    "{bench} ({shape}): first divergence at cycle {now}"
+                );
+                assert!(
+                    !asleep || expected.is_empty(),
+                    "{bench} ({shape}): slept through ready entries at cycle {now}"
+                );
+                let violations = m.scheduler_violations();
+                assert!(
+                    violations.is_empty(),
+                    "{bench} ({shape}) after cycle {now}: {violations:?}"
+                );
+                slept += u64::from(asleep);
+            }
+            assert!(slept > 0, "{bench} ({shape}): the scheduler never slept");
+            assert!(m.stats.issued > 0, "{bench} ({shape}): nothing issued");
+        }
     }
 
     #[test]
