@@ -1,27 +1,33 @@
-//! Runs every experiment in sequence (full reproduction sweep).
+//! Runs the reproduction's experiments: `all_experiments [NAME…]`.
 //!
-//! By default the sweep runs as one **campaign**: the union of all ten
-//! experiments' job matrices is deduplicated by config fingerprint and
-//! simulated once through a single globally scheduled pool
-//! (longest-job-first, see [`emissary_bench::campaign`]); the figures
-//! then render by replaying from the campaign memo, bit-identically to
-//! running them one at a time.
+//! With no names it runs the paper's ten figures and tables; otherwise it
+//! runs the named experiments, in the order given (`ablations`,
+//! `extensions` and `l2_sweep` run only when named; see
+//! [`emissary_bench::experiments::EXPERIMENTS`]). An unknown name exits
+//! with status 2 before the checkpoint is opened, as does a malformed
+//! `EMISSARY_*` value.
+//!
+//! Every run is one **campaign**: the selected experiments' plans are
+//! joined, deduplicated by config fingerprint and simulated once through
+//! a single globally scheduled pool (longest-job-first, see
+//! [`emissary_bench::campaign`]); each experiment then renders its tables
+//! from that prefetch's outcomes, without running a job.
 //!
 //! The `campaign summary:` line on stderr reports the sweep's job counts
 //! and wall-clock. Expect the sweep to take a while at default run
-//! lengths; scale down with `EMISSARY_MEASURE_INSNS` for a quick pass. A
-//! malformed `EMISSARY_*` value exits with status 2 before the
-//! checkpoint is opened.
+//! lengths; scale down with `EMISSARY_MEASURE_INSNS` for a quick pass.
 
+use std::path::Path;
 use std::time::Instant;
 
-use emissary_bench::campaign::CostModel;
-use emissary_bench::{campaign, chaos, checkpoint, experiments, metrics, scale};
+use emissary_bench::campaign::{self, CostModel, PrefetchSummary};
+use emissary_bench::checkpoint::{Campaign, UNIFIED_CAMPAIGN};
+use emissary_bench::{chaos, experiments, metrics, results, scale, PoolOptions};
 
 /// Reports progress so far and exits with the conventional SIGINT code.
 /// Completed jobs are already flushed to the checkpoint, so rerunning
 /// with `EMISSARY_RESUME=1` continues exactly where this run stopped.
-fn exit_interrupted(done: emissary_bench::checkpoint::JobCounters) -> ! {
+fn exit_interrupted(done: &PrefetchSummary) -> ! {
     eprintln!(
         "campaign interrupted: {} simulated, {} replayed, {} failed so far; \
          checkpoint flushed — rerun with EMISSARY_RESUME=1 to continue",
@@ -31,36 +37,48 @@ fn exit_interrupted(done: emissary_bench::checkpoint::JobCounters) -> ! {
 }
 
 fn main() {
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    let selected = experiments::select(&names).unwrap_or_else(|unknown| {
+        let known: Vec<&str> = experiments::EXPERIMENTS.iter().map(|e| e.name).collect();
+        eprintln!(
+            "all_experiments: unknown experiment {unknown:?} (known: {})",
+            known.join(", ")
+        );
+        std::process::exit(2);
+    });
     // Resolve the knobs first: a malformed value exits here, before the
     // checkpoint is opened (and possibly truncated).
-    let threads = scale::knobs().threads;
+    let knobs = scale::knobs();
     chaos::install_signal_handlers();
     // A second SIGINT/SIGTERM during the cooperative drain forces an
     // immediate (still checkpoint-safe) exit with a distinct code.
     chaos::spawn_escalation_watcher();
     let cfg = emissary_bench::base_config();
     eprintln!(
-        "running all experiments: warmup={} measure={} threads={threads}",
-        cfg.warmup_instrs, cfg.measure_instrs,
+        "running {} experiment(s): warmup={} measure={} threads={}",
+        selected.len(),
+        cfg.warmup_instrs,
+        cfg.measure_instrs,
+        knobs.threads,
     );
     let start = Instant::now();
-    let plan = experiments::campaign_jobs(&cfg);
-    let requested = plan.len();
-    let unique = campaign::dedup_jobs(plan.clone()).len();
+    let plan = experiments::plan_jobs(&selected, &cfg);
 
-    // Simulate the deduplicated union up front through one globally
-    // scheduled pool; the per-figure runs below then replay from the memo
-    // instead of simulating.
-    checkpoint::begin("campaign");
-    let prefetch = {
-        let global = checkpoint::global_handle();
-        campaign::prefetch(
-            plan,
-            &emissary_bench::PoolOptions::from_env(),
-            global.as_ref(),
-            &CostModel::new(),
-        )
-    };
+    let campaign = Campaign::begin_with(UNIFIED_CAMPAIGN, Path::new("results"), knobs.resume);
+    if campaign.resumable() > 0 || campaign.quarantined() > 0 {
+        eprintln!(
+            "checkpoint: resuming {UNIFIED_CAMPAIGN}: {} completed job(s) will be replayed, \
+             {} unusable line(s) quarantined",
+            campaign.resumable(),
+            campaign.quarantined()
+        );
+    }
+    let (prefetch, runs) = campaign::prefetch_runs(
+        plan,
+        &PoolOptions::from_env(),
+        Some(&campaign),
+        &CostModel::new(),
+    );
     eprintln!(
         "campaign: prefetched {} unique of {} requested jobs ({} simulated, {} replayed, {} failed, {} interrupted) in {:.1}s",
         prefetch.unique,
@@ -71,64 +89,38 @@ fn main() {
         prefetch.interrupted,
         prefetch.wall_seconds
     );
+    results::write_campaign_faults();
     if prefetch.interrupted > 0 || chaos::shutdown_requested() {
-        // Don't render figures from a partial memo: the interrupted jobs
-        // would re-simulate during render and the tables would mix this
-        // run with the next.
-        exit_interrupted(checkpoint::counters());
+        // Don't render figures from a partial prefetch: the tables would
+        // mix this run with the next.
+        exit_interrupted(&prefetch);
     }
 
-    type Runner<'a> = Box<dyn Fn() -> experiments::Experiment + 'a>;
-    let runs: Vec<(&str, Runner)> = vec![
-        ("fig1", Box::new(|| experiments::fig1(&cfg))),
-        ("fig2", Box::new(|| experiments::fig2(&cfg))),
-        ("fig3", Box::new(|| experiments::fig3(&cfg))),
-        ("fig4", Box::new(|| experiments::fig4(&cfg))),
-        ("table5", Box::new(|| experiments::table5(&cfg))),
-        ("fig5", Box::new(|| experiments::fig5(&cfg))),
-        ("fig6", Box::new(|| experiments::fig6(&cfg))),
-        ("fig7", Box::new(|| experiments::fig7(&cfg))),
-        ("fig8", Box::new(|| experiments::fig8(&cfg, true))),
-        ("ideal_l2", Box::new(|| experiments::ideal_l2(&cfg))),
-    ];
-    let before_render = checkpoint::counters();
-    for (name, run) in runs {
+    for entry in &selected {
         if chaos::shutdown_requested() {
-            exit_interrupted(checkpoint::counters());
+            exit_interrupted(&prefetch);
         }
-        eprintln!("=== {name} ===");
-        checkpoint::begin(name);
-        let exp = run();
-        emissary_bench::results::emit(name, &exp);
+        eprintln!("=== {} ===", entry.name);
+        results::emit(entry.name, &(entry.render)(&cfg, &runs));
     }
-    let after_render = checkpoint::counters();
 
-    // Every job the figures need was prefetched, so the render phase must
-    // simulate nothing: fresh simulations here mean the planner and the
-    // figures disagree on some job (drift), which would silently erode
-    // the dedup win.
-    let drift = after_render.simulated - before_render.simulated;
     let wall = start.elapsed().as_secs_f64();
-    let simulated = prefetch.simulated + drift;
-    let replayed = after_render.replayed - before_render.replayed + prefetch.replayed;
-    let failed = after_render.failed;
-    let (ckpt_recovered, ckpt_quarantined) = {
-        let global = checkpoint::global_handle();
-        global
-            .as_ref()
-            .map(|c| (c.resumable() as u64, c.quarantined()))
-            .unwrap_or((0, 0))
-    };
     // Metrics aggregates append strictly after the pre-existing fields:
-    // CI's campaign-smoke job greps this line for ` failed=0 `, ` drift=0 `
-    // and ` replayed=N`.
+    // CI's campaign-smoke job greps this line for ` failed=0 ` and
+    // ` replayed=N`.
     eprintln!(
-        "campaign summary: requests={requested} unique={unique} simulated={simulated} \
-         replayed={replayed} failed={failed} drift={drift} \
-         ckpt_recovered={ckpt_recovered} ckpt_quarantined={ckpt_quarantined} wall={wall:.1}s{}",
+        "campaign summary: requests={} unique={} simulated={} replayed={} failed={} \
+         ckpt_recovered={} ckpt_quarantined={} wall={wall:.1}s{}",
+        prefetch.requested,
+        prefetch.unique,
+        prefetch.simulated,
+        prefetch.replayed,
+        prefetch.failed,
+        campaign.resumable(),
+        campaign.quarantined(),
         metrics::summary_suffix()
     );
-    if scale::knobs().metrics {
+    if knobs.metrics {
         let prom_path = metrics::default_prom_path();
         match metrics::write_prom(&prom_path) {
             Ok(()) => eprintln!("metrics: wrote {}", prom_path.display()),

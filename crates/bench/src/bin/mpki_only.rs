@@ -115,9 +115,9 @@ fn main() {
             protected.to_string(),
         ]);
     }
-    let exp = Experiment {
-        title: format!("MPKI-only policy replay — {bench}"),
-        tables: vec![(format!("{bench} ({instrs} instructions per policy)"), t)],
-    };
+    let exp = Experiment::new(
+        format!("MPKI-only policy replay — {bench}"),
+        vec![(format!("{bench} ({instrs} instructions per policy)"), t)],
+    );
     emissary_bench::results::emit("mpki_only", &exp);
 }

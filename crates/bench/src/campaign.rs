@@ -12,7 +12,7 @@
 //! The engine removes both:
 //!
 //! 1. **Dedup** — [`dedup_jobs`] collapses the union of all experiments'
-//!    jobs to one job per config fingerprint ([`checkpoint::fingerprint`]).
+//!    jobs to one job per config fingerprint ([`crate::checkpoint::fingerprint`]).
 //! 2. **Global scheduling** — [`prefetch`] feeds the deduped set to one
 //!    pool in longest-processing-time order, so the most expensive
 //!    (benchmark, policy, window) combinations start first and stragglers
@@ -21,10 +21,12 @@
 //!    scaled by the per-benchmark host MIPS observed so far in this
 //!    process, falling back to a footprint-based estimate before any run
 //!    of that benchmark completes.
-//! 3. **Replay** — completed runs land in the campaign memo
-//!    ([`crate::checkpoint`]), so when each experiment then renders its
-//!    tables through the ordinary per-figure path, every job replays
-//!    bit-identically from the memo and simulates nothing.
+//! 3. **Render from the runs** — [`prefetch_runs`] hands back every
+//!    job's final outcome as [`Runs`], keyed by fingerprint, and each
+//!    experiment renders its tables from them
+//!    ([`crate::experiments`]) without calling the pool again. Completed
+//!    runs also land in the campaign memo ([`crate::checkpoint`]), so a
+//!    resumed or repeated campaign replays them instead of simulating.
 //!
 //! A stderr progress line (`campaign: 123/1148 jobs, 40 replayed, eta
 //! 93s`) tracks long sweeps; silence it with `EMISSARY_PROGRESS=0`.
@@ -35,7 +37,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::chaos::lock_unpoisoned;
-use crate::checkpoint::{self, Campaign};
+use crate::checkpoint::{fingerprint, Campaign};
 use crate::pool::{run_parallel_outcomes_hooked, JobOutcome, PoolOptions};
 use crate::{scale, Job};
 
@@ -102,7 +104,7 @@ impl CostModel {
 pub fn dedup_jobs(jobs: Vec<Job>) -> Vec<Job> {
     let mut seen = HashSet::new();
     jobs.into_iter()
-        .filter(|j| seen.insert(checkpoint::fingerprint(j)))
+        .filter(|j| seen.insert(fingerprint(j)))
         .collect()
 }
 
@@ -237,42 +239,98 @@ impl<'m> Progress<'m> {
     }
 }
 
+/// Every planned job's final outcome, keyed by config fingerprint: what
+/// the experiments render from. A render reads it and never runs a job.
+#[derive(Debug, Default)]
+pub struct Runs {
+    outcomes: HashMap<String, JobOutcome>,
+}
+
+impl Runs {
+    /// Pairs each job with its outcome, as the pool returns them (one per
+    /// job, in job order). A repeated fingerprint keeps the last outcome.
+    pub fn from_outcomes(jobs: &[Job], outcomes: Vec<JobOutcome>) -> Runs {
+        assert_eq!(jobs.len(), outcomes.len(), "one outcome per job");
+        Runs {
+            outcomes: jobs.iter().map(fingerprint).zip(outcomes).collect(),
+        }
+    }
+
+    /// The outcome of a planned job.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the job, if `job` was not planned: a render that
+    /// reads outside its experiment's plan is a planner bug.
+    pub fn get(&self, job: &Job) -> &JobOutcome {
+        let fp = fingerprint(job);
+        self.outcomes.get(&fp).unwrap_or_else(|| {
+            panic!("planner bug: the render read {fp}, which its experiment's plan does not list")
+        })
+    }
+}
+
 /// Runs the union of a campaign's jobs through one globally scheduled
 /// pool: dedup → LPT order under `model` → one pass with no per-figure
-/// barriers. Completed runs land in `campaign`'s memo, so subsequent
-/// per-experiment pools replay instead of simulating. Failures are
-/// isolated per job exactly as in [`crate::pool`]; the experiments
-/// re-encounter (and report) them when they run.
+/// barriers. Completed runs land in `campaign`'s memo. Failures are
+/// isolated per job exactly as in [`crate::pool`].
 pub fn prefetch(
     jobs: Vec<Job>,
     opts: &PoolOptions,
     campaign: Option<&Campaign>,
     model: &CostModel,
 ) -> PrefetchSummary {
+    run_unique(jobs, opts, campaign, model).0
+}
+
+/// [`prefetch`], also returning every unique job's final outcome for the
+/// experiments to render from.
+pub fn prefetch_runs(
+    jobs: Vec<Job>,
+    opts: &PoolOptions,
+    campaign: Option<&Campaign>,
+    model: &CostModel,
+) -> (PrefetchSummary, Runs) {
+    let (summary, ordered, outcomes) = run_unique(jobs, opts, campaign, model);
+    (summary, Runs::from_outcomes(&ordered, outcomes))
+}
+
+/// The body of [`prefetch`]: the summary, the unique jobs in the order
+/// they ran, and their outcomes. Keying the outcomes by fingerprint is
+/// left to [`prefetch_runs`], so a prefetch that only warms the memo
+/// pays nothing for it.
+fn run_unique(
+    jobs: Vec<Job>,
+    opts: &PoolOptions,
+    campaign: Option<&Campaign>,
+    model: &CostModel,
+) -> (PrefetchSummary, Vec<Job>, Vec<JobOutcome>) {
     let start = Instant::now();
     let requested = jobs.len();
-    let unique = dedup_jobs(jobs);
-    let unique_count = unique.len();
-    let ordered = schedule(unique, model);
-    let before = checkpoint::counters();
+    let ordered = schedule(dedup_jobs(jobs), model);
     let progress = Progress::new(&ordered, model, scale::knobs().progress);
     let outcomes = run_parallel_outcomes_hooked(&ordered, opts, campaign, |i, outcome| {
         progress.tick(i, outcome);
     });
-    let interrupted = outcomes
-        .iter()
-        .filter(|o| matches!(o, JobOutcome::Interrupted { .. }))
-        .count() as u64;
-    let after = checkpoint::counters();
-    PrefetchSummary {
+    let mut summary = PrefetchSummary {
         requested,
-        unique: unique_count,
-        simulated: after.simulated - before.simulated,
-        replayed: after.replayed - before.replayed,
-        failed: after.failed - before.failed,
-        interrupted,
+        unique: ordered.len(),
+        simulated: 0,
+        replayed: 0,
+        failed: 0,
+        interrupted: 0,
         wall_seconds: start.elapsed().as_secs_f64(),
+    };
+    for outcome in &outcomes {
+        let count = match outcome {
+            JobOutcome::Completed { resumed: true, .. } => &mut summary.replayed,
+            JobOutcome::Completed { .. } => &mut summary.simulated,
+            JobOutcome::Interrupted { .. } => &mut summary.interrupted,
+            _ => &mut summary.failed,
+        };
+        *count += 1;
     }
+    (summary, ordered, outcomes)
 }
 
 #[cfg(test)]

@@ -13,15 +13,14 @@
 //! hash covers the *entire* [`SimConfig`](emissary_sim::SimConfig) (via
 //! its `Debug` rendering), so two jobs that differ in any knob (run
 //! lengths, hierarchy geometry, reset interval, seed, …) never collide.
-//! The experiment (figure) name is **metadata only**: it is recorded on
-//! each checkpoint line for provenance but takes no part in the key, so
-//! resume state is shared across figures instead of siloed per binary.
+//! The campaign name is **metadata only**: it is recorded on each
+//! checkpoint line (`"experiment":"campaign"` for a sweep) but takes no
+//! part in the key, so resume state is shared by every experiment.
 //!
-//! The process-global campaign spans experiments: [`begin`] opens the
-//! unified `results/campaign.ckpt.jsonl` once and later calls merely
-//! relabel the experiment metadata. `EMISSARY_RESUME=1` loads completed
-//! jobs at open, so a second campaign over a warm checkpoint simulates
-//! nothing.
+//! `all_experiments` opens one campaign, the unified
+//! `results/campaign.ckpt.jsonl` ([`UNIFIED_CAMPAIGN`]), for the whole
+//! sweep. `EMISSARY_RESUME=1` loads completed jobs at open, so a second
+//! campaign over a warm checkpoint simulates nothing.
 //!
 //! The checkpoint file is append-only JSONL. Failed jobs are recorded too
 //! (with their failure kind and attempt number), but only
@@ -39,7 +38,6 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use emissary_obs::{JsonObject, JsonValue};
@@ -79,45 +77,6 @@ pub fn fingerprint(job: &Job) -> String {
     )
 }
 
-/// Process-wide counters of how jobs were satisfied, across every pool
-/// run (with or without an active campaign). `simulated` counts fresh
-/// completed simulations, `replayed` counts memo/checkpoint hits, and
-/// `failed` counts panicked/aborted/rejected jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct JobCounters {
-    /// Fresh completed simulations.
-    pub simulated: u64,
-    /// Jobs served from the campaign memo or checkpoint.
-    pub replayed: u64,
-    /// Jobs that panicked, aborted, or were rejected.
-    pub failed: u64,
-}
-
-static SIMULATED: AtomicU64 = AtomicU64::new(0);
-static REPLAYED: AtomicU64 = AtomicU64::new(0);
-static FAILED: AtomicU64 = AtomicU64::new(0);
-
-/// Snapshot of the process-wide job counters.
-pub fn counters() -> JobCounters {
-    JobCounters {
-        simulated: SIMULATED.load(Ordering::Relaxed),
-        replayed: REPLAYED.load(Ordering::Relaxed),
-        failed: FAILED.load(Ordering::Relaxed),
-    }
-}
-
-pub(crate) fn note_simulated() {
-    SIMULATED.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn note_replayed() {
-    REPLAYED.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn note_failed() {
-    FAILED.fetch_add(1, Ordering::Relaxed);
-}
-
 /// One campaign's dedup state: the fingerprint → run memo (seeded from
 /// the checkpoint file on resume, grown by every fresh completion) and
 /// the campaign's [`AppendLog`], behind one lock. [`record`] inserts
@@ -129,6 +88,8 @@ pub(crate) fn note_failed() {
 ///
 /// [`record`]: Campaign::record
 pub struct Campaign {
+    /// The label written on each record (`"experiment"`).
+    name: String,
     path: PathBuf,
     quarantine_path: PathBuf,
     loaded: usize,
@@ -142,8 +103,6 @@ struct State {
     /// Non-persistent once the campaign is memo-only (the log failed to
     /// open, or stopped persisting after an unsalvageable append).
     log: AppendLog,
-    /// The experiment label written on each record.
-    experiment: String,
 }
 
 /// Renders one checkpoint record line.
@@ -218,15 +177,12 @@ impl Campaign {
             );
         }
         Campaign {
+            name: name.to_string(),
             path,
             quarantine_path,
             loaded: memo.len(),
             quarantined: log.quarantined(),
-            state: Mutex::new(State {
-                memo,
-                log,
-                experiment: name.to_string(),
-            }),
+            state: Mutex::new(State { memo, log }),
         }
     }
 
@@ -262,12 +218,6 @@ impl Campaign {
         lock_unpoisoned(&self.state).memo.len()
     }
 
-    /// Relabels the experiment recorded on subsequent checkpoint lines.
-    /// Metadata only: the memo and fingerprints are unaffected.
-    pub fn set_experiment(&self, name: &str) {
-        lock_unpoisoned(&self.state).experiment = name.to_string();
-    }
-
     /// Looks up a completed run for this fingerprint.
     pub fn cached(&self, fp: &str) -> Option<SimRun> {
         lock_unpoisoned(&self.state).memo.get(fp).cloned()
@@ -285,7 +235,7 @@ impl Campaign {
             state.memo.insert(fp.to_string(), (**run).clone());
         }
         if state.log.persistent() {
-            let line = render_record(fp, outcome, &state.experiment);
+            let line = render_record(fp, outcome, &self.name);
             // The log reports a failed append itself.
             let _ = state.log.append(&line);
         }
@@ -335,69 +285,10 @@ fn decode_record(v: &JsonValue) -> Result<Option<(String, SimRun)>, ()> {
     )))
 }
 
-/// The name of the unified cross-experiment campaign file under
-/// `results/`: `campaign.ckpt.jsonl`.
+/// The name of the one campaign `all_experiments` runs: its checkpoint
+/// is `results/campaign.ckpt.jsonl` and its campaign-wide fault records
+/// go to `results/campaign.jsonl`.
 pub const UNIFIED_CAMPAIGN: &str = "campaign";
-
-/// The process-global campaign, shared by every experiment the process
-/// runs (mirroring the process-global run log in [`crate::results`]).
-static CAMPAIGN: Mutex<Option<Campaign>> = Mutex::new(None);
-
-/// Opens (or relabels) the global campaign for experiment `name`.
-///
-/// All experiments in a process share one campaign file,
-/// `results/campaign.ckpt.jsonl`, keyed purely by config fingerprint: the
-/// first call opens it (resuming when `EMISSARY_RESUME=1`) and later
-/// calls only update the experiment metadata, so resume state and the
-/// in-process memo span figures.
-pub fn begin(name: &str) {
-    let mut slot = global();
-    if let Some(c) = slot.as_ref() {
-        c.set_experiment(name);
-        return;
-    }
-    let resume = crate::scale::knobs().resume;
-    let campaign = Campaign::begin_with(UNIFIED_CAMPAIGN, Path::new("results"), resume);
-    campaign.set_experiment(name);
-    if campaign.resumable() > 0 || campaign.quarantined() > 0 {
-        eprintln!(
-            "checkpoint: resuming {UNIFIED_CAMPAIGN}: {} completed job(s) will be replayed, \
-             {} unusable line(s) quarantined",
-            campaign.resumable(),
-            campaign.quarantined()
-        );
-    }
-    *slot = Some(campaign);
-}
-
-/// Installs `campaign` as the process-global campaign (used by the
-/// campaign engine and tests to control the checkpoint location
-/// explicitly), returning the previous one.
-pub fn begin_global_with(campaign: Campaign) -> Option<Campaign> {
-    global().replace(campaign)
-}
-
-/// Closes the process-global campaign, returning it (flushed) so callers
-/// can inspect its state. Later pool runs see no campaign until the next
-/// [`begin`].
-pub fn end() -> Option<Campaign> {
-    global().take()
-}
-
-/// Locks the global campaign for the duration of a pool run. A panic
-/// while the lock is held cannot corrupt the campaign, so poisoning is
-/// ignored.
-pub(crate) fn global() -> std::sync::MutexGuard<'static, Option<Campaign>> {
-    CAMPAIGN.lock().unwrap_or_else(|p| p.into_inner())
-}
-
-/// Locks and returns the process-global campaign for direct use — e.g.
-/// handing `Option<&Campaign>` to [`crate::campaign::prefetch`]. Drop the
-/// guard before running experiments through the ordinary pool APIs (they
-/// take the same lock).
-pub fn global_handle() -> std::sync::MutexGuard<'static, Option<Campaign>> {
-    global()
-}
 
 #[cfg(test)]
 mod tests {
@@ -439,11 +330,9 @@ mod tests {
     }
 
     #[test]
-    fn experiment_label_is_metadata_not_key() {
+    fn campaign_label_is_metadata_not_key() {
         let dir = std::env::temp_dir().join(format!("emissary_ckpt_meta_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let c = Campaign::begin_with("label_a", &dir, false);
-        c.set_experiment("fig_x");
         let cfg = emissary_sim::SimConfig {
             warmup_instrs: 500,
             measure_instrs: 2_000,
@@ -455,7 +344,10 @@ mod tests {
             emissary_core::spec::PolicySpec::BASELINE,
         );
         let fp = fingerprint(&job);
-        let run = job.run_observed();
+        let run = job
+            .run_checked_metered(&emissary_sim::FaultConfig::none(), None, "main")
+            .unwrap();
+        let c = Campaign::begin_with("label_a", &dir, false);
         c.record(
             &fp,
             &JobOutcome::Completed {
@@ -465,12 +357,17 @@ mod tests {
             },
         );
         // Metadata on the line, not in the key.
-        c.sync();
         let text = std::fs::read_to_string(c.path()).unwrap();
-        assert!(text.contains("\"experiment\":\"fig_x\""));
-        assert!(!fp.contains("fig_x"));
-        // The memo replays under any later experiment label.
-        c.set_experiment("fig_y");
+        assert!(text.contains("\"experiment\":\"label_a\""));
+        assert!(!fp.contains("label_a"));
+        drop(c);
+        // A campaign under another label replays the record.
+        std::fs::rename(
+            dir.join("label_a.ckpt.jsonl"),
+            dir.join("label_b.ckpt.jsonl"),
+        )
+        .unwrap();
+        let c = Campaign::begin_with("label_b", &dir, true);
         let replayed = c.cached(&fp).expect("memoized");
         assert_eq!(replayed.report, run.report);
         let _ = std::fs::remove_dir_all(&dir);

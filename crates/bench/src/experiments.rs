@@ -1,41 +1,79 @@
-//! One experiment per paper table/figure. See DESIGN.md §4 for the index.
+//! One experiment per paper table/figure, plus three studies of the
+//! design choices. See DESIGN.md §4 for the index.
 //!
-//! Every function takes a [`SimConfig`] template (run lengths and model
-//! already set) and returns an [`Experiment`] holding rendered tables. The
-//! binaries in `src/bin/` print them; the campaign test suite and the
-//! `benchmark/` campaign workload run them with tiny windows.
+//! Every experiment is a plan and a pure render, listed once in
+//! [`EXPERIMENTS`]. The plan (`*_specs`) takes a [`SimConfig`] template
+//! (run lengths and model already set) and returns the
+//! `profiles × policies` sweeps the experiment needs. The render takes the
+//! same template plus the [`Runs`] a campaign prefetch produced and
+//! returns an [`Experiment`] holding rendered tables; it looks each
+//! planned job up and never runs one (a lookup outside the plan panics).
+//! `all_experiments` plans, prefetches the union once, and renders; the
+//! campaign test suite and the `benchmark/` campaign workload use the
+//! same plans with tiny windows.
 //!
-//! Jobs run under the fault-isolating pool ([`crate::pool`]): a job that
-//! panics, times out, stalls, or fails validation becomes a `FAILED` cell
-//! (and a "failed jobs" table) instead of aborting the experiment, and
-//! aggregate rows (averages, geomeans, #Best counts) are computed over
-//! the successful runs only.
+//! A job that panicked, timed out, stalled, or failed validation is a
+//! `FAILED` cell (and a row of the "failed jobs" table) instead of an
+//! aborted experiment, and aggregate rows (averages, geomeans, #Best
+//! counts) are computed over the successful runs only.
 
 use std::collections::HashMap;
 
+use emissary_cache::config::CacheConfig;
+use emissary_cache::policy::RecencyBase;
 use emissary_core::selection::SelectionExpr;
 use emissary_core::spec::PolicySpec;
-use emissary_sim::{SimConfig, SimReport};
+use emissary_sim::{SimConfig, SimReport, SimRun};
 use emissary_stats::summary::{geomean, speedup_pct};
 use emissary_stats::table::{fixed, pct_value, Table};
 use emissary_workloads::Profile;
 
+use crate::campaign::Runs;
 use crate::pool::JobOutcome;
-use crate::{results, Job};
+use crate::results::JobFailure;
+use crate::Job;
 
 /// Cell text standing in for a value whose run did not complete.
 pub const FAILED: &str = "FAILED";
 
-/// A titled collection of result tables.
+/// A titled collection of result tables, with the runs and failures they
+/// were rendered from (written to the experiment's results file).
 #[derive(Debug)]
 pub struct Experiment {
     /// Human-readable experiment title.
     pub title: String,
     /// `(caption, table)` pairs.
     pub tables: Vec<(String, Table)>,
+    /// The completed runs the tables drew on, in plan order.
+    pub runs: Vec<SimRun>,
+    /// The experiment's jobs whose final outcome was a failure.
+    pub failures: Vec<JobFailure>,
 }
 
 impl Experiment {
+    /// An experiment with no runs or failures behind it.
+    pub fn new(title: String, tables: Vec<(String, Table)>) -> Self {
+        Self {
+            title,
+            tables,
+            runs: Vec::new(),
+            failures: Vec::new(),
+        }
+    }
+
+    /// An experiment rendered from `matrices`: appends the "failed jobs"
+    /// table when any of their jobs failed, and carries their runs and
+    /// failures, in order.
+    fn from_matrices(title: &str, mut tables: Vec<(String, Table)>, matrices: Vec<Matrix>) -> Self {
+        tables.extend(failures_table(&matrices));
+        let mut exp = Self::new(title.to_string(), tables);
+        for m in matrices {
+            exp.runs.extend(m.runs);
+            exp.failures.extend(m.failures);
+        }
+        exp
+    }
+
     /// Renders the whole experiment (aligned tables + TSV blocks).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -61,12 +99,11 @@ fn parse(s: &str) -> PolicySpec {
         .unwrap_or_else(|e| panic!("bad policy {s:?}: {e}"))
 }
 
-/// One `profiles × policies` sweep request over a config template — the
-/// declarative form of a [`run_matrix`] call. Each experiment builds its
-/// specs once and both the execution path ([`MatrixSpec::run`]) and the
-/// campaign planner ([`MatrixSpec::jobs`], [`campaign_jobs`]) derive from
-/// them, so the jobs an experiment *plans* are exactly the jobs it
-/// *runs* (fingerprints included).
+/// One `profiles × policies` sweep over a config template. Each
+/// experiment builds its specs once: the campaign planner submits their
+/// [`MatrixSpec::jobs`] and the render reads the same jobs back through
+/// [`MatrixSpec::lookup`], so the jobs an experiment *plans* are exactly
+/// the jobs it *reads* (fingerprints included).
 #[derive(Debug, Clone)]
 pub struct MatrixSpec {
     /// Benchmarks to sweep.
@@ -78,20 +115,37 @@ pub struct MatrixSpec {
 }
 
 impl MatrixSpec {
-    /// The jobs this sweep will submit, in submission order.
+    /// The jobs this sweep submits, in submission order.
     pub fn jobs(&self) -> Vec<Job> {
         matrix_jobs(&self.profiles, &self.template, &self.policies)
     }
 
-    /// Runs the sweep (see [`run_matrix`]).
-    pub fn run(&self) -> Matrix {
-        run_matrix(&self.profiles, &self.template, &self.policies)
+    /// The sweep's outcomes, looked up in `runs`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the job, if `runs` lacks one of the sweep's jobs:
+    /// the plan and the render disagree.
+    pub fn lookup(&self, runs: &Runs) -> Matrix {
+        let mut matrix = Matrix::default();
+        for job in self.jobs() {
+            match runs.get(&job) {
+                JobOutcome::Completed { run, .. } => {
+                    let key = (
+                        job.profile.name.to_string(),
+                        job.config.l2_policy.to_string(),
+                    );
+                    matrix.index.insert(key, matrix.runs.len());
+                    matrix.runs.push((**run).clone());
+                }
+                failed => matrix.failures.extend(JobFailure::from_outcome(failed)),
+            }
+        }
+        matrix
     }
 }
 
-/// The job list of one `profiles × policies` sweep. Used by both
-/// [`run_matrix`] and the campaign planner, so planned and executed
-/// fingerprints can never drift.
+/// The job list of one `profiles × policies` sweep, benchmark-major.
 pub fn matrix_jobs(
     profiles: &[Profile],
     template: &SimConfig,
@@ -111,49 +165,24 @@ pub fn matrix_jobs(
 /// that did not complete.
 #[derive(Debug, Default)]
 pub struct Matrix {
-    reports: HashMap<(String, String), SimReport>,
-    failures: Vec<results::JobFailure>,
+    /// (benchmark, policy notation) → index into `runs`.
+    index: HashMap<(String, String), usize>,
+    runs: Vec<SimRun>,
+    failures: Vec<JobFailure>,
 }
 
 impl Matrix {
     /// The completed report for `bench` under `policy`, if the run
     /// finished.
     pub fn get(&self, bench: &str, policy: &PolicySpec) -> Option<&SimReport> {
-        self.reports.get(&(bench.to_string(), policy.to_string()))
+        let i = self.index.get(&(bench.to_string(), policy.to_string()))?;
+        Some(&self.runs[*i].report)
     }
 
     /// Jobs that panicked, aborted, or were rejected.
-    pub fn failures(&self) -> &[results::JobFailure] {
+    pub fn failures(&self) -> &[JobFailure] {
         &self.failures
     }
-}
-
-/// Runs `policies` x `profiles` on the template under fault isolation.
-/// Every completed run (with its interval samples, when enabled) is
-/// appended to the [`results`] run log, and every failure to the failure
-/// log, so the binaries' JSONL output covers both.
-pub fn run_matrix(profiles: &[Profile], template: &SimConfig, policies: &[PolicySpec]) -> Matrix {
-    let jobs = matrix_jobs(profiles, template, policies);
-    let mut matrix = Matrix::default();
-    for outcome in crate::pool::run_parallel_outcomes(&jobs) {
-        match outcome {
-            JobOutcome::Completed { run, .. } => {
-                results::log_run(&run);
-                matrix.reports.insert(
-                    (run.report.benchmark.clone(), run.report.policy.clone()),
-                    run.report,
-                );
-            }
-            failed => {
-                results::log_failure(&failed);
-                if let Some(f) = results::JobFailure::from_outcome(&failed) {
-                    eprintln!("run: {}/{} {}", f.benchmark, f.policy, f.detail);
-                    matrix.failures.push(f);
-                }
-            }
-        }
-    }
-    matrix
 }
 
 /// A row of `FAILED` cells after a leading label.
@@ -165,7 +194,7 @@ fn failed_row(label: &str, cells: usize) -> Vec<String> {
 
 /// The "failed jobs" table appended to an experiment when any of its
 /// matrices had failures (`None` when all jobs completed).
-fn failures_table(matrices: &[&Matrix]) -> Option<(String, Table)> {
+fn failures_table(matrices: &[Matrix]) -> Option<(String, Table)> {
     let mut t = Table::with_headers(&["benchmark", "policy", "status", "detail"]);
     let mut any = false;
     for m in matrices {
@@ -237,11 +266,11 @@ pub fn fig1_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 /// Figure 1: tomcat on a 1M 16-way true-LRU L2 with no prefetchers —
 /// speedup vs. L2 instruction MPKI, decode rate, L2 data MPKI, issue rate
 /// for the policy progression that motivates persistence.
-pub fn fig1(template: &SimConfig) -> Experiment {
+pub fn fig1(template: &SimConfig, runs: &Runs) -> Experiment {
     let specs = fig1_specs(template);
     let spec = &specs[0];
     let policies = &spec.policies;
-    let matrix = spec.run();
+    let matrix = spec.lookup(runs);
     let base_cycles = matrix.get("tomcat", &policies[0]).map(|r| r.cycles);
     let mut t = Table::with_headers(&[
         "policy",
@@ -268,12 +297,12 @@ pub fn fig1(template: &SimConfig) -> Experiment {
             None => t.row(failed_row(&p.to_string(), 6)),
         }
     }
-    let mut tables = vec![("tomcat policy progression".to_string(), t)];
-    tables.extend(failures_table(&[&matrix]));
-    Experiment {
-        title: "Figure 1 — persistence motivation on tomcat (true LRU, no prefetchers)".into(),
+    let tables = vec![("tomcat policy progression".to_string(), t)];
+    Experiment::from_matrices(
+        "Figure 1 — persistence motivation on tomcat (true LRU, no prefetchers)",
         tables,
-    }
+        vec![matrix],
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -298,10 +327,10 @@ pub fn fig2_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 /// Figure 2: reuse-distance mix of committed-path line accesses, the share
 /// of L2 instruction misses from long-reuse lines, and the distribution of
 /// starvation cycles across reuse classes.
-pub fn fig2(template: &SimConfig) -> Experiment {
+pub fn fig2(template: &SimConfig, runs: &Runs) -> Experiment {
     let specs = fig2_specs(template);
     let profiles = specs[0].profiles.clone();
-    let matrix = specs[0].run();
+    let matrix = specs[0].lookup(runs);
     let mut t = Table::with_headers(&[
         "benchmark",
         "acc_short%",
@@ -354,15 +383,15 @@ pub fn fig2(template: &SimConfig) -> Experiment {
             .map(|v| fixed_opt((ok > 0).then(|| v / ok as f64), 1)),
     );
     t.row(cells);
-    let mut tables = vec![(
+    let tables = vec![(
         "per-benchmark reuse behaviour (TPLRU+FDIP baseline)".to_string(),
         t,
     )];
-    tables.extend(failures_table(&[&matrix]));
-    Experiment {
-        title: "Figure 2 — reuse-distance mix, long-reuse L2 misses, starvation attribution".into(),
+    Experiment::from_matrices(
+        "Figure 2 — reuse-distance mix, long-reuse L2 misses, starvation attribution",
         tables,
-    }
+        vec![matrix],
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -376,10 +405,10 @@ pub fn fig3_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 
 /// Figure 3: L1I / L1D / L2-instruction / L2-data MPKI per benchmark on the
 /// TPLRU + FDIP baseline.
-pub fn fig3(template: &SimConfig) -> Experiment {
+pub fn fig3(template: &SimConfig, runs: &Runs) -> Experiment {
     let specs = fig3_specs(template);
     let profiles = specs[0].profiles.clone();
-    let matrix = specs[0].run();
+    let matrix = specs[0].lookup(runs);
     let mut t = Table::with_headers(&[
         "benchmark",
         "l1i_mpki",
@@ -409,12 +438,12 @@ pub fn fig3(template: &SimConfig) -> Experiment {
             .map(|s| fixed_opt((ok > 0).then(|| s / ok as f64), 2)),
     );
     t.row(cells);
-    let mut tables = vec![("per-benchmark MPKI".to_string(), t)];
-    tables.extend(failures_table(&[&matrix]));
-    Experiment {
-        title: "Figure 3 — cache MPKIs on the TPLRU + FDIP baseline".into(),
+    let tables = vec![("per-benchmark MPKI".to_string(), t)];
+    Experiment::from_matrices(
+        "Figure 3 — cache MPKIs on the TPLRU + FDIP baseline",
         tables,
-    }
+        vec![matrix],
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -427,10 +456,10 @@ pub fn fig4_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 }
 
 /// Figure 4: instruction footprint (MB of unique cache lines touched).
-pub fn fig4(template: &SimConfig) -> Experiment {
+pub fn fig4(template: &SimConfig, runs: &Runs) -> Experiment {
     let specs = fig4_specs(template);
     let profiles = specs[0].profiles.clone();
-    let matrix = specs[0].run();
+    let matrix = specs[0].lookup(runs);
     let mut t = Table::with_headers(&["benchmark", "instr_footprint_mb"]);
     let mut sum = 0.0;
     let mut ok = 0usize;
@@ -448,12 +477,8 @@ pub fn fig4(template: &SimConfig) -> Experiment {
         "average".to_string(),
         fixed_opt((ok > 0).then(|| sum / ok as f64), 2),
     ]);
-    let mut tables = vec![("unique instruction lines touched x 64 B".to_string(), t)];
-    tables.extend(failures_table(&[&matrix]));
-    Experiment {
-        title: "Figure 4 — instruction footprints".into(),
-        tables,
-    }
+    let tables = vec![("unique instruction lines touched x 64 B".to_string(), t)];
+    Experiment::from_matrices("Figure 4 — instruction footprints", tables, vec![matrix])
 }
 
 // ---------------------------------------------------------------------------
@@ -522,13 +547,13 @@ pub fn table5_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 /// Table 5: geomean speedup over the LRU+FDIP baseline across all 13
 /// benchmarks for `r` in {1/2..1/64} and `N` in {2..14}, plus the paper's
 /// "#Best" row and column.
-pub fn table5(template: &SimConfig) -> Experiment {
+pub fn table5(template: &SimConfig, runs: &Runs) -> Experiment {
     let specs = table5_specs(template);
     let profiles = &specs[0].profiles;
     let bench_names: Vec<&str> = profiles.iter().map(|p| p.name).collect();
     let ns = TABLE5_NS;
     let cols = table5_columns();
-    let matrix = specs[0].run();
+    let matrix = specs[0].lookup(runs);
     // Geomean grid; a cell is None when no benchmark completed both runs.
     let mut grid: Vec<Vec<Option<f64>>> = Vec::new();
     for &n in &ns {
@@ -575,12 +600,12 @@ pub fn table5(template: &SimConfig) -> Experiment {
     }
     cells.push("-".to_string());
     t.row(cells);
-    let mut tables = vec![("P(N) policy grid".to_string(), t)];
-    tables.extend(failures_table(&[&matrix]));
-    Experiment {
-        title: "Table 5 — geomean speedup (%) vs LRU+FDIP baseline over r and N".into(),
+    let tables = vec![("P(N) policy grid".to_string(), t)];
+    Experiment::from_matrices(
+        "Table 5 — geomean speedup (%) vs LRU+FDIP baseline over r and N",
         tables,
-    }
+        vec![matrix],
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -641,11 +666,11 @@ pub fn fig5_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 /// Figure 5: per-benchmark speedup vs. L2-instruction MPKI and vs. change
 /// in starvation (decode + empty IQ) for the six line-policies as `N`
 /// sweeps 0..14 (tpcc omitted, as in the paper).
-pub fn fig5(template: &SimConfig) -> Experiment {
+pub fn fig5(template: &SimConfig, runs: &Runs) -> Experiment {
     let specs = fig5_specs(template);
     let profiles = specs[0].profiles.clone();
     let (m_policies, p_families, ns) = fig5_series();
-    let matrix = specs[0].run();
+    let matrix = specs[0].lookup(runs);
     let mut t = Table::with_headers(&[
         "benchmark",
         "policy",
@@ -692,12 +717,12 @@ pub fn fig5(template: &SimConfig) -> Experiment {
             }
         }
     }
-    let mut tables = vec![("per-benchmark policy series".to_string(), t)];
-    tables.extend(failures_table(&[&matrix]));
-    Experiment {
-        title: "Figure 5 — speedup vs MPKI and vs starvation change, N sweep".into(),
+    let tables = vec![("per-benchmark policy series".to_string(), t)];
+    Experiment::from_matrices(
+        "Figure 5 — speedup vs MPKI and vs starvation change, N sweep",
         tables,
-    }
+        vec![matrix],
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -716,10 +741,10 @@ pub fn fig6_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 
 /// Figure 6: reduction in commit-path FE / BE / total stall cycles of
 /// P(8):S&E&R(1/32) relative to the TPLRU+FDIP baseline.
-pub fn fig6(template: &SimConfig) -> Experiment {
+pub fn fig6(template: &SimConfig, runs: &Runs) -> Experiment {
     let specs = fig6_specs(template);
     let profiles = specs[0].profiles.clone();
-    let matrix = specs[0].run();
+    let matrix = specs[0].lookup(runs);
     let mut t = Table::with_headers(&[
         "benchmark",
         "fe_stall_reduction%",
@@ -764,12 +789,12 @@ pub fn fig6(template: &SimConfig) -> Experiment {
             .map(|v| fixed_opt((ok > 0).then(|| v / ok as f64), 2)),
     );
     t.row(cells);
-    let mut tables = vec![("commit-path stall reductions".to_string(), t)];
-    tables.extend(failures_table(&[&matrix]));
-    Experiment {
-        title: "Figure 6 — stall-cycle reduction of P(8):S&E&R(1/32) vs baseline".into(),
+    let tables = vec![("commit-path stall reductions".to_string(), t)];
+    Experiment::from_matrices(
+        "Figure 6 — stall-cycle reduction of P(8):S&E&R(1/32) vs baseline",
         tables,
-    }
+        vec![matrix],
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -808,11 +833,11 @@ pub fn fig7_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 
 /// Figure 7: speedup and energy reduction of every technique relative to
 /// the TPLRU + FDIP baseline, per benchmark plus geomean.
-pub fn fig7(template: &SimConfig) -> Experiment {
+pub fn fig7(template: &SimConfig, runs: &Runs) -> Experiment {
     let specs = fig7_specs(template);
     let profiles = specs[0].profiles.clone();
     let bench_names: Vec<&str> = profiles.iter().map(|p| p.name).collect();
-    let matrix = specs[0].run();
+    let matrix = specs[0].lookup(runs);
     let techniques = fig7_policies();
 
     let mut headers = vec!["benchmark".to_string()];
@@ -861,15 +886,15 @@ pub fn fig7(template: &SimConfig) -> Experiment {
     }
     speed.row(srow);
     energy.row(erow);
-    let mut tables = vec![
+    let tables = vec![
         ("speedup (%)".to_string(), speed),
         ("energy reduction (%)".to_string(), energy),
     ];
-    tables.extend(failures_table(&[&matrix]));
-    Experiment {
-        title: "Figure 7 — speedup and energy reduction vs TPLRU+FDIP baseline".into(),
+    Experiment::from_matrices(
+        "Figure 7 — speedup and energy reduction vs TPLRU+FDIP baseline",
         tables,
-    }
+        vec![matrix],
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -877,36 +902,34 @@ pub fn fig7(template: &SimConfig) -> Experiment {
 // ---------------------------------------------------------------------------
 
 /// The sweeps Figure 8 runs: every benchmark under the two `P(8)` selection
-/// variants and, with `with_reset`, a second sweep of the preferred policy
-/// under the §6 periodic priority reset (the paper's 128M-instruction
-/// interval scaled to the measurement window).
-pub fn fig8_specs(template: &SimConfig, with_reset: bool) -> Vec<MatrixSpec> {
-    let mut specs = vec![MatrixSpec {
-        profiles: Profile::all(),
-        template: template.clone(),
-        policies: vec![parse("P(8):S&E"), parse("P(8):S&E&R(1/32)")],
-    }];
-    if with_reset {
-        let mut reset_cfg = template.clone();
-        reset_cfg.priority_reset_interval = Some((template.measure_instrs / 4).max(1));
-        specs.push(MatrixSpec {
+/// variants, and a second sweep of the preferred policy under the §6
+/// periodic priority reset (the paper's 128M-instruction interval scaled
+/// to the measurement window).
+pub fn fig8_specs(template: &SimConfig) -> Vec<MatrixSpec> {
+    let mut reset_cfg = template.clone();
+    reset_cfg.priority_reset_interval = Some((template.measure_instrs / 4).max(1));
+    vec![
+        MatrixSpec {
+            profiles: Profile::all(),
+            template: template.clone(),
+            policies: vec![parse("P(8):S&E"), parse("P(8):S&E&R(1/32)")],
+        },
+        MatrixSpec {
             profiles: Profile::all(),
             template: reset_cfg,
             policies: vec![parse("P(8):S&E&R(1/32)")],
-        });
-    }
-    specs
+        },
+    ]
 }
 
 /// Figure 8: distribution of per-set high-priority line counts for
 /// P(8):S&E vs P(8):S&E&R(1/32), averaged across benchmarks at the end of
-/// simulation. With `with_reset`, adds a run using the §6 reset mechanism
-/// and reports its performance impact.
-pub fn fig8(template: &SimConfig, with_reset: bool) -> Experiment {
-    let specs = fig8_specs(template, with_reset);
+/// simulation, and the performance impact of the §6 reset mechanism.
+pub fn fig8(template: &SimConfig, runs: &Runs) -> Experiment {
+    let specs = fig8_specs(template);
     let profiles = specs[0].profiles.clone();
     let policies = specs[0].policies.clone();
-    let matrix = specs[0].run();
+    let matrix = specs[0].lookup(runs);
     let mut t = Table::with_headers(&[
         "high_priority_lines_per_set",
         "P(8):S&E  % of sets",
@@ -937,35 +960,33 @@ pub fn fig8(template: &SimConfig, with_reset: bool) -> Experiment {
             fixed(d1 * 100.0, 2),
         ]);
     }
-    let mut tables = vec![(
-        "per-set P=1 count distribution (avg over benchmarks)".to_string(),
-        t,
-    )];
-    if with_reset {
-        let reset_matrix = specs[1].run();
-        let mut rt = Table::with_headers(&["benchmark", "reset_speedup_vs_no_reset%"]);
-        for p in &profiles {
-            let (Some(no_reset), Some(with)) = (
-                matrix.get(p.name, &policies[1]),
-                reset_matrix.get(p.name, &policies[1]),
-            ) else {
-                rt.row(failed_row(p.name, 1));
-                continue;
-            };
-            rt.row(vec![
-                p.name.to_string(),
-                fixed(speedup_pct(no_reset.cycles as f64 / with.cycles as f64), 3),
-            ]);
-        }
-        tables.push(("§6 reset impact (P(8):S&E&R(1/32))".into(), rt));
-        tables.extend(failures_table(&[&matrix, &reset_matrix]));
-    } else {
-        tables.extend(failures_table(&[&matrix]));
+    let reset_matrix = specs[1].lookup(runs);
+    let mut rt = Table::with_headers(&["benchmark", "reset_speedup_vs_no_reset%"]);
+    for p in &profiles {
+        let (Some(no_reset), Some(with)) = (
+            matrix.get(p.name, &policies[1]),
+            reset_matrix.get(p.name, &policies[1]),
+        ) else {
+            rt.row(failed_row(p.name, 1));
+            continue;
+        };
+        rt.row(vec![
+            p.name.to_string(),
+            fixed(speedup_pct(no_reset.cycles as f64 / with.cycles as f64), 3),
+        ]);
     }
-    Experiment {
-        title: "Figure 8 — saturation of high-priority lines per set".into(),
+    let tables = vec![
+        (
+            "per-set P=1 count distribution (avg over benchmarks)".to_string(),
+            t,
+        ),
+        ("§6 reset impact (P(8):S&E&R(1/32))".into(), rt),
+    ];
+    Experiment::from_matrices(
+        "Figure 8 — saturation of high-priority lines per set",
         tables,
-    }
+        vec![matrix, reset_matrix],
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -994,11 +1015,11 @@ pub fn ideal_l2_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 
 /// §5.6 contextualization: speedup of an unrealizable zero-cycle-miss L2
 /// instruction cache, and EMISSARY's gain as a fraction of that bound.
-pub fn ideal_l2(template: &SimConfig) -> Experiment {
+pub fn ideal_l2(template: &SimConfig, runs: &Runs) -> Experiment {
     let specs = ideal_l2_specs(template);
     let profiles = specs[0].profiles.clone();
-    let matrix = specs[0].run();
-    let ideal_matrix = specs[1].run();
+    let matrix = specs[0].lookup(runs);
+    let ideal_matrix = specs[1].lookup(runs);
     let mut t = Table::with_headers(&[
         "benchmark",
         "ideal_speedup%",
@@ -1045,45 +1066,364 @@ pub fn ideal_l2(template: &SimConfig) -> Experiment {
         fixed_opt(g_emis, 2),
         fixed_opt(share, 1),
     ]);
-    let mut tables = vec![("speedups over the FDIP baseline".to_string(), t)];
-    tables.extend(failures_table(&[&matrix, &ideal_matrix]));
-    Experiment {
-        title: "§5.6 — EMISSARY vs the unrealizable zero-cycle-miss ideal L2".into(),
+    let tables = vec![("speedups over the FDIP baseline".to_string(), t)];
+    Experiment::from_matrices(
+        "§5.6 — EMISSARY vs the unrealizable zero-cycle-miss ideal L2",
         tables,
-    }
+        vec![matrix, ideal_matrix],
+    )
 }
 
 // ---------------------------------------------------------------------------
-// Campaign planning
+// Ablations
 // ---------------------------------------------------------------------------
 
-/// The full reproduction sweep's per-experiment specs, in execution order,
-/// keyed by experiment name — exactly the sweeps `all_experiments` runs
-/// (Figure 8 with its §6 reset sweep included).
-pub fn campaign_specs(template: &SimConfig) -> Vec<(&'static str, Vec<MatrixSpec>)> {
+/// The benchmarks the ablation study runs on.
+const ABLATION_BENCHES: [&str; 2] = ["verilator", "finagle-http"];
+
+/// The ablation rows, in order: a label and the config the preferred
+/// policy runs under. Covers the design choices DESIGN.md calls out:
+/// wrong-path fetch, FTQ depth, FDIP bandwidth, EMISSARY's recency flavor
+/// (dual tree-PLRU vs dual true-LRU, §4.2), and the §6 reset interval.
+fn ablation_variants(template: &SimConfig) -> Vec<(&'static str, SimConfig)> {
+    let emis = template.clone().with_policy(preferred());
+    let variant = |edit: &dyn Fn(&mut SimConfig)| {
+        let mut v = emis.clone();
+        edit(&mut v);
+        v
+    };
     vec![
-        ("fig1", fig1_specs(template)),
-        ("fig2", fig2_specs(template)),
-        ("fig3", fig3_specs(template)),
-        ("fig4", fig4_specs(template)),
-        ("table5", table5_specs(template)),
-        ("fig5", fig5_specs(template)),
-        ("fig6", fig6_specs(template)),
-        ("fig7", fig7_specs(template)),
-        ("fig8", fig8_specs(template, true)),
-        ("ideal_l2", ideal_l2_specs(template)),
+        // Reference: the preferred EMISSARY configuration as evaluated.
+        ("P(8):S&E&R(1/32) (default)", emis.clone()),
+        // Wrong-path fetch off: no pollution, no accidental prefetch.
+        (
+            "no wrong-path fetch",
+            variant(&|v| v.wrong_path_fetch = false),
+        ),
+        // FTQ depth: half and double the 24 x 192 default.
+        (
+            "FTQ 12x96 (half run-ahead)",
+            variant(&|v| {
+                v.core.ftq_entries = 12;
+                v.core.ftq_instrs = 96;
+            }),
+        ),
+        (
+            "FTQ 48x384 (double run-ahead)",
+            variant(&|v| {
+                v.core.ftq_entries = 48;
+                v.core.ftq_instrs = 384;
+            }),
+        ),
+        // FDIP prefetch bandwidth.
+        ("FDIP 1 line/cycle", variant(&|v| v.core.fdip_per_cycle = 1)),
+        (
+            "FDIP 4 lines/cycle",
+            variant(&|v| v.core.fdip_per_cycle = 4),
+        ),
+        // Recency flavor: exact dual LRU instead of dual tree-PLRU.
+        (
+            "dual true-LRU recency",
+            variant(&|v| v.recency = RecencyBase::TrueLru),
+        ),
+        // §6 reset at a quarter of the measurement window.
+        (
+            "P-bit reset every measure/4",
+            variant(&|v| v.priority_reset_interval = Some((template.measure_instrs / 4).max(1))),
+        ),
     ]
 }
 
-/// Every job the full reproduction sweep will request, in execution order,
-/// duplicates included. Built from the same spec functions the experiments
-/// execute through, so planned job fingerprints are exactly the executed
-/// ones — the campaign prefetch can never drift from the figures.
-pub fn campaign_jobs(template: &SimConfig) -> Vec<Job> {
-    campaign_specs(template)
+/// The sweeps the ablation study runs: per benchmark, the baseline and
+/// then the preferred policy under each [`ablation_variants`] config.
+pub fn ablations_specs(template: &SimConfig) -> Vec<MatrixSpec> {
+    let one = |bench: &str, template: SimConfig, policy: PolicySpec| MatrixSpec {
+        profiles: vec![Profile::by_name(bench).expect("ablation profile")],
+        template,
+        policies: vec![policy],
+    };
+    ABLATION_BENCHES
         .iter()
-        .flat_map(|(_, specs)| specs.iter().flat_map(|s| s.jobs()))
+        .flat_map(|bench| {
+            std::iter::once(one(bench, template.clone(), PolicySpec::BASELINE)).chain(
+                ablation_variants(template)
+                    .into_iter()
+                    .map(|(_, cfg)| one(bench, cfg, preferred())),
+            )
+        })
         .collect()
+}
+
+/// Ablations: each design choice's speedup over the TPLRU+FDIP baseline,
+/// L2 instruction MPKI, and starvation cycles.
+pub fn ablations(template: &SimConfig, runs: &Runs) -> Experiment {
+    let variants = ablation_variants(template);
+    let specs = ablations_specs(template);
+    let mut tables = Vec::new();
+    let mut matrices = Vec::new();
+    for (bench, bench_specs) in ABLATION_BENCHES
+        .iter()
+        .zip(specs.chunks(1 + variants.len()))
+    {
+        let baseline = bench_specs[0].lookup(runs);
+        let base_cycles = baseline.get(bench, &PolicySpec::BASELINE).map(|r| r.cycles);
+        let mut t = Table::with_headers(&[
+            "variant",
+            "speedup_vs_default%",
+            "l2i_mpki",
+            "starve_cycles",
+        ]);
+        matrices.push(baseline);
+        for ((label, _), spec) in variants.iter().zip(&bench_specs[1..]) {
+            let m = spec.lookup(runs);
+            match m.get(bench, &preferred()) {
+                Some(r) => t.row(vec![
+                    label.to_string(),
+                    fixed_opt(
+                        base_cycles.map(|b| speedup_pct(b as f64 / r.cycles as f64)),
+                        2,
+                    ),
+                    fixed(r.l2i_mpki, 2),
+                    r.starvation_cycles.to_string(),
+                ]),
+                None => t.row(failed_row(label, 3)),
+            }
+            matrices.push(m);
+        }
+        tables.push((format!("{bench} (speedups vs TPLRU+FDIP baseline)"), t));
+    }
+    Experiment::from_matrices("Ablations", tables, matrices)
+}
+
+// ---------------------------------------------------------------------------
+// Extensions
+// ---------------------------------------------------------------------------
+
+/// The extension study's policies, baseline first: the paper's
+/// related-work discussion (§7) made executable. `GHRP` is dead-block
+/// prediction alone (§7.2: "orthogonal to ours"); `+GHRP` is the suggested
+/// combination; `+BYPASS` is §2's rejected bypass variant; `LIN` and
+/// `LACS` are cost-aware *data* policies (§7.1), showing that data-side
+/// cost awareness does not transfer to instruction caching.
+fn extension_policies() -> Vec<PolicySpec> {
+    [
+        "M:1",
+        "GHRP",
+        "LIN",
+        "LACS",
+        "P(8):S&E&R(1/32)",
+        "P(8):S&E&R(1/32)+GHRP",
+        "P(8):S&E&R(1/32)+BYPASS",
+        "P(8):S&E",
+        "P(8):S&E+GHRP",
+    ]
+    .iter()
+    .map(|s| parse(s))
+    .collect()
+}
+
+/// The sweeps the extension study runs: every benchmark under
+/// [`extension_policies`].
+pub fn extensions_specs(template: &SimConfig) -> Vec<MatrixSpec> {
+    vec![MatrixSpec {
+        profiles: Profile::all(),
+        template: template.clone(),
+        policies: extension_policies(),
+    }]
+}
+
+/// Extensions: speedup of each §7 combination over the TPLRU+FDIP
+/// baseline, per benchmark plus geomean.
+pub fn extensions(template: &SimConfig, runs: &Runs) -> Experiment {
+    let specs = extensions_specs(template);
+    let spec = &specs[0];
+    let policies = &spec.policies;
+    let matrix = spec.lookup(runs);
+    let mut headers = vec!["benchmark".to_string()];
+    headers.extend(policies[1..].iter().map(|p| p.to_string()));
+    let mut t = Table::new(headers);
+    let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); policies.len() - 1];
+    for p in &spec.profiles {
+        let base = matrix.get(p.name, &policies[0]);
+        let mut row = vec![p.name.to_string()];
+        for (i, pol) in policies[1..].iter().enumerate() {
+            match (base, matrix.get(p.name, pol)) {
+                (Some(base), Some(r)) => {
+                    let ratio = base.cycles as f64 / r.cycles as f64;
+                    ratios[i].push(ratio);
+                    row.push(fixed(speedup_pct(ratio), 2));
+                }
+                _ => row.push(FAILED.to_string()),
+            }
+        }
+        t.row(row);
+    }
+    // Geomeans cover the benchmarks where both runs completed.
+    let mut row = vec!["geomean".to_string()];
+    row.extend(
+        ratios
+            .iter()
+            .map(|r| fixed_opt(geomean(r).map(speedup_pct), 2)),
+    );
+    t.row(row);
+    Experiment::from_matrices(
+        "Extensions — §7 related-work combinations (speedup % vs TPLRU+FDIP)",
+        vec![("speedups".into(), t)],
+        vec![matrix],
+    )
+}
+
+// ---------------------------------------------------------------------------
+// L2 capacity sweep
+// ---------------------------------------------------------------------------
+
+/// The benchmarks and L2 sizes (KB) the capacity sweep covers.
+const L2_SWEEP_BENCHES: [&str; 2] = ["verilator", "tomcat"];
+const L2_SWEEP_KB: [u64; 5] = [256, 512, 1024, 2048, 4096];
+
+/// The sweeps the L2 capacity study runs: per benchmark and L2 size, the
+/// baseline and the preferred policy. The exclusive L3 stays at twice the
+/// L2, as in the default model.
+pub fn l2_sweep_specs(template: &SimConfig) -> Vec<MatrixSpec> {
+    L2_SWEEP_BENCHES
+        .iter()
+        .flat_map(|bench| {
+            L2_SWEEP_KB.iter().map(move |&l2_kb| {
+                let mut cfg = template.clone();
+                cfg.hierarchy.l2 = CacheConfig::new("l2", l2_kb * 1024, 16, 12);
+                cfg.hierarchy.l3 = CacheConfig::new("l3", 2 * l2_kb * 1024, 16, 32);
+                MatrixSpec {
+                    profiles: vec![Profile::by_name(bench).expect("l2 sweep profile")],
+                    template: cfg,
+                    policies: vec![PolicySpec::BASELINE, preferred()],
+                }
+            })
+        })
+        .collect()
+}
+
+/// The paper's premise made measurable: §5.3 picks workloads whose code
+/// "do[es] not easily fit into the larger L2 caches", and §5.5 says
+/// EMISSARY matters "in a scenario where L2 capacity is limited". Baseline
+/// IPC and L2 instruction MPKI, and EMISSARY's speedup, as the L2 grows
+/// from 256 KB to 4 MB: the gain should shrink as the footprint fits.
+pub fn l2_sweep(template: &SimConfig, runs: &Runs) -> Experiment {
+    let specs = l2_sweep_specs(template);
+    let mut tables = Vec::new();
+    let mut matrices = Vec::new();
+    for (bench, bench_specs) in L2_SWEEP_BENCHES.iter().zip(specs.chunks(L2_SWEEP_KB.len())) {
+        let mut t = Table::with_headers(&[
+            "l2_kb",
+            "baseline_ipc",
+            "baseline_l2i_mpki",
+            "emissary_speedup%",
+            "emissary_l2i_mpki",
+        ]);
+        for (l2_kb, spec) in L2_SWEEP_KB.iter().zip(bench_specs) {
+            let m = spec.lookup(runs);
+            match (
+                m.get(bench, &PolicySpec::BASELINE),
+                m.get(bench, &preferred()),
+            ) {
+                (Some(base), Some(emis)) => t.row(vec![
+                    l2_kb.to_string(),
+                    fixed(base.ipc(), 3),
+                    fixed(base.l2i_mpki, 2),
+                    fixed(speedup_pct(base.cycles as f64 / emis.cycles as f64), 2),
+                    fixed(emis.l2i_mpki, 2),
+                ]),
+                _ => t.row(failed_row(&l2_kb.to_string(), 4)),
+            }
+            matrices.push(m);
+        }
+        tables.push((bench.to_string(), t));
+    }
+    Experiment::from_matrices(
+        "L2 capacity sweep — EMISSARY gain vs cache pressure",
+        tables,
+        matrices,
+    )
+}
+
+// ---------------------------------------------------------------------------
+// The experiment table
+// ---------------------------------------------------------------------------
+
+/// One experiment: its name (also its results file, `results/<name>.jsonl`),
+/// its plan, and its render.
+#[derive(Debug, Clone, Copy)]
+pub struct Entry {
+    /// The experiment's name.
+    pub name: &'static str,
+    /// The sweeps the experiment needs under a config template.
+    pub plan: fn(&SimConfig) -> Vec<MatrixSpec>,
+    /// The experiment's tables, rendered from runs that cover its plan.
+    pub render: fn(&SimConfig, &Runs) -> Experiment,
+}
+
+const fn entry(
+    name: &'static str,
+    plan: fn(&SimConfig) -> Vec<MatrixSpec>,
+    render: fn(&SimConfig, &Runs) -> Experiment,
+) -> Entry {
+    Entry { name, plan, render }
+}
+
+/// How many leading [`EXPERIMENTS`] entries form the default sweep: the
+/// paper's ten figures and tables.
+pub const PAPER_EXPERIMENTS: usize = 10;
+
+/// Every experiment, in sweep order. The first [`PAPER_EXPERIMENTS`] are
+/// the paper's figures and tables and run by default; the rest run only
+/// when named.
+pub const EXPERIMENTS: [Entry; 13] = [
+    entry("fig1", fig1_specs, fig1),
+    entry("fig2", fig2_specs, fig2),
+    entry("fig3", fig3_specs, fig3),
+    entry("fig4", fig4_specs, fig4),
+    entry("table5", table5_specs, table5),
+    entry("fig5", fig5_specs, fig5),
+    entry("fig6", fig6_specs, fig6),
+    entry("fig7", fig7_specs, fig7),
+    entry("fig8", fig8_specs, fig8),
+    entry("ideal_l2", ideal_l2_specs, ideal_l2),
+    entry("ablations", ablations_specs, ablations),
+    entry("extensions", extensions_specs, extensions),
+    entry("l2_sweep", l2_sweep_specs, l2_sweep),
+];
+
+/// The entries `names` selects, in the order given; no names selects the
+/// paper's ten. `Err` carries the first unknown name.
+pub fn select(names: &[String]) -> Result<Vec<Entry>, String> {
+    if names.is_empty() {
+        return Ok(EXPERIMENTS[..PAPER_EXPERIMENTS].to_vec());
+    }
+    names
+        .iter()
+        .map(|n| {
+            EXPERIMENTS
+                .iter()
+                .find(|e| e.name == n)
+                .copied()
+                .ok_or_else(|| n.clone())
+        })
+        .collect()
+}
+
+/// Every job `entries` request under `template`, in order, duplicates
+/// included: the plan a campaign prefetches.
+pub fn plan_jobs(entries: &[Entry], template: &SimConfig) -> Vec<Job> {
+    entries
+        .iter()
+        .flat_map(|e| (e.plan)(template))
+        .flat_map(|spec| spec.jobs())
+        .collect()
+}
+
+/// Every job the default sweep (the paper's ten experiments) requests, in
+/// order, duplicates included.
+pub fn campaign_jobs(template: &SimConfig) -> Vec<Job> {
+    plan_jobs(&EXPERIMENTS[..PAPER_EXPERIMENTS], template)
 }
 
 #[cfg(test)]
@@ -1112,86 +1452,142 @@ mod tests {
 
     #[test]
     fn experiment_renders_tables() {
-        let e = Experiment {
-            title: "T".into(),
-            tables: vec![("c".into(), Table::with_headers(&["a"]))],
-        };
+        let e = Experiment::new("T".into(), vec![("c".into(), Table::with_headers(&["a"]))]);
         let s = e.render();
         assert!(s.contains("# T"));
         assert!(s.contains("## c"));
         assert!(s.contains("TSV:"));
     }
 
-    #[test]
-    fn campaign_plan_overlaps_across_figures() {
-        let template = SimConfig {
+    fn tiny_template() -> SimConfig {
+        SimConfig {
             warmup_instrs: 1_000,
             measure_instrs: 4_000,
             ..SimConfig::default()
+        }
+    }
+
+    fn fingerprints(jobs: &[Job]) -> Vec<String> {
+        jobs.iter().map(crate::checkpoint::fingerprint).collect()
+    }
+
+    #[test]
+    fn campaign_plan_overlaps_across_figures() {
+        let template = tiny_template();
+        let fp_of = |specs: Vec<MatrixSpec>| -> Vec<String> {
+            fingerprints(&specs.iter().flat_map(|s| s.jobs()).collect::<Vec<_>>())
         };
-        let jobs = campaign_jobs(&template);
-        let unique: std::collections::HashSet<String> =
-            jobs.iter().map(crate::checkpoint::fingerprint).collect();
-        assert!(!jobs.is_empty());
         // Figures 2–4 share the all-benchmarks baseline sweep, and Table 5
         // and Figure 7 request it again — the plan must contain real
         // overlap for campaign dedup to collapse.
-        assert!(
-            unique.len() < jobs.len(),
-            "no overlap: {} unique of {}",
-            unique.len(),
-            jobs.len()
-        );
-        let fp_of = |specs: Vec<MatrixSpec>| -> Vec<String> {
-            specs
-                .iter()
-                .flat_map(|s| s.jobs())
-                .map(|j| crate::checkpoint::fingerprint(&j))
-                .collect()
-        };
         assert_eq!(fp_of(fig2_specs(&template)), fp_of(fig3_specs(&template)));
         assert_eq!(fp_of(fig3_specs(&template)), fp_of(fig4_specs(&template)));
-        // The reset sweep is part of the plan only when Figure 8 runs it.
-        assert!(
-            fp_of(fig8_specs(&template, true)).len() > fp_of(fig8_specs(&template, false)).len()
+        // Figure 8 always plans its §6 reset sweep next to the two P(8)
+        // variants.
+        assert_eq!(fp_of(fig8_specs(&template)).len(), 3 * Profile::all().len());
+    }
+
+    #[test]
+    fn default_plan_is_the_ten_paper_experiments_in_order() {
+        let template = tiny_template();
+        let names: Vec<&str> = select(&[]).unwrap().iter().map(|e| e.name).collect();
+        assert_eq!(
+            names,
+            [
+                "fig1", "fig2", "fig3", "fig4", "table5", "fig5", "fig6", "fig7", "fig8",
+                "ideal_l2"
+            ]
         );
+        let joined: Vec<Job> = names
+            .iter()
+            .flat_map(|n| {
+                let entry = EXPERIMENTS.iter().find(|e| e.name == *n).unwrap();
+                (entry.plan)(&template)
+            })
+            .flat_map(|spec| spec.jobs())
+            .collect();
+        let jobs = campaign_jobs(&template);
+        assert_eq!(fingerprints(&jobs), fingerprints(&joined));
+        let unique: std::collections::HashSet<String> = fingerprints(&jobs).into_iter().collect();
+        assert_eq!((jobs.len(), unique.len()), (1679, 1198));
+    }
+
+    #[test]
+    fn select_names_entries_in_order_and_rejects_unknown_names() {
+        let names = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        let picked = select(&names(&["l2_sweep", "fig8"])).unwrap();
+        assert_eq!(
+            picked.iter().map(|e| e.name).collect::<Vec<_>>(),
+            ["l2_sweep", "fig8"]
+        );
+        assert_eq!(select(&names(&["fig1", "fig9"])).unwrap_err(), "fig9");
+    }
+
+    /// One tiny real run, cloned as the completed outcome of every job.
+    fn runs_for(jobs: &[Job], run: &SimRun) -> Runs {
+        let outcomes = jobs
+            .iter()
+            .map(|_| JobOutcome::Completed {
+                run: Box::new(run.clone()),
+                resumed: false,
+                attempts: 1,
+            })
+            .collect();
+        Runs::from_outcomes(jobs, outcomes)
+    }
+
+    #[test]
+    fn every_entry_renders_from_exactly_its_plan() {
+        let template = tiny_template();
+        let run = Job::new(
+            Profile::by_name("xapian").unwrap(),
+            &template,
+            PolicySpec::BASELINE,
+        )
+        .run_checked_metered(&emissary_sim::FaultConfig::none(), None, "main")
+        .unwrap();
+        for entry in EXPERIMENTS {
+            let jobs = plan_jobs(&[entry], &template);
+            let exp = (entry.render)(&template, &runs_for(&jobs, &run));
+            assert!(!exp.tables.is_empty(), "{} rendered no table", entry.name);
+            assert!(exp.failures.is_empty(), "{}", entry.name);
+            // Every planned job is read exactly once: its run lands in the
+            // experiment's results file.
+            assert_eq!(exp.runs.len(), jobs.len(), "{}", entry.name);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "planner bug")]
+    fn a_lookup_outside_the_plan_panics() {
+        let template = tiny_template();
+        let _ = fig1(&template, &Runs::default());
     }
 
     #[test]
     fn matrix_records_failures_without_dropping_successes() {
-        let template = SimConfig {
-            warmup_instrs: 1_000,
-            measure_instrs: 4_000,
-            ..SimConfig::default()
+        let spec = MatrixSpec {
+            profiles: vec![Profile::by_name("xapian").unwrap()],
+            template: tiny_template(),
+            policies: vec![PolicySpec::BASELINE, preferred()],
         };
-        let profile = Profile::by_name("xapian").unwrap();
-        let good = Job::new(profile.clone(), &template, PolicySpec::BASELINE);
-        let mut bad = Job::new(profile.clone(), &template, preferred());
-        bad.inject = Some(FaultInjection::Panic);
-        let mut matrix = Matrix::default();
-        for outcome in crate::pool::run_parallel_outcomes_with(
-            &[good, bad],
+        let mut jobs = spec.jobs();
+        jobs[1].inject = Some(FaultInjection::Panic);
+        let outcomes = crate::pool::run_parallel_outcomes_with(
+            &jobs,
             &crate::PoolOptions::with_workers(2),
             None,
-        ) {
-            match outcome {
-                JobOutcome::Completed { run, .. } => {
-                    matrix.reports.insert(
-                        (run.report.benchmark.clone(), run.report.policy.clone()),
-                        run.report,
-                    );
-                }
-                failed => matrix
-                    .failures
-                    .extend(results::JobFailure::from_outcome(&failed)),
-            }
-        }
+        );
+        let matrix = spec.lookup(&Runs::from_outcomes(&jobs, outcomes));
         assert!(matrix.get("xapian", &PolicySpec::BASELINE).is_some());
         assert!(matrix.get("xapian", &preferred()).is_none());
         assert_eq!(matrix.failures().len(), 1);
         assert_eq!(matrix.failures()[0].status, "panicked");
-        let (caption, table) = failures_table(&[&matrix]).expect("one failure");
+        let exp = Experiment::from_matrices("t", Vec::new(), vec![matrix]);
+        let (caption, table) = &exp.tables[0];
         assert!(caption.contains("failed jobs"));
         assert_eq!(table.rows().len(), 1);
+        assert_eq!(exp.runs.len(), 1);
+        assert_eq!(exp.failures.len(), 1);
     }
 }

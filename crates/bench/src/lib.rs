@@ -1,13 +1,15 @@
 //! Experiment harness regenerating every table and figure in the paper's
 //! evaluation (§5–§6). See DESIGN.md's per-experiment index.
 //!
-//! Each `fig*`/`table5`/`ideal_l2` binary in `src/bin/` prints the same
-//! rows/series the paper reports, as an aligned text table plus TSV. Run
-//! lengths, parallelism, observability and fault tolerance are tuned
-//! through `EMISSARY_*` environment variables, all parsed once by
+//! Every experiment is a plan plus a pure render ([`experiments`]), and
+//! `all_experiments [NAME…]` runs them all one way: it plans the selected
+//! experiments, prefetches their deduplicated union once ([`campaign`]),
+//! and renders each table from those runs as an aligned text table plus
+//! TSV. Run lengths, parallelism, observability and fault tolerance are
+//! tuned through `EMISSARY_*` environment variables, all parsed once by
 //! [`scale`] (the knob table; README "Environment variables" documents
-//! each one). A malformed value stops any binary
-//! with exit status 2 before it touches a checkpoint.
+//! each one). A malformed value stops any binary with exit status 2
+//! before it touches a checkpoint.
 
 pub mod append_log;
 pub mod campaign;
@@ -19,7 +21,7 @@ pub mod pool;
 pub mod results;
 pub mod scale;
 
-pub use pool::{run_parallel_outcomes, JobOutcome, PoolOptions};
+pub use pool::{JobOutcome, PoolOptions};
 
 use emissary_core::spec::PolicySpec;
 use emissary_obs::{JsonlSink, MetricsRegistry, Tracer};
@@ -71,27 +73,16 @@ impl Job {
         }
     }
 
-    /// Runs the job.
+    /// Runs the job with no fault detection and no metrics.
     ///
     /// # Panics
     ///
     /// Panics if the simulation aborts (it cannot with fault detection
     /// disabled, as here).
     pub fn run(&self) -> SimReport {
-        self.run_observed().report
-    }
-
-    /// Runs the job with observability from the environment and no fault
-    /// detection. With neither observability variable set this is exactly
-    /// [`Job::run`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the simulation aborts (it cannot with fault detection
-    /// disabled, as here).
-    pub fn run_observed(&self) -> SimRun {
-        self.run_checked(&FaultConfig::none())
+        self.run_checked_metered(&FaultConfig::none(), None, "main")
             .expect("FaultConfig::none() disables every abort path")
+            .report
     }
 
     /// Runs the job under a fault detector, with observability configured
@@ -102,16 +93,11 @@ impl Job {
     /// [`checkpoint::config_hash`]), so re-running a campaign overwrites
     /// each job's trace file in place instead of minting a fresh sequence
     /// number per process.
-    pub fn run_checked(&self, fault: &FaultConfig) -> Result<SimRun, SimAbort> {
-        self.run_checked_metered(fault, None, "main")
-    }
-
-    /// [`Job::run_checked`] with per-stage span attribution: program
-    /// build, warmup, and measurement host time land in `registry`'s
-    /// `emissary_stage_ns_total` series under the given `worker` label
-    /// (the pool passes each worker's index), next to the run's
-    /// end-of-run counters. With `None` this is exactly
-    /// [`Job::run_checked`].
+    ///
+    /// Program build, warmup, and measurement host time land in
+    /// `registry`'s `emissary_stage_ns_total` series under the given
+    /// `worker` label (the pool passes each worker's index), next to the
+    /// run's end-of-run counters. `None` records no metrics.
     pub fn run_checked_metered(
         &self,
         fault: &FaultConfig,
@@ -148,7 +134,7 @@ impl Job {
                     }
                     Err(e) => {
                         // Degrade to an untraced run, but leave a record
-                        // in the experiment's results file.
+                        // in the campaign's results file.
                         results::log_trace_error(
                             self.profile.name,
                             &self.config.l2_policy.to_string(),
@@ -286,7 +272,9 @@ mod tests {
                 PolicySpec::BASELINE,
             )
         };
-        let caught = std::panic::catch_unwind(|| job.run_checked(&FaultConfig::none()));
+        let caught = std::panic::catch_unwind(|| {
+            job.run_checked_metered(&FaultConfig::none(), None, "main")
+        });
         let payload = caught.expect_err("injection must panic");
         let msg = payload.downcast_ref::<String>().expect("string payload");
         assert!(msg.contains("xapian/M:1"), "payload was {msg:?}");

@@ -27,7 +27,7 @@ use emissary_obs::MetricsRegistry;
 
 use crate::chaos::{self, FaultPlan};
 use crate::checkpoint::{self, fingerprint, Campaign};
-use crate::{metrics, results, scale, Job};
+use crate::{metrics, scale, Job};
 
 /// Default backoff unit between retry attempts (overridable via
 /// `EMISSARY_RETRY_BACKOFF_MS`): attempt `n` sleeps roughly `n × 25 ms`
@@ -242,14 +242,6 @@ impl PoolOptions {
     }
 }
 
-/// Runs all jobs with options and the active global campaign from the
-/// environment, returning one outcome per job (never panicking on job
-/// failure).
-pub fn run_parallel_outcomes(jobs: &[Job]) -> Vec<JobOutcome> {
-    let campaign = checkpoint::global();
-    run_parallel_outcomes_with(jobs, &PoolOptions::from_env(), campaign.as_ref())
-}
-
 /// Runs all jobs on `opts.workers` threads under fault isolation:
 ///
 /// 1. jobs whose fingerprint is completed in `campaign` are replayed from
@@ -363,10 +355,9 @@ pub fn run_parallel_outcomes_hooked(
 ///
 /// Panicked and retryable-aborted attempts (see [`SimAbort::retryable`])
 /// are retried up to `opts.retries` times with deterministic backoff;
-/// each failed-but-retried attempt is recorded to the checkpoint and the
-/// results JSONL before the next attempt, so the attempt history survives
-/// even when the job eventually completes. Only the final outcome counts
-/// toward the process-wide simulated/failed counters.
+/// each failed-but-retried attempt is recorded to the checkpoint before
+/// the next attempt, so the attempt history survives there even when the
+/// job eventually completes. The returned outcome is the final one.
 fn run_job(
     job: &Job,
     opts: &PoolOptions,
@@ -376,7 +367,6 @@ fn run_job(
 ) -> JobOutcome {
     let fp = fingerprint(job);
     if let Some(run) = campaign.and_then(|c| c.cached(&fp)) {
-        checkpoint::note_replayed();
         return JobOutcome::Completed {
             run: Box::new(run),
             resumed: true,
@@ -436,7 +426,6 @@ fn run_job(
             if !retryable || attempt >= max_attempts {
                 break outcome;
             }
-            results::log_retried_failure(&outcome);
             if let Some(c) = campaign {
                 let t0 = Instant::now();
                 c.record(&fp, &outcome);
@@ -456,10 +445,6 @@ fn run_job(
             attempt += 1;
         }
     };
-    match &outcome {
-        JobOutcome::Completed { .. } => checkpoint::note_simulated(),
-        _ => checkpoint::note_failed(),
-    }
     if let Some(c) = campaign {
         let t0 = Instant::now();
         c.record(&fp, &outcome);

@@ -1,27 +1,29 @@
-//! Structured JSONL results emission shared by the experiment binaries.
+//! Structured JSONL results emission shared by the experiment harness.
 //!
-//! Every binary renders its tables to stdout (unchanged) and, through
-//! [`emit`], additionally writes `results/<name>.jsonl` containing:
+//! Every experiment renders its tables to stdout and, through [`emit`],
+//! additionally writes `results/<name>.jsonl` containing:
 //!
 //! * one `meta` record — experiment name, title, run lengths, sampling
 //!   interval;
-//! * one `report` record per simulation (the full [`SimReport`]);
+//! * one `report` record per simulation the experiment drew on (the full
+//!   [`SimReport`](emissary_sim::SimReport));
 //! * one `sample` record per interval sample (when
 //!   `EMISSARY_SAMPLE_INTERVAL` is set);
-//! * one `trace_error` record per event-trace sink that failed to open
-//!   (the affected run proceeded untraced);
-//! * one `job_failure` record per job that panicked, aborted, or was
-//!   rejected by config validation (see [`crate::pool::JobOutcome`]);
+//! * one `job_failure` record per job of the experiment whose final
+//!   outcome was a panic, abort, or config rejection (see
+//!   [`crate::pool::JobOutcome`]);
 //! * one `table_row` record per rendered table row, keyed by column
 //!   header — these carry exactly the values printed in the `.txt`
 //!   tables, so downstream tooling never has to re-derive or re-parse
 //!   the text output.
 //!
-//! Simulations executed through [`crate::experiments::run_matrix`] are
-//! collected automatically; binaries that drive [`crate::Job`] directly
-//! call [`log_run`] themselves. The log is process-global and drained by
-//! each [`emit`]/[`write_experiment`], matching the
-//! one-experiment-at-a-time structure of the binaries.
+//! The runs and failures travel with the [`Experiment`] itself. Faults
+//! that belong to the whole campaign rather than to one experiment go to
+//! `results/campaign.jsonl` once, after the prefetch
+//! ([`write_campaign_faults`]): one `trace_error` record per event-trace
+//! sink that failed (the affected run proceeded untraced) and one
+//! `ckpt_error` record per checkpoint I/O failure. The retry history of a
+//! job stays in the checkpoint, one record per attempt.
 
 use std::fs;
 use std::io::{self, BufWriter, Write};
@@ -31,18 +33,17 @@ use std::sync::Mutex;
 use emissary_obs::JsonObject;
 use emissary_sim::SimRun;
 
+use crate::checkpoint::UNIFIED_CAMPAIGN;
 use crate::experiments::Experiment;
 use crate::{metrics, scale};
 
 use crate::chaos::lock_unpoisoned;
 
-static RUN_LOG: Mutex<Vec<SimRun>> = Mutex::new(Vec::new());
 static TRACE_ERRORS: Mutex<Vec<TraceError>> = Mutex::new(Vec::new());
-static FAILURES: Mutex<Vec<JobFailure>> = Mutex::new(Vec::new());
 static CKPT_ERRORS: Mutex<Vec<CkptError>> = Mutex::new(Vec::new());
 
 /// A failed attempt to open a per-job event-trace sink: the run proceeded
-/// untraced, and the experiment's results file records the degradation.
+/// untraced, and the campaign's results file records the degradation.
 #[derive(Debug, Clone)]
 pub struct TraceError {
     /// Benchmark name.
@@ -55,11 +56,9 @@ pub struct TraceError {
     pub error: String,
 }
 
-/// A job attempt that did not complete (panicked, aborted, rejected, or
-/// interrupted), rendered as a `job_failure` record in the experiment's
-/// results file. With bounded retry active a job can contribute several
-/// records: each retried attempt (with `retried: true` and its attempt
-/// number) plus the final one — the full attempt history, in order.
+/// A job whose final outcome did not complete (panicked, aborted,
+/// rejected, or interrupted), rendered as a `job_failure` record in the
+/// experiment's results file.
 #[derive(Debug, Clone)]
 pub struct JobFailure {
     /// Benchmark name.
@@ -71,15 +70,13 @@ pub struct JobFailure {
     pub status: String,
     /// Human-readable failure description.
     pub detail: String,
-    /// Which attempt failed (1-based).
+    /// Which attempt failed last (1-based).
     pub attempt: u32,
-    /// Whether the pool retried the job after this failure.
-    pub retried: bool,
 }
 
 /// A checkpoint I/O failure the campaign degraded around (memo-only
 /// mode, quarantine trouble, failed rotation), rendered as a
-/// `ckpt_error` record in the experiment's results file.
+/// `ckpt_error` record in the campaign's results file.
 #[derive(Debug, Clone)]
 pub struct CkptError {
     /// The checkpoint (or quarantine) path involved.
@@ -89,11 +86,6 @@ pub struct CkptError {
     pub op: String,
     /// The I/O error message.
     pub error: String,
-}
-
-/// Appends one run to the process-global run log.
-pub fn log_run(run: &SimRun) {
-    lock_unpoisoned(&RUN_LOG).push(run.clone());
 }
 
 /// Records a failed trace-sink open (or a sink that degraded mid-run).
@@ -128,46 +120,13 @@ impl JobFailure {
             status: outcome.status().to_string(),
             detail: outcome.describe(),
             attempt: outcome.attempts(),
-            retried: false,
         })
     }
-}
-
-/// Records a failed job outcome (completed outcomes are ignored).
-pub fn log_failure(outcome: &crate::pool::JobOutcome) {
-    if let Some(f) = JobFailure::from_outcome(outcome) {
-        lock_unpoisoned(&FAILURES).push(f);
-    }
-}
-
-/// Records a failed attempt that the pool is about to retry, so the
-/// attempt history stays visible in the results JSONL even when the job
-/// eventually completes.
-pub fn log_retried_failure(outcome: &crate::pool::JobOutcome) {
-    if let Some(mut f) = JobFailure::from_outcome(outcome) {
-        f.retried = true;
-        lock_unpoisoned(&FAILURES).push(f);
-    }
-}
-
-/// Appends runs to the process-global run log (in the given order).
-pub fn log_runs(runs: &[SimRun]) {
-    lock_unpoisoned(&RUN_LOG).extend_from_slice(runs);
-}
-
-/// Drains the process-global run log.
-pub fn take_logged_runs() -> Vec<SimRun> {
-    std::mem::take(&mut *lock_unpoisoned(&RUN_LOG))
 }
 
 /// Drains the process-global trace-error log.
 pub fn take_trace_errors() -> Vec<TraceError> {
     std::mem::take(&mut *lock_unpoisoned(&TRACE_ERRORS))
-}
-
-/// Drains the process-global job-failure log.
-pub fn take_failures() -> Vec<JobFailure> {
-    std::mem::take(&mut *lock_unpoisoned(&FAILURES))
 }
 
 /// Drains the process-global checkpoint-error log.
@@ -212,41 +171,55 @@ fn host_aggregates(runs: &[SimRun]) -> (f64, f64) {
 
 /// Renders `exp` to stdout and writes `results/<name>.jsonl`
 /// (reporting the outcome on stderr). The standard tail of every
-/// experiment binary. The host-throughput footer goes to stderr with
+/// experiment. The host-throughput footer goes to stderr with
 /// the other diagnostics: stdout carries only deterministic simulation
 /// output, so byte-comparing it across runs stays a valid check.
 pub fn emit(name: &str, exp: &Experiment) {
     metrics::time_stage("main", "render", || {
         print!("{}", exp.render());
-        if let Some(footer) = throughput_footer(&lock_unpoisoned(&RUN_LOG)) {
+        if let Some(footer) = throughput_footer(&exp.runs) {
             eprintln!("{footer}");
         }
-        match write_experiment(name, exp) {
-            Ok(path) => eprintln!("results: wrote {}", path.display()),
-            Err(e) => eprintln!("results: failed to write {name}.jsonl: {e}"),
-        }
+        report_written(name, write_experiment(name, exp));
     });
 }
 
-/// Writes `results/<name>.jsonl` for `exp`, consuming the logged runs.
+/// Reports a results-file write on stderr.
+fn report_written(name: &str, written: io::Result<PathBuf>) {
+    match written {
+        Ok(path) => eprintln!("results: wrote {}", path.display()),
+        Err(e) => eprintln!("results: failed to write {name}.jsonl: {e}"),
+    }
+}
+
+/// Writes `results/<name>.jsonl` for `exp`: its runs, failures and rows.
 pub fn write_experiment(name: &str, exp: &Experiment) -> io::Result<PathBuf> {
-    let runs = take_logged_runs();
+    write_file(name, |out| write_records(out, name, exp, &[], &[]))
+}
+
+/// Writes `results/campaign.jsonl`: a meta record plus every `trace_error`
+/// and `ckpt_error` logged so far, draining both logs, and reports the
+/// write on stderr. Call it once, after the prefetch; nothing goes to
+/// stdout.
+pub fn write_campaign_faults() {
+    let exp = Experiment::new("Campaign-wide faults".into(), Vec::new());
+    let (trace_errors, ckpt_errors) = (take_trace_errors(), take_ckpt_errors());
+    let written = write_file(UNIFIED_CAMPAIGN, |out| {
+        write_records(out, UNIFIED_CAMPAIGN, &exp, &trace_errors, &ckpt_errors)
+    });
+    report_written(UNIFIED_CAMPAIGN, written);
+}
+
+/// Creates `results/<name>.jsonl` and fills it with `write`.
+fn write_file(
+    name: &str,
+    write: impl FnOnce(&mut BufWriter<fs::File>) -> io::Result<()>,
+) -> io::Result<PathBuf> {
     let dir = Path::new("results");
     fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.jsonl"));
-    let trace_errors = take_trace_errors();
-    let failures = take_failures();
-    let ckpt_errors = take_ckpt_errors();
     let mut out = BufWriter::new(fs::File::create(&path)?);
-    write_records(
-        &mut out,
-        name,
-        exp,
-        &runs,
-        &trace_errors,
-        &failures,
-        &ckpt_errors,
-    )?;
+    write(&mut out)?;
     out.flush()?;
     Ok(path)
 }
@@ -257,11 +230,10 @@ pub fn write_records(
     out: &mut impl Write,
     name: &str,
     exp: &Experiment,
-    runs: &[SimRun],
     trace_errors: &[TraceError],
-    failures: &[JobFailure],
     ckpt_errors: &[CkptError],
 ) -> io::Result<()> {
+    let runs = &exp.runs;
     let (host_seconds, host_mips) = host_aggregates(runs);
     let mut meta = JsonObject::new();
     meta.field_str("record", "meta")
@@ -304,15 +276,14 @@ pub fn write_records(
             .field_str("error", &te.error);
         writeln!(out, "{}", obj.finish())?;
     }
-    for f in failures {
+    for f in &exp.failures {
         let mut obj = JsonObject::new();
         obj.field_str("record", "job_failure")
             .field_str("benchmark", &f.benchmark)
             .field_str("policy", &f.policy)
             .field_str("status", &f.status)
             .field_str("detail", &f.detail)
-            .field_u64("attempt", u64::from(f.attempt))
-            .field_bool("retried", f.retried);
+            .field_u64("attempt", u64::from(f.attempt));
         writeln!(out, "{}", obj.finish())?;
     }
     for ce in ckpt_errors {
@@ -341,7 +312,7 @@ pub fn write_records(
 mod tests {
     use super::*;
     use emissary_core::spec::PolicySpec;
-    use emissary_sim::SimConfig;
+    use emissary_sim::{FaultConfig, SimConfig};
     use emissary_stats::table::Table;
     use emissary_workloads::Profile;
 
@@ -350,42 +321,32 @@ mod tests {
             warmup_instrs: 1_000,
             measure_instrs: 4_000,
             ..SimConfig::default()
-        }
-        .with_policy(PolicySpec::BASELINE);
-        let job = crate::Job {
-            profile: Profile::by_name("xapian").unwrap(),
-            config: cfg,
-            inject: None,
         };
-        job.run_observed()
+        crate::Job::new(
+            Profile::by_name("xapian").unwrap(),
+            &cfg,
+            PolicySpec::BASELINE,
+        )
+        .run_checked_metered(&FaultConfig::none(), None, "main")
+        .unwrap()
     }
 
     #[test]
     fn records_cover_meta_reports_and_table_rows() {
         let mut t = Table::with_headers(&["benchmark", "speedup"]);
         t.row(vec!["xapian".into(), "1.25%".into()]);
-        let exp = Experiment {
-            title: "Test experiment".into(),
-            tables: vec![("caption".into(), t)],
-        };
         let run = tiny_run();
+        let mut exp = Experiment::new("Test experiment".into(), vec![("caption".into(), t)]);
+        exp.runs.push(run.clone());
         let mut buf = Vec::new();
-        write_records(
-            &mut buf,
-            "test_exp",
-            &exp,
-            std::slice::from_ref(&run),
-            &[],
-            &[],
-            &[],
-        )
-        .unwrap();
+        write_records(&mut buf, "test_exp", &exp, &[], &[]).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         // meta + 1 report (no samples without the env var) + 1 table row.
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("\"record\":\"meta\""));
         assert!(lines[0].contains("\"experiment\":\"test_exp\""));
+        assert!(lines[0].contains("\"runs\":1"));
         assert!(lines[1].contains("\"record\":\"report\""));
         assert!(lines[1].contains(&format!("\"cycles\":{}", run.report.cycles)));
         assert!(lines[2].contains("\"record\":\"table_row\""));
@@ -397,23 +358,19 @@ mod tests {
 
     #[test]
     fn failure_and_trace_error_records_are_emitted() {
-        let exp = Experiment {
-            title: "Failure test".into(),
-            tables: Vec::new(),
-        };
-        let trace_errors = vec![TraceError {
-            benchmark: "xapian".into(),
-            policy: "M:1".into(),
-            path: "traces/x.jsonl".into(),
-            error: "permission denied".into(),
-        }];
-        let failures = vec![JobFailure {
+        let mut exp = Experiment::new("Failure test".into(), Vec::new());
+        exp.failures.push(JobFailure {
             benchmark: "verilator".into(),
             policy: "P(8):S".into(),
             status: "panicked".into(),
             detail: "panicked: injected panic".into(),
             attempt: 2,
-            retried: false,
+        });
+        let trace_errors = vec![TraceError {
+            benchmark: "xapian".into(),
+            policy: "M:1".into(),
+            path: "traces/x.jsonl".into(),
+            error: "permission denied".into(),
         }];
         let ckpt_errors = vec![CkptError {
             path: "results/campaign.ckpt.jsonl".into(),
@@ -421,16 +378,7 @@ mod tests {
             error: "disk full".into(),
         }];
         let mut buf = Vec::new();
-        write_records(
-            &mut buf,
-            "fail_exp",
-            &exp,
-            &[],
-            &trace_errors,
-            &failures,
-            &ckpt_errors,
-        )
-        .unwrap();
+        write_records(&mut buf, "fail_exp", &exp, &trace_errors, &ckpt_errors).unwrap();
         let text = String::from_utf8(buf).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 4);
@@ -440,21 +388,8 @@ mod tests {
         assert!(lines[2].contains("\"status\":\"panicked\""));
         assert!(lines[2].contains("\"benchmark\":\"verilator\""));
         assert!(lines[2].contains("\"attempt\":2"));
-        assert!(lines[2].contains("\"retried\":false"));
         assert!(lines[3].contains("\"record\":\"ckpt_error\""));
         assert!(lines[3].contains("\"op\":\"append\""));
         assert!(lines[3].contains("\"error\":\"disk full\""));
-    }
-
-    #[test]
-    fn run_log_accumulates_and_drains() {
-        // The log is process-global and other tests may interleave with
-        // this one, so assert containment rather than exact counts.
-        let run = tiny_run();
-        log_run(&run);
-        log_runs(std::slice::from_ref(&run));
-        let drained = take_logged_runs();
-        let ours = drained.iter().filter(|r| r.report == run.report).count();
-        assert!(ours >= 2, "logged runs missing: {ours}");
     }
 }

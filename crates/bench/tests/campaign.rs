@@ -1,23 +1,17 @@
-//! End-to-end campaign-engine regression: the deduped, globally scheduled
-//! execution path must produce byte-identical experiment tables to the
-//! sequential per-figure path, replay memoized runs bit-identically, and
-//! simulate nothing on a second pass over a warm campaign.
-//!
-//! The engine phases share the process-global campaign slot and the
-//! process-wide job counters, so they live in ONE `#[test]` — integration
-//! tests in the same binary run concurrently and would otherwise race on
-//! that state.
+//! End-to-end campaign-engine regression: tables rendered from a
+//! deduplicated, globally scheduled prefetch must be byte-identical to
+//! tables rendered from the raw plan run job by job, a warm campaign must
+//! simulate nothing, and a memoized run must replay bit-identically.
 
 use std::path::PathBuf;
 
-use emissary_bench::campaign::{self, CostModel};
-use emissary_bench::checkpoint::{self, config_hash, fingerprint, Campaign};
-use emissary_bench::experiments::{
-    fig1, fig1_specs, fig4, fig4_specs, fig6, fig6_specs, MatrixSpec,
-};
+use emissary_bench::campaign::{self, CostModel, Runs};
+use emissary_bench::checkpoint::{config_hash, fingerprint, Campaign};
+use emissary_bench::experiments::{self, Entry, EXPERIMENTS};
+use emissary_bench::pool::run_parallel_outcomes_with;
 use emissary_bench::{Job, PoolOptions};
 use emissary_core::spec::PolicySpec;
-use emissary_sim::SimConfig;
+use emissary_sim::{FaultConfig, SimConfig};
 use emissary_workloads::Profile;
 
 fn tmpdir(tag: &str) -> PathBuf {
@@ -35,102 +29,98 @@ fn template() -> SimConfig {
     }
 }
 
-fn spec_jobs(specs: &[Vec<MatrixSpec>]) -> Vec<Job> {
-    specs
+fn entries(names: &[&str]) -> Vec<Entry> {
+    names
         .iter()
-        .flat_map(|v| v.iter().flat_map(|s| s.jobs()))
+        .map(|n| *EXPERIMENTS.iter().find(|e| e.name == *n).expect("known"))
+        .collect()
+}
+
+fn render(entries: &[Entry], runs: &Runs) -> Vec<String> {
+    entries
+        .iter()
+        .map(|e| (e.render)(&template(), runs).render())
         .collect()
 }
 
 #[test]
-fn campaign_engine_matches_sequential_and_replays_bit_identically() {
-    let template = template();
+fn prefetched_tables_match_the_raw_plan_run_job_by_job() {
     // Figures 1, 4, and 6 cover the interesting shapes cheaply: a
     // separate config template (fig1), the shared baseline matrix (fig4),
     // and a superset matrix overlapping it (fig6).
-    let render_all = || {
-        vec![
-            fig1(&template).render(),
-            fig4(&template).render(),
-            fig6(&template).render(),
-        ]
-    };
+    let entries = entries(&["fig1", "fig4", "fig6"]);
+    let plan = experiments::plan_jobs(&entries, &template());
 
-    // Phase 1 — sequential: render with no campaign installed, so every
-    // job simulates freshly through the per-figure pools.
-    assert!(
-        checkpoint::end().is_none(),
-        "no other test may own the global campaign"
-    );
-    let sequential = render_all();
+    // Reference: every planned job, duplicates included, on one worker
+    // with no campaign — no dedup, no memo, no scheduling.
+    let outcomes = run_parallel_outcomes_with(&plan, &PoolOptions::with_workers(1), None);
+    let reference = render(&entries, &Runs::from_outcomes(&plan, outcomes));
 
-    // Phase 2 — campaign: prefetch the deduplicated union through the
-    // global scheduler, then render through the ordinary path. Tables
-    // must come out byte-identical, with zero fresh simulations during
-    // the render (no planner/figure drift).
     let dir = tmpdir("engine");
-    checkpoint::begin_global_with(Campaign::begin_with("campaign", &dir, false));
-    let jobs = spec_jobs(&[
-        fig1_specs(&template),
-        fig4_specs(&template),
-        fig6_specs(&template),
-    ]);
-    let requested = jobs.len();
-    let model = CostModel::new();
-    let before = checkpoint::counters();
-    let guard = checkpoint::global_handle();
-    let summary = campaign::prefetch(
-        jobs.clone(),
+    let c = Campaign::begin_with("campaign", &dir, false);
+    let (summary, runs) = campaign::prefetch_runs(
+        plan.clone(),
         &PoolOptions::with_workers(2),
-        guard.as_ref(),
-        &model,
+        Some(&c),
+        &CostModel::new(),
     );
-    drop(guard);
-    assert_eq!(summary.requested, requested);
+    assert_eq!(summary.requested, plan.len());
     assert!(
-        summary.unique < requested,
+        summary.unique < plan.len(),
         "fig4's baseline sweep must dedup against fig6's: {} of {}",
         summary.unique,
-        requested
+        plan.len()
     );
     assert_eq!(summary.failed, 0);
     assert_eq!(summary.simulated, summary.unique as u64);
+    assert_eq!(render(&entries, &runs), reference, "tables diverged");
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    let campaigned = render_all();
-    assert_eq!(sequential, campaigned, "tables diverged under the engine");
-    let after = checkpoint::counters();
-    assert_eq!(
-        after.simulated - before.simulated,
-        summary.unique as u64,
-        "render phase simulated fresh jobs: planner/figure drift"
-    );
-    assert!(after.replayed - before.replayed >= requested as u64);
+#[test]
+fn a_warm_campaign_simulates_nothing() {
+    let plan = experiments::plan_jobs(&entries(&["fig1"]), &template());
+    let dir = tmpdir("warm");
+    let c = Campaign::begin_with("campaign", &dir, false);
+    let model = CostModel::new();
+    let opts = PoolOptions::with_workers(2);
+    let first = campaign::prefetch(plan.clone(), &opts, Some(&c), &model);
+    assert_eq!(first.simulated, first.unique as u64);
+    let again = campaign::prefetch(plan, &opts, Some(&c), &model);
+    assert_eq!(again.simulated, 0);
+    assert_eq!(again.failed, 0);
+    assert_eq!(again.replayed, again.unique as u64);
+    let _ = std::fs::remove_dir_all(&dir);
+}
 
-    // Phase 3 — steady state: a second prefetch over the warm campaign
-    // simulates nothing and replays everything.
-    let guard = checkpoint::global_handle();
-    let summary2 = campaign::prefetch(jobs, &PoolOptions::with_workers(2), guard.as_ref(), &model);
-    drop(guard);
-    assert_eq!(summary2.simulated, 0);
-    assert_eq!(summary2.failed, 0);
-    assert_eq!(summary2.replayed, summary2.unique as u64);
-
-    // Phase 4 — a memoized run replays bit-identically to a fresh
-    // simulation of the same config (deterministic content: report and
-    // samples; host timing is wall-clock and excluded).
-    let camp = checkpoint::end().expect("campaign installed above");
+#[test]
+fn a_memoized_run_replays_bit_identically() {
+    // Deterministic content — report and samples — must match a fresh
+    // simulation of the same config; host timing is wall-clock and
+    // excluded.
     let probe = Job::new(
         Profile::by_name("xapian").expect("xapian profile"),
-        &template,
+        &template(),
         PolicySpec::BASELINE,
     );
-    let cached = camp.cached(&fingerprint(&probe)).expect("probe memoized");
-    let fresh = probe.run_observed();
+    let dir = tmpdir("memo");
+    let c = Campaign::begin_with("campaign", &dir, false);
+    campaign::prefetch(
+        vec![probe.clone()],
+        &PoolOptions::with_workers(1),
+        Some(&c),
+        &CostModel::new(),
+    );
+    let cached = c.cached(&fingerprint(&probe)).expect("probe memoized");
+    let fresh = probe
+        .run_checked_metered(&FaultConfig::none(), None, "main")
+        .expect("runs");
     assert_eq!(cached.report, fresh.report);
     let jsons = |runs: &emissary_sim::SimRun| -> Vec<String> {
         runs.samples.iter().map(|s| s.to_json()).collect()
     };
     assert_eq!(jsons(&cached), jsons(&fresh));
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -45,7 +45,6 @@ pub mod profiles;
 pub mod program;
 pub mod rng;
 pub mod store;
-pub mod trace;
 pub mod walker;
 
 pub use behavior::{BranchBehavior, DataStream};
@@ -54,5 +53,4 @@ pub use builder::ProgramShape;
 pub use profiles::Profile;
 pub use program::{BasicBlock, BlockId, InstrKind, InstrTemplate, Program, TermClass, Terminator};
 pub use store::shared_program;
-pub use trace::{TraceReader, TraceWriter};
 pub use walker::{DynBlock, DynInstr, DynOp, Walker};

@@ -49,8 +49,8 @@
 //! );
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `crates/bench/src/bin/` for
-//! the per-figure reproduction harnesses.
+//! See `examples/` for runnable scenarios and `all_experiments`
+//! (`crates/bench/src/bin/`) for the reproduction harness.
 
 pub use emissary_bench as bench;
 pub use emissary_cache as cache;
