@@ -16,25 +16,16 @@
 //! The `campaign summary:` line on stderr reports the sweep's job counts
 //! and wall-clock. Expect the sweep to take a while at default run
 //! lengths; scale down with `EMISSARY_MEASURE_INSNS` for a quick pass.
+//! To stop a sweep, kill it: every signal takes the OS default, and each
+//! completed job is already in the checkpoint, so a rerun with
+//! `EMISSARY_RESUME=1` simulates only what is left.
 
 use std::path::Path;
 use std::time::Instant;
 
-use emissary_bench::campaign::{self, CostModel, PrefetchSummary};
+use emissary_bench::campaign::{self, CostModel};
 use emissary_bench::checkpoint::{Campaign, UNIFIED_CAMPAIGN};
-use emissary_bench::{chaos, experiments, metrics, results, scale, PoolOptions};
-
-/// Reports progress so far and exits with the conventional SIGINT code.
-/// Completed jobs are already flushed to the checkpoint, so rerunning
-/// with `EMISSARY_RESUME=1` continues exactly where this run stopped.
-fn exit_interrupted(done: &PrefetchSummary) -> ! {
-    eprintln!(
-        "campaign interrupted: {} simulated, {} replayed, {} failed so far; \
-         checkpoint flushed — rerun with EMISSARY_RESUME=1 to continue",
-        done.simulated, done.replayed, done.failed
-    );
-    std::process::exit(chaos::EXIT_INTERRUPTED);
-}
+use emissary_bench::{experiments, metrics, results, scale, PoolOptions};
 
 fn main() {
     let names: Vec<String> = std::env::args().skip(1).collect();
@@ -49,10 +40,6 @@ fn main() {
     // Resolve the knobs first: a malformed value exits here, before the
     // checkpoint is opened (and possibly truncated).
     let knobs = scale::knobs();
-    chaos::install_signal_handlers();
-    // A second SIGINT/SIGTERM during the cooperative drain forces an
-    // immediate (still checkpoint-safe) exit with a distinct code.
-    chaos::spawn_escalation_watcher();
     let cfg = emissary_bench::base_config();
     eprintln!(
         "running {} experiment(s): warmup={} measure={} threads={}",
@@ -80,26 +67,17 @@ fn main() {
         &CostModel::new(),
     );
     eprintln!(
-        "campaign: prefetched {} unique of {} requested jobs ({} simulated, {} replayed, {} failed, {} interrupted) in {:.1}s",
+        "campaign: prefetched {} unique of {} requested jobs ({} simulated, {} replayed, {} failed) in {:.1}s",
         prefetch.unique,
         prefetch.requested,
         prefetch.simulated,
         prefetch.replayed,
         prefetch.failed,
-        prefetch.interrupted,
         prefetch.wall_seconds
     );
     results::write_campaign_faults();
-    if prefetch.interrupted > 0 || chaos::shutdown_requested() {
-        // Don't render figures from a partial prefetch: the tables would
-        // mix this run with the next.
-        exit_interrupted(&prefetch);
-    }
 
     for entry in &selected {
-        if chaos::shutdown_requested() {
-            exit_interrupted(&prefetch);
-        }
         eprintln!("=== {} ===", entry.name);
         results::emit(entry.name, &(entry.render)(&cfg, &runs));
     }

@@ -140,9 +140,6 @@ pub struct PrefetchSummary {
     pub replayed: u64,
     /// Jobs that panicked, aborted, or were rejected.
     pub failed: u64,
-    /// Jobs never started because a cooperative shutdown stopped the
-    /// pool; they remain pending and run on the next `EMISSARY_RESUME=1`.
-    pub interrupted: u64,
     /// Host seconds the prefetch took.
     pub wall_seconds: f64,
 }
@@ -318,14 +315,12 @@ fn run_unique(
         simulated: 0,
         replayed: 0,
         failed: 0,
-        interrupted: 0,
         wall_seconds: start.elapsed().as_secs_f64(),
     };
     for outcome in &outcomes {
         let count = match outcome {
             JobOutcome::Completed { resumed: true, .. } => &mut summary.replayed,
             JobOutcome::Completed { .. } => &mut summary.simulated,
-            JobOutcome::Interrupted { .. } => &mut summary.interrupted,
             _ => &mut summary.failed,
         };
         *count += 1;
@@ -409,9 +404,11 @@ mod tests {
         model.observe("xapian", 500.0);
         model.observe("tomcat", 0.01);
         for (i, j) in jobs.iter().enumerate() {
-            let outcome = JobOutcome::Interrupted {
+            let outcome = JobOutcome::Panicked {
                 benchmark: j.profile.name.to_string(),
                 policy: j.config.l2_policy.to_string(),
+                message: "boom".to_string(),
+                attempts: 1,
             };
             progress.tick(i, &outcome);
         }

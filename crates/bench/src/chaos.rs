@@ -1,10 +1,10 @@
-//! Deterministic fault injection ("chaos") and the cooperative-shutdown
-//! machinery behind the hardened campaign stack.
+//! Deterministic fault injection ("chaos") for the hardened campaign
+//! stack.
 //!
 //! The harness promises that campaigns survive panicking jobs, torn
-//! checkpoint writes, full disks, and SIGINT — promises that are worthless
-//! if no test ever exercises the recovery paths. This module makes the
-//! fire drill systematic:
+//! checkpoint writes and full disks — promises that are worthless if no
+//! test ever exercises the recovery paths. This module makes the fire
+//! drill systematic:
 //!
 //! * [`FaultPlan`] — a seeded, rate-controlled decision source. Every
 //!   would-be fault site in the harness asks the plan "does the fault at
@@ -23,11 +23,11 @@
 //!   stalls into simulation jobs, keyed by the job's config hash and
 //!   attempt number so the injected set is independent of worker-thread
 //!   interleaving.
-//! * Cooperative shutdown — a process-wide atomic flag raised by SIGINT /
-//!   SIGTERM (installed via [`install_signal_handlers`]) or by
-//!   [`request_shutdown`]. The pool stops scheduling new jobs when the
-//!   flag is up; completed work is already flushed to the checkpoint, so
-//!   `EMISSARY_RESUME=1` picks the campaign up byte-identically.
+//!
+//! Stopping a sweep needs no code here: SIGINT, SIGTERM and SIGKILL all
+//! take the OS default and end the process. Every completed record is
+//! already flushed to the checkpoint, so `EMISSARY_RESUME=1` picks the
+//! campaign up byte-identically.
 //!
 //! Chaos is **off** unless `EMISSARY_CHAOS_SEED` is set. With chaos
 //! enabled at rate 0 every decision is "no fault", and the harness is
@@ -36,9 +36,9 @@
 
 use std::collections::HashMap;
 use std::fs;
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::checkpoint::fnv1a64;
@@ -238,16 +238,27 @@ impl CkptIo for RealIo {
     }
 
     fn replace_file(&self, path: &Path, contents: &str) -> io::Result<()> {
-        let mut tmp = path.as_os_str().to_owned();
-        tmp.push(".tmp");
-        let tmp = std::path::PathBuf::from(tmp);
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(contents.as_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)
+        write_atomic(path, |out| out.write_all(contents.as_bytes()))
     }
+}
+
+/// Replaces `path` with what `write` produces, so that a reader (or a
+/// process killed mid-write) sees either the old file or the new one,
+/// never a torn one: `write` fills a sibling `<path>.tmp`, which is
+/// fsynced and renamed over `path`.
+pub fn write_atomic(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<fs::File>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = std::path::PathBuf::from(tmp);
+    let mut out = BufWriter::new(fs::File::create(&tmp)?);
+    write(&mut out)?;
+    out.into_inner()
+        .map_err(io::IntoInnerError::into_error)?
+        .sync_all()?;
+    fs::rename(&tmp, path)
 }
 
 /// A [`CkptIo`] that injects faults per the plan: plain I/O errors at
@@ -352,145 +363,6 @@ impl<W: Write> Write for ChaosWriter<W> {
     fn flush(&mut self) -> io::Result<()> {
         self.inner.flush()
     }
-}
-
-// ---------------------------------------------------------------------------
-// Cooperative shutdown
-// ---------------------------------------------------------------------------
-
-static SHUTDOWN: AtomicBool = AtomicBool::new(false);
-static SHUTDOWN_SIGNALS: AtomicU64 = AtomicU64::new(0);
-
-/// Conventional exit code for a cooperative (first-signal) interrupt:
-/// work stopped between jobs, checkpoint flushed, resume continues.
-pub const EXIT_INTERRUPTED: i32 = 130;
-
-/// Exit code for an **escalated** shutdown: a second SIGINT/SIGTERM
-/// arrived while the first was still draining cooperatively, so the
-/// process exited immediately instead of finishing in-flight work.
-/// Still checkpoint-safe — every completed record was already flushed —
-/// but distinct from [`EXIT_INTERRUPTED`] so wrappers can tell a clean
-/// drain from a forced abort.
-pub const EXIT_ESCALATED: i32 = 131;
-
-/// Whether a cooperative shutdown (SIGINT/SIGTERM or
-/// [`request_shutdown`]) has been requested. The pool polls this before
-/// scheduling each job; checkpoint records are flushed per append, so
-/// stopping between jobs loses nothing.
-pub fn shutdown_requested() -> bool {
-    SHUTDOWN.load(Ordering::SeqCst)
-}
-
-/// How many shutdown signals (SIGINT/SIGTERM or [`note_shutdown_signal`])
-/// have been observed. One means a cooperative drain is in progress; two
-/// or more means the operator wants out *now* (see
-/// [`spawn_escalation_watcher`]).
-pub fn shutdown_signals() -> u64 {
-    SHUTDOWN_SIGNALS.load(Ordering::SeqCst)
-}
-
-/// Raises the shutdown flag (what the signal handler does).
-pub fn request_shutdown() {
-    SHUTDOWN.store(true, Ordering::SeqCst);
-}
-
-/// Records one shutdown signal and raises the flag — exactly what the
-/// real handler does, callable from tests and in-process drills.
-pub fn note_shutdown_signal() {
-    SHUTDOWN_SIGNALS.fetch_add(1, Ordering::SeqCst);
-    SHUTDOWN.store(true, Ordering::SeqCst);
-}
-
-/// Clears the shutdown flag and signal count (tests; a real process
-/// exits instead).
-pub fn clear_shutdown() {
-    SHUTDOWN.store(false, Ordering::SeqCst);
-    SHUTDOWN_SIGNALS.store(0, Ordering::SeqCst);
-}
-
-/// Spawns a detached watcher that forces the process down when a
-/// **second** shutdown signal arrives during a cooperative drain: it
-/// prints one `campaign aborted:` summary line and exits with
-/// [`EXIT_ESCALATED`]. Safe at any point — completed work is flushed to
-/// the checkpoint per append, so the forced exit loses nothing that the
-/// next `EMISSARY_RESUME=1` run cannot replay.
-pub fn spawn_escalation_watcher() {
-    std::thread::Builder::new()
-        .name("signal-escalation".into())
-        .spawn(|| loop {
-            if shutdown_signals() >= 2 {
-                eprintln!(
-                    "campaign aborted: second signal forced immediate exit; \
-                     checkpoint flushed — rerun with EMISSARY_RESUME=1 to continue"
-                );
-                std::process::exit(EXIT_ESCALATED);
-            }
-            std::thread::sleep(std::time::Duration::from_millis(50));
-        })
-        .expect("spawn escalation watcher");
-}
-
-/// Deterministically jittered retry backoff for attempt `attempt`
-/// (1-based) of the job identified by `key` (its config hash).
-///
-/// The sleep is `base_ms × attempt` split half-and-half into a fixed ramp
-/// and a jitter term drawn from `splitmix64(seed ⊕ mix(key) + attempt)` —
-/// a pure function of the chaos seed (0 when chaos is off), the job, and
-/// the attempt, so reruns sleep identically while concurrent retries of
-/// *different* jobs spread out instead of synchronizing into a thundering
-/// herd. `base_ms = 0` disables the sleep.
-pub fn retry_backoff(
-    base_ms: u64,
-    attempt: u32,
-    key: u64,
-    plan: Option<&FaultPlan>,
-) -> std::time::Duration {
-    let ramp = base_ms.saturating_mul(u64::from(attempt));
-    if ramp == 0 {
-        return std::time::Duration::ZERO;
-    }
-    let seed = plan.map(|p| p.seed()).unwrap_or(0);
-    let draw = splitmix64(seed ^ splitmix64(key).wrapping_add(u64::from(attempt)));
-    let half = ramp / 2;
-    std::time::Duration::from_millis(half + draw % (ramp - half + 1))
-}
-
-#[cfg(unix)]
-mod signals {
-    use std::sync::atomic::Ordering;
-
-    const SIGINT: i32 = 2;
-    const SIGTERM: i32 = 15;
-
-    /// Async-signal-safe handler: two atomic ops (a count for drain
-    /// escalation, the flag everything polls).
-    extern "C" fn on_signal(_signum: i32) {
-        super::SHUTDOWN_SIGNALS.fetch_add(1, Ordering::SeqCst);
-        super::SHUTDOWN.store(true, Ordering::SeqCst);
-    }
-
-    // The C library is already linked by std; `signal` (glibc/musl
-    // semantics: the handler persists) is all the cooperative flag needs
-    // — no self-pipe required because nothing blocks indefinitely.
-    extern "C" {
-        fn signal(signum: i32, handler: usize) -> usize;
-    }
-
-    pub fn install() {
-        unsafe {
-            signal(SIGINT, on_signal as *const () as usize);
-            signal(SIGTERM, on_signal as *const () as usize);
-        }
-    }
-}
-
-/// Installs SIGINT/SIGTERM handlers that raise the cooperative-shutdown
-/// flag and count signals (first signal: graceful stop; a second during
-/// the drain escalates via [`spawn_escalation_watcher`]; the OS default
-/// remains for SIGKILL). Idempotent; a no-op on non-unix targets.
-pub fn install_signal_handlers() {
-    #[cfg(unix)]
-    signals::install();
 }
 
 #[cfg(test)]
@@ -600,57 +472,6 @@ mod tests {
         // No temp file left behind.
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shutdown_flag_round_trips() {
-        clear_shutdown();
-        assert!(!shutdown_requested());
-        request_shutdown();
-        assert!(shutdown_requested());
-        // Signals count for escalation; a plain request does not.
-        assert_eq!(shutdown_signals(), 0);
-        note_shutdown_signal();
-        note_shutdown_signal();
-        assert!(shutdown_requested());
-        assert_eq!(shutdown_signals(), 2);
-        clear_shutdown();
-        assert!(!shutdown_requested());
-        assert_eq!(shutdown_signals(), 0);
-    }
-
-    #[test]
-    fn retry_backoff_is_deterministic_and_bounded() {
-        let plan = FaultPlan::new(42, 0.0);
-        for attempt in 1..=4u32 {
-            for key in [1u64, 0xdead_beef, u64::MAX] {
-                let a = retry_backoff(25, attempt, key, Some(&plan));
-                let b = retry_backoff(25, attempt, key, Some(&plan));
-                assert_eq!(a, b, "same inputs must sleep identically");
-                let ramp = 25 * u64::from(attempt);
-                let ms = a.as_millis() as u64;
-                assert!(
-                    (ramp / 2..=ramp).contains(&ms),
-                    "attempt {attempt}: {ms}ms outside [{}, {ramp}]",
-                    ramp / 2
-                );
-            }
-        }
-        // Different jobs desynchronize somewhere across a handful of keys.
-        let sleeps: Vec<_> = (0..8u64)
-            .map(|k| retry_backoff(1000, 1, k, Some(&plan)))
-            .collect();
-        assert!(
-            sleeps.iter().any(|s| s != &sleeps[0]),
-            "jitter never varied across keys: {sleeps:?}"
-        );
-        // Zero base (EMISSARY_RETRY_BACKOFF_MS=0) disables the sleep.
-        assert_eq!(
-            retry_backoff(0, 3, 7, Some(&plan)),
-            std::time::Duration::ZERO
-        );
-        // No chaos plan: still deterministic, seeded from 0.
-        assert_eq!(retry_backoff(25, 1, 7, None), retry_backoff(25, 1, 7, None));
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! hash covers the *entire* [`SimConfig`](emissary_sim::SimConfig) (via
 //! its `Debug` rendering), so two jobs that differ in any knob (run
 //! lengths, hierarchy geometry, reset interval, seed, …) never collide.
+//! With interval sampling on, `|s<N>` follows, so a run recorded without
+//! samples never replays into a sampled campaign.
 //! The campaign name is **metadata only**: it is recorded on each
 //! checkpoint line (`"experiment":"campaign"` for a sweep) but takes no
 //! part in the key, so resume state is shared by every experiment.
@@ -64,17 +66,30 @@ pub fn config_hash(job: &Job) -> u64 {
     fnv1a64(format!("{:?}", job.config).as_bytes())
 }
 
-/// Stable identity of one simulation job within a campaign:
-/// `<benchmark>|<policy>|<config hash>`. Deliberately excludes the
-/// experiment name — identical configs in different figures are the same
-/// job.
+/// Stable identity of one simulation job within a campaign: its memo key
+/// under this process's `EMISSARY_SAMPLE_INTERVAL`.
+/// Deliberately excludes the experiment name — identical configs in
+/// different figures are the same job.
 pub fn fingerprint(job: &Job) -> String {
-    format!(
+    memo_key(job, crate::scale::knobs().sample_interval)
+}
+
+/// `<benchmark>|<policy>|<config hash>`, with `|s<N>` appended when
+/// interval sampling every `N` instructions is on. A run's samples are
+/// part of what the memo replays, so a run recorded unsampled (or at
+/// another interval) must not stand in for a sampled one; unsampled keys
+/// keep the plain form every existing checkpoint uses.
+fn memo_key(job: &Job, sample_interval: Option<u64>) -> String {
+    let key = format!(
         "{}|{}|{:016x}",
         job.profile.name,
         job.config.l2_policy,
         config_hash(job)
-    )
+    );
+    match sample_interval {
+        Some(n) => format!("{key}|s{n}"),
+        None => key,
+    }
 }
 
 /// One campaign's dedup state: the fingerprint → run memo (seeded from
@@ -327,6 +342,25 @@ mod tests {
             fingerprint(&preferred),
             "xapian|P(8):S&E&R(1/32)|79433d7a7fc27ddf"
         );
+    }
+
+    #[test]
+    fn memo_key_covers_the_sample_interval_only_when_sampling() {
+        let cfg = emissary_sim::SimConfig {
+            warmup_instrs: 1_000,
+            measure_instrs: 4_000,
+            ..emissary_sim::SimConfig::default()
+        };
+        let job = Job::new(
+            emissary_workloads::Profile::by_name("xapian").unwrap(),
+            &cfg,
+            emissary_core::spec::PolicySpec::BASELINE,
+        );
+        // Off (`EMISSARY_SAMPLE_INTERVAL` unset or 0): the pinned literal.
+        assert_eq!(memo_key(&job, None), "xapian|M:1|dcfc32e070af01c6");
+        let sampled = memo_key(&job, Some(1_000));
+        assert_eq!(sampled, "xapian|M:1|dcfc32e070af01c6|s1000");
+        assert_ne!(sampled, memo_key(&job, Some(2_000)));
     }
 
     #[test]

@@ -58,8 +58,7 @@ pub struct Job {
     pub profile: Profile,
     /// Full configuration (policy included).
     pub config: SimConfig,
-    /// Optional fault-injection drill (also settable campaign-wide via
-    /// `EMISSARY_INJECT_PANIC=<benchmark>/<policy>`).
+    /// Optional fault-injection drill.
     pub inject: Option<FaultInjection>,
 }
 
@@ -105,7 +104,7 @@ impl Job {
         worker: &str,
     ) -> Result<SimRun, SimAbort> {
         let mut fault = fault.clone();
-        match self.effective_injection() {
+        match self.inject {
             Some(FaultInjection::Panic) => panic!(
                 "injected panic for {}/{}",
                 self.profile.name, self.config.l2_policy
@@ -187,18 +186,6 @@ impl Job {
             sanitize(self.profile.name),
             sanitize(&self.config.l2_policy.to_string())
         )
-    }
-
-    /// The injection in effect: the per-job field, or the process-wide
-    /// `EMISSARY_INJECT_PANIC=<benchmark>/<policy>` drill if it names
-    /// this job.
-    fn effective_injection(&self) -> Option<FaultInjection> {
-        if self.inject.is_some() {
-            return self.inject;
-        }
-        let target = scale::knobs().inject_panic.as_deref()?;
-        let me = format!("{}/{}", self.profile.name, self.config.l2_policy);
-        (target == me).then_some(FaultInjection::Panic)
     }
 }
 

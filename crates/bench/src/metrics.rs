@@ -17,7 +17,7 @@
 //! record straight into the process registry at job boundaries and at
 //! exit — never inside the simulator's cycle loop.
 
-use std::io;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -58,12 +58,14 @@ pub fn default_prom_path() -> PathBuf {
 }
 
 /// Renders the global registry snapshot to `path` in Prometheus text
-/// format (creating parent directories).
+/// format (creating parent directories), replacing any previous file
+/// atomically ([`crate::chaos::write_atomic`]).
 pub fn write_prom(path: &Path) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    std::fs::write(path, render_prometheus(&global().snapshot()))
+    let text = render_prometheus(&global().snapshot());
+    crate::chaos::write_atomic(path, |out| out.write_all(text.as_bytes()))
 }
 
 /// Adds `ns` to the per-worker stage counter (no-op when `m` is `None`).

@@ -29,14 +29,6 @@ use crate::chaos::{self, FaultPlan};
 use crate::checkpoint::{self, fingerprint, Campaign};
 use crate::{metrics, scale, Job};
 
-/// Default backoff unit between retry attempts (overridable via
-/// `EMISSARY_RETRY_BACKOFF_MS`): attempt `n` sleeps roughly `n × 25 ms`
-/// before attempt `n + 1`, jittered deterministically per job so
-/// simultaneous retries spread out (see [`chaos::retry_backoff`]). Long
-/// enough to ride out transient host contention (the usual cause of a
-/// retryable timeout), short enough to be invisible at campaign scale.
-pub const RETRY_BACKOFF_MS: u64 = 25;
-
 /// What happened to one pool job. The pool always returns one outcome per
 /// job, in job order — failures never drop rows or abort the campaign.
 #[derive(Debug)]
@@ -85,15 +77,6 @@ pub enum JobOutcome {
         /// Why the configuration is degenerate.
         error: ConfigError,
     },
-    /// A cooperative shutdown (SIGINT/SIGTERM) stopped scheduling before
-    /// this job started. Never recorded to the checkpoint: the job is
-    /// simply still pending, and `EMISSARY_RESUME=1` runs it next time.
-    Interrupted {
-        /// Benchmark name.
-        benchmark: String,
-        /// L2 policy notation.
-        policy: String,
-    },
 }
 
 impl JobOutcome {
@@ -114,14 +97,13 @@ impl JobOutcome {
     }
 
     /// Machine-readable status ("completed" / "panicked" / the abort kind
-    /// / "rejected" / "interrupted").
+    /// / "rejected").
     pub fn status(&self) -> &'static str {
         match self {
             JobOutcome::Completed { .. } => "completed",
             JobOutcome::Panicked { .. } => "panicked",
             JobOutcome::Aborted { abort, .. } => abort.kind(),
             JobOutcome::Rejected { .. } => "rejected",
-            JobOutcome::Interrupted { .. } => "interrupted",
         }
     }
 
@@ -131,8 +113,7 @@ impl JobOutcome {
             JobOutcome::Completed { run, .. } => &run.report.benchmark,
             JobOutcome::Panicked { benchmark, .. }
             | JobOutcome::Aborted { benchmark, .. }
-            | JobOutcome::Rejected { benchmark, .. }
-            | JobOutcome::Interrupted { benchmark, .. } => benchmark,
+            | JobOutcome::Rejected { benchmark, .. } => benchmark,
         }
     }
 
@@ -142,21 +123,19 @@ impl JobOutcome {
             JobOutcome::Completed { run, .. } => &run.report.policy,
             JobOutcome::Panicked { policy, .. }
             | JobOutcome::Aborted { policy, .. }
-            | JobOutcome::Rejected { policy, .. }
-            | JobOutcome::Interrupted { policy, .. } => policy,
+            | JobOutcome::Rejected { policy, .. } => policy,
         }
     }
 
     /// How many execution attempts this outcome represents (1-based; 0
-    /// for checkpoint replays and interrupted jobs, which never ran, and
-    /// 1 for rejections, which were refused before running).
+    /// for checkpoint replays, which never ran, and 1 for rejections,
+    /// which were refused before running).
     pub fn attempts(&self) -> u32 {
         match self {
             JobOutcome::Completed { attempts, .. }
             | JobOutcome::Panicked { attempts, .. }
             | JobOutcome::Aborted { attempts, .. } => *attempts,
             JobOutcome::Rejected { .. } => 1,
-            JobOutcome::Interrupted { .. } => 0,
         }
     }
 
@@ -168,9 +147,6 @@ impl JobOutcome {
             JobOutcome::Panicked { message, .. } => format!("panicked: {message}"),
             JobOutcome::Aborted { abort, .. } => abort.to_string(),
             JobOutcome::Rejected { error, .. } => error.to_string(),
-            JobOutcome::Interrupted { .. } => {
-                "interrupted: cooperative shutdown before the job started".to_string()
-            }
         }
     }
 }
@@ -190,13 +166,8 @@ pub struct PoolOptions {
     /// Run the invariant auditor at epoch boundaries.
     pub audit: bool,
     /// Retry budget for panicked / retryable-aborted jobs: a job runs at
-    /// most `1 + retries` attempts, with deterministic jittered backoff
-    /// ([`chaos::retry_backoff`]) between them.
+    /// most `1 + retries` attempts, back to back.
     pub retries: u32,
-    /// Backoff base in milliseconds between retry attempts
-    /// (`EMISSARY_RETRY_BACKOFF_MS`, default [`RETRY_BACKOFF_MS`]; `0`
-    /// disables the sleep).
-    pub backoff_ms: u64,
     /// Chaos fault plan injecting job panics/stalls ([`FaultPlan::job_fault`]);
     /// `None` disables job-level injection.
     pub chaos: Option<Arc<FaultPlan>>,
@@ -204,8 +175,7 @@ pub struct PoolOptions {
 
 impl PoolOptions {
     /// The options the process's knobs ([`scale::knobs`]) describe:
-    /// threads, job budget, watchdog, audit, retry, backoff, and the
-    /// chaos plan.
+    /// threads, job budget, watchdog, audit, retry, and the chaos plan.
     pub fn from_env() -> Self {
         let k = scale::knobs();
         Self {
@@ -214,7 +184,6 @@ impl PoolOptions {
             stall_cycles: k.stall_cycles,
             audit: k.audit,
             retries: k.job_retries,
-            backoff_ms: k.retry_backoff_ms,
             chaos: chaos::plan_from_env(),
         }
     }
@@ -228,7 +197,6 @@ impl PoolOptions {
             stall_cycles: Some(emissary_sim::fault::DEFAULT_STALL_CYCLES),
             audit: false,
             retries: 0,
-            backoff_ms: RETRY_BACKOFF_MS,
             chaos: None,
         }
     }
@@ -277,11 +245,10 @@ pub fn run_parallel_outcomes_hooked(
     }
     let workers = opts.workers.clamp(1, jobs.len());
     let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<JobOutcome>> = (0..jobs.len()).map(|_| None).collect();
-    // Workers collect (index, outcome) pairs locally; results are written
-    // back single-threaded after the scope joins.
+    // Workers collect (index, outcome) pairs locally; results are put
+    // back in job order single-threaded after the scope joins.
     let hook = &hook;
-    let results: Vec<(usize, JobOutcome)> = std::thread::scope(|scope| {
+    let mut results: Vec<(usize, JobOutcome)> = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for w in 0..workers {
             let cursor = &cursor;
@@ -293,10 +260,7 @@ pub fn run_parallel_outcomes_hooked(
                 let wall_start = Instant::now();
                 let mut busy_ns = 0u64;
                 let mut local = Vec::new();
-                // Cooperative shutdown: stop claiming jobs; everything
-                // already completed is in the checkpoint, and unclaimed
-                // jobs surface as `Interrupted` outcomes.
-                while !chaos::shutdown_requested() {
+                loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(job) = jobs.get(i) else { break };
                     let job_start = Instant::now();
@@ -330,21 +294,9 @@ pub fn run_parallel_outcomes_hooked(
             .flat_map(|h| h.join().expect("worker panics are caught per job"))
             .collect()
     });
-    for (i, r) in results {
-        slots[i] = Some(r);
-    }
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| {
-            // A slot is empty only when shutdown stopped the workers
-            // before this job was claimed.
-            s.unwrap_or_else(|| JobOutcome::Interrupted {
-                benchmark: jobs[i].profile.name.to_string(),
-                policy: jobs[i].config.l2_policy.to_string(),
-            })
-        })
-        .collect()
+    results.sort_unstable_by_key(|&(i, _)| i);
+    assert_eq!(results.len(), jobs.len(), "every job is claimed once");
+    results.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
 /// Executes one job under the full isolation stack (checkpoint replay →
@@ -354,8 +306,9 @@ pub fn run_parallel_outcomes_hooked(
 /// records nothing; see [`crate::metrics::registry`]).
 ///
 /// Panicked and retryable-aborted attempts (see [`SimAbort::retryable`])
-/// are retried up to `opts.retries` times with deterministic backoff;
-/// each failed-but-retried attempt is recorded to the checkpoint before
+/// are retried up to `opts.retries` times, back to back (a job is
+/// deterministic and CPU-bound, so waiting buys nothing); each
+/// failed-but-retried attempt is recorded to the checkpoint before
 /// the next attempt, so the attempt history survives there even when the
 /// job eventually completes. The returned outcome is the final one.
 fn run_job(
@@ -436,12 +389,6 @@ fn run_job(
                 outcome.status(),
                 attempt + 1
             );
-            std::thread::sleep(chaos::retry_backoff(
-                opts.backoff_ms,
-                attempt,
-                hash,
-                opts.chaos.as_deref(),
-            ));
             attempt += 1;
         }
     };
@@ -521,9 +468,8 @@ mod tests {
 
     #[test]
     fn claiming_covers_every_job_exactly_once() {
-        // Four workers racing on the cursor: every slot must be filled,
-        // with no job skipped (an empty slot would surface as
-        // `Interrupted`).
+        // Four workers racing on the cursor: every job must come back
+        // completed, none skipped or run twice.
         let jobs = quick_jobs(40);
         let outcomes = run_parallel_outcomes_with(&jobs, &PoolOptions::with_workers(4), None);
         assert_eq!(outcomes.len(), 40);

@@ -37,7 +37,7 @@ use crate::checkpoint::UNIFIED_CAMPAIGN;
 use crate::experiments::Experiment;
 use crate::{metrics, scale};
 
-use crate::chaos::lock_unpoisoned;
+use crate::chaos::{self, lock_unpoisoned};
 
 static TRACE_ERRORS: Mutex<Vec<TraceError>> = Mutex::new(Vec::new());
 static CKPT_ERRORS: Mutex<Vec<CkptError>> = Mutex::new(Vec::new());
@@ -56,8 +56,8 @@ pub struct TraceError {
     pub error: String,
 }
 
-/// A job whose final outcome did not complete (panicked, aborted,
-/// rejected, or interrupted), rendered as a `job_failure` record in the
+/// A job whose final outcome did not complete (panicked, aborted, or
+/// rejected), rendered as a `job_failure` record in the
 /// experiment's results file.
 #[derive(Debug, Clone)]
 pub struct JobFailure {
@@ -66,7 +66,7 @@ pub struct JobFailure {
     /// L2 policy notation.
     pub policy: String,
     /// Machine-readable status (`panicked`/`timeout`/`stalled`/`audit`/
-    /// `rejected`/`interrupted`).
+    /// `rejected`).
     pub status: String,
     /// Human-readable failure description.
     pub detail: String,
@@ -210,7 +210,9 @@ pub fn write_campaign_faults() {
     report_written(UNIFIED_CAMPAIGN, written);
 }
 
-/// Creates `results/<name>.jsonl` and fills it with `write`.
+/// Fills `results/<name>.jsonl` with `write`, replacing any previous
+/// file atomically ([`chaos::write_atomic`]): a kill mid-render leaves
+/// the old file or the new one, never a torn one.
 fn write_file(
     name: &str,
     write: impl FnOnce(&mut BufWriter<fs::File>) -> io::Result<()>,
@@ -218,9 +220,7 @@ fn write_file(
     let dir = Path::new("results");
     fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.jsonl"));
-    let mut out = BufWriter::new(fs::File::create(&path)?);
-    write(&mut out)?;
-    out.flush()?;
+    chaos::write_atomic(&path, write)?;
     Ok(path)
 }
 

@@ -71,13 +71,6 @@ pub struct Knobs {
     /// (`EMISSARY_JOB_RETRIES`, default 1; `0` disables retry). A job is
     /// attempted at most `1 + retries` times.
     pub job_retries: u32,
-    /// Base retry backoff in milliseconds (`EMISSARY_RETRY_BACKOFF_MS`,
-    /// default [`crate::pool::RETRY_BACKOFF_MS`]; `0` disables the
-    /// sleep), jittered per job by [`crate::chaos::retry_backoff`].
-    pub retry_backoff_ms: u64,
-    /// Fire drill (`EMISSARY_INJECT_PANIC=<benchmark>/<policy>`): the
-    /// matching job panics instead of running.
-    pub inject_panic: Option<String>,
     /// Chaos seed (`EMISSARY_CHAOS_SEED`; unset disables fault
     /// injection, see [`crate::chaos`]).
     pub chaos_seed: Option<u64>,
@@ -112,8 +105,6 @@ impl Default for Knobs {
             audit: false,
             resume: false,
             job_retries: 1,
-            retry_backoff_ms: crate::pool::RETRY_BACKOFF_MS,
-            inject_panic: None,
             chaos_seed: None,
             chaos_rate: crate::chaos::DEFAULT_CHAOS_RATE,
             progress: true,
@@ -158,8 +149,6 @@ const TABLE: &[(&str, Setter)] = &[
     ("EMISSARY_AUDIT", |k, v| flag(v).map(|x| k.audit = x)),
     ("EMISSARY_RESUME", |k, v| flag(v).map(|x| k.resume = x)),
     ("EMISSARY_JOB_RETRIES", |k, v| number(v).map(|x| k.job_retries = x)),
-    ("EMISSARY_RETRY_BACKOFF_MS", |k, v| number(v).map(|x| k.retry_backoff_ms = x)),
-    ("EMISSARY_INJECT_PANIC", |k, v| text(v).map(|x| k.inject_panic = Some(x))),
     ("EMISSARY_CHAOS_SEED", |k, v| number(v).map(|x| k.chaos_seed = Some(x))),
     ("EMISSARY_CHAOS_RATE", |k, v| fraction(v).map(|x| k.chaos_rate = x)),
     ("EMISSARY_PROGRESS", |k, v| flag(v).map(|x| k.progress = x)),
@@ -303,8 +292,6 @@ mod tests {
         assert!(!k.audit);
         assert!(!k.resume);
         assert_eq!(k.job_retries, 1);
-        assert_eq!(k.retry_backoff_ms, crate::pool::RETRY_BACKOFF_MS);
-        assert_eq!(k.inject_panic, None);
         assert_eq!(k.chaos_seed, None);
         assert_eq!(k.chaos_rate, crate::chaos::DEFAULT_CHAOS_RATE);
         assert!(k.progress);
@@ -340,7 +327,6 @@ mod tests {
             ("EMISSARY_JOB_RETRIES", "1_0"),
             ("EMISSARY_CHAOS_SEED", "12_345"),
             ("EMISSARY_SAMPLE_INTERVAL", "1_048_576"),
-            ("EMISSARY_RETRY_BACKOFF_MS", "2_500"),
         ])
         .unwrap();
         assert_eq!(k.measure_instrs, 1_000_000);
@@ -349,7 +335,6 @@ mod tests {
         assert_eq!(k.job_retries, 10);
         assert_eq!(k.chaos_seed, Some(12_345));
         assert_eq!(k.sample_interval, Some(1_048_576));
-        assert_eq!(k.retry_backoff_ms, 2_500);
     }
 
     #[test]
@@ -358,7 +343,6 @@ mod tests {
         assert_eq!(zero("EMISSARY_STALL_CYCLES").stall_cycles, None);
         assert_eq!(zero("EMISSARY_JOB_TIMEOUT_MS").job_timeout_ms, None);
         assert_eq!(zero("EMISSARY_SAMPLE_INTERVAL").sample_interval, None);
-        assert_eq!(zero("EMISSARY_RETRY_BACKOFF_MS").retry_backoff_ms, 0);
         assert_eq!(zero("EMISSARY_JOB_RETRIES").job_retries, 0);
         let on = parsed(&[
             ("EMISSARY_STALL_CYCLES", "500"),
@@ -383,7 +367,6 @@ mod tests {
             ("EMISSARY_CHAOS_SEED", "0x10"),
             ("EMISSARY_CHAOS_RATE", "1.5"),
             ("EMISSARY_CHAOS_RATE", "NaN"),
-            ("EMISSARY_RETRY_BACKOFF_MS", "lots"),
         ] {
             rejects(name, bad);
         }
@@ -420,16 +403,34 @@ mod tests {
     }
 
     #[test]
+    fn retired_knobs_are_unknown() {
+        let k = parsed(&[
+            ("EMISSARY_INJECT_PANIC", "tomcat/P(8):S&E"),
+            ("EMISSARY_RETRY_BACKOFF_MS", "25"),
+        ])
+        .unwrap();
+        assert_eq!(
+            k.unknown,
+            ["EMISSARY_INJECT_PANIC", "EMISSARY_RETRY_BACKOFF_MS"]
+        );
+        assert_eq!(
+            k,
+            Knobs {
+                unknown: k.unknown.clone(),
+                ..Knobs::default()
+            }
+        );
+    }
+
+    #[test]
     fn strings_paths_and_empty_values() {
         let k = parsed(&[
             ("EMISSARY_TRACE_OUT", "traces"),
-            ("EMISSARY_INJECT_PANIC", "tomcat/P(8):S&E"),
             ("EMISSARY_CHAOS_RATE", "0.02"),
             ("EMISSARY_MEASURE_INSNS", ""),
         ])
         .unwrap();
         assert_eq!(k.trace_out, Some(PathBuf::from("traces")));
-        assert_eq!(k.inject_panic.as_deref(), Some("tomcat/P(8):S&E"));
         assert_eq!(k.chaos_rate, 0.02);
         assert_eq!(k.measure_instrs, 8_000_000, "empty means unset");
     }
