@@ -2,14 +2,13 @@
 //! ([`crate::checkpoint`]), its one consumer. The checkpoint owns only its
 //! record codec; this module owns the file protocol over [`CkptIo`]:
 //!
-//! * **Salvage on open.** With `keep` set, every line of the existing
-//!   file is parsed and offered to the caller's `accept`. Lines that do
-//!   not parse or that `accept` rejects (torn tails from a killed
-//!   process, garbage from a bad disk) are appended verbatim to the
-//!   quarantine file, and the log is atomically rewritten (temp file +
-//!   fsync + rename) with only the accepted lines, so the next open
-//!   starts from a clean segment. Without `keep` the log is truncated
-//!   and never read.
+//! * **Salvage on open.** Every line of the existing file is parsed and
+//!   offered to the caller's `accept`. Lines that do not parse or that
+//!   `accept` rejects (torn tails from a killed process, garbage from a
+//!   bad disk) are appended verbatim to the quarantine file, and the log
+//!   is atomically rewritten (temp file + fsync + rename) with only the
+//!   accepted lines, so the next open starts from a clean segment. The
+//!   log is then opened for append: opening never destroys a record.
 //! * **Append.** One line per call, flushed. A failed write may leave a
 //!   prefix of the line on disk, so it is ended with a bare newline: the
 //!   torn line quarantines on the next open and the next record starts
@@ -39,26 +38,21 @@ pub struct AppendLog {
 }
 
 impl AppendLog {
-    /// Opens the log at `path`, creating its directory. With `keep`, the
-    /// existing lines are salvaged through `accept` (see the module
-    /// docs) and the file is opened for append; without it the file is
-    /// truncated. An unopenable file leaves the log non-persistent.
+    /// Opens the log at `path`, creating its directory: the existing
+    /// lines are salvaged through `accept` (see the module docs), then
+    /// the file is opened for append. An unopenable file leaves the log
+    /// non-persistent.
     pub fn open(
         io: Box<dyn CkptIo>,
         path: &Path,
         quarantine: &Path,
-        keep: bool,
         accept: impl FnMut(&JsonValue) -> bool,
     ) -> AppendLog {
         if let Err(e) = io.create_dir_all(path.parent().unwrap_or(Path::new(""))) {
             report(path, "mkdir", &e);
         }
-        let quarantined = if keep {
-            salvage(&*io, path, quarantine, accept)
-        } else {
-            0
-        };
-        let writer = match io.open_writer(path, keep) {
+        let quarantined = salvage(&*io, path, quarantine, accept);
+        let writer = match io.open_writer(path) {
             Ok(f) => Some(BufWriter::new(f)),
             Err(e) => {
                 report(path, "open", &e);
@@ -166,7 +160,7 @@ fn salvage(
 /// quarantine exists for post-mortems, and losing it must not block the
 /// open.
 fn quarantine_lines(io: &dyn CkptIo, quarantine: &Path, lines: &[&str]) {
-    let written = io.open_writer(quarantine, true).and_then(|f| {
+    let written = io.open_writer(quarantine).and_then(|f| {
         let mut w = BufWriter::new(f);
         lines
             .iter()

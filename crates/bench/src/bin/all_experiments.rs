@@ -18,7 +18,8 @@
 //! lengths; scale down with `EMISSARY_MEASURE_INSNS` for a quick pass.
 //! To stop a sweep, kill it: every signal takes the OS default, and each
 //! completed job is already in the checkpoint, so a rerun with
-//! `EMISSARY_RESUME=1` simulates only what is left.
+//! `EMISSARY_RESUME=1` simulates only what is left. A job that failed
+//! (`FAILED` cells, `failed=` above 0) is recovered the same way.
 
 use std::path::Path;
 use std::time::Instant;
@@ -38,7 +39,7 @@ fn main() {
         std::process::exit(2);
     });
     // Resolve the knobs first: a malformed value exits here, before the
-    // checkpoint is opened (and possibly truncated).
+    // checkpoint is opened (and its torn lines quarantined).
     let knobs = scale::knobs();
     let cfg = emissary_bench::base_config();
     eprintln!(
@@ -54,7 +55,7 @@ fn main() {
     let campaign = Campaign::begin_with(UNIFIED_CAMPAIGN, Path::new("results"), knobs.resume);
     if campaign.resumable() > 0 || campaign.quarantined() > 0 {
         eprintln!(
-            "checkpoint: resuming {UNIFIED_CAMPAIGN}: {} completed job(s) will be replayed, \
+            "checkpoint: {UNIFIED_CAMPAIGN}: {} completed record(s) loaded for resume, \
              {} unusable line(s) quarantined",
             campaign.resumable(),
             campaign.quarantined()
@@ -85,16 +86,16 @@ fn main() {
     let wall = start.elapsed().as_secs_f64();
     // Metrics aggregates append strictly after the pre-existing fields:
     // CI's campaign-smoke job greps this line for ` failed=0 ` and
-    // ` replayed=N`.
+    // ` replayed=N`. Dedup runs before the pool, so `replayed` counts
+    // exactly the unique jobs served from the loaded checkpoint.
     eprintln!(
         "campaign summary: requests={} unique={} simulated={} replayed={} failed={} \
-         ckpt_recovered={} ckpt_quarantined={} wall={wall:.1}s{}",
+         ckpt_quarantined={} wall={wall:.1}s{}",
         prefetch.requested,
         prefetch.unique,
         prefetch.simulated,
         prefetch.replayed,
         prefetch.failed,
-        campaign.resumable(),
         campaign.quarantined(),
         metrics::summary_suffix()
     );

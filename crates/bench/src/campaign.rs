@@ -408,7 +408,6 @@ mod tests {
                 benchmark: j.profile.name.to_string(),
                 policy: j.config.l2_policy.to_string(),
                 message: "boom".to_string(),
-                attempts: 1,
             };
             progress.tick(i, &outcome);
         }

@@ -22,16 +22,19 @@
 //! `all_experiments` opens one campaign, the unified
 //! `results/campaign.ckpt.jsonl` ([`UNIFIED_CAMPAIGN`]), for the whole
 //! sweep. `EMISSARY_RESUME=1` loads completed jobs at open, so a second
-//! campaign over a warm checkpoint simulates nothing.
+//! campaign over a warm checkpoint simulates nothing. A run without it
+//! re-simulates every job and appends its records after the old ones;
+//! the file is never truncated, so deleting it is the one way to start
+//! over.
 //!
 //! The checkpoint file is append-only JSONL. Failed jobs are recorded too
-//! (with their failure kind and attempt number), but only
-//! `"status":"completed"` records are replayed on resume — a resumed
-//! campaign re-runs exactly the jobs that did not finish. Records are
-//! replayed last-wins per fingerprint.
+//! (with their failure kind), but only `"status":"completed"` records
+//! are replayed on resume — a resumed campaign re-runs exactly the jobs
+//! that did not finish, which is how a failed job is recovered. Records
+//! are replayed last-wins per fingerprint.
 //!
 //! The file itself is an [`AppendLog`], which owns salvage, quarantine
-//! and torn-append handling: on resume, lines that do not decode as
+//! and torn-append handling: at every open, lines that do not decode as
 //! checkpoint records are moved verbatim to `<name>.ckpt.quarantine`
 //! and the checkpoint is atomically rewritten without them. This module
 //! keeps only the record codec and its answer to a log that stops
@@ -128,8 +131,7 @@ fn render_record(fp: &str, outcome: &JobOutcome, experiment: &str) -> String {
         .field_str("experiment", experiment)
         .field_str("benchmark", outcome.benchmark())
         .field_str("policy", outcome.policy())
-        .field_str("status", outcome.status())
-        .field_u64("attempts", u64::from(outcome.attempts()));
+        .field_str("status", outcome.status());
     match outcome {
         JobOutcome::Completed { run, .. } => {
             let samples: Vec<String> = run.samples.iter().map(|s| s.to_json()).collect();
@@ -153,9 +155,9 @@ impl Campaign {
     /// Opens the campaign `<dir>/<name>.ckpt.jsonl` with I/O from the
     /// environment ([`crate::chaos::io_from_env`]: chaos-injected when
     /// `EMISSARY_CHAOS_SEED` is set, plain `std::fs` otherwise). With
-    /// `resume` set, previously completed jobs are loaded and will be
-    /// replayed; otherwise any existing checkpoint file is truncated (a
-    /// fresh campaign records from scratch).
+    /// `resume` set, previously completed jobs are loaded into the memo
+    /// and replayed; otherwise every job is simulated afresh. Either way
+    /// the existing file is kept and new records append after it.
     pub fn begin_with(name: &str, dir: &Path, resume: bool) -> Campaign {
         Self::begin_with_io(name, dir, resume, crate::chaos::io_from_env())
     }
@@ -171,20 +173,16 @@ impl Campaign {
         let path = dir.join(format!("{name}.ckpt.jsonl"));
         let quarantine_path = dir.join(format!("{name}.ckpt.quarantine"));
         let mut memo = HashMap::new();
-        let log = AppendLog::open(
-            io,
-            &path,
-            &quarantine_path,
-            resume,
-            |v| match decode_record(v) {
-                Ok(Some((fp, run))) => {
+        let log = AppendLog::open(io, &path, &quarantine_path, |v| match decode_record(v) {
+            Ok(Some((fp, run))) => {
+                if resume {
                     memo.insert(fp, run);
-                    true
                 }
-                Ok(None) => true,
-                Err(()) => false,
-            },
-        );
+                true
+            }
+            Ok(None) => true,
+            Err(()) => false,
+        });
         if !log.persistent() {
             eprintln!(
                 "checkpoint: continuing memo-only (in-process dedup still active, \
@@ -211,8 +209,10 @@ impl Campaign {
         &self.quarantine_path
     }
 
-    /// Number of completed jobs loaded from the checkpoint file for
-    /// replay (the memo grows past this as fresh jobs complete).
+    /// Number of distinct completed jobs loaded from the checkpoint file
+    /// on resume (0 for a fresh campaign; the memo grows past this as
+    /// fresh jobs complete). Loaded is not replayed: a job is replayed
+    /// only if the campaign asks for it.
     pub fn resumable(&self) -> usize {
         self.loaded
     }
@@ -387,7 +387,6 @@ mod tests {
             &JobOutcome::Completed {
                 run: Box::new(run.clone()),
                 resumed: false,
-                attempts: 1,
             },
         );
         // Metadata on the line, not in the key.
@@ -427,7 +426,6 @@ mod tests {
                 benchmark: "xapian".into(),
                 policy: "M:1".into(),
                 message: "boom".into(),
-                attempts: 1,
             },
         );
         let text = std::fs::read_to_string(c.path()).unwrap();

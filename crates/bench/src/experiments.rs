@@ -1530,7 +1530,6 @@ mod tests {
             .map(|_| JobOutcome::Completed {
                 run: Box::new(run.clone()),
                 resumed: false,
-                attempts: 1,
             })
             .collect();
         Runs::from_outcomes(jobs, outcomes)

@@ -6,10 +6,16 @@
 //! dependencies: each worker claims one job at a time with a
 //! `fetch_add`, so the LPT order the campaign engine hands in also
 //! balances the tail. Every job runs under `catch_unwind` plus the
-//! simulator's fault detector, so one panicking, stalling, or
-//! over-budget simulation produces a [`JobOutcome`] describing the
+//! simulator's fault detector, so one panicking, stalling or
+//! audit-failing simulation produces a [`JobOutcome`] describing the
 //! failure instead of tearing down the whole campaign — the worker that
 //! caught it moves straight on to the next job.
+//!
+//! Each job runs once. A job's outcome is a pure function of its config,
+//! so running it again in the same process would fail the same way; a
+//! failed job is recovered by resuming the campaign
+//! (`EMISSARY_RESUME=1`), which re-runs exactly the jobs that did not
+//! complete.
 //!
 //! Each outcome is recorded to the campaign as its job finishes
 //! ([`Campaign::record`] appends and flushes before it returns), so every
@@ -19,7 +25,7 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use emissary_sim::{ConfigError, FaultConfig, SimAbort, SimRun};
 
@@ -41,9 +47,6 @@ pub enum JobOutcome {
         run: Box<SimRun>,
         /// Replayed from a checkpoint instead of simulated.
         resumed: bool,
-        /// Which attempt completed (1-based; 0 for replays, which did not
-        /// execute at all this process).
-        attempts: u32,
     },
     /// The job's worker caught a panic.
     Panicked {
@@ -53,11 +56,9 @@ pub enum JobOutcome {
         policy: String,
         /// Rendered panic payload.
         message: String,
-        /// Which attempt panicked (1-based).
-        attempts: u32,
     },
-    /// The fault detector aborted the run (wall-clock budget, stall
-    /// watchdog, or invariant audit).
+    /// The fault detector aborted the run (stall watchdog or invariant
+    /// audit).
     Aborted {
         /// Benchmark name.
         benchmark: String,
@@ -65,8 +66,6 @@ pub enum JobOutcome {
         policy: String,
         /// The structured abort, including diagnostics.
         abort: SimAbort,
-        /// Which attempt aborted (1-based).
-        attempts: u32,
     },
     /// Config validation rejected the job before it ran.
     Rejected {
@@ -127,18 +126,6 @@ impl JobOutcome {
         }
     }
 
-    /// How many execution attempts this outcome represents (1-based; 0
-    /// for checkpoint replays, which never ran, and 1 for rejections,
-    /// which were refused before running).
-    pub fn attempts(&self) -> u32 {
-        match self {
-            JobOutcome::Completed { attempts, .. }
-            | JobOutcome::Panicked { attempts, .. }
-            | JobOutcome::Aborted { attempts, .. } => *attempts,
-            JobOutcome::Rejected { .. } => 1,
-        }
-    }
-
     /// One-line human-readable description of a failure (empty for
     /// completed runs).
     pub fn describe(&self) -> String {
@@ -151,23 +138,15 @@ impl JobOutcome {
     }
 }
 
-/// Pool-wide execution options. Unlike [`FaultConfig`], the wall-clock
-/// budget here is per *job*: each job's deadline starts when a worker
-/// picks it up.
+/// Pool-wide execution options. Every job runs under the
+/// forward-progress watchdog at
+/// [`emissary_sim::fault::DEFAULT_STALL_CYCLES`].
 #[derive(Debug, Clone)]
 pub struct PoolOptions {
     /// Worker threads (clamped to the job count).
     pub workers: usize,
-    /// Per-job wall-clock budget (per *attempt* under retry: each attempt
-    /// gets a fresh deadline).
-    pub timeout: Option<Duration>,
-    /// Forward-progress watchdog threshold in cycles (`None` disables).
-    pub stall_cycles: Option<u64>,
     /// Run the invariant auditor at epoch boundaries.
     pub audit: bool,
-    /// Retry budget for panicked / retryable-aborted jobs: a job runs at
-    /// most `1 + retries` attempts, back to back.
-    pub retries: u32,
     /// Chaos fault plan injecting job panics/stalls ([`FaultPlan::job_fault`]);
     /// `None` disables job-level injection.
     pub chaos: Option<Arc<FaultPlan>>,
@@ -175,37 +154,30 @@ pub struct PoolOptions {
 
 impl PoolOptions {
     /// The options the process's knobs ([`scale::knobs`]) describe:
-    /// threads, job budget, watchdog, audit, retry, and the chaos plan.
+    /// threads, audit, and the chaos plan.
     pub fn from_env() -> Self {
         let k = scale::knobs();
         Self {
             workers: k.threads,
-            timeout: k.job_timeout_ms.map(Duration::from_millis),
-            stall_cycles: k.stall_cycles,
             audit: k.audit,
-            retries: k.job_retries,
             chaos: chaos::plan_from_env(),
         }
     }
 
-    /// Explicit worker count, no budget, default watchdog, no audit, no
-    /// retry, no chaos — the deterministic test/legacy configuration.
+    /// Explicit worker count, no audit, no chaos — the deterministic
+    /// test configuration.
     pub fn with_workers(workers: usize) -> Self {
         Self {
             workers,
-            timeout: None,
-            stall_cycles: Some(emissary_sim::fault::DEFAULT_STALL_CYCLES),
             audit: false,
-            retries: 0,
             chaos: None,
         }
     }
 
     fn fault_config(&self) -> FaultConfig {
         FaultConfig {
-            deadline: self.timeout.map(|t| Instant::now() + t),
-            stall_cycles: self.stall_cycles,
             audit: self.audit,
+            ..FaultConfig::watchdog()
         }
     }
 }
@@ -300,17 +272,10 @@ pub fn run_parallel_outcomes_hooked(
 }
 
 /// Executes one job under the full isolation stack (checkpoint replay →
-/// validation → catch_unwind + fault detector → bounded retry) and
-/// records the outcome. Pool workers run every job through this; `worker`
-/// labels the per-stage metric spans recorded into `registry` (`None`
-/// records nothing; see [`crate::metrics::registry`]).
-///
-/// Panicked and retryable-aborted attempts (see [`SimAbort::retryable`])
-/// are retried up to `opts.retries` times, back to back (a job is
-/// deterministic and CPU-bound, so waiting buys nothing); each
-/// failed-but-retried attempt is recorded to the checkpoint before
-/// the next attempt, so the attempt history survives there even when the
-/// job eventually completes. The returned outcome is the final one.
+/// validation → catch_unwind + fault detector) and records the outcome.
+/// Pool workers run every job through this; `worker` labels the
+/// per-stage metric spans recorded into `registry` (`None` records
+/// nothing; see [`crate::metrics::registry`]).
 fn run_job(
     job: &Job,
     opts: &PoolOptions,
@@ -323,7 +288,6 @@ fn run_job(
         return JobOutcome::Completed {
             run: Box::new(run),
             resumed: true,
-            attempts: 0,
         };
     }
     let benchmark = job.profile.name.to_string();
@@ -335,61 +299,32 @@ fn run_job(
             error,
         }
     } else {
-        let hash = checkpoint::config_hash(job);
-        let max_attempts = opts.retries.saturating_add(1);
-        let mut attempt: u32 = 1;
-        loop {
-            // Chaos injects per (config, attempt): retries of a chaos-hit
-            // job roll a fresh, still-deterministic decision.
-            let mut attempt_job = job.clone();
-            if attempt_job.inject.is_none() {
-                if let Some(plan) = &opts.chaos {
-                    attempt_job.inject = plan.job_fault(hash, attempt);
-                }
+        let mut job = job.clone();
+        if job.inject.is_none() {
+            if let Some(plan) = &opts.chaos {
+                job.inject = plan.job_fault(checkpoint::config_hash(&job));
             }
-            // The job only reads its inputs and builds all simulator
-            // state locally, so resuming the pool after a caught panic
-            // cannot observe broken invariants.
-            let outcome = match catch_unwind(AssertUnwindSafe(|| {
-                attempt_job.run_checked_metered(&opts.fault_config(), registry, worker)
-            })) {
-                Ok(Ok(run)) => JobOutcome::Completed {
-                    run: Box::new(run),
-                    resumed: false,
-                    attempts: attempt,
-                },
-                Ok(Err(abort)) => JobOutcome::Aborted {
-                    benchmark: benchmark.clone(),
-                    policy: policy.clone(),
-                    abort,
-                    attempts: attempt,
-                },
-                Err(payload) => JobOutcome::Panicked {
-                    benchmark: benchmark.clone(),
-                    policy: policy.clone(),
-                    message: panic_message(payload.as_ref()),
-                    attempts: attempt,
-                },
-            };
-            let retryable = match &outcome {
-                JobOutcome::Panicked { .. } => true,
-                JobOutcome::Aborted { abort, .. } => abort.retryable(),
-                _ => false,
-            };
-            if !retryable || attempt >= max_attempts {
-                break outcome;
-            }
-            if let Some(c) = campaign {
-                let t0 = Instant::now();
-                c.record(&fp, &outcome);
-                metrics::record_stage(registry, worker, "checkpoint", metrics::elapsed_ns(t0));
-            }
-            eprintln!(
-                "pool: {benchmark}/{policy} attempt {attempt} {}; retrying ({}/{max_attempts})",
-                outcome.status(),
-                attempt + 1
-            );
-            attempt += 1;
+        }
+        // The job only reads its inputs and builds all simulator state
+        // locally, so resuming the pool after a caught panic cannot
+        // observe broken invariants.
+        match catch_unwind(AssertUnwindSafe(|| {
+            job.run_checked_metered(&opts.fault_config(), registry, worker)
+        })) {
+            Ok(Ok(run)) => JobOutcome::Completed {
+                run: Box::new(run),
+                resumed: false,
+            },
+            Ok(Err(abort)) => JobOutcome::Aborted {
+                benchmark,
+                policy,
+                abort,
+            },
+            Err(payload) => JobOutcome::Panicked {
+                benchmark,
+                policy,
+                message: panic_message(payload.as_ref()),
+            },
         }
     };
     if let Some(c) = campaign {
@@ -502,15 +437,6 @@ mod tests {
         assert_eq!(outcomes[1].status(), "stalled");
         assert!(outcomes[1].describe().contains("no commit"));
         assert_eq!(outcomes[2].status(), "completed");
-    }
-
-    #[test]
-    fn expired_job_budget_times_out() {
-        let jobs = quick_jobs(1);
-        let mut opts = PoolOptions::with_workers(1);
-        opts.timeout = Some(Duration::ZERO);
-        let outcomes = run_parallel_outcomes_with(&jobs, &opts, None);
-        assert_eq!(outcomes[0].status(), "timeout");
     }
 
     #[test]

@@ -3,14 +3,15 @@
 //! Every experiment renders its tables to stdout and, through [`emit`],
 //! additionally writes `results/<name>.jsonl` containing:
 //!
-//! * one `meta` record — experiment name, title, run lengths, sampling
-//!   interval;
+//! * one `meta` record — experiment name, title, and every resolved
+//!   knob ([`scale::Knobs::to_json`], keyed by variable name), so a
+//!   result names the settings that produced it;
 //! * one `report` record per simulation the experiment drew on (the full
 //!   [`SimReport`](emissary_sim::SimReport));
 //! * one `sample` record per interval sample (when
 //!   `EMISSARY_SAMPLE_INTERVAL` is set);
-//! * one `job_failure` record per job of the experiment whose final
-//!   outcome was a panic, abort, or config rejection (see
+//! * one `job_failure` record per job of the experiment whose outcome
+//!   was a panic, abort, or config rejection (see
 //!   [`crate::pool::JobOutcome`]);
 //! * one `table_row` record per rendered table row, keyed by column
 //!   header — these carry exactly the values printed in the `.txt`
@@ -22,8 +23,7 @@
 //! `results/campaign.jsonl` once, after the prefetch
 //! ([`write_campaign_faults`]): one `trace_error` record per event-trace
 //! sink that failed (the affected run proceeded untraced) and one
-//! `ckpt_error` record per checkpoint I/O failure. The retry history of a
-//! job stays in the checkpoint, one record per attempt.
+//! `ckpt_error` record per checkpoint I/O failure.
 
 use std::fs;
 use std::io::{self, BufWriter, Write};
@@ -56,22 +56,20 @@ pub struct TraceError {
     pub error: String,
 }
 
-/// A job whose final outcome did not complete (panicked, aborted, or
+/// A job whose outcome did not complete (panicked, aborted, or
 /// rejected), rendered as a `job_failure` record in the
-/// experiment's results file.
+/// experiment's results file. A resume re-runs it.
 #[derive(Debug, Clone)]
 pub struct JobFailure {
     /// Benchmark name.
     pub benchmark: String,
     /// L2 policy notation.
     pub policy: String,
-    /// Machine-readable status (`panicked`/`timeout`/`stalled`/`audit`/
+    /// Machine-readable status (`panicked`/`stalled`/`audit`/
     /// `rejected`).
     pub status: String,
     /// Human-readable failure description.
     pub detail: String,
-    /// Which attempt failed last (1-based).
-    pub attempt: u32,
 }
 
 /// A checkpoint I/O failure the campaign degraded around (memo-only
@@ -119,7 +117,6 @@ impl JobFailure {
             policy: outcome.policy().to_string(),
             status: outcome.status().to_string(),
             detail: outcome.describe(),
-            attempt: outcome.attempts(),
         })
     }
 }
@@ -239,14 +236,8 @@ pub fn write_records(
     meta.field_str("record", "meta")
         .field_str("experiment", name)
         .field_str("title", &exp.title)
-        .field_u64("warmup_instrs", scale::knobs().warmup_instrs)
-        .field_u64("measure_instrs", scale::knobs().measure_instrs)
-        .field_u64(
-            "sample_interval",
-            scale::knobs().sample_interval.unwrap_or(0),
-        )
+        .field_raw("knobs", &scale::knobs().to_json())
         .field_u64("runs", runs.len() as u64)
-        .field_u64("threads", scale::knobs().threads as u64)
         .field_f64("host_seconds", host_seconds)
         .field_f64("host_mips", host_mips);
     writeln!(out, "{}", meta.finish())?;
@@ -282,8 +273,7 @@ pub fn write_records(
             .field_str("benchmark", &f.benchmark)
             .field_str("policy", &f.policy)
             .field_str("status", &f.status)
-            .field_str("detail", &f.detail)
-            .field_u64("attempt", u64::from(f.attempt));
+            .field_str("detail", &f.detail);
         writeln!(out, "{}", obj.finish())?;
     }
     for ce in ckpt_errors {
@@ -347,6 +337,20 @@ mod tests {
         assert!(lines[0].contains("\"record\":\"meta\""));
         assert!(lines[0].contains("\"experiment\":\"test_exp\""));
         assert!(lines[0].contains("\"runs\":1"));
+        // The meta record names every resolved knob, keyed by variable.
+        let meta = emissary_obs::JsonValue::parse(lines[0]).unwrap();
+        let knobs = meta.get("knobs").expect("meta carries the knobs");
+        assert_eq!(
+            knobs.get("EMISSARY_MEASURE_INSNS").and_then(|v| v.as_u64()),
+            Some(scale::knobs().measure_instrs)
+        );
+        assert_eq!(
+            knobs.get("EMISSARY_THREADS").and_then(|v| v.as_u64()),
+            Some(scale::knobs().threads as u64)
+        );
+        for name in scale::names() {
+            assert!(knobs.get(name).is_some(), "meta lacks {name}: {}", lines[0]);
+        }
         assert!(lines[1].contains("\"record\":\"report\""));
         assert!(lines[1].contains(&format!("\"cycles\":{}", run.report.cycles)));
         assert!(lines[2].contains("\"record\":\"table_row\""));
@@ -364,7 +368,6 @@ mod tests {
             policy: "P(8):S".into(),
             status: "panicked".into(),
             detail: "panicked: injected panic".into(),
-            attempt: 2,
         });
         let trace_errors = vec![TraceError {
             benchmark: "xapian".into(),
@@ -387,7 +390,7 @@ mod tests {
         assert!(lines[2].contains("\"record\":\"job_failure\""));
         assert!(lines[2].contains("\"status\":\"panicked\""));
         assert!(lines[2].contains("\"benchmark\":\"verilator\""));
-        assert!(lines[2].contains("\"attempt\":2"));
+        assert!(!lines[2].contains("attempt"), "{}", lines[2]);
         assert!(lines[3].contains("\"record\":\"ckpt_error\""));
         assert!(lines[3].contains("\"op\":\"append\""));
         assert!(lines[3].contains("\"error\":\"disk full\""));

@@ -16,9 +16,15 @@
 //! * numbers may use `_` separators (`8_000_000`);
 //! * flags are exactly `0` or `1`;
 //! * where a knob documents `0` as "off", `0` switches it off.
+//!
+//! [`Knobs::to_json`] renders every resolved value back out, keyed by
+//! its variable; each `results/<name>.jsonl` `meta` record carries it, so
+//! a result names the settings that produced it.
 
 use std::path::PathBuf;
 use std::sync::OnceLock;
+
+use emissary_obs::JsonObject;
 
 /// Every harness knob, resolved. Field docs name the variable and its
 /// default; README "Environment variables" is the user-facing table.
@@ -53,31 +59,18 @@ pub struct Knobs {
     /// each simulation finishes, so leaving them on cannot perturb
     /// simulated behaviour.
     pub metrics: bool,
-    /// Per-job wall-clock budget in milliseconds
-    /// (`EMISSARY_JOB_TIMEOUT_MS`; unset or `0` disables). The deadline
-    /// starts when the job starts, not when the campaign does.
-    pub job_timeout_ms: Option<u64>,
-    /// Forward-progress watchdog threshold in cycles
-    /// (`EMISSARY_STALL_CYCLES`, default
-    /// [`emissary_sim::fault::DEFAULT_STALL_CYCLES`]; `0` disables).
-    pub stall_cycles: Option<u64>,
     /// Run the invariant auditor at epoch boundaries (`EMISSARY_AUDIT`).
     pub audit: bool,
-    /// Resume campaigns from their checkpoint files (`EMISSARY_RESUME`).
-    /// Off truncates the checkpoint, so a mistyped value must never read
-    /// as off: it is a parse error instead.
+    /// Resume campaigns from their checkpoint files (`EMISSARY_RESUME`):
+    /// replay the completed jobs and re-run the rest, which is how a
+    /// failed job is recovered. Off re-simulates everything, so a
+    /// mistyped value must never read as off: it is a parse error
+    /// instead.
     pub resume: bool,
-    /// Retry budget for panicked / retryable-aborted jobs
-    /// (`EMISSARY_JOB_RETRIES`, default 1; `0` disables retry). A job is
-    /// attempted at most `1 + retries` times.
-    pub job_retries: u32,
     /// Chaos seed (`EMISSARY_CHAOS_SEED`; unset disables fault
-    /// injection, see [`crate::chaos`]).
+    /// injection, see [`crate::chaos`]; the rate is
+    /// [`crate::chaos::CHAOS_RATE`]).
     pub chaos_seed: Option<u64>,
-    /// Per-site chaos fault probability in `[0, 1]`
-    /// (`EMISSARY_CHAOS_RATE`, default
-    /// [`crate::chaos::DEFAULT_CHAOS_RATE`]).
-    pub chaos_rate: f64,
     /// Whether the campaign scheduler prints its stderr progress line
     /// (`EMISSARY_PROGRESS`, default on).
     pub progress: bool,
@@ -100,13 +93,9 @@ impl Default for Knobs {
             sample_interval: None,
             trace_out: None,
             metrics: true,
-            job_timeout_ms: None,
-            stall_cycles: Some(emissary_sim::fault::DEFAULT_STALL_CYCLES),
             audit: false,
             resume: false,
-            job_retries: 1,
             chaos_seed: None,
-            chaos_rate: crate::chaos::DEFAULT_CHAOS_RATE,
             progress: true,
             bless: false,
             unknown: Vec::new(),
@@ -135,29 +124,53 @@ impl std::error::Error for KnobError {}
 
 type Setter = fn(&mut Knobs, &str) -> Result<(), String>;
 
-/// The knob table: every recognised name and how its value sets a field.
+/// Renders a knob's resolved value as raw JSON (`null` when unset).
+type Getter = fn(&Knobs) -> String;
+
+/// The knob table: every recognised name, how its value sets a field,
+/// and how the field renders back out.
 #[rustfmt::skip]
-const TABLE: &[(&str, Setter)] = &[
-    ("EMISSARY_MEASURE_INSNS", |k, v| positive(v).map(|x| k.measure_instrs = x)),
-    ("EMISSARY_WARMUP_INSNS", |k, v| positive(v).map(|x| k.warmup_instrs = x)),
-    ("EMISSARY_THREADS", |k, v| positive(v).map(|x| k.threads = x)),
-    ("EMISSARY_SAMPLE_INTERVAL", |k, v| zero_off(v).map(|x| k.sample_interval = x)),
-    ("EMISSARY_TRACE_OUT", |k, v| text(v).map(|x| k.trace_out = Some(x.into()))),
-    ("EMISSARY_METRICS", |k, v| flag(v).map(|x| k.metrics = x)),
-    ("EMISSARY_JOB_TIMEOUT_MS", |k, v| zero_off(v).map(|x| k.job_timeout_ms = x)),
-    ("EMISSARY_STALL_CYCLES", |k, v| zero_off(v).map(|x| k.stall_cycles = x)),
-    ("EMISSARY_AUDIT", |k, v| flag(v).map(|x| k.audit = x)),
-    ("EMISSARY_RESUME", |k, v| flag(v).map(|x| k.resume = x)),
-    ("EMISSARY_JOB_RETRIES", |k, v| number(v).map(|x| k.job_retries = x)),
-    ("EMISSARY_CHAOS_SEED", |k, v| number(v).map(|x| k.chaos_seed = Some(x))),
-    ("EMISSARY_CHAOS_RATE", |k, v| fraction(v).map(|x| k.chaos_rate = x)),
-    ("EMISSARY_PROGRESS", |k, v| flag(v).map(|x| k.progress = x)),
-    ("EMISSARY_BLESS", |k, v| flag(v).map(|x| k.bless = x)),
+const TABLE: &[(&str, Setter, Getter)] = &[
+    ("EMISSARY_MEASURE_INSNS", |k, v| positive(v).map(|x| k.measure_instrs = x), |k| k.measure_instrs.to_string()),
+    ("EMISSARY_WARMUP_INSNS", |k, v| positive(v).map(|x| k.warmup_instrs = x), |k| k.warmup_instrs.to_string()),
+    ("EMISSARY_THREADS", |k, v| positive(v).map(|x| k.threads = x), |k| k.threads.to_string()),
+    ("EMISSARY_SAMPLE_INTERVAL", |k, v| zero_off(v).map(|x| k.sample_interval = x), |k| or_null(k.sample_interval)),
+    ("EMISSARY_TRACE_OUT", |k, v| text(v).map(|x| k.trace_out = Some(x.into())), |k| or_null(k.trace_out.as_ref().map(|p| quoted(&p.to_string_lossy())))),
+    ("EMISSARY_METRICS", |k, v| flag(v).map(|x| k.metrics = x), |k| k.metrics.to_string()),
+    ("EMISSARY_AUDIT", |k, v| flag(v).map(|x| k.audit = x), |k| k.audit.to_string()),
+    ("EMISSARY_RESUME", |k, v| flag(v).map(|x| k.resume = x), |k| k.resume.to_string()),
+    ("EMISSARY_CHAOS_SEED", |k, v| number(v).map(|x| k.chaos_seed = Some(x)), |k| or_null(k.chaos_seed)),
+    ("EMISSARY_PROGRESS", |k, v| flag(v).map(|x| k.progress = x), |k| k.progress.to_string()),
+    ("EMISSARY_BLESS", |k, v| flag(v).map(|x| k.bless = x), |k| k.bless.to_string()),
 ];
 
 /// Every recognised `EMISSARY_*` name, in table order.
 pub fn names() -> impl Iterator<Item = &'static str> {
-    TABLE.iter().map(|(name, _)| *name)
+    TABLE.iter().map(|(name, ..)| *name)
+}
+
+impl Knobs {
+    /// Every knob's resolved value as one JSON object keyed by its
+    /// variable name, in table order: numbers and flags as JSON numbers
+    /// and booleans, an unset optional knob as `null`.
+    pub fn to_json(&self) -> String {
+        let mut obj = JsonObject::new();
+        for (name, _, get) in TABLE {
+            obj.field_raw(name, &get(self));
+        }
+        obj.finish()
+    }
+}
+
+fn or_null(v: Option<impl ToString>) -> String {
+    v.map_or_else(|| "null".to_string(), |x| x.to_string())
+}
+
+fn quoted(s: &str) -> String {
+    let mut out = String::from('"');
+    emissary_obs::json::escape_into(&mut out, s);
+    out.push('"');
+    out
 }
 
 /// The numeric parser every knob shares: `_` separators are allowed.
@@ -184,15 +197,6 @@ fn zero_off(v: &str) -> Result<Option<u64>, String> {
     number(v).map(|n: u64| (n > 0).then_some(n))
 }
 
-fn fraction(v: &str) -> Result<f64, String> {
-    let x: f64 = number(v)?;
-    if (0.0..=1.0).contains(&x) {
-        Ok(x)
-    } else {
-        Err("expected a probability in [0, 1]".to_string())
-    }
-}
-
 fn flag(v: &str) -> Result<bool, String> {
     match v {
         "0" => Ok(false),
@@ -217,10 +221,10 @@ where
         if !name.starts_with("EMISSARY_") {
             continue;
         }
-        match TABLE.iter().find(|(known, _)| *known == name) {
+        match TABLE.iter().find(|(known, ..)| *known == name) {
             None => knobs.unknown.push(name.to_string()),
             Some(_) if value.is_empty() => {}
-            Some((_, set)) => set(&mut knobs, value).map_err(|reason| KnobError {
+            Some((_, set, _)) => set(&mut knobs, value).map_err(|reason| KnobError {
                 name: name.to_string(),
                 value: value.to_string(),
                 reason,
@@ -284,16 +288,9 @@ mod tests {
         assert_eq!(k.sample_interval, None);
         assert_eq!(k.trace_out, None);
         assert!(k.metrics);
-        assert_eq!(k.job_timeout_ms, None);
-        assert_eq!(
-            k.stall_cycles,
-            Some(emissary_sim::fault::DEFAULT_STALL_CYCLES)
-        );
         assert!(!k.audit);
         assert!(!k.resume);
-        assert_eq!(k.job_retries, 1);
         assert_eq!(k.chaos_seed, None);
-        assert_eq!(k.chaos_rate, crate::chaos::DEFAULT_CHAOS_RATE);
         assert!(k.progress);
         assert!(!k.bless);
         assert!(k.unknown.is_empty());
@@ -324,7 +321,6 @@ mod tests {
             ("EMISSARY_MEASURE_INSNS", "1_000_000"),
             ("EMISSARY_WARMUP_INSNS", "250_000"),
             ("EMISSARY_THREADS", "3"),
-            ("EMISSARY_JOB_RETRIES", "1_0"),
             ("EMISSARY_CHAOS_SEED", "12_345"),
             ("EMISSARY_SAMPLE_INTERVAL", "1_048_576"),
         ])
@@ -332,7 +328,6 @@ mod tests {
         assert_eq!(k.measure_instrs, 1_000_000);
         assert_eq!(k.warmup_instrs, 250_000);
         assert_eq!(k.threads, 3);
-        assert_eq!(k.job_retries, 10);
         assert_eq!(k.chaos_seed, Some(12_345));
         assert_eq!(k.sample_interval, Some(1_048_576));
     }
@@ -340,18 +335,8 @@ mod tests {
     #[test]
     fn zero_switches_off_the_knobs_that_document_it() {
         let zero = |name| parsed(&[(name, "0")]).unwrap();
-        assert_eq!(zero("EMISSARY_STALL_CYCLES").stall_cycles, None);
-        assert_eq!(zero("EMISSARY_JOB_TIMEOUT_MS").job_timeout_ms, None);
         assert_eq!(zero("EMISSARY_SAMPLE_INTERVAL").sample_interval, None);
-        assert_eq!(zero("EMISSARY_JOB_RETRIES").job_retries, 0);
-        let on = parsed(&[
-            ("EMISSARY_STALL_CYCLES", "500"),
-            ("EMISSARY_JOB_TIMEOUT_MS", "9_000"),
-            ("EMISSARY_SAMPLE_INTERVAL", "50_000"),
-        ])
-        .unwrap();
-        assert_eq!(on.stall_cycles, Some(500));
-        assert_eq!(on.job_timeout_ms, Some(9_000));
+        let on = parsed(&[("EMISSARY_SAMPLE_INTERVAL", "50_000")]).unwrap();
         assert_eq!(on.sample_interval, Some(50_000));
     }
 
@@ -362,11 +347,9 @@ mod tests {
             ("EMISSARY_MEASURE_INSNS", "0"),
             ("EMISSARY_WARMUP_INSNS", "-1"),
             ("EMISSARY_THREADS", "0"),
-            ("EMISSARY_STALL_CYCLES", "never"),
-            ("EMISSARY_JOB_RETRIES", "-1"),
+            ("EMISSARY_SAMPLE_INTERVAL", "never"),
             ("EMISSARY_CHAOS_SEED", "0x10"),
-            ("EMISSARY_CHAOS_RATE", "1.5"),
-            ("EMISSARY_CHAOS_RATE", "NaN"),
+            ("EMISSARY_CHAOS_SEED", "-1"),
         ] {
             rejects(name, bad);
         }
@@ -404,15 +387,17 @@ mod tests {
 
     #[test]
     fn retired_knobs_are_unknown() {
-        let k = parsed(&[
+        let retired = [
             ("EMISSARY_INJECT_PANIC", "tomcat/P(8):S&E"),
             ("EMISSARY_RETRY_BACKOFF_MS", "25"),
-        ])
-        .unwrap();
-        assert_eq!(
-            k.unknown,
-            ["EMISSARY_INJECT_PANIC", "EMISSARY_RETRY_BACKOFF_MS"]
-        );
+            ("EMISSARY_JOB_TIMEOUT_MS", "9_000"),
+            ("EMISSARY_STALL_CYCLES", "500"),
+            ("EMISSARY_JOB_RETRIES", "2"),
+            ("EMISSARY_CHAOS_RATE", "0.02"),
+        ];
+        let k = parsed(&retired).unwrap();
+        let names: Vec<&str> = retired.iter().map(|&(name, _)| name).collect();
+        assert_eq!(k.unknown, names);
         assert_eq!(
             k,
             Knobs {
@@ -426,18 +411,42 @@ mod tests {
     fn strings_paths_and_empty_values() {
         let k = parsed(&[
             ("EMISSARY_TRACE_OUT", "traces"),
-            ("EMISSARY_CHAOS_RATE", "0.02"),
             ("EMISSARY_MEASURE_INSNS", ""),
         ])
         .unwrap();
         assert_eq!(k.trace_out, Some(PathBuf::from("traces")));
-        assert_eq!(k.chaos_rate, 0.02);
         assert_eq!(k.measure_instrs, 8_000_000, "empty means unset");
+    }
+
+    #[test]
+    fn to_json_renders_every_knob_by_name() {
+        let k = parsed(&[
+            ("EMISSARY_MEASURE_INSNS", "4_000"),
+            ("EMISSARY_TRACE_OUT", "tr\"aces"),
+            ("EMISSARY_CHAOS_SEED", "7"),
+            ("EMISSARY_RESUME", "1"),
+        ])
+        .unwrap();
+        let v = emissary_obs::JsonValue::parse(&k.to_json()).unwrap();
+        for name in names() {
+            assert!(v.get(name).is_some(), "{name} missing from {}", k.to_json());
+        }
+        let get = |name| v.get(name).unwrap();
+        assert_eq!(get("EMISSARY_MEASURE_INSNS").as_u64(), Some(4_000));
+        assert_eq!(get("EMISSARY_TRACE_OUT").as_str(), Some("tr\"aces"));
+        assert_eq!(get("EMISSARY_CHAOS_SEED").as_u64(), Some(7));
+        assert_eq!(get("EMISSARY_RESUME").as_bool(), Some(true));
+        assert_eq!(get("EMISSARY_BLESS").as_bool(), Some(false));
+        assert_eq!(
+            get("EMISSARY_SAMPLE_INTERVAL"),
+            &emissary_obs::JsonValue::Null
+        );
     }
 
     #[test]
     fn table_names_are_unique_and_prefixed() {
         let all: Vec<&str> = names().collect();
+        assert_eq!(all.len(), 11);
         let unique: std::collections::BTreeSet<&str> = all.iter().copied().collect();
         assert_eq!(unique.len(), all.len(), "duplicate knob name");
         assert!(all.iter().all(|n| n.starts_with("EMISSARY_")));

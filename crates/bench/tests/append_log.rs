@@ -22,13 +22,12 @@ fn tmpdir(tag: &str) -> PathBuf {
 
 /// Opens `dir/log.jsonl`, accepting every parsed line; returns the log
 /// and the accepted lines re-rendered as their `n` fields.
-fn open_all(dir: &Path, io: Box<dyn CkptIo>, keep: bool) -> (AppendLog, Vec<u64>) {
+fn open_all(dir: &Path, io: Box<dyn CkptIo>) -> (AppendLog, Vec<u64>) {
     let mut seen = Vec::new();
     let log = AppendLog::open(
         io,
         &dir.join("log.jsonl"),
         &dir.join("log.quarantine"),
-        keep,
         |v| {
             seen.push(v.get("n").and_then(JsonValue::as_u64).unwrap_or(u64::MAX));
             true
@@ -46,7 +45,7 @@ fn golden_log() -> &'static str {
     static LOG: OnceLock<String> = OnceLock::new();
     LOG.get_or_init(|| {
         let dir = tmpdir("golden");
-        let (mut log, _) = open_all(&dir, Box::new(RealIo), false);
+        let (mut log, _) = open_all(&dir, Box::new(RealIo));
         for n in 0..4 {
             log.append(&record(n)).unwrap();
         }
@@ -79,7 +78,7 @@ proptest! {
 
         let dir = tmpdir(&format!("trunc{}", CASE.fetch_add(1, Ordering::Relaxed)));
         std::fs::write(dir.join("log.jsonl"), prefix).unwrap();
-        let (mut log, seen) = open_all(&dir, Box::new(RealIo), true);
+        let (mut log, seen) = open_all(&dir, Box::new(RealIo));
         prop_assert_eq!(seen.len(), expect_good, "cut at byte {}", cut);
         prop_assert_eq!(log.quarantined(), expect_quarantined, "cut at byte {}", cut);
         if expect_quarantined > 0 {
@@ -89,7 +88,7 @@ proptest! {
         log.append(&record(99)).unwrap();
         drop(log);
 
-        let (log, seen) = open_all(&dir, Box::new(RealIo), true);
+        let (log, seen) = open_all(&dir, Box::new(RealIo));
         prop_assert_eq!(seen.len(), expect_good + 1, "cut at byte {}", cut);
         prop_assert_eq!(seen.last().copied(), Some(99));
         prop_assert_eq!(log.quarantined(), 0, "salvage must leave a clean segment");
@@ -107,8 +106,6 @@ enum Fault {
     /// The writer is a read-only handle: every write, the salvage
     /// newline included, fails.
     ReadOnlyWriter,
-    /// Reading panics: proof that a fresh log never reads.
-    NoRead,
 }
 
 #[derive(Debug)]
@@ -129,21 +126,16 @@ impl CkptIo for FaultyIo {
         RealIo.create_dir_all(dir)
     }
     fn read_to_string(&self, path: &Path) -> io::Result<String> {
-        assert_ne!(
-            self.fault,
-            Fault::NoRead,
-            "keep = false must not read the log"
-        );
         RealIo.read_to_string(path)
     }
-    fn open_writer(&self, path: &Path, append: bool) -> io::Result<std::fs::File> {
+    fn open_writer(&self, path: &Path) -> io::Result<std::fs::File> {
         match self.fault {
             Fault::NoWriter => Err(io::Error::other("test: no writer")),
             Fault::ReadOnlyWriter => {
-                drop(RealIo.open_writer(path, append)?);
+                drop(RealIo.open_writer(path)?);
                 std::fs::File::open(path)
             }
-            _ => RealIo.open_writer(path, append),
+            _ => RealIo.open_writer(path),
         }
     }
     fn append_line(&self, w: &mut dyn Write, line: &str) -> io::Result<()> {
@@ -162,21 +154,21 @@ impl CkptIo for FaultyIo {
 #[test]
 fn torn_append_then_good_append_both_survive_reopen() {
     let dir = tmpdir("torn");
-    let (mut log, _) = open_all(&dir, faulty(Fault::TearFirstAppend), false);
+    let (mut log, _) = open_all(&dir, faulty(Fault::TearFirstAppend));
     assert!(log.append(&record(1)).is_err());
     assert!(log.persistent(), "the salvage newline keeps the log usable");
     log.append(&record(2)).unwrap();
     drop(log);
     let fragment = &record(1)[..record(1).len() / 2];
 
-    let (log, seen) = open_all(&dir, Box::new(RealIo), true);
+    let (log, seen) = open_all(&dir, Box::new(RealIo));
     assert_eq!(seen, [2], "the record after a torn one starts its own line");
     assert_eq!(log.quarantined(), 1);
     let quarantine = std::fs::read_to_string(dir.join("log.quarantine")).unwrap();
     assert_eq!(quarantine, format!("{fragment}\n"));
     drop(log);
 
-    let (log, seen) = open_all(&dir, Box::new(RealIo), true);
+    let (log, seen) = open_all(&dir, Box::new(RealIo));
     assert_eq!(seen, [2]);
     assert_eq!(log.quarantined(), 0);
     assert_eq!(
@@ -190,7 +182,7 @@ fn torn_append_then_good_append_both_survive_reopen() {
 #[test]
 fn unopenable_writer_is_not_persistent_and_append_errors() {
     let dir = tmpdir("nowriter");
-    let (mut log, _) = open_all(&dir, faulty(Fault::NoWriter), true);
+    let (mut log, _) = open_all(&dir, faulty(Fault::NoWriter));
     assert!(!log.persistent());
     assert!(log.append(&record(1)).is_err());
     assert!(!dir.join("log.jsonl").exists());
@@ -200,7 +192,7 @@ fn unopenable_writer_is_not_persistent_and_append_errors() {
 #[test]
 fn failed_salvage_newline_stops_persisting() {
     let dir = tmpdir("readonly");
-    let (mut log, _) = open_all(&dir, faulty(Fault::ReadOnlyWriter), false);
+    let (mut log, _) = open_all(&dir, faulty(Fault::ReadOnlyWriter));
     assert!(log.persistent());
     assert!(log.append(&record(1)).is_err());
     assert!(
@@ -212,15 +204,19 @@ fn failed_salvage_newline_stops_persisting() {
 }
 
 #[test]
-fn keep_false_truncates_without_reading() {
-    let dir = tmpdir("fresh");
+fn every_open_keeps_the_existing_records() {
+    // Opening is salvage then append: a log is never truncated, so the
+    // records of an earlier run survive every later open.
+    let dir = tmpdir("keep");
     std::fs::write(dir.join("log.jsonl"), format!("{}\ntorn", record(1))).unwrap();
-    let (log, seen) = open_all(&dir, faulty(Fault::NoRead), false);
-    assert!(seen.is_empty());
+    let (mut log, seen) = open_all(&dir, Box::new(RealIo));
+    assert_eq!(seen, [1]);
+    assert_eq!(log.quarantined(), 1, "the torn tail still quarantines");
+    log.append(&record(2)).unwrap();
+    drop(log);
+    let (log, seen) = open_all(&dir, Box::new(RealIo));
+    assert_eq!(seen, [1, 2], "the new record appends after the old one");
     assert_eq!(log.quarantined(), 0);
-    assert!(log.persistent());
-    assert_eq!(std::fs::read_to_string(dir.join("log.jsonl")).unwrap(), "");
-    assert!(!dir.join("log.quarantine").exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,13 +1,14 @@
 //! Chaos-hardening integration tests: crash-safe checkpoint salvage
 //! (truncation at *any* byte offset), deterministic fault injection,
-//! bounded retry recovery, memo-only degradation, and poison recovery.
+//! recovery of a failed job by resume, memo-only degradation, and poison
+//! recovery.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use emissary_bench::chaos::{self, CkptIo, FaultPlan, RealIo};
-use emissary_bench::checkpoint::{config_hash, fingerprint, Campaign};
+use emissary_bench::checkpoint::{fingerprint, Campaign};
 use emissary_bench::pool::{run_parallel_outcomes_with, JobOutcome, PoolOptions};
 use emissary_bench::{FaultInjection, Job};
 use emissary_core::spec::PolicySpec;
@@ -122,7 +123,6 @@ fn chaos_at_rate_zero_is_byte_identical_to_no_chaos() {
         Box::new(chaos::ChaosIo::new(Arc::clone(&plan))),
     );
     let chaos_opts = PoolOptions {
-        retries: 1,
         chaos: Some(Arc::clone(&plan)),
         ..PoolOptions::with_workers(1)
     };
@@ -159,78 +159,49 @@ fn chaos_at_rate_zero_is_byte_identical_to_no_chaos() {
 }
 
 #[test]
-fn injected_panic_is_retried_to_completion() {
-    let job = jobs().remove(0);
-    let hash = config_hash(&job);
-    // Find a seed whose plan panics the job's first attempt but leaves
-    // the second attempt clean — the retry must then succeed.
-    let seed = (0..100_000u64)
-        .find(|&s| {
-            let p = FaultPlan::new(s, 0.5);
-            p.job_fault(hash, 1) == Some(FaultInjection::Panic) && p.job_fault(hash, 2).is_none()
-        })
-        .expect("some seed injects exactly one first-attempt panic");
-    let plan = Arc::new(FaultPlan::new(seed, 0.5));
-
-    let dir = tmpdir("retry");
-    let c = Campaign::begin_with_io("camp", &dir, false, Box::new(RealIo));
-    let opts = PoolOptions {
-        retries: 1,
-        chaos: Some(Arc::clone(&plan)),
-        ..PoolOptions::with_workers(1)
-    };
-    let outcomes = run_parallel_outcomes_with(std::slice::from_ref(&job), &opts, Some(&c));
-    match &outcomes[0] {
-        JobOutcome::Completed {
-            attempts, resumed, ..
-        } => {
-            assert_eq!(*attempts, 2, "first attempt panicked, second completed");
-            assert!(!resumed);
-        }
-        other => panic!("expected completion after retry, got {}", other.status()),
-    }
-
-    // Both attempts are on the record: the panic with attempt 1, then the
-    // completion with attempt 2 (last-wins on resume).
-    let text = std::fs::read_to_string(c.path()).unwrap();
+fn failed_job_runs_once_and_a_resume_recovers_it() {
+    let mut job = jobs().remove(0);
     let fp = fingerprint(&job);
+    job.inject = Some(FaultInjection::Panic);
+    let dir = tmpdir("recover");
+    let opts = PoolOptions::with_workers(1);
+
+    // The failing job runs once and is recorded once.
+    let c = Campaign::begin_with_io("camp", &dir, false, Box::new(RealIo));
+    let outcomes = run_parallel_outcomes_with(std::slice::from_ref(&job), &opts, Some(&c));
+    assert_eq!(outcomes[0].status(), "panicked");
+    drop(c);
+    let text = std::fs::read_to_string(dir.join("camp.ckpt.jsonl")).unwrap();
+    assert_eq!(text.lines().count(), 1, "one run, one record: {text}");
     assert!(text.contains(&format!("\"fingerprint\":\"{fp}\"")));
+    assert!(text.contains("\"status\":\"panicked\""), "{text}");
+    assert!(!text.contains("attempt"), "no attempt counter: {text}");
+
+    // A resume without the injection re-runs it: the failure record is
+    // kept for provenance but never replayed.
+    job.inject = None;
+    let c = Campaign::begin_with_io("camp", &dir, true, Box::new(RealIo));
+    assert_eq!(c.resumable(), 0);
+    let outcomes = run_parallel_outcomes_with(std::slice::from_ref(&job), &opts, Some(&c));
     assert!(
-        text.lines()
-            .any(|l| l.contains("\"status\":\"panicked\"") && l.contains("\"attempts\":1")),
-        "intermediate failure must be recorded: {text}"
-    );
-    assert!(
-        text.lines()
-            .any(|l| l.contains("\"status\":\"completed\"") && l.contains("\"attempts\":2")),
-        "final completion must be recorded: {text}"
+        matches!(&outcomes[0], JobOutcome::Completed { resumed: false, .. }),
+        "resume must simulate the failed job, got {}",
+        outcomes[0].status()
     );
     drop(c);
 
-    // A resume replays the completed record despite the earlier failure
-    // line for the same fingerprint.
-    let c2 = Campaign::begin_with_io("camp", &dir, true, Box::new(RealIo));
-    assert_eq!(c2.resumable(), 1);
-    assert_eq!(c2.quarantined(), 0);
-    drop(c2);
+    // The completion appends after the failure; the next resume replays
+    // it (last-wins) and quarantines nothing.
+    let c = Campaign::begin_with_io("camp", &dir, true, Box::new(RealIo));
+    assert_eq!(c.resumable(), 1);
+    assert_eq!(c.quarantined(), 0);
+    let outcomes = run_parallel_outcomes_with(std::slice::from_ref(&job), &opts, Some(&c));
+    assert!(matches!(
+        &outcomes[0],
+        JobOutcome::Completed { resumed: true, .. }
+    ));
+    drop(c);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn persistent_injection_exhausts_the_retry_budget() {
-    let mut job = jobs().remove(0);
-    job.inject = Some(FaultInjection::Panic); // every attempt panics
-    let opts = PoolOptions {
-        retries: 2,
-        ..PoolOptions::with_workers(1)
-    };
-    let outcomes = run_parallel_outcomes_with(std::slice::from_ref(&job), &opts, None);
-    match &outcomes[0] {
-        JobOutcome::Panicked { attempts, .. } => {
-            assert_eq!(*attempts, 3, "1 + retries attempts, then give up");
-        }
-        other => panic!("expected exhausted panic, got {}", other.status()),
-    }
 }
 
 /// A [`CkptIo`] whose writer can never open — the full-disk / read-only
@@ -245,7 +216,7 @@ impl CkptIo for NoWriterIo {
     fn read_to_string(&self, path: &std::path::Path) -> std::io::Result<String> {
         RealIo.read_to_string(path)
     }
-    fn open_writer(&self, _: &std::path::Path, _: bool) -> std::io::Result<std::fs::File> {
+    fn open_writer(&self, _: &std::path::Path) -> std::io::Result<std::fs::File> {
         Err(std::io::Error::other("test: no writer"))
     }
     fn append_line(&self, w: &mut dyn std::io::Write, line: &str) -> std::io::Result<()> {

@@ -60,8 +60,8 @@ impl CkptIo for TearAppends {
         RealIo.read_to_string(path)
     }
 
-    fn open_writer(&self, path: &Path, append: bool) -> io::Result<std::fs::File> {
-        RealIo.open_writer(path, append)
+    fn open_writer(&self, path: &Path) -> io::Result<std::fs::File> {
+        RealIo.open_writer(path)
     }
 
     fn append_line(&self, w: &mut dyn Write, line: &str) -> io::Result<()> {

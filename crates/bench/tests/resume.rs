@@ -103,6 +103,34 @@ fn resumed_campaign_is_byte_identical_to_fresh() {
 }
 
 #[test]
+fn a_fresh_campaign_keeps_the_records_of_earlier_ones() {
+    // Two fresh campaigns over disjoint job sets share one checkpoint
+    // file: the second must append after the first, not truncate it, so
+    // a resume over the union replays every job and simulates none.
+    let dir = tmpdir("union");
+    let opts = PoolOptions::with_workers(1);
+    let all = jobs();
+    let (x, y) = all.split_at(2);
+    for part in [x, y] {
+        let c = Campaign::begin_with("camp", &dir, false);
+        assert_eq!(c.resumable(), 0, "a fresh campaign loads nothing");
+        let outcomes = run_parallel_outcomes_with(part, &opts, Some(&c));
+        assert!(outcomes
+            .iter()
+            .all(|o| matches!(o, JobOutcome::Completed { resumed: false, .. })));
+    }
+    let c = Campaign::begin_with("camp", &dir, true);
+    assert_eq!(c.resumable(), 3);
+    let outcomes = run_parallel_outcomes_with(&all, &opts, Some(&c));
+    let replayed = outcomes
+        .iter()
+        .filter(|o| matches!(o, JobOutcome::Completed { resumed: true, .. }))
+        .count();
+    assert_eq!(replayed, all.len(), "resume over X∪Y simulated a job");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn fingerprints_are_stable_across_processes_in_spirit() {
     // The fingerprint must not depend on process state (pointer values,
     // hash seeds): two identically built jobs agree.

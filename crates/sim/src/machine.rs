@@ -277,21 +277,15 @@ impl<'p> Machine<'p> {
 
     /// Runs until `n` more instructions commit. Returns cycles elapsed.
     pub fn run_instrs(&mut self, n: u64) -> u64 {
-        let target = self.total_committed + n;
-        let start_cycle = self.now;
-        while self.total_committed < target {
-            self.step();
-        }
-        self.now - start_cycle
+        self.run_instrs_checked(n, &FaultConfig::none())
+            .expect("FaultConfig::none() disables every abort path")
     }
 
     /// [`Machine::run_instrs`] under the fault detector: aborts with
     /// [`SimAbort::Stalled`] when no instruction commits for
-    /// `fault.stall_cycles` consecutive cycles, and with
-    /// [`SimAbort::Timeout`] when the wall-clock deadline passes (checked
-    /// every 4 096 cycles so `Instant::now` stays off the hot path).
+    /// `fault.stall_cycles` consecutive cycles.
     ///
-    /// Both checks only read simulator state; a run that does not abort is
+    /// The check only reads simulator state; a run that does not abort is
     /// cycle-for-cycle identical to [`Machine::run_instrs`].
     pub fn run_instrs_checked(&mut self, n: u64, fault: &FaultConfig) -> Result<u64, SimAbort> {
         let target = self.total_committed + n;
@@ -310,16 +304,6 @@ impl<'p> Machine<'p> {
                         stall_cycles: limit,
                         diagnostics: self.debug_state(),
                     });
-                }
-            }
-            if self.now & 0xFFF == 0 {
-                if let Some(deadline) = fault.deadline {
-                    if std::time::Instant::now() >= deadline {
-                        return Err(SimAbort::Timeout {
-                            cycle: self.now,
-                            diagnostics: self.debug_state(),
-                        });
-                    }
                 }
             }
         }
@@ -1193,18 +1177,6 @@ mod tests {
             }
             other => panic!("expected Stalled, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn expired_deadline_aborts_with_timeout() {
-        let program = build_program(&ProgramShape::tiny());
-        let walker = Walker::new(&program, 1);
-        let mut m = Machine::new(walker, &quick_cfg());
-        // Deadline already in the past; the periodic check fires at cycle
-        // 4096, long before 100k instructions can commit on an 8-wide core.
-        let fault = FaultConfig::none().with_timeout_ms(0);
-        let err = m.run_instrs_checked(100_000, &fault).unwrap_err();
-        assert!(matches!(err, SimAbort::Timeout { .. }), "got {err:?}");
     }
 
     #[test]

@@ -106,11 +106,10 @@ pub fn run_sim_observed(profile: &Profile, cfg: &SimConfig, obs: &ObsConfig) -> 
 }
 
 /// [`run_sim_observed`] under the fault detector: the run aborts with a
-/// structured [`SimAbort`] when the forward-progress watchdog or the
-/// wall-clock deadline fires, and — when `fault.audit` is set — runs the
-/// hierarchy invariant auditor at every epoch boundary (warmup end, each
-/// sample boundary, measurement end), tracing violations and aborting on
-/// the first dirty epoch.
+/// structured [`SimAbort`] when the forward-progress watchdog fires, and
+/// — when `fault.audit` is set — runs the hierarchy invariant auditor at
+/// every epoch boundary (warmup end, each sample boundary, measurement
+/// end), tracing violations and aborting on the first dirty epoch.
 ///
 /// The detector is read-only: a run that returns `Ok` is bit-identical to
 /// [`run_sim_observed`]. Degenerate configurations should be rejected up
