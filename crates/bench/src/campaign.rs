@@ -36,10 +36,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::chaos::lock_unpoisoned;
 use crate::checkpoint::{fingerprint, Campaign};
 use crate::pool::{run_parallel_outcomes_hooked, JobOutcome, PoolOptions};
-use crate::{scale, Job};
+use crate::{lock_unpoisoned, scale, Job};
 
 /// Host-throughput estimates feeding the scheduler: observed MIPS per
 /// benchmark (updated as jobs complete), with a footprint-scaled fallback

@@ -33,10 +33,12 @@
 //! that did not finish, which is how a failed job is recovered. Records
 //! are replayed last-wins per fingerprint.
 //!
-//! The file itself is an [`AppendLog`], which owns salvage, quarantine
-//! and torn-append handling: at every open, lines that do not decode as
-//! checkpoint records are moved verbatim to `<name>.ckpt.quarantine`
-//! and the checkpoint is atomically rewritten without them. This module
+//! The file itself is an [`AppendLog`], which owns salvage, quarantine,
+//! compaction and torn-append handling: at every open, lines that do not
+//! decode as checkpoint records are moved verbatim to
+//! `<name>.ckpt.quarantine`, a completed record followed by a later one
+//! for its fingerprint is dropped, and when either happened the
+//! checkpoint is atomically rewritten without them. This module
 //! keeps only the record codec and its answer to a log that stops
 //! persisting: the campaign degrades to memo-only (in-process) mode
 //! instead of failing.
@@ -49,9 +51,8 @@ use emissary_obs::{JsonObject, JsonValue};
 use emissary_sim::{SimReport, SimRun};
 
 use crate::append_log::AppendLog;
-use crate::chaos::{lock_unpoisoned, CkptIo};
 use crate::pool::JobOutcome;
-use crate::Job;
+use crate::{lock_unpoisoned, Job};
 
 /// FNV-1a 64-bit: tiny, dependency-free, stable across runs (unlike
 /// `DefaultHasher`, whose output may change between Rust releases).
@@ -101,8 +102,7 @@ fn memo_key(job: &Job, sample_interval: Option<u64>) -> String {
 /// into the memo, then appends and flushes the record line before it
 /// returns, so a record is durable when `record` returns and a
 /// duplicate submission replays at once. Appends under the one lock
-/// also keep the lines (and a chaos plan's `ckpt.append` decisions) in
-/// file order.
+/// also keep the lines in file order.
 ///
 /// [`record`]: Campaign::record
 pub struct Campaign {
@@ -137,9 +137,6 @@ fn render_record(fp: &str, outcome: &JobOutcome, experiment: &str) -> String {
             let samples: Vec<String> = run.samples.iter().map(|s| s.to_json()).collect();
             obj.field_raw("report", &run.report.to_json());
             obj.field_raw("samples", &format!("[{}]", samples.join(",")));
-            // Timing fields stay last: the chaos byte-identity test (and
-            // any reader comparing records sans wall-clock noise) strips
-            // the record tail starting at `host_seconds`.
             obj.field_raw("host_seconds", &format!("{:.6}", run.host_seconds));
             obj.field_raw("warmup_seconds", &format!("{:.6}", run.warmup_seconds));
             obj.field_raw("measure_seconds", &format!("{:.6}", run.measure_seconds));
@@ -152,36 +149,28 @@ fn render_record(fp: &str, outcome: &JobOutcome, experiment: &str) -> String {
 }
 
 impl Campaign {
-    /// Opens the campaign `<dir>/<name>.ckpt.jsonl` with I/O from the
-    /// environment ([`crate::chaos::io_from_env`]: chaos-injected when
-    /// `EMISSARY_CHAOS_SEED` is set, plain `std::fs` otherwise). With
-    /// `resume` set, previously completed jobs are loaded into the memo
-    /// and replayed; otherwise every job is simulated afresh. Either way
-    /// the existing file is kept and new records append after it.
-    pub fn begin_with(name: &str, dir: &Path, resume: bool) -> Campaign {
-        Self::begin_with_io(name, dir, resume, crate::chaos::io_from_env())
-    }
-
-    /// [`Campaign::begin_with`] over an explicit [`CkptIo`].
+    /// Opens the campaign `<dir>/<name>.ckpt.jsonl`. With `resume` set,
+    /// previously completed jobs are loaded into the memo and replayed;
+    /// otherwise every job is simulated afresh. Either way the existing
+    /// records are kept (compacted to the last completed record per
+    /// fingerprint) and new records append after them.
     ///
     /// Every failure degrades instead of aborting (see [`AppendLog`]):
     /// an unreadable checkpoint resumes empty, unusable lines are
     /// quarantined to `<name>.ckpt.quarantine`, and an unopenable file
     /// leaves the campaign in memo-only mode — in-process dedup still
     /// works, nothing persists.
-    pub fn begin_with_io(name: &str, dir: &Path, resume: bool, io: Box<dyn CkptIo>) -> Campaign {
+    pub fn begin_with(name: &str, dir: &Path, resume: bool) -> Campaign {
         let path = dir.join(format!("{name}.ckpt.jsonl"));
         let quarantine_path = dir.join(format!("{name}.ckpt.quarantine"));
         let mut memo = HashMap::new();
-        let log = AppendLog::open(io, &path, &quarantine_path, |v| match decode_record(v) {
-            Ok(Some((fp, run))) => {
+        let log = AppendLog::open(&path, &quarantine_path, |v| {
+            Ok(decode_record(v)?.map(|(fp, run)| {
                 if resume {
-                    memo.insert(fp, run);
+                    memo.insert(fp.clone(), run);
                 }
-                true
-            }
-            Ok(None) => true,
-            Err(()) => false,
+                fp
+            }))
         });
         if !log.persistent() {
             eprintln!(

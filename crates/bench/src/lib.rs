@@ -13,7 +13,6 @@
 
 pub mod append_log;
 pub mod campaign;
-pub mod chaos;
 pub mod checkpoint;
 pub mod experiments;
 pub mod metrics;
@@ -23,12 +22,26 @@ pub mod scale;
 
 pub use pool::{JobOutcome, PoolOptions};
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use emissary_core::spec::PolicySpec;
 use emissary_obs::{JsonlSink, MetricsRegistry, Tracer};
 use emissary_sim::{
     run_sim_checked_on, FaultConfig, ObsConfig, SimAbort, SimConfig, SimReport, SimRun,
 };
 use emissary_workloads::Profile;
+
+/// Locks a mutex, recovering the guard if a previous holder panicked.
+///
+/// Every shared-state lock in the campaign stack goes through this helper:
+/// a job that panics under `catch_unwind` while holding (or racing) a memo
+/// or log lock must not wedge the rest of the campaign. All guarded state
+/// here is valid after an interrupted mutation (maps and vecs of owned
+/// values; the worst case is one lost insertion), so adopting a poisoned
+/// guard is safe.
+pub fn lock_unpoisoned<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// The default experiment configuration: Alderlake-like model, TPLRU
 /// recency, run lengths from the environment.
@@ -117,20 +130,7 @@ impl Job {
                 let path = dir.join(self.trace_file_name());
                 let _ = std::fs::create_dir_all(dir);
                 match std::fs::File::create(&path).map(std::io::BufWriter::new) {
-                    Ok(w) => {
-                        // Under chaos, trace writes go through an
-                        // error-injecting adapter so the sink's
-                        // degradation path gets exercised for real.
-                        let tracer = match chaos::plan_from_env() {
-                            Some(plan) => Tracer::new(JsonlSink::new(chaos::ChaosWriter::new(
-                                w,
-                                plan,
-                                "trace.write",
-                            ))),
-                            None => Tracer::new(JsonlSink::new(w)),
-                        };
-                        (tracer, Some(path))
-                    }
+                    Ok(w) => (Tracer::new(JsonlSink::new(w)), Some(path)),
                     Err(e) => {
                         // Degrade to an untraced run, but leave a record
                         // in the campaign's results file.
@@ -265,5 +265,44 @@ mod tests {
         let payload = caught.expect_err("injection must panic");
         let msg = payload.downcast_ref::<String>().expect("string payload");
         assert!(msg.contains("xapian/M:1"), "payload was {msg:?}");
+    }
+
+    #[test]
+    fn a_full_disk_under_a_trace_sink_leaves_a_trace_error() {
+        // `/dev/full` opens like a file and fails every write with
+        // ENOSPC; the events sit in the sink's buffer until the guard's
+        // flush, which must surface the failure.
+        let path = std::path::PathBuf::from("/dev/full");
+        let file = std::fs::File::create(&path).expect("open /dev/full");
+        let guard = TraceGuard {
+            tracer: Tracer::new(JsonlSink::new(std::io::BufWriter::new(file))),
+            path: Some(path),
+            benchmark: "xapian",
+            policy: "M:1".to_string(),
+        };
+        for line in 0..16 {
+            guard
+                .tracer
+                .emit_with(|cycle| emissary_obs::TraceEvent::PriorityMark {
+                    cycle,
+                    line,
+                    deferred: false,
+                });
+        }
+        drop(guard);
+        // The log is process-global, so keep only this sink's entries.
+        let errors: Vec<_> = results::take_trace_errors()
+            .into_iter()
+            .filter(|e| e.path == "/dev/full")
+            .collect();
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert_eq!(
+            (errors[0].benchmark.as_str(), errors[0].policy.as_str()),
+            ("xapian", "M:1")
+        );
+        assert!(
+            errors[0].error.contains("No space left on device"),
+            "{errors:?}"
+        );
     }
 }

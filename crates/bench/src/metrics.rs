@@ -59,13 +59,13 @@ pub fn default_prom_path() -> PathBuf {
 
 /// Renders the global registry snapshot to `path` in Prometheus text
 /// format (creating parent directories), replacing any previous file
-/// atomically ([`crate::chaos::write_atomic`]).
+/// atomically ([`crate::results::write_atomic`]).
 pub fn write_prom(path: &Path) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
     let text = render_prometheus(&global().snapshot());
-    crate::chaos::write_atomic(path, |out| out.write_all(text.as_bytes()))
+    crate::results::write_atomic(path, |out| out.write_all(text.as_bytes()))
 }
 
 /// Adds `ns` to the per-worker stage counter (no-op when `m` is `None`).

@@ -20,19 +20,17 @@
 //! Each outcome is recorded to the campaign as its job finishes
 //! ([`Campaign::record`] appends and flushes before it returns), so every
 //! record is on disk before the pool returns — the visibility the
-//! chaos/resume suites assume.
+//! recovery and resume suites assume.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use emissary_sim::{ConfigError, FaultConfig, SimAbort, SimRun};
 
 use emissary_obs::MetricsRegistry;
 
-use crate::chaos::{self, FaultPlan};
-use crate::checkpoint::{self, fingerprint, Campaign};
+use crate::checkpoint::{fingerprint, Campaign};
 use crate::{metrics, scale, Job};
 
 /// What happened to one pool job. The pool always returns one outcome per
@@ -147,30 +145,25 @@ pub struct PoolOptions {
     pub workers: usize,
     /// Run the invariant auditor at epoch boundaries.
     pub audit: bool,
-    /// Chaos fault plan injecting job panics/stalls ([`FaultPlan::job_fault`]);
-    /// `None` disables job-level injection.
-    pub chaos: Option<Arc<FaultPlan>>,
 }
 
 impl PoolOptions {
     /// The options the process's knobs ([`scale::knobs`]) describe:
-    /// threads, audit, and the chaos plan.
+    /// threads and audit.
     pub fn from_env() -> Self {
         let k = scale::knobs();
         Self {
             workers: k.threads,
             audit: k.audit,
-            chaos: chaos::plan_from_env(),
         }
     }
 
-    /// Explicit worker count, no audit, no chaos — the deterministic
-    /// test configuration.
+    /// Explicit worker count, no audit — the deterministic test
+    /// configuration.
     pub fn with_workers(workers: usize) -> Self {
         Self {
             workers,
             audit: false,
-            chaos: None,
         }
     }
 
@@ -299,12 +292,6 @@ fn run_job(
             error,
         }
     } else {
-        let mut job = job.clone();
-        if job.inject.is_none() {
-            if let Some(plan) = &opts.chaos {
-                job.inject = plan.job_fault(checkpoint::config_hash(&job));
-            }
-        }
         // The job only reads its inputs and builds all simulator state
         // locally, so resuming the pool after a caught panic cannot
         // observe broken invariants.

@@ -35,9 +35,7 @@ use emissary_sim::SimRun;
 
 use crate::checkpoint::UNIFIED_CAMPAIGN;
 use crate::experiments::Experiment;
-use crate::{metrics, scale};
-
-use crate::chaos::{self, lock_unpoisoned};
+use crate::{lock_unpoisoned, metrics, scale};
 
 static TRACE_ERRORS: Mutex<Vec<TraceError>> = Mutex::new(Vec::new());
 static CKPT_ERRORS: Mutex<Vec<CkptError>> = Mutex::new(Vec::new());
@@ -208,8 +206,8 @@ pub fn write_campaign_faults() {
 }
 
 /// Fills `results/<name>.jsonl` with `write`, replacing any previous
-/// file atomically ([`chaos::write_atomic`]): a kill mid-render leaves
-/// the old file or the new one, never a torn one.
+/// file atomically ([`write_atomic`]): a kill mid-render leaves the old
+/// file or the new one, never a torn one.
 fn write_file(
     name: &str,
     write: impl FnOnce(&mut BufWriter<fs::File>) -> io::Result<()>,
@@ -217,8 +215,27 @@ fn write_file(
     let dir = Path::new("results");
     fs::create_dir_all(dir)?;
     let path = dir.join(format!("{name}.jsonl"));
-    chaos::write_atomic(&path, write)?;
+    write_atomic(&path, write)?;
     Ok(path)
+}
+
+/// Replaces `path` with what `write` produces, so that a reader (or a
+/// process killed mid-write) sees either the old file or the new one,
+/// never a torn one: `write` fills a sibling `<path>.tmp`, which is
+/// fsynced and renamed over `path`.
+pub(crate) fn write_atomic(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<fs::File>) -> io::Result<()>,
+) -> io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut out = BufWriter::new(fs::File::create(&tmp)?);
+    write(&mut out)?;
+    out.into_inner()
+        .map_err(io::IntoInnerError::into_error)?
+        .sync_all()?;
+    fs::rename(&tmp, path)
 }
 
 /// Streams the records for one experiment to `out` (see module docs for
@@ -358,6 +375,19 @@ mod tests {
         for line in lines {
             assert!(line.starts_with('{') && line.ends_with('}'));
         }
+    }
+
+    #[test]
+    fn write_atomic_replaces_the_file_and_leaves_no_temp() {
+        let dir = std::env::temp_dir().join(format!("emissary_atomic_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("seg.jsonl");
+        fs::write(&path, "old\n").unwrap();
+        write_atomic(&path, |out| out.write_all(b"new contents\n")).unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), "new contents\n");
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "no temp file left");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -67,10 +67,6 @@ pub struct Knobs {
     /// mistyped value must never read as off: it is a parse error
     /// instead.
     pub resume: bool,
-    /// Chaos seed (`EMISSARY_CHAOS_SEED`; unset disables fault
-    /// injection, see [`crate::chaos`]; the rate is
-    /// [`crate::chaos::CHAOS_RATE`]).
-    pub chaos_seed: Option<u64>,
     /// Whether the campaign scheduler prints its stderr progress line
     /// (`EMISSARY_PROGRESS`, default on).
     pub progress: bool,
@@ -95,7 +91,6 @@ impl Default for Knobs {
             metrics: true,
             audit: false,
             resume: false,
-            chaos_seed: None,
             progress: true,
             bless: false,
             unknown: Vec::new(),
@@ -139,7 +134,6 @@ const TABLE: &[(&str, Setter, Getter)] = &[
     ("EMISSARY_METRICS", |k, v| flag(v).map(|x| k.metrics = x), |k| k.metrics.to_string()),
     ("EMISSARY_AUDIT", |k, v| flag(v).map(|x| k.audit = x), |k| k.audit.to_string()),
     ("EMISSARY_RESUME", |k, v| flag(v).map(|x| k.resume = x), |k| k.resume.to_string()),
-    ("EMISSARY_CHAOS_SEED", |k, v| number(v).map(|x| k.chaos_seed = Some(x)), |k| or_null(k.chaos_seed)),
     ("EMISSARY_PROGRESS", |k, v| flag(v).map(|x| k.progress = x), |k| k.progress.to_string()),
     ("EMISSARY_BLESS", |k, v| flag(v).map(|x| k.bless = x), |k| k.bless.to_string()),
 ];
@@ -290,7 +284,6 @@ mod tests {
         assert!(k.metrics);
         assert!(!k.audit);
         assert!(!k.resume);
-        assert_eq!(k.chaos_seed, None);
         assert!(k.progress);
         assert!(!k.bless);
         assert!(k.unknown.is_empty());
@@ -321,14 +314,12 @@ mod tests {
             ("EMISSARY_MEASURE_INSNS", "1_000_000"),
             ("EMISSARY_WARMUP_INSNS", "250_000"),
             ("EMISSARY_THREADS", "3"),
-            ("EMISSARY_CHAOS_SEED", "12_345"),
             ("EMISSARY_SAMPLE_INTERVAL", "1_048_576"),
         ])
         .unwrap();
         assert_eq!(k.measure_instrs, 1_000_000);
         assert_eq!(k.warmup_instrs, 250_000);
         assert_eq!(k.threads, 3);
-        assert_eq!(k.chaos_seed, Some(12_345));
         assert_eq!(k.sample_interval, Some(1_048_576));
     }
 
@@ -348,8 +339,8 @@ mod tests {
             ("EMISSARY_WARMUP_INSNS", "-1"),
             ("EMISSARY_THREADS", "0"),
             ("EMISSARY_SAMPLE_INTERVAL", "never"),
-            ("EMISSARY_CHAOS_SEED", "0x10"),
-            ("EMISSARY_CHAOS_SEED", "-1"),
+            ("EMISSARY_SAMPLE_INTERVAL", "0x10"),
+            ("EMISSARY_SAMPLE_INTERVAL", "-1"),
         ] {
             rejects(name, bad);
         }
@@ -386,28 +377,6 @@ mod tests {
     }
 
     #[test]
-    fn retired_knobs_are_unknown() {
-        let retired = [
-            ("EMISSARY_INJECT_PANIC", "tomcat/P(8):S&E"),
-            ("EMISSARY_RETRY_BACKOFF_MS", "25"),
-            ("EMISSARY_JOB_TIMEOUT_MS", "9_000"),
-            ("EMISSARY_STALL_CYCLES", "500"),
-            ("EMISSARY_JOB_RETRIES", "2"),
-            ("EMISSARY_CHAOS_RATE", "0.02"),
-        ];
-        let k = parsed(&retired).unwrap();
-        let names: Vec<&str> = retired.iter().map(|&(name, _)| name).collect();
-        assert_eq!(k.unknown, names);
-        assert_eq!(
-            k,
-            Knobs {
-                unknown: k.unknown.clone(),
-                ..Knobs::default()
-            }
-        );
-    }
-
-    #[test]
     fn strings_paths_and_empty_values() {
         let k = parsed(&[
             ("EMISSARY_TRACE_OUT", "traces"),
@@ -423,7 +392,6 @@ mod tests {
         let k = parsed(&[
             ("EMISSARY_MEASURE_INSNS", "4_000"),
             ("EMISSARY_TRACE_OUT", "tr\"aces"),
-            ("EMISSARY_CHAOS_SEED", "7"),
             ("EMISSARY_RESUME", "1"),
         ])
         .unwrap();
@@ -434,7 +402,6 @@ mod tests {
         let get = |name| v.get(name).unwrap();
         assert_eq!(get("EMISSARY_MEASURE_INSNS").as_u64(), Some(4_000));
         assert_eq!(get("EMISSARY_TRACE_OUT").as_str(), Some("tr\"aces"));
-        assert_eq!(get("EMISSARY_CHAOS_SEED").as_u64(), Some(7));
         assert_eq!(get("EMISSARY_RESUME").as_bool(), Some(true));
         assert_eq!(get("EMISSARY_BLESS").as_bool(), Some(false));
         assert_eq!(
@@ -446,7 +413,7 @@ mod tests {
     #[test]
     fn table_names_are_unique_and_prefixed() {
         let all: Vec<&str> = names().collect();
-        assert_eq!(all.len(), 11);
+        assert_eq!(all.len(), 10);
         let unique: std::collections::BTreeSet<&str> = all.iter().copied().collect();
         assert_eq!(unique.len(), all.len(), "duplicate knob name");
         assert!(all.iter().all(|n| n.starts_with("EMISSARY_")));

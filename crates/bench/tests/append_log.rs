@@ -1,14 +1,15 @@
-//! The shared append-only log: salvage at any truncation offset, torn
-//! appends, degraded writers, and a tripwire keeping its file protocol
-//! in one module.
+//! The shared append-only log: salvage at any truncation offset,
+//! compaction of superseded lines, a log whose path is a directory, and
+//! a tripwire keeping its file protocol in one module. The torn-append
+//! repair and the full-disk writer are unit tests in `append_log.rs`.
 
-use std::io::{self, Write};
+use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 use emissary_bench::append_log::AppendLog;
-use emissary_bench::chaos::{CkptIo, RealIo};
+use emissary_bench::results::take_ckpt_errors;
 use emissary_obs::JsonValue;
 use proptest::prelude::*;
 
@@ -20,19 +21,14 @@ fn tmpdir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Opens `dir/log.jsonl`, accepting every parsed line; returns the log
-/// and the accepted lines re-rendered as their `n` fields.
-fn open_all(dir: &Path, io: Box<dyn CkptIo>) -> (AppendLog, Vec<u64>) {
+/// Opens `dir/log.jsonl`, accepting every parsed line unkeyed; returns
+/// the log and the accepted lines' `n` fields.
+fn open_all(dir: &Path) -> (AppendLog, Vec<u64>) {
     let mut seen = Vec::new();
-    let log = AppendLog::open(
-        io,
-        &dir.join("log.jsonl"),
-        &dir.join("log.quarantine"),
-        |v| {
-            seen.push(v.get("n").and_then(JsonValue::as_u64).unwrap_or(u64::MAX));
-            true
-        },
-    );
+    let log = AppendLog::open(&dir.join("log.jsonl"), &dir.join("log.quarantine"), |v| {
+        seen.push(v.get("n").and_then(JsonValue::as_u64).unwrap_or(u64::MAX));
+        Ok(None)
+    });
     (log, seen)
 }
 
@@ -45,7 +41,7 @@ fn golden_log() -> &'static str {
     static LOG: OnceLock<String> = OnceLock::new();
     LOG.get_or_init(|| {
         let dir = tmpdir("golden");
-        let (mut log, _) = open_all(&dir, Box::new(RealIo));
+        let (mut log, _) = open_all(&dir);
         for n in 0..4 {
             log.append(&record(n)).unwrap();
         }
@@ -78,7 +74,7 @@ proptest! {
 
         let dir = tmpdir(&format!("trunc{}", CASE.fetch_add(1, Ordering::Relaxed)));
         std::fs::write(dir.join("log.jsonl"), prefix).unwrap();
-        let (mut log, seen) = open_all(&dir, Box::new(RealIo));
+        let (mut log, seen) = open_all(&dir);
         prop_assert_eq!(seen.len(), expect_good, "cut at byte {}", cut);
         prop_assert_eq!(log.quarantined(), expect_quarantined, "cut at byte {}", cut);
         if expect_quarantined > 0 {
@@ -88,7 +84,7 @@ proptest! {
         log.append(&record(99)).unwrap();
         drop(log);
 
-        let (log, seen) = open_all(&dir, Box::new(RealIo));
+        let (log, seen) = open_all(&dir);
         prop_assert_eq!(seen.len(), expect_good + 1, "cut at byte {}", cut);
         prop_assert_eq!(seen.last().copied(), Some(99));
         prop_assert_eq!(log.quarantined(), 0, "salvage must leave a clean segment");
@@ -96,110 +92,74 @@ proptest! {
     }
 }
 
-/// The one fault a [`FaultyIo`] injects; every other call is real I/O.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Fault {
-    /// The first `append_line` lands half the line, then fails.
-    TearFirstAppend,
-    /// The writer never opens (read-only filesystem, full disk).
-    NoWriter,
-    /// The writer is a read-only handle: every write, the salvage
-    /// newline included, fails.
-    ReadOnlyWriter,
-}
-
-#[derive(Debug)]
-struct FaultyIo {
-    fault: Fault,
-    torn: AtomicBool,
-}
-
-fn faulty(fault: Fault) -> Box<dyn CkptIo> {
-    Box::new(FaultyIo {
-        fault,
-        torn: AtomicBool::new(false),
-    })
-}
-
-impl CkptIo for FaultyIo {
-    fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
-        RealIo.create_dir_all(dir)
-    }
-    fn read_to_string(&self, path: &Path) -> io::Result<String> {
-        RealIo.read_to_string(path)
-    }
-    fn open_writer(&self, path: &Path) -> io::Result<std::fs::File> {
-        match self.fault {
-            Fault::NoWriter => Err(io::Error::other("test: no writer")),
-            Fault::ReadOnlyWriter => {
-                drop(RealIo.open_writer(path)?);
-                std::fs::File::open(path)
-            }
-            _ => RealIo.open_writer(path),
-        }
-    }
-    fn append_line(&self, w: &mut dyn Write, line: &str) -> io::Result<()> {
-        if self.fault == Fault::TearFirstAppend && !self.torn.swap(true, Ordering::SeqCst) {
-            w.write_all(&line.as_bytes()[..line.len() / 2])?;
-            w.flush()?;
-            return Err(io::Error::other("test: torn append"));
-        }
-        RealIo.append_line(w, line)
-    }
-    fn replace_file(&self, path: &Path, contents: &str) -> io::Result<()> {
-        RealIo.replace_file(path, contents)
-    }
-}
-
 #[test]
-fn torn_append_then_good_append_both_survive_reopen() {
-    let dir = tmpdir("torn");
-    let (mut log, _) = open_all(&dir, faulty(Fault::TearFirstAppend));
-    assert!(log.append(&record(1)).is_err());
-    assert!(log.persistent(), "the salvage newline keeps the log usable");
-    log.append(&record(2)).unwrap();
-    drop(log);
-    let fragment = &record(1)[..record(1).len() / 2];
-
-    let (log, seen) = open_all(&dir, Box::new(RealIo));
-    assert_eq!(seen, [2], "the record after a torn one starts its own line");
-    assert_eq!(log.quarantined(), 1);
-    let quarantine = std::fs::read_to_string(dir.join("log.quarantine")).unwrap();
-    assert_eq!(quarantine, format!("{fragment}\n"));
-    drop(log);
-
-    let (log, seen) = open_all(&dir, Box::new(RealIo));
-    assert_eq!(seen, [2]);
-    assert_eq!(log.quarantined(), 0);
-    assert_eq!(
-        std::fs::read_to_string(dir.join("log.quarantine")).unwrap(),
-        format!("{fragment}\n"),
-        "the quarantine survives the reopen"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn unopenable_writer_is_not_persistent_and_append_errors() {
-    let dir = tmpdir("nowriter");
-    let (mut log, _) = open_all(&dir, faulty(Fault::NoWriter));
+fn a_directory_at_the_log_path_fails_read_and_open_and_leaves_it_alone() {
+    // A real EISDIR on both the salvage read and the append open: the
+    // log opens non-persistent, reports both, and every append errors.
+    let dir = tmpdir("eisdir");
+    let path = dir.join("log.jsonl");
+    std::fs::create_dir(&path).unwrap();
+    let (mut log, seen) = open_all(&dir);
+    assert!(seen.is_empty());
     assert!(!log.persistent());
+    assert_eq!(log.quarantined(), 0);
     assert!(log.append(&record(1)).is_err());
-    assert!(!dir.join("log.jsonl").exists());
+    assert!(path.is_dir(), "the directory is left as it was");
+    let errors: Vec<_> = take_ckpt_errors()
+        .into_iter()
+        .filter(|e| Path::new(&e.path) == path)
+        .collect();
+    let ops: Vec<&str> = errors.iter().map(|e| e.op.as_str()).collect();
+    assert_eq!(ops, ["read", "open"], "{errors:?}");
+    assert!(errors.iter().all(|e| e.error.contains("Is a directory")));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Opens `dir/log.jsonl` keying each line by its `k` field (unkeyed
+/// when absent); returns the accepted `n` fields in file order.
+fn open_keyed(dir: &Path) -> Vec<u64> {
+    let mut seen = Vec::new();
+    AppendLog::open(&dir.join("log.jsonl"), &dir.join("log.quarantine"), |v| {
+        seen.push(v.get("n").and_then(JsonValue::as_u64).unwrap_or(u64::MAX));
+        Ok(v.get("k").and_then(JsonValue::as_str).map(str::to_string))
+    });
+    seen
+}
+
 #[test]
-fn failed_salvage_newline_stops_persisting() {
-    let dir = tmpdir("readonly");
-    let (mut log, _) = open_all(&dir, faulty(Fault::ReadOnlyWriter));
-    assert!(log.persistent());
-    assert!(log.append(&record(1)).is_err());
-    assert!(
-        !log.persistent(),
-        "an unsalvageable append drops the writer"
+fn open_keeps_the_last_line_per_key_and_rewrites_only_when_it_dropped_one() {
+    let dir = tmpdir("compact");
+    let path = dir.join("log.jsonl");
+    let line = |n: u64, key: Option<&str>| match key {
+        Some(k) => format!("{{\"n\":{n},\"k\":\"{k}\"}}\n"),
+        None => format!("{{\"n\":{n}}}\n"),
+    };
+    let lines = [
+        line(0, Some("a")),
+        line(1, None),
+        line(2, Some("b")),
+        line(3, Some("a")),
+        line(4, None),
+        line(5, Some("a")),
+    ];
+    std::fs::write(&path, lines.concat()).unwrap();
+    assert_eq!(
+        open_keyed(&dir),
+        [0, 1, 2, 3, 4, 5],
+        "every line is offered"
     );
-    assert!(log.append(&record(2)).is_err());
+    let compacted = [&lines[1], &lines[2], &lines[4], &lines[5]].map(String::as_str);
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), compacted.concat());
+    assert!(
+        !dir.join("log.quarantine").exists(),
+        "superseded is not bad"
+    );
+
+    // Nothing left to drop: the file is not rewritten.
+    let inode = std::fs::metadata(&path).unwrap().ino();
+    assert_eq!(open_keyed(&dir), [1, 2, 4, 5]);
+    assert_eq!(std::fs::metadata(&path).unwrap().ino(), inode);
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), compacted.concat());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -209,12 +169,12 @@ fn every_open_keeps_the_existing_records() {
     // records of an earlier run survive every later open.
     let dir = tmpdir("keep");
     std::fs::write(dir.join("log.jsonl"), format!("{}\ntorn", record(1))).unwrap();
-    let (mut log, seen) = open_all(&dir, Box::new(RealIo));
+    let (mut log, seen) = open_all(&dir);
     assert_eq!(seen, [1]);
     assert_eq!(log.quarantined(), 1, "the torn tail still quarantines");
     log.append(&record(2)).unwrap();
     drop(log);
-    let (log, seen) = open_all(&dir, Box::new(RealIo));
+    let (log, seen) = open_all(&dir);
     assert_eq!(seen, [1, 2], "the new record appends after the old one");
     assert_eq!(log.quarantined(), 0);
     let _ = std::fs::remove_dir_all(&dir);
@@ -253,41 +213,27 @@ fn crate_sources() -> Vec<PathBuf> {
     files
 }
 
-/// Salvage, quarantine and atomic rewrite live in `append_log.rs` alone:
-/// outside it, only the `CkptIo` impls in `chaos.rs` may open writers or
-/// replace files, and the checkpoint's codec calls no `CkptIo` file method.
+/// The checkpoint's file protocol lives in `append_log.rs` alone: no
+/// other source opens a file for append, and the checkpoint's codec
+/// touches no file outside its tests.
 #[test]
 fn only_the_append_log_owns_the_file_protocol() {
-    // Built at run time so this file does not match its own needles.
-    let needle = |method: &str| format!(".{method}(");
-    let protocol = [needle("open_writer"), needle("replace_file")];
     let offenders: Vec<String> = crate_sources()
         .into_iter()
-        .filter(|p| !(p.ends_with("bench/src/chaos.rs") || p.ends_with("bench/src/append_log.rs")))
-        .filter(|p| {
-            std::fs::read_to_string(p).is_ok_and(|src| protocol.iter().any(|n| src.contains(n)))
-        })
+        .filter(|p| !p.ends_with("bench/src/append_log.rs"))
+        .filter(|p| std::fs::read_to_string(p).is_ok_and(|src| src.contains(".append(true)")))
         .map(|p| p.display().to_string())
         .collect();
     assert!(
         offenders.is_empty(),
-        "open_writer/replace_file outside chaos.rs and append_log.rs (use AppendLog): {offenders:?}"
+        "files opened for append outside append_log.rs (use AppendLog): {offenders:?}"
     );
 
-    let io_methods = [
-        "create_dir_all",
-        "read_to_string",
-        "open_writer",
-        "append_line",
-        "replace_file",
-    ]
-    .map(needle);
-    let root = workspace_root().join("crates");
     let codec = "bench/src/checkpoint.rs";
-    let src = std::fs::read_to_string(root.join(codec)).expect(codec);
-    let called: Vec<&String> = io_methods.iter().filter(|n| src.contains(*n)).collect();
+    let src = std::fs::read_to_string(workspace_root().join("crates").join(codec)).expect(codec);
+    let code = src.split("#[cfg(test)]").next().unwrap_or(&src);
     assert!(
-        called.is_empty(),
-        "{codec} calls CkptIo directly ({called:?}); go through AppendLog"
+        !code.contains("fs::"),
+        "{codec} touches the filesystem directly; go through AppendLog"
     );
 }

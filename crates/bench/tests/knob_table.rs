@@ -110,3 +110,26 @@ fn readme_table_lists_exactly_the_knob_table() {
          missing from README {undocumented:?}, not recognised by the table {stale:?}"
     );
 }
+
+#[test]
+fn retired_knobs_are_unknown() {
+    let retired = [
+        ("EMISSARY_INJECT_PANIC", "tomcat/P(8):S&E"),
+        ("EMISSARY_RETRY_BACKOFF_MS", "25"),
+        ("EMISSARY_JOB_TIMEOUT_MS", "9_000"),
+        ("EMISSARY_STALL_CYCLES", "500"),
+        ("EMISSARY_JOB_RETRIES", "2"),
+        ("EMISSARY_CHAOS_RATE", "0.02"),
+        ("EMISSARY_CHAOS_SEED", "1"),
+    ];
+    let k = scale::parse(retired).unwrap();
+    let names: Vec<&str> = retired.iter().map(|&(name, _)| name).collect();
+    assert_eq!(k.unknown, names);
+    assert_eq!(
+        k,
+        scale::Knobs {
+            unknown: k.unknown.clone(),
+            ..scale::Knobs::default()
+        }
+    );
+}

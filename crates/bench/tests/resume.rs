@@ -1,14 +1,17 @@
 //! End-to-end checkpoint/resume regression: a campaign with a failing job
 //! completes with a failure outcome, a resumed campaign replays only the
 //! completed jobs and re-runs the failed one, and the resumed results are
-//! byte-identical to a fresh campaign's.
+//! byte-identical to a fresh campaign's. Reopening a checkpoint costs a
+//! damaged line only that line, and compacts superseded records.
 
+use std::collections::HashSet;
 use std::path::PathBuf;
 
 use emissary_bench::checkpoint::{fingerprint, Campaign};
 use emissary_bench::pool::{run_parallel_outcomes_with, JobOutcome, PoolOptions};
 use emissary_bench::{FaultInjection, Job};
 use emissary_core::spec::PolicySpec;
+use emissary_obs::JsonValue;
 use emissary_sim::SimConfig;
 use emissary_workloads::Profile;
 
@@ -158,4 +161,79 @@ fn torn_checkpoint_tail_is_skipped() {
         1,
         "torn tail line ignored, good record kept"
     );
+}
+
+#[test]
+fn a_non_utf8_line_quarantines_alone() {
+    // One invalid byte anywhere must cost that line, not every record.
+    let dir = tmpdir("non_utf8");
+    let opts = PoolOptions::with_workers(1);
+    let c = Campaign::begin_with("camp", &dir, false);
+    let fresh = run_parallel_outcomes_with(&jobs(), &opts, Some(&c));
+    let path = c.path().to_path_buf();
+    drop(c);
+    let garbage: &[u8] = b"\xff\xfe garbage";
+    let bytes = std::fs::read(&path).unwrap();
+    let first = bytes.iter().position(|&b| b == b'\n').unwrap() + 1;
+    let damaged = [&bytes[..first], garbage, b"\n", &bytes[first..]].concat();
+    std::fs::write(&path, damaged).unwrap();
+
+    let c = Campaign::begin_with("camp", &dir, true);
+    assert_eq!(c.resumable(), 3, "every record around the bad line loads");
+    assert_eq!(c.quarantined(), 1);
+    assert_eq!(
+        std::fs::read(c.quarantine_path()).unwrap(),
+        [garbage, b"\n"].concat(),
+        "the line is quarantined verbatim"
+    );
+    assert_eq!(std::fs::read(&path).unwrap(), bytes, "the rewrite drops it");
+    let resumed = run_parallel_outcomes_with(&jobs(), &opts, Some(&c));
+    assert!(resumed
+        .iter()
+        .all(|o| matches!(o, JobOutcome::Completed { resumed: true, .. })));
+    assert_eq!(render(&resumed), render(&fresh));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn reopening_keeps_the_last_completed_record_per_fingerprint() {
+    // A run with one failed job, then three fresh runs of the healthy
+    // jobs: without compaction the file would hold 3 + 9 records.
+    let dir = tmpdir("compact");
+    let opts = PoolOptions::with_workers(2);
+    let mut broken = jobs();
+    broken[0].inject = Some(FaultInjection::Panic);
+    let mut last = Vec::new();
+    for batch in [broken, jobs(), jobs(), jobs()] {
+        let c = Campaign::begin_with("camp", &dir, false);
+        last = run_parallel_outcomes_with(&batch, &opts, Some(&c));
+    }
+
+    let c = Campaign::begin_with("camp", &dir, true);
+    assert_eq!(c.resumable(), 3);
+    assert_eq!(c.quarantined(), 0);
+    let text = std::fs::read_to_string(c.path()).unwrap();
+    let field = |line: &str, key: &str| {
+        let v = JsonValue::parse(line).expect("whole record");
+        v.get(key).and_then(JsonValue::as_str).unwrap().to_string()
+    };
+    let statuses: Vec<String> = text.lines().map(|l| field(l, "status")).collect();
+    assert_eq!(
+        statuses,
+        ["panicked", "completed", "completed", "completed"],
+        "the failure record stays, then one completed line per job: {text}"
+    );
+    let fps: HashSet<String> = text
+        .lines()
+        .skip(1)
+        .map(|l| field(l, "fingerprint"))
+        .collect();
+    assert_eq!(fps, jobs().iter().map(fingerprint).collect());
+
+    let replayed = run_parallel_outcomes_with(&jobs(), &opts, Some(&c));
+    assert!(replayed
+        .iter()
+        .all(|o| matches!(o, JobOutcome::Completed { resumed: true, .. })));
+    assert_eq!(render(&replayed), render(&last));
+    let _ = std::fs::remove_dir_all(&dir);
 }
