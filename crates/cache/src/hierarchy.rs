@@ -225,10 +225,12 @@ impl Hierarchy {
     /// address at cycle `now`.
     pub fn access_instr(&mut self, line: u64, now: u64, is_prefetch: bool) -> MemAccess {
         self.tracer.set_now(now);
-        let first_touch = self.touched_instr.insert(line);
         // In-flight coalescing.
         if let Some(&(ready, source)) = self.inflight_instr.get(line) {
             if now < ready {
+                // L2 next-line prefetch puts lines in flight without
+                // recording them, so an access here may be the first touch.
+                self.touched_instr.insert(line);
                 if !is_prefetch {
                     self.stats.inflight_joins += 1;
                     // The demand observes an L1I miss served by the MSHR.
@@ -249,6 +251,9 @@ impl Hierarchy {
             AccessInfo::demand(LineKind::Instruction)
         };
         if self.l1i.lookup(line, &info).is_some() {
+            // Only this function fills the L1I, and it records the line
+            // first, so an L1I hit is never a first touch.
+            debug_assert!(self.touched_instr.contains(line));
             return MemAccess {
                 ready_at: now + self.cfg.l1i.hit_latency,
                 served_by: ServedBy::L1,
@@ -256,6 +261,7 @@ impl Hierarchy {
                 needs_resolution: false,
             };
         }
+        let first_touch = self.touched_instr.insert(line);
         // L1I miss: descend to L2.
         let (served_by, mut latency, installed) = if self.l2.lookup(line, &info).is_some() {
             (ServedBy::L2, self.cfg.l2.hit_latency, true)

@@ -66,7 +66,7 @@ enum OpClass {
     Branch,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct RobEntry {
     seq: u64,
     op: OpClass,
@@ -74,13 +74,7 @@ struct RobEntry {
     completed_at: u64,
     /// Terminator of a mispredicted block: triggers the re-steer.
     mispredict: bool,
-}
-
-/// An issue-queue entry: a dispatched, unissued instruction and its two
-/// producers (seq 0 = none).
-#[derive(Debug, Clone, Copy)]
-struct IqEntry {
-    seq: u64,
+    /// Producers (seq 0 = none).
     dep1: u64,
     dep2: u64,
     /// First cycle both operands are available, or [`PENDING`] while a
@@ -96,10 +90,51 @@ fn operands_ready_at(comp_time: &[u64], dep1: u64, dep2: u64) -> u64 {
         if dep == 0 {
             0
         } else {
-            comp_time[(dep as usize) & (COMP_RING - 1)]
+            comp_time[ring_slot(dep)]
         }
     };
     at(dep1).max(at(dep2))
+}
+
+/// A seq's slot in the completion ring and its parallel arrays.
+fn ring_slot(seq: u64) -> usize {
+    (seq as usize) & (COMP_RING - 1)
+}
+
+/// End of a waiter list.
+const NO_EDGE: u32 = u32::MAX;
+
+/// Entries with seq in `[from, to)` whose bit is set in the ring bitset
+/// `bits`. The range spans at most one ROB, so it never laps the ring.
+fn count_set(bits: &[u64], from: u64, to: u64) -> usize {
+    let mut count = 0;
+    let mut pos = from;
+    while pos < to {
+        let slot = ring_slot(pos);
+        let (word, offset) = (slot / 64, slot % 64);
+        // COMP_RING is a multiple of 64, so a chunk never crosses its end.
+        let take = (64 - offset).min((to - pos) as usize);
+        let mask = if take == 64 {
+            u64::MAX
+        } else {
+            ((1u64 << take) - 1) << offset
+        };
+        count += (bits[word] & mask).count_ones() as usize;
+        pos += take as u64;
+    }
+    count
+}
+
+/// Inserts `seq` into the ascending `list`. An entry that becomes ready is
+/// usually younger than every entry already waiting, so this is mostly a
+/// push; the list holds only ready entries, never the whole IQ.
+fn insert_sorted(list: &mut VecDeque<u64>, seq: u64) {
+    if list.back().is_none_or(|&last| last < seq) {
+        list.push_back(seq);
+    } else {
+        let at = list.partition_point(|&s| s < seq);
+        list.insert(at, seq);
+    }
 }
 
 /// An instruction sitting in the decode queue waiting for its line.
@@ -152,11 +187,21 @@ pub struct Machine<'p> {
     pfq: PrefetchQueue,
     decode_queue: VecDeque<Fetched>,
     rob: VecDeque<RobEntry>,
-    /// Dispatched but not yet issued instructions, oldest first.
-    iq: VecDeque<IqEntry>,
-    /// No entry among the oldest `scheduler_window` of `iq` can issue
-    /// before this cycle, so `issue` sleeps until then.
-    iq_wake: u64,
+    /// Dispatched but not yet issued instructions (issue-queue occupancy).
+    iq_count: usize,
+    /// One bit per completion-ring slot, set while that seq is dispatched
+    /// and unissued; a popcount gives an entry's age rank in the IQ.
+    unissued: Vec<u64>,
+    /// Per producer slot: first edge of the list of consumers waiting on
+    /// it, or [`NO_EDGE`]. Edge `2 * consumer_slot + k` is the consumer's
+    /// `k`-th operand.
+    waiter_head: Vec<u32>,
+    /// Per edge: the next edge on the same producer's list.
+    waiter_next: Vec<u32>,
+    /// Unissued entries whose operands are available, ascending by seq.
+    ready: VecDeque<u64>,
+    /// Unissued entries with a known future `ready_at`: `(ready_at, seq)`.
+    timers: BinaryHeap<Reverse<(u64, u64)>>,
     lq_count: usize,
     sq_count: usize,
     comp_time: Vec<u64>,
@@ -216,8 +261,12 @@ impl<'p> Machine<'p> {
             pfq: PrefetchQueue::new(64),
             decode_queue: VecDeque::with_capacity(cfg.core.decode_queue),
             rob: VecDeque::with_capacity(cfg.core.rob_entries),
-            iq: VecDeque::with_capacity(cfg.core.iq_entries),
-            iq_wake: 0,
+            iq_count: 0,
+            unissued: vec![0; COMP_RING / 64],
+            waiter_head: vec![NO_EDGE; COMP_RING],
+            waiter_next: vec![NO_EDGE; 2 * COMP_RING],
+            ready: VecDeque::with_capacity(cfg.core.iq_entries),
+            timers: BinaryHeap::with_capacity(cfg.core.iq_entries),
             lq_count: 0,
             sq_count: 0,
             comp_time: vec![0; COMP_RING],
@@ -333,55 +382,129 @@ impl<'p> Machine<'p> {
         found
     }
 
-    /// The issue queue holds unissued instructions in strictly increasing
-    /// seq order, every known `ready_at` is the producers' completion time,
-    /// and `iq_wake` is no later than the earliest cycle any entry in the
-    /// scheduler window can issue.
+    /// The wakeup scheduler's invariants:
+    /// - every unissued ROB entry is in exactly one place: the ready list,
+    ///   the timer heap, or the waiter list of each producer that has not
+    ///   issued;
+    /// - the ready list is strictly ascending by seq;
+    /// - every known `ready_at` is the producers' completion time, and a
+    ///   timer's key is its entry's `ready_at`;
+    /// - the unissued bitset marks exactly the unissued ROB entries, and
+    ///   its popcount is the IQ count.
     fn scheduler_violations(&self) -> Vec<String> {
         let mut found = Vec::new();
         let front_seq = self.rob.front().map_or(self.next_seq, |e| e.seq);
+        let index = |seq: u64| {
+            seq.checked_sub(front_seq)
+                .map(|idx| idx as usize)
+                .filter(|&idx| self.rob.get(idx).is_some_and(|r| r.seq == seq && !r.issued))
+        };
+        // Per ROB index: places on the ready list or timer heap, and
+        // producer lists it sits on.
+        let mut queued = vec![0usize; self.rob.len()];
+        let mut linked = vec![0usize; self.rob.len()];
         let mut prev = 0;
-        for e in &self.iq {
-            if e.seq <= prev {
-                found.push(format!("scheduler: iq seq {} follows {prev}", e.seq));
-            }
-            prev = e.seq;
-            let rob = e
-                .seq
-                .checked_sub(front_seq)
-                .and_then(|idx| self.rob.get(idx as usize));
-            if !rob.is_some_and(|r| r.seq == e.seq && !r.issued) {
+        for &seq in &self.ready {
+            if seq <= prev {
                 found.push(format!(
-                    "scheduler: iq seq {} is not an unissued rob entry",
-                    e.seq
+                    "scheduler: ready list is not ascending: {seq} follows {prev}"
+                ));
+            }
+            prev = seq;
+            match index(seq) {
+                Some(idx) => queued[idx] += 1,
+                None => found.push(format!(
+                    "scheduler: ready seq {seq} is not an unissued rob entry"
+                )),
+            }
+        }
+        for &Reverse((at, seq)) in &self.timers {
+            match index(seq) {
+                Some(idx) => {
+                    queued[idx] += 1;
+                    if self.rob[idx].ready_at != at {
+                        found.push(format!(
+                            "scheduler: timer ({at}, {seq}) but the entry's ready_at is {}",
+                            self.rob[idx].ready_at
+                        ));
+                    }
+                }
+                None => found.push(format!(
+                    "scheduler: timer seq {seq} is not an unissued rob entry"
+                )),
+            }
+        }
+        for producer in self.rob.iter().filter(|e| !e.issued) {
+            let mut edge = self.waiter_head[ring_slot(producer.seq)];
+            // A corrupted list may cycle; no list is longer than the ROB.
+            for _ in 0..self.rob.len() {
+                if edge == NO_EDGE {
+                    break;
+                }
+                let slot = edge as usize / 2;
+                let seq = producer.seq
+                    + (slot.wrapping_sub(ring_slot(producer.seq)) & (COMP_RING - 1)) as u64;
+                match index(seq) {
+                    Some(idx)
+                        if [self.rob[idx].dep1, self.rob[idx].dep2].contains(&producer.seq) =>
+                    {
+                        linked[idx] += 1;
+                    }
+                    _ => found.push(format!(
+                        "scheduler: seq {} has a waiter {seq} that does not wait on it",
+                        producer.seq
+                    )),
+                }
+                edge = self.waiter_next[edge as usize];
+            }
+        }
+        let mut unissued = 0;
+        for (idx, e) in self.rob.iter().enumerate() {
+            let bit = count_set(&self.unissued, e.seq, e.seq + 1) == 1;
+            if bit == e.issued {
+                found.push(format!(
+                    "scheduler: seq {} unissued bit is {bit} but issued is {}",
+                    e.seq, e.issued
+                ));
+            }
+            if e.issued {
+                continue;
+            }
+            unissued += 1;
+            let waiting_on = [e.dep1, e.dep2]
+                .iter()
+                .enumerate()
+                .filter(|&(k, &dep)| {
+                    dep != 0
+                        && !(k == 1 && dep == e.dep1)
+                        && self.comp_time[ring_slot(dep)] == PENDING
+                })
+                .count();
+            let places = queued[idx] + usize::from(linked[idx] > 0);
+            if places != 1 || linked[idx] != waiting_on {
+                found.push(format!(
+                    "scheduler: seq {} is in {places} places (ready list and timer heap: {}, \
+                     waiter lists: {} of its {waiting_on} unissued producers)",
+                    e.seq, queued[idx], linked[idx]
                 ));
             }
             let ready_at = operands_ready_at(&self.comp_time, e.dep1, e.dep2);
             if e.ready_at != PENDING && e.ready_at != ready_at {
                 found.push(format!(
-                    "scheduler: iq seq {} ready_at {} but its producers complete at {ready_at}",
+                    "scheduler: seq {} ready_at {} but its producers complete at {ready_at}",
                     e.seq, e.ready_at
                 ));
             }
         }
-        let earliest = self.window_ready_times().min().unwrap_or(PENDING);
-        if self.iq_wake > earliest {
+        let popcount: usize = self.unissued.iter().map(|w| w.count_ones() as usize).sum();
+        if popcount != self.iq_count || unissued != self.iq_count {
             found.push(format!(
-                "scheduler: iq_wake {} is after the window's earliest ready cycle {earliest}",
-                self.iq_wake
+                "scheduler: unissued popcount {popcount} and unissued rob entries {unissued} \
+                 but iq count {}",
+                self.iq_count
             ));
         }
         found
-    }
-
-    /// The ready cycle of every scheduler-window entry whose producers have
-    /// all issued.
-    fn window_ready_times(&self) -> impl Iterator<Item = u64> + '_ {
-        self.iq
-            .iter()
-            .take(self.cfg.core.scheduler_window)
-            .map(|e| operands_ready_at(&self.comp_time, e.dep1, e.dep2))
-            .filter(|&t| t != PENDING)
     }
 
     /// Zeroes window counters (warmup boundary). Microarchitectural state
@@ -447,62 +570,62 @@ impl<'p> Machine<'p> {
     /// Oldest-first select over the oldest `scheduler_window` IQ entries,
     /// up to `issue_width` whose operands are ready this cycle.
     ///
-    /// A scan that issues nothing records the window's earliest known
-    /// `ready_at` in `iq_wake` and the scheduler sleeps until then. That is
-    /// exact: an entry whose `ready_at` is still unknown waits on an
-    /// unissued producer, which is older and so also in the window, and
-    /// nothing issues while the scheduler sleeps. While asleep the window
-    /// changes only by dispatch, which lowers `iq_wake` itself.
+    /// Event-driven: an entry's `ready_at` is computed once, when its last
+    /// producer issues, and the entry then waits on the timer heap until
+    /// that cycle. So a cycle looks only at the due entries, oldest first,
+    /// and never rescans the window. An entry issued this cycle wakes its
+    /// consumers at once, so an `alu_latency` 0 chain issues in one cycle,
+    /// as in the scan this replaces.
     fn issue(&mut self) {
-        if self.now < self.iq_wake {
+        let now = self.now;
+        while let Some(&Reverse((at, seq))) = self.timers.peek() {
+            if at > now {
+                break;
+            }
+            self.timers.pop();
+            insert_sorted(&mut self.ready, seq);
+        }
+        if self.ready.is_empty() {
             return;
         }
         let width = self.cfg.core.issue_width as usize;
         let window = self.cfg.core.scheduler_window;
         let alu_latency = self.cfg.core.alu_latency;
         let resteer_penalty = self.cfg.core.resteer_penalty;
-        let front_seq = match self.rob.front() {
-            Some(e) => e.seq,
-            None => return,
-        };
-        // The scheduler only ever examines the oldest `window` entries and
-        // removes at most `width` of them, so scan a contiguous prefix
-        // in place and slide the untouched tail down once at the end —
-        // never walk the full queue per cycle (it is ~4× the window).
-        let Machine {
-            iq,
-            iq_wake,
-            rob,
-            hierarchy,
-            comp_time,
-            stats,
-            resteer_done_at,
-            now,
-            ..
-        } = self;
-        let now = *now;
-        let q = iq.make_contiguous();
-        let len = q.len();
-        let reach = len.min(window);
-        let mut wake = PENDING;
-        let (mut issued, mut read, mut write) = (0usize, 0usize, 0usize);
-        while read < reach && issued < width {
-            let mut entry = q[read];
-            read += 1;
-            if entry.ready_at == PENDING {
-                // Producers issued earlier in this scan count: their
-                // completion times are already in the ring.
-                entry.ready_at = operands_ready_at(comp_time, entry.dep1, entry.dep2);
+        // A ready entry is unissued, so the ROB holds it and is non-empty.
+        let front_seq = self.rob[0].seq;
+        let mut issued = 0usize;
+        while issued < width {
+            let Some(&seq) = self.ready.front() else {
+                break;
+            };
+            // An entry's rank is the number of unissued entries older than
+            // it. The window is the oldest `window` entries as the cycle
+            // began: the entries issued so far this cycle are all older
+            // than `seq`, so they count towards its rank. An entry fewer than
+            // `window` places behind the ROB head has fewer older entries
+            // than that, so its rank needs no popcount.
+            if (seq - front_seq) as usize >= window
+                && count_set(&self.unissued, front_seq, seq) + issued >= window
+            {
+                break;
             }
-            if entry.ready_at > now {
-                wake = wake.min(entry.ready_at);
-                q[write] = entry;
-                write += 1;
-                continue;
-            }
-            // Entries ahead of front were committed already (impossible for
-            // unissued), so idx is in range.
-            let e = &mut rob[(entry.seq - front_seq) as usize];
+            self.ready.pop_front();
+            let Machine {
+                rob,
+                hierarchy,
+                comp_time,
+                unissued,
+                waiter_head,
+                waiter_next,
+                ready,
+                timers,
+                stats,
+                resteer_done_at,
+                iq_count,
+                ..
+            } = self;
+            let e = &mut rob[(seq - front_seq) as usize];
             let completed_at = match e.op {
                 OpClass::Alu | OpClass::Branch => now + alu_latency,
                 OpClass::Load(addr) => {
@@ -518,20 +641,36 @@ impl<'p> Machine<'p> {
             };
             e.issued = true;
             e.completed_at = completed_at;
-            comp_time[(entry.seq as usize) & (COMP_RING - 1)] = completed_at;
             if e.mispredict {
                 // The mispredicted branch resolves: schedule the re-steer.
                 *resteer_done_at = Some(completed_at + resteer_penalty);
             }
+            let slot = ring_slot(seq);
+            comp_time[slot] = completed_at;
+            unissued[slot / 64] &= !(1u64 << (slot % 64));
+            *iq_count -= 1;
             issued += 1;
             stats.issued += 1;
+            // Wake the consumers whose last unissued producer this was.
+            let mut edge = std::mem::replace(&mut waiter_head[slot], NO_EDGE);
+            while edge != NO_EDGE {
+                let consumer_slot = edge as usize / 2;
+                // Consumers sit within MAX_DEP_DISTANCE after their
+                // producer, so the ring offset recovers the seq.
+                let consumer = seq + (consumer_slot.wrapping_sub(slot) & (COMP_RING - 1)) as u64;
+                let c = &mut rob[(consumer - front_seq) as usize];
+                let at = operands_ready_at(comp_time, c.dep1, c.dep2);
+                if at != PENDING {
+                    c.ready_at = at;
+                    if at <= now {
+                        insert_sorted(ready, consumer);
+                    } else {
+                        timers.push(Reverse((at, consumer)));
+                    }
+                }
+                edge = waiter_next[edge as usize];
+            }
         }
-        if write != read {
-            q.copy_within(read..len, write);
-            let new_len = len - (read - write);
-            iq.truncate(new_len);
-        }
-        *iq_wake = if issued == 0 { wake } else { 0 };
     }
 
     // --- Decode / dispatch --------------------------------------------------
@@ -544,7 +683,7 @@ impl<'p> Machine<'p> {
             self.cfg.core.lq_entries,
             self.cfg.core.sq_entries,
         );
-        let backend_can_accept = self.rob.len() < rob_cap && self.iq.len() < iq_cap;
+        let backend_can_accept = self.rob.len() < rob_cap && self.iq_count < iq_cap;
         let mut decoded = 0;
         while decoded < width {
             let Some(head) = self.decode_queue.front() else {
@@ -553,7 +692,7 @@ impl<'p> Machine<'p> {
             if head.ready_at > self.now {
                 break;
             }
-            if self.rob.len() >= rob_cap || self.iq.len() >= iq_cap {
+            if self.rob.len() >= rob_cap || self.iq_count >= iq_cap {
                 break;
             }
             match head.instr.op {
@@ -583,22 +722,39 @@ impl<'p> Machine<'p> {
                     seq - u64::from(d)
                 }
             };
-            self.comp_time[(seq as usize) & (COMP_RING - 1)] = PENDING;
+            let (dep1, dep2) = (dep(f.instr.dep1), dep(f.instr.dep2));
+            let slot = ring_slot(seq);
+            self.comp_time[slot] = PENDING;
+            self.unissued[slot / 64] |= 1u64 << (slot % 64);
+            self.iq_count += 1;
+            // The slot's last occupant issued long ago, emptying its list.
+            debug_assert_eq!(self.waiter_head[slot], NO_EDGE);
+            // Link onto the waiter list of each distinct unissued producer.
+            for (k, producer) in [dep1, dep2].into_iter().enumerate() {
+                if producer == 0 || (k == 1 && producer == dep1) {
+                    continue;
+                }
+                let p = ring_slot(producer);
+                if self.comp_time[p] == PENDING {
+                    let edge = (2 * slot + k) as u32;
+                    self.waiter_next[edge as usize] = self.waiter_head[p];
+                    self.waiter_head[p] = edge;
+                }
+            }
+            // PENDING exactly when it was linked above.
+            let ready_at = operands_ready_at(&self.comp_time, dep1, dep2);
+            if ready_at <= self.now {
+                // The youngest entry: appending keeps the list ascending.
+                self.ready.push_back(seq);
+            } else if ready_at != PENDING {
+                self.timers.push(Reverse((ready_at, seq)));
+            }
             self.rob.push_back(RobEntry {
                 seq,
                 op,
                 issued: false,
                 completed_at: PENDING,
                 mispredict: f.mispredict,
-            });
-            let (dep1, dep2) = (dep(f.instr.dep1), dep(f.instr.dep2));
-            let ready_at = operands_ready_at(&self.comp_time, dep1, dep2);
-            if self.iq.len() < self.cfg.core.scheduler_window {
-                // Lands inside a possibly sleeping scheduler's window.
-                self.iq_wake = self.iq_wake.min(ready_at);
-            }
-            self.iq.push_back(IqEntry {
-                seq,
                 dep1,
                 dep2,
                 ready_at,
@@ -613,7 +769,7 @@ impl<'p> Machine<'p> {
             if let Some(head) = self.decode_queue.front() {
                 if head.ready_at > self.now {
                     starved_on = Some((head.line, head.source));
-                    let empty_iq = self.iq.is_empty();
+                    let empty_iq = self.iq_count == 0;
                     self.stats.starvation_cycles += 1;
                     if empty_iq {
                         self.stats.starvation_empty_iq_cycles += 1;
@@ -917,9 +1073,15 @@ impl<'p> Machine<'p> {
              btb_stall_until={} lq={} sq={} rob_head={:?} outstanding_misses={}",
             self.now,
             self.rob.len(),
-            self.iq.len(),
-            (self.iq_wake != PENDING).then_some(self.iq_wake),
-            self.window_ready_times().filter(|&t| t <= self.now).count(),
+            self.iq_count,
+            // The earliest timer: when the next waiting entry becomes due.
+            self.timers.peek().map(|&Reverse((at, _))| at),
+            self.rob
+                .iter()
+                .filter(|e| !e.issued)
+                .take(self.cfg.core.scheduler_window)
+                .filter(|e| e.ready_at <= self.now)
+                .count(),
             self.decode_queue.len(),
             self.decode_queue.front().map(|f| f.ready_at),
             self.ftq.len(),
@@ -1208,7 +1370,9 @@ mod tests {
         let walker = Walker::new(&program, 1);
         let mut m = Machine::new(walker, &quick_cfg());
         m.run_instrs(20_000);
-        while m.iq.is_empty() {
+        // Wait for a timer and an entry waiting on an unissued producer.
+        let waiter = |m: &Machine<'_>| m.rob.iter().position(|e| e.ready_at == PENDING);
+        while m.timers.is_empty() || waiter(&m).is_none() {
             m.step();
         }
         assert_eq!(m.run_audit(), Vec::<String>::new());
@@ -1219,25 +1383,38 @@ mod tests {
                 "expected a {what:?} violation, got {violations:?}"
             );
         };
-        // The oldest entry's producers have all issued, so its ready cycle
-        // is known: a scheduler asleep past it would miss it.
-        let wake = m.iq_wake;
-        m.iq_wake = PENDING;
-        expect(&mut m, "iq_wake");
-        m.iq_wake = wake;
+        // A timer that is lost leaves its entry nowhere.
+        let timer = m.timers.pop().expect("a timer is pending");
+        let Reverse((at, seq)) = timer;
+        expect(&mut m, "in 0 places");
+        m.timers.push(timer);
 
-        let head = m.iq[0];
-        m.iq[0].ready_at = operands_ready_at(&m.comp_time, head.dep1, head.dep2) + 1;
-        expect(&mut m, "ready_at");
-        m.iq[0] = head;
+        // An entry dropped from its producer's waiter list.
+        let w = m.rob[waiter(&m).expect("an entry waits")];
+        let producer = [w.dep1, w.dep2]
+            .into_iter()
+            .find(|&d| d != 0 && m.comp_time[ring_slot(d)] == PENDING)
+            .expect("a waiting entry has an unissued producer");
+        let head = std::mem::replace(&mut m.waiter_head[ring_slot(producer)], NO_EDGE);
+        expect(&mut m, "waiter lists");
+        m.waiter_head[ring_slot(producer)] = head;
 
-        m.iq.push_front(head);
-        expect(&mut m, "follows");
-        m.iq.pop_front();
+        // The ready list out of order.
+        m.ready.push_back(seq);
+        m.ready.push_back(seq);
+        expect(&mut m, "not ascending");
+        m.ready.truncate(m.ready.len() - 2);
 
-        let idx = (head.seq - m.rob[0].seq) as usize;
-        m.rob[idx].issued = true;
-        expect(&mut m, "not an unissued rob entry");
+        // A known ready_at that disagrees with the producers.
+        let idx = (seq - m.rob[0].seq) as usize;
+        m.rob[idx].ready_at = at + 1;
+        expect(&mut m, "but its producers complete at");
+        m.rob[idx].ready_at = at;
+
+        m.iq_count += 1;
+        expect(&mut m, "popcount");
+        m.iq_count -= 1;
+        assert_eq!(m.run_audit(), Vec::<String>::new());
     }
 
     /// The rule the wakeup scheduler replaced, applied to the scheduler
@@ -1246,8 +1423,8 @@ mod tests {
     /// read after the step; up to the first divergence that is exactly
     /// what the old scan saw, because a producer issued this cycle sits
     /// ahead of all its consumers.
-    fn oldest_first_scan(m: &Machine<'_>, window: &[IqEntry], now: u64) -> Vec<u64> {
-        let done = |dep: u64| dep == 0 || m.comp_time[(dep as usize) & (COMP_RING - 1)] <= now;
+    fn oldest_first_scan(m: &Machine<'_>, window: &[RobEntry], now: u64) -> Vec<u64> {
+        let done = |dep: u64| dep == 0 || m.comp_time[ring_slot(dep)] <= now;
         window
             .iter()
             .filter(|e| done(e.dep1) && done(e.dep2))
@@ -1261,8 +1438,10 @@ mod tests {
 
     #[test]
     fn wakeup_scheduler_issues_exactly_what_the_oldest_first_scan_issues() {
-        // The default core and the golden reports' three non-default shapes.
-        let shapes: [Shape; 4] = [
+        // The default core, the golden reports' three non-default shapes,
+        // one where the window binds before the width and one where the
+        // width binds every cycle.
+        let shapes: [Shape; 6] = [
             ("default", "tomcat", |_| {}),
             ("issue_width 2, window 240", "tomcat", |c| {
                 c.issue_width = 2;
@@ -1273,6 +1452,11 @@ mod tests {
                 c.alu_latency = 3;
             }),
             ("alu_latency 0", "xapian", |c| c.alu_latency = 0),
+            ("window 2, issue_width 8", "verilator", |c| {
+                c.scheduler_window = 2;
+                c.issue_width = 8;
+            }),
+            ("issue_width 1", "web-search", |c| c.issue_width = 1),
         ];
         for (shape, bench, reshape) in shapes {
             let profile = Profile::by_name(bench).expect("profile");
@@ -1281,35 +1465,40 @@ mod tests {
             reshape(&mut cfg.core);
             let window = cfg.core.scheduler_window;
             let mut m = Machine::new(Walker::new(&program, profile.seed), &cfg);
-            let mut slept = 0u64;
+            let mut idle = 0u64;
             for _ in 0..50_000 {
                 let now = m.now();
-                let asleep = now < m.iq_wake;
-                let before: Vec<IqEntry> = m.iq.iter().take(window).copied().collect();
+                let due = !m.ready.is_empty()
+                    || m.timers.peek().is_some_and(|&Reverse((at, _))| at <= now);
+                let unissued: Vec<RobEntry> = m.rob.iter().filter(|e| !e.issued).copied().collect();
                 m.step();
-                // The queue loses entries only by issuing them.
-                let issued: Vec<u64> = before
+                // Commit runs before issue, so every entry unissued before
+                // the step is still in the ROB. Look beyond the window too:
+                // an entry issued from outside it is a divergence.
+                let front_seq = m.rob.front().map_or(m.next_seq, |e| e.seq);
+                let issued: Vec<u64> = unissued
                     .iter()
                     .map(|e| e.seq)
-                    .filter(|&seq| m.iq.binary_search_by_key(&seq, |e| e.seq).is_err())
+                    .filter(|&seq| m.rob[(seq - front_seq) as usize].issued)
                     .collect();
-                let expected = oldest_first_scan(&m, &before, now);
+                let before = &unissued[..unissued.len().min(window)];
+                let expected = oldest_first_scan(&m, before, now);
                 assert_eq!(
                     issued, expected,
                     "{bench} ({shape}): first divergence at cycle {now}"
                 );
                 assert!(
-                    !asleep || expected.is_empty(),
-                    "{bench} ({shape}): slept through ready entries at cycle {now}"
+                    due || expected.is_empty(),
+                    "{bench} ({shape}): nothing was due at cycle {now}, yet {expected:?} were ready"
                 );
                 let violations = m.scheduler_violations();
                 assert!(
                     violations.is_empty(),
                     "{bench} ({shape}) after cycle {now}: {violations:?}"
                 );
-                slept += u64::from(asleep);
+                idle += u64::from(!due && !unissued.is_empty());
             }
-            assert!(slept > 0, "{bench} ({shape}): the scheduler never slept");
+            assert!(idle > 0, "{bench} ({shape}): the due set was never empty");
             assert!(m.stats.issued > 0, "{bench} ({shape}): nothing issued");
         }
     }

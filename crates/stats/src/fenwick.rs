@@ -39,6 +39,20 @@ impl Fenwick {
         }
     }
 
+    /// A tree holding a count of one at each index in `0..ones` and zero
+    /// elsewhere, with room for indices `0..capacity`. Built in `O(capacity)`.
+    pub fn ones(ones: usize, capacity: usize) -> Self {
+        let len = capacity.max(ones) + 1;
+        // Node `i` covers the indices `(i - lowbit(i), i]` (1-based).
+        let tree = (0..len)
+            .map(|i| {
+                let low = i - (i & i.wrapping_neg());
+                i.min(ones).saturating_sub(low) as i64
+            })
+            .collect();
+        Self { tree }
+    }
+
     /// Number of addressable slots.
     pub fn len(&self) -> usize {
         self.tree.len().saturating_sub(1)
@@ -175,6 +189,25 @@ mod tests {
         f.add(64, 5); // triggers grow
         assert_eq!(f.prefix_sum(4), 3);
         assert_eq!(f.total(), 8);
+    }
+
+    #[test]
+    fn ones_matches_point_adds() {
+        for (ones, capacity) in [(0, 0), (0, 5), (1, 1), (5, 16), (13, 13), (100, 300)] {
+            let f = Fenwick::ones(ones, capacity);
+            let mut expect = Fenwick::with_capacity(capacity);
+            for i in 0..ones {
+                expect.add(i, 1);
+            }
+            assert_eq!(f.len(), capacity.max(ones));
+            for end in 0..=f.len() {
+                assert_eq!(
+                    f.prefix_sum(end),
+                    expect.prefix_sum(end),
+                    "{ones}/{capacity} at {end}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! and Long `[5000, ∞)` exactly as in the paper.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::fenwick::Fenwick;
 
@@ -13,6 +14,11 @@ use crate::fenwick::Fenwick;
 pub const MID_REUSE_MIN: u64 = 100;
 /// Lower bound of the Long reuse bucket (inclusive).
 pub const LONG_REUSE_MIN: u64 = 5000;
+
+/// The tracker compacts its timestamps when they reach this many times the
+/// number of distinct lines, so its tree holds at most that many slots per
+/// line while each compaction's `O(n log n)` is spread over `3n` accesses.
+const COMPACT_FACTOR: usize = 4;
 
 /// Figure 2's three reuse-distance classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -108,11 +114,40 @@ impl ReuseCounts {
     }
 }
 
+/// Multiplicative hasher for the tracker's line keys: one multiply per key
+/// in place of SipHash. The rotate moves the product's well-mixed high
+/// bits down to where the table picks its bucket.
+#[derive(Debug, Default, Clone, Copy)]
+struct LineHasher(u64);
+
+impl Hasher for LineHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0 ^ n)
+            .wrapping_mul(0x9e37_79b9_7f4a_7c15)
+            .rotate_left(32);
+    }
+}
+
 /// Streaming unique-lines reuse-distance tracker.
 ///
-/// `access` costs `O(log n)` in the number of accesses so far (Fenwick tree
-/// over last-access timestamps), making it cheap enough to run inline with
-/// the simulator's commit stage.
+/// `access` costs `O(log n)` in the number of distinct lines seen (Fenwick
+/// tree over last-access timestamps), making it cheap enough to run inline
+/// with the simulator's fetch stage. Memory is bounded by the distinct
+/// lines, not the accesses: once the timestamps reach
+/// [`COMPACT_FACTOR`] times the line count, the live last-access stamps
+/// are renumbered densely in order. Distances stay exact, because a
+/// distance only counts the marked stamps between two points, and
+/// renumbering keeps their order.
 ///
 /// # Example
 ///
@@ -130,7 +165,7 @@ impl ReuseCounts {
 #[derive(Debug, Default)]
 pub struct ReuseTracker {
     /// line -> timestamp of its most recent access.
-    last_access: HashMap<u64, usize>,
+    last_access: HashMap<u64, usize, BuildHasherDefault<LineHasher>>,
     /// Marks timestamps that are the *latest* access of some line.
     marks: Fenwick,
     /// Next logical timestamp.
@@ -171,11 +206,30 @@ impl ReuseTracker {
         self.last_access.insert(line, self.now);
         self.marks.add(self.now, 1);
         self.now += 1;
+        if self.now >= COMPACT_FACTOR * self.last_access.len() {
+            self.compact();
+        }
         if let Some(d) = distance {
             self.counts.record(ReuseBucket::classify(d));
             self.last_distance = Some(d);
         }
         distance
+    }
+
+    /// Renumbers the live last-access stamps `0..unique_lines()` in their
+    /// order; every one of them is marked, so the tree becomes all ones.
+    fn compact(&mut self) {
+        let mut live: Vec<(usize, u64)> = self
+            .last_access
+            .iter()
+            .map(|(&line, &stamp)| (stamp, line))
+            .collect();
+        live.sort_unstable();
+        for (stamp, &(_, line)) in live.iter().enumerate() {
+            self.last_access.insert(line, stamp);
+        }
+        self.now = live.len();
+        self.marks = Fenwick::ones(self.now, COMPACT_FACTOR * self.now);
     }
 
     /// The distance of the most recent reused access.
@@ -283,18 +337,29 @@ mod tests {
 
     #[test]
     fn matches_naive_reference_on_random_stream() {
+        // A fixed set of 40 lines, and a working set that drifts upward so
+        // the line count grows between compactions and old lines go cold.
+        // Both force repeated compactions.
         let mut state = 0xdeadbeefu64;
-        let mut stream = Vec::new();
-        for _ in 0..800 {
+        let mut next = || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            stream.push(state % 40);
-        }
-        let expect = naive_distances(&stream);
-        let mut t = ReuseTracker::new();
-        for (i, &line) in stream.iter().enumerate() {
-            assert_eq!(t.access(line), expect[i], "mismatch at access {i}");
+            state
+        };
+        let fixed: Vec<u64> = (0..800).map(|_| next() % 40).collect();
+        let drifting: Vec<u64> = (0..3000u64).map(|i| i / 20 + next() % 60).collect();
+        for stream in [fixed, drifting] {
+            let expect = naive_distances(&stream);
+            let mut t = ReuseTracker::new();
+            let mut compactions = 0;
+            for (i, &line) in stream.iter().enumerate() {
+                let before = t.now;
+                assert_eq!(t.access(line), expect[i], "mismatch at access {i}");
+                compactions += usize::from(t.now < before);
+                assert!(t.marks.len() <= 2 * COMPACT_FACTOR * t.unique_lines().max(8));
+            }
+            assert!(compactions >= 3, "only {compactions} compactions");
         }
     }
 
