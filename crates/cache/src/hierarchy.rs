@@ -24,6 +24,9 @@
 //! non-compulsory L2 instruction misses at L2-hit latency while leaving all
 //! structural behaviour unchanged.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use emissary_obs::{Level, TraceEvent, Tracer};
 
 use crate::cache::Cache;
@@ -110,9 +113,17 @@ pub struct Hierarchy {
     pub l2: Cache,
     /// Shared exclusive victim L3.
     pub l3: Cache,
-    /// line -> (ready cycle, original serving level).
+    /// line -> (ready cycle, original serving level). An entry leaves only
+    /// when its line is accessed again at or after its ready cycle, so
+    /// expired entries stay; the next-line prefetchers' gating reads them.
     inflight_instr: LineMap<(u64, ServedBy)>,
     inflight_data: LineMap<(u64, ServedBy)>,
+    /// Ready cycles of the entries put in flight, earliest first, pruned
+    /// of those not after the current cycle at every fill and every new
+    /// entry. No entry is removed or overwritten before its ready cycle, so
+    /// after a prune the heap's size is exactly the number of misses still
+    /// outstanding.
+    inflight_ready: BinaryHeap<Reverse<u64>>,
     /// Every instruction line ever requested (compulsory-miss tracking and
     /// the Figure 4 footprint metric).
     touched_instr: LineSet,
@@ -147,6 +158,7 @@ impl Hierarchy {
             l3,
             inflight_instr: LineMap::new(),
             inflight_data: LineMap::new(),
+            inflight_ready: BinaryHeap::new(),
             touched_instr: LineSet::new(),
             stats: HierarchyStats::default(),
             tracer: Tracer::disabled(),
@@ -266,7 +278,7 @@ impl Hierarchy {
         let (served_by, mut latency, installed) = if self.l2.lookup(line, &info).is_some() {
             (ServedBy::L2, self.cfg.l2.hit_latency, true)
         } else {
-            let (src, lat, filled) = self.fetch_into_l2(line, &info);
+            let (src, lat, filled) = self.fetch_into_l2(line, &info, now);
             if self.cfg.l2_nlp && !is_prefetch {
                 self.nlp_into_l2(line + 1, LineKind::Instruction, now);
             }
@@ -294,7 +306,7 @@ impl Hierarchy {
         }
         let ready_at = now + latency;
         if installed && latency > self.cfg.l1i.hit_latency {
-            self.inflight_instr.insert(line, (ready_at, served_by));
+            self.put_in_flight(LineKind::Instruction, line, now, ready_at, served_by);
         }
         MemAccess {
             ready_at,
@@ -348,7 +360,7 @@ impl Hierarchy {
         let (served_by, latency, installed) = if self.l2.lookup(line, &info).is_some() {
             (ServedBy::L2, self.cfg.l2.hit_latency, true)
         } else {
-            let (src, lat, filled) = self.fetch_into_l2(line, &info);
+            let (src, lat, filled) = self.fetch_into_l2(line, &info, now);
             if self.cfg.l2_nlp && !is_prefetch {
                 self.nlp_into_l2(line + 1, LineKind::Data, now);
             }
@@ -372,7 +384,7 @@ impl Hierarchy {
         }
         let ready_at = now + latency;
         if installed && latency > self.cfg.l1d.hit_latency {
-            self.inflight_data.insert(line, (ready_at, served_by));
+            self.put_in_flight(LineKind::Data, line, now, ready_at, served_by);
         }
         MemAccess {
             ready_at,
@@ -382,11 +394,36 @@ impl Hierarchy {
         }
     }
 
-    /// Brings `line` into the L2 from L3 or memory, maintaining exclusivity,
-    /// inclusion and the SFL bit. Returns the serving level, the latency,
-    /// and whether the line was actually installed (a bypassing policy may
-    /// refuse the fill; the data is still delivered to the requester).
-    fn fetch_into_l2(&mut self, line: u64, info: &AccessInfo) -> (ServedBy, u64, bool) {
+    /// Records `line` as in flight from cycle `now` until cycle `ready`.
+    fn put_in_flight(&mut self, kind: LineKind, line: u64, now: u64, ready: u64, source: ServedBy) {
+        let inflight = match kind {
+            LineKind::Instruction => &mut self.inflight_instr,
+            LineKind::Data => &mut self.inflight_data,
+        };
+        inflight.insert(line, (ready, source));
+        self.live_misses(now);
+        self.inflight_ready.push(Reverse(ready));
+    }
+
+    /// Misses still outstanding at cycle `now`: entries whose ready cycle
+    /// is after it. Prunes the rest, so `now` must not go backwards.
+    fn live_misses(&mut self, now: u64) -> usize {
+        while self
+            .inflight_ready
+            .peek()
+            .is_some_and(|&Reverse(ready)| ready <= now)
+        {
+            self.inflight_ready.pop();
+        }
+        self.inflight_ready.len()
+    }
+
+    /// Brings `line` into the L2 from L3 or memory at cycle `now`,
+    /// maintaining exclusivity, inclusion and the SFL bit. Returns the
+    /// serving level, the latency, and whether the line was actually
+    /// installed (a bypassing policy may refuse the fill; the data is still
+    /// delivered to the requester).
+    fn fetch_into_l2(&mut self, line: u64, info: &AccessInfo, now: u64) -> (ServedBy, u64, bool) {
         let (served_by, latency, sfl) = if self.l3.lookup(line, info).is_some() {
             // Exclusive victim cache: the line moves out of L3.
             self.l3.invalidate(line);
@@ -399,8 +436,7 @@ impl Hierarchy {
             (ServedBy::Memory, self.cfg.dram_latency, false)
         };
         let mut fill_info = *info;
-        fill_info.outstanding_misses =
-            (self.inflight_instr.len() + self.inflight_data.len()).min(255) as u8;
+        fill_info.outstanding_misses = self.live_misses(now).min(255) as u8;
         fill_info.fill_latency = latency.min(u64::from(u16::MAX)) as u16;
         let out = self.l2.fill(line, &fill_info);
         if out.filled() {
@@ -479,13 +515,9 @@ impl Hierarchy {
         let info = AccessInfo::prefetch(kind);
         // Count the L2 prefetch lookup miss, then fetch.
         self.l2.lookup(line, &info);
-        let (src, lat, filled) = self.fetch_into_l2(line, &info);
+        let (src, lat, filled) = self.fetch_into_l2(line, &info, now);
         if filled {
-            let inflight = match kind {
-                LineKind::Instruction => &mut self.inflight_instr,
-                LineKind::Data => &mut self.inflight_data,
-            };
-            inflight.insert(line, (now + lat, src));
+            self.put_in_flight(kind, line, now, now + lat, src);
         }
     }
 
@@ -541,10 +573,14 @@ impl Hierarchy {
         self.l2.reset_priorities();
     }
 
-    /// Number of misses currently outstanding (instruction + data in-flight
-    /// tables) — the MSHR population reported in watchdog state dumps.
-    pub fn outstanding_misses(&self) -> usize {
-        self.inflight_instr.len() + self.inflight_data.len()
+    /// Number of misses outstanding at cycle `now` (in-flight entries,
+    /// instruction and data, whose ready cycle is after it): the count LIN
+    /// is filled with, and the MSHR population of watchdog state dumps.
+    pub fn outstanding_misses(&self, now: u64) -> usize {
+        self.inflight_ready
+            .iter()
+            .filter(|&&Reverse(ready)| ready > now)
+            .count()
     }
 
     /// Read-only structural audit of the whole hierarchy: every cache's
@@ -648,6 +684,49 @@ mod tests {
         let a = h.access_instr(100, 200, false);
         assert_eq!(a.served_by, ServedBy::L1);
         assert_eq!(a.ready_at, 202);
+    }
+
+    #[test]
+    fn outstanding_misses_count_only_live_entries() {
+        let mut h = tiny();
+        let a = h.access_data(100, 0, false, false);
+        assert_eq!(a.ready_at, 150);
+        assert_eq!(h.outstanding_misses(0), 1);
+        assert_eq!(h.outstanding_misses(149), 1);
+        assert_eq!(h.outstanding_misses(150), 0);
+        assert_eq!(h.live_misses(149), 1);
+        assert_eq!(h.live_misses(150), 0);
+        // The expired entry stays in its table for the prefetchers' gating.
+        assert!(h.inflight_data.contains_key(100));
+        // A second miss filled after the first expired counts only itself.
+        h.access_instr(200, 150, false);
+        assert_eq!(h.outstanding_misses(150), 1);
+    }
+
+    #[test]
+    fn lin_fills_see_only_live_misses() {
+        // L2 set 0 gets line 400 while nothing is in flight (LIN cost 7),
+        // then 404, 408 and 412 while at least seven misses are (cost 0).
+        // Eight misses that expired long before stay in the tables, so a
+        // count of table entries would give 400 cost 0 too, and LRU would
+        // evict it.
+        let cfg = tiny_cfg();
+        let pol = PolicyKind::Lin.build(cfg.l2.sets(), cfg.l2.ways, 9);
+        let mut h = Hierarchy::with_l2_policy(cfg, pol);
+        let other_sets = |base: u64| (0..).map(move |i| base + i).filter(|l| l % 4 != 0);
+        for line in other_sets(1).take(8) {
+            h.access_data(line, 0, false, false);
+        }
+        h.access_data(400, 1000, false, false);
+        for line in other_sets(21).take(7) {
+            h.access_data(line, 2000, false, false);
+        }
+        for line in [404, 408, 412] {
+            h.access_data(line, 2000, false, false);
+        }
+        h.access_data(416, 3000, false, false);
+        assert!(h.l2.contains(400), "the isolated miss was evicted");
+        assert!(!h.l2.contains(404), "LRU among the cheap lines goes");
     }
 
     #[test]

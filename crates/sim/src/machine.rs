@@ -893,8 +893,7 @@ impl<'p> Machine<'p> {
         let Some(tracker) = &mut self.reuse else {
             return ReuseBucket::Long;
         };
-        let distance = tracker.access(line);
-        let bucket = distance.map(ReuseBucket::classify);
+        let bucket = tracker.access(line);
         let attr = &mut self.stats.reuse_attr;
         match bucket {
             Some(ReuseBucket::Long) => attr.long_accesses += 1,
@@ -1094,7 +1093,7 @@ impl<'p> Machine<'p> {
             self.lq_count,
             self.sq_count,
             self.rob.front().map(|e| (e.seq, e.issued, e.completed_at)),
-            self.hierarchy.outstanding_misses(),
+            self.hierarchy.outstanding_misses(self.now),
         )
     }
 

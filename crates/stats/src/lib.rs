@@ -3,12 +3,10 @@
 //! This crate hosts the measurement machinery that the simulator and the
 //! experiment harness share:
 //!
-//! * [`fenwick::Fenwick`] — a binary indexed tree used by the
-//!   reuse-distance tracker.
-//! * [`reuse::ReuseTracker`] — online *unique-lines* reuse-distance
-//!   measurement exactly as defined in §3 of the paper ("the number of
-//!   unique lines accessed between two accesses to the same line"), used to
-//!   regenerate Figure 2.
+//! * [`reuse::ReuseTracker`] — online classification of *unique-lines*
+//!   reuse distances, as defined in §3 of the paper ("the number of unique
+//!   lines accessed between two accesses to the same line"), into Figure
+//!   2's three buckets.
 //! * [`summary`] — geometric means, speedups and percent deltas.
 //! * [`table`] — plain-text/TSV table rendering for the harness binaries.
 //!
@@ -20,15 +18,13 @@
 //! let mut t = ReuseTracker::new();
 //! t.access(0x40);
 //! t.access(0x80);
-//! t.access(0x40); // one unique line (0x80) in between => distance 1
-//! assert_eq!(t.last_distance(), Some(1));
+//! // One unique line (0x80) in between: distance 1, the Short bucket.
+//! assert_eq!(t.access(0x40), Some(ReuseBucket::Short));
 //! assert_eq!(ReuseBucket::classify(1), ReuseBucket::Short);
 //! ```
 
-pub mod fenwick;
 pub mod reuse;
 pub mod summary;
 pub mod table;
 
-pub use fenwick::Fenwick;
 pub use reuse::{ReuseBucket, ReuseTracker};

@@ -1,14 +1,13 @@
-//! Online unique-lines reuse-distance measurement (paper §3, Figure 2).
+//! Online unique-lines reuse-distance classification (paper §3, Figure 2).
 //!
 //! Reuse distance is "the number of unique lines accessed between two
 //! accesses to the same line"; consecutive accesses to the same line do not
 //! count. Distances are bucketed into Short `[0, 100)`, Mid `[100, 5000)`
-//! and Long `[5000, ∞)` exactly as in the paper.
+//! and Long `[5000, ∞)` exactly as in the paper. The tracker finds each
+//! access's bucket without computing the distance itself.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
-
-use crate::fenwick::Fenwick;
 
 /// Lower bound of the Mid reuse bucket (inclusive).
 pub const MID_REUSE_MIN: u64 = 100;
@@ -16,9 +15,12 @@ pub const MID_REUSE_MIN: u64 = 100;
 pub const LONG_REUSE_MIN: u64 = 5000;
 
 /// The tracker compacts its timestamps when they reach this many times the
-/// number of distinct lines, so its tree holds at most that many slots per
+/// number of distinct lines, so its bitmap holds at most that many bits per
 /// line while each compaction's `O(n log n)` is spread over `3n` accesses.
 const COMPACT_FACTOR: usize = 4;
+
+/// The bucket boundaries, as unique-line counts.
+const THRESHOLDS: [usize; 2] = [MID_REUSE_MIN as usize, LONG_REUSE_MIN as usize];
 
 /// Figure 2's three reuse-distance classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -138,16 +140,28 @@ impl Hasher for LineHasher {
     }
 }
 
-/// Streaming unique-lines reuse-distance tracker.
+/// Streaming unique-lines reuse-bucket tracker.
 ///
-/// `access` costs `O(log n)` in the number of distinct lines seen (Fenwick
-/// tree over last-access timestamps), making it cheap enough to run inline
-/// with the simulator's fetch stage. Memory is bounded by the distinct
-/// lines, not the accesses: once the timestamps reach
-/// [`COMPACT_FACTOR`] times the line count, the live last-access stamps
-/// are renumbered densely in order. Distances stay exact, because a
-/// distance only counts the marked stamps between two points, and
-/// renumbering keeps their order.
+/// Every access gets a logical timestamp, and a line's *live* stamp is
+/// its latest one. A re-access of a line last touched at stamp `t` has
+/// distance `d` = the number of live stamps after `t`. So for a threshold
+/// `K`, `d < K` exactly when `t` is one of the `K` newest live stamps,
+/// i.e. when `t >= θ_K`, the `K`-th newest live stamp (or when fewer than
+/// `K` lines are live at all). The tracker keeps `θ_K` for both bucket
+/// boundaries over a bitmap of live stamps:
+///
+/// * a re-access of a line whose stamp is newer than `θ_K` moves that
+///   stamp to the front and leaves the `K`-th newest where it was;
+/// * any other access (a cold one, or a re-access at or below `θ_K`)
+///   pushes a new stamp in front of the `K` newest, so `θ_K` steps to the
+///   next live stamp above it.
+///
+/// `θ_K` only moves forward, so all its steps together scan each stamp's
+/// bit at most once: `access` costs amortised `O(1)` plus one hash lookup.
+/// Memory is bounded by the distinct lines, not the accesses: once the
+/// stamps reach [`COMPACT_FACTOR`] times the line count, the live stamps
+/// are renumbered densely in order, which keeps every rank and so every
+/// bucket.
 ///
 /// # Example
 ///
@@ -158,7 +172,7 @@ impl Hasher for LineHasher {
 /// assert_eq!(t.access(10), None); // cold
 /// t.access(11);
 /// t.access(12);
-/// assert_eq!(t.access(10), Some(2)); // lines 11 and 12 in between
+/// assert_eq!(t.access(10), Some(ReuseBucket::Short)); // distance 2
 /// assert_eq!(t.access(10), None); // consecutive same-line access ignored
 /// assert_eq!(t.counts().short, 1);
 /// ```
@@ -166,14 +180,15 @@ impl Hasher for LineHasher {
 pub struct ReuseTracker {
     /// line -> timestamp of its most recent access.
     last_access: HashMap<u64, usize, BuildHasherDefault<LineHasher>>,
-    /// Marks timestamps that are the *latest* access of some line.
-    marks: Fenwick,
+    /// Bit `s` is set when stamp `s` is the latest access of some line.
+    live: Vec<u64>,
+    /// `θ_K` for each of [`THRESHOLDS`]: the `K`-th newest live stamp,
+    /// meaningful once at least `K` lines are live.
+    theta: [usize; 2],
     /// Next logical timestamp.
     now: usize,
     /// Most recently accessed line (to skip consecutive repeats).
     prev_line: Option<u64>,
-    /// Distance produced by the most recent non-cold, non-repeat access.
-    last_distance: Option<u64>,
     counts: ReuseCounts,
 }
 
@@ -183,41 +198,71 @@ impl ReuseTracker {
         Self::default()
     }
 
-    /// Records an access to `line` and returns its unique-lines reuse
-    /// distance, or `None` for first touches and consecutive repeats.
-    pub fn access(&mut self, line: u64) -> Option<u64> {
+    /// Records an access to `line` and returns its reuse bucket, or `None`
+    /// for first touches and consecutive repeats.
+    pub fn access(&mut self, line: u64) -> Option<ReuseBucket> {
         if self.prev_line == Some(line) {
             // "The same line accessed consecutively is not counted."
             return None;
         }
         self.prev_line = Some(line);
-        let distance = match self.last_access.get(&line).copied() {
-            Some(t) => {
-                // Unique lines touched since `t` = marked timestamps in (t, now).
-                let d = self.marks.range_sum(t + 1, self.now) as u64;
-                self.marks.add(t, -1);
-                Some(d)
+        let now = self.now;
+        let old = self.last_access.insert(line, now);
+        let lines = self.last_access.len();
+        // Whether the distance is below threshold `i`, before any `θ` moves.
+        let below = |i: usize, t: usize| lines <= THRESHOLDS[i] || t >= self.theta[i];
+        let bucket = old.map(|t| {
+            if below(0, t) {
+                ReuseBucket::Short
+            } else if below(1, t) {
+                ReuseBucket::Mid
+            } else {
+                ReuseBucket::Long
             }
-            None => {
-                self.counts.cold += 1;
-                None
+        });
+        if let Some(t) = old {
+            self.live[t / 64] &= !(1 << (t % 64));
+        }
+        if now / 64 == self.live.len() {
+            self.live.push(0);
+        }
+        self.live[now / 64] |= 1 << (now % 64);
+        for (i, &k) in THRESHOLDS.iter().enumerate() {
+            if lines < k {
+                continue;
             }
-        };
-        self.last_access.insert(line, self.now);
-        self.marks.add(self.now, 1);
+            if lines == k && old.is_none() {
+                // The K-th line just arrived: the oldest live stamp is θ_K.
+                self.theta[i] = self.next_live(0);
+            } else if old.is_none_or(|t| t <= self.theta[i]) {
+                self.theta[i] = self.next_live(self.theta[i] + 1);
+            }
+        }
         self.now += 1;
-        if self.now >= COMPACT_FACTOR * self.last_access.len() {
+        if self.now >= COMPACT_FACTOR * lines {
             self.compact();
         }
-        if let Some(d) = distance {
-            self.counts.record(ReuseBucket::classify(d));
-            self.last_distance = Some(d);
+        match bucket {
+            Some(b) => self.counts.record(b),
+            None => self.counts.cold += 1,
         }
-        distance
+        bucket
     }
 
-    /// Renumbers the live last-access stamps `0..unique_lines()` in their
-    /// order; every one of them is marked, so the tree becomes all ones.
+    /// The first live stamp at or after `from` (one always exists: the
+    /// newest stamp is live).
+    fn next_live(&self, from: usize) -> usize {
+        let mut word = from / 64;
+        let mut bits = self.live[word] & (u64::MAX << (from % 64));
+        while bits == 0 {
+            word += 1;
+            bits = self.live[word];
+        }
+        word * 64 + bits.trailing_zeros() as usize
+    }
+
+    /// Renumbers the live stamps `0..unique_lines()` in their order, so
+    /// the bitmap becomes all ones and each `θ_K` the `K`-th from the top.
     fn compact(&mut self) {
         let mut live: Vec<(usize, u64)> = self
             .last_access
@@ -228,13 +273,16 @@ impl ReuseTracker {
         for (stamp, &(_, line)) in live.iter().enumerate() {
             self.last_access.insert(line, stamp);
         }
-        self.now = live.len();
-        self.marks = Fenwick::ones(self.now, COMPACT_FACTOR * self.now);
-    }
-
-    /// The distance of the most recent reused access.
-    pub fn last_distance(&self) -> Option<u64> {
-        self.last_distance
+        let n = live.len();
+        self.now = n;
+        self.live = vec![u64::MAX; n / 64];
+        let rest = n % 64;
+        if rest > 0 {
+            self.live.push((1 << rest) - 1);
+        }
+        for (theta, k) in self.theta.iter_mut().zip(THRESHOLDS) {
+            *theta = n.saturating_sub(k);
+        }
     }
 
     /// Number of distinct lines seen so far.
@@ -246,60 +294,40 @@ impl ReuseTracker {
     pub fn counts(&self) -> ReuseCounts {
         self.counts
     }
-
-    /// Looks up the bucket a line's *next* access would currently fall in,
-    /// i.e. the number of unique lines touched since its last access.
-    ///
-    /// Returns `None` for never-seen lines.
-    pub fn current_distance(&self, line: u64) -> Option<u64> {
-        let t = self.last_access.get(&line).copied()?;
-        Some(self.marks.range_sum(t + 1, self.now) as u64)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// O(n²) reference: scan back through an explicit access log.
-    fn naive_distances(stream: &[u64]) -> Vec<Option<u64>> {
+    /// O(n²) reference: scan back through the stream for the last access
+    /// of the same line, counting the distinct lines in between.
+    fn naive_buckets(stream: &[u64]) -> Vec<Option<ReuseBucket>> {
         let mut out = Vec::new();
-        let mut log: Vec<u64> = Vec::new();
         for (i, &line) in stream.iter().enumerate() {
             if i > 0 && stream[i - 1] == line {
                 out.push(None);
-                log.push(line);
                 continue;
             }
             let mut seen = std::collections::HashSet::new();
             let mut found = None;
-            for &past in log.iter().rev() {
+            for &past in stream[..i].iter().rev() {
                 if past == line {
-                    found = Some(seen.len() as u64);
+                    found = Some(ReuseBucket::classify(seen.len() as u64));
                     break;
                 }
                 seen.insert(past);
             }
             out.push(found);
-            log.push(line);
         }
         out
     }
 
     #[test]
-    fn cold_access_has_no_distance() {
+    fn cold_access_has_no_bucket() {
         let mut t = ReuseTracker::new();
         assert_eq!(t.access(1), None);
         assert_eq!(t.counts().cold, 1);
-    }
-
-    #[test]
-    fn simple_distance() {
-        let mut t = ReuseTracker::new();
-        t.access(1);
-        t.access(2);
-        t.access(3);
-        assert_eq!(t.access(1), Some(2));
     }
 
     #[test]
@@ -309,20 +337,24 @@ mod tests {
         assert_eq!(t.access(1), None);
         assert_eq!(t.access(1), None);
         t.access(2);
-        assert_eq!(t.access(1), Some(1));
+        assert_eq!(t.access(1), Some(ReuseBucket::Short));
+        assert_eq!(t.counts().total(), 3);
     }
 
     #[test]
-    fn duplicate_intervening_lines_count_once() {
-        let mut t = ReuseTracker::new();
-        t.access(1);
-        t.access(2);
-        t.access(3);
-        t.access(2);
-        t.access(3);
-        t.access(2);
-        // Unique lines since last access of 1: {2, 3} => 2.
-        assert_eq!(t.access(1), Some(2));
+    fn duplicate_intervening_lines_count_once_at_the_boundary() {
+        // 99 distinct lines between two accesses of line 0, each touched
+        // twice: distance 99, Short. One more distinct line makes it 100.
+        for (between, expect) in [(99u64, ReuseBucket::Short), (100, ReuseBucket::Mid)] {
+            let mut t = ReuseTracker::new();
+            t.access(0);
+            for _ in 0..2 {
+                for line in 1..=between {
+                    t.access(line);
+                }
+            }
+            assert_eq!(t.access(0), Some(expect), "{between} lines between");
+        }
     }
 
     #[test]
@@ -338,8 +370,9 @@ mod tests {
     #[test]
     fn matches_naive_reference_on_random_stream() {
         // A fixed set of 40 lines, and a working set that drifts upward so
-        // the line count grows between compactions and old lines go cold.
-        // Both force repeated compactions.
+        // the line count grows between compactions, old lines go cold and
+        // reuses cross the Short/Mid boundary. Both force repeated
+        // compactions.
         let mut state = 0xdeadbeefu64;
         let mut next = || {
             state ^= state << 13;
@@ -348,19 +381,68 @@ mod tests {
             state
         };
         let fixed: Vec<u64> = (0..800).map(|_| next() % 40).collect();
-        let drifting: Vec<u64> = (0..3000u64).map(|i| i / 20 + next() % 60).collect();
+        let drifting: Vec<u64> = (0..3000u64).map(|i| i / 20 + next() % 180).collect();
         for stream in [fixed, drifting] {
-            let expect = naive_distances(&stream);
+            let expect = naive_buckets(&stream);
             let mut t = ReuseTracker::new();
             let mut compactions = 0;
             for (i, &line) in stream.iter().enumerate() {
                 let before = t.now;
                 assert_eq!(t.access(line), expect[i], "mismatch at access {i}");
                 compactions += usize::from(t.now < before);
-                assert!(t.marks.len() <= 2 * COMPACT_FACTOR * t.unique_lines().max(8));
+                assert!(t.live.len() * 64 <= 2 * COMPACT_FACTOR * t.unique_lines().max(64));
             }
             assert!(compactions >= 3, "only {compactions} compactions");
         }
+    }
+
+    #[test]
+    fn matches_lru_stack_past_both_thresholds() {
+        // The reference is an LRU stack of lines, newest last: a line's
+        // unique-lines reuse distance is its depth below the top. The
+        // stream is drawn from that stack, re-touching lines at depths on
+        // and around both bucket boundaries, while cold lines grow the
+        // working set past 5000 and the stamps compact.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        let mut stack: Vec<u64> = Vec::new();
+        let mut t = ReuseTracker::new();
+        let mut seen = [0u64; 3];
+        let mut compactions = 0;
+        for i in 0..60_000 {
+            let depth = match next(20) {
+                // Cold lines: most of the first 8000 accesses, then a few.
+                r if (i < 8000 && r >= 8) || r == 0 => None,
+                1..=6 => Some(1 + next(150)),
+                7..=10 => Some(4900 + next(200)),
+                11 => Some([99, 100, 4999, 5000][next(4)]),
+                _ => Some(5001 + next(1500)),
+            }
+            .filter(|&d| d < stack.len());
+            let (line, expect) = match depth {
+                Some(d) => {
+                    let line = stack.remove(stack.len() - 1 - d);
+                    (line, Some(ReuseBucket::classify(d as u64)))
+                }
+                None => ((1 << 32) | i as u64, None),
+            };
+            stack.push(line);
+            let before = t.now;
+            assert_eq!(t.access(line), expect, "access {i}, depth {depth:?}");
+            compactions += usize::from(t.now < before);
+            if let Some(b) = expect {
+                seen[b as usize] += 1;
+            }
+        }
+        assert!(t.unique_lines() > 5000, "{} lines", t.unique_lines());
+        assert!(seen.iter().all(|&n| n > 1000), "bucket counts {seen:?}");
+        assert!(compactions >= 2, "only {compactions} compactions");
+        assert_eq!(t.counts().reused_total(), seen.iter().sum::<u64>());
     }
 
     #[test]
@@ -377,15 +459,5 @@ mod tests {
         assert_eq!(c.mid, 200);
         assert_eq!(c.total(), 400);
         assert!((c.fraction(ReuseBucket::Mid) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn current_distance_peeks_without_recording() {
-        let mut t = ReuseTracker::new();
-        t.access(1);
-        t.access(2);
-        assert_eq!(t.current_distance(1), Some(1));
-        assert_eq!(t.current_distance(1), Some(1)); // unchanged
-        assert_eq!(t.current_distance(99), None);
     }
 }

@@ -10,6 +10,9 @@ pub enum BranchBehavior {
     Loop {
         /// Loop trip count (>= 1).
         trip: u32,
+        /// This backedge's slot among the program's loop counters (see
+        /// [`crate::program::Program::loop_sites`]).
+        site: u32,
     },
     /// Taken with fixed probability each execution. `p` near 0 or 1 is
     /// easy; `p` near 0.5 models data-dependent, hard branches.
@@ -20,11 +23,13 @@ pub enum BranchBehavior {
 }
 
 impl BranchBehavior {
-    /// Computes the next outcome, advancing `counter` (per-branch dynamic
-    /// state owned by the walker) and consuming randomness if needed.
-    pub fn next_outcome(&self, counter: &mut u32, rng: &mut Rng) -> bool {
+    /// Computes the next outcome, advancing this branch's slot of
+    /// `loop_counters` (per-loop dynamic state owned by the walker) and
+    /// consuming randomness if needed.
+    pub fn next_outcome(&self, loop_counters: &mut [u32], rng: &mut Rng) -> bool {
         match *self {
-            BranchBehavior::Loop { trip } => {
+            BranchBehavior::Loop { trip, site } => {
+                let counter = &mut loop_counters[site as usize];
                 *counter += 1;
                 if *counter >= trip.max(1) {
                     *counter = 0;
@@ -117,8 +122,8 @@ mod tests {
 
     #[test]
     fn loop_behavior_exits_every_trip() {
-        let b = BranchBehavior::Loop { trip: 4 };
-        let mut c = 0;
+        let b = BranchBehavior::Loop { trip: 4, site: 0 };
+        let mut c = [0];
         let mut rng = Rng::new(1);
         let outcomes: Vec<bool> = (0..8).map(|_| b.next_outcome(&mut c, &mut rng)).collect();
         assert_eq!(
@@ -129,8 +134,8 @@ mod tests {
 
     #[test]
     fn loop_trip_one_never_taken() {
-        let b = BranchBehavior::Loop { trip: 1 };
-        let mut c = 0;
+        let b = BranchBehavior::Loop { trip: 1, site: 0 };
+        let mut c = [0];
         let mut rng = Rng::new(1);
         for _ in 0..5 {
             assert!(!b.next_outcome(&mut c, &mut rng));
@@ -140,7 +145,7 @@ mod tests {
     #[test]
     fn biased_branch_matches_probability() {
         let b = BranchBehavior::Biased { taken_prob: 0.9 };
-        let mut c = 0;
+        let mut c = [];
         let mut rng = Rng::new(3);
         let taken = (0..10_000)
             .filter(|_| b.next_outcome(&mut c, &mut rng))

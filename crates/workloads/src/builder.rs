@@ -15,7 +15,7 @@
 
 use crate::behavior::{BranchBehavior, DataStream};
 use crate::program::{
-    BasicBlock, BlockId, InstrKind, InstrTemplate, Program, Terminator, CODE_BASE, INSTR_BYTES,
+    BasicBlock, IndirectSite, InstrKind, InstrTemplate, Program, Terminator, CODE_BASE, INSTR_BYTES,
 };
 use crate::rng::Rng;
 
@@ -149,88 +149,96 @@ pub fn build_program(shape: &ProgramShape) -> Program {
     let n_blocks = service_base + services * service_blocks;
 
     let mut blocks: Vec<BasicBlock> = Vec::with_capacity(n_blocks as usize);
+    // Block lengths average `avg`; the slack keeps the array from doubling,
+    // and the shrink below returns what is left.
+    let mut instrs: Vec<InstrTemplate> = Vec::with_capacity(n_blocks as usize * (avg as usize + 1));
     let mut addr = CODE_BASE;
-    let make_instrs = |rng: &mut Rng| -> Vec<InstrTemplate> {
+    let mut loop_sites = 0u32;
+    let mut loop_behavior = |trip: u32| {
+        loop_sites += 1;
+        BranchBehavior::Loop {
+            trip,
+            site: loop_sites - 1,
+        }
+    };
+    // Appends one block: its templates go straight onto `instrs`.
+    let mut push_block = |term: Terminator, rng: &mut Rng| {
         let span = 7.min(avg as i64 - 3).max(1) as u64;
         let len = (avg as i64 - 3 + rng.below(2 * span + 1) as i64).clamp(3, 16) as usize;
-        (0..len)
-            .map(|slot| {
-                let r = rng.f64();
-                // The last slot is the block's control-transfer instruction
-                // and must not be a memory op.
-                let kind = if slot + 1 == len {
-                    InstrKind::Alu
-                } else if r < shape.load_frac {
-                    let (wh, ww, _ws) = shape.data_weights;
-                    let pick = rng.f64();
-                    if pick < wh {
-                        InstrKind::Load(0)
-                    } else if pick < wh + ww {
-                        InstrKind::Load(1)
-                    } else {
-                        InstrKind::Load(2)
-                    }
-                } else if r < shape.load_frac + shape.store_frac {
-                    let (wh, ww, _ws) = shape.data_weights;
-                    let pick = rng.f64();
-                    if pick < wh {
-                        InstrKind::Store(0)
-                    } else if pick < wh + ww {
-                        InstrKind::Store(1)
-                    } else {
-                        InstrKind::Store(2)
-                    }
+        let first = instrs.len() as u32;
+        instrs.extend((0..len).map(|slot| {
+            let r = rng.f64();
+            // The last slot is the block's control-transfer instruction
+            // and must not be a memory op.
+            let kind = if slot + 1 == len {
+                InstrKind::Alu
+            } else if r < shape.load_frac {
+                let (wh, ww, _ws) = shape.data_weights;
+                let pick = rng.f64();
+                if pick < wh {
+                    InstrKind::Load(0)
+                } else if pick < wh + ww {
+                    InstrKind::Load(1)
                 } else {
-                    InstrKind::Alu
-                };
-                InstrTemplate {
-                    kind,
-                    dep1: 1 + rng.below(5) as u8,
-                    dep2: if rng.chance(0.3) {
-                        2 + rng.below(8) as u8
-                    } else {
-                        0
-                    },
+                    InstrKind::Load(2)
                 }
-            })
-            .collect()
-    };
-    let push_block = |instrs: Vec<InstrTemplate>,
-                      term: Terminator,
-                      blocks: &mut Vec<BasicBlock>,
-                      addr: &mut u64| {
-        let id = blocks.len() as BlockId;
-        let start = *addr;
-        *addr += INSTR_BYTES * instrs.len() as u64;
+            } else if r < shape.load_frac + shape.store_frac {
+                let (wh, ww, _ws) = shape.data_weights;
+                let pick = rng.f64();
+                if pick < wh {
+                    InstrKind::Store(0)
+                } else if pick < wh + ww {
+                    InstrKind::Store(1)
+                } else {
+                    InstrKind::Store(2)
+                }
+            } else {
+                InstrKind::Alu
+            };
+            InstrTemplate {
+                kind,
+                dep1: 1 + rng.below(5) as u8,
+                dep2: if rng.chance(0.3) {
+                    2 + rng.below(8) as u8
+                } else {
+                    0
+                },
+            }
+        }));
         blocks.push(BasicBlock {
-            id,
-            start,
-            instrs,
+            start: addr,
+            first,
+            len: len as u32,
             terminator: term,
         });
+        addr += INSTR_BYTES * len as u64;
     };
+    let mut indirect = Vec::with_capacity(1);
 
     // --- Dispatcher -----------------------------------------------------
     // Chain 0 -> 1 -> ... with a short spin loop, ending in the indirect
     // request dispatch that returns to block 0.
     for i in 0..dispatcher {
         let term = if i == dispatcher - 1 {
-            Terminator::IndirectCall {
+            indirect.push(IndirectSite {
                 targets: (0..services).map(service_entry).collect(),
                 skew: shape.service_skew,
                 rr_frac: shape.service_rotation,
+            });
+            Terminator::IndirectCall {
+                site: indirect.len() as u32 - 1,
                 ret_to: 0,
             }
         } else if i == dispatcher - 2 && i % LAYOUT_GRANULE != LAYOUT_GRANULE - 1 {
             Terminator::Cond {
                 target: 0,
                 fallthrough: i + 1,
-                behavior: BranchBehavior::Loop { trip: 2 },
+                behavior: loop_behavior(2),
             }
         } else {
             Terminator::FallThrough { next: i + 1 }
         };
-        push_block(make_instrs(&mut rng), term, &mut blocks, &mut addr);
+        push_block(term, &mut rng);
     }
 
     // --- Helpers ----------------------------------------------------------
@@ -244,14 +252,12 @@ pub fn build_program(shape: &ProgramShape) -> Program {
                 Terminator::Cond {
                     target: base + j - 1,
                     fallthrough: base + j + 1,
-                    behavior: BranchBehavior::Loop {
-                        trip: 2 + rng.below(3) as u32,
-                    },
+                    behavior: loop_behavior(2 + rng.below(3) as u32),
                 }
             } else {
                 Terminator::FallThrough { next: base + j + 1 }
             };
-            push_block(make_instrs(&mut rng), term, &mut blocks, &mut addr);
+            push_block(term, &mut rng);
         }
     }
 
@@ -272,9 +278,7 @@ pub fn build_program(shape: &ProgramShape) -> Program {
                 Terminator::Cond {
                     target: base,
                     fallthrough: next,
-                    behavior: BranchBehavior::Loop {
-                        trip: shape.service_repeat,
-                    },
+                    behavior: loop_behavior(shape.service_repeat),
                 }
             } else if id % LAYOUT_GRANULE == LAYOUT_GRANULE - 1 {
                 // Granule-ending blocks may not rely on physical adjacency
@@ -294,9 +298,7 @@ pub fn build_program(shape: &ProgramShape) -> Program {
                     Terminator::Cond {
                         target: id - 1,
                         fallthrough: next,
-                        behavior: BranchBehavior::Loop {
-                            trip: shape.loop_trip.max(2),
-                        },
+                        behavior: loop_behavior(shape.loop_trip.max(2)),
                     }
                 } else if roll < shape.loop_frac + shape.call_frac && helpers > 0 {
                     Terminator::Call {
@@ -323,7 +325,7 @@ pub fn build_program(shape: &ProgramShape) -> Program {
                     Terminator::FallThrough { next }
                 }
             };
-            push_block(make_instrs(&mut rng), term, &mut blocks, &mut addr);
+            push_block(term, &mut rng);
         }
     }
 
@@ -336,13 +338,8 @@ pub fn build_program(shape: &ProgramShape) -> Program {
     // longer physically adjacent become explicit jumps.
     shuffle_layout(&mut blocks, &mut rng);
 
-    let mut program = Program {
-        blocks,
-        entry: 0,
-        streams,
-        by_start: Default::default(),
-    };
-    program.index();
+    instrs.shrink_to_fit();
+    let program = Program::new(blocks, instrs, streams, indirect, loop_sites);
     debug_assert_eq!(program.validate(), Ok(()));
     program
 }
@@ -370,7 +367,7 @@ fn shuffle_layout(blocks: &mut [BasicBlock], rng: &mut Rng) {
     for &gi in &order {
         for b in blocks.iter_mut().skip(gi * g).take(g) {
             b.start = addr;
-            addr += INSTR_BYTES * b.instrs.len() as u64;
+            addr = b.end();
         }
     }
     // Fix up adjacency-dependent terminators.
@@ -445,11 +442,16 @@ mod tests {
         let shape = ProgramShape::tiny();
         let p = build_program(&shape);
         let dispatch = &p.blocks[(shape.dispatcher_blocks.clamp(3, 16) - 1) as usize];
-        match &dispatch.terminator {
-            Terminator::IndirectCall { targets, .. } => {
-                assert_eq!(targets.len(), shape.num_services as usize);
+        match dispatch.terminator {
+            Terminator::IndirectCall { site, ret_to } => {
+                assert_eq!(p.indirect.len(), 1, "one dispatch site per program");
+                assert_eq!(
+                    p.indirect[site as usize].targets.len(),
+                    shape.num_services as usize
+                );
+                assert_eq!(ret_to, 0);
             }
-            other => panic!("expected indirect dispatch, got {other:?}"),
+            ref other => panic!("expected indirect dispatch, got {other:?}"),
         }
     }
 
@@ -468,6 +470,37 @@ mod tests {
         // The address space is packed overall: total span == total bytes.
         let max_end = p.blocks.iter().map(|b| b.end()).max().unwrap();
         assert_eq!(max_end - CODE_BASE, p.code_bytes());
+        // Templates tile the one array in id order, whatever the addresses.
+        let mut next = 0;
+        for b in &p.blocks {
+            assert_eq!(b.first, next, "template ranges in id order");
+            next += b.len;
+        }
+        assert_eq!(next as usize, p.instrs.len());
+    }
+
+    #[test]
+    fn loop_sites_and_counters_are_one_per_backedge() {
+        let p = build_program(&ProgramShape {
+            code_kb: 64,
+            ..ProgramShape::tiny()
+        });
+        let loops = p
+            .blocks
+            .iter()
+            .filter(|b| {
+                matches!(
+                    b.terminator,
+                    Terminator::Cond {
+                        behavior: BranchBehavior::Loop { .. },
+                        ..
+                    }
+                )
+            })
+            .count();
+        assert!(loops > 0);
+        assert_eq!(loops, p.loop_sites as usize);
+        assert!(p.loop_sites as usize * 4 < p.blocks.len());
     }
 
     #[test]

@@ -51,6 +51,8 @@ pub use behavior::{BranchBehavior, DataStream};
 pub use builder::build_program;
 pub use builder::ProgramShape;
 pub use profiles::Profile;
-pub use program::{BasicBlock, BlockId, InstrKind, InstrTemplate, Program, TermClass, Terminator};
+pub use program::{
+    BasicBlock, BlockId, IndirectSite, InstrKind, InstrTemplate, Program, TermClass, Terminator,
+};
 pub use store::shared_program;
 pub use walker::{DynBlock, DynInstr, DynOp, Walker};

@@ -60,9 +60,10 @@ pub struct Walker<'p> {
     program: &'p Program,
     rng: Rng,
     current: BlockId,
-    /// Per-block loop counters (conditional backedges).
+    /// Loop counters, one per [`Program::loop_sites`] backedge.
     loop_counters: Vec<u32>,
-    /// Per-block rotation cursors for round-robin indirect dispatch.
+    /// Rotation cursors for round-robin dispatch, one per
+    /// [`Program::indirect`] site.
     rotations: Vec<u32>,
     /// Per-stream cursors.
     cursors: Vec<StreamCursor>,
@@ -78,8 +79,8 @@ impl<'p> Walker<'p> {
             program,
             rng: Rng::new(seed ^ 0x3A1C),
             current: program.entry,
-            loop_counters: vec![0; program.blocks.len()],
-            rotations: vec![0; program.blocks.len()],
+            loop_counters: vec![0; program.loop_sites as usize],
+            rotations: vec![0; program.indirect.len()],
             cursors: vec![StreamCursor::default(); program.streams.len()],
             call_stack: Vec::with_capacity(MAX_CALL_DEPTH),
             blocks_executed: 0,
@@ -106,9 +107,10 @@ impl<'p> Walker<'p> {
     /// `out` (which is *not* cleared) and returns the block's ground truth,
     /// advancing to the successor.
     pub fn emit_block(&mut self, out: &mut Vec<DynInstr>) -> DynBlock {
-        let block = self.program.block(self.current);
-        let n = block.instrs.len();
-        for (i, t) in block.instrs.iter().enumerate() {
+        let id = self.current;
+        let block = self.program.block(id);
+        let n = block.len as usize;
+        for (i, t) in self.program.templates(block).iter().enumerate() {
             let op = match t.kind {
                 InstrKind::Alu => DynOp::Alu,
                 InstrKind::Load(s) => DynOp::Load(
@@ -128,10 +130,10 @@ impl<'p> Walker<'p> {
                 is_terminator: i == n - 1,
             });
         }
-        let (taken, taken_target, next) = self.resolve_terminator(block.id);
+        let (taken, taken_target, next) = self.resolve_terminator(id);
         let next_start = self.program.block(next).start;
         let dyn_block = DynBlock {
-            id: block.id,
+            id,
             start: block.start,
             num_instrs: n as u32,
             class: block.terminator.class(),
@@ -154,8 +156,7 @@ impl<'p> Walker<'p> {
                 fallthrough,
                 behavior,
             } => {
-                let taken =
-                    behavior.next_outcome(&mut self.loop_counters[id as usize], &mut self.rng);
+                let taken = behavior.next_outcome(&mut self.loop_counters, &mut self.rng);
                 let tgt_addr = self.program.block(*target).start;
                 let next = if taken { *target } else { *fallthrough };
                 (taken, tgt_addr, next)
@@ -165,19 +166,16 @@ impl<'p> Walker<'p> {
                 self.push_frame(*ret_to);
                 (true, self.program.block(*callee).start, *callee)
             }
-            Terminator::IndirectCall {
-                targets,
-                skew,
-                rr_frac,
-                ret_to,
-            } => {
-                let pick = if self.rng.chance(*rr_frac) {
-                    let cursor = &mut self.rotations[id as usize];
+            Terminator::IndirectCall { site, ret_to } => {
+                let table = &self.program.indirect[*site as usize];
+                let targets = &table.targets;
+                let pick = if self.rng.chance(table.rr_frac) {
+                    let cursor = &mut self.rotations[*site as usize];
                     let pick = *cursor as usize % targets.len();
                     *cursor = cursor.wrapping_add(1);
                     pick
                 } else {
-                    self.rng.zipf(targets.len(), *skew)
+                    self.rng.zipf(targets.len(), table.skew)
                 };
                 let callee = targets[pick];
                 self.push_frame(*ret_to);

@@ -45,6 +45,17 @@ proptest! {
         for w in spans.windows(2) {
             prop_assert!(w[0].1 <= w[1].0, "overlapping blocks");
         }
+        // Every block's templates sit at its range of the one array, and
+        // the start index finds every block and nothing between starts.
+        let mut next = 0;
+        for b in &p.blocks {
+            prop_assert_eq!(b.first, next);
+            next += b.len;
+            prop_assert_eq!(p.block_at(b.start), Some(b));
+            prop_assert!(p.block_at(b.start + 4).is_none_or(|f| f.start == b.start + 4));
+            prop_assert!(p.block_at(b.start + 2).is_none());
+        }
+        prop_assert_eq!(next as usize, p.instrs.len());
         for b in &p.blocks {
             if let Terminator::Cond { fallthrough, .. } = b.terminator {
                 prop_assert_eq!(p.blocks[fallthrough as usize].start, b.end());
