@@ -14,7 +14,8 @@
 //! from that prefetch's outcomes, without running a job.
 //!
 //! The `campaign summary:` line on stderr reports the sweep's job counts
-//! and wall-clock. Expect the sweep to take a while at default run
+//! and wall-clock, and `results/metrics.jsonl` keeps the sweep's host-time
+//! counters (read it with `emissary-inspect metrics`). Expect the sweep to take a while at default run
 //! lengths; scale down with `EMISSARY_MEASURE_INSNS` for a quick pass.
 //! To stop a sweep, kill it: every signal takes the OS default, and each
 //! completed job is already in the checkpoint, so a rerun with
@@ -27,6 +28,7 @@ use std::time::Instant;
 use emissary_bench::campaign::{self, CostModel};
 use emissary_bench::checkpoint::{Campaign, UNIFIED_CAMPAIGN};
 use emissary_bench::{experiments, metrics, results, scale, PoolOptions};
+use emissary_obs::metrics::global;
 
 fn main() {
     let names: Vec<String> = std::env::args().skip(1).collect();
@@ -99,11 +101,9 @@ fn main() {
         campaign.quarantined(),
         metrics::summary_suffix()
     );
-    if knobs.metrics {
-        let prom_path = metrics::default_prom_path();
-        match metrics::write_prom(&prom_path) {
-            Ok(()) => eprintln!("metrics: wrote {}", prom_path.display()),
-            Err(e) => eprintln!("metrics: cannot write {}: {e}", prom_path.display()),
-        }
+    let path = metrics::default_path();
+    match metrics::write_jsonl(&path, &global().snapshot()) {
+        Ok(()) => eprintln!("metrics: wrote {}", path.display()),
+        Err(e) => eprintln!("metrics: cannot write {}: {e}", path.display()),
     }
 }

@@ -9,21 +9,21 @@
 //!   decisions by resident high-priority line count.
 //! * `checkpoint [file]` — a campaign checkpoint
 //!   (default `results/campaign.ckpt.jsonl`): records by status and
-//!   experiment, replayable memo size, host-time totals.
-//! * `metrics [file]` — a Prometheus snapshot
-//!   (default `results/metrics.prom`): flame-style per-stage span table
+//!   experiment, replayable memo size, host-time totals, and the
+//!   simulated cycles, committed instructions and starved-cycle share
+//!   summed over the completed records' reports (the last one per job).
+//! * `metrics [file]` — a campaign's host-time counters
+//!   (default `results/metrics.jsonl`): flame-style per-stage span table
 //!   and per-worker scheduler utilization.
 //!
 //! Everything prints to stdout; exit code 2 flags unusable input.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use emissary_bench::metrics::{self, STAGES};
-use emissary_obs::{
-    bucket_bound, jsonl_lines, parse_prometheus, JsonValue, Log2Hist, PromSample, TraceEvent,
-};
+use emissary_bench::metrics::{self, counter_sum, stage_seconds, utilization, STAGES};
+use emissary_obs::{bucket_bound, jsonl_lines, JsonValue, Log2Hist, TraceEvent};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -42,7 +42,7 @@ fn main() -> ExitCode {
             })
         }
         "metrics" => {
-            let default = metrics::default_prom_path().display().to_string();
+            let default = metrics::default_path().display().to_string();
             run_on_files(&or_default(files, default), |name, text| {
                 print!("{}", analyze_metrics(name, text));
             })
@@ -51,7 +51,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: emissary-inspect trace <file.jsonl>...\n\
                  \x20      emissary-inspect checkpoint [file]\n\
-                 \x20      emissary-inspect metrics [file.prom]"
+                 \x20      emissary-inspect metrics [file.jsonl]"
             );
             ExitCode::from(2)
         }
@@ -213,10 +213,17 @@ fn bound_label(bucket: usize) -> String {
 fn analyze_checkpoint(name: &str, text: &str) -> String {
     let mut by_status: BTreeMap<String, u64> = BTreeMap::new();
     let mut by_experiment: BTreeMap<String, u64> = BTreeMap::new();
-    let mut memo: BTreeMap<String, bool> = BTreeMap::new(); // fp -> completed
+    // fp -> the replayable record's (cycles, committed, starved), `None`
+    // while the job has only failed: a job re-simulated by a later run
+    // is one job of the campaign.
+    let mut memo: BTreeMap<String, Option<[u64; 3]>> = BTreeMap::new();
     let mut bad = 0u64;
     let (mut host, mut warmup, mut measure) = (0.0f64, 0.0f64, 0.0f64);
     let seconds = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
+    let count = |v: &JsonValue, key: &str| {
+        let report = v.get("report");
+        report.and_then(|r| r.get(key)?.as_u64()).unwrap_or(0)
+    };
     for line in jsonl_lines(text) {
         let Ok(v) = line.parsed else {
             bad += 1;
@@ -233,18 +240,19 @@ fn analyze_checkpoint(name: &str, text: &str) -> String {
         if let Some(exp) = v.get("experiment").and_then(JsonValue::as_str) {
             *by_experiment.entry(exp.to_string()).or_default() += 1;
         }
-        let completed = status == "completed";
-        if completed {
+        // Same last-wins-per-fingerprint rule as resume, except failures
+        // never displace an earlier completed record.
+        if status == "completed" {
             host += seconds(&v, "host_seconds");
             warmup += seconds(&v, "warmup_seconds");
             measure += seconds(&v, "measure_seconds");
+            let counts = ["cycles", "committed", "starvation_cycles"].map(|k| count(&v, k));
+            memo.insert(fp.to_string(), Some(counts));
+        } else {
+            memo.entry(fp.to_string()).or_insert(None);
         }
-        // Same last-wins-per-fingerprint rule as resume, except failures
-        // never displace an earlier completed record.
-        let entry = memo.entry(fp.to_string()).or_insert(completed);
-        *entry = *entry || completed;
     }
-    let replayable = memo.values().filter(|&&c| c).count();
+    let replayable = memo.values().flatten().count();
     let mut out = format!("== checkpoint {name} ==\n");
     out.push_str("records by status:\n");
     for (status, n) in &by_status {
@@ -268,6 +276,18 @@ fn analyze_checkpoint(name: &str, text: &str) -> String {
         out,
         "completed host time: {host:.1}s ({warmup:.1}s warmup, {measure:.1}s measure)"
     );
+    let [cycles, committed, starved] = memo.values().flatten().fold([0u64; 3], |sum, c| {
+        [sum[0] + c[0], sum[1] + c[1], sum[2] + c[2]]
+    });
+    let share = if cycles > 0 {
+        starved as f64 / cycles as f64 * 100.0
+    } else {
+        0.0
+    };
+    let _ = writeln!(
+        out,
+        "simulated: {cycles} cycle(s), {committed} committed, {share:.2}% cycles starved"
+    );
     out
 }
 
@@ -275,50 +295,18 @@ fn analyze_checkpoint(name: &str, text: &str) -> String {
 // metrics
 // ---------------------------------------------------------------------------
 
-/// Sums `family` samples, optionally filtered by one label pair.
-fn sample_sum(samples: &[PromSample], family: &str, label: Option<(&str, &str)>) -> f64 {
-    let sum: f64 = samples
-        .iter()
-        .filter(|s| s.name == family)
-        .filter(|s| match label {
-            Some((k, v)) => s.label(k) == Some(v),
-            None => true,
-        })
-        .map(|s| s.value)
-        .sum();
-    // An empty f64 sum is IEEE -0.0; normalize so reports never print
-    // "-0.00" for an absent family.
-    sum + 0.0
-}
-
-/// Distinct values of `key` across `family` samples, sorted.
-fn label_values(samples: &[PromSample], family: &str, key: &str) -> Vec<String> {
-    let mut values: Vec<String> = samples
-        .iter()
-        .filter(|s| s.name == family)
-        .filter_map(|s| s.label(key).map(str::to_string))
-        .collect();
-    values.sort();
-    values.dedup();
-    values
-}
-
 fn analyze_metrics(name: &str, text: &str) -> String {
-    let samples = parse_prometheus(text);
+    let snapshot = metrics::parse_jsonl(text);
     let mut out = format!("== metrics {name} ==\n");
-    if samples.is_empty() {
-        out.push_str("no samples (metrics disabled, or not a Prometheus snapshot)\n");
+    if snapshot.is_empty() {
+        out.push_str("no metric records\n");
         return out;
     }
-    // Flame-style stage table: total seconds per stage, widest first.
+    // Flame-style stage table: total seconds per stage, widest first, at
+    // the precision the `campaign summary:` line prints them.
     let mut stages: Vec<(&str, f64)> = STAGES
         .iter()
-        .map(|&s| {
-            (
-                s,
-                sample_sum(&samples, metrics::STAGE_NS, Some(("stage", s))) / 1e9,
-            )
-        })
+        .map(|&s| (s, stage_seconds(&snapshot, s)))
         .collect();
     let total: f64 = stages.iter().map(|(_, s)| s).sum();
     stages.sort_by(|a, b| b.1.total_cmp(&a.1));
@@ -328,31 +316,35 @@ fn analyze_metrics(name: &str, text: &str) -> String {
         let bar = "#".repeat((share * 40.0).round() as usize);
         let _ = writeln!(
             out,
-            "  {stage:<10} {secs:>9.2}s {:>5.1}% {bar}",
+            "  {stage:<10} {secs:>9.1}s {:>5.1}% {bar}",
             share * 100.0
         );
     }
     // Per-worker scheduler utilization.
-    let workers = label_values(&samples, metrics::WORKER_WALL_NS, "worker");
-    if !workers.is_empty() {
+    let workers: BTreeSet<&str> = snapshot
+        .iter()
+        .filter(|m| m.name == metrics::WORKER_WALL_NS)
+        .filter_map(|m| m.label("worker"))
+        .collect();
+    if let Some((busy, wall, ratio)) = utilization(&snapshot) {
         out.push_str("workers:\n");
         let _ = writeln!(
             out,
             "  {:<8} {:>9} {:>9} {:>6} {:>6} {:>6}",
             "worker", "busy_s", "wall_s", "util", "jobs", "failed"
         );
-        for w in &workers {
-            let busy = sample_sum(&samples, metrics::WORKER_BUSY_NS, Some(("worker", w))) / 1e9;
-            let wall = sample_sum(&samples, metrics::WORKER_WALL_NS, Some(("worker", w))) / 1e9;
-            let jobs = sample_sum(&samples, metrics::JOBS_TOTAL, Some(("worker", w)));
-            let ok: f64 = samples
+        let seconds = |family, w| counter_sum(&snapshot, family, Some(("worker", w))) as f64 / 1e9;
+        for &w in &workers {
+            let (busy, wall) = (
+                seconds(metrics::WORKER_BUSY_NS, w),
+                seconds(metrics::WORKER_WALL_NS, w),
+            );
+            let jobs = counter_sum(&snapshot, metrics::JOBS_TOTAL, Some(("worker", w)));
+            let ok: u64 = snapshot
                 .iter()
-                .filter(|s| {
-                    s.name == metrics::JOBS_TOTAL
-                        && s.label("worker") == Some(w)
-                        && s.label("status") == Some("completed")
-                })
-                .map(|s| s.value)
+                .filter(|m| m.name == metrics::JOBS_TOTAL && m.label("worker") == Some(w))
+                .filter(|m| m.label("status") == Some("completed"))
+                .map(|m| m.value)
                 .sum();
             let util = if wall > 0.0 { busy / wall * 100.0 } else { 0.0 };
             let _ = writeln!(
@@ -361,21 +353,12 @@ fn analyze_metrics(name: &str, text: &str) -> String {
                 jobs - ok
             );
         }
-    }
-    // Simulator aggregates, when the snapshot carries them.
-    let cycles = sample_sum(&samples, "emissary_sim_cycles_total", None);
-    if cycles > 0.0 {
-        let committed = sample_sum(&samples, "emissary_sim_committed_instrs_total", None);
-        let starved = sample_sum(&samples, "emissary_sim_starvation_cycles_total", None);
+        let jobs = counter_sum(&snapshot, metrics::JOBS_TOTAL, None);
         let _ = writeln!(
             out,
-            "simulated: {cycles:.0} cycle(s), {committed:.0} committed, \
-             {:.2}% cycles starved",
-            if cycles > 0.0 {
-                starved / cycles * 100.0
-            } else {
-                0.0
-            }
+            "  {:<8} {busy:>9.2} {wall:>9.2} {:>5.1}% {jobs:>6}",
+            "all",
+            ratio * 100.0
         );
     }
     out
@@ -414,19 +397,51 @@ garbage\n";
         assert!(report.contains("panicked     1"));
         assert!(report.contains("memo: 1 replayable of 2 distinct fingerprint(s)"));
         assert!(report.contains("completed host time: 2.5s (1.0s warmup, 1.5s measure)"));
+        assert!(report.contains("simulated: 0 cycle(s), 0 committed, 0.00% cycles starved"));
+    }
+
+    #[test]
+    fn checkpoint_totals_sum_the_completed_reports() {
+        // A failed record's report-shaped fields must not count, and a
+        // re-simulated job counts once, from its last completed record.
+        let record = |fp: &str, status: &str, cycles: u64, committed: u64, starved: u64| {
+            format!(
+                "{{\"record\":\"ckpt\",\"fingerprint\":\"{fp}\",\"status\":\"{status}\",\
+                 \"report\":{{\"cycles\":{cycles},\"committed\":{committed},\
+                 \"starvation_cycles\":{starved}}}}}\n"
+            )
+        };
+        let text = [
+            record("a", "completed", 1_000, 800, 100),
+            record("b", "completed", 5_000, 5_000, 500),
+            record("b", "completed", 3_000, 2_000, 300),
+            record("c", "aborted", 9_000, 9_000, 9_000),
+        ]
+        .concat();
+        let report = analyze_checkpoint("c", &text);
+        assert!(
+            report.contains("simulated: 4000 cycle(s), 2800 committed, 10.00% cycles starved"),
+            "{report}"
+        );
     }
 
     #[test]
     fn metrics_analysis_reports_stages_and_workers() {
         let text = "\
-emissary_stage_ns_total{stage=\"measure\",worker=\"0\"} 3000000000\n\
-emissary_stage_ns_total{stage=\"build\",worker=\"0\"} 1000000000\n\
-emissary_worker_busy_ns_total{worker=\"0\"} 3500000000\n\
-emissary_worker_wall_ns_total{worker=\"0\"} 7000000000\n\
-emissary_jobs_total{worker=\"0\",status=\"completed\"} 12\n";
+{\"record\":\"metric\",\"name\":\"emissary_stage_ns_total\",\"labels\":{\"stage\":\"measure\",\"worker\":\"0\"},\"value\":3000000000}\n\
+{\"record\":\"metric\",\"name\":\"emissary_stage_ns_total\",\"labels\":{\"stage\":\"build\",\"worker\":\"0\"},\"value\":1000000000}\n\
+{\"record\":\"metric\",\"name\":\"emissary_worker_busy_ns_total\",\"labels\":{\"worker\":\"0\"},\"value\":3500000000}\n\
+{\"record\":\"metric\",\"name\":\"emissary_worker_wall_ns_total\",\"labels\":{\"worker\":\"0\"},\"value\":7000000000}\n\
+{\"record\":\"metric\",\"name\":\"emissary_jobs_total\",\"labels\":{\"worker\":\"0\",\"status\":\"completed\"},\"value\":12}\n\
+{\"record\":\"metric\",\"name\":\"emissary_jobs_total\",\"labels\":{\"worker\":\"0\",\"status\":\"panicked\"},\"value\":1}\n";
         let report = analyze_metrics("m", text);
-        assert!(report.contains("measure"), "{report}");
-        assert!(report.contains("50.0%"), "{report}"); // worker util
-        assert!(report.contains("12"), "{report}");
+        assert!(report.contains("measure          3.0s  75.0%"), "{report}");
+        assert!(report.contains("build            1.0s  25.0%"), "{report}");
+        assert!(report.contains("50.0%     12      1"), "{report}"); // worker 0
+        assert!(
+            report.contains("all           3.50      7.00  50.0%     13"),
+            "{report}"
+        );
+        assert!(analyze_metrics("e", "").contains("no metric records"));
     }
 }

@@ -108,12 +108,12 @@ impl Job {
     ///
     /// Program build, warmup, and measurement host time land in
     /// `registry`'s `emissary_stage_ns_total` series under the given
-    /// `worker` label (the pool passes each worker's index), next to the
-    /// run's end-of-run counters. `None` records no metrics.
+    /// `worker` label (the pool passes each worker's index). `None`
+    /// records no metrics.
     pub fn run_checked_metered(
         &self,
         fault: &FaultConfig,
-        registry: Option<&'static MetricsRegistry>,
+        registry: Option<&MetricsRegistry>,
         worker: &str,
     ) -> Result<SimRun, SimAbort> {
         let mut fault = fault.clone();
@@ -161,14 +161,15 @@ impl Job {
         let build_start = std::time::Instant::now();
         let program = self.profile.shared_program();
         let build_ns = metrics::elapsed_ns(build_start);
-        let obs = ObsConfig::new(guard.tracer.clone(), scale::knobs().sample_interval)
-            .with_metrics(registry);
+        let obs = ObsConfig::new(guard.tracer.clone(), scale::knobs().sample_interval);
         let result = run_sim_checked_on(&program, &self.profile, &self.config, &obs, &fault);
-        metrics::record_stage(registry, worker, "build", build_ns);
-        if let Ok(run) = &result {
-            let ns = |s: f64| (s * 1e9) as u64;
-            metrics::record_stage(registry, worker, "warmup", ns(run.warmup_seconds));
-            metrics::record_stage(registry, worker, "measure", ns(run.measure_seconds));
+        if let Some(m) = registry {
+            metrics::record_stage(m, worker, "build", build_ns);
+            if let Ok(run) = &result {
+                let ns = |s: f64| (s * 1e9) as u64;
+                metrics::record_stage(m, worker, "warmup", ns(run.warmup_seconds));
+                metrics::record_stage(m, worker, "measure", ns(run.measure_seconds));
+            }
         }
         result
     }

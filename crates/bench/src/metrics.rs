@@ -1,37 +1,34 @@
-//! Bench-side metrics glue: the `EMISSARY_METRICS` switch, stage spans,
-//! Prometheus exposition, and campaign-summary aggregates.
+//! Bench-side metrics glue: the harness's host-time counters, stage
+//! spans, the `results/metrics.jsonl` snapshot, and campaign-summary
+//! aggregates.
 //!
-//! The obs crate owns the mechanism ([`MetricsRegistry`],
-//! [`emissary_obs::render_prometheus`]); this module
-//! owns the policy — which spans exist, what they are named, where the
-//! snapshot file lives, and how the campaign summary line condenses it.
+//! The obs crate owns the mechanism ([`MetricsRegistry`], [`Metric`]'s
+//! `metric` JSONL record); this module owns the policy — which spans
+//! exist, what they are named, where the snapshot file lives, and how
+//! the campaign summary line condenses it.
 //!
 //! ## Span vocabulary
 //!
 //! Every pool job is attributed to per-worker stage counters
 //! ([`STAGE_NS`], label `stage` ∈ `build` | `warmup` | `measure` |
-//! `checkpoint` | `render`), a per-worker job-duration histogram
-//! ([`JOB_NS`]), a per-worker per-status job counter ([`JOBS_TOTAL`]),
-//! and per-worker busy/wall counters ([`WORKER_BUSY_NS`],
-//! [`WORKER_WALL_NS`]) whose ratio is scheduler utilization. Workers
-//! record straight into the process registry at job boundaries and at
-//! exit — never inside the simulator's cycle loop.
+//! `checkpoint` | `render`), a per-worker per-status job counter
+//! ([`JOBS_TOTAL`]), and per-worker busy/wall counters
+//! ([`WORKER_BUSY_NS`], [`WORKER_WALL_NS`]) whose ratio is scheduler
+//! utilization. Workers record straight into the process registry at
+//! job boundaries and at exit. Simulated quantities are not metrics:
+//! each one is a `SimReport` field, in the checkpoint and the results
+//! files.
 
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use emissary_obs::metrics::global;
-use emissary_obs::{render_prometheus, Metric, MetricValue, MetricsRegistry};
-
-use crate::scale;
+use emissary_obs::{jsonl_lines, Metric, MetricsRegistry};
 
 /// Per-worker stage-span counter family (nanoseconds, `stage`+`worker`
 /// labels).
 pub const STAGE_NS: &str = "emissary_stage_ns_total";
-
-/// Per-worker job-duration histogram family (nanoseconds).
-pub const JOB_NS: &str = "emissary_job_ns";
 
 /// Per-worker, per-status job counter family.
 pub const JOBS_TOTAL: &str = "emissary_jobs_total";
@@ -46,41 +43,45 @@ pub const WORKER_WALL_NS: &str = "emissary_worker_wall_ns_total";
 /// The stage names [`STAGE_NS`] is recorded under, in pipeline order.
 pub const STAGES: &[&str] = &["build", "warmup", "measure", "checkpoint", "render"];
 
-/// The registry to record into: the global one when `EMISSARY_METRICS`
-/// is on (the default), `None` when it is off.
-pub fn registry() -> Option<&'static MetricsRegistry> {
-    scale::knobs().metrics.then(global)
+/// Where the campaign's metrics snapshot lands.
+pub fn default_path() -> PathBuf {
+    Path::new("results").join("metrics.jsonl")
 }
 
-/// Where the campaign's Prometheus snapshot lands.
-pub fn default_prom_path() -> PathBuf {
-    Path::new("results").join("metrics.prom")
-}
-
-/// Renders the global registry snapshot to `path` in Prometheus text
-/// format (creating parent directories), replacing any previous file
-/// atomically ([`crate::results::write_atomic`]).
-pub fn write_prom(path: &Path) -> io::Result<()> {
+/// Writes `metrics` to `path` as one `metric` record per line (creating
+/// parent directories), replacing any previous file atomically
+/// (`results::write_atomic`).
+pub fn write_jsonl(path: &Path, metrics: &[Metric]) -> io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    let text = render_prometheus(&global().snapshot());
-    crate::results::write_atomic(path, |out| out.write_all(text.as_bytes()))
+    crate::results::write_atomic(path, |out| {
+        for m in metrics {
+            writeln!(out, "{}", m.to_json())?;
+        }
+        Ok(())
+    })
 }
 
-/// Adds `ns` to the per-worker stage counter (no-op when `m` is `None`).
-pub fn record_stage(m: Option<&MetricsRegistry>, worker: &str, stage: &'static str, ns: u64) {
-    if let Some(m) = m {
-        m.add_counter(STAGE_NS, &[("stage", stage), ("worker", worker)], ns);
-    }
+/// The series of every `metric` record in a [`write_jsonl`] file, in
+/// file order; other and unparseable lines are skipped.
+pub fn parse_jsonl(text: &str) -> Vec<Metric> {
+    jsonl_lines(text)
+        .filter_map(|line| Metric::from_json(&line.parsed.ok()?))
+        .collect()
 }
 
-/// Times `f` as a `stage` span attributed to `worker`, recorded into
-/// [`registry`]. For main-thread stages (result rendering).
-pub fn time_stage<T>(worker: &str, stage: &'static str, f: impl FnOnce() -> T) -> T {
+/// Adds `ns` to the per-worker stage counter.
+pub fn record_stage(m: &MetricsRegistry, worker: &str, stage: &str, ns: u64) {
+    m.add_counter(STAGE_NS, &[("stage", stage), ("worker", worker)], ns);
+}
+
+/// Times `f` as a `stage` span attributed to `worker`, recorded into the
+/// global registry. For main-thread stages (result rendering).
+pub fn time_stage<T>(worker: &str, stage: &str, f: impl FnOnce() -> T) -> T {
     let t0 = Instant::now();
     let out = f();
-    record_stage(registry(), worker, stage, elapsed_ns(t0));
+    record_stage(global(), worker, stage, elapsed_ns(t0));
     out
 }
 
@@ -109,20 +110,14 @@ pub fn counter_sum(snapshot: &[Metric], family: &str, label: Option<(&str, &str)
     snapshot
         .iter()
         .filter(|m| m.name == family)
-        .filter(|m| match label {
-            Some((k, v)) => m.labels.iter().any(|(lk, lv)| *lk == k && lv == v),
-            None => true,
-        })
-        .filter_map(|m| match &m.value {
-            MetricValue::Counter(c) => Some(*c),
-            _ => None,
-        })
+        .filter(|m| label.is_none_or(|(k, v)| m.label(k) == Some(v)))
+        .map(|m| m.value)
         .sum()
 }
 
 /// The `metrics=` aggregate block appended to the campaign summary line:
 /// per-stage seconds plus utilization, all from the global registry.
-/// Empty when nothing was recorded (metrics off).
+/// Empty when nothing was recorded.
 pub fn summary_suffix() -> String {
     let snapshot = global().snapshot();
     if snapshot.is_empty() {
@@ -151,9 +146,9 @@ mod tests {
     #[test]
     fn stage_and_utilization_aggregates_sum_across_workers() {
         let reg = MetricsRegistry::new();
-        record_stage(Some(&reg), "0", "measure", 1_500_000_000);
-        record_stage(Some(&reg), "1", "measure", 500_000_000);
-        record_stage(Some(&reg), "0", "build", 250_000_000);
+        record_stage(&reg, "0", "measure", 1_500_000_000);
+        record_stage(&reg, "1", "measure", 500_000_000);
+        record_stage(&reg, "0", "build", 250_000_000);
         reg.add_counter(WORKER_BUSY_NS, &[("worker", "0")], 2_000_000_000);
         reg.add_counter(WORKER_WALL_NS, &[("worker", "0")], 4_000_000_000);
         let snap = reg.snapshot();
@@ -170,9 +165,6 @@ mod tests {
     fn time_stage_records_into_the_global_registry() {
         // The registry is process-global and other tests may interleave:
         // assert growth, not absolute values.
-        if !scale::knobs().metrics {
-            return; // EMISSARY_METRICS=0 in this environment
-        }
         let before = counter_sum(&global().snapshot(), STAGE_NS, Some(("stage", "render")));
         let v = time_stage("test", "render", || 42);
         assert_eq!(v, 42);

@@ -28,6 +28,7 @@ use std::time::Instant;
 
 use emissary_sim::{ConfigError, FaultConfig, SimAbort, SimRun};
 
+use emissary_obs::metrics::global;
 use emissary_obs::MetricsRegistry;
 
 use crate::checkpoint::{fingerprint, Campaign};
@@ -220,7 +221,7 @@ pub fn run_parallel_outcomes_hooked(
             handles.push(scope.spawn(move || {
                 // Metrics are recorded at job boundaries and at exit;
                 // nothing here executes inside the cycle loop.
-                let registry = metrics::registry();
+                let registry = global();
                 let worker = w.to_string();
                 let wall_start = Instant::now();
                 let mut busy_ns = 0u64;
@@ -230,27 +231,21 @@ pub fn run_parallel_outcomes_hooked(
                     let Some(job) = jobs.get(i) else { break };
                     let job_start = Instant::now();
                     let outcome = run_job(job, opts, campaign, registry, &worker);
-                    let job_ns = metrics::elapsed_ns(job_start);
-                    busy_ns += job_ns;
-                    if let Some(m) = registry {
-                        m.observe(metrics::JOB_NS, &[("worker", &worker)], job_ns);
-                        m.add_counter(
-                            metrics::JOBS_TOTAL,
-                            &[("worker", &worker), ("status", outcome.status())],
-                            1,
-                        );
-                    }
+                    busy_ns += metrics::elapsed_ns(job_start);
+                    registry.add_counter(
+                        metrics::JOBS_TOTAL,
+                        &[("worker", &worker), ("status", outcome.status())],
+                        1,
+                    );
                     hook(i, &outcome);
                     local.push((i, outcome));
                 }
-                if let Some(m) = registry {
-                    m.add_counter(metrics::WORKER_BUSY_NS, &[("worker", &worker)], busy_ns);
-                    m.add_counter(
-                        metrics::WORKER_WALL_NS,
-                        &[("worker", &worker)],
-                        metrics::elapsed_ns(wall_start),
-                    );
-                }
+                registry.add_counter(metrics::WORKER_BUSY_NS, &[("worker", &worker)], busy_ns);
+                registry.add_counter(
+                    metrics::WORKER_WALL_NS,
+                    &[("worker", &worker)],
+                    metrics::elapsed_ns(wall_start),
+                );
                 local
             }));
         }
@@ -267,13 +262,12 @@ pub fn run_parallel_outcomes_hooked(
 /// Executes one job under the full isolation stack (checkpoint replay →
 /// validation → catch_unwind + fault detector) and records the outcome.
 /// Pool workers run every job through this; `worker` labels the
-/// per-stage metric spans recorded into `registry` (`None` records
-/// nothing; see [`crate::metrics::registry`]).
+/// per-stage metric spans recorded into `registry`.
 fn run_job(
     job: &Job,
     opts: &PoolOptions,
     campaign: Option<&Campaign>,
-    registry: Option<&'static MetricsRegistry>,
+    registry: &MetricsRegistry,
     worker: &str,
 ) -> JobOutcome {
     let fp = fingerprint(job);
@@ -296,7 +290,7 @@ fn run_job(
         // locally, so resuming the pool after a caught panic cannot
         // observe broken invariants.
         match catch_unwind(AssertUnwindSafe(|| {
-            job.run_checked_metered(&opts.fault_config(), registry, worker)
+            job.run_checked_metered(&opts.fault_config(), Some(registry), worker)
         })) {
             Ok(Ok(run)) => JobOutcome::Completed {
                 run: Box::new(run),

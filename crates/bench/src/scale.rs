@@ -54,11 +54,6 @@ pub struct Knobs {
     /// disables). Every job streams its cycle-stamped event trace to one
     /// `.jsonl` file under this directory.
     pub trace_out: Option<PathBuf>,
-    /// Whether the metrics subsystem records (`EMISSARY_METRICS`, default
-    /// on). Metrics are recorded at job boundaries and exported only after
-    /// each simulation finishes, so leaving them on cannot perturb
-    /// simulated behaviour.
-    pub metrics: bool,
     /// Run the invariant auditor at epoch boundaries (`EMISSARY_AUDIT`).
     pub audit: bool,
     /// Resume campaigns from their checkpoint files (`EMISSARY_RESUME`):
@@ -88,7 +83,6 @@ impl Default for Knobs {
                 .unwrap_or(4),
             sample_interval: None,
             trace_out: None,
-            metrics: true,
             audit: false,
             resume: false,
             progress: true,
@@ -131,7 +125,6 @@ const TABLE: &[(&str, Setter, Getter)] = &[
     ("EMISSARY_THREADS", |k, v| positive(v).map(|x| k.threads = x), |k| k.threads.to_string()),
     ("EMISSARY_SAMPLE_INTERVAL", |k, v| zero_off(v).map(|x| k.sample_interval = x), |k| or_null(k.sample_interval)),
     ("EMISSARY_TRACE_OUT", |k, v| text(v).map(|x| k.trace_out = Some(x.into())), |k| or_null(k.trace_out.as_ref().map(|p| quoted(&p.to_string_lossy())))),
-    ("EMISSARY_METRICS", |k, v| flag(v).map(|x| k.metrics = x), |k| k.metrics.to_string()),
     ("EMISSARY_AUDIT", |k, v| flag(v).map(|x| k.audit = x), |k| k.audit.to_string()),
     ("EMISSARY_RESUME", |k, v| flag(v).map(|x| k.resume = x), |k| k.resume.to_string()),
     ("EMISSARY_PROGRESS", |k, v| flag(v).map(|x| k.progress = x), |k| k.progress.to_string()),
@@ -281,7 +274,6 @@ mod tests {
         assert!(k.threads > 0);
         assert_eq!(k.sample_interval, None);
         assert_eq!(k.trace_out, None);
-        assert!(k.metrics);
         assert!(!k.audit);
         assert!(!k.resume);
         assert!(k.progress);
@@ -293,7 +285,6 @@ mod tests {
     fn every_flag_takes_exactly_0_or_1() {
         type Get = fn(&Knobs) -> bool;
         let flags: &[(&str, Get)] = &[
-            ("EMISSARY_METRICS", |k| k.metrics),
             ("EMISSARY_AUDIT", |k| k.audit),
             ("EMISSARY_RESUME", |k| k.resume),
             ("EMISSARY_PROGRESS", |k| k.progress),
@@ -413,7 +404,7 @@ mod tests {
     #[test]
     fn table_names_are_unique_and_prefixed() {
         let all: Vec<&str> = names().collect();
-        assert_eq!(all.len(), 10);
+        assert_eq!(all.len(), 9);
         let unique: std::collections::BTreeSet<&str> = all.iter().copied().collect();
         assert_eq!(unique.len(), all.len(), "duplicate knob name");
         assert!(all.iter().all(|n| n.starts_with("EMISSARY_")));

@@ -1,24 +1,33 @@
-//! Metrics must observe the simulation without perturbing it.
+//! The harness's host-time metrics: what a pool job records, and the
+//! `results/metrics.jsonl` snapshot that carries it.
 //!
-//! The design invariant (see DESIGN.md "Metrics & profiling"): workers
-//! record into the registry at job boundaries and the simulator exports
-//! its counters only *after* the run finishes, so a run that records and
-//! a run with metrics off must produce bit-identical simulations. CI's
-//! metrics-smoke job additionally byte-compares a whole campaign's stdout
-//! metrics-on vs metrics-off and holds the < 2% wall-clock overhead
-//! budget; this test pins the in-process half of the contract.
+//! The registry holds host time only (DESIGN.md "Metrics & profiling");
+//! no simulator crate can reach it, so metrics cannot perturb a
+//! simulation. The first test still pins that a recording run and a
+//! silent one report the same simulation. CI's metrics-smoke job checks
+//! a whole campaign's snapshot against its summary line.
 
-use emissary_bench::{metrics, Job};
+use std::path::PathBuf;
+use std::sync::Mutex;
+
+use emissary_bench::checkpoint::Campaign;
+use emissary_bench::pool::run_parallel_outcomes_with;
+use emissary_bench::{lock_unpoisoned, metrics, Job, PoolOptions};
 use emissary_core::spec::PolicySpec;
 use emissary_obs::metrics::global;
-use emissary_obs::{parse_prometheus, render_prometheus, MetricsRegistry};
+use emissary_obs::{Metric, MetricsRegistry};
 use emissary_sim::{FaultConfig, SimConfig};
 use emissary_workloads::Profile;
 
-/// A registry private to one test, so concurrently running tests never
-/// see each other's series.
-fn test_registry() -> &'static MetricsRegistry {
-    Box::leak(Box::new(MetricsRegistry::new()))
+/// Held by every test that reads or writes the global registry, so the
+/// before/after deltas they assert are their own.
+static GLOBAL_REGISTRY: Mutex<()> = Mutex::new(());
+
+fn tmpdir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("emissary_metrics_{}_{tag}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create tmpdir");
+    dir
 }
 
 fn quick_job() -> Job {
@@ -40,76 +49,107 @@ fn recording_metrics_is_bit_identical_to_disabled() {
     let off = job
         .run_checked_metered(&FaultConfig::none(), None, "main")
         .expect("metrics-off run completes");
+    let registry = MetricsRegistry::new();
     let on = job
-        .run_checked_metered(&FaultConfig::none(), Some(test_registry()), "0")
+        .run_checked_metered(&FaultConfig::none(), Some(&registry), "7")
         .expect("metrics-on run completes");
-    assert_eq!(
-        on.report, off.report,
-        "recording metrics changed the simulated report"
-    );
     assert_eq!(
         on.report.to_json(),
         off.report.to_json(),
         "recording metrics changed the serialized report"
     );
-}
-
-#[test]
-fn recorded_counters_match_the_report_exactly() {
-    let job = quick_job();
-    let registry = test_registry();
-    let run = job
-        .run_checked_metered(&FaultConfig::none(), Some(registry), "7")
-        .expect("run completes");
+    // Host time only: the three job stages, under the caller's label.
     let snapshot = registry.snapshot();
-    let counter = |family: &str| metrics::counter_sum(&snapshot, family, None);
-    // The sim counters are exported from the machine after the run, so
-    // they must agree with the report to the last unit.
-    assert_eq!(counter("emissary_sim_cycles_total"), run.report.cycles);
-    assert_eq!(
-        counter("emissary_sim_committed_instrs_total"),
-        run.report.committed
-    );
-    assert_eq!(
-        counter("emissary_sim_starvation_cycles_total"),
-        run.report.starvation_cycles
-    );
-    assert_eq!(counter("emissary_sim_runs_total"), 1);
-    // Stage spans: build/warmup/measure all attributed to worker "7".
-    for stage in ["warmup", "measure"] {
-        let ns = metrics::counter_sum(&snapshot, metrics::STAGE_NS, Some(("stage", stage)));
-        assert!(ns > 0, "stage {stage} recorded no time");
-    }
-    let stage_worker: Vec<_> = snapshot
-        .iter()
-        .filter(|m| m.name == metrics::STAGE_NS)
-        .collect();
-    assert!(
-        stage_worker
-            .iter()
-            .all(|m| m.labels.iter().any(|(k, v)| *k == "worker" && v == "7")),
-        "stage spans must carry the caller's worker label"
-    );
-    // The snapshot survives Prometheus round-trip with values intact.
-    let text = render_prometheus(&snapshot);
-    let samples = parse_prometheus(&text);
-    let cycles: f64 = samples
-        .iter()
-        .filter(|s| s.name == "emissary_sim_cycles_total")
-        .map(|s| s.value)
-        .sum();
-    assert_eq!(cycles as u64, run.report.cycles);
+    assert!(snapshot.iter().all(|m| m.name == metrics::STAGE_NS));
+    assert!(snapshot.iter().all(|m| m.label("worker") == Some("7")));
+    let stages: Vec<_> = snapshot.iter().filter_map(|m| m.label("stage")).collect();
+    assert_eq!(stages, ["build", "measure", "warmup"]);
 }
 
 #[test]
 fn metrics_off_records_nothing() {
-    let job = quick_job();
+    let _serial = lock_unpoisoned(&GLOBAL_REGISTRY);
     let before = global().snapshot();
-    job.run_checked_metered(&FaultConfig::none(), None, "0")
+    quick_job()
+        .run_checked_metered(&FaultConfig::none(), None, "0")
         .expect("run completes");
     assert_eq!(
         global().snapshot(),
         before,
         "a run with metrics off must not touch the global registry"
     );
+}
+
+#[test]
+fn a_pool_job_records_its_spans_under_its_worker() {
+    let _serial = lock_unpoisoned(&GLOBAL_REGISTRY);
+    let dir = tmpdir("pool");
+    let campaign = Campaign::begin_with("metrics", &dir, false);
+    let value = |snapshot: &[Metric], name: &str, labels: &[(&str, &str)]| {
+        let found = snapshot
+            .iter()
+            .find(|m| m.name == name && labels.iter().all(|&(k, v)| m.label(k) == Some(v)));
+        found.map(|m| m.value)
+    };
+    let before = global().snapshot();
+    let outcomes = run_parallel_outcomes_with(
+        &[quick_job()],
+        &PoolOptions::with_workers(1),
+        Some(&campaign),
+    );
+    assert!(outcomes[0].run().is_some(), "the job completes");
+    let after = global().snapshot();
+    for stage in ["build", "warmup", "measure", "checkpoint"] {
+        let labels = [("stage", stage), ("worker", "0")];
+        assert!(
+            value(&after, metrics::STAGE_NS, &labels).is_some(),
+            "no {stage} span for worker 0"
+        );
+    }
+    let jobs = [("worker", "0"), ("status", "completed")];
+    let jobs_before = value(&before, metrics::JOBS_TOTAL, &jobs).unwrap_or(0);
+    assert_eq!(
+        value(&after, metrics::JOBS_TOTAL, &jobs),
+        Some(jobs_before + 1)
+    );
+    for family in [metrics::WORKER_BUSY_NS, metrics::WORKER_WALL_NS] {
+        let grown =
+            value(&after, family, &[("worker", "0")]) > value(&before, family, &[("worker", "0")]);
+        assert!(grown, "{family} did not grow for worker 0");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn metric_records_round_trip_through_the_snapshot_file() {
+    let registry = MetricsRegistry::new();
+    registry.add_counter(
+        metrics::STAGE_NS,
+        &[("stage", "build"), ("worker", "1")],
+        12,
+    );
+    registry.add_counter(
+        metrics::JOBS_TOTAL,
+        &[("worker", "0"), ("status", "panicked")],
+        1,
+    );
+    registry.add_counter("odd \"name\"", &[("k", "a\\b\nc")], u64::MAX);
+    registry.add_counter(metrics::WORKER_WALL_NS, &[], 0);
+    let snapshot = registry.snapshot();
+    let dir = tmpdir("roundtrip");
+    let path = dir.join("results").join("metrics.jsonl");
+    metrics::write_jsonl(&path, &snapshot).expect("write snapshot");
+    let text = std::fs::read_to_string(&path).expect("read snapshot");
+    assert_eq!(text.lines().count(), snapshot.len());
+    assert!(text
+        .lines()
+        .all(|l| l.starts_with("{\"record\":\"metric\",\"name\":")));
+    assert_eq!(metrics::parse_jsonl(&text), snapshot);
+    // Other records are not series.
+    let foreign = "{\"record\":\"meta\",\"name\":\"x\",\"labels\":{},\"value\":1}\n";
+    assert_eq!(metrics::parse_jsonl(&format!("{foreign}{text}")), snapshot);
+    // A torn last line loses that series only.
+    let torn = &text[..text.len() - 3];
+    assert_eq!(metrics::parse_jsonl(torn), snapshot[..snapshot.len() - 1]);
+    let _ = std::fs::remove_dir_all(&dir);
 }

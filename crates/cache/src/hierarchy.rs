@@ -200,29 +200,6 @@ impl Hierarchy {
         self.touched_instr.len()
     }
 
-    /// Exports per-level cache counters and hierarchy-wide counters into
-    /// `m`. Called once per run after simulation ends; never on the
-    /// access path.
-    pub fn metrics_into(&self, m: &emissary_obs::MetricsRegistry) {
-        self.l1i.stats().metrics_into("l1i", m);
-        self.l1d.stats().metrics_into("l1d", m);
-        self.l2.stats().metrics_into("l2", m);
-        self.l3.stats().metrics_into("l3", m);
-        m.add_counter("emissary_dram_reads_total", &[], self.stats.dram_reads);
-        m.add_counter("emissary_dram_writes_total", &[], self.stats.dram_writes);
-        m.add_counter("emissary_nlp_issued_total", &[], self.stats.nlp_issued);
-        m.add_counter(
-            "emissary_ideal_l2_saves_total",
-            &[],
-            self.stats.ideal_l2_saves,
-        );
-        m.add_counter(
-            "emissary_inflight_joins_total",
-            &[],
-            self.stats.inflight_joins,
-        );
-    }
-
     /// Resets per-cache and hierarchy counters (warmup boundary). Footprint
     /// tracking is *not* reset: compulsory misses stay compulsory.
     pub fn reset_stats(&mut self) {

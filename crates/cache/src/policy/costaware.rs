@@ -67,34 +67,21 @@ impl ReplacementPolicy for LinPolicy {
     }
 
     fn victim(&mut self, set: usize, lines: &[LineState], _info: &AccessInfo) -> usize {
-        // Rank valid ways by recency (0 = LRU) and add the cost bias.
+        // Rank valid ways by recency (0 = LRU) in the order repeated
+        // `lru_way` queries would give, (stamp, way), then pick the
+        // lowest rank plus cost bias; ties go to the lower way.
         let mut order: Vec<usize> = (0..lines.len()).filter(|&w| lines[w].valid).collect();
-        let stamps: Vec<(usize, usize)> = order
+        order.sort_unstable_by_key(|&w| (self.base.stamp(set, w), w));
+        let biased = |(rank, &w): (usize, &usize)| {
+            (rank + self.lambda * self.cost[self.idx(set, w)] as usize, w)
+        };
+        let (_, victim) = order
             .iter()
-            .map(|&w| {
-                let lru_first = self
-                    .base
-                    .lru_way(set, lines, |x, l| l.valid && x == w)
-                    .expect("way is valid");
-                (w, lru_first)
-            })
-            .collect();
-        let _ = stamps;
-        // Recency rank: repeatedly query LRU among the remaining ways.
-        let mut rank = vec![0usize; lines.len()];
-        let mut remaining: Vec<usize> = order.clone();
-        let mut r = 0;
-        while !remaining.is_empty() {
-            let v = self
-                .base
-                .lru_way(set, lines, |w, l| l.valid && remaining.contains(&w))
-                .expect("non-empty remaining");
-            rank[v] = r;
-            r += 1;
-            remaining.retain(|&w| w != v);
-        }
-        order.sort_by_key(|&w| rank[w] + self.lambda * self.cost[self.idx(set, w)] as usize);
-        order[0]
+            .enumerate()
+            .map(biased)
+            .min()
+            .expect("victim() requires at least one valid line");
+        victim
     }
 
     fn on_invalidate(&mut self, set: usize, way: usize) {
@@ -212,6 +199,66 @@ mod tests {
             p.on_fill(0, w, &ls, &info());
         }
         assert_eq!(p.victim(0, &ls, &info()), 0);
+    }
+
+    /// LIN's victim as first written: rank by repeated `lru_way`
+    /// queries over the remaining ways, then a stable sort by rank plus
+    /// cost bias.
+    fn reference_lin_victim(p: &LinPolicy, set: usize, lines: &[LineState]) -> usize {
+        let mut order: Vec<usize> = (0..lines.len()).filter(|&w| lines[w].valid).collect();
+        let mut rank = vec![0usize; lines.len()];
+        let mut remaining: Vec<usize> = order.clone();
+        let mut r = 0;
+        while !remaining.is_empty() {
+            let v = p
+                .base
+                .lru_way(set, lines, |w, l| l.valid && remaining.contains(&w))
+                .expect("non-empty remaining");
+            rank[v] = r;
+            r += 1;
+            remaining.retain(|&w| w != v);
+        }
+        order.sort_by_key(|&w| rank[w] + p.lambda * p.cost[p.idx(set, w)] as usize);
+        order[0]
+    }
+
+    #[test]
+    fn lin_victim_matches_the_repeated_lru_reference() {
+        use crate::rng::XorShift64;
+        const SETS: usize = 4;
+        const WAYS: usize = 8;
+        let mut rng = XorShift64::new(0x11_7a_c0);
+        let mut p = LinPolicy::new(SETS, WAYS);
+        let mut ls: Vec<Vec<LineState>> = (0..SETS).map(|_| lines(WAYS)).collect();
+        let mut checked = 0;
+        for _ in 0..20_000 {
+            let set = rng.next_below(SETS as u64) as usize;
+            let way = rng.next_below(WAYS as u64) as usize;
+            let mut access = info();
+            access.outstanding_misses = rng.next_below(10) as u8;
+            match rng.next_below(6) {
+                0 | 1 => p.on_fill(set, way, &ls[set], &access),
+                2 => p.on_hit(set, way, &ls[set], &access),
+                3 => p.base.set_lru(set, way),
+                4 => {
+                    // Invalid ways leave the ranking; keep one valid.
+                    let valid = ls[set].iter().filter(|l| l.valid).count();
+                    if ls[set][way].valid && valid > 1 {
+                        ls[set][way].valid = false;
+                        p.on_invalidate(set, way);
+                    } else {
+                        ls[set][way].valid = true;
+                        p.on_fill(set, way, &ls[set], &access);
+                    }
+                }
+                _ => {
+                    let expected = reference_lin_victim(&p, set, &ls[set]);
+                    assert_eq!(p.victim(set, &ls[set], &info()), expected);
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 3_000);
     }
 
     #[test]

@@ -50,6 +50,14 @@ impl TrueLruPolicy {
         self.stamps[i] = self.floor;
     }
 
+    /// The recency stamp of `way`: smaller is less recently used, so
+    /// [`Self::lru_way`] picks the eligible way with the smallest
+    /// `(stamp, way)`.
+    #[inline]
+    pub fn stamp(&self, set: usize, way: usize) -> u64 {
+        self.stamps[self.idx(set, way)]
+    }
+
     /// The valid way with the smallest stamp, restricted by `eligible`.
     ///
     /// Returns `None` if no way satisfies the predicate.

@@ -1,7 +1,5 @@
 //! Per-cache event counters.
 
-use emissary_obs::MetricsRegistry;
-
 use crate::line::LineKind;
 
 /// Counters maintained by a single [`crate::cache::Cache`].
@@ -98,33 +96,6 @@ impl CacheStats {
             0.0
         } else {
             self.demand_misses() as f64 / a as f64
-        }
-    }
-
-    /// Exports the counters into `m`, labelled with the cache `level`
-    /// (e.g. `l2`). Called once per run after simulation ends.
-    pub fn metrics_into(&self, level: &str, m: &MetricsRegistry) {
-        let labels: &[(&'static str, &str)] = &[("level", level)];
-        let pairs: &[(&'static str, u64)] = &[
-            (
-                "emissary_cache_demand_hits_total",
-                self.instr_hits + self.data_hits,
-            ),
-            ("emissary_cache_demand_misses_total", self.demand_misses()),
-            ("emissary_cache_prefetch_hits_total", self.prefetch_hits()),
-            (
-                "emissary_cache_prefetch_misses_total",
-                self.prefetch_misses(),
-            ),
-            ("emissary_cache_fills_total", self.fills),
-            ("emissary_cache_evictions_total", self.evictions),
-            ("emissary_cache_writebacks_total", self.writebacks),
-            ("emissary_cache_invalidations_total", self.invalidations),
-            ("emissary_cache_priority_hits_total", self.priority_hits),
-            ("emissary_cache_bypasses_total", self.bypasses),
-        ];
-        for &(name, v) in pairs {
-            m.add_counter(name, labels, v);
         }
     }
 }

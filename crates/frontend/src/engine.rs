@@ -118,36 +118,6 @@ impl FrontendStats {
     pub fn total_mispredicts(&self) -> u64 {
         self.cond_mispredicts + self.indirect_mispredicts + self.return_mispredicts
     }
-
-    /// Exports the counters into `m`. Called once per run after
-    /// simulation ends; never on the prediction path.
-    pub fn metrics_into(&self, m: &emissary_obs::MetricsRegistry) {
-        let pairs: &[(&'static str, u64)] = &[
-            ("emissary_frontend_blocks_total", self.blocks),
-            ("emissary_frontend_btb_misses_total", self.btb_misses),
-            ("emissary_frontend_cond_branches_total", self.cond_branches),
-            (
-                "emissary_frontend_cond_mispredicts_total",
-                self.cond_mispredicts,
-            ),
-            (
-                "emissary_frontend_indirect_branches_total",
-                self.indirect_branches,
-            ),
-            (
-                "emissary_frontend_indirect_mispredicts_total",
-                self.indirect_mispredicts,
-            ),
-            ("emissary_frontend_returns_total", self.returns),
-            (
-                "emissary_frontend_return_mispredicts_total",
-                self.return_mispredicts,
-            ),
-        ];
-        for &(name, v) in pairs {
-            m.add_counter(name, &[], v);
-        }
-    }
 }
 
 /// The decoupled fetch engine. See module docs.

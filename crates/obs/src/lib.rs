@@ -16,17 +16,16 @@
 //! 3. **JSONL emission** — a small hand-rolled [`json`] writer (string
 //!    escaping, non-finite f64 guards) used by the sinks and by the bench
 //!    harness's `results/<name>.jsonl` reports.
-//! 4. **Metrics** — [`MetricsRegistry`] records counters, gauges, and
-//!    log-2-bucketed histograms under one mutex, plus Prometheus-text
-//!    [`expose`] rendering and parsing for the `emissary-inspect`
-//!    analyzer.
+//! 4. **Metrics** — [`MetricsRegistry`] records the harness's host-time
+//!    counters under one mutex; each series round-trips as a `metric`
+//!    JSONL record. [`Log2Hist`] bins the `emissary-inspect` trace
+//!    analyzer's episode lengths.
 //!
 //! Observability must never perturb simulation: nothing in this crate
 //! feeds back into simulated state, and a regression test in the `sim`
 //! crate asserts bit-identical reports with tracing on and off.
 
 pub mod event;
-pub mod expose;
 pub mod json;
 pub mod metrics;
 pub mod parse;
@@ -35,11 +34,8 @@ pub mod sink;
 pub mod tracer;
 
 pub use event::{Level, TraceEvent};
-pub use expose::{parse_prometheus, render_prometheus, PromSample};
 pub use json::JsonObject;
-pub use metrics::{
-    bucket_bound, bucket_index, Log2Hist, Metric, MetricValue, MetricsRegistry, HIST_BUCKETS,
-};
+pub use metrics::{bucket_bound, bucket_index, Log2Hist, Metric, MetricsRegistry, HIST_BUCKETS};
 pub use parse::{jsonl_lines, JsonParseError, JsonValue, JsonlLine};
 pub use sample::{interval_chunks, IntervalSample, SampleCounters, SampleSeries};
 pub use sink::{JsonlSink, NullSink, RingBuffer, RingSink, TraceSink};

@@ -1,25 +1,23 @@
-//! The metrics subsystem: counters, gauges, and log-2-bucketed
-//! histograms with static names and label pairs, recorded into one
-//! [`MetricsRegistry`] under its one mutex.
+//! The metrics subsystem: named, labelled `u64` counters recorded into
+//! one [`MetricsRegistry`] under its one mutex, plus the log-2 histogram
+//! the trace analyzer bins episode lengths with.
 //!
-//! Metrics follow the tracer's passivity contract ("observability must
-//! never perturb simulation"): nothing records inside the simulator's
-//! cycle loop. Every update happens at a job boundary or after a run
-//! ends (the `metrics_into` walkers, stage spans), so one uncontended
-//! lock per update costs nothing measurable.
+//! The registry holds what no report carries: the harness's host time
+//! (stage spans, worker busy and wall time, jobs per worker). Every
+//! simulated quantity is a `SimReport` field instead, so the simulator
+//! never names the registry and metrics cannot perturb a simulation.
+//! Updates happen at job boundaries, so one uncontended lock per update
+//! costs nothing measurable.
 //!
-//! Histograms use log-2 buckets (`bucket i` holds `2^(i-1) ≤ v < 2^i`,
-//! bucket 0 holds zero): one `leading_zeros` and an indexed add per
-//! observation, 65 cells per histogram, no configuration. That is
-//! exactly the resolution needed for cycle-length and span-duration
-//! tails, the quantities the `emissary-inspect` analyzer reports.
-//!
-//! Metric identity is `(name, labels)`. Names and label *keys* are
-//! `&'static str` by construction; label *values* are small strings
-//! copied once, when a series is first recorded.
+//! A series is `(name, labels)` with owned strings, so a snapshot
+//! written as `metric` JSONL records ([`Metric::to_json`]) reads back
+//! into the same values ([`Metric::from_json`]).
 
 use std::cmp::Ordering;
 use std::sync::{Mutex, MutexGuard, PoisonError};
+
+use crate::json::JsonObject;
+use crate::parse::JsonValue;
 
 /// Cells per [`Log2Hist`]: bucket 0 for zero, buckets 1..=64 for each
 /// power-of-two range of `u64`.
@@ -41,7 +39,8 @@ pub fn bucket_bound(i: usize) -> u64 {
     }
 }
 
-/// A log-2-bucketed histogram of `u64` observations.
+/// A log-2-bucketed histogram of `u64` observations (`bucket i` holds
+/// `2^(i-1) ≤ v < 2^i`, bucket 0 holds zero).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Log2Hist {
     /// Total observations.
@@ -95,82 +94,71 @@ impl Log2Hist {
     }
 }
 
-/// One metric's current value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum MetricValue {
-    /// Monotone sum of `u64` increments.
-    Counter(u64),
-    /// Last-write-wins instantaneous value.
-    Gauge(f64),
-    /// Log-2-bucketed distribution. Boxed: entry tables are mostly
-    /// counters, which should not pay the histogram's bucket array
-    /// inline.
-    Hist(Box<Log2Hist>),
-}
-
-impl MetricValue {
-    /// Stable kind name used in exposition (`counter`/`gauge`/
-    /// `histogram`).
-    pub fn kind(&self) -> &'static str {
-        match self {
-            MetricValue::Counter(_) => "counter",
-            MetricValue::Gauge(_) => "gauge",
-            MetricValue::Hist(_) => "histogram",
-        }
-    }
-}
-
-/// Label pairs identifying one series within a metric family. Keys are
-/// static; values are owned strings allocated at registration time.
-pub type LabelPairs = Vec<(&'static str, String)>;
-
-/// One named series: family name, labels, and the current value.
-#[derive(Debug, Clone, PartialEq)]
+/// One counter series: family name, labels, and its current sum.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Metric {
     /// Family name (e.g. `emissary_stage_ns_total`).
-    pub name: &'static str,
+    pub name: String,
     /// Identifying label pairs, in registration order.
-    pub labels: LabelPairs,
-    /// Current value.
-    pub value: MetricValue,
+    pub labels: Vec<(String, String)>,
+    /// Current counter value.
+    pub value: u64,
+}
+
+impl Metric {
+    /// The value of label `key`, if the series carries it.
+    pub fn label(&self, key: &str) -> Option<&str> {
+        self.labels
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+    }
+
+    /// Serializes the series as one `metric` record (no trailing
+    /// newline): `{"record":"metric","name":…,"labels":{…},"value":N}`.
+    pub fn to_json(&self) -> String {
+        let mut labels = JsonObject::new();
+        for (k, v) in &self.labels {
+            labels.field_str(k, v);
+        }
+        let mut obj = JsonObject::new();
+        obj.field_str("record", "metric")
+            .field_str("name", &self.name)
+            .field_raw("labels", &labels.finish())
+            .field_u64("value", self.value);
+        obj.finish()
+    }
+
+    /// Restores a series from a parsed [`Self::to_json`] record. Returns
+    /// `None` for any other record or a field of the wrong shape.
+    pub fn from_json(v: &JsonValue) -> Option<Metric> {
+        if v.get("record")?.as_str()? != "metric" {
+            return None;
+        }
+        let JsonValue::Obj(pairs) = v.get("labels")? else {
+            return None;
+        };
+        let labels = pairs
+            .iter()
+            .map(|(k, v)| Some((k.clone(), v.as_str()?.to_string())))
+            .collect::<Option<_>>()?;
+        Some(Metric {
+            name: v.get("name")?.as_str()?.to_string(),
+            labels,
+            value: v.get("value")?.as_u64()?,
+        })
+    }
 }
 
 /// Orders a stored series against a `(name, labels)` identity the way
 /// [`MetricsRegistry::snapshot`] sorts: by name, then labels.
-fn cmp_identity(m: &Metric, name: &str, labels: &[(&'static str, &str)]) -> Ordering {
-    m.name.cmp(name).then_with(|| {
+fn cmp_identity(m: &Metric, name: &str, labels: &[(&str, &str)]) -> Ordering {
+    m.name.as_str().cmp(name).then_with(|| {
         m.labels
             .iter()
-            .map(|(k, v)| (*k, v.as_str()))
+            .map(|(k, v)| (k.as_str(), v.as_str()))
             .cmp(labels.iter().copied())
     })
-}
-
-/// The `(name, labels)` series in the sorted `all`, inserted with
-/// `empty()` first when absent.
-fn series<'a>(
-    all: &'a mut Vec<Metric>,
-    name: &'static str,
-    labels: &[(&'static str, &str)],
-    empty: fn() -> MetricValue,
-) -> &'a mut MetricValue {
-    let i = match all.binary_search_by(|m| cmp_identity(m, name, labels)) {
-        Ok(i) => i,
-        Err(i) => {
-            let labels = labels.iter().map(|&(k, v)| (k, v.to_string())).collect();
-            let value = empty();
-            all.insert(
-                i,
-                Metric {
-                    name,
-                    labels,
-                    value,
-                },
-            );
-            i
-        }
-    };
-    &mut all[i].value
 }
 
 /// The one place metrics are recorded. Every update takes the one
@@ -195,32 +183,33 @@ impl MetricsRegistry {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Adds `v` to a counter series.
-    pub fn add_counter(&self, name: &'static str, labels: &[(&'static str, &str)], v: u64) {
-        let empty = || MetricValue::Counter(0);
-        if let MetricValue::Counter(c) = series(&mut self.lock(), name, labels, empty) {
-            *c += v;
-        }
+    /// Adds `v` to a counter series, registering it at 0 first.
+    pub fn add_counter(&self, name: &str, labels: &[(&str, &str)], v: u64) {
+        let mut all = self.lock();
+        let i = match all.binary_search_by(|m| cmp_identity(m, name, labels)) {
+            Ok(i) => i,
+            Err(i) => {
+                let labels = labels
+                    .iter()
+                    .map(|&(k, v)| (k.to_string(), v.to_string()))
+                    .collect();
+                let name = name.to_string();
+                all.insert(
+                    i,
+                    Metric {
+                        name,
+                        labels,
+                        value: 0,
+                    },
+                );
+                i
+            }
+        };
+        all[i].value += v;
     }
 
-    /// Sets a gauge series (last write wins).
-    pub fn set_gauge(&self, name: &'static str, labels: &[(&'static str, &str)], v: f64) {
-        let empty = || MetricValue::Gauge(0.0);
-        if let MetricValue::Gauge(g) = series(&mut self.lock(), name, labels, empty) {
-            *g = v;
-        }
-    }
-
-    /// Records one observation into a [`Log2Hist`] series.
-    pub fn observe(&self, name: &'static str, labels: &[(&'static str, &str)], v: u64) {
-        let empty = || MetricValue::Hist(Box::default());
-        if let MetricValue::Hist(h) = series(&mut self.lock(), name, labels, empty) {
-            h.observe(v);
-        }
-    }
-
-    /// Every series, sorted by name, then labels, so exposition output
-    /// is deterministic.
+    /// Every series, sorted by name, then labels, so written snapshots
+    /// are deterministic.
     pub fn snapshot(&self) -> Vec<Metric> {
         self.lock().clone()
     }
@@ -274,15 +263,12 @@ mod tests {
         assert!((h.mean() - 1006.0 / 5.0).abs() < 1e-12);
     }
 
-    /// Sum of every counter series in family `name`.
+    /// Sum of every series in family `name`.
     fn family_sum(reg: &MetricsRegistry, name: &str) -> u64 {
         reg.snapshot()
             .iter()
             .filter(|m| m.name == name)
-            .filter_map(|m| match m.value {
-                MetricValue::Counter(c) => Some(c),
-                _ => None,
-            })
+            .map(|m| m.value)
             .sum()
     }
 
@@ -294,33 +280,11 @@ mod tests {
         reg.add_counter("jobs_total", &[("worker", "1")], 1);
         let snap = reg.snapshot();
         assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].value, MetricValue::Counter(5));
-        assert_eq!(snap[1].value, MetricValue::Counter(1));
-        reg.set_gauge("depth", &[], 2.5);
-        reg.observe("lat", &[], 9);
-        assert_eq!(reg.snapshot().len(), 4);
-    }
-
-    #[test]
-    fn registry_merges_counters_hists_and_overwrites_gauges() {
-        let reg = MetricsRegistry::new();
-        reg.add_counter("jobs", &[("worker", "0")], 2);
-        reg.observe("lat", &[], 8);
-        reg.set_gauge("depth", &[], 1.0);
-        reg.add_counter("jobs", &[("worker", "0")], 3);
-        reg.add_counter("jobs", &[("worker", "1")], 1);
-        reg.observe("lat", &[], 1);
-        reg.set_gauge("depth", &[], 4.0);
-        let snap = reg.snapshot();
-        assert_eq!(snap.len(), 4);
-        assert_eq!(family_sum(&reg, "jobs"), 6);
-        let lat = snap.iter().find(|m| m.name == "lat").unwrap();
-        match &lat.value {
-            MetricValue::Hist(h) => assert_eq!(h.count, 2),
-            other => panic!("expected histogram, got {other:?}"),
-        }
-        let depth = snap.iter().find(|m| m.name == "depth").unwrap();
-        assert_eq!(depth.value, MetricValue::Gauge(4.0));
+        assert_eq!(snap[0].value, 5);
+        assert_eq!(snap[1].value, 1);
+        assert_eq!(snap[1].label("worker"), Some("1"));
+        assert_eq!(snap[1].label("stage"), None);
+        assert_eq!(family_sum(&reg, "jobs_total"), 6);
     }
 
     #[test]
@@ -331,15 +295,16 @@ mod tests {
         reg.add_counter("a", &[("w", "0")], 1);
         let names: Vec<_> = reg
             .snapshot()
-            .iter()
-            .map(|m| (m.name, m.labels.clone()))
+            .into_iter()
+            .map(|m| (m.name, m.labels))
             .collect();
+        let pair = |v: &str| vec![("w".to_string(), v.to_string())];
         assert_eq!(
             names,
             vec![
-                ("a", vec![("w", "0".to_string())]),
-                ("a", vec![("w", "1".to_string())]),
-                ("z", vec![]),
+                ("a".to_string(), pair("0")),
+                ("a".to_string(), pair("1")),
+                ("z".to_string(), vec![]),
             ]
         );
     }
@@ -354,22 +319,12 @@ mod tests {
                 let reg = &reg;
                 s.spawn(move || {
                     let worker = (t % 2).to_string();
-                    for i in 0..K {
+                    for _ in 0..K {
                         reg.add_counter("jobs", &[("worker", &worker)], 1);
-                        reg.observe("lat", &[], i);
                     }
                 });
             }
         });
         assert_eq!(family_sum(&reg, "jobs"), THREADS * K);
-        let snap = reg.snapshot();
-        let lat = snap.iter().find(|m| m.name == "lat").unwrap();
-        match &lat.value {
-            MetricValue::Hist(h) => {
-                assert_eq!(h.count, THREADS * K);
-                assert_eq!(h.sum, THREADS * (K * (K - 1) / 2));
-            }
-            other => panic!("expected histogram, got {other:?}"),
-        }
     }
 }

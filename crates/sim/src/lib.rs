@@ -44,6 +44,4 @@ pub mod runner;
 pub use config::{ConfigError, CoreConfig, SimConfig};
 pub use fault::{FaultConfig, SimAbort};
 pub use report::SimReport;
-pub use runner::{
-    run_sim, run_sim_checked, run_sim_checked_on, run_sim_observed, ObsConfig, SimRun,
-};
+pub use runner::{run_sim, run_sim_checked_on, run_sim_observed, ObsConfig, SimRun};

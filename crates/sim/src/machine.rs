@@ -1126,50 +1126,6 @@ impl<'p> Machine<'p> {
     pub fn reuse_counts(&self) -> emissary_stats::reuse::ReuseCounts {
         self.reuse.as_ref().map(|t| t.counts()).unwrap_or_default()
     }
-
-    /// Exports the measurement-window counters (core, hierarchy,
-    /// front-end) into `m`. Called once by the runner after the run
-    /// finishes — strictly off the cycle loop, so metrics can never
-    /// perturb simulated behaviour.
-    pub fn metrics_into(&self, m: &emissary_obs::MetricsRegistry) {
-        let s = &self.stats;
-        let pairs: &[(&'static str, u64)] = &[
-            ("emissary_sim_runs_total", 1),
-            ("emissary_sim_cycles_total", s.cycles),
-            ("emissary_sim_committed_instrs_total", s.committed),
-            ("emissary_sim_decoded_instrs_total", s.decoded),
-            ("emissary_sim_issued_instrs_total", s.issued),
-            ("emissary_sim_starvation_cycles_total", s.starvation_cycles),
-            (
-                "emissary_sim_starvation_empty_iq_cycles_total",
-                s.starvation_empty_iq_cycles,
-            ),
-            ("emissary_sim_fe_stall_cycles_total", s.fe_stall_cycles),
-            ("emissary_sim_be_stall_cycles_total", s.be_stall_cycles),
-            (
-                "emissary_sim_branch_mispredicts_total",
-                s.branch_mispredicts,
-            ),
-            ("emissary_sim_priority_marks_total", s.priority_marks),
-        ];
-        for &(name, v) in pairs {
-            m.add_counter(name, &[], v);
-        }
-        // Index mapping matches `SimReport::starvation_by_source`:
-        // `[l1/unknown, l2, l3, memory]`.
-        for (source, &cycles) in ["l1", "l2", "l3", "memory"]
-            .iter()
-            .zip(s.starve_by_source.iter())
-        {
-            m.add_counter(
-                "emissary_sim_starvation_by_source_cycles_total",
-                &[("source", source)],
-                cycles,
-            );
-        }
-        self.hierarchy.metrics_into(m);
-        self.engine.stats().metrics_into(m);
-    }
 }
 
 fn term_to_branch_class(class: TermClass) -> BranchClass {

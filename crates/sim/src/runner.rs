@@ -1,7 +1,7 @@
 //! Top-level simulation driver: warmup, measurement, report assembly.
 
 use emissary_energy::{ActivityCounts, EnergyParams};
-use emissary_obs::{interval_chunks, IntervalSample, MetricsRegistry, SampleSeries, Tracer};
+use emissary_obs::{interval_chunks, IntervalSample, SampleSeries, Tracer};
 use emissary_stats::summary::mpki;
 use emissary_workloads::walker::Walker;
 use emissary_workloads::{Profile, Program};
@@ -21,27 +21,15 @@ pub struct ObsConfig {
     /// Snapshot interval in committed instructions (Figure-8-style time
     /// series). `None` or `Some(0)` disables sampling.
     pub sample_interval: Option<u64>,
-    /// The registry the run exports its end-of-run counters into.
-    /// `None` (the default) records nothing. Export happens only after
-    /// the simulation finishes, so metrics can never perturb the
-    /// simulated behaviour.
-    pub metrics: Option<&'static MetricsRegistry>,
 }
 
 impl ObsConfig {
-    /// Builds from a tracer plus optional interval (metrics disabled).
+    /// Builds from a tracer plus optional interval.
     pub fn new(tracer: Tracer, sample_interval: Option<u64>) -> Self {
         Self {
             tracer,
             sample_interval,
-            metrics: None,
         }
-    }
-
-    /// Attaches a registry for end-of-run counter export.
-    pub fn with_metrics(mut self, metrics: Option<&'static MetricsRegistry>) -> Self {
-        self.metrics = metrics;
-        self
     }
 }
 
@@ -100,39 +88,31 @@ pub fn run_sim(profile: &Profile, cfg: &SimConfig) -> SimReport {
 /// [`Machine::run_instrs`] call would pass through, so the cycle-by-cycle
 /// execution is bit-identical to an unsampled run (a regression test
 /// holds this).
+///
+/// The program comes from the shared store, which builds each benchmark's
+/// multi-megabyte CFG once per process.
 pub fn run_sim_observed(profile: &Profile, cfg: &SimConfig, obs: &ObsConfig) -> SimRun {
-    run_sim_checked(profile, cfg, obs, &FaultConfig::none())
+    let program = profile.shared_program();
+    run_sim_checked_on(&program, profile, cfg, obs, &FaultConfig::none())
         .expect("FaultConfig::none() disables every abort path")
 }
 
-/// [`run_sim_observed`] under the fault detector: the run aborts with a
-/// structured [`SimAbort`] when the forward-progress watchdog fires, and
-/// — when `fault.audit` is set — runs the hierarchy invariant auditor at
-/// every epoch boundary (warmup end, each sample boundary, measurement
-/// end), tracing violations and aborting on the first dirty epoch.
+/// [`run_sim_observed`] over a prebuilt [`Program`], under the fault
+/// detector: the run aborts with a structured [`SimAbort`] when the
+/// forward-progress watchdog fires, and — when `fault.audit` is set —
+/// runs the hierarchy invariant auditor at every epoch boundary (warmup
+/// end, each sample boundary, measurement end), tracing violations and
+/// aborting on the first dirty epoch.
 ///
 /// The detector is read-only: a run that returns `Ok` is bit-identical to
 /// [`run_sim_observed`]. Degenerate configurations should be rejected up
 /// front with [`SimConfig::validate`]; this function assumes a valid one.
 /// The tracer is flushed on both success and abort, so diagnostic events
 /// survive a failed run.
-pub fn run_sim_checked(
-    profile: &Profile,
-    cfg: &SimConfig,
-    obs: &ObsConfig,
-    fault: &FaultConfig,
-) -> Result<SimRun, SimAbort> {
-    // The shared store builds each benchmark's multi-megabyte CFG once per
-    // process; campaign-scale sweeps re-simulate the same 13 programs
-    // thousands of times, so rebuilding per run dominated short jobs.
-    let program = profile.shared_program();
-    run_sim_checked_on(&program, profile, cfg, obs, fault)
-}
-
-/// [`run_sim_checked`] over a prebuilt [`Program`]. The program must be
-/// the one `profile` builds (callers normally obtain it from
-/// [`Profile::shared_program`] or [`Profile::build`]); the walker is
-/// seeded from `profile.seed`, so the run is bit-identical to the
+///
+/// The program must be the one `profile` builds (callers normally obtain
+/// it from [`Profile::shared_program`] or [`Profile::build`]); the walker
+/// is seeded from `profile.seed`, so the run is bit-identical to the
 /// build-per-run path.
 pub fn run_sim_checked_on(
     program: &Program,
@@ -182,11 +162,6 @@ pub fn run_sim_checked_on(
     obs.tracer.flush();
     let samples = result?;
     let host_seconds = start.elapsed().as_secs_f64();
-    // Metrics export runs strictly after the simulation finished, so it
-    // cannot perturb simulated state (same contract as the tracer).
-    if let Some(m) = obs.metrics {
-        machine.metrics_into(m);
-    }
     Ok(SimRun {
         report: assemble_report(profile, cfg, &machine),
         samples,
@@ -397,7 +372,8 @@ mod tests {
             let p = Profile::by_name(bench).unwrap();
             let plain = run_sim(&p, &cfg);
             let fault = FaultConfig::watchdog().with_audit();
-            let checked = run_sim_checked(
+            let checked = run_sim_checked_on(
+                &p.shared_program(),
                 &p,
                 &cfg,
                 &ObsConfig::new(Tracer::disabled(), Some(7_000)),

@@ -241,19 +241,6 @@ impl Program {
         INSTR_BYTES * self.instrs.len() as u64
     }
 
-    /// Static code footprint in distinct 64-byte cache lines.
-    pub fn code_lines(&self) -> u64 {
-        let mut lines = std::collections::HashSet::new();
-        for b in &self.blocks {
-            let first = b.start >> 6;
-            let last = (b.end() - 1) >> 6;
-            for l in first..=last {
-                lines.insert(l);
-            }
-        }
-        lines.len() as u64
-    }
-
     /// Validates structural invariants (tests and builder debug checks):
     /// blocks tile [`Program::instrs`] in id order, addresses are unique
     /// and above [`CODE_BASE`], every terminator's successors, target
@@ -419,7 +406,6 @@ mod tests {
     fn code_size_accounting() {
         let p = tiny_program();
         assert_eq!(p.code_bytes(), 20);
-        assert_eq!(p.code_lines(), 1); // both blocks in the first line
     }
 
     #[test]
