@@ -82,7 +82,7 @@ fn main() {
 
     for entry in &selected {
         eprintln!("=== {} ===", entry.name);
-        results::emit(entry.name, &(entry.render)(&cfg, &runs));
+        results::emit(entry.name, &entry.render(&cfg, &runs));
     }
 
     let wall = start.elapsed().as_secs_f64();

@@ -6,8 +6,10 @@
 //! (run lengths and model already set) and returns the
 //! `profiles × policies` sweeps the experiment needs. The render takes the
 //! same template plus the [`Runs`] a campaign prefetch produced and
-//! returns an [`Experiment`] holding rendered tables; it looks each
-//! planned job up and never runs one (a lookup outside the plan panics).
+//! returns the experiment's title and tables; it borrows each report it
+//! reads through its own [`MatrixSpec`]s and never runs a job (a read
+//! outside the plan panics). [`Entry::render`] adds what the results file
+//! holds: every completed run and failure of the plan, in plan order.
 //! `all_experiments` plans, prefetches the union once, and renders; the
 //! campaign test suite and the `benchmark/` campaign workload use the
 //! same plans with tiny windows.
@@ -17,19 +19,16 @@
 //! aborted experiment, and aggregate rows (averages, geomeans, #Best
 //! counts) are computed over the successful runs only.
 
-use std::collections::HashMap;
-
 use emissary_cache::config::CacheConfig;
 use emissary_cache::policy::RecencyBase;
 use emissary_core::selection::SelectionExpr;
 use emissary_core::spec::PolicySpec;
 use emissary_sim::{SimConfig, SimReport, SimRun};
-use emissary_stats::summary::{geomean, speedup_pct};
+use emissary_stats::summary::{geomean, pct_reduction, speedup_pct};
 use emissary_stats::table::{fixed, pct_value, Table};
 use emissary_workloads::Profile;
 
 use crate::campaign::Runs;
-use crate::pool::JobOutcome;
 use crate::results::JobFailure;
 use crate::Job;
 
@@ -39,18 +38,18 @@ pub const FAILED: &str = "FAILED";
 /// A titled collection of result tables, with the runs and failures they
 /// were rendered from (written to the experiment's results file).
 #[derive(Debug)]
-pub struct Experiment {
+pub struct Experiment<'r> {
     /// Human-readable experiment title.
     pub title: String,
     /// `(caption, table)` pairs.
     pub tables: Vec<(String, Table)>,
-    /// The completed runs the tables drew on, in plan order.
-    pub runs: Vec<SimRun>,
+    /// The completed runs of the experiment's plan, in plan order.
+    pub runs: Vec<&'r SimRun>,
     /// The experiment's jobs whose final outcome was a failure.
     pub failures: Vec<JobFailure>,
 }
 
-impl Experiment {
+impl Experiment<'_> {
     /// An experiment with no runs or failures behind it.
     pub fn new(title: String, tables: Vec<(String, Table)>) -> Self {
         Self {
@@ -59,19 +58,6 @@ impl Experiment {
             runs: Vec::new(),
             failures: Vec::new(),
         }
-    }
-
-    /// An experiment rendered from `matrices`: appends the "failed jobs"
-    /// table when any of their jobs failed, and carries their runs and
-    /// failures, in order.
-    fn from_matrices(title: &str, mut tables: Vec<(String, Table)>, matrices: Vec<Matrix>) -> Self {
-        tables.extend(failures_table(&matrices));
-        let mut exp = Self::new(title.to_string(), tables);
-        for m in matrices {
-            exp.runs.extend(m.runs);
-            exp.failures.extend(m.failures);
-        }
-        exp
     }
 
     /// Renders the whole experiment (aligned tables + TSV blocks).
@@ -102,8 +88,8 @@ fn parse(s: &str) -> PolicySpec {
 /// One `profiles × policies` sweep over a config template. Each
 /// experiment builds its specs once: the campaign planner submits their
 /// [`MatrixSpec::jobs`] and the render reads the same jobs back through
-/// [`MatrixSpec::lookup`], so the jobs an experiment *plans* are exactly
-/// the jobs it *reads* (fingerprints included).
+/// them, so the jobs an experiment *plans* are exactly the jobs it
+/// *reads* (fingerprints included).
 #[derive(Debug, Clone)]
 pub struct MatrixSpec {
     /// Benchmarks to sweep.
@@ -120,28 +106,42 @@ impl MatrixSpec {
         matrix_jobs(&self.profiles, &self.template, &self.policies)
     }
 
-    /// The sweep's outcomes, looked up in `runs`.
+    /// The report of `profile` under `policy`, borrowed from `runs`
+    /// (`None` when that job did not complete).
     ///
     /// # Panics
     ///
-    /// Panics, naming the job, if `runs` lacks one of the sweep's jobs:
-    /// the plan and the render disagree.
-    pub fn lookup(&self, runs: &Runs) -> Matrix {
-        let mut matrix = Matrix::default();
-        for job in self.jobs() {
-            match runs.get(&job) {
-                JobOutcome::Completed { run, .. } => {
-                    let key = (
-                        job.profile.name.to_string(),
-                        job.config.l2_policy.to_string(),
-                    );
-                    matrix.index.insert(key, matrix.runs.len());
-                    matrix.runs.push((**run).clone());
-                }
-                failed => matrix.failures.extend(JobFailure::from_outcome(failed)),
-            }
-        }
-        matrix
+    /// Panics, naming the job, if the sweep does not list it or `runs`
+    /// lacks it: the plan and the render disagree.
+    fn report<'r>(
+        &self,
+        runs: &'r Runs,
+        profile: &Profile,
+        policy: &PolicySpec,
+    ) -> Option<&'r SimReport> {
+        assert!(
+            self.policies.contains(policy) && self.profiles.iter().any(|p| p.name == profile.name),
+            "planner bug: the render read {}/{policy}, which its sweep does not list",
+            profile.name
+        );
+        let job = Job::new(profile.clone(), &self.template, *policy);
+        runs.get(&job).run().map(|run| &run.report)
+    }
+
+    /// The `(baseline, policy)` report pairs of the benchmarks where both
+    /// runs completed, in profile order.
+    fn pairs<'a>(
+        &'a self,
+        runs: &'a Runs,
+        baseline: &'a PolicySpec,
+        policy: &'a PolicySpec,
+    ) -> impl Iterator<Item = (&'a SimReport, &'a SimReport)> + 'a {
+        self.profiles.iter().filter_map(move |p| {
+            Some((
+                self.report(runs, p, baseline)?,
+                self.report(runs, p, policy)?,
+            ))
+        })
     }
 }
 
@@ -161,30 +161,6 @@ pub fn matrix_jobs(
         .collect()
 }
 
-/// The completed runs of one `profiles x policies` sweep, plus the jobs
-/// that did not complete.
-#[derive(Debug, Default)]
-pub struct Matrix {
-    /// (benchmark, policy notation) → index into `runs`.
-    index: HashMap<(String, String), usize>,
-    runs: Vec<SimRun>,
-    failures: Vec<JobFailure>,
-}
-
-impl Matrix {
-    /// The completed report for `bench` under `policy`, if the run
-    /// finished.
-    pub fn get(&self, bench: &str, policy: &PolicySpec) -> Option<&SimReport> {
-        let i = self.index.get(&(bench.to_string(), policy.to_string()))?;
-        Some(&self.runs[*i].report)
-    }
-
-    /// Jobs that panicked, aborted, or were rejected.
-    pub fn failures(&self) -> &[JobFailure] {
-        &self.failures
-    }
-}
-
 /// A row of `FAILED` cells after a leading label.
 fn failed_row(label: &str, cells: usize) -> Vec<String> {
     let mut row = vec![label.to_string()];
@@ -192,45 +168,11 @@ fn failed_row(label: &str, cells: usize) -> Vec<String> {
     row
 }
 
-/// The "failed jobs" table appended to an experiment when any of its
-/// matrices had failures (`None` when all jobs completed).
-fn failures_table(matrices: &[Matrix]) -> Option<(String, Table)> {
-    let mut t = Table::with_headers(&["benchmark", "policy", "status", "detail"]);
-    let mut any = false;
-    for m in matrices {
-        for f in m.failures() {
-            any = true;
-            t.row(vec![
-                f.benchmark.clone(),
-                f.policy.clone(),
-                f.status.clone(),
-                f.detail.clone(),
-            ]);
-        }
-    }
-    any.then(|| {
-        (
-            "failed jobs (excluded from aggregates above)".to_string(),
-            t,
-        )
-    })
-}
-
-/// Geomean % speedup of `policy` over `baseline` across the benchmarks
-/// where both runs completed (`None` when no benchmark has both).
-fn geomean_speedup(
-    matrix: &Matrix,
-    benches: &[&str],
-    baseline: &PolicySpec,
-    policy: &PolicySpec,
-) -> Option<f64> {
-    let ratios: Vec<f64> = benches
-        .iter()
-        .filter_map(|b| {
-            let base = matrix.get(b, baseline)?;
-            let pol = matrix.get(b, policy)?;
-            Some(base.cycles as f64 / pol.cycles as f64)
-        })
+/// Geomean % speedup over `(baseline, run)` report pairs (`None` when
+/// there are none).
+fn geomean_speedup<'a>(pairs: impl Iterator<Item = (&'a SimReport, &'a SimReport)>) -> Option<f64> {
+    let ratios: Vec<f64> = pairs
+        .map(|(base, r)| base.cycles as f64 / r.cycles as f64)
         .collect();
     geomean(&ratios).map(speedup_pct)
 }
@@ -238,6 +180,73 @@ fn geomean_speedup(
 /// `fixed` for a value that may come from a failed run.
 fn fixed_opt(v: Option<f64>, prec: usize) -> String {
     v.map(|v| fixed(v, prec)).unwrap_or_else(|| FAILED.into())
+}
+
+/// Adds one row per benchmark of `spec`, the values `row` derives from
+/// its runs (`None`: a row of `FAILED` cells), then an "average" row over
+/// the benchmarks that completed, all at `prec` decimals.
+fn rows_with_average<const N: usize>(
+    t: &mut Table,
+    spec: &MatrixSpec,
+    prec: usize,
+    row: impl Fn(&Profile) -> Option<[f64; N]>,
+) {
+    let mut sums = [0.0f64; N];
+    let mut ok = 0usize;
+    for p in &spec.profiles {
+        let Some(values) = row(p) else {
+            t.row(failed_row(p.name, N));
+            continue;
+        };
+        ok += 1;
+        for (s, v) in sums.iter_mut().zip(values) {
+            *s += v;
+        }
+        let mut cells = vec![p.name.to_string()];
+        cells.extend(values.iter().map(|v| fixed(*v, prec)));
+        t.row(cells);
+    }
+    let mut cells = vec!["average".to_string()];
+    cells.extend(
+        sums.iter()
+            .map(|s| fixed_opt((ok > 0).then(|| s / ok as f64), prec)),
+    );
+    t.row(cells);
+}
+
+/// A benchmark × `columns` table of % speedups over `baseline` (`FAILED`
+/// unless both runs completed), closed by a "geomean" row over the
+/// benchmarks where both did.
+fn speedup_table(
+    spec: &MatrixSpec,
+    runs: &Runs,
+    baseline: &PolicySpec,
+    columns: &[PolicySpec],
+) -> Table {
+    let mut headers = vec!["benchmark".to_string()];
+    headers.extend(columns.iter().map(|p| p.to_string()));
+    let mut t = Table::new(headers);
+    for p in &spec.profiles {
+        let base = spec.report(runs, p, baseline);
+        let mut row = vec![p.name.to_string()];
+        for pol in columns {
+            row.push(match (base, spec.report(runs, p, pol)) {
+                (Some(base), Some(r)) => {
+                    fixed(speedup_pct(base.cycles as f64 / r.cycles as f64), 2)
+                }
+                _ => FAILED.into(),
+            });
+        }
+        t.row(row);
+    }
+    let mut row = vec!["geomean".to_string()];
+    row.extend(
+        columns
+            .iter()
+            .map(|pol| fixed_opt(geomean_speedup(spec.pairs(runs, baseline, pol)), 2)),
+    );
+    t.row(row);
+    t
 }
 
 // ---------------------------------------------------------------------------
@@ -266,12 +275,11 @@ pub fn fig1_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 /// Figure 1: tomcat on a 1M 16-way true-LRU L2 with no prefetchers —
 /// speedup vs. L2 instruction MPKI, decode rate, L2 data MPKI, issue rate
 /// for the policy progression that motivates persistence.
-pub fn fig1(template: &SimConfig, runs: &Runs) -> Experiment {
+pub fn fig1(template: &SimConfig, runs: &Runs) -> Experiment<'static> {
     let specs = fig1_specs(template);
     let spec = &specs[0];
-    let policies = &spec.policies;
-    let matrix = spec.lookup(runs);
-    let base_cycles = matrix.get("tomcat", &policies[0]).map(|r| r.cycles);
+    let (tomcat, policies) = (&spec.profiles[0], &spec.policies);
+    let base_cycles = spec.report(runs, tomcat, &policies[0]).map(|r| r.cycles);
     let mut t = Table::with_headers(&[
         "policy",
         "speedup",
@@ -282,7 +290,7 @@ pub fn fig1(template: &SimConfig, runs: &Runs) -> Experiment {
         "starv_cycles",
     ]);
     for p in policies {
-        match matrix.get("tomcat", p) {
+        match spec.report(runs, tomcat, p) {
             Some(r) => t.row(vec![
                 p.to_string(),
                 base_cycles
@@ -297,11 +305,9 @@ pub fn fig1(template: &SimConfig, runs: &Runs) -> Experiment {
             None => t.row(failed_row(&p.to_string(), 6)),
         }
     }
-    let tables = vec![("tomcat policy progression".to_string(), t)];
-    Experiment::from_matrices(
-        "Figure 1 — persistence motivation on tomcat (true LRU, no prefetchers)",
-        tables,
-        vec![matrix],
+    Experiment::new(
+        "Figure 1 — persistence motivation on tomcat (true LRU, no prefetchers)".into(),
+        vec![("tomcat policy progression".into(), t)],
     )
 }
 
@@ -327,10 +333,8 @@ pub fn fig2_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 /// Figure 2: reuse-distance mix of committed-path line accesses, the share
 /// of L2 instruction misses from long-reuse lines, and the distribution of
 /// starvation cycles across reuse classes.
-pub fn fig2(template: &SimConfig, runs: &Runs) -> Experiment {
-    let specs = fig2_specs(template);
-    let profiles = specs[0].profiles.clone();
-    let matrix = specs[0].lookup(runs);
+pub fn fig2(template: &SimConfig, runs: &Runs) -> Experiment<'static> {
+    let spec = &fig2_specs(template)[0];
     let mut t = Table::with_headers(&[
         "benchmark",
         "acc_short%",
@@ -341,56 +345,33 @@ pub fn fig2(template: &SimConfig, runs: &Runs) -> Experiment {
         "starve_mid%",
         "starve_long%",
     ]);
-    let mut sums = [0.0f64; 7];
-    let mut ok = 0usize;
-    for p in &profiles {
-        let Some(r) = matrix.get(p.name, &PolicySpec::BASELINE) else {
-            t.row(failed_row(p.name, 7));
-            continue;
-        };
+    rows_with_average(&mut t, spec, 1, |p| {
+        let r = spec.report(runs, p, &PolicySpec::BASELINE)?;
         // Access mix from the tracker (cold counts as long, like the
         // attribution path).
         let short = r.reuse.short as f64;
         let mid = r.reuse.mid as f64;
         let long = (r.reuse.long + r.reuse.cold) as f64;
         let acc_total = (short + mid + long).max(1.0);
-        let misses =
-            (r.reuse_attribution.l2_miss_long + r.reuse_attribution.l2_miss_other).max(1) as f64;
-        let starv = (r.reuse_attribution.starve_short
-            + r.reuse_attribution.starve_mid
-            + r.reuse_attribution.starve_long)
-            .max(1) as f64;
-        let row = [
+        let attr = &r.reuse_attribution;
+        let misses = (attr.l2_miss_long + attr.l2_miss_other).max(1) as f64;
+        let starv = (attr.starve_short + attr.starve_mid + attr.starve_long).max(1) as f64;
+        Some([
             short / acc_total * 100.0,
             mid / acc_total * 100.0,
             long / acc_total * 100.0,
-            r.reuse_attribution.l2_miss_long as f64 / misses * 100.0,
-            r.reuse_attribution.starve_short as f64 / starv * 100.0,
-            r.reuse_attribution.starve_mid as f64 / starv * 100.0,
-            r.reuse_attribution.starve_long as f64 / starv * 100.0,
-        ];
-        ok += 1;
-        for (a, v) in sums.iter_mut().zip(row) {
-            *a += v;
-        }
-        let mut cells = vec![p.name.to_string()];
-        cells.extend(row.iter().map(|v| fixed(*v, 1)));
-        t.row(cells);
-    }
-    let mut cells = vec!["average".to_string()];
-    cells.extend(
-        sums.iter()
-            .map(|v| fixed_opt((ok > 0).then(|| v / ok as f64), 1)),
-    );
-    t.row(cells);
-    let tables = vec![(
-        "per-benchmark reuse behaviour (TPLRU+FDIP baseline)".to_string(),
-        t,
-    )];
-    Experiment::from_matrices(
-        "Figure 2 — reuse-distance mix, long-reuse L2 misses, starvation attribution",
-        tables,
-        vec![matrix],
+            attr.l2_miss_long as f64 / misses * 100.0,
+            attr.starve_short as f64 / starv * 100.0,
+            attr.starve_mid as f64 / starv * 100.0,
+            attr.starve_long as f64 / starv * 100.0,
+        ])
+    });
+    Experiment::new(
+        "Figure 2 — reuse-distance mix, long-reuse L2 misses, starvation attribution".into(),
+        vec![(
+            "per-benchmark reuse behaviour (TPLRU+FDIP baseline)".into(),
+            t,
+        )],
     )
 }
 
@@ -405,10 +386,8 @@ pub fn fig3_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 
 /// Figure 3: L1I / L1D / L2-instruction / L2-data MPKI per benchmark on the
 /// TPLRU + FDIP baseline.
-pub fn fig3(template: &SimConfig, runs: &Runs) -> Experiment {
-    let specs = fig3_specs(template);
-    let profiles = specs[0].profiles.clone();
-    let matrix = specs[0].lookup(runs);
+pub fn fig3(template: &SimConfig, runs: &Runs) -> Experiment<'static> {
+    let spec = &fig3_specs(template)[0];
     let mut t = Table::with_headers(&[
         "benchmark",
         "l1i_mpki",
@@ -416,33 +395,13 @@ pub fn fig3(template: &SimConfig, runs: &Runs) -> Experiment {
         "l2_instr_mpki",
         "l2_data_mpki",
     ]);
-    let mut sums = [0.0f64; 4];
-    let mut ok = 0usize;
-    for p in &profiles {
-        let Some(r) = matrix.get(p.name, &PolicySpec::BASELINE) else {
-            t.row(failed_row(p.name, 4));
-            continue;
-        };
-        let row = [r.l1i_mpki, r.l1d_mpki, r.l2i_mpki, r.l2d_mpki];
-        ok += 1;
-        for (s, v) in sums.iter_mut().zip(row) {
-            *s += v;
-        }
-        let mut cells = vec![p.name.to_string()];
-        cells.extend(row.iter().map(|v| fixed(*v, 2)));
-        t.row(cells);
-    }
-    let mut cells = vec!["average".to_string()];
-    cells.extend(
-        sums.iter()
-            .map(|s| fixed_opt((ok > 0).then(|| s / ok as f64), 2)),
-    );
-    t.row(cells);
-    let tables = vec![("per-benchmark MPKI".to_string(), t)];
-    Experiment::from_matrices(
-        "Figure 3 — cache MPKIs on the TPLRU + FDIP baseline",
-        tables,
-        vec![matrix],
+    rows_with_average(&mut t, spec, 2, |p| {
+        let r = spec.report(runs, p, &PolicySpec::BASELINE)?;
+        Some([r.l1i_mpki, r.l1d_mpki, r.l2i_mpki, r.l2d_mpki])
+    });
+    Experiment::new(
+        "Figure 3 — cache MPKIs on the TPLRU + FDIP baseline".into(),
+        vec![("per-benchmark MPKI".into(), t)],
     )
 }
 
@@ -456,29 +415,17 @@ pub fn fig4_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 }
 
 /// Figure 4: instruction footprint (MB of unique cache lines touched).
-pub fn fig4(template: &SimConfig, runs: &Runs) -> Experiment {
-    let specs = fig4_specs(template);
-    let profiles = specs[0].profiles.clone();
-    let matrix = specs[0].lookup(runs);
+pub fn fig4(template: &SimConfig, runs: &Runs) -> Experiment<'static> {
+    let spec = &fig4_specs(template)[0];
     let mut t = Table::with_headers(&["benchmark", "instr_footprint_mb"]);
-    let mut sum = 0.0;
-    let mut ok = 0usize;
-    for p in &profiles {
-        let Some(r) = matrix.get(p.name, &PolicySpec::BASELINE) else {
-            t.row(failed_row(p.name, 1));
-            continue;
-        };
-        let mb = r.footprint_bytes as f64 / (1024.0 * 1024.0);
-        sum += mb;
-        ok += 1;
-        t.row(vec![p.name.to_string(), fixed(mb, 2)]);
-    }
-    t.row(vec![
-        "average".to_string(),
-        fixed_opt((ok > 0).then(|| sum / ok as f64), 2),
-    ]);
-    let tables = vec![("unique instruction lines touched x 64 B".to_string(), t)];
-    Experiment::from_matrices("Figure 4 — instruction footprints", tables, vec![matrix])
+    rows_with_average(&mut t, spec, 2, |p| {
+        let r = spec.report(runs, p, &PolicySpec::BASELINE)?;
+        Some([r.footprint_bytes as f64 / (1024.0 * 1024.0)])
+    });
+    Experiment::new(
+        "Figure 4 — instruction footprints".into(),
+        vec![("unique instruction lines touched x 64 B".into(), t)],
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -547,24 +494,19 @@ pub fn table5_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 /// Table 5: geomean speedup over the LRU+FDIP baseline across all 13
 /// benchmarks for `r` in {1/2..1/64} and `N` in {2..14}, plus the paper's
 /// "#Best" row and column.
-pub fn table5(template: &SimConfig, runs: &Runs) -> Experiment {
-    let specs = table5_specs(template);
-    let profiles = &specs[0].profiles;
-    let bench_names: Vec<&str> = profiles.iter().map(|p| p.name).collect();
+pub fn table5(template: &SimConfig, runs: &Runs) -> Experiment<'static> {
+    let spec = &table5_specs(template)[0];
     let ns = TABLE5_NS;
     let cols = table5_columns();
-    let matrix = specs[0].lookup(runs);
     // Geomean grid; a cell is None when no benchmark completed both runs.
-    let mut grid: Vec<Vec<Option<f64>>> = Vec::new();
-    for &n in &ns {
-        let row: Vec<Option<f64>> = cols
-            .iter()
-            .map(|(_, make)| {
-                geomean_speedup(&matrix, &bench_names, &PolicySpec::BASELINE, &make(n))
-            })
-            .collect();
-        grid.push(row);
-    }
+    let grid: Vec<Vec<Option<f64>>> = ns
+        .iter()
+        .map(|&n| {
+            cols.iter()
+                .map(|(_, make)| geomean_speedup(spec.pairs(runs, &PolicySpec::BASELINE, &make(n))))
+                .collect()
+        })
+        .collect();
     // "#Best": count of per-column maxima in each row and vice versa.
     // Failed cells rank below every real value (NEG_INFINITY, not NaN —
     // total_cmp ranks NaN greatest).
@@ -600,11 +542,9 @@ pub fn table5(template: &SimConfig, runs: &Runs) -> Experiment {
     }
     cells.push("-".to_string());
     t.row(cells);
-    let tables = vec![("P(N) policy grid".to_string(), t)];
-    Experiment::from_matrices(
-        "Table 5 — geomean speedup (%) vs LRU+FDIP baseline over r and N",
-        tables,
-        vec![matrix],
+    Experiment::new(
+        "Table 5 — geomean speedup (%) vs LRU+FDIP baseline over r and N".into(),
+        vec![("P(N) policy grid".into(), t)],
     )
 }
 
@@ -666,11 +606,9 @@ pub fn fig5_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 /// Figure 5: per-benchmark speedup vs. L2-instruction MPKI and vs. change
 /// in starvation (decode + empty IQ) for the six line-policies as `N`
 /// sweeps 0..14 (tpcc omitted, as in the paper).
-pub fn fig5(template: &SimConfig, runs: &Runs) -> Experiment {
-    let specs = fig5_specs(template);
-    let profiles = specs[0].profiles.clone();
+pub fn fig5(template: &SimConfig, runs: &Runs) -> Experiment<'static> {
+    let spec = &fig5_specs(template)[0];
     let (m_policies, p_families, ns) = fig5_series();
-    let matrix = specs[0].lookup(runs);
     let mut t = Table::with_headers(&[
         "benchmark",
         "policy",
@@ -678,9 +616,9 @@ pub fn fig5(template: &SimConfig, runs: &Runs) -> Experiment {
         "l2_instr_mpki",
         "delta_starvation_empty_iq%",
     ]);
-    for p in &profiles {
-        let base = matrix.get(p.name, &PolicySpec::BASELINE);
-        let mut add_row = |policy: &PolicySpec| match matrix.get(p.name, policy) {
+    for p in &spec.profiles {
+        let base = spec.report(runs, p, &PolicySpec::BASELINE);
+        let mut add_row = |policy: &PolicySpec| match spec.report(runs, p, policy) {
             Some(r) => {
                 let speed = base
                     .map(|b| pct_value(speedup_pct(b.cycles as f64 / r.cycles as f64)))
@@ -717,11 +655,9 @@ pub fn fig5(template: &SimConfig, runs: &Runs) -> Experiment {
             }
         }
     }
-    let tables = vec![("per-benchmark policy series".to_string(), t)];
-    Experiment::from_matrices(
-        "Figure 5 — speedup vs MPKI and vs starvation change, N sweep",
-        tables,
-        vec![matrix],
+    Experiment::new(
+        "Figure 5 — speedup vs MPKI and vs starvation change, N sweep".into(),
+        vec![("per-benchmark policy series".into(), t)],
     )
 }
 
@@ -741,59 +677,27 @@ pub fn fig6_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 
 /// Figure 6: reduction in commit-path FE / BE / total stall cycles of
 /// P(8):S&E&R(1/32) relative to the TPLRU+FDIP baseline.
-pub fn fig6(template: &SimConfig, runs: &Runs) -> Experiment {
-    let specs = fig6_specs(template);
-    let profiles = specs[0].profiles.clone();
-    let matrix = specs[0].lookup(runs);
+pub fn fig6(template: &SimConfig, runs: &Runs) -> Experiment<'static> {
+    let spec = &fig6_specs(template)[0];
     let mut t = Table::with_headers(&[
         "benchmark",
         "fe_stall_reduction%",
         "be_stall_reduction%",
         "total_stall_reduction%",
     ]);
-    let mut sums = [0.0f64; 3];
-    let mut ok = 0usize;
-    for p in &profiles {
-        let (Some(base), Some(emis)) = (
-            matrix.get(p.name, &PolicySpec::BASELINE),
-            matrix.get(p.name, &preferred()),
-        ) else {
-            t.row(failed_row(p.name, 3));
-            continue;
-        };
-        let row = [
-            emissary_stats::summary::pct_reduction(
-                base.fe_stall_cycles as f64,
-                emis.fe_stall_cycles as f64,
-            ),
-            emissary_stats::summary::pct_reduction(
-                base.be_stall_cycles as f64,
-                emis.be_stall_cycles as f64,
-            ),
-            emissary_stats::summary::pct_reduction(
-                base.total_stall_cycles() as f64,
-                emis.total_stall_cycles() as f64,
-            ),
-        ];
-        ok += 1;
-        for (a, v) in sums.iter_mut().zip(row) {
-            *a += v;
-        }
-        let mut cells = vec![p.name.to_string()];
-        cells.extend(row.iter().map(|v| fixed(*v, 2)));
-        t.row(cells);
-    }
-    let mut cells = vec!["average".to_string()];
-    cells.extend(
-        sums.iter()
-            .map(|v| fixed_opt((ok > 0).then(|| v / ok as f64), 2)),
-    );
-    t.row(cells);
-    let tables = vec![("commit-path stall reductions".to_string(), t)];
-    Experiment::from_matrices(
-        "Figure 6 — stall-cycle reduction of P(8):S&E&R(1/32) vs baseline",
-        tables,
-        vec![matrix],
+    rows_with_average(&mut t, spec, 2, |p| {
+        let base = spec.report(runs, p, &PolicySpec::BASELINE)?;
+        let emis = spec.report(runs, p, &preferred())?;
+        let reduction = |b: u64, e: u64| pct_reduction(b as f64, e as f64);
+        Some([
+            reduction(base.fe_stall_cycles, emis.fe_stall_cycles),
+            reduction(base.be_stall_cycles, emis.be_stall_cycles),
+            reduction(base.total_stall_cycles(), emis.total_stall_cycles()),
+        ])
+    });
+    Experiment::new(
+        "Figure 6 — stall-cycle reduction of P(8):S&E&R(1/32) vs baseline".into(),
+        vec![("commit-path stall reductions".into(), t)],
     )
 }
 
@@ -833,67 +737,46 @@ pub fn fig7_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 
 /// Figure 7: speedup and energy reduction of every technique relative to
 /// the TPLRU + FDIP baseline, per benchmark plus geomean.
-pub fn fig7(template: &SimConfig, runs: &Runs) -> Experiment {
-    let specs = fig7_specs(template);
-    let profiles = specs[0].profiles.clone();
-    let bench_names: Vec<&str> = profiles.iter().map(|p| p.name).collect();
-    let matrix = specs[0].lookup(runs);
+pub fn fig7(template: &SimConfig, runs: &Runs) -> Experiment<'static> {
+    let spec = &fig7_specs(template)[0];
+    let base = &PolicySpec::BASELINE;
     let techniques = fig7_policies();
-
     let mut headers = vec!["benchmark".to_string()];
     headers.extend(techniques.iter().map(|p| p.to_string()));
-    let mut speed = Table::new(headers.clone());
     let mut energy = Table::new(headers);
-    for p in &profiles {
-        let base = matrix.get(p.name, &PolicySpec::BASELINE);
-        let mut srow = vec![p.name.to_string()];
-        let mut erow = vec![p.name.to_string()];
+    for p in &spec.profiles {
+        let mut row = vec![p.name.to_string()];
         for tech in &techniques {
-            match (base, matrix.get(p.name, tech)) {
-                (Some(base), Some(r)) => {
-                    srow.push(fixed(speedup_pct(base.cycles as f64 / r.cycles as f64), 2));
-                    erow.push(fixed(
-                        (base.energy_pj - r.energy_pj) / base.energy_pj * 100.0,
-                        2,
-                    ));
-                }
-                _ => {
-                    srow.push(FAILED.into());
-                    erow.push(FAILED.into());
-                }
-            }
+            row.push(
+                match (spec.report(runs, p, base), spec.report(runs, p, tech)) {
+                    (Some(b), Some(r)) => {
+                        fixed((b.energy_pj - r.energy_pj) / b.energy_pj * 100.0, 2)
+                    }
+                    _ => FAILED.into(),
+                },
+            );
         }
-        speed.row(srow);
-        energy.row(erow);
+        energy.row(row);
     }
-    // Geomean rows, over the benchmarks where both runs completed.
-    let mut srow = vec!["geomean".to_string()];
-    let mut erow = vec!["geomean".to_string()];
+    // The geomean row covers the benchmarks where both runs completed.
+    let mut row = vec!["geomean".to_string()];
     for tech in &techniques {
-        srow.push(fixed_opt(
-            geomean_speedup(&matrix, &bench_names, &PolicySpec::BASELINE, tech),
-            2,
-        ));
-        let ratios: Vec<f64> = bench_names
-            .iter()
-            .filter_map(|b| {
-                let base = matrix.get(b, &PolicySpec::BASELINE)?;
-                let r = matrix.get(b, tech)?;
-                Some(r.energy_pj / base.energy_pj)
-            })
+        let ratios: Vec<f64> = spec
+            .pairs(runs, base, tech)
+            .map(|(b, r)| r.energy_pj / b.energy_pj)
             .collect();
-        erow.push(fixed_opt(geomean(&ratios).map(|g| (1.0 - g) * 100.0), 2));
+        row.push(fixed_opt(geomean(&ratios).map(|g| (1.0 - g) * 100.0), 2));
     }
-    speed.row(srow);
-    energy.row(erow);
-    let tables = vec![
-        ("speedup (%)".to_string(), speed),
-        ("energy reduction (%)".to_string(), energy),
-    ];
-    Experiment::from_matrices(
-        "Figure 7 — speedup and energy reduction vs TPLRU+FDIP baseline",
-        tables,
-        vec![matrix],
+    energy.row(row);
+    Experiment::new(
+        "Figure 7 — speedup and energy reduction vs TPLRU+FDIP baseline".into(),
+        vec![
+            (
+                "speedup (%)".into(),
+                speedup_table(spec, runs, base, &techniques),
+            ),
+            ("energy reduction (%)".into(), energy),
+        ],
     )
 }
 
@@ -925,11 +808,10 @@ pub fn fig8_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 /// Figure 8: distribution of per-set high-priority line counts for
 /// P(8):S&E vs P(8):S&E&R(1/32), averaged across benchmarks at the end of
 /// simulation, and the performance impact of the §6 reset mechanism.
-pub fn fig8(template: &SimConfig, runs: &Runs) -> Experiment {
+pub fn fig8(template: &SimConfig, runs: &Runs) -> Experiment<'static> {
     let specs = fig8_specs(template);
-    let profiles = specs[0].profiles.clone();
-    let policies = specs[0].policies.clone();
-    let matrix = specs[0].lookup(runs);
+    let (spec, reset_spec) = (&specs[0], &specs[1]);
+    let policies = &spec.policies;
     let mut t = Table::with_headers(&[
         "high_priority_lines_per_set",
         "P(8):S&E  % of sets",
@@ -938,8 +820,8 @@ pub fn fig8(template: &SimConfig, runs: &Runs) -> Experiment {
     let mut dist = [[0.0f64; 9]; 2];
     for (pi, pol) in policies.iter().enumerate() {
         let mut ok = 0usize;
-        for p in &profiles {
-            let Some(r) = matrix.get(p.name, pol) else {
+        for p in &spec.profiles {
+            let Some(r) = spec.report(runs, p, pol) else {
                 continue;
             };
             ok += 1;
@@ -960,12 +842,11 @@ pub fn fig8(template: &SimConfig, runs: &Runs) -> Experiment {
             fixed(d1 * 100.0, 2),
         ]);
     }
-    let reset_matrix = specs[1].lookup(runs);
     let mut rt = Table::with_headers(&["benchmark", "reset_speedup_vs_no_reset%"]);
-    for p in &profiles {
+    for p in &spec.profiles {
         let (Some(no_reset), Some(with)) = (
-            matrix.get(p.name, &policies[1]),
-            reset_matrix.get(p.name, &policies[1]),
+            spec.report(runs, p, &policies[1]),
+            reset_spec.report(runs, p, &policies[1]),
         ) else {
             rt.row(failed_row(p.name, 1));
             continue;
@@ -975,17 +856,15 @@ pub fn fig8(template: &SimConfig, runs: &Runs) -> Experiment {
             fixed(speedup_pct(no_reset.cycles as f64 / with.cycles as f64), 3),
         ]);
     }
-    let tables = vec![
-        (
-            "per-set P=1 count distribution (avg over benchmarks)".to_string(),
-            t,
-        ),
-        ("§6 reset impact (P(8):S&E&R(1/32))".into(), rt),
-    ];
-    Experiment::from_matrices(
-        "Figure 8 — saturation of high-priority lines per set",
-        tables,
-        vec![matrix, reset_matrix],
+    Experiment::new(
+        "Figure 8 — saturation of high-priority lines per set".into(),
+        vec![
+            (
+                "per-set P=1 count distribution (avg over benchmarks)".into(),
+                t,
+            ),
+            ("§6 reset impact (P(8):S&E&R(1/32))".into(), rt),
+        ],
     )
 }
 
@@ -1015,32 +894,29 @@ pub fn ideal_l2_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 
 /// §5.6 contextualization: speedup of an unrealizable zero-cycle-miss L2
 /// instruction cache, and EMISSARY's gain as a fraction of that bound.
-pub fn ideal_l2(template: &SimConfig, runs: &Runs) -> Experiment {
+pub fn ideal_l2(template: &SimConfig, runs: &Runs) -> Experiment<'static> {
     let specs = ideal_l2_specs(template);
-    let profiles = specs[0].profiles.clone();
-    let matrix = specs[0].lookup(runs);
-    let ideal_matrix = specs[1].lookup(runs);
+    let (spec, ideal_spec) = (&specs[0], &specs[1]);
     let mut t = Table::with_headers(&[
         "benchmark",
         "ideal_speedup%",
         "emissary_speedup%",
         "emissary_share_of_ideal%",
     ]);
-    let mut ideal_ratios = Vec::new();
-    let mut emis_ratios = Vec::new();
-    for p in &profiles {
+    // (baseline, EMISSARY, ideal) of the benchmarks where all three ran.
+    let mut done = Vec::new();
+    for p in &spec.profiles {
         let (Some(base), Some(emis), Some(ideal)) = (
-            matrix.get(p.name, &PolicySpec::BASELINE),
-            matrix.get(p.name, &preferred()),
-            ideal_matrix.get(p.name, &PolicySpec::BASELINE),
+            spec.report(runs, p, &PolicySpec::BASELINE),
+            spec.report(runs, p, &preferred()),
+            ideal_spec.report(runs, p, &PolicySpec::BASELINE),
         ) else {
             t.row(failed_row(p.name, 3));
             continue;
         };
+        done.push((base, emis, ideal));
         let ideal_pct = speedup_pct(base.cycles as f64 / ideal.cycles as f64);
         let emis_pct = speedup_pct(base.cycles as f64 / emis.cycles as f64);
-        ideal_ratios.push(base.cycles as f64 / ideal.cycles as f64);
-        emis_ratios.push(base.cycles as f64 / emis.cycles as f64);
         let share = if ideal_pct.abs() < 1e-9 {
             0.0
         } else {
@@ -1053,8 +929,8 @@ pub fn ideal_l2(template: &SimConfig, runs: &Runs) -> Experiment {
             fixed(share, 1),
         ]);
     }
-    let g_ideal = geomean(&ideal_ratios).map(speedup_pct);
-    let g_emis = geomean(&emis_ratios).map(speedup_pct);
+    let g_ideal = geomean_speedup(done.iter().map(|&(base, _, ideal)| (base, ideal)));
+    let g_emis = geomean_speedup(done.iter().map(|&(base, emis, _)| (base, emis)));
     let share = match (g_ideal, g_emis) {
         (Some(i), Some(e)) if i.abs() >= 1e-9 => Some(e / i * 100.0),
         (Some(_), Some(_)) => Some(0.0),
@@ -1066,11 +942,9 @@ pub fn ideal_l2(template: &SimConfig, runs: &Runs) -> Experiment {
         fixed_opt(g_emis, 2),
         fixed_opt(share, 1),
     ]);
-    let tables = vec![("speedups over the FDIP baseline".to_string(), t)];
-    Experiment::from_matrices(
-        "§5.6 — EMISSARY vs the unrealizable zero-cycle-miss ideal L2",
-        tables,
-        vec![matrix, ideal_matrix],
+    Experiment::new(
+        "§5.6 — EMISSARY vs the unrealizable zero-cycle-miss ideal L2".into(),
+        vec![("speedups over the FDIP baseline".into(), t)],
     )
 }
 
@@ -1156,27 +1030,26 @@ pub fn ablations_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 
 /// Ablations: each design choice's speedup over the TPLRU+FDIP baseline,
 /// L2 instruction MPKI, and starvation cycles.
-pub fn ablations(template: &SimConfig, runs: &Runs) -> Experiment {
+pub fn ablations(template: &SimConfig, runs: &Runs) -> Experiment<'static> {
     let variants = ablation_variants(template);
     let specs = ablations_specs(template);
     let mut tables = Vec::new();
-    let mut matrices = Vec::new();
     for (bench, bench_specs) in ABLATION_BENCHES
         .iter()
         .zip(specs.chunks(1 + variants.len()))
     {
-        let baseline = bench_specs[0].lookup(runs);
-        let base_cycles = baseline.get(bench, &PolicySpec::BASELINE).map(|r| r.cycles);
+        let profile = &bench_specs[0].profiles[0];
+        let base_cycles = bench_specs[0]
+            .report(runs, profile, &PolicySpec::BASELINE)
+            .map(|r| r.cycles);
         let mut t = Table::with_headers(&[
             "variant",
             "speedup_vs_default%",
             "l2i_mpki",
             "starve_cycles",
         ]);
-        matrices.push(baseline);
         for ((label, _), spec) in variants.iter().zip(&bench_specs[1..]) {
-            let m = spec.lookup(runs);
-            match m.get(bench, &preferred()) {
+            match spec.report(runs, profile, &preferred()) {
                 Some(r) => t.row(vec![
                     label.to_string(),
                     fixed_opt(
@@ -1188,11 +1061,10 @@ pub fn ablations(template: &SimConfig, runs: &Runs) -> Experiment {
                 ]),
                 None => t.row(failed_row(label, 3)),
             }
-            matrices.push(m);
         }
         tables.push((format!("{bench} (speedups vs TPLRU+FDIP baseline)"), t));
     }
-    Experiment::from_matrices("Ablations", tables, matrices)
+    Experiment::new("Ablations".into(), tables)
 }
 
 // ---------------------------------------------------------------------------
@@ -1234,42 +1106,12 @@ pub fn extensions_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 
 /// Extensions: speedup of each §7 combination over the TPLRU+FDIP
 /// baseline, per benchmark plus geomean.
-pub fn extensions(template: &SimConfig, runs: &Runs) -> Experiment {
-    let specs = extensions_specs(template);
-    let spec = &specs[0];
-    let policies = &spec.policies;
-    let matrix = spec.lookup(runs);
-    let mut headers = vec!["benchmark".to_string()];
-    headers.extend(policies[1..].iter().map(|p| p.to_string()));
-    let mut t = Table::new(headers);
-    let mut ratios: Vec<Vec<f64>> = vec![Vec::new(); policies.len() - 1];
-    for p in &spec.profiles {
-        let base = matrix.get(p.name, &policies[0]);
-        let mut row = vec![p.name.to_string()];
-        for (i, pol) in policies[1..].iter().enumerate() {
-            match (base, matrix.get(p.name, pol)) {
-                (Some(base), Some(r)) => {
-                    let ratio = base.cycles as f64 / r.cycles as f64;
-                    ratios[i].push(ratio);
-                    row.push(fixed(speedup_pct(ratio), 2));
-                }
-                _ => row.push(FAILED.to_string()),
-            }
-        }
-        t.row(row);
-    }
-    // Geomeans cover the benchmarks where both runs completed.
-    let mut row = vec!["geomean".to_string()];
-    row.extend(
-        ratios
-            .iter()
-            .map(|r| fixed_opt(geomean(r).map(speedup_pct), 2)),
-    );
-    t.row(row);
-    Experiment::from_matrices(
-        "Extensions — §7 related-work combinations (speedup % vs TPLRU+FDIP)",
-        vec![("speedups".into(), t)],
-        vec![matrix],
+pub fn extensions(template: &SimConfig, runs: &Runs) -> Experiment<'static> {
+    let spec = &extensions_specs(template)[0];
+    let (base, columns) = spec.policies.split_first().expect("baseline first");
+    Experiment::new(
+        "Extensions — §7 related-work combinations (speedup % vs TPLRU+FDIP)".into(),
+        vec![("speedups".into(), speedup_table(spec, runs, base, columns))],
     )
 }
 
@@ -1307,10 +1149,9 @@ pub fn l2_sweep_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 /// EMISSARY matters "in a scenario where L2 capacity is limited". Baseline
 /// IPC and L2 instruction MPKI, and EMISSARY's speedup, as the L2 grows
 /// from 256 KB to 4 MB: the gain should shrink as the footprint fits.
-pub fn l2_sweep(template: &SimConfig, runs: &Runs) -> Experiment {
+pub fn l2_sweep(template: &SimConfig, runs: &Runs) -> Experiment<'static> {
     let specs = l2_sweep_specs(template);
     let mut tables = Vec::new();
-    let mut matrices = Vec::new();
     for (bench, bench_specs) in L2_SWEEP_BENCHES.iter().zip(specs.chunks(L2_SWEEP_KB.len())) {
         let mut t = Table::with_headers(&[
             "l2_kb",
@@ -1320,10 +1161,10 @@ pub fn l2_sweep(template: &SimConfig, runs: &Runs) -> Experiment {
             "emissary_l2i_mpki",
         ]);
         for (l2_kb, spec) in L2_SWEEP_KB.iter().zip(bench_specs) {
-            let m = spec.lookup(runs);
+            let profile = &spec.profiles[0];
             match (
-                m.get(bench, &PolicySpec::BASELINE),
-                m.get(bench, &preferred()),
+                spec.report(runs, profile, &PolicySpec::BASELINE),
+                spec.report(runs, profile, &preferred()),
             ) {
                 (Some(base), Some(emis)) => t.row(vec![
                     l2_kb.to_string(),
@@ -1334,14 +1175,12 @@ pub fn l2_sweep(template: &SimConfig, runs: &Runs) -> Experiment {
                 ]),
                 _ => t.row(failed_row(&l2_kb.to_string(), 4)),
             }
-            matrices.push(m);
         }
         tables.push((bench.to_string(), t));
     }
-    Experiment::from_matrices(
-        "L2 capacity sweep — EMISSARY gain vs cache pressure",
+    Experiment::new(
+        "L2 capacity sweep — EMISSARY gain vs cache pressure".into(),
         tables,
-        matrices,
     )
 }
 
@@ -1350,23 +1189,53 @@ pub fn l2_sweep(template: &SimConfig, runs: &Runs) -> Experiment {
 // ---------------------------------------------------------------------------
 
 /// One experiment: its name (also its results file, `results/<name>.jsonl`),
-/// its plan, and its render.
+/// its plan, and its tables.
 #[derive(Debug, Clone, Copy)]
 pub struct Entry {
     /// The experiment's name.
     pub name: &'static str,
     /// The sweeps the experiment needs under a config template.
     pub plan: fn(&SimConfig) -> Vec<MatrixSpec>,
-    /// The experiment's tables, rendered from runs that cover its plan.
-    pub render: fn(&SimConfig, &Runs) -> Experiment,
+    /// The experiment's title and tables, read from runs that cover its
+    /// plan (see [`Entry::render`] for the whole experiment).
+    pub tables: fn(&SimConfig, &Runs) -> Experiment<'static>,
+}
+
+impl Entry {
+    /// The experiment rendered from `runs`, which must cover its plan: its
+    /// tables, then a "failed jobs" table when any planned job failed,
+    /// with every completed run and failure of the plan, in plan order.
+    /// The plan alone decides what the results file holds.
+    pub fn render<'r>(&self, template: &SimConfig, runs: &'r Runs) -> Experiment<'r> {
+        let mut exp: Experiment<'r> = (self.tables)(template, runs);
+        for job in (self.plan)(template).iter().flat_map(MatrixSpec::jobs) {
+            let outcome = runs.get(&job);
+            exp.runs.extend(outcome.run());
+            exp.failures.extend(JobFailure::from_outcome(outcome));
+        }
+        if !exp.failures.is_empty() {
+            let mut t = Table::with_headers(&["benchmark", "policy", "status", "detail"]);
+            for f in &exp.failures {
+                t.row(vec![
+                    f.benchmark.clone(),
+                    f.policy.clone(),
+                    f.status.clone(),
+                    f.detail.clone(),
+                ]);
+            }
+            exp.tables
+                .push(("failed jobs (excluded from aggregates above)".into(), t));
+        }
+        exp
+    }
 }
 
 const fn entry(
     name: &'static str,
     plan: fn(&SimConfig) -> Vec<MatrixSpec>,
-    render: fn(&SimConfig, &Runs) -> Experiment,
+    tables: fn(&SimConfig, &Runs) -> Experiment<'static>,
 ) -> Entry {
-    Entry { name, plan, render }
+    Entry { name, plan, tables }
 }
 
 /// How many leading [`EXPERIMENTS`] entries form the default sweep: the
@@ -1429,7 +1298,7 @@ pub fn campaign_jobs(template: &SimConfig) -> Vec<Job> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FaultInjection;
+    use crate::{FaultInjection, JobOutcome};
 
     #[test]
     fn fig7_has_twelve_techniques_in_order() {
@@ -1523,31 +1392,33 @@ mod tests {
         assert_eq!(select(&names(&["fig1", "fig9"])).unwrap_err(), "fig9");
     }
 
-    /// One tiny real run, cloned as the completed outcome of every job.
-    fn runs_for(jobs: &[Job], run: &SimRun) -> Runs {
-        let outcomes = jobs
-            .iter()
-            .map(|_| JobOutcome::Completed {
-                run: Box::new(run.clone()),
-                resumed: false,
-            })
-            .collect();
-        Runs::from_outcomes(jobs, outcomes)
+    /// One tiny real run.
+    fn tiny_run(template: &SimConfig) -> SimRun {
+        Job::new(
+            Profile::by_name("xapian").unwrap(),
+            template,
+            PolicySpec::BASELINE,
+        )
+        .run_checked_metered(&emissary_sim::FaultConfig::none(), None, "main")
+        .unwrap()
+    }
+
+    /// `run`, cloned as a completed outcome.
+    fn completed(run: &SimRun) -> JobOutcome {
+        JobOutcome::Completed {
+            run: Box::new(run.clone()),
+            resumed: false,
+        }
     }
 
     #[test]
     fn every_entry_renders_from_exactly_its_plan() {
         let template = tiny_template();
-        let run = Job::new(
-            Profile::by_name("xapian").unwrap(),
-            &template,
-            PolicySpec::BASELINE,
-        )
-        .run_checked_metered(&emissary_sim::FaultConfig::none(), None, "main")
-        .unwrap();
+        let run = tiny_run(&template);
         for entry in EXPERIMENTS {
             let jobs = plan_jobs(&[entry], &template);
-            let exp = (entry.render)(&template, &runs_for(&jobs, &run));
+            let runs = Runs::from_outcomes(&jobs, jobs.iter().map(|_| completed(&run)).collect());
+            let exp = entry.render(&template, &runs);
             assert!(!exp.tables.is_empty(), "{} rendered no table", entry.name);
             assert!(exp.failures.is_empty(), "{}", entry.name);
             // Every planned job is read exactly once: its run lands in the
@@ -1565,28 +1436,40 @@ mod tests {
 
     #[test]
     fn matrix_records_failures_without_dropping_successes() {
-        let spec = MatrixSpec {
-            profiles: vec![Profile::by_name("xapian").unwrap()],
-            template: tiny_template(),
-            policies: vec![PolicySpec::BASELINE, preferred()],
-        };
-        let mut jobs = spec.jobs();
-        jobs[1].inject = Some(FaultInjection::Panic);
-        let outcomes = crate::pool::run_parallel_outcomes_with(
-            &jobs,
-            &crate::PoolOptions::with_workers(2),
+        // Figure 4 gives each baseline job one cell; the job at index 1
+        // panics and the others complete.
+        let template = tiny_template();
+        let fig4 = EXPERIMENTS[3];
+        let jobs = plan_jobs(&[fig4], &template);
+        let mut broken = jobs[1].clone();
+        broken.inject = Some(FaultInjection::Panic);
+        let panicked = crate::pool::run_parallel_outcomes_with(
+            &[broken],
+            &crate::PoolOptions::with_workers(1),
             None,
         );
-        let matrix = spec.lookup(&Runs::from_outcomes(&jobs, outcomes));
-        assert!(matrix.get("xapian", &PolicySpec::BASELINE).is_some());
-        assert!(matrix.get("xapian", &preferred()).is_none());
-        assert_eq!(matrix.failures().len(), 1);
-        assert_eq!(matrix.failures()[0].status, "panicked");
-        let exp = Experiment::from_matrices("t", Vec::new(), vec![matrix]);
-        let (caption, table) = &exp.tables[0];
+        let run = tiny_run(&template);
+        let mut outcomes: Vec<JobOutcome> = jobs.iter().map(|_| completed(&run)).collect();
+        outcomes[1] = panicked.into_iter().next().unwrap();
+        let runs = Runs::from_outcomes(&jobs, outcomes);
+        let exp = fig4.render(&template, &runs);
+
+        let rows = exp.tables[0].1.rows();
+        let failed_cells = rows.iter().flatten().filter(|c| *c == FAILED).count();
+        assert_eq!(failed_cells, 1);
+        assert_eq!(rows[1], [jobs[1].profile.name, FAILED]);
+        assert_eq!(
+            rows[0][1],
+            fixed(run.report.footprint_bytes as f64 / (1024.0 * 1024.0), 2)
+        );
+        let (caption, table) = &exp.tables[1];
         assert!(caption.contains("failed jobs"));
         assert_eq!(table.rows().len(), 1);
-        assert_eq!(exp.runs.len(), 1);
-        assert_eq!(exp.failures.len(), 1);
+        assert_eq!(table.rows()[0][2], "panicked");
+        assert_eq!((exp.runs.len(), exp.failures.len()), (jobs.len() - 1, 1));
+        let mut records = Vec::new();
+        crate::results::write_records(&mut records, "fig4", &exp, &[], &[]).unwrap();
+        let records = String::from_utf8(records).unwrap();
+        assert_eq!(records.matches("\"record\":\"job_failure\"").count(), 1);
     }
 }

@@ -134,34 +134,33 @@ pub fn take_ckpt_errors() -> Vec<CkptError> {
 /// cost of producing a table is visible without profiling. `None` when
 /// no run carried timing (e.g. everything replayed from a pre-timing
 /// checkpoint).
-pub fn throughput_footer(runs: &[SimRun]) -> Option<String> {
-    let timed: Vec<&SimRun> = runs.iter().filter(|r| r.host_seconds > 0.0).collect();
-    if timed.is_empty() {
-        return None;
-    }
-    let host: f64 = timed.iter().map(|r| r.host_seconds).sum();
-    let cycles: u64 = timed.iter().map(|r| r.report.cycles).sum();
-    let committed: u64 = timed.iter().map(|r| r.report.committed).sum();
-    Some(format!(
-        "host throughput: {} run(s), {} thread(s), {:.1}s host time, {:.2} Mcycles/s, {:.2} MIPS",
-        timed.len(),
-        scale::knobs().threads,
-        host,
-        cycles as f64 / host / 1e6,
-        committed as f64 / host / 1e6,
-    ))
+pub fn throughput_footer(runs: &[&SimRun]) -> Option<String> {
+    let (timed, host, mcycles_per_sec, mips) = host_aggregates(runs);
+    (timed > 0).then(|| {
+        format!(
+            "host throughput: {timed} run(s), {} thread(s), {host:.1}s host time, \
+             {mcycles_per_sec:.2} Mcycles/s, {mips:.2} MIPS",
+            scale::knobs().threads,
+        )
+    })
 }
 
-/// Aggregate host timing over `runs`: (host seconds summed over timed
-/// runs, host MIPS). Both zero when nothing carried timing.
-fn host_aggregates(runs: &[SimRun]) -> (f64, f64) {
-    let timed: Vec<&SimRun> = runs.iter().filter(|r| r.host_seconds > 0.0).collect();
+/// Host timing over the runs that carried it: (runs, host seconds,
+/// simulated Mcycles per host second, host MIPS). All zero when none did.
+fn host_aggregates(runs: &[&SimRun]) -> (usize, f64, f64, f64) {
+    let timed: Vec<&SimRun> = runs
+        .iter()
+        .copied()
+        .filter(|r| r.host_seconds > 0.0)
+        .collect();
     let host: f64 = timed.iter().map(|r| r.host_seconds).sum();
     if host <= 0.0 {
-        return (0.0, 0.0);
+        return (0, 0.0, 0.0, 0.0);
     }
+    let cycles: u64 = timed.iter().map(|r| r.report.cycles).sum();
     let committed: u64 = timed.iter().map(|r| r.report.committed).sum();
-    (host, committed as f64 / host / 1e6)
+    let per_sec = |n: u64| n as f64 / host / 1e6;
+    (timed.len(), host, per_sec(cycles), per_sec(committed))
 }
 
 /// Renders `exp` to stdout and writes `results/<name>.jsonl`
@@ -248,7 +247,7 @@ pub fn write_records(
     ckpt_errors: &[CkptError],
 ) -> io::Result<()> {
     let runs = &exp.runs;
-    let (host_seconds, host_mips) = host_aggregates(runs);
+    let (_, host_seconds, _, host_mips) = host_aggregates(runs);
     let mut meta = JsonObject::new();
     meta.field_str("record", "meta")
         .field_str("experiment", name)
@@ -344,7 +343,7 @@ mod tests {
         t.row(vec!["xapian".into(), "1.25%".into()]);
         let run = tiny_run();
         let mut exp = Experiment::new("Test experiment".into(), vec![("caption".into(), t)]);
-        exp.runs.push(run.clone());
+        exp.runs.push(&run);
         let mut buf = Vec::new();
         write_records(&mut buf, "test_exp", &exp, &[], &[]).unwrap();
         let text = String::from_utf8(buf).unwrap();

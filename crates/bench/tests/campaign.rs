@@ -39,7 +39,7 @@ fn entries(names: &[&str]) -> Vec<Entry> {
 fn render(entries: &[Entry], runs: &Runs) -> Vec<String> {
     entries
         .iter()
-        .map(|e| (e.render)(&template(), runs).render())
+        .map(|e| e.render(&template(), runs).render())
         .collect()
 }
 
