@@ -213,12 +213,11 @@ fn bound_label(bucket: usize) -> String {
 fn analyze_checkpoint(name: &str, text: &str) -> String {
     let mut by_status: BTreeMap<String, u64> = BTreeMap::new();
     let mut by_experiment: BTreeMap<String, u64> = BTreeMap::new();
-    // fp -> the replayable record's (cycles, committed, starved), `None`
-    // while the job has only failed: a job re-simulated by a later run
-    // is one job of the campaign.
-    let mut memo: BTreeMap<String, Option<[u64; 3]>> = BTreeMap::new();
+    // fp -> the replayable (last completed) record, `None` while the job
+    // has only failed: a job re-simulated by a later run is one job of
+    // the campaign.
+    let mut memo: BTreeMap<String, Option<JsonValue>> = BTreeMap::new();
     let mut bad = 0u64;
-    let (mut host, mut warmup, mut measure) = (0.0f64, 0.0f64, 0.0f64);
     let seconds = |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0);
     let count = |v: &JsonValue, key: &str| {
         let report = v.get("report");
@@ -242,14 +241,11 @@ fn analyze_checkpoint(name: &str, text: &str) -> String {
         }
         // Same last-wins-per-fingerprint rule as resume, except failures
         // never displace an earlier completed record.
+        let fp = fp.to_string();
         if status == "completed" {
-            host += seconds(&v, "host_seconds");
-            warmup += seconds(&v, "warmup_seconds");
-            measure += seconds(&v, "measure_seconds");
-            let counts = ["cycles", "committed", "starvation_cycles"].map(|k| count(&v, k));
-            memo.insert(fp.to_string(), Some(counts));
+            memo.insert(fp, Some(v));
         } else {
-            memo.entry(fp.to_string()).or_insert(None);
+            memo.entry(fp).or_insert(None);
         }
     }
     let replayable = memo.values().flatten().count();
@@ -272,13 +268,21 @@ fn analyze_checkpoint(name: &str, text: &str) -> String {
             let _ = writeln!(out, "  {exp:<12} {n}");
         }
     }
+    let total_seconds = |key| {
+        memo.values()
+            .flatten()
+            .map(|v| seconds(v, key))
+            .sum::<f64>()
+    };
+    let [host, warmup, measure] =
+        ["host_seconds", "warmup_seconds", "measure_seconds"].map(total_seconds);
     let _ = writeln!(
         out,
         "completed host time: {host:.1}s ({warmup:.1}s warmup, {measure:.1}s measure)"
     );
-    let [cycles, committed, starved] = memo.values().flatten().fold([0u64; 3], |sum, c| {
-        [sum[0] + c[0], sum[1] + c[1], sum[2] + c[2]]
-    });
+    let total_count = |key| memo.values().flatten().map(|v| count(v, key)).sum::<u64>();
+    let [cycles, committed, starved] =
+        ["cycles", "committed", "starvation_cycles"].map(total_count);
     let share = if cycles > 0 {
         starved as f64 / cycles as f64 * 100.0
     } else {
@@ -421,6 +425,30 @@ garbage\n";
         let report = analyze_checkpoint("c", &text);
         assert!(
             report.contains("simulated: 4000 cycle(s), 2800 committed, 10.00% cycles starved"),
+            "{report}"
+        );
+    }
+
+    #[test]
+    fn checkpoint_host_time_counts_a_rerun_job_once() {
+        // A fresh rerun appends a second completed record for the same
+        // job; until the next open compacts the file, only the last one
+        // is the job's.
+        let record = |fp: &str, host: f64, warmup: f64, measure: f64| {
+            format!(
+                "{{\"record\":\"ckpt\",\"fingerprint\":\"{fp}\",\"status\":\"completed\",\
+                 \"host_seconds\":{host},\"warmup_seconds\":{warmup},\"measure_seconds\":{measure}}}\n"
+            )
+        };
+        let text = [
+            record("a", 4.0, 1.5, 2.5),
+            record("b", 1.0, 0.3, 0.7),
+            record("a", 2.0, 0.5, 1.5),
+        ]
+        .concat();
+        let report = analyze_checkpoint("c", &text);
+        assert!(
+            report.contains("completed host time: 3.0s (0.8s warmup, 2.2s measure)"),
             "{report}"
         );
     }

@@ -197,9 +197,8 @@ pub fn run_parallel_outcomes_with(
 
 /// [`run_parallel_outcomes_with`] invoking `hook(index, outcome)` from
 /// the worker thread as each job finishes, before the outcome is
-/// collected. The campaign engine uses this for progress reporting and
-/// for feeding observed per-benchmark throughput back into its cost
-/// model; the hook must not panic.
+/// collected. The campaign engine uses this for progress reporting; the
+/// hook must not panic.
 pub fn run_parallel_outcomes_hooked(
     jobs: &[Job],
     opts: &PoolOptions,

@@ -35,7 +35,7 @@ pub mod tracer;
 
 pub use event::{Level, TraceEvent};
 pub use json::JsonObject;
-pub use metrics::{bucket_bound, bucket_index, Log2Hist, Metric, MetricsRegistry, HIST_BUCKETS};
+pub use metrics::{bucket_bound, Log2Hist, Metric, MetricsRegistry};
 pub use parse::{jsonl_lines, JsonParseError, JsonValue, JsonlLine};
 pub use sample::{interval_chunks, IntervalSample, SampleCounters, SampleSeries};
 pub use sink::{JsonlSink, NullSink, RingBuffer, RingSink, TraceSink};

@@ -62,11 +62,6 @@ impl Default for Log2Hist {
 }
 
 impl Log2Hist {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one observation (a bounds-checked add, no allocation).
     #[inline]
     pub fn observe(&mut self, v: u64) {
@@ -82,15 +77,6 @@ impl Log2Hist {
         } else {
             self.sum as f64 / self.count as f64
         }
-    }
-
-    /// The inclusive upper bound of the highest non-empty bucket (0 when
-    /// empty) — a cheap stand-in for the maximum.
-    pub fn max_bound(&self) -> u64 {
-        self.buckets
-            .iter()
-            .rposition(|&c| c > 0)
-            .map_or(0, bucket_bound)
     }
 }
 
@@ -249,7 +235,7 @@ mod tests {
 
     #[test]
     fn histogram_observes_and_summarizes() {
-        let mut h = Log2Hist::new();
+        let mut h = Log2Hist::default();
         for v in [0, 1, 2, 3, 1000] {
             h.observe(v);
         }
@@ -259,7 +245,9 @@ mod tests {
         assert_eq!(h.buckets[1], 1);
         assert_eq!(h.buckets[2], 2);
         assert_eq!(h.buckets[10], 1);
-        assert_eq!(h.max_bound(), 1023);
+        // The highest non-empty bucket's bound brackets the maximum.
+        let top = h.buckets.iter().rposition(|&c| c > 0).unwrap();
+        assert_eq!(bucket_bound(top), 1023);
         assert!((h.mean() - 1006.0 / 5.0).abs() < 1e-12);
     }
 
