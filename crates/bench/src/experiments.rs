@@ -817,30 +817,30 @@ pub fn fig8(template: &SimConfig, runs: &Runs) -> Experiment<'static> {
         "P(8):S&E  % of sets",
         "P(8):S&E&R(1/32)  % of sets",
     ]);
-    let mut dist = [[0.0f64; 9]; 2];
-    for (pi, pol) in policies.iter().enumerate() {
-        let mut ok = 0usize;
-        for p in &spec.profiles {
-            let Some(r) = spec.report(runs, p, pol) else {
-                continue;
-            };
-            ok += 1;
-            let total: u64 = r.priority_histogram.iter().sum();
-            for (bucket, &count) in r.priority_histogram.iter().enumerate() {
-                let b = bucket.min(8);
-                dist[pi][b] += count as f64 / total.max(1) as f64;
+    // Each policy's bucket shares averaged over its completed runs; `None`
+    // (a column of `FAILED` cells) when none completed.
+    let dist: Vec<Option<[f64; 9]>> = policies
+        .iter()
+        .map(|pol| {
+            let mut sums = [0.0f64; 9];
+            let mut ok = 0usize;
+            for p in &spec.profiles {
+                let Some(r) = spec.report(runs, p, pol) else {
+                    continue;
+                };
+                ok += 1;
+                let total: u64 = r.priority_histogram.iter().sum();
+                for (bucket, &count) in r.priority_histogram.iter().enumerate() {
+                    sums[bucket.min(8)] += count as f64 / total.max(1) as f64;
+                }
             }
-        }
-        for d in &mut dist[pi] {
-            *d /= ok.max(1) as f64;
-        }
-    }
-    for (b, (d0, d1)) in dist[0].iter().zip(&dist[1]).enumerate() {
-        t.row(vec![
-            b.to_string(),
-            fixed(d0 * 100.0, 2),
-            fixed(d1 * 100.0, 2),
-        ]);
+            (ok > 0).then(|| sums.map(|d| d / ok as f64))
+        })
+        .collect();
+    for b in 0..9 {
+        let mut row = vec![b.to_string()];
+        row.extend(dist.iter().map(|d| fixed_opt(d.map(|d| d[b] * 100.0), 2)));
+        t.row(row);
     }
     let mut rt = Table::with_headers(&["benchmark", "reset_speedup_vs_no_reset%"]);
     for p in &spec.profiles {
@@ -1432,6 +1432,42 @@ mod tests {
     fn a_lookup_outside_the_plan_panics() {
         let template = tiny_template();
         let _ = fig1(&template, &Runs::default());
+    }
+
+    #[test]
+    fn fig8_column_whose_runs_all_failed_prints_failed() {
+        let template = tiny_template();
+        let fig8 = EXPERIMENTS[8];
+        assert_eq!(fig8.name, "fig8");
+        let jobs = plan_jobs(&[fig8], &template);
+        let run = tiny_run(&template);
+        let outcomes = jobs
+            .iter()
+            .map(|job| {
+                let policy = job.config.l2_policy.to_string();
+                if policy == "P(8):S&E" {
+                    JobOutcome::Panicked {
+                        benchmark: job.profile.name.to_string(),
+                        policy,
+                        message: "injected".into(),
+                    }
+                } else {
+                    completed(&run)
+                }
+            })
+            .collect();
+        let runs = Runs::from_outcomes(&jobs, outcomes);
+        let exp = fig8.render(&template, &runs);
+
+        let rows = exp.tables[0].1.rows();
+        assert_eq!(rows.len(), 9);
+        for row in rows {
+            assert_eq!(row[1], FAILED, "bucket {}", row[0]);
+            assert_ne!(row[2], FAILED, "bucket {}", row[0]);
+        }
+        // The reset table reads only the other column's runs.
+        assert!(exp.tables[1].1.rows().iter().flatten().all(|c| c != FAILED));
+        assert_eq!(exp.failures.len(), Profile::all().len());
     }
 
     #[test]

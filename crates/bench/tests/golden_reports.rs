@@ -5,7 +5,9 @@
 //! hot-path optimisation work (allocation-free cycle loop, open-addressing
 //! miss tables, devirtualized policy dispatch) landed, and the `GHRP`,
 //! `+BYPASS` and Figure 1 rows before the `P(N)` variants were folded into
-//! one statically-dispatched policy, so this test proves those rewrites are
+//! one statically-dispatched policy, and the `LIN` row before the
+//! in-flight tables were pruned to the misses still outstanding, so this
+//! test proves those rewrites are
 //! behaviour-preserving: any change to the cycle-level
 //! execution — timing, replacement decisions, stats plumbing — shifts at
 //! least one digest. Run with `EMISSARY_BLESS=1` and `--nocapture` to
@@ -30,7 +32,8 @@ struct Golden {
 
 /// Fixed-seed configs spanning the policy families: the baseline, every
 /// `P(N)` variant (plain, `+BYPASS`, `+GHRP`, with a §6 reset), standalone
-/// GHRP, and prior work, over both the default tree-PLRU machine and
+/// GHRP, and prior work (LIN, the one policy whose fills read the count of
+/// outstanding misses), over both the default tree-PLRU machine and
 /// Figure 1's true-LRU one, plus three non-default core shapes (issue
 /// width, scheduler window, ALU latency) that pin the issue scheduler.
 const GOLDEN: &[Golden] = &[
@@ -89,6 +92,13 @@ const GOLDEN: &[Golden] = &[
         policy: "P(8):S&E&R(1/32)+BYPASS",
         reset_interval: None,
         digest: 0xd7c7598ea3adfc21,
+    },
+    Golden {
+        config: SimConfig::default,
+        benchmark: "kafka",
+        policy: "LIN",
+        reset_interval: None,
+        digest: 0xf23c65a8aa8a9bf1,
     },
     Golden {
         config: SimConfig::figure1,

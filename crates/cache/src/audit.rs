@@ -15,6 +15,9 @@
 //! * `inclusion` / `exclusivity` — hierarchy-level pairings (every valid L1
 //!   line resident in the inclusive L2; the exclusive victim L3 disjoint
 //!   from L2).
+//! * `inflight_record` / `inflight_expired` — every in-flight (MSHR) table
+//!   entry has a ready-cycle heap record with its ready cycle, and no line
+//!   is both in flight and in its side's expired set.
 //!
 //! Note on Algorithm 1's protection bound: the paper caps *protection*, not
 //! *marking* — `P` bits are set unconditionally when a selected starvation

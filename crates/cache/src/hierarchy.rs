@@ -19,6 +19,14 @@
 //! is outstanding observes the remaining latency — the "late prefetch"
 //! behaviour that produces decode starvation in the paper's §3.
 //!
+//! A line put in flight stays in flight, for the next-line prefetchers'
+//! gating, until it is accessed again at or after its ready cycle. The
+//! in-flight tables hold only the entries not yet pruned, so they stay as
+//! small as the misses outstanding: the prune that counts outstanding
+//! misses moves each entry past its ready cycle into a per-side expired
+//! set (a paged line bitmap), and any later access to the line clears it
+//! there. The gates read the table and the set together.
+//!
 //! The §5.6 ideal model ("zero-cycle miss latency for all capacity and
 //! conflict instruction misses in the L2") is implemented by serving
 //! non-compulsory L2 instruction misses at L2-hit latency while leaving all
@@ -113,17 +121,25 @@ pub struct Hierarchy {
     pub l2: Cache,
     /// Shared exclusive victim L3.
     pub l3: Cache,
-    /// line -> (ready cycle, original serving level). An entry leaves only
-    /// when its line is accessed again at or after its ready cycle, so
-    /// expired entries stay; the next-line prefetchers' gating reads them.
+    /// line -> (ready cycle, original serving level) of each line put in
+    /// flight and not yet pruned. An entry leaves when its line is accessed
+    /// again at or after its ready cycle, or when a prune finds its ready
+    /// cycle passed and moves the line into the side's expired set.
     inflight_instr: LineMap<(u64, ServedBy)>,
     inflight_data: LineMap<(u64, ServedBy)>,
-    /// Ready cycles of the entries put in flight, earliest first, pruned
-    /// of those not after the current cycle at every fill and every new
-    /// entry. No entry is removed or overwritten before its ready cycle, so
-    /// after a prune the heap's size is exactly the number of misses still
-    /// outstanding.
-    inflight_ready: BinaryHeap<Reverse<u64>>,
+    /// Lines whose in-flight entry a prune expired and that no access has
+    /// touched since. With the table, they are the lines the next-line
+    /// prefetchers treat as in flight; no line is in both.
+    expired_instr: LineSet,
+    expired_data: LineSet,
+    /// `(ready cycle, side, line)` of each entry put in flight, earliest
+    /// first, pruned of those not after the current cycle at every fill
+    /// and every new entry. No entry is removed or overwritten before its
+    /// ready cycle, so after a prune the heap's size is exactly the number
+    /// of misses still outstanding. A record whose entry an access removed
+    /// before the prune reached it is stale: its prune finds no entry with
+    /// its ready cycle and moves nothing.
+    inflight_ready: BinaryHeap<Reverse<(u64, LineKind, u64)>>,
     /// Every instruction line ever requested (compulsory-miss tracking and
     /// the Figure 4 footprint metric).
     touched_instr: LineSet,
@@ -158,6 +174,8 @@ impl Hierarchy {
             l3,
             inflight_instr: LineMap::new(),
             inflight_data: LineMap::new(),
+            expired_instr: LineSet::new(),
+            expired_data: LineSet::new(),
             inflight_ready: BinaryHeap::new(),
             touched_instr: LineSet::new(),
             stats: HierarchyStats::default(),
@@ -233,6 +251,8 @@ impl Hierarchy {
                 };
             }
             self.inflight_instr.remove(line);
+        } else {
+            self.expired_instr.remove(line);
         }
         let info = if is_prefetch {
             AccessInfo::prefetch(LineKind::Instruction)
@@ -319,6 +339,8 @@ impl Hierarchy {
                 };
             }
             self.inflight_data.remove(line);
+        } else {
+            self.expired_data.remove(line);
         }
         let mut info = if is_prefetch {
             AccessInfo::prefetch(LineKind::Data)
@@ -371,26 +393,45 @@ impl Hierarchy {
         }
     }
 
+    /// The in-flight table and the expired set of `kind`'s side.
+    fn side(&mut self, kind: LineKind) -> (&mut LineMap<(u64, ServedBy)>, &mut LineSet) {
+        match kind {
+            LineKind::Instruction => (&mut self.inflight_instr, &mut self.expired_instr),
+            LineKind::Data => (&mut self.inflight_data, &mut self.expired_data),
+        }
+    }
+
+    /// Whether the next-line prefetchers treat `line` as in flight: it has
+    /// an entry in `kind`'s table or in its expired set.
+    fn gated(&self, kind: LineKind, line: u64) -> bool {
+        let (table, expired) = match kind {
+            LineKind::Instruction => (&self.inflight_instr, &self.expired_instr),
+            LineKind::Data => (&self.inflight_data, &self.expired_data),
+        };
+        table.contains_key(line) || expired.contains(line)
+    }
+
     /// Records `line` as in flight from cycle `now` until cycle `ready`.
     fn put_in_flight(&mut self, kind: LineKind, line: u64, now: u64, ready: u64, source: ServedBy) {
-        let inflight = match kind {
-            LineKind::Instruction => &mut self.inflight_instr,
-            LineKind::Data => &mut self.inflight_data,
-        };
-        inflight.insert(line, (ready, source));
+        self.side(kind).0.insert(line, (ready, source));
         self.live_misses(now);
-        self.inflight_ready.push(Reverse(ready));
+        self.inflight_ready.push(Reverse((ready, kind, line)));
     }
 
     /// Misses still outstanding at cycle `now`: entries whose ready cycle
-    /// is after it. Prunes the rest, so `now` must not go backwards.
+    /// is after it. Prunes the rest, moving each entry still in its table
+    /// into its side's expired set, so `now` must not go backwards.
     fn live_misses(&mut self, now: u64) -> usize {
-        while self
-            .inflight_ready
-            .peek()
-            .is_some_and(|&Reverse(ready)| ready <= now)
-        {
+        while let Some(&Reverse((ready, kind, line))) = self.inflight_ready.peek() {
+            if ready > now {
+                break;
+            }
             self.inflight_ready.pop();
+            let (table, expired) = self.side(kind);
+            if table.get(line).is_some_and(|&(r, _)| r == ready) {
+                table.remove(line);
+                expired.insert(line);
+            }
         }
         self.inflight_ready.len()
     }
@@ -466,7 +507,7 @@ impl Hierarchy {
 
     /// L1D next-line prefetch through the full data path.
     fn nlp_into_l1d(&mut self, line: u64, now: u64) {
-        if self.l1d.contains(line) || self.inflight_data.contains_key(line) {
+        if self.l1d.contains(line) || self.gated(LineKind::Data, line) {
             return;
         }
         self.stats.nlp_issued += 1;
@@ -478,14 +519,7 @@ impl Hierarchy {
     /// with the latency of its true source, so a demand that arrives before
     /// the prefetch completes waits out the remainder (late prefetch).
     fn nlp_into_l2(&mut self, line: u64, kind: LineKind, now: u64) {
-        if self.l2.contains(line) {
-            return;
-        }
-        let inflight = match kind {
-            LineKind::Instruction => &mut self.inflight_instr,
-            LineKind::Data => &mut self.inflight_data,
-        };
-        if inflight.contains_key(line) {
+        if self.l2.contains(line) || self.gated(kind, line) {
             return;
         }
         self.stats.nlp_issued += 1;
@@ -556,13 +590,15 @@ impl Hierarchy {
     pub fn outstanding_misses(&self, now: u64) -> usize {
         self.inflight_ready
             .iter()
-            .filter(|&&Reverse(ready)| ready > now)
+            .filter(|&&Reverse((ready, _, _))| ready > now)
             .count()
     }
 
     /// Read-only structural audit of the whole hierarchy: every cache's
-    /// per-set invariants (see [`Cache::audit`]) plus the cross-level
-    /// inclusion and exclusivity pairings. Returns every violation found.
+    /// per-set invariants (see [`Cache::audit`]), the cross-level
+    /// inclusion and exclusivity pairings, and the in-flight tables (each
+    /// entry has a heap record with its ready cycle and no line is both in
+    /// flight and expired). Returns every violation found.
     pub fn audit(&self) -> Vec<crate::audit::AuditViolation> {
         use crate::audit::AuditViolation;
         let mut violations = Vec::new();
@@ -593,6 +629,39 @@ impl Hierarchy {
                         l3_line.tag
                     ),
                 });
+            }
+        }
+        let records: std::collections::HashSet<(u64, LineKind, u64)> =
+            self.inflight_ready.iter().map(|r| r.0).collect();
+        for (kind, table, expired) in [
+            (
+                LineKind::Instruction,
+                &self.inflight_instr,
+                &self.expired_instr,
+            ),
+            (LineKind::Data, &self.inflight_data, &self.expired_data),
+        ] {
+            for (line, &(ready, _)) in table.iter() {
+                if !records.contains(&(ready, kind, line)) {
+                    violations.push(AuditViolation {
+                        invariant: "inflight_record",
+                        level: Level::InFlight,
+                        set: 0,
+                        detail: line,
+                        message: format!(
+                            "in-flight {kind:?} line {line:#x} (ready {ready}) has no heap record"
+                        ),
+                    });
+                }
+                if expired.contains(line) {
+                    violations.push(AuditViolation {
+                        invariant: "inflight_expired",
+                        level: Level::InFlight,
+                        set: 0,
+                        detail: line,
+                        message: format!("{kind:?} line {line:#x} is both in flight and expired"),
+                    });
+                }
             }
         }
         violations
@@ -673,8 +742,13 @@ mod tests {
         assert_eq!(h.outstanding_misses(150), 0);
         assert_eq!(h.live_misses(149), 1);
         assert_eq!(h.live_misses(150), 0);
-        // The expired entry stays in its table for the prefetchers' gating.
-        assert!(h.inflight_data.contains_key(100));
+        // The prune moved the expired entry out of its table into the
+        // expired set, which the prefetchers' gating reads.
+        assert!(!h.inflight_data.contains_key(100));
+        assert!(h.expired_data.contains(100));
+        // The next access to the line clears it there.
+        h.access_data(100, 150, false, false);
+        assert!(!h.expired_data.contains(100));
         // A second miss filled after the first expired counts only itself.
         h.access_instr(200, 150, false);
         assert_eq!(h.outstanding_misses(150), 1);
@@ -883,6 +957,57 @@ mod tests {
         assert!(h.check_inclusion());
     }
 
+    /// A hierarchy with one next-line prefetcher on (the L1D's for `Data`,
+    /// the L2's for `Instruction`), after line 100's `kind` miss put line
+    /// 101 in flight through that prefetcher (ready at cycle 150) and a
+    /// flush of 40 demand misses from cycle 1000 on pushed both lines out
+    /// of every cache above L3. Line 101 was never accessed again.
+    fn expired_unaccessed_prefetch(kind: LineKind) -> Hierarchy {
+        let mut cfg = tiny_cfg();
+        match kind {
+            LineKind::Data => cfg.l1d_nlp = true,
+            LineKind::Instruction => cfg.l2_nlp = true,
+        }
+        let pol = PolicyKind::TreePlru.build(cfg.l2.sets(), cfg.l2.ways, 9);
+        let mut h = Hierarchy::with_l2_policy(cfg, pol);
+        let access = |h: &mut Hierarchy, line: u64, now: u64| match kind {
+            LineKind::Data => h.access_data(line, now, false, false),
+            LineKind::Instruction => h.access_instr(line, now, false),
+        };
+        access(&mut h, 100, 0);
+        assert_eq!(h.stats().nlp_issued, 1);
+        for k in 0..40 {
+            access(&mut h, 1000 + 2 * k, 1000 + 200 * k);
+        }
+        for line in [100, 101] {
+            assert!(!h.l1d.contains(line) && !h.l1i.contains(line));
+            assert!(!h.l2.contains(line), "line {line} still in L2");
+        }
+        h
+    }
+
+    #[test]
+    fn expired_line_gates_l1d_nlp_after_leaving_l1d() {
+        let mut h = expired_unaccessed_prefetch(LineKind::Data);
+        let issued = h.stats().nlp_issued;
+        // Line 100 misses L1D again, which would prefetch 101 into L1D.
+        let a = h.access_data(100, 20_000, false, false);
+        assert!(a.served_by.missed_l1());
+        assert_eq!(h.stats().nlp_issued, issued, "the expired entry gates it");
+        assert!(!h.l1d.contains(101));
+    }
+
+    #[test]
+    fn expired_line_gates_l2_nlp_after_leaving_l2() {
+        let mut h = expired_unaccessed_prefetch(LineKind::Instruction);
+        let issued = h.stats().nlp_issued;
+        // Line 100 misses L2 again, which would prefetch 101 into L2.
+        let a = h.access_instr(100, 20_000, false);
+        assert!(matches!(a.served_by, ServedBy::L3 | ServedBy::Memory));
+        assert_eq!(h.stats().nlp_issued, issued, "the expired entry gates it");
+        assert!(!h.l2.contains(101));
+    }
+
     #[test]
     fn footprint_counts_unique_instruction_lines() {
         let mut h = tiny();
@@ -917,6 +1042,16 @@ mod tests {
         }
         assert!(h.check_inclusion(), "inclusion violated");
         assert!(h.check_exclusivity(), "exclusivity violated");
+        // The tables hold only entries not yet pruned, each with a record.
+        assert!(
+            h.inflight_instr.len() + h.inflight_data.len() <= h.inflight_ready.len(),
+            "in-flight tables hold {} + {} entries, the heap {} records",
+            h.inflight_instr.len(),
+            h.inflight_data.len(),
+            h.inflight_ready.len()
+        );
+        assert!(h.expired_instr.len() + h.expired_data.len() > 0);
+        assert_eq!(h.audit(), Vec::new());
     }
 
     #[test]
@@ -950,6 +1085,38 @@ mod tests {
                 .any(|v| v.invariant == "inclusion" && v.detail == l1_line),
             "expected an inclusion violation for line {l1_line:#x}: {violations:?}"
         );
+    }
+
+    #[test]
+    fn audit_catches_inflight_corruption() {
+        let mut h = tiny();
+        h.access_data(100, 0, false, false);
+        h.access_data(200, 1000, false, false);
+        assert!(h.expired_data.contains(100) && h.inflight_data.contains_key(200));
+        assert_eq!(h.audit(), Vec::new());
+        let expect = |h: &Hierarchy, what: &str, line: u64| {
+            let violations = h.audit();
+            assert!(
+                violations
+                    .iter()
+                    .any(|v| v.invariant == what && v.detail == line),
+                "expected a {what:?} violation for line {line}, got {violations:?}"
+            );
+        };
+        // An entry whose heap record is lost would never expire.
+        let records = std::mem::take(&mut h.inflight_ready);
+        expect(&h, "inflight_record", 200);
+        h.inflight_ready = records;
+        // A record with another ready cycle does not cover the entry.
+        let entry = *h.inflight_data.get(200).unwrap();
+        h.inflight_data.insert(200, (entry.0 + 1, entry.1));
+        expect(&h, "inflight_record", 200);
+        h.inflight_data.insert(200, entry);
+        // A line both in flight and expired.
+        h.expired_data.insert(200);
+        expect(&h, "inflight_expired", 200);
+        h.expired_data.remove(200);
+        assert_eq!(h.audit(), Vec::new());
     }
 }
 

@@ -6,7 +6,7 @@
 /// differently (EMISSARY protects only instruction lines; DCLIP prioritizes
 /// instruction lines; the `M:` treatments apply to instruction lines while
 /// data lines keep normal MRU insertion).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum LineKind {
     /// An instruction cache line.
     Instruction,

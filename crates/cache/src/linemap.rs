@@ -1,20 +1,30 @@
-//! Open-addressing hash map and set keyed by line addresses.
+//! Line-keyed maps and sets for the simulator's miss path.
 //!
-//! The simulator's miss path tracks small, hot, integer-keyed state: the
-//! in-flight (MSHR) tables in the hierarchy and the pending-miss flag
-//! table in the machine. `std::collections::HashMap` pays SipHash plus a
+//! The miss path tracks small, hot, integer-keyed state: the in-flight
+//! (MSHR) tables in the hierarchy and the pending-miss flag table in the
+//! machine. `std::collections::HashMap` pays SipHash plus a
 //! cache-unfriendly bucket layout on every probe, which shows up directly
 //! in end-to-end simulator throughput. [`LineMap`] replaces it on those
 //! paths with a flat `Vec` of slots, a single multiply-based hash
 //! (Fibonacci hashing by `0x9E37_79B9_7F4A_7C15`), linear probing, and
 //! backward-shift deletion (no tombstones, so long-running maps with
-//! constant insert/remove churn never degrade).
+//! constant insert/remove churn never degrade). Its tables are sized by
+//! the entries they hold, so it suits maps that stay small: the in-flight
+//! tables hold only the misses not yet pruned, at most a few dozen.
 //!
-//! The table is *not* a general-purpose map: keys are `u64` line
+//! [`LineSet`] holds sets that grow with a footprint instead: the
+//! instruction lines ever touched (52k lines on tomcat) and the lines
+//! whose in-flight entry expired without a later access. It is a bitmap
+//! paged by 4096-line regions: a small `LineMap<u32>` from page number to
+//! a 512-byte page, plus a count. A member costs one bit instead of a
+//! hashed slot of 16 or 24 bytes, and a probe is one page-map lookup
+//! plus a bit test.
+//!
+//! Neither is a general-purpose container: keys are `u64` line
 //! addresses, there is no entry API beyond [`LineMap::get_or_insert`],
-//! and iteration order is unspecified. Determinism is preserved because
-//! the simulator never iterates these tables in a way that feeds back
-//! into simulated behaviour.
+//! and [`LineMap::iter`]'s order is unspecified. Determinism is preserved
+//! because the simulator never iterates these tables in a way that feeds
+//! back into simulated behaviour (only the hierarchy's audit iterates).
 
 /// Multiplicative hash constant (2^64 / φ, the Fibonacci hashing ratio).
 const HASH_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -71,6 +81,11 @@ impl<V> LineMap<V> {
         let h = key.wrapping_mul(HASH_MUL);
         // High bits carry the multiply's mixing; shift them into range.
         (h >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// Every `(key, value)` entry, in unspecified order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> {
+        self.slots.iter().flatten().map(|(k, v)| (*k, v))
     }
 
     /// Index of the slot holding `key`, if present.
@@ -191,10 +206,23 @@ impl<V> LineMap<V> {
     }
 }
 
-/// An open-addressing set of line addresses backed by [`LineMap`].
+/// Lines per [`LineSet`] page: one page is a 512-byte bitmap.
+const PAGE_LINES: u64 = 4096;
+
+/// 64-bit words per [`LineSet`] page.
+const PAGE_WORDS: usize = (PAGE_LINES / 64) as usize;
+
+/// A set of line addresses: a bitmap paged by 4096-line regions, found
+/// through a small [`LineMap`] from page number to page. See the module
+/// docs for where it pays off.
 #[derive(Debug, Clone, Default)]
 pub struct LineSet {
-    map: LineMap<()>,
+    /// Page number (`line / PAGE_LINES`) -> index into `pages`.
+    index: LineMap<u32>,
+    /// One bitmap per page any insert reached; pages are never freed.
+    pages: Vec<[u64; PAGE_WORDS]>,
+    /// Number of set bits over all pages.
+    len: usize,
 }
 
 impl LineSet {
@@ -205,35 +233,65 @@ impl LineSet {
 
     /// Number of lines in the set.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// Whether the set is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
+    }
+
+    /// The page holding `line`, its word index and its bit mask.
+    #[inline]
+    fn locate(line: u64) -> (u64, usize, u64) {
+        let bit = line % PAGE_LINES;
+        (line / PAGE_LINES, (bit / 64) as usize, 1 << (bit % 64))
     }
 
     /// Adds `line`; returns `true` if it was not already present
     /// (matching `HashSet::insert`).
     #[inline]
     pub fn insert(&mut self, line: u64) -> bool {
-        self.map.insert(line, ()).is_none()
+        let (page, word, mask) = Self::locate(line);
+        let next = u32::try_from(self.pages.len()).expect("fewer than 2^32 pages");
+        let i = *self.index.get_or_insert(page, next);
+        if i == next {
+            self.pages.push([0; PAGE_WORDS]);
+        }
+        let w = &mut self.pages[i as usize][word];
+        let added = *w & mask == 0;
+        *w |= mask;
+        self.len += usize::from(added);
+        added
     }
 
     /// Whether `line` is in the set.
     #[inline]
     pub fn contains(&self, line: u64) -> bool {
-        self.map.contains_key(line)
+        let (page, word, mask) = Self::locate(line);
+        self.index
+            .get(page)
+            .is_some_and(|&i| self.pages[i as usize][word] & mask != 0)
     }
 
     /// Removes `line`; returns `true` if it was present.
+    #[inline]
     pub fn remove(&mut self, line: u64) -> bool {
-        self.map.remove(line).is_some()
+        let (page, word, mask) = Self::locate(line);
+        let Some(&i) = self.index.get(page) else {
+            return false;
+        };
+        let w = &mut self.pages[i as usize][word];
+        let removed = *w & mask != 0;
+        *w &= !mask;
+        self.len -= usize::from(removed);
+        removed
     }
 
-    /// Removes every line, keeping the allocated table.
+    /// Removes every line, keeping the allocated pages.
     pub fn clear(&mut self) {
-        self.map.clear();
+        self.pages.fill([0; PAGE_WORDS]);
+        self.len = 0;
     }
 }
 
@@ -241,7 +299,7 @@ impl LineSet {
 mod tests {
     use super::*;
     use crate::rng::XorShift64;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
 
     #[test]
     fn insert_get_remove_roundtrip() {
@@ -337,6 +395,68 @@ mod tests {
         for (k, v) in &theirs {
             assert_eq!(ours.get(*k), Some(v), "final check key {k}");
         }
+    }
+
+    #[test]
+    fn iter_visits_every_entry_once() {
+        let mut m = LineMap::new();
+        for i in 0..100u64 {
+            m.insert(i * 3, i);
+        }
+        m.remove(30);
+        let mut seen: Vec<(u64, u64)> = m.iter().map(|(k, &v)| (k, v)).collect();
+        seen.sort_unstable();
+        let expected: Vec<(u64, u64)> = (0..100u64)
+            .filter(|&i| i != 10)
+            .map(|i| (i * 3, i))
+            .collect();
+        assert_eq!(seen, expected);
+    }
+
+    /// Mirror a random op mix into `HashSet`. The keys sit in clusters
+    /// that straddle page boundaries (including the first and last page
+    /// of the address space) and lie far apart, so the page map grows
+    /// and a probe can hit an unmapped page.
+    #[test]
+    fn line_set_random_ops_match_std_hashset() {
+        let mut rng = XorShift64::new(0x5e7);
+        let mut ours = LineSet::new();
+        let mut theirs: HashSet<u64> = HashSet::new();
+        let centres = [
+            0,
+            PAGE_LINES,
+            7 * PAGE_LINES,
+            (1 << 30) * PAGE_LINES,
+            u64::MAX - 200,
+        ];
+        for step in 0..200_000u64 {
+            let centre = centres[(rng.next_u64() % centres.len() as u64) as usize];
+            let key = centre.wrapping_add(rng.next_u64() % 400).wrapping_sub(200);
+            match rng.next_u64() % 4 {
+                0 | 1 => assert_eq!(
+                    ours.insert(key),
+                    theirs.insert(key),
+                    "insert({key}) at {step}"
+                ),
+                2 => assert_eq!(
+                    ours.remove(key),
+                    theirs.remove(&key),
+                    "remove({key}) at {step}"
+                ),
+                _ => assert_eq!(
+                    ours.contains(key),
+                    theirs.contains(&key),
+                    "contains({key}) at {step}"
+                ),
+            }
+            assert_eq!(ours.len(), theirs.len(), "len at step {step}");
+        }
+        for &key in &theirs {
+            assert!(ours.contains(key), "final check key {key}");
+        }
+        ours.clear();
+        assert!(ours.is_empty());
+        assert!(theirs.iter().all(|&k| !ours.contains(k)));
     }
 
     #[test]

@@ -59,6 +59,8 @@ pub const KNOWN_INVARIANTS: &[&str] = &[
     "duplicate_line",
     "priority_on_data",
     "policy_state",
+    "inflight_record",
+    "inflight_expired",
 ];
 
 /// Maps an invariant name from a parsed trace back to its static
