@@ -929,7 +929,7 @@ impl<'p> Machine<'p> {
                 return;
             };
             // Touch the block's lines (pollution / accidental prefetch).
-            let first = block.start >> 6;
+            let first = block.start() >> 6;
             let last = (block.end() - 1) >> 6;
             for line in first..=last {
                 let m = self.hierarchy.access_instr(line, self.now, true);
@@ -938,7 +938,7 @@ impl<'p> Machine<'p> {
                 }
             }
             // Steer via the BTB, as real wrong-path fetch would.
-            self.wp_pc = match self.engine.wrong_path_lookup(block.start) {
+            self.wp_pc = match self.engine.wrong_path_lookup(block.start()) {
                 Some(e) if matches!(e.kind, BranchClass::Jump | BranchClass::Call) => e.target,
                 Some(e) if e.kind == BranchClass::CondDirect => {
                     // No oracle on the wrong path: alternate directions.

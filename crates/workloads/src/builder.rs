@@ -12,12 +12,62 @@
 //! Conditional branches mix predictable forward skips, loop backedges, and
 //! a configurable fraction of ~50/50 "hard" branches that defeat TAGE and
 //! periodically reset FDIP's run-ahead (where starvation concentrates, §3).
+//!
+//! The builder writes the packed [`Program`] layout directly. Each
+//! template it draws is interned into the program's palette on the spot,
+//! through a table indexed by the draw itself (operation, stream and the
+//! two dependency distances), and only its 2-byte code is stored. Each
+//! branch behavior is interned into [`Program::behaviors`]: every loop
+//! backedge gets its own entry (it owns a counter), while the biased
+//! branches share one entry per distinct probability. A block's not-taken,
+//! fall-through or return successor is the next block id, which the
+//! generator always lays out next, and the layout shuffle keeps that
+//! adjacency wherever a block falls through.
 
 use crate::behavior::{BranchBehavior, DataStream};
 use crate::program::{
     BasicBlock, IndirectSite, InstrKind, InstrTemplate, Program, Terminator, CODE_BASE, INSTR_BYTES,
 };
 use crate::rng::Rng;
+
+/// Bound (exclusive) on the dependency distances the builder draws, which
+/// sizes [`Palette`]'s lookup table.
+const DEP_LIMIT: usize = 16;
+
+/// The palette under construction: the distinct templates in first-drawn
+/// order, and the code of each possible draw.
+struct Palette {
+    templates: Vec<InstrTemplate>,
+    /// Code per (operation, stream, dep1, dep2), `u16::MAX` while unseen;
+    /// the operations are ALU (stream 0), load and store, over the
+    /// builder's three streams.
+    codes: [[[[u16; DEP_LIMIT]; DEP_LIMIT]; 3]; 3],
+}
+
+impl Palette {
+    fn new() -> Self {
+        Self {
+            templates: Vec::new(),
+            codes: [[[[u16::MAX; DEP_LIMIT]; DEP_LIMIT]; 3]; 3],
+        }
+    }
+
+    /// The code of `t`, added to the palette on first sight.
+    fn intern(&mut self, t: InstrTemplate) -> u16 {
+        let (op, stream) = match t.kind {
+            InstrKind::Alu => (0, 0),
+            InstrKind::Load(s) => (1, s),
+            InstrKind::Store(s) => (2, s),
+        };
+        let slot =
+            &mut self.codes[op][usize::from(stream)][usize::from(t.dep1)][usize::from(t.dep2)];
+        if *slot == u16::MAX {
+            *slot = self.templates.len() as u16;
+            self.templates.push(t);
+        }
+        *slot
+    }
+}
 
 /// Base byte address of the hot data region.
 pub const HOT_BASE: u64 = 0x1000_0000;
@@ -151,22 +201,37 @@ pub fn build_program(shape: &ProgramShape) -> Program {
     let mut blocks: Vec<BasicBlock> = Vec::with_capacity(n_blocks as usize);
     // Block lengths average `avg`; the slack keeps the array from doubling,
     // and the shrink below returns what is left.
-    let mut instrs: Vec<InstrTemplate> = Vec::with_capacity(n_blocks as usize * (avg as usize + 1));
-    let mut addr = CODE_BASE;
+    let mut codes: Vec<u16> = Vec::with_capacity(n_blocks as usize * (avg as usize + 1));
+    let mut palette = Palette::new();
+    let mut behaviors = Vec::new();
     let mut loop_sites = 0u32;
-    let mut loop_behavior = |trip: u32| {
+    // Each loop backedge gets its own behavior and counter slot.
+    let mut loop_behavior = |behaviors: &mut Vec<BranchBehavior>, trip: u32| {
         loop_sites += 1;
-        BranchBehavior::Loop {
+        behaviors.push(BranchBehavior::Loop {
             trip,
             site: loop_sites - 1,
-        }
+        });
+        behaviors.len() as u32 - 1
     };
-    // Appends one block: its templates go straight onto `instrs`.
+    // Biased branches share one behavior per distinct probability.
+    let mut biases: Vec<(u64, u32)> = Vec::with_capacity(3);
+    let mut biased_behavior = |behaviors: &mut Vec<BranchBehavior>, taken_prob: f64| {
+        let bits = taken_prob.to_bits();
+        if let Some(&(_, index)) = biases.iter().find(|&&(b, _)| b == bits) {
+            return index;
+        }
+        behaviors.push(BranchBehavior::Biased { taken_prob });
+        biases.push((bits, behaviors.len() as u32 - 1));
+        behaviors.len() as u32 - 1
+    };
+    let mut addr = CODE_BASE;
+    // Appends one block: its templates' codes go straight onto `codes`.
     let mut push_block = |term: Terminator, rng: &mut Rng| {
         let span = 7.min(avg as i64 - 3).max(1) as u64;
         let len = (avg as i64 - 3 + rng.below(2 * span + 1) as i64).clamp(3, 16) as usize;
-        let first = instrs.len() as u32;
-        instrs.extend((0..len).map(|slot| {
+        let first = codes.len() as u32;
+        codes.extend((0..len).map(|slot| {
             let r = rng.f64();
             // The last slot is the block's control-transfer instruction
             // and must not be a memory op.
@@ -195,7 +260,7 @@ pub fn build_program(shape: &ProgramShape) -> Program {
             } else {
                 InstrKind::Alu
             };
-            InstrTemplate {
+            palette.intern(InstrTemplate {
                 kind,
                 dep1: 1 + rng.below(5) as u8,
                 dep2: if rng.chance(0.3) {
@@ -203,14 +268,9 @@ pub fn build_program(shape: &ProgramShape) -> Program {
                 } else {
                     0
                 },
-            }
+            })
         }));
-        blocks.push(BasicBlock {
-            start: addr,
-            first,
-            len: len as u32,
-            terminator: term,
-        });
+        blocks.push(BasicBlock::new(addr, first, len as u32, term));
         addr += INSTR_BYTES * len as u64;
     };
     let mut indirect = Vec::with_capacity(1);
@@ -232,11 +292,10 @@ pub fn build_program(shape: &ProgramShape) -> Program {
         } else if i == dispatcher - 2 && i % LAYOUT_GRANULE != LAYOUT_GRANULE - 1 {
             Terminator::Cond {
                 target: 0,
-                fallthrough: i + 1,
-                behavior: loop_behavior(2),
+                behavior: loop_behavior(&mut behaviors, 2),
             }
         } else {
-            Terminator::FallThrough { next: i + 1 }
+            Terminator::FallThrough
         };
         push_block(term, &mut rng);
     }
@@ -251,11 +310,10 @@ pub fn build_program(shape: &ProgramShape) -> Program {
             } else if j == 1 && helper_blocks > 2 && id % LAYOUT_GRANULE != LAYOUT_GRANULE - 1 {
                 Terminator::Cond {
                     target: base + j - 1,
-                    fallthrough: base + j + 1,
-                    behavior: loop_behavior(2 + rng.below(3) as u32),
+                    behavior: loop_behavior(&mut behaviors, 2 + rng.below(3) as u32),
                 }
             } else {
-                Terminator::FallThrough { next: base + j + 1 }
+                Terminator::FallThrough
             };
             push_block(term, &mut rng);
         }
@@ -271,14 +329,12 @@ pub fn build_program(shape: &ProgramShape) -> Program {
             .find(|j| (base + j) % LAYOUT_GRANULE != LAYOUT_GRANULE - 1);
         for j in 0..service_blocks {
             let id = base + j;
-            let next = id + 1;
             let term = if j == service_blocks - 1 {
                 Terminator::Return
             } else if Some(j) == outer_loop_j && shape.service_repeat > 1 {
                 Terminator::Cond {
                     target: base,
-                    fallthrough: next,
-                    behavior: loop_behavior(shape.service_repeat),
+                    behavior: loop_behavior(&mut behaviors, shape.service_repeat),
                 }
             } else if id % LAYOUT_GRANULE == LAYOUT_GRANULE - 1 {
                 // Granule-ending blocks may not rely on physical adjacency
@@ -287,23 +343,20 @@ pub fn build_program(shape: &ProgramShape) -> Program {
                 if rng.chance(shape.call_frac) && helpers > 0 {
                     Terminator::Call {
                         callee: helper_entry(rng.below(u64::from(helpers)) as u32),
-                        ret_to: next,
                     }
                 } else {
-                    Terminator::Jump { target: next }
+                    Terminator::Jump { target: id + 1 }
                 }
             } else {
                 let roll = rng.f64();
                 if roll < shape.loop_frac && j >= 1 {
                     Terminator::Cond {
                         target: id - 1,
-                        fallthrough: next,
-                        behavior: loop_behavior(shape.loop_trip.max(2)),
+                        behavior: loop_behavior(&mut behaviors, shape.loop_trip.max(2)),
                     }
                 } else if roll < shape.loop_frac + shape.call_frac && helpers > 0 {
                     Terminator::Call {
                         callee: helper_entry(rng.below(u64::from(helpers)) as u32),
-                        ret_to: next,
                     }
                 } else if roll < shape.loop_frac + shape.call_frac + shape.cond_frac {
                     // Forward skip within the service.
@@ -318,11 +371,10 @@ pub fn build_program(shape: &ProgramShape) -> Program {
                     };
                     Terminator::Cond {
                         target,
-                        fallthrough: next,
-                        behavior: BranchBehavior::Biased { taken_prob },
+                        behavior: biased_behavior(&mut behaviors, taken_prob),
                     }
                 } else {
-                    Terminator::FallThrough { next }
+                    Terminator::FallThrough
                 }
             };
             push_block(term, &mut rng);
@@ -338,8 +390,17 @@ pub fn build_program(shape: &ProgramShape) -> Program {
     // longer physically adjacent become explicit jumps.
     shuffle_layout(&mut blocks, &mut rng);
 
-    instrs.shrink_to_fit();
-    let program = Program::new(blocks, instrs, streams, indirect, loop_sites);
+    codes.shrink_to_fit();
+    behaviors.shrink_to_fit();
+    let program = Program::new(
+        blocks,
+        codes,
+        palette.templates,
+        behaviors,
+        streams,
+        indirect,
+        loop_sites,
+    );
     debug_assert_eq!(program.validate(), Ok(()));
     program
 }
@@ -350,7 +411,7 @@ pub const LAYOUT_GRANULE: u32 = 4;
 
 /// Shuffles block addresses granule-wise and converts non-adjacent
 /// fall-throughs into jumps. Block ids (and therefore all CFG edges) are
-/// unchanged; only `start` addresses move.
+/// unchanged; only start addresses move.
 fn shuffle_layout(blocks: &mut [BasicBlock], rng: &mut Rng) {
     let g = LAYOUT_GRANULE as usize;
     let n_granules = blocks.len().div_ceil(g);
@@ -366,28 +427,15 @@ fn shuffle_layout(blocks: &mut [BasicBlock], rng: &mut Rng) {
     let mut addr = CODE_BASE;
     for &gi in &order {
         for b in blocks.iter_mut().skip(gi * g).take(g) {
-            b.start = addr;
+            b.set_start(addr);
             addr = b.end();
         }
     }
-    // Fix up adjacency-dependent terminators.
-    let ends: Vec<u64> = blocks.iter().map(|b| b.end()).collect();
-    let starts: Vec<u64> = blocks.iter().map(|b| b.start).collect();
-    for i in 0..blocks.len() {
-        let fixup = match blocks[i].terminator {
-            Terminator::FallThrough { next } if starts[next as usize] != ends[i] => {
-                Some(Terminator::Jump { target: next })
-            }
-            _ => None,
-        };
-        if let Some(term) = fixup {
-            blocks[i].terminator = term;
-        }
-        if let Terminator::Cond { fallthrough, .. } = blocks[i].terminator {
-            debug_assert_eq!(
-                starts[fallthrough as usize], ends[i],
-                "conditional fall-through must stay physically adjacent"
-            );
+    // A fall-through whose successor moved away becomes a jump to it.
+    for i in 1..blocks.len() {
+        let (prev, next) = (&blocks[i - 1], &blocks[i]);
+        if prev.terminator == Terminator::FallThrough && prev.end() != next.start() {
+            blocks[i - 1].terminator = Terminator::Jump { target: i as u32 };
         }
     }
 }
@@ -459,12 +507,12 @@ mod tests {
     fn layout_is_packed_granule_wise_and_entry_first() {
         let p = build_program(&ProgramShape::tiny());
         // Entry granule stays at the base address.
-        assert_eq!(p.blocks[0].start, CODE_BASE);
+        assert_eq!(p.blocks[0].start(), CODE_BASE);
         // Within each granule, blocks are physically contiguous.
         let g = LAYOUT_GRANULE as usize;
         for chunk in p.blocks.chunks(g) {
             for w in chunk.windows(2) {
-                assert_eq!(w[0].end(), w[1].start, "granule blocks contiguous");
+                assert_eq!(w[0].end(), w[1].start(), "granule blocks contiguous");
             }
         }
         // The address space is packed overall: total span == total bytes.
@@ -476,7 +524,7 @@ mod tests {
             assert_eq!(b.first, next, "template ranges in id order");
             next += b.len;
         }
-        assert_eq!(next as usize, p.instrs.len());
+        assert_eq!(next as usize, p.codes.len());
     }
 
     #[test]
@@ -488,19 +536,44 @@ mod tests {
         let loops = p
             .blocks
             .iter()
-            .filter(|b| {
-                matches!(
-                    b.terminator,
-                    Terminator::Cond {
-                        behavior: BranchBehavior::Loop { .. },
-                        ..
-                    }
-                )
+            .filter(|b| match b.terminator {
+                Terminator::Cond { behavior, .. } => {
+                    matches!(p.behaviors[behavior as usize], BranchBehavior::Loop { .. })
+                }
+                _ => false,
             })
             .count();
         assert!(loops > 0);
         assert_eq!(loops, p.loop_sites as usize);
         assert!(p.loop_sites as usize * 4 < p.blocks.len());
+        // Every loop behavior is its own; the biased ones are shared, one
+        // per distinct probability.
+        let mut biased: Vec<f64> = p
+            .behaviors
+            .iter()
+            .filter_map(|b| match *b {
+                BranchBehavior::Biased { taken_prob } => Some(taken_prob),
+                BranchBehavior::Loop { .. } => None,
+            })
+            .collect();
+        assert_eq!(p.behaviors.len(), loops + biased.len());
+        biased.sort_by(f64::total_cmp);
+        assert_eq!(biased, [0.03, 0.5, 0.97]);
+    }
+
+    #[test]
+    fn palette_holds_each_distinct_template_once() {
+        let p = build_program(&ProgramShape::tiny());
+        for (i, t) in p.palette.iter().enumerate() {
+            assert!(!p.palette[..i].contains(t), "template {i} repeated");
+        }
+        let mut used = vec![false; p.palette.len()];
+        for &code in &p.codes {
+            used[usize::from(code)] = true;
+        }
+        assert!(used.iter().all(|&u| u), "every palette entry is drawn");
+        // 7 operation-stream pairs x 5 first x 9 second distances at most.
+        assert!(p.palette.len() <= 315, "{}", p.palette.len());
     }
 
     #[test]
@@ -511,12 +584,12 @@ mod tests {
                 code_kb: 64,
                 ..ProgramShape::tiny()
             });
-            for b in &p.blocks {
-                if let crate::program::Terminator::Cond { fallthrough, .. } = b.terminator {
+            for (id, b) in p.blocks.iter().enumerate() {
+                if let Terminator::Cond { .. } | Terminator::FallThrough = b.terminator {
                     assert_eq!(
-                        p.blocks[fallthrough as usize].start,
+                        p.blocks[id + 1].start(),
                         b.end(),
-                        "cond fall-through adjacency (seed {seed})"
+                        "fall-through adjacency (seed {seed})"
                     );
                 }
             }
@@ -535,7 +608,7 @@ mod tests {
         let mut total = 0;
         for i in (0..p.blocks.len().saturating_sub(2 * g)).step_by(g) {
             total += 1;
-            if p.blocks[i + g].start == p.blocks[i + g - 1].end() {
+            if p.blocks[i + g].start() == p.blocks[i + g - 1].end() {
                 adjacent += 1;
             }
         }

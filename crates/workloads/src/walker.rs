@@ -109,8 +109,9 @@ impl<'p> Walker<'p> {
     pub fn emit_block(&mut self, out: &mut Vec<DynInstr>) -> DynBlock {
         let id = self.current;
         let block = self.program.block(id);
+        let start = block.start();
         let n = block.len as usize;
-        for (i, t) in self.program.templates(block).iter().enumerate() {
+        for (i, t) in self.program.templates(block).enumerate() {
             let op = match t.kind {
                 InstrKind::Alu => DynOp::Alu,
                 InstrKind::Load(s) => DynOp::Load(
@@ -123,7 +124,7 @@ impl<'p> Walker<'p> {
                 ),
             };
             out.push(DynInstr {
-                pc: block.start + INSTR_BYTES * i as u64,
+                pc: start + INSTR_BYTES * i as u64,
                 op,
                 dep1: t.dep1,
                 dep2: t.dep2,
@@ -131,10 +132,10 @@ impl<'p> Walker<'p> {
             });
         }
         let (taken, taken_target, next) = self.resolve_terminator(id);
-        let next_start = self.program.block(next).start;
+        let next_start = self.program.block(next).start();
         let dyn_block = DynBlock {
             id,
-            start: block.start,
+            start,
             num_instrs: n as u32,
             class: block.terminator.class(),
             taken,
@@ -148,29 +149,27 @@ impl<'p> Walker<'p> {
     }
 
     /// Resolves the terminator of `id`: `(taken, taken_target, successor)`.
+    /// The successor a terminator implies is block `id + 1`.
     fn resolve_terminator(&mut self, id: BlockId) -> (bool, u64, BlockId) {
-        let block = self.program.block(id);
-        match &block.terminator {
-            Terminator::Cond {
-                target,
-                fallthrough,
-                behavior,
-            } => {
-                let taken = behavior.next_outcome(&mut self.loop_counters, &mut self.rng);
-                let tgt_addr = self.program.block(*target).start;
-                let next = if taken { *target } else { *fallthrough };
-                (taken, tgt_addr, next)
+        let program = self.program;
+        let next = id + 1;
+        match program.block(id).terminator {
+            Terminator::Cond { target, behavior } => {
+                let taken = program.behaviors[behavior as usize]
+                    .next_outcome(&mut self.loop_counters, &mut self.rng);
+                let successor = if taken { target } else { next };
+                (taken, program.block(target).start(), successor)
             }
-            Terminator::Jump { target } => (true, self.program.block(*target).start, *target),
-            Terminator::Call { callee, ret_to } => {
-                self.push_frame(*ret_to);
-                (true, self.program.block(*callee).start, *callee)
+            Terminator::Jump { target } => (true, program.block(target).start(), target),
+            Terminator::Call { callee } => {
+                self.push_frame(next);
+                (true, program.block(callee).start(), callee)
             }
             Terminator::IndirectCall { site, ret_to } => {
-                let table = &self.program.indirect[*site as usize];
+                let table = &program.indirect[site as usize];
                 let targets = &table.targets;
                 let pick = if self.rng.chance(table.rr_frac) {
-                    let cursor = &mut self.rotations[*site as usize];
+                    let cursor = &mut self.rotations[site as usize];
                     let pick = *cursor as usize % targets.len();
                     *cursor = cursor.wrapping_add(1);
                     pick
@@ -178,14 +177,14 @@ impl<'p> Walker<'p> {
                     self.rng.zipf(targets.len(), table.skew)
                 };
                 let callee = targets[pick];
-                self.push_frame(*ret_to);
-                (true, self.program.block(callee).start, callee)
+                self.push_frame(ret_to);
+                (true, program.block(callee).start(), callee)
             }
             Terminator::Return => {
-                let ret = self.call_stack.pop().unwrap_or(self.program.entry);
-                (true, self.program.block(ret).start, ret)
+                let ret = self.call_stack.pop().unwrap_or(program.entry);
+                (true, program.block(ret).start(), ret)
             }
-            Terminator::FallThrough { next } => (false, self.program.block(*next).start, *next),
+            Terminator::FallThrough => (false, program.block(next).start(), next),
         }
     }
 

@@ -34,13 +34,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every generated program is structurally valid, fully packed, and
-    /// keeps conditional fall-throughs physically adjacent.
+    /// lays out block `id + 1` right after every conditional branch and
+    /// fall-through `id`.
     #[test]
     fn generated_programs_are_valid(shape in shape_strategy()) {
         let p = build_program(&shape);
         prop_assert_eq!(p.validate(), Ok(()));
         // No overlapping blocks: starts unique and spans disjoint.
-        let mut spans: Vec<(u64, u64)> = p.blocks.iter().map(|b| (b.start, b.end())).collect();
+        let mut spans: Vec<(u64, u64)> = p.blocks.iter().map(|b| (b.start(), b.end())).collect();
         spans.sort_unstable();
         for w in spans.windows(2) {
             prop_assert!(w[0].1 <= w[1].0, "overlapping blocks");
@@ -51,17 +52,18 @@ proptest! {
         for b in &p.blocks {
             prop_assert_eq!(b.first, next);
             next += b.len;
-            prop_assert_eq!(p.block_at(b.start), Some(b));
-            prop_assert!(p.block_at(b.start + 4).is_none_or(|f| f.start == b.start + 4));
-            prop_assert!(p.block_at(b.start + 2).is_none());
+            prop_assert_eq!(p.block_at(b.start()), Some(b));
+            prop_assert!(p.block_at(b.start() + 4).is_none_or(|f| f.start() == b.start() + 4));
+            prop_assert!(p.block_at(b.start() + 2).is_none());
         }
-        prop_assert_eq!(next as usize, p.instrs.len());
-        for b in &p.blocks {
-            if let Terminator::Cond { fallthrough, .. } = b.terminator {
-                prop_assert_eq!(p.blocks[fallthrough as usize].start, b.end());
-            }
-            if let Terminator::FallThrough { next } = b.terminator {
-                prop_assert_eq!(p.blocks[next as usize].start, b.end());
+        prop_assert_eq!(next as usize, p.codes.len());
+        for (id, b) in p.blocks.iter().enumerate() {
+            match b.terminator {
+                Terminator::Cond { .. } | Terminator::FallThrough => {
+                    prop_assert_eq!(p.blocks[id + 1].start(), b.end());
+                }
+                Terminator::Call { .. } => prop_assert!(id + 1 < p.blocks.len()),
+                _ => {}
             }
         }
         let _ = LAYOUT_GRANULE;

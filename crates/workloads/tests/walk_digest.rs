@@ -82,7 +82,7 @@ fn index_digest(profile: &Profile) -> u64 {
         h.u64(addr);
         match program.block_at(addr) {
             Some(b) => {
-                h.u64(b.start);
+                h.u64(b.start());
                 h.u64(b.end());
             }
             None => h.u64(u64::MAX),
@@ -91,10 +91,13 @@ fn index_digest(profile: &Profile) -> u64 {
     let mut code_end = CODE_BASE;
     for id in 0..program.blocks.len() as u32 {
         let b = program.block(id);
-        assert_eq!(program.block_at(b.start).map(|f| f.start), Some(b.start));
-        probe(b.start);
-        probe(b.start + INSTR_BYTES);
-        probe(b.start + 1);
+        assert_eq!(
+            program.block_at(b.start()).map(|f| f.start()),
+            Some(b.start())
+        );
+        probe(b.start());
+        probe(b.start() + INSTR_BYTES);
+        probe(b.start() + 1);
         code_end = code_end.max(b.end());
     }
     for addr in [0, 4, CODE_BASE - INSTR_BYTES, CODE_BASE - 1, code_end] {
