@@ -5,9 +5,11 @@
 //! hot-path optimisation work (allocation-free cycle loop, open-addressing
 //! miss tables, devirtualized policy dispatch) landed, and the `GHRP`,
 //! `+BYPASS` and Figure 1 rows before the `P(N)` variants were folded into
-//! one statically-dispatched policy, and the `LIN` row before the
-//! in-flight tables were pruned to the misses still outstanding, so this
-//! test proves those rewrites are
+//! one statically-dispatched policy, the `LIN` row before the
+//! in-flight tables were pruned to the misses still outstanding, and the
+//! `M:` insertion, true-LRU `M:1` and `LACS` rows before true LRU, tree
+//! PLRU, the `M:` treatments and `P(N)`'s dual classes were folded into
+//! one recency module, so this test proves those rewrites are
 //! behaviour-preserving: any change to the cycle-level
 //! execution — timing, replacement decisions, stats plumbing — shifts at
 //! least one digest. Run with `EMISSARY_BLESS=1` and `--nocapture` to
@@ -32,8 +34,10 @@ struct Golden {
 
 /// Fixed-seed configs spanning the policy families: the baseline, every
 /// `P(N)` variant (plain, `+BYPASS`, `+GHRP`, with a §6 reset), standalone
-/// GHRP, and prior work (LIN, the one policy whose fills read the count of
-/// outstanding misses), over both the default tree-PLRU machine and
+/// GHRP, the `M:` insertion treatments (LIP and a starvation-gated one over
+/// tree PLRU, `M:S` over true LRU), and prior work (LIN, the one policy
+/// whose fills read the count of outstanding misses, and LACS, whose victim
+/// is a masked true-LRU pick), over both the default tree-PLRU machine and
 /// Figure 1's true-LRU one, plus three non-default core shapes (issue
 /// width, scheduler window, ALU latency) that pin the issue scheduler.
 const GOLDEN: &[Golden] = &[
@@ -113,6 +117,41 @@ const GOLDEN: &[Golden] = &[
         policy: "GHRP",
         reset_interval: None,
         digest: 0xb6076e4b549fd249,
+    },
+    Golden {
+        config: SimConfig::default,
+        benchmark: "tomcat",
+        policy: "M:S&E&R(1/32)",
+        reset_interval: None,
+        digest: 0x5cd237b3eeb1b145,
+    },
+    Golden {
+        config: SimConfig::default,
+        benchmark: "verilator",
+        policy: "M:0",
+        reset_interval: None,
+        digest: 0x0f2b1cc5bb70730e,
+    },
+    Golden {
+        config: SimConfig::figure1,
+        benchmark: "tomcat",
+        policy: "M:1",
+        reset_interval: None,
+        digest: 0x63a5b9634f2e75c6,
+    },
+    Golden {
+        config: SimConfig::figure1,
+        benchmark: "tomcat",
+        policy: "M:S",
+        reset_interval: None,
+        digest: 0x582e5ef47bc4eb1c,
+    },
+    Golden {
+        config: SimConfig::default,
+        benchmark: "kafka",
+        policy: "LACS",
+        reset_interval: None,
+        digest: 0xf5cfc05938b87ad2,
     },
     Golden {
         config: narrow_issue_full_reach,
