@@ -2,8 +2,6 @@
 
 use crate::addr::set_index;
 use crate::config::CacheConfig;
-#[cfg(test)]
-use crate::line::LineKind;
 use crate::line::LineState;
 use crate::policy::{AccessInfo, PolicyImpl};
 use crate::stats::CacheStats;
@@ -330,14 +328,6 @@ impl Cache {
         self.stats = CacheStats::default();
     }
 
-    /// Test-only mutable access to a way's raw line state, for corrupting
-    /// state in auditor tests.
-    #[cfg(test)]
-    pub(crate) fn line_mut(&mut self, set: usize, way: usize) -> &mut LineState {
-        let idx = self.base(set) + way;
-        &mut self.lines[idx]
-    }
-
     /// Read-only structural audit of every set (see [`crate::audit`]).
     ///
     /// `level` tags the violations with this cache's position in the
@@ -421,13 +411,21 @@ impl Cache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::PolicyKind;
+    use crate::line::LineKind;
+    use crate::policy::{RecencyBase, RripMode, RripPolicy};
 
-    fn small_cache(kind: PolicyKind) -> Cache {
+    fn small_cache(base: RecencyBase) -> Cache {
         // 4 sets x 2 ways.
         let cfg = CacheConfig::new("t", 4 * 2 * 64, 2, 1);
-        let policy = kind.build(cfg.sets(), cfg.ways, 1);
+        let policy = base.build(cfg.sets(), cfg.ways);
         Cache::new(cfg, policy)
+    }
+
+    /// Mutable access to a way's raw line state, for corrupting state in
+    /// auditor tests.
+    fn line_mut(c: &mut Cache, set: usize, way: usize) -> &mut LineState {
+        let idx = c.base(set) + way;
+        &mut c.lines[idx]
     }
 
     fn instr() -> AccessInfo {
@@ -436,7 +434,7 @@ mod tests {
 
     #[test]
     fn miss_then_fill_then_hit() {
-        let mut c = small_cache(PolicyKind::TrueLru);
+        let mut c = small_cache(RecencyBase::TrueLru);
         assert!(c.lookup(5, &instr()).is_none());
         c.fill(5, &instr());
         assert!(c.lookup(5, &instr()).is_some());
@@ -447,7 +445,7 @@ mod tests {
 
     #[test]
     fn fills_use_invalid_ways_before_evicting() {
-        let mut c = small_cache(PolicyKind::TrueLru);
+        let mut c = small_cache(RecencyBase::TrueLru);
         // Lines 0 and 4 map to set 0 (4 sets).
         let a = c.fill(0, &instr());
         assert!(a.evicted.is_none());
@@ -464,7 +462,7 @@ mod tests {
 
     #[test]
     fn dirty_eviction_counts_writeback() {
-        let mut c = small_cache(PolicyKind::TrueLru);
+        let mut c = small_cache(RecencyBase::TrueLru);
         let mut wr = AccessInfo::demand(LineKind::Data);
         wr.is_write = true;
         c.fill(0, &wr);
@@ -476,7 +474,7 @@ mod tests {
 
     #[test]
     fn write_hit_marks_dirty() {
-        let mut c = small_cache(PolicyKind::TrueLru);
+        let mut c = small_cache(RecencyBase::TrueLru);
         c.fill(0, &AccessInfo::demand(LineKind::Data));
         let mut wr = AccessInfo::demand(LineKind::Data);
         wr.is_write = true;
@@ -488,7 +486,7 @@ mod tests {
 
     #[test]
     fn invalidate_removes_and_reports() {
-        let mut c = small_cache(PolicyKind::TrueLru);
+        let mut c = small_cache(RecencyBase::TrueLru);
         c.fill(0, &instr());
         let old = c.invalidate(0).unwrap();
         assert_eq!(old.tag, 0);
@@ -499,7 +497,7 @@ mod tests {
 
     #[test]
     fn priority_bit_roundtrip_and_histogram() {
-        let mut c = small_cache(PolicyKind::TreePlru);
+        let mut c = small_cache(RecencyBase::TreePlru);
         c.fill(0, &instr());
         c.fill(1, &instr());
         assert!(c.set_priority(0, true));
@@ -514,7 +512,7 @@ mod tests {
 
     #[test]
     fn demand_hit_clears_prefetched_flag() {
-        let mut c = small_cache(PolicyKind::TrueLru);
+        let mut c = small_cache(RecencyBase::TrueLru);
         c.fill(0, &AccessInfo::prefetch(LineKind::Instruction));
         assert!(c.iter_valid().next().unwrap().prefetched);
         c.lookup(0, &instr());
@@ -523,7 +521,7 @@ mod tests {
 
     #[test]
     fn prefetch_stats_separate_from_demand() {
-        let mut c = small_cache(PolicyKind::TrueLru);
+        let mut c = small_cache(RecencyBase::TrueLru);
         c.lookup(0, &AccessInfo::prefetch(LineKind::Instruction));
         c.fill(0, &AccessInfo::prefetch(LineKind::Instruction));
         c.lookup(0, &AccessInfo::prefetch(LineKind::Instruction));
@@ -534,7 +532,7 @@ mod tests {
 
     #[test]
     fn valid_line_count_tracks_occupancy() {
-        let mut c = small_cache(PolicyKind::TrueLru);
+        let mut c = small_cache(RecencyBase::TrueLru);
         assert_eq!(c.valid_lines(), 0);
         c.fill(0, &instr());
         c.fill(1, &instr());
@@ -545,7 +543,9 @@ mod tests {
 
     #[test]
     fn audit_is_clean_after_normal_traffic() {
-        let mut c = small_cache(PolicyKind::Srrip);
+        let cfg = CacheConfig::new("t", 4 * 2 * 64, 2, 1);
+        let srrip = RripPolicy::new(RripMode::Static, cfg.sets(), cfg.ways, 1);
+        let mut c = Cache::new(cfg, PolicyImpl::Rrip(srrip));
         for l in 0..32u64 {
             c.lookup(l, &instr());
             c.fill(l, &instr());
@@ -555,18 +555,18 @@ mod tests {
 
     #[test]
     fn audit_catches_misplaced_and_duplicate_lines() {
-        let mut c = small_cache(PolicyKind::TrueLru);
+        let mut c = small_cache(RecencyBase::TrueLru);
         c.fill(0, &instr());
         c.fill(4, &instr());
         // Corrupt: retag way 1 of set 0 so it duplicates way 0 (line 0
         // belongs to set 0, so this is a duplicate, not a misplacement).
-        c.line_mut(0, 1).tag = 0;
+        line_mut(&mut c, 0, 1).tag = 0;
         let v = c.audit(emissary_obs::Level::L2);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].invariant, "duplicate_line");
         assert_eq!(v[0].detail, 0);
         // Corrupt differently: a tag that maps to another set.
-        c.line_mut(0, 1).tag = 1;
+        line_mut(&mut c, 0, 1).tag = 1;
         let v = c.audit(emissary_obs::Level::L2);
         assert_eq!(v.len(), 1, "{v:?}");
         assert_eq!(v[0].invariant, "line_placement");
@@ -575,7 +575,7 @@ mod tests {
 
     #[test]
     fn audit_catches_priority_bit_on_data_line() {
-        let mut c = small_cache(PolicyKind::TreePlru);
+        let mut c = small_cache(RecencyBase::TreePlru);
         c.fill(8, &AccessInfo::demand(LineKind::Data));
         c.set_priority(8, true);
         let v = c.audit(emissary_obs::Level::L2);
@@ -586,7 +586,7 @@ mod tests {
 
     #[test]
     fn reset_stats_zeroes_counters() {
-        let mut c = small_cache(PolicyKind::TrueLru);
+        let mut c = small_cache(RecencyBase::TrueLru);
         c.lookup(0, &instr());
         c.fill(0, &instr());
         c.reset_stats();

@@ -41,7 +41,7 @@ use crate::cache::Cache;
 use crate::config::HierarchyConfig;
 use crate::line::{LineKind, LineState};
 use crate::linemap::{LineMap, LineSet};
-use crate::policy::{AccessInfo, PolicyImpl, PolicyKind};
+use crate::policy::{AccessInfo, PolicyImpl, RecencyBase, RripMode, RripPolicy};
 
 /// Which level ultimately supplied the requested line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -149,23 +149,22 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
-    /// Builds the hierarchy with the given L2 policy. L1s use `l1_policy`
-    /// (TPLRU in the main evaluation, true LRU in Figure 1); the L3 always
-    /// runs DRRIP (§5.1).
-    pub fn new(cfg: HierarchyConfig, l1_policy: PolicyKind, l2_policy: PolicyImpl) -> Self {
+    /// Builds the hierarchy with the given L2 policy. L1s run the plain
+    /// recency policy over `l1_policy` (TPLRU in the main evaluation, true
+    /// LRU in Figure 1); the L3 always runs DRRIP (§5.1).
+    pub fn new(cfg: HierarchyConfig, l1_policy: RecencyBase, l2_policy: PolicyImpl) -> Self {
         let l1i = Cache::new(
             cfg.l1i.clone(),
-            l1_policy.build(cfg.l1i.sets(), cfg.l1i.ways, cfg.seed ^ 1),
+            l1_policy.build(cfg.l1i.sets(), cfg.l1i.ways),
         );
         let l1d = Cache::new(
             cfg.l1d.clone(),
-            l1_policy.build(cfg.l1d.sets(), cfg.l1d.ways, cfg.seed ^ 2),
+            l1_policy.build(cfg.l1d.sets(), cfg.l1d.ways),
         );
         let l2 = Cache::new(cfg.l2.clone(), l2_policy);
-        let l3 = Cache::new(
-            cfg.l3.clone(),
-            PolicyKind::Drrip.build(cfg.l3.sets(), cfg.l3.ways, cfg.seed ^ 3),
-        );
+        let l3_policy =
+            RripPolicy::new(RripMode::Dynamic, cfg.l3.sets(), cfg.l3.ways, cfg.seed ^ 3);
+        let l3 = Cache::new(cfg.l3.clone(), PolicyImpl::Rrip(l3_policy));
         Self {
             cfg,
             l1i,
@@ -199,7 +198,7 @@ impl Hierarchy {
 
     /// Convenience constructor with TPLRU L1s (the paper's default).
     pub fn with_l2_policy(cfg: HierarchyConfig, l2_policy: PolicyImpl) -> Self {
-        Self::new(cfg, PolicyKind::TreePlru, l2_policy)
+        Self::new(cfg, RecencyBase::TreePlru, l2_policy)
     }
 
     /// The configuration in effect.
@@ -686,6 +685,7 @@ impl Hierarchy {
 mod tests {
     use super::*;
     use crate::config::{CacheConfig, HierarchyConfig};
+    use crate::policy::LinPolicy;
 
     /// A tiny hierarchy so evictions happen quickly in tests.
     fn tiny_cfg() -> HierarchyConfig {
@@ -705,7 +705,7 @@ mod tests {
 
     fn tiny() -> Hierarchy {
         let cfg = tiny_cfg();
-        let pol = PolicyKind::TreePlru.build(cfg.l2.sets(), cfg.l2.ways, 9);
+        let pol = RecencyBase::TreePlru.build(cfg.l2.sets(), cfg.l2.ways);
         Hierarchy::with_l2_policy(cfg, pol)
     }
 
@@ -762,7 +762,7 @@ mod tests {
         // count of table entries would give 400 cost 0 too, and LRU would
         // evict it.
         let cfg = tiny_cfg();
-        let pol = PolicyKind::Lin.build(cfg.l2.sets(), cfg.l2.ways, 9);
+        let pol = PolicyImpl::Lin(LinPolicy::new(cfg.l2.sets(), cfg.l2.ways));
         let mut h = Hierarchy::with_l2_policy(cfg, pol);
         let other_sets = |base: u64| (0..).map(move |i| base + i).filter(|l| l % 4 != 0);
         for line in other_sets(1).take(8) {
@@ -912,7 +912,7 @@ mod tests {
     fn ideal_l2_serves_non_compulsory_misses_fast() {
         let mut cfg = tiny_cfg();
         cfg.ideal_l2_instr = true;
-        let pol = PolicyKind::TreePlru.build(cfg.l2.sets(), cfg.l2.ways, 9);
+        let pol = RecencyBase::TreePlru.build(cfg.l2.sets(), cfg.l2.ways);
         let mut h = Hierarchy::with_l2_policy(cfg, pol);
         // Compulsory miss: full latency.
         let a = h.access_instr(0, 0, false);
@@ -934,7 +934,7 @@ mod tests {
     fn nlp_l2_prefetches_next_line() {
         let mut cfg = tiny_cfg();
         cfg.l2_nlp = true;
-        let pol = PolicyKind::TreePlru.build(cfg.l2.sets(), cfg.l2.ways, 9);
+        let pol = RecencyBase::TreePlru.build(cfg.l2.sets(), cfg.l2.ways);
         let mut h = Hierarchy::with_l2_policy(cfg, pol);
         h.access_instr(100, 0, false);
         assert!(
@@ -949,7 +949,7 @@ mod tests {
     fn nlp_l1d_prefetches_full_path() {
         let mut cfg = tiny_cfg();
         cfg.l1d_nlp = true;
-        let pol = PolicyKind::TreePlru.build(cfg.l2.sets(), cfg.l2.ways, 9);
+        let pol = RecencyBase::TreePlru.build(cfg.l2.sets(), cfg.l2.ways);
         let mut h = Hierarchy::with_l2_policy(cfg, pol);
         h.access_data(500, 0, false, false);
         assert!(h.l1d.contains(501));
@@ -968,7 +968,7 @@ mod tests {
             LineKind::Data => cfg.l1d_nlp = true,
             LineKind::Instruction => cfg.l2_nlp = true,
         }
-        let pol = PolicyKind::TreePlru.build(cfg.l2.sets(), cfg.l2.ways, 9);
+        let pol = RecencyBase::TreePlru.build(cfg.l2.sets(), cfg.l2.ways);
         let mut h = Hierarchy::with_l2_policy(cfg, pol);
         let access = |h: &mut Hierarchy, line: u64, now: u64| match kind {
             LineKind::Data => h.access_data(line, now, false, false),
@@ -1124,7 +1124,7 @@ mod tests {
 mod bypass_tests {
     use super::*;
     use crate::config::CacheConfig;
-    use crate::policy::{EmissaryPolicy, RecencyBase};
+    use crate::policy::EmissaryPolicy;
 
     fn tiny_cfg() -> HierarchyConfig {
         HierarchyConfig {
@@ -1197,7 +1197,7 @@ mod bypass_tests {
         // re-enters L3 "at the MRU position" (RRPV 0 under DRRIP), so it
         // must survive a subsequent L3 eviction round against distant lines.
         let cfg = tiny_cfg();
-        let pol = PolicyKind::TreePlru.build(cfg.l2.sets(), cfg.l2.ways, 9);
+        let pol = RecencyBase::TreePlru.build(cfg.l2.sets(), cfg.l2.ways);
         let mut h = Hierarchy::with_l2_policy(cfg, pol);
         let mut t = 0;
         // Fill L2 set 0 and push line 0 out to L3, then bring it back

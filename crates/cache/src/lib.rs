@@ -28,10 +28,10 @@
 //! use emissary_cache::config::CacheConfig;
 //! use emissary_cache::cache::Cache;
 //! use emissary_cache::line::LineKind;
-//! use emissary_cache::policy::{AccessInfo, PolicyKind};
+//! use emissary_cache::policy::{AccessInfo, RecencyBase};
 //!
 //! let cfg = CacheConfig::new("l1i", 32 * 1024, 8, 2);
-//! let mut cache = Cache::new(cfg.clone(), PolicyKind::TreePlru.build(cfg.sets(), 8, 1));
+//! let mut cache = Cache::new(cfg.clone(), RecencyBase::TreePlru.build(cfg.sets(), 8));
 //! let info = AccessInfo::demand(LineKind::Instruction);
 //! assert!(cache.lookup(0x40, &info).is_none()); // cold miss
 //! cache.fill(0x40, &info);
@@ -54,5 +54,5 @@ pub use crate::cache::Cache;
 pub use crate::config::{CacheConfig, HierarchyConfig};
 pub use crate::hierarchy::{Hierarchy, MemAccess, ServedBy};
 pub use crate::line::{LineKind, LineState};
-pub use crate::policy::{AccessInfo, PolicyKind, ReplacementPolicy};
+pub use crate::policy::{AccessInfo, RecencyBase, ReplacementPolicy};
 pub use crate::rng::XorShift64;

@@ -17,7 +17,7 @@
 //! cost-aware policies do not transfer to instruction caching.
 
 use crate::line::LineState;
-use crate::policy::{AccessInfo, ReplacementPolicy, TrueLruPolicy};
+use crate::policy::{AccessInfo, Recency, RecencyBase, ReplacementPolicy};
 
 /// Maximum per-line cost value (3 bits).
 const COST_MAX: u8 = 7;
@@ -26,7 +26,7 @@ const COST_MAX: u8 = 7;
 #[derive(Debug)]
 pub struct LinPolicy {
     ways: usize,
-    base: TrueLruPolicy,
+    base: Recency,
     cost: Vec<u8>,
     /// Weight of cost relative to one recency-rank step.
     lambda: usize,
@@ -37,7 +37,7 @@ impl LinPolicy {
     pub fn new(sets: usize, ways: usize) -> Self {
         Self {
             ways,
-            base: TrueLruPolicy::new(sets, ways),
+            base: Recency::new(RecencyBase::TrueLru, 1, sets, ways),
             cost: vec![0; sets * ways],
             lambda: 2,
         }
@@ -54,21 +54,21 @@ impl ReplacementPolicy for LinPolicy {
         "lin"
     }
 
-    fn on_hit(&mut self, set: usize, way: usize, lines: &[LineState], info: &AccessInfo) {
-        self.base.on_hit(set, way, lines, info);
+    fn on_hit(&mut self, set: usize, way: usize, _lines: &[LineState], _info: &AccessInfo) {
+        self.base.touch(set, way, false);
     }
 
-    fn on_fill(&mut self, set: usize, way: usize, lines: &[LineState], info: &AccessInfo) {
+    fn on_fill(&mut self, set: usize, way: usize, _lines: &[LineState], info: &AccessInfo) {
         // Isolated misses (few outstanding) are the costly ones (no MLP to
         // amortize them): cost = COST_MAX - min(outstanding, COST_MAX).
         let i = self.idx(set, way);
         self.cost[i] = COST_MAX - info.outstanding_misses.min(COST_MAX);
-        self.base.on_fill(set, way, lines, info);
+        self.base.touch(set, way, false);
     }
 
     fn victim(&mut self, set: usize, lines: &[LineState], _info: &AccessInfo) -> usize {
         // Rank valid ways by recency (0 = LRU) in the order repeated
-        // `lru_way` queries would give, (stamp, way), then pick the
+        // `coldest` queries would give, (stamp, way), then pick the
         // lowest rank plus cost bias; ties go to the lower way.
         let mut order: Vec<usize> = (0..lines.len()).filter(|&w| lines[w].valid).collect();
         order.sort_unstable_by_key(|&w| (self.base.stamp(set, w), w));
@@ -94,7 +94,7 @@ impl ReplacementPolicy for LinPolicy {
 #[derive(Debug)]
 pub struct LacsPolicy {
     ways: usize,
-    base: TrueLruPolicy,
+    base: Recency,
     cost: Vec<u8>,
 }
 
@@ -103,7 +103,7 @@ impl LacsPolicy {
     pub fn new(sets: usize, ways: usize) -> Self {
         Self {
             ways,
-            base: TrueLruPolicy::new(sets, ways),
+            base: Recency::new(RecencyBase::TrueLru, 1, sets, ways),
             cost: vec![0; sets * ways],
         }
     }
@@ -119,32 +119,34 @@ impl ReplacementPolicy for LacsPolicy {
         "lacs"
     }
 
-    fn on_hit(&mut self, set: usize, way: usize, lines: &[LineState], info: &AccessInfo) {
+    fn on_hit(&mut self, set: usize, way: usize, _lines: &[LineState], _info: &AccessInfo) {
         // Reuse raises a line's value (LACS's reference adjustment).
         let i = self.idx(set, way);
         self.cost[i] = (self.cost[i] + 1).min(COST_MAX);
-        self.base.on_hit(set, way, lines, info);
+        self.base.touch(set, way, false);
     }
 
-    fn on_fill(&mut self, set: usize, way: usize, lines: &[LineState], info: &AccessInfo) {
+    fn on_fill(&mut self, set: usize, way: usize, _lines: &[LineState], info: &AccessInfo) {
         // Longer fills are costlier to lose (the core covered fewer
         // instructions under them).
         let i = self.idx(set, way);
         self.cost[i] = ((info.fill_latency / 32) as u8).min(COST_MAX);
-        self.base.on_fill(set, way, lines, info);
+        self.base.touch(set, way, false);
     }
 
     fn victim(&mut self, set: usize, lines: &[LineState], _info: &AccessInfo) -> usize {
         // Lowest cost first; recency (true LRU) breaks ties.
+        let cost = |w: usize| self.cost[self.idx(set, w)];
         let min_cost = (0..lines.len())
             .filter(|&w| lines[w].valid)
-            .map(|w| self.cost[self.idx(set, w)])
+            .map(cost)
             .min()
             .expect("victim() requires at least one valid line");
+        let cheapest = (0..lines.len())
+            .filter(|&w| lines[w].valid && cost(w) == min_cost)
+            .fold(0u32, |m, w| m | (1 << w));
         self.base
-            .lru_way(set, lines, |w, l| {
-                l.valid && self.cost[self.idx(set, w)] == min_cost
-            })
+            .coldest(set, cheapest, false)
             .expect("some way has the minimum cost")
     }
 
@@ -201,7 +203,7 @@ mod tests {
         assert_eq!(p.victim(0, &ls, &info()), 0);
     }
 
-    /// LIN's victim as first written: rank by repeated `lru_way`
+    /// LIN's victim as first written: rank by repeated `coldest`
     /// queries over the remaining ways, then a stable sort by rank plus
     /// cost bias.
     fn reference_lin_victim(p: &LinPolicy, set: usize, lines: &[LineState]) -> usize {
@@ -210,9 +212,10 @@ mod tests {
         let mut remaining: Vec<usize> = order.clone();
         let mut r = 0;
         while !remaining.is_empty() {
+            let mask = remaining.iter().fold(0u32, |m, &w| m | (1 << w));
             let v = p
                 .base
-                .lru_way(set, lines, |w, l| l.valid && remaining.contains(&w))
+                .coldest(set, mask, false)
                 .expect("non-empty remaining");
             rank[v] = r;
             r += 1;
@@ -239,7 +242,7 @@ mod tests {
             match rng.next_below(6) {
                 0 | 1 => p.on_fill(set, way, &ls[set], &access),
                 2 => p.on_hit(set, way, &ls[set], &access),
-                3 => p.base.set_lru(set, way),
+                3 => p.base.demote(set, way),
                 4 => {
                     // Invalid ways leave the ranking; keep one valid.
                     let valid = ls[set].iter().filter(|l| l.valid).count();

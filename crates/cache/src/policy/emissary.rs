@@ -25,15 +25,15 @@
 use emissary_obs::{TraceEvent, Tracer};
 
 use crate::line::LineState;
-use crate::policy::dual::DualRecency;
 use crate::policy::ghrp::DeadBlocks;
-use crate::policy::{AccessInfo, RecencyBase, ReplacementPolicy};
+use crate::policy::{AccessInfo, Recency, RecencyBase, ReplacementPolicy};
 
 /// The EMISSARY `P(N)` eviction policy. See module docs.
 #[derive(Debug)]
 pub struct EmissaryPolicy {
     n_protect: usize,
-    recency: DualRecency,
+    /// One recency order per priority class (§4.2).
+    recency: Recency,
     display_name: &'static str,
     /// §2's rejected variant: low-priority fills bypass the cache once the
     /// set holds `n_protect` high-priority lines. "Having low-priority
@@ -71,7 +71,7 @@ impl EmissaryPolicy {
         );
         Self {
             n_protect,
-            recency: DualRecency::new(base, sets, ways),
+            recency: Recency::new(base, 2, sets, ways),
             display_name,
             bypass_saturated: false,
             dead_blocks: None,
@@ -111,7 +111,7 @@ impl EmissaryPolicy {
             Some(dead) => dead.narrow(set, mask),
             None => mask,
         };
-        self.recency.lru_among(set, mask, high)
+        self.recency.coldest(set, mask, high)
     }
 }
 
@@ -208,17 +208,17 @@ impl ReplacementPolicy for EmissaryPolicy {
                 lines.len()
             ));
         }
-        // The dual-recency structure must be sized to the cache it serves.
+        // The recency structure must be sized to the cache it serves.
         if self.recency.ways() != lines.len() {
             return Some(format!(
-                "dual recency sized for {} ways but the set has {}",
+                "recency sized for {} ways but the set has {}",
                 self.recency.ways(),
                 lines.len()
             ));
         }
         if set >= self.recency.sets() {
             return Some(format!(
-                "dual recency covers {} sets but was asked about set {set}",
+                "recency covers {} sets but was asked about set {set}",
                 self.recency.sets()
             ));
         }

@@ -6,7 +6,7 @@ use emissary_cache::cache::Cache;
 use emissary_cache::config::{CacheConfig, HierarchyConfig};
 use emissary_cache::hierarchy::Hierarchy;
 use emissary_cache::line::LineKind;
-use emissary_cache::policy::{AccessInfo, PlruTree, PolicyKind};
+use emissary_cache::policy::{AccessInfo, PlruTree, RecencyBase};
 
 /// Reference model: a plain set of resident lines per (set, line) — used to
 /// check the cache's residency bookkeeping against arbitrary op sequences.
@@ -33,10 +33,9 @@ proptest! {
     #[test]
     fn cache_residency_invariants(
         ops in proptest::collection::vec(op_strategy(256), 1..400),
-        kind_seed in 0u64..1000,
     ) {
         let cfg = CacheConfig::new("t", 8 * 4 * 64, 4, 1);
-        let policy = PolicyKind::TreePlru.build(cfg.sets(), cfg.ways, kind_seed);
+        let policy = RecencyBase::TreePlru.build(cfg.sets(), cfg.ways);
         let mut cache = Cache::new(cfg, policy);
         let info = AccessInfo::demand(LineKind::Instruction);
         for op in &ops {
@@ -73,7 +72,7 @@ proptest! {
         accesses in proptest::collection::vec(0u64..64, 2..200),
     ) {
         let cfg = CacheConfig::new("t", 4 * 4 * 64, 4, 1);
-        let policy = PolicyKind::TrueLru.build(cfg.sets(), cfg.ways, 1);
+        let policy = RecencyBase::TrueLru.build(cfg.sets(), cfg.ways);
         let mut cache = Cache::new(cfg, policy);
         let info = AccessInfo::demand(LineKind::Data);
         let mut last: Option<u64> = None;
@@ -134,7 +133,7 @@ proptest! {
             ideal_l2_instr: false,
             seed,
         };
-        let policy = PolicyKind::TreePlru.build(cfg.l2.sets(), cfg.l2.ways, seed);
+        let policy = RecencyBase::TreePlru.build(cfg.l2.sets(), cfg.l2.ways);
         let mut h = Hierarchy::with_l2_policy(cfg, policy);
         let mut now = 0;
         for &(kind, addr) in &ops {
@@ -160,7 +159,7 @@ proptest! {
     #[test]
     fn access_latency_sane(addrs in proptest::collection::vec(0u64..512, 1..200)) {
         let cfg = HierarchyConfig::alderlake_like();
-        let policy = PolicyKind::TreePlru.build(cfg.l2.sets(), cfg.l2.ways, 1);
+        let policy = RecencyBase::TreePlru.build(cfg.l2.sets(), cfg.l2.ways);
         let l1_lat = cfg.l1i.hit_latency;
         let mut h = Hierarchy::with_l2_policy(cfg, policy);
         let mut now = 0;

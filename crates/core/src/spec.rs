@@ -13,7 +13,8 @@
 use std::str::FromStr;
 
 use emissary_cache::policy::{
-    intern_name, EmissaryPolicy, InsertionPolicy, PolicyImpl, PolicyKind, RecencyBase,
+    intern_name, DclipPolicy, EmissaryPolicy, LacsPolicy, LinPolicy, PdpPolicy, PolicyImpl,
+    RecencyBase, RecencyPolicy, RripMode, RripPolicy,
 };
 
 use crate::selection::SelectionExpr;
@@ -167,34 +168,36 @@ impl PolicySpec {
         ways: usize,
         seed: u64,
     ) -> PolicyImpl {
-        let plain = |sets, ways, seed| match flavor {
-            RecencyBase::TrueLru => PolicyKind::TrueLru.build(sets, ways, seed),
-            RecencyBase::TreePlru => PolicyKind::TreePlru.build(sets, ways, seed),
-        };
         let emissary = |n| EmissaryPolicy::new(n, flavor, sets, ways, self.notation());
+        let rrip = |mode| PolicyImpl::Rrip(RripPolicy::new(mode, sets, ways, seed));
         match *self {
-            // M:1 degenerates to the plain recency policy (every line MRU).
-            PolicySpec::MruInsert(SelectionExpr::Always) => plain(sets, ways, seed),
-            PolicySpec::MruInsert(_) => {
-                PolicyImpl::Insertion(InsertionPolicy::new(flavor, sets, ways))
-            }
+            // M:1 is the plain recency policy (every line MRU); any other
+            // selection parks instruction fills at LRU until they resolve.
+            PolicySpec::MruInsert(sel) => PolicyImpl::Recency(RecencyPolicy::new(
+                flavor,
+                sel != SelectionExpr::Always,
+                sets,
+                ways,
+            )),
             // "An N of 0 is equivalent to the baseline" (§5.5).
             PolicySpec::Protect { n: 0, .. }
             | PolicySpec::ProtectBypass { n: 0, .. }
-            | PolicySpec::ProtectGhrp { n: 0, .. } => plain(sets, ways, seed),
+            | PolicySpec::ProtectGhrp { n: 0, .. } => flavor.build(sets, ways),
             PolicySpec::Protect { n, .. } => PolicyImpl::Emissary(emissary(n)),
             PolicySpec::ProtectBypass { n, .. } => PolicyImpl::Emissary(emissary(n).with_bypass()),
             PolicySpec::ProtectGhrp { n, .. } => {
                 PolicyImpl::Emissary(emissary(n).with_dead_block_prediction())
             }
             PolicySpec::Ghrp => PolicyImpl::Emissary(EmissaryPolicy::ghrp(sets, ways)),
-            PolicySpec::Srrip => PolicyKind::Srrip.build(sets, ways, seed),
-            PolicySpec::Brrip => PolicyKind::Brrip.build(sets, ways, seed),
-            PolicySpec::Drrip => PolicyKind::Drrip.build(sets, ways, seed),
-            PolicySpec::Pdp => PolicyKind::Pdp.build(sets, ways, seed),
-            PolicySpec::Dclip => PolicyKind::Dclip.build(sets, ways, seed),
-            PolicySpec::Lin => PolicyKind::Lin.build(sets, ways, seed),
-            PolicySpec::Lacs => PolicyKind::Lacs.build(sets, ways, seed),
+            PolicySpec::Srrip => rrip(RripMode::Static),
+            PolicySpec::Brrip => rrip(RripMode::Bimodal),
+            PolicySpec::Drrip => rrip(RripMode::Dynamic),
+            PolicySpec::Pdp => {
+                PolicyImpl::Pdp(PdpPolicy::new(sets, ways, PdpPolicy::DEFAULT_DISTANCE))
+            }
+            PolicySpec::Dclip => PolicyImpl::Dclip(DclipPolicy::new(sets, ways, seed)),
+            PolicySpec::Lin => PolicyImpl::Lin(LinPolicy::new(sets, ways)),
+            PolicySpec::Lacs => PolicyImpl::Lacs(LacsPolicy::new(sets, ways)),
         }
     }
 }
@@ -454,6 +457,36 @@ mod tests {
             (PolicySpec::Lacs, "lacs"),
         ] {
             assert_eq!(spec.build_l2_policy(64, 16, 1).name(), name);
+        }
+    }
+
+    #[test]
+    fn every_notation_builds_with_todays_name() {
+        // (notation, name over TPLRU, name over true LRU); standalone GHRP
+        // always runs over TPLRU and the rest ignore the flavor.
+        for (notation, tplru, lru) in [
+            ("M:1", "tplru", "lru"),
+            ("M:0", "m-insert(tplru)", "m-insert(lru)"),
+            ("M:R(1/32)", "m-insert(tplru)", "m-insert(lru)"),
+            ("M:S&E&R(1/32)", "m-insert(tplru)", "m-insert(lru)"),
+            ("P(0):S&E", "tplru", "lru"),
+            ("P(8):S", "P(8):S", "P(8):S"),
+            ("P(8):S&E+BYPASS", "P(8):S&E+BYPASS", "P(8):S&E+BYPASS"),
+            ("P(8):S&E+GHRP", "P(8):S&E+GHRP", "P(8):S&E+GHRP"),
+            ("GHRP", "ghrp", "ghrp"),
+            ("SRRIP", "srrip", "srrip"),
+            ("BRRIP", "brrip", "brrip"),
+            ("DRRIP", "drrip", "drrip"),
+            ("PDP", "pdp", "pdp"),
+            ("DCLIP", "dclip", "dclip"),
+            ("LIN", "lin", "lin"),
+            ("LACS", "lacs", "lacs"),
+        ] {
+            let spec: PolicySpec = notation.parse().unwrap();
+            for (flavor, name) in [(RecencyBase::TreePlru, tplru), (RecencyBase::TrueLru, lru)] {
+                let p = spec.build_l2_policy_with(flavor, 64, 16, 1);
+                assert_eq!(p.name(), name, "{notation} over {flavor:?}");
+            }
         }
     }
 

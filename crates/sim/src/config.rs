@@ -1,7 +1,7 @@
 //! Simulation configuration (paper Table 4's Alderlake-like model).
 
 use emissary_cache::config::HierarchyConfig;
-use emissary_cache::policy::{PolicyKind, RecencyBase};
+use emissary_cache::policy::RecencyBase;
 use emissary_core::spec::{PolicySpec, PolicySpecError};
 use emissary_frontend::FrontendConfig;
 
@@ -177,7 +177,7 @@ pub struct SimConfig {
     pub hierarchy: HierarchyConfig,
     /// Replacement policy for the L1 caches (TPLRU by default; Figure 1
     /// uses true LRU).
-    pub l1_policy: PolicyKind,
+    pub l1_policy: RecencyBase,
     /// The L2 policy under test.
     pub l2_policy: PolicySpec,
     /// Recency flavor for LRU-family L2 policies.
@@ -201,7 +201,7 @@ impl Default for SimConfig {
         Self {
             core: CoreConfig::default(),
             hierarchy: HierarchyConfig::alderlake_like(),
-            l1_policy: PolicyKind::TreePlru,
+            l1_policy: RecencyBase::TreePlru,
             l2_policy: PolicySpec::BASELINE,
             recency: RecencyBase::TreePlru,
             warmup_instrs: 200_000,
@@ -219,7 +219,7 @@ impl SimConfig {
     pub fn figure1() -> Self {
         Self {
             hierarchy: HierarchyConfig::figure1(),
-            l1_policy: PolicyKind::TrueLru,
+            l1_policy: RecencyBase::TrueLru,
             recency: RecencyBase::TrueLru,
             ..Self::default()
         }
@@ -277,7 +277,7 @@ mod tests {
     #[test]
     fn figure1_uses_true_lru_and_no_nlp() {
         let f = SimConfig::figure1();
-        assert_eq!(f.l1_policy, PolicyKind::TrueLru);
+        assert_eq!(f.l1_policy, RecencyBase::TrueLru);
         assert_eq!(f.recency, RecencyBase::TrueLru);
         assert!(!f.hierarchy.l2_nlp);
     }

@@ -8,9 +8,13 @@
 //! ```
 //!
 //! Policies use the paper's notation (`M:1`, `P(8):S&E&R(1/32)`, `DRRIP`,
-//! `P(8):S&E+GHRP`, …).
+//! `P(8):S&E+GHRP`, …); `run` also takes the policy as its second
+//! positional argument. Counts accept `_` separators (`--instrs 2_000_000`).
+//! A malformed count, or a configuration [`SimConfig::validate`] rejects
+//! (`P(16):S&E` on the 16-way L2), exits 2 before anything is simulated.
 
 use emissary::prelude::*;
+use emissary::sim::ConfigError;
 
 fn usage() -> ! {
     eprintln!(
@@ -52,29 +56,53 @@ fn profile_or_exit(name: &str) -> Profile {
     })
 }
 
-fn policy_or_exit(s: &str) -> PolicySpec {
-    s.parse().unwrap_or_else(|e| {
+/// Unwraps `r`, or prints its error and exits 2.
+fn or_exit<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
+    r.unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
     })
 }
 
-fn config(args: &mut Vec<String>) -> SimConfig {
+fn policy_or_exit(s: &str) -> PolicySpec {
+    or_exit(s.parse())
+}
+
+/// The value of count flag `flag`, `_` separators allowed; `default` when
+/// the flag is absent.
+fn count(args: &mut Vec<String>, flag: &str, default: u64) -> Result<u64, String> {
+    match parse_flag(args, flag) {
+        Some(v) => v
+            .replace('_', "")
+            .parse()
+            .map_err(|_| format!("{flag} expects a whole number, got {v:?}")),
+        None => Ok(default),
+    }
+}
+
+fn config(args: &mut Vec<String>) -> Result<SimConfig, String> {
     let mut cfg = if parse_switch(args, "--figure1") {
         SimConfig::figure1()
     } else {
         SimConfig::default()
     };
-    cfg.measure_instrs = parse_flag(args, "--instrs")
-        .and_then(|v| v.replace('_', "").parse().ok())
-        .unwrap_or(4_000_000);
-    cfg.warmup_instrs = parse_flag(args, "--warmup")
-        .and_then(|v| v.replace('_', "").parse().ok())
-        .unwrap_or(cfg.measure_instrs / 2);
+    cfg.measure_instrs = count(args, "--instrs", 4_000_000)?;
+    cfg.warmup_instrs = count(args, "--warmup", cfg.measure_instrs / 2)?;
     if parse_switch(args, "--ideal") {
         cfg.hierarchy.ideal_l2_instr = true;
     }
-    cfg
+    Ok(cfg)
+}
+
+/// `cfg` under each of `policies`, every one validated before any runs.
+fn validated(cfg: &SimConfig, policies: &[PolicySpec]) -> Result<Vec<SimConfig>, ConfigError> {
+    policies
+        .iter()
+        .map(|&p| {
+            let cfg = cfg.clone().with_policy(p);
+            cfg.validate().map(|()| cfg)
+        })
+        .collect()
 }
 
 fn print_report(r: &SimReport) {
@@ -120,20 +148,17 @@ fn print_report(r: &SimReport) {
 }
 
 fn cmd_run(mut args: Vec<String>) {
-    let cfg = config(&mut args);
+    let cfg = or_exit(config(&mut args));
+    let policy = parse_flag(&mut args, "--policy").or_else(|| args.get(1).cloned());
     let Some(bench) = args.first() else { usage() };
     let profile = profile_or_exit(bench);
-    let policy = args
-        .get(1)
-        .map(String::as_str)
-        .map(policy_or_exit)
-        .unwrap_or(PolicySpec::PREFERRED);
-    let r = run_sim(&profile, &cfg.with_policy(policy));
-    print_report(&r);
+    let policy = policy.map_or(PolicySpec::PREFERRED, |p| policy_or_exit(&p));
+    let cfg = or_exit(validated(&cfg, &[policy])).remove(0);
+    print_report(&run_sim(&profile, &cfg));
 }
 
 fn cmd_compare(mut args: Vec<String>) {
-    let cfg = config(&mut args);
+    let cfg = or_exit(config(&mut args));
     if args.is_empty() {
         usage();
     }
@@ -148,8 +173,8 @@ fn cmd_compare(mut args: Vec<String>) {
     }
     let mut t = Table::with_headers(&["policy", "cycles", "speedup%", "l2i_mpki", "starve"]);
     let mut base_cycles = None;
-    for p in policies {
-        let r = run_sim(&profile, &cfg.clone().with_policy(p));
+    for cfg in or_exit(validated(&cfg, &policies)) {
+        let r = run_sim(&profile, &cfg);
         let base = *base_cycles.get_or_insert(r.cycles);
         t.row(vec![
             r.policy.clone(),
@@ -164,17 +189,22 @@ fn cmd_compare(mut args: Vec<String>) {
 }
 
 fn cmd_sweep(mut args: Vec<String>) {
-    let cfg = config(&mut args);
+    let cfg = or_exit(config(&mut args));
+    let selection = parse_flag(&mut args, "--selection").unwrap_or_else(|| "S&E&R(1/32)".into());
     if args.is_empty() {
         usage();
     }
     let profile = profile_or_exit(&args.remove(0));
-    let selection = parse_flag(&mut args, "--selection").unwrap_or_else(|| "S&E&R(1/32)".into());
+    let ns = [0usize, 2, 4, 6, 8, 10, 12, 14];
+    let specs: Vec<PolicySpec> = ns
+        .iter()
+        .map(|n| policy_or_exit(&format!("P({n}):{selection}")))
+        .collect();
+    let runs = or_exit(validated(&cfg, &specs));
     let base = run_sim(&profile, &cfg.clone().with_policy(PolicySpec::BASELINE));
     let mut t = Table::with_headers(&["N", "speedup%", "l2i_mpki", "l2d_mpki", "starve"]);
-    for n in [0usize, 2, 4, 6, 8, 10, 12, 14] {
-        let spec = policy_or_exit(&format!("P({n}):{selection}"));
-        let r = run_sim(&profile, &cfg.clone().with_policy(spec));
+    for (n, cfg) in ns.into_iter().zip(runs) {
+        let r = run_sim(&profile, &cfg);
         t.row(vec![
             n.to_string(),
             format!("{:+.2}", r.speedup_pct_vs(&base)),
@@ -211,5 +241,45 @@ fn main() {
         "compare" => cmd_compare(args),
         "sweep" => cmd_sweep(args),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(a: &[&str]) -> Vec<String> {
+        a.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn counts_accept_separators_and_consume_their_flags() {
+        let mut a = args(&["xapian", "--instrs", "2_000", "--warmup", "1_000", "M:1"]);
+        let cfg = config(&mut a).unwrap();
+        assert_eq!((cfg.measure_instrs, cfg.warmup_instrs), (2_000, 1_000));
+        assert_eq!(a, args(&["xapian", "M:1"]));
+        let cfg = config(&mut args(&["xapian", "--instrs", "6000"])).unwrap();
+        assert_eq!((cfg.measure_instrs, cfg.warmup_instrs), (6_000, 3_000));
+    }
+
+    #[test]
+    fn malformed_counts_are_rejected_naming_the_flag() {
+        for (flag, value) in [("--instrs", "5k"), ("--warmup", "-1"), ("--instrs", "")] {
+            let err = config(&mut args(&["xapian", flag, value])).unwrap_err();
+            assert!(err.contains(flag) && err.contains(value), "{err}");
+        }
+    }
+
+    #[test]
+    fn configs_are_validated_before_running() {
+        let cfg = config(&mut args(&["--instrs", "4000"])).unwrap();
+        let too_many = "P(16):S&E".parse().unwrap();
+        let err = validated(&cfg, &[PolicySpec::BASELINE, too_many]).unwrap_err();
+        assert!(err.to_string().contains("P(16) requires N < ways"), "{err}");
+        let mut swapped = cfg.clone();
+        swapped.warmup_instrs = 8_000;
+        assert!(validated(&swapped, &[PolicySpec::BASELINE]).is_err());
+        let ok = validated(&cfg, &[PolicySpec::BASELINE, PolicySpec::PREFERRED]).unwrap();
+        assert_eq!(ok[1].l2_policy, PolicySpec::PREFERRED);
     }
 }
