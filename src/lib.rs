@@ -10,11 +10,13 @@
 //!
 //! This crate is a facade re-exporting the whole workspace:
 //!
-//! * [`core`] — the EMISSARY policy family (`P(N):S&E&R(1/32)` notation,
-//!   Algorithm 1, dual-tree TPLRU, the §6 reset mechanism);
+//! * [`core`] — the EMISSARY policy notation (`P(N):S&E&R(1/32)`), mode
+//!   selection and the §6 reset mechanism;
 //! * [`cache`] — the cache/hierarchy substrate (inclusive L2, exclusive
-//!   victim L3 with DRRIP + SFL, NLP prefetchers) and the prior-work
-//!   comparison policies (LIP, BIP, SRRIP/BRRIP/DRRIP, PDP, DCLIP);
+//!   victim L3 with DRRIP + SFL, NLP prefetchers) and every policy on one
+//!   recency substrate: Algorithm 1 over two classes (TPLRU or true LRU)
+//!   and the prior-work comparison policies (LIP, BIP, SRRIP/BRRIP/DRRIP,
+//!   PDP, DCLIP);
 //! * [`frontend`] — the FDIP decoupled fetch engine (basic-block BTB,
 //!   TAGE, ITTAGE, RAS, FTQ);
 //! * [`sim`] — the cycle-level out-of-order core model (Table 4's
