@@ -34,6 +34,8 @@ use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
+use emissary_workloads::Profile;
+
 use crate::checkpoint::{fingerprint, Campaign};
 use crate::pool::{run_parallel_outcomes_hooked, JobOutcome, PoolOptions};
 use crate::{scale, Job};
@@ -77,19 +79,31 @@ pub fn dedup_jobs(jobs: Vec<Job>) -> Vec<Job> {
 
 /// Orders jobs longest-first under the cost model (LPT scheduling). With
 /// one shared pool this minimizes the idle tail: expensive jobs start
-/// early and the short ones pack around them. Ties keep their input
-/// order, so the ordering is deterministic.
+/// early and the short ones pack around them. Cost ties go by profile, in
+/// order of first appearance, then by input order: each profile's
+/// equal-cost jobs run back to back, so a pool worker's pinned program
+/// serves them all ([`crate::pool`]), and the ordering is deterministic.
 pub fn schedule(mut jobs: Vec<Job>, model: &CostModel) -> Vec<Job> {
-    let mut keyed: Vec<(f64, usize)> = jobs
+    let mut profiles: Vec<&Profile> = Vec::new();
+    let mut keyed: Vec<(f64, usize, usize)> = jobs
         .iter()
         .enumerate()
-        .map(|(i, j)| (model.estimate_seconds(j), i))
+        .map(|(i, j)| {
+            let rank = match profiles.iter().position(|p| **p == j.profile) {
+                Some(rank) => rank,
+                None => {
+                    profiles.push(&j.profile);
+                    profiles.len() - 1
+                }
+            };
+            (model.estimate_seconds(j), rank, i)
+        })
         .collect();
-    keyed.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+    keyed.sort_by(|a, b| b.0.total_cmp(&a.0).then((a.1, a.2).cmp(&(b.1, b.2))));
     let mut by_index: Vec<Option<Job>> = jobs.drain(..).map(Some).collect();
     keyed
         .into_iter()
-        .map(|(_, i)| by_index[i].take().expect("each index scheduled once"))
+        .map(|(_, _, i)| by_index[i].take().expect("each index scheduled once"))
         .collect()
 }
 
@@ -393,5 +407,38 @@ mod tests {
             .collect();
         assert_eq!(a, b);
         assert_eq!(a, ["M:1", "M:0", "SRRIP"]);
+    }
+
+    #[test]
+    fn schedule_keeps_each_profiles_ties_together() {
+        // data-serving and speedometer2.0 share a footprint, so their
+        // jobs cost the same: the first-seen profile's run first, each
+        // in input order, and the longer window still leads.
+        let model = CostModel::new();
+        let jobs = vec![
+            job("data-serving", "M:1", 2_000),
+            job("speedometer2.0", "M:1", 2_000),
+            job("data-serving", "M:0", 2_000),
+            job("speedometer2.0", "M:0", 2_000),
+            job("speedometer2.0", "SRRIP", 4_000),
+        ];
+        assert_eq!(
+            model.estimate_seconds(&jobs[0]),
+            model.estimate_seconds(&jobs[1])
+        );
+        let order: Vec<String> = schedule(jobs, &model)
+            .iter()
+            .map(|j| format!("{}/{}", j.profile.name, j.config.l2_policy))
+            .collect();
+        assert_eq!(
+            order,
+            [
+                "speedometer2.0/SRRIP",
+                "data-serving/M:1",
+                "data-serving/M:0",
+                "speedometer2.0/M:1",
+                "speedometer2.0/M:0",
+            ]
+        );
     }
 }

@@ -22,14 +22,14 @@ pub mod scale;
 
 pub use pool::{JobOutcome, PoolOptions};
 
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use emissary_core::spec::PolicySpec;
 use emissary_obs::{JsonlSink, MetricsRegistry, Tracer};
 use emissary_sim::{
     run_sim_checked_on, FaultConfig, ObsConfig, SimAbort, SimConfig, SimReport, SimRun,
 };
-use emissary_workloads::Profile;
+use emissary_workloads::{Profile, Program};
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 ///
@@ -116,6 +116,20 @@ impl Job {
         registry: Option<&MetricsRegistry>,
         worker: &str,
     ) -> Result<SimRun, SimAbort> {
+        self.run_pinned(&mut ProgramPin::default(), fault, registry, worker)
+    }
+
+    /// [`Self::run_checked_metered`] on `pin`'s program when it is this
+    /// job's, leaving this job's program pinned for the caller's next
+    /// job. A `build` span is recorded only when the program comes from
+    /// the store.
+    pub(crate) fn run_pinned(
+        &self,
+        pin: &mut ProgramPin,
+        fault: &FaultConfig,
+        registry: Option<&MetricsRegistry>,
+        worker: &str,
+    ) -> Result<SimRun, SimAbort> {
         let mut fault = fault.clone();
         match self.inject {
             Some(FaultInjection::Panic) => panic!(
@@ -158,13 +172,10 @@ impl Job {
             benchmark: self.profile.name,
             policy: self.config.l2_policy.to_string(),
         };
-        let build_start = std::time::Instant::now();
-        let program = self.profile.shared_program();
-        let build_ns = metrics::elapsed_ns(build_start);
+        let program = pin.program(&self.profile, registry, worker);
         let obs = ObsConfig::new(guard.tracer.clone(), scale::knobs().sample_interval);
-        let result = run_sim_checked_on(&program, &self.profile, &self.config, &obs, &fault);
+        let result = run_sim_checked_on(program, &self.profile, &self.config, &obs, &fault);
         if let Some(m) = registry {
-            metrics::record_stage(m, worker, "build", build_ns);
             if let Ok(run) = &result {
                 let ns = |s: f64| (s * 1e9) as u64;
                 metrics::record_stage(m, worker, "warmup", ns(run.warmup_seconds));
@@ -187,6 +198,43 @@ impl Job {
             sanitize(self.profile.name),
             sanitize(&self.config.l2_policy.to_string())
         )
+    }
+}
+
+/// The program of the last job a pool worker simulated, held so that
+/// the worker's next job on the same profile reuses it. The program store
+/// keeps no program alive by itself (see [`emissary_workloads::store`]),
+/// so the pins decide which programs are resident: at most one per
+/// worker between jobs.
+#[derive(Debug, Default)]
+pub(crate) struct ProgramPin(Option<(Profile, Arc<Program>)>);
+
+impl ProgramPin {
+    /// Drops the pinned program unless it is `profile`'s.
+    pub(crate) fn release_unless(&mut self, profile: &Profile) {
+        if self.0.as_ref().is_some_and(|(pinned, _)| pinned != profile) {
+            self.0 = None;
+        }
+    }
+
+    /// `profile`'s program: the pinned one, or else the store's, which
+    /// replaces the pin and is timed as a `build` span into `registry`.
+    fn program(
+        &mut self,
+        profile: &Profile,
+        registry: Option<&MetricsRegistry>,
+        worker: &str,
+    ) -> &Program {
+        self.release_unless(profile);
+        let (_, program) = self.0.get_or_insert_with(|| {
+            let start = std::time::Instant::now();
+            let program = profile.shared_program();
+            if let Some(m) = registry {
+                metrics::record_stage(m, worker, "build", metrics::elapsed_ns(start));
+            }
+            (profile.clone(), program)
+        });
+        program
     }
 }
 

@@ -17,6 +17,13 @@
 //! (`EMISSARY_RESUME=1`), which re-runs exactly the jobs that did not
 //! complete.
 //!
+//! Each worker pins the program of the last job it simulated and drops
+//! the pin when it claims a job on another profile, so a run of jobs on
+//! one profile builds its program once and a worker holds at most one
+//! program between jobs. Replays from the checkpoint build nothing. The
+//! campaign scheduler keeps each profile's jobs contiguous
+//! ([`crate::campaign::schedule`]), which is what makes the pins hit.
+//!
 //! Each outcome is recorded to the campaign as its job finishes
 //! ([`Campaign::record`] appends and flushes before it returns), so every
 //! record is on disk before the pool returns — the visibility the
@@ -32,7 +39,7 @@ use emissary_obs::metrics::global;
 use emissary_obs::MetricsRegistry;
 
 use crate::checkpoint::{fingerprint, Campaign};
-use crate::{metrics, scale, Job};
+use crate::{metrics, scale, Job, ProgramPin};
 
 /// What happened to one pool job. The pool always returns one outcome per
 /// job, in job order — failures never drop rows or abort the campaign.
@@ -225,11 +232,13 @@ pub fn run_parallel_outcomes_hooked(
                 let wall_start = Instant::now();
                 let mut busy_ns = 0u64;
                 let mut local = Vec::new();
+                let mut pin = ProgramPin::default();
                 loop {
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(job) = jobs.get(i) else { break };
+                    pin.release_unless(&job.profile);
                     let job_start = Instant::now();
-                    let outcome = run_job(job, opts, campaign, registry, &worker);
+                    let outcome = run_job(job, &mut pin, opts, campaign, registry, &worker);
                     busy_ns += metrics::elapsed_ns(job_start);
                     registry.add_counter(
                         metrics::JOBS_TOTAL,
@@ -260,10 +269,12 @@ pub fn run_parallel_outcomes_hooked(
 
 /// Executes one job under the full isolation stack (checkpoint replay →
 /// validation → catch_unwind + fault detector) and records the outcome.
-/// Pool workers run every job through this; `worker` labels the
-/// per-stage metric spans recorded into `registry`.
+/// Pool workers run every job through this, simulating on the worker's
+/// `pin`; `worker` labels the per-stage metric spans recorded into
+/// `registry`.
 fn run_job(
     job: &Job,
+    pin: &mut ProgramPin,
     opts: &PoolOptions,
     campaign: Option<&Campaign>,
     registry: &MetricsRegistry,
@@ -289,7 +300,7 @@ fn run_job(
         // locally, so resuming the pool after a caught panic cannot
         // observe broken invariants.
         match catch_unwind(AssertUnwindSafe(|| {
-            job.run_checked_metered(&opts.fault_config(), Some(registry), worker)
+            job.run_pinned(pin, &opts.fault_config(), Some(registry), worker)
         })) {
             Ok(Ok(run)) => JobOutcome::Completed {
                 run: Box::new(run),

@@ -4,6 +4,7 @@
 //! simulate nothing, and a memoized run must replay bit-identically.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use emissary_bench::campaign::{self, CostModel, Runs};
 use emissary_bench::checkpoint::{config_hash, fingerprint, Campaign};
@@ -12,7 +13,7 @@ use emissary_bench::pool::run_parallel_outcomes_with;
 use emissary_bench::{Job, PoolOptions};
 use emissary_core::spec::PolicySpec;
 use emissary_sim::{FaultConfig, SimConfig};
-use emissary_workloads::Profile;
+use emissary_workloads::{Profile, Program};
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("emissary_campaign_{}_{tag}", std::process::id()));
@@ -27,6 +28,15 @@ fn template() -> SimConfig {
         measure_instrs: 4_000,
         ..SimConfig::default()
     }
+}
+
+/// Holds the program of every job in `plan`, so the several passes a
+/// test makes over it share one build of each: the program store keeps a
+/// program only while some caller holds it.
+fn hold_programs(plan: &[Job]) -> Vec<Arc<Program>> {
+    plan.iter()
+        .map(|job| job.profile.shared_program())
+        .collect()
 }
 
 fn entries(names: &[&str]) -> Vec<Entry> {
@@ -50,6 +60,7 @@ fn prefetched_tables_match_the_raw_plan_run_job_by_job() {
     // and a superset matrix overlapping it (fig6).
     let entries = entries(&["fig1", "fig4", "fig6"]);
     let plan = experiments::plan_jobs(&entries, &template());
+    let _held = hold_programs(&plan);
 
     // Reference: every planned job, duplicates included, on one worker
     // with no campaign — no dedup, no memo, no scheduling.
@@ -80,6 +91,7 @@ fn prefetched_tables_match_the_raw_plan_run_job_by_job() {
 #[test]
 fn a_warm_campaign_simulates_nothing() {
     let plan = experiments::plan_jobs(&entries(&["fig1"]), &template());
+    let _held = hold_programs(&plan);
     let dir = tmpdir("warm");
     let c = Campaign::begin_with("campaign", &dir, false);
     let model = CostModel::new();
@@ -103,6 +115,7 @@ fn a_memoized_run_replays_bit_identically() {
         &template(),
         PolicySpec::BASELINE,
     );
+    let _held = hold_programs(std::slice::from_ref(&probe));
     let dir = tmpdir("memo");
     let c = Campaign::begin_with("campaign", &dir, false);
     campaign::prefetch(

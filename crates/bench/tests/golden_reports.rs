@@ -17,8 +17,10 @@
 //! behaviour changes, paste the new values here and explain why in the
 //! commit message).
 
+use std::collections::HashMap;
+
 use emissary_bench::checkpoint::fnv1a64;
-use emissary_sim::{run_sim, SimConfig};
+use emissary_sim::{run_sim_on, SimConfig};
 use emissary_workloads::Profile;
 
 /// One golden configuration: base machine config, benchmark, L2 policy
@@ -216,10 +218,15 @@ fn golden_config(g: &Golden) -> SimConfig {
 fn reports_are_bit_identical_to_seed_behaviour() {
     let bless = emissary_bench::scale::knobs().bless;
     let mut failures = Vec::new();
+    // Each benchmark's program, held across its rows.
+    let mut held = HashMap::new();
     for g in GOLDEN {
         let profile = Profile::by_name(g.benchmark).expect("golden benchmark");
+        let program = held
+            .entry(g.benchmark)
+            .or_insert_with(|| profile.shared_program());
         let cfg = golden_config(g);
-        let json = run_sim(&profile, &cfg).to_json();
+        let json = run_sim_on(program, &profile, &cfg).to_json();
         let digest = fnv1a64(json.as_bytes());
         if bless {
             println!("{}/{}: digest: 0x{digest:016x},", g.benchmark, g.policy);

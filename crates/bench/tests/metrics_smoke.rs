@@ -46,6 +46,8 @@ fn quick_job() -> Job {
 #[test]
 fn recording_metrics_is_bit_identical_to_disabled() {
     let job = quick_job();
+    // Both runs share one build of the program.
+    let _held = job.profile.shared_program();
     let off = job
         .run_checked_metered(&FaultConfig::none(), None, "main")
         .expect("metrics-off run completes");

@@ -74,6 +74,9 @@ fn rendered_reports(outcomes: &[JobOutcome]) -> Vec<String> {
 #[test]
 fn results_are_byte_identical_across_thread_counts_and_reruns() {
     let jobs = jobs();
+    // The store keeps a program only while some caller holds it: hold
+    // each one across the four pools, so they share one build.
+    let _held: Vec<_> = jobs.iter().map(|j| j.profile.shared_program()).collect();
     // {1, 2, 4} threads plus a second 1-thread run: the repeat pins down
     // nondeterminism that is not thread-related (iteration order, time).
     let variants: &[(&str, usize)] = &[("t1a", 1), ("t1b", 1), ("t2", 2), ("t4", 4)];

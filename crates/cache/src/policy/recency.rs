@@ -46,6 +46,27 @@ impl RecencyBase {
     pub fn build(self, sets: usize, ways: usize) -> PolicyImpl {
         PolicyImpl::Recency(RecencyPolicy::new(self, false, sets, ways))
     }
+
+    /// Why a recency order over this base cannot hold `ways` ways: way
+    /// masks cover 1 to 32 ways, and a tree needs a power of two. `None`
+    /// when it can. The constructors assert this rule, and
+    /// `SimConfig::validate` checks it before a machine is built.
+    pub fn ways_error(self, ways: usize) -> Option<String> {
+        if !(1..=32).contains(&ways) {
+            Some(format!("recency masks cover 1..=32 ways, got {ways}"))
+        } else if self == RecencyBase::TreePlru && !ways.is_power_of_two() {
+            Some(format!("TPLRU requires power-of-two ways, got {ways}"))
+        } else {
+            None
+        }
+    }
+
+    /// Panics with [`Self::ways_error`]'s reason when there is one.
+    fn assert_holds(self, ways: usize) {
+        if let Some(msg) = self.ways_error(ways) {
+            panic!("{msg}");
+        }
+    }
 }
 
 /// One pseudo-LRU tree over a power-of-two number of ways.
@@ -77,12 +98,10 @@ impl PlruTree {
     ///
     /// # Panics
     ///
-    /// Panics unless `ways` is a power of two in `1..=32`.
+    /// Panics unless `ways` is a power of two in `1..=32`
+    /// ([`RecencyBase::ways_error`]).
     pub fn new(ways: usize) -> Self {
-        assert!(
-            ways.is_power_of_two() && (1..=32).contains(&ways),
-            "TPLRU requires power-of-two ways in 1..=32, got {ways}"
-        );
+        RecencyBase::TreePlru.assert_holds(ways);
         Self { ways, bits: 0 }
     }
 
@@ -193,14 +212,10 @@ impl Recency {
     ///
     /// # Panics
     ///
-    /// Panics if `ways` exceeds the 32 that a way mask covers, or, over
-    /// tree PLRU, is not a power of two.
+    /// Panics if `base` cannot hold `ways` ([`RecencyBase::ways_error`]).
     pub(crate) fn new(base: RecencyBase, classes: usize, sets: usize, ways: usize) -> Self {
         assert!((1..=2).contains(&classes), "1 or 2 classes, got {classes}");
-        assert!(
-            ways <= 32,
-            "recency masks cover at most 32 ways, got {ways}"
-        );
+        base.assert_holds(ways);
         let state = match base {
             RecencyBase::TrueLru => State::Stamps {
                 stamps: vec![0; sets * ways],
@@ -579,6 +594,31 @@ mod tests {
     #[should_panic]
     fn rejects_non_power_of_two() {
         PlruTree::new(6);
+    }
+
+    #[test]
+    fn ways_rule_matches_what_each_base_can_hold() {
+        for ways in [1, 2, 16, 32] {
+            assert_eq!(RecencyBase::TreePlru.ways_error(ways), None, "{ways}");
+        }
+        for ways in [1, 12, 24, 32] {
+            assert_eq!(RecencyBase::TrueLru.ways_error(ways), None, "{ways}");
+        }
+        for base in [RecencyBase::TrueLru, RecencyBase::TreePlru] {
+            for ways in [0, 33, 64] {
+                assert!(base.ways_error(ways).unwrap().contains("1..=32"));
+            }
+        }
+        assert!(RecencyBase::TreePlru
+            .ways_error(12)
+            .unwrap()
+            .contains("power-of-two"));
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=32")]
+    fn true_lru_rejects_more_ways_than_a_mask_covers() {
+        Recency::new(RecencyBase::TrueLru, 1, 1, 33);
     }
 
     // Two classes.

@@ -142,6 +142,26 @@ impl PolicySpec {
         }
     }
 
+    /// The recency order the built L2 policy keeps, over the evaluation's
+    /// `flavor`: the `M:` and `P(N)` policies keep `flavor`'s, standalone
+    /// GHRP a tree, LIN and LACS true LRU. The RRIP family, PDP and DCLIP
+    /// keep none.
+    pub fn recency_base(&self, flavor: RecencyBase) -> Option<RecencyBase> {
+        match self {
+            PolicySpec::MruInsert(_)
+            | PolicySpec::Protect { .. }
+            | PolicySpec::ProtectBypass { .. }
+            | PolicySpec::ProtectGhrp { .. } => Some(flavor),
+            PolicySpec::Ghrp => Some(RecencyBase::TreePlru),
+            PolicySpec::Lin | PolicySpec::Lacs => Some(RecencyBase::TrueLru),
+            PolicySpec::Srrip
+            | PolicySpec::Brrip
+            | PolicySpec::Drrip
+            | PolicySpec::Pdp
+            | PolicySpec::Dclip => None,
+        }
+    }
+
     /// The paper notation for this spec ("P(8):S&E&R(1/32)", …), interned
     /// so policies can expose it as a `&'static str` name.
     pub fn notation(&self) -> &'static str {

@@ -15,7 +15,9 @@ use crate::machine::{COMP_RING, MAX_DEP_DISTANCE};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ConfigError {
     /// A cache's geometry is degenerate (zero ways, zero sets, or a
-    /// non-power-of-two set count).
+    /// non-power-of-two set count), or has more ways, or a way count
+    /// other than a power of two, than its recency policy can hold
+    /// ([`RecencyBase::ways_error`]).
     Geometry(String),
     /// A core structure is degenerate: a zero width or capacity (the
     /// pipeline would never make progress), or a ROB deep enough that live
@@ -233,13 +235,25 @@ impl SimConfig {
 
     /// Checks the configuration for degenerate values that would panic (or
     /// quietly corrupt metrics) deep inside the machine: bad cache
-    /// geometry, a zero-sized or ring-aliasing core, a protect-`N` at or
-    /// above the L2 associativity, invalid selection expressions, an empty
-    /// measurement window, or a warmup longer than the window it is
-    /// supposed to warm up for.
+    /// geometry, an L1 or L2 way count its recency policy cannot hold, a
+    /// zero-sized or ring-aliasing core, a protect-`N` at or above the L2
+    /// associativity, invalid selection expressions, an empty measurement
+    /// window, or a warmup longer than the window it is supposed to warm
+    /// up for.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if let Some(msg) = self.hierarchy.geometry_error() {
             return Err(ConfigError::Geometry(msg));
+        }
+        let h = &self.hierarchy;
+        let recency = [
+            (&h.l1i, Some(self.l1_policy)),
+            (&h.l1d, Some(self.l1_policy)),
+            (&h.l2, self.l2_policy.recency_base(self.recency)),
+        ];
+        for (cache, base) in recency {
+            if let Some(msg) = base.and_then(|b| b.ways_error(cache.ways)) {
+                return Err(ConfigError::Geometry(format!("{}: {msg}", cache.name)));
+            }
         }
         if let Some(msg) = self.core.shape_error() {
             return Err(ConfigError::Core(msg));
@@ -261,6 +275,7 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use emissary_cache::config::CacheConfig;
 
     #[test]
     fn table4_values() {
@@ -302,6 +317,29 @@ mod tests {
         }
     }
 
+    #[test]
+    fn validate_accepts_way_counts_the_policies_hold() {
+        // A 12-way L2 needs no tree under RRIP or over true LRU, and a
+        // configuration that validates builds and runs.
+        let twelve_way = |mut c: SimConfig| {
+            c.hierarchy.l2 = CacheConfig::new("l2", 768 * 1024, 12, 12);
+            c.warmup_instrs = 500;
+            c.measure_instrs = 2_000;
+            c
+        };
+        let profile = emissary_workloads::Profile::by_name("xapian").unwrap();
+        let program = profile.shared_program();
+        for cfg in [
+            twelve_way(SimConfig::default().with_policy(PolicySpec::Srrip)),
+            twelve_way(SimConfig::default().with_policy(PolicySpec::Lacs)),
+            twelve_way(SimConfig::figure1().with_policy(PolicySpec::PREFERRED)),
+        ] {
+            assert_eq!(cfg.validate(), Ok(()), "rejected {:?}", cfg.l2_policy);
+            let report = crate::run_sim_on(&program, &profile, &cfg);
+            assert!(report.committed >= 2_000, "{:?}", cfg.l2_policy);
+        }
+    }
+
     /// One rejection case: label, mutated config, expected-error check.
     type RejectCase = (&'static str, SimConfig, fn(&ConfigError) -> bool);
 
@@ -336,6 +374,42 @@ mod tests {
                     c
                 },
                 |e| matches!(e, ConfigError::Geometry(_)),
+            ),
+            (
+                "12-way TPLRU L2 (768 KB)",
+                {
+                    let mut c = base();
+                    c.hierarchy.l2 = CacheConfig::new("l2", 768 * 1024, 12, 12);
+                    c
+                },
+                |e| matches!(e, ConfigError::Geometry(m) if m.contains("power-of-two")),
+            ),
+            (
+                "12-way TPLRU L1I",
+                {
+                    let mut c = base();
+                    c.hierarchy.l1i = CacheConfig::new("l1i", 48 * 1024, 12, 2);
+                    c
+                },
+                |e| matches!(e, ConfigError::Geometry(m) if m.starts_with("l1i")),
+            ),
+            (
+                "64-way true-LRU L1D",
+                {
+                    let mut c = SimConfig::figure1();
+                    c.hierarchy.l1d = CacheConfig::new("l1d", 64 * 1024, 64, 2);
+                    c
+                },
+                |e| matches!(e, ConfigError::Geometry(m) if m.contains("1..=32")),
+            ),
+            (
+                "64-way L2 under LIN's true LRU",
+                {
+                    let mut c = base().with_policy(PolicySpec::Lin);
+                    c.hierarchy.l2 = CacheConfig::new("l2", 1024 * 1024, 64, 12);
+                    c
+                },
+                |e| matches!(e, ConfigError::Geometry(m) if m.starts_with("l2")),
             ),
             (
                 "protect-N at associativity",

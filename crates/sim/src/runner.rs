@@ -76,7 +76,23 @@ impl SimRun {
 /// `cfg.measure_instrs`, and assembles a [`SimReport`] for the measurement
 /// window (mirroring §5.1's warmup/measurement protocol).
 pub fn run_sim(profile: &Profile, cfg: &SimConfig) -> SimReport {
-    run_sim_observed(profile, cfg, &ObsConfig::default()).report
+    run_sim_on(&profile.shared_program(), profile, cfg)
+}
+
+/// [`run_sim`] over a prebuilt [`Program`] (see [`run_sim_checked_on`]).
+/// The program store keeps a program only while some caller holds it, so
+/// a caller running several configurations on one profile holds its
+/// program across them here instead of having [`run_sim`] rebuild it.
+pub fn run_sim_on(program: &Program, profile: &Profile, cfg: &SimConfig) -> SimReport {
+    run_sim_checked_on(
+        program,
+        profile,
+        cfg,
+        &ObsConfig::default(),
+        &FaultConfig::none(),
+    )
+    .expect("FaultConfig::none() disables every abort path")
+    .report
 }
 
 /// [`run_sim`] with observability: events flow into `obs.tracer` and, when
@@ -89,8 +105,8 @@ pub fn run_sim(profile: &Profile, cfg: &SimConfig) -> SimReport {
 /// execution is bit-identical to an unsampled run (a regression test
 /// holds this).
 ///
-/// The program comes from the shared store, which builds each benchmark's
-/// multi-megabyte CFG once per process.
+/// The program comes from the shared store (the live copy if some caller
+/// holds one, else a fresh build).
 pub fn run_sim_observed(profile: &Profile, cfg: &SimConfig, obs: &ObsConfig) -> SimRun {
     let program = profile.shared_program();
     run_sim_checked_on(&program, profile, cfg, obs, &FaultConfig::none())
@@ -292,8 +308,9 @@ mod tests {
     #[test]
     fn same_config_same_result() {
         let p = Profile::by_name("xapian").unwrap();
-        let a = run_sim(&p, &quick(PolicySpec::BASELINE));
-        let b = run_sim(&p, &quick(PolicySpec::BASELINE));
+        let program = p.shared_program();
+        let a = run_sim_on(&program, &p, &quick(PolicySpec::BASELINE));
+        let b = run_sim_on(&program, &p, &quick(PolicySpec::BASELINE));
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.starvation_cycles, b.starvation_cycles);
     }
@@ -303,8 +320,9 @@ mod tests {
         // Different L2 policies must not change the architectural work,
         // only its timing: committed counts match, footprints match.
         let p = Profile::by_name("xapian").unwrap();
-        let a = run_sim(&p, &quick(PolicySpec::BASELINE));
-        let b = run_sim(&p, &quick(PolicySpec::PREFERRED));
+        let program = p.shared_program();
+        let a = run_sim_on(&program, &p, &quick(PolicySpec::BASELINE));
+        let b = run_sim_on(&program, &p, &quick(PolicySpec::PREFERRED));
         assert_eq!(a.committed, b.committed);
         assert_eq!(a.footprint_bytes, b.footprint_bytes);
     }
@@ -335,7 +353,9 @@ mod tests {
         let mut protects = Vec::new();
         for (bench, cfg) in observed_inputs() {
             let p = Profile::by_name(bench).unwrap();
-            let plain = run_sim(&p, &cfg);
+            // Held, so the store serves every run below one build.
+            let program = p.shared_program();
+            let plain = run_sim_on(&program, &p, &cfg);
             // An enabled tracer that discards (NullSink) must also be inert.
             let nulled = run_sim_observed(&p, &cfg, &ObsConfig::new(Tracer::new(NullSink), None));
             assert_eq!(plain, nulled.report, "NullSink tracing perturbed the run");
@@ -370,10 +390,11 @@ mod tests {
         // and must not perturb the simulation (read-only guarantee).
         for (bench, cfg) in observed_inputs() {
             let p = Profile::by_name(bench).unwrap();
-            let plain = run_sim(&p, &cfg);
+            let program = p.shared_program();
+            let plain = run_sim_on(&program, &p, &cfg);
             let fault = FaultConfig::watchdog().with_audit();
             let checked = run_sim_checked_on(
-                &p.shared_program(),
+                &program,
                 &p,
                 &cfg,
                 &ObsConfig::new(Tracer::disabled(), Some(7_000)),
@@ -392,8 +413,9 @@ mod tests {
         let base = evicting(quick(PolicySpec::BASELINE));
         let mut ideal = base.clone();
         ideal.hierarchy.ideal_l2_instr = true;
-        let r0 = run_sim(&p, &base);
-        let r1 = run_sim(&p, &ideal);
+        let program = p.shared_program();
+        let r0 = run_sim_on(&program, &p, &base);
+        let r1 = run_sim_on(&program, &p, &ideal);
         assert!(r1.ideal_l2_saves > 0, "ideal mode never fired");
         assert!(
             r1.cycles <= r0.cycles,

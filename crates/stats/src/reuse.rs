@@ -22,6 +22,9 @@ const COMPACT_FACTOR: usize = 4;
 /// The bucket boundaries, as unique-line counts.
 const THRESHOLDS: [usize; 2] = [MID_REUSE_MIN as usize, LONG_REUSE_MIN as usize];
 
+/// Lines per stamp-table page: one page is 16 KB of `u32` stamps.
+const PAGE_LINES: u64 = 4096;
+
 /// Figure 2's three reuse-distance classes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ReuseBucket {
@@ -116,7 +119,7 @@ impl ReuseCounts {
     }
 }
 
-/// Multiplicative hasher for the tracker's line keys: one multiply per key
+/// Multiplicative hasher for the tracker's page keys: one multiply per key
 /// in place of SipHash. The rotate moves the product's well-mixed high
 /// bits down to where the table picks its bucket.
 #[derive(Debug, Default, Clone, Copy)]
@@ -157,11 +160,13 @@ impl Hasher for LineHasher {
 ///   next live stamp above it.
 ///
 /// `θ_K` only moves forward, so all its steps together scan each stamp's
-/// bit at most once: `access` costs amortised `O(1)` plus one hash lookup.
-/// Memory is bounded by the distinct lines, not the accesses: once the
-/// stamps reach [`COMPACT_FACTOR`] times the line count, the live stamps
-/// are renumbered densely in order, which keeps every rank and so every
-/// bucket.
+/// bit at most once: `access` costs amortised `O(1)` plus one lookup in
+/// a small page map. Each line's latest stamp sits in a dense `u32` table
+/// paged by 4096-line regions, so a footprint of contiguous code costs
+/// about 4 bytes a line. Memory is bounded by the distinct lines, not the
+/// accesses: once the stamps reach [`COMPACT_FACTOR`] times the line
+/// count, the live stamps are renumbered densely in order, which keeps
+/// every rank and so every bucket.
 ///
 /// # Example
 ///
@@ -178,8 +183,14 @@ impl Hasher for LineHasher {
 /// ```
 #[derive(Debug, Default)]
 pub struct ReuseTracker {
-    /// line -> timestamp of its most recent access.
-    last_access: HashMap<u64, usize, BuildHasherDefault<LineHasher>>,
+    /// Page number (`line / PAGE_LINES`) -> its offset in `stamps`, over
+    /// `PAGE_LINES`.
+    pages: HashMap<u64, u32, BuildHasherDefault<LineHasher>>,
+    /// Each line's latest stamp plus one (0: never accessed), one
+    /// `PAGE_LINES` run per page any access reached.
+    stamps: Vec<u32>,
+    /// Number of distinct lines seen.
+    lines: usize,
     /// Bit `s` is set when stamp `s` is the latest access of some line.
     live: Vec<u64>,
     /// `θ_K` for each of [`THRESHOLDS`]: the `K`-th newest live stamp,
@@ -207,8 +218,12 @@ impl ReuseTracker {
         }
         self.prev_line = Some(line);
         let now = self.now;
-        let old = self.last_access.insert(line, now);
-        let lines = self.last_access.len();
+        let stamp = u32::try_from(now + 1).expect("stamps stay below 4x the distinct lines");
+        let slot = self.slot(line);
+        let old = (*slot).checked_sub(1).map(|t| t as usize);
+        *slot = stamp;
+        self.lines += usize::from(old.is_none());
+        let lines = self.lines;
         // Whether the distance is below threshold `i`, before any `θ` moves.
         let below = |i: usize, t: usize| lines <= THRESHOLDS[i] || t >= self.theta[i];
         let bucket = old.map(|t| {
@@ -249,6 +264,17 @@ impl ReuseTracker {
         bucket
     }
 
+    /// `line`'s entry in the stamp table, adding its page on first use.
+    fn slot(&mut self, line: u64) -> &mut u32 {
+        let next = u32::try_from(self.pages.len()).expect("fewer than 2^32 pages");
+        let page = *self.pages.entry(line / PAGE_LINES).or_insert(next);
+        if page == next {
+            self.stamps
+                .resize(self.stamps.len() + PAGE_LINES as usize, 0);
+        }
+        &mut self.stamps[(u64::from(page) * PAGE_LINES + line % PAGE_LINES) as usize]
+    }
+
     /// The first live stamp at or after `from` (one always exists: the
     /// newest stamp is live).
     fn next_live(&self, from: usize) -> usize {
@@ -263,17 +289,25 @@ impl ReuseTracker {
 
     /// Renumbers the live stamps `0..unique_lines()` in their order, so
     /// the bitmap becomes all ones and each `θ_K` the `K`-th from the top.
+    /// Every stamp in the table is live, and its new number is its rank:
+    /// the live bits below it.
     fn compact(&mut self) {
-        let mut live: Vec<(usize, u64)> = self
-            .last_access
+        let mut below = 0;
+        let words_below: Vec<u32> = self
+            .live
             .iter()
-            .map(|(&line, &stamp)| (stamp, line))
+            .map(|w| {
+                let base = below;
+                below += w.count_ones();
+                base
+            })
             .collect();
-        live.sort_unstable();
-        for (stamp, &(_, line)) in live.iter().enumerate() {
-            self.last_access.insert(line, stamp);
+        for slot in self.stamps.iter_mut().filter(|s| **s != 0) {
+            let t = (*slot - 1) as usize;
+            let lower = self.live[t / 64] & ((1 << (t % 64)) - 1);
+            *slot = words_below[t / 64] + lower.count_ones() + 1;
         }
-        let n = live.len();
+        let n = self.lines;
         self.now = n;
         self.live = vec![u64::MAX; n / 64];
         let rest = n % 64;
@@ -287,7 +321,7 @@ impl ReuseTracker {
 
     /// Number of distinct lines seen so far.
     pub fn unique_lines(&self) -> usize {
-        self.last_access.len()
+        self.lines
     }
 
     /// Aggregate bucket counts.
@@ -382,7 +416,9 @@ mod tests {
         };
         let fixed: Vec<u64> = (0..800).map(|_| next() % 40).collect();
         let drifting: Vec<u64> = (0..3000u64).map(|i| i / 20 + next() % 180).collect();
-        for stream in [fixed, drifting] {
+        // The same stream with a line per stamp-table page.
+        let scattered: Vec<u64> = drifting.iter().map(|l| l * (PAGE_LINES + 1)).collect();
+        for stream in [fixed, drifting, scattered] {
             let expect = naive_buckets(&stream);
             let mut t = ReuseTracker::new();
             let mut compactions = 0;

@@ -29,8 +29,9 @@ impl Profile {
         build_program(&self.shape)
     }
 
-    /// The process-shared program for this profile, built once and cached
-    /// (see [`crate::store`]). Identical to [`Profile::build`] in content.
+    /// The process-shared program for this profile: the live one if some
+    /// caller holds it, else a fresh build (see [`crate::store`]).
+    /// Identical to [`Profile::build`] in content.
     pub fn shared_program(&self) -> std::sync::Arc<Program> {
         crate::store::shared_program(self)
     }

@@ -2,21 +2,28 @@
 //!
 //! Building a benchmark's synthetic CFG ([`crate::builder::build_program`])
 //! allocates a multi-megabyte [`Program`], and a reproduction campaign
-//! runs thousands of simulations over the *same thirteen* programs. The
-//! store builds each program at most once per process and hands out
-//! `Arc<Program>` clones, so concurrent simulation jobs share one
-//! immutable CFG instead of each rebuilding it.
+//! runs thousands of simulations over a handful of programs. The store
+//! hands out `Arc<Program>` clones, so concurrent simulation jobs on one
+//! profile share one immutable CFG instead of each rebuilding it.
+//!
+//! The store owns no program. It keeps one `Weak<Program>` per profile,
+//! so a program lives exactly as long as some caller holds its `Arc`: a
+//! request while one is alive returns it, and a request after the last
+//! holder dropped it builds it again. Memory therefore follows the
+//! programs in use, not every profile the process ever touched; callers
+//! that run many jobs on one profile hold its `Arc` across them (the
+//! pool's workers pin the program of their last job).
 //!
 //! Programs are keyed by a stable hash of the full [`Profile`] (shape and
 //! seed), so two profiles that differ in any generation knob never share
-//! a program. Construction is memoized per key through a per-profile
-//! `OnceLock`: the first caller builds while later callers for the same
-//! key wait on that build, and callers for *different* keys build
-//! concurrently, because the map's one lock is held only to find the
-//! cell, never across a build.
+//! a program. Each key has its own lock, held across a build: concurrent
+//! requests for one profile wait for the first caller's build and share
+//! it, while requests for *different* profiles build concurrently,
+//! because the map's lock is held only to find the key's slot.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, Weak};
 
 use crate::builder::build_program;
 use crate::profiles::Profile;
@@ -33,27 +40,53 @@ fn profile_key(profile: &Profile) -> u64 {
     hash
 }
 
-type Cell = Arc<OnceLock<Arc<Program>>>;
+/// One profile's program, if some caller still holds it.
+type Slot = Arc<Mutex<Weak<Program>>>;
 
-/// The program map: profile key → its build cell.
-fn cells() -> &'static Mutex<HashMap<u64, Cell>> {
-    static CELLS: OnceLock<Mutex<HashMap<u64, Cell>>> = OnceLock::new();
-    CELLS.get_or_init(|| Mutex::new(HashMap::new()))
+/// The program map: profile key → its slot.
+fn slots() -> &'static Mutex<HashMap<u64, Slot>> {
+    static SLOTS: OnceLock<Mutex<HashMap<u64, Slot>>> = OnceLock::new();
+    SLOTS.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Returns the shared program for `profile`, building it on first use.
-/// Identical in content to [`Profile::build`].
+/// Programs built since the process started.
+static BUILDS: AtomicU64 = AtomicU64::new(0);
+
+/// Locks a store mutex. A build that panicked leaves its slot empty (or
+/// holding the previous program), both valid, so a poisoned lock is
+/// adopted.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Returns the shared program for `profile`: the live one if some caller
+/// holds it, otherwise a fresh build. Identical in content to
+/// [`Profile::build`].
 pub fn shared_program(profile: &Profile) -> Arc<Program> {
     let key = profile_key(profile);
-    let cell: Cell = {
-        let mut map = cells().lock().expect("program store poisoned");
-        map.entry(key).or_default().clone()
-    };
-    // Build outside the map lock: a slow build for one benchmark must
-    // not block lookups (or builds) for any other, and two builds of the
-    // same profile still coalesce on the cell's `OnceLock`.
-    cell.get_or_init(|| Arc::new(build_program(&profile.shape)))
-        .clone()
+    let slot = lock(slots()).entry(key).or_default().clone();
+    // Build under the slot's lock only: a slow build for one benchmark
+    // must not block lookups (or builds) for any other, and two requests
+    // for the same profile still coalesce on one build.
+    let mut weak = lock(&slot);
+    if let Some(program) = weak.upgrade() {
+        return program;
+    }
+    let program = Arc::new(build_program(&profile.shape));
+    BUILDS.fetch_add(1, Ordering::Relaxed);
+    *weak = Arc::downgrade(&program);
+    program
+}
+
+/// Programs alive now: those some caller still holds.
+pub fn live_programs() -> usize {
+    let slots: Vec<Slot> = lock(slots()).values().cloned().collect();
+    slots.iter().filter(|s| lock(s).strong_count() > 0).count()
+}
+
+/// Programs [`shared_program`] has built since the process started.
+pub fn programs_built() -> u64 {
+    BUILDS.load(Ordering::Relaxed)
 }
 
 #[cfg(test)]
@@ -65,7 +98,14 @@ mod tests {
         let p = Profile::by_name("xapian").unwrap();
         let a = shared_program(&p);
         let b = shared_program(&p);
-        assert!(Arc::ptr_eq(&a, &b), "second fetch must hit the cache");
+        assert!(Arc::ptr_eq(&a, &b), "a held program must be shared");
+    }
+
+    #[test]
+    fn the_store_keeps_no_program_alive() {
+        let p = Profile::by_name("web-search").unwrap();
+        let weak = Arc::downgrade(&shared_program(&p));
+        assert!(weak.upgrade().is_none(), "dropped program still alive");
     }
 
     #[test]
@@ -73,7 +113,7 @@ mod tests {
         let p = Profile::by_name("xapian").unwrap();
         let shared = shared_program(&p);
         let fresh = p.build();
-        assert_eq!(*shared, fresh, "cached program diverged from build()");
+        assert_eq!(*shared, fresh, "stored program diverged from build()");
     }
 
     #[test]

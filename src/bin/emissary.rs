@@ -171,10 +171,13 @@ fn cmd_compare(mut args: Vec<String>) {
     } else {
         policies.extend(args.iter().map(|s| policy_or_exit(s)));
     }
+    let runs = or_exit(validated(&cfg, &policies));
+    // One build serves every policy.
+    let program = profile.shared_program();
     let mut t = Table::with_headers(&["policy", "cycles", "speedup%", "l2i_mpki", "starve"]);
     let mut base_cycles = None;
-    for cfg in or_exit(validated(&cfg, &policies)) {
-        let r = run_sim(&profile, &cfg);
+    for cfg in runs {
+        let r = run_sim_on(&program, &profile, &cfg);
         let base = *base_cycles.get_or_insert(r.cycles);
         t.row(vec![
             r.policy.clone(),
@@ -201,10 +204,16 @@ fn cmd_sweep(mut args: Vec<String>) {
         .map(|n| policy_or_exit(&format!("P({n}):{selection}")))
         .collect();
     let runs = or_exit(validated(&cfg, &specs));
-    let base = run_sim(&profile, &cfg.clone().with_policy(PolicySpec::BASELINE));
+    // One build serves every policy.
+    let program = profile.shared_program();
+    let base = run_sim_on(
+        &program,
+        &profile,
+        &cfg.clone().with_policy(PolicySpec::BASELINE),
+    );
     let mut t = Table::with_headers(&["N", "speedup%", "l2i_mpki", "l2d_mpki", "starve"]);
     for (n, cfg) in ns.into_iter().zip(runs) {
-        let r = run_sim(&profile, &cfg);
+        let r = run_sim_on(&program, &profile, &cfg);
         t.row(vec![
             n.to_string(),
             format!("{:+.2}", r.speedup_pct_vs(&base)),
@@ -281,5 +290,12 @@ mod tests {
         assert!(validated(&swapped, &[PolicySpec::BASELINE]).is_err());
         let ok = validated(&cfg, &[PolicySpec::BASELINE, PolicySpec::PREFERRED]).unwrap();
         assert_eq!(ok[1].l2_policy, PolicySpec::PREFERRED);
+        // A 12-way L2 holds SRRIP but not the baseline's TPLRU tree.
+        let mut twelve_way = cfg.clone();
+        twelve_way.hierarchy.l2 =
+            emissary::cache::config::CacheConfig::new("l2", 768 * 1024, 12, 12);
+        assert!(validated(&twelve_way, &[PolicySpec::Srrip]).is_ok());
+        let err = validated(&twelve_way, &[PolicySpec::Srrip, PolicySpec::BASELINE]).unwrap_err();
+        assert!(err.to_string().contains("power-of-two"), "{err}");
     }
 }

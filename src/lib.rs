@@ -72,7 +72,9 @@ pub mod prelude {
     pub use emissary_core::spec::PolicySpec;
     pub use emissary_energy::EnergyParams;
     pub use emissary_obs::{RingSink, TraceEvent, Tracer};
-    pub use emissary_sim::{run_sim, run_sim_observed, ObsConfig, SimConfig, SimReport, SimRun};
+    pub use emissary_sim::{
+        run_sim, run_sim_observed, run_sim_on, ObsConfig, SimConfig, SimReport, SimRun,
+    };
     pub use emissary_stats::summary::{geomean, speedup_pct};
     pub use emissary_stats::table::Table;
     pub use emissary_workloads::Profile;

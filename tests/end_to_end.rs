@@ -19,8 +19,9 @@ fn quick(policy: &str) -> SimConfig {
 #[test]
 fn full_simulation_is_deterministic() {
     let p = Profile::by_name("web-search").unwrap();
-    let a = run_sim(&p, &quick("P(8):S&E&R(1/32)"));
-    let b = run_sim(&p, &quick("P(8):S&E&R(1/32)"));
+    let program = p.shared_program();
+    let a = run_sim_on(&program, &p, &quick("P(8):S&E&R(1/32)"));
+    let b = run_sim_on(&program, &p, &quick("P(8):S&E&R(1/32)"));
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.starvation_cycles, b.starvation_cycles);
     assert_eq!(a.priority_histogram, b.priority_histogram);
@@ -30,6 +31,7 @@ fn full_simulation_is_deterministic() {
 #[test]
 fn every_table3_policy_runs_end_to_end() {
     let p = Profile::by_name("xapian").unwrap();
+    let program = p.shared_program();
     for policy in [
         "M:1",
         "M:0",
@@ -46,7 +48,7 @@ fn every_table3_policy_runs_end_to_end() {
         "PDP",
         "DCLIP",
     ] {
-        let r = run_sim(&p, &quick(policy));
+        let r = run_sim_on(&program, &p, &quick(policy));
         assert!(r.cycles > 0, "{policy}: no cycles");
         assert!(r.committed >= 60_000, "{policy}: did not finish");
         assert_eq!(r.policy, policy);
@@ -99,8 +101,9 @@ fn emissary_beats_baseline_in_thrash_regime() {
         cfg.hierarchy.l3 = emissary::cache::config::CacheConfig::new("l3", 256 * 1024, 16, 32);
         cfg
     };
-    let base = run_sim(&profile, &small_l2("M:1"));
-    let emis = run_sim(&profile, &small_l2("P(12):S&E"));
+    let program = profile.shared_program();
+    let base = run_sim_on(&program, &profile, &small_l2("M:1"));
+    let emis = run_sim_on(&program, &profile, &small_l2("P(12):S&E"));
     assert!(
         emis.cycles < base.cycles,
         "EMISSARY did not win in the thrash regime: {} vs {} cycles",
@@ -131,10 +134,11 @@ fn ideal_l2_bounds_every_policy() {
     ideal_cfg.measure_instrs = 200_000;
     let mut base_cfg = ideal_cfg.clone();
     ideal_cfg.hierarchy.ideal_l2_instr = true;
-    let ideal = run_sim(&p, &ideal_cfg);
+    let program = p.shared_program();
+    let ideal = run_sim_on(&program, &p, &ideal_cfg);
     for policy in ["M:1", "P(8):S&E", "DRRIP"] {
         base_cfg = base_cfg.with_policy(policy.parse().unwrap());
-        let r = run_sim(&p, &base_cfg);
+        let r = run_sim_on(&program, &p, &base_cfg);
         assert!(
             ideal.cycles <= r.cycles + r.cycles / 50,
             "{policy} beat the ideal L2: {} vs {}",
@@ -152,8 +156,9 @@ fn priority_reset_limits_saturation() {
     no_reset.measure_instrs = 300_000;
     let mut with_reset = no_reset.clone();
     with_reset.priority_reset_interval = Some(50_000);
-    let a = run_sim(&p, &no_reset);
-    let b = run_sim(&p, &with_reset);
+    let program = p.shared_program();
+    let a = run_sim_on(&program, &p, &no_reset);
+    let b = run_sim_on(&program, &p, &with_reset);
     let saturated = |r: &SimReport| r.priority_histogram[8..].iter().sum::<u64>();
     assert!(
         saturated(&b) <= saturated(&a),
@@ -169,8 +174,9 @@ fn priority_reset_limits_saturation() {
 #[test]
 fn baseline_policies_never_set_priority_bits() {
     let p = Profile::by_name("tpcc").unwrap();
+    let program = p.shared_program();
     for policy in ["M:1", "SRRIP", "DRRIP", "PDP", "DCLIP", "M:R(1/32)"] {
-        let r = run_sim(&p, &quick(policy));
+        let r = run_sim_on(&program, &p, &quick(policy));
         assert_eq!(
             r.priority_histogram[1..].iter().sum::<u64>(),
             0,
@@ -217,8 +223,9 @@ fn reports_are_internally_consistent_across_profiles() {
 #[test]
 fn speedup_helpers_agree_with_cycles() {
     let p = Profile::by_name("xapian").unwrap();
-    let a = run_sim(&p, &quick("M:1"));
-    let b = run_sim(&p, &quick("M:0"));
+    let program = p.shared_program();
+    let a = run_sim_on(&program, &p, &quick("M:1"));
+    let b = run_sim_on(&program, &p, &quick("M:0"));
     let pct = b.speedup_pct_vs(&a);
     let manual = (a.cycles as f64 / b.cycles as f64 - 1.0) * 100.0;
     assert!((pct - manual).abs() < 1e-9);
