@@ -27,18 +27,24 @@
 //!    runs also land in the campaign memo ([`crate::checkpoint`]), so a
 //!    resumed or repeated campaign replays them instead of simulating.
 //!
+//! [`run_plan`] wraps the three around one checkpoint, the results
+//! files and the stderr summary; it is how both binaries
+//! (`all_experiments` and the `emissary` CLI) run their jobs.
+//!
 //! A stderr progress line (`campaign: 123/1148 jobs, 40 replayed, eta
 //! 93s`) tracks long sweeps; silence it with `EMISSARY_PROGRESS=0`.
 
 use std::collections::{HashMap, HashSet};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::Instant;
 
+use emissary_obs::metrics::global;
 use emissary_workloads::Profile;
 
-use crate::checkpoint::{fingerprint, Campaign};
+use crate::checkpoint::{fingerprint, Campaign, UNIFIED_CAMPAIGN};
 use crate::pool::{run_parallel_outcomes_hooked, JobOutcome, PoolOptions};
-use crate::{scale, Job};
+use crate::{metrics, results, scale, Job};
 
 /// The scheduler's job-cost estimate: a pure function of the job. The
 /// whole schedule is fixed before any job finishes, so nothing a pass
@@ -262,6 +268,61 @@ pub fn prefetch_runs(
 ) -> (PrefetchSummary, Runs) {
     let (summary, ordered, outcomes) = run_unique(jobs, opts, campaign, model);
     (summary, Runs::from_outcomes(&ordered, outcomes))
+}
+
+/// Runs `plan` as one campaign and hands its runs to `render`: the one
+/// way the `all_experiments` and `emissary` binaries run a job.
+///
+/// Resolves the knobs first, so a malformed value exits 2 before the
+/// unified checkpoint (`results/campaign.ckpt.jsonl`, replayed under
+/// `EMISSARY_RESUME=1`) is opened. Then it prefetches the plan on the
+/// knobs' pool ([`prefetch_runs`]), writes `results/campaign.jsonl`,
+/// calls `render`, and closes with the `campaign summary:` line on stderr
+/// and `results/metrics.jsonl`.
+pub fn run_plan(plan: Vec<Job>, render: impl FnOnce(&Runs)) -> PrefetchSummary {
+    let start = Instant::now();
+    let resume = scale::knobs().resume;
+    let campaign = Campaign::begin_with(UNIFIED_CAMPAIGN, Path::new("results"), resume);
+    if campaign.resumable() > 0 || campaign.quarantined() > 0 {
+        eprintln!(
+            "checkpoint: {UNIFIED_CAMPAIGN}: {} completed record(s) loaded for resume, \
+             {} unusable line(s) quarantined",
+            campaign.resumable(),
+            campaign.quarantined()
+        );
+    }
+    let opts = PoolOptions::from_env();
+    let (prefetch, runs) = prefetch_runs(plan, &opts, Some(&campaign), &CostModel::new());
+    let PrefetchSummary {
+        requested,
+        unique,
+        simulated,
+        replayed,
+        failed,
+        wall_seconds,
+    } = prefetch;
+    eprintln!(
+        "campaign: prefetched {unique} unique of {requested} requested jobs \
+         ({simulated} simulated, {replayed} replayed, {failed} failed) in {wall_seconds:.1}s"
+    );
+    results::write_campaign_faults();
+    render(&runs);
+    // Metrics aggregates append strictly after the pre-existing fields:
+    // CI's campaign-smoke job greps this line for ` failed=0 ` and
+    // ` replayed=N`. Dedup runs before the pool, so `replayed` counts
+    // exactly the unique jobs served from the loaded checkpoint.
+    let (quarantined, wall) = (campaign.quarantined(), start.elapsed().as_secs_f64());
+    eprintln!(
+        "campaign summary: requests={requested} unique={unique} simulated={simulated} \
+         replayed={replayed} failed={failed} ckpt_quarantined={quarantined} wall={wall:.1}s{}",
+        metrics::summary_suffix()
+    );
+    let path = metrics::default_path();
+    match metrics::write_jsonl(&path, &global().snapshot()) {
+        Ok(()) => eprintln!("metrics: wrote {}", path.display()),
+        Err(e) => eprintln!("metrics: cannot write {}: {e}", path.display()),
+    }
+    prefetch
 }
 
 /// The body of [`prefetch`]: the summary, the unique jobs in the order

@@ -3,16 +3,30 @@
 //! ```text
 //! emissary list
 //! emissary run <benchmark> [--policy <spec>] [--instrs N] [--warmup N] [--figure1] [--ideal]
-//! emissary compare <benchmark> [--instrs N] <policy>...
-//! emissary sweep <benchmark> [--instrs N] [--selection <sel>]
+//! emissary compare <benchmark> [--instrs N] [--warmup N] <policy>...
+//! emissary sweep <benchmark> [--instrs N] [--warmup N] [--selection <sel>]
 //! ```
 //!
 //! Policies use the paper's notation (`M:1`, `P(8):S&E&R(1/32)`, `DRRIP`,
 //! `P(8):S&E+GHRP`, …); `run` also takes the policy as its second
-//! positional argument. Counts accept `_` separators (`--instrs 2_000_000`).
-//! A malformed count, or a configuration [`SimConfig::validate`] rejects
-//! (`P(16):S&E` on the 16-way L2), exits 2 before anything is simulated.
+//! positional argument, and `compare` lists each policy once after the
+//! baseline (a named `LRU`, `TPLRU` or `M:1` is that baseline). Counts
+//! accept `_` separators (`--instrs 2_000_000`). A malformed count, or a
+//! configuration [`SimConfig::validate`] rejects (`P(16):S&E` on the
+//! 16-way L2), exits 2 before anything is opened or simulated.
+//!
+//! Each subcommand's jobs run as one campaign through
+//! [`campaign::run_plan`], the path `all_experiments` takes: on
+//! `EMISSARY_THREADS` workers, through the unified checkpoint
+//! `results/campaign.ckpt.jsonl` (so `EMISSARY_RESUME=1` replays any job
+//! a sweep or an earlier command completed at the same windows), with
+//! the `campaign summary:` line on stderr. A failed job prints as a
+//! `FAILED` cell and the command exits 1.
 
+use emissary::bench::campaign::{self, Runs};
+use emissary::bench::experiments::{matrix_jobs, FAILED};
+use emissary::bench::Job;
+use emissary::core::spec::ParsePolicyError;
 use emissary::prelude::*;
 use emissary::sim::ConfigError;
 
@@ -21,8 +35,8 @@ fn usage() -> ! {
         "usage:\n  \
          emissary list\n  \
          emissary run <benchmark> [--policy <spec>] [--instrs N] [--warmup N] [--figure1] [--ideal]\n  \
-         emissary compare <benchmark> [--instrs N] <policy>...\n  \
-         emissary sweep <benchmark> [--instrs N] [--selection <sel>]"
+         emissary compare <benchmark> [--instrs N] [--warmup N] <policy>...\n  \
+         emissary sweep <benchmark> [--instrs N] [--warmup N] [--selection <sel>]"
     );
     std::process::exit(2);
 }
@@ -38,22 +52,8 @@ fn parse_flag(args: &mut Vec<String>, name: &str) -> Option<String> {
 }
 
 fn parse_switch(args: &mut Vec<String>, name: &str) -> bool {
-    if let Some(idx) = args.iter().position(|a| a == name) {
-        args.remove(idx);
-        true
-    } else {
-        false
-    }
-}
-
-fn profile_or_exit(name: &str) -> Profile {
-    Profile::by_name(name).unwrap_or_else(|| {
-        eprintln!(
-            "unknown benchmark {name:?}; available: {}",
-            Profile::names().join(", ")
-        );
-        std::process::exit(2);
-    })
+    let idx = args.iter().position(|a| a == name);
+    idx.map(|idx| args.remove(idx)).is_some()
 }
 
 /// Unwraps `r`, or prints its error and exits 2.
@@ -62,10 +62,6 @@ fn or_exit<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
         eprintln!("{e}");
         std::process::exit(2);
     })
-}
-
-fn policy_or_exit(s: &str) -> PolicySpec {
-    or_exit(s.parse())
 }
 
 /// The value of count flag `flag`, `_` separators allowed; `default` when
@@ -81,16 +77,12 @@ fn count(args: &mut Vec<String>, flag: &str, default: u64) -> Result<u64, String
 }
 
 fn config(args: &mut Vec<String>) -> Result<SimConfig, String> {
-    let mut cfg = if parse_switch(args, "--figure1") {
-        SimConfig::figure1()
-    } else {
-        SimConfig::default()
-    };
+    let mut cfg = parse_switch(args, "--figure1")
+        .then(SimConfig::figure1)
+        .unwrap_or_default();
     cfg.measure_instrs = count(args, "--instrs", 4_000_000)?;
     cfg.warmup_instrs = count(args, "--warmup", cfg.measure_instrs / 2)?;
-    if parse_switch(args, "--ideal") {
-        cfg.hierarchy.ideal_l2_instr = true;
-    }
+    cfg.hierarchy.ideal_l2_instr = parse_switch(args, "--ideal");
     Ok(cfg)
 }
 
@@ -147,91 +139,128 @@ fn print_report(r: &SimReport) {
     println!("energy           {:.3} mJ", r.energy_pj * 1e-9);
 }
 
+/// The jobs of `policies` on benchmark `bench` under `cfg`, or exit 2
+/// naming an unknown benchmark or an invalid config.
+fn jobs_or_exit(bench: &str, cfg: &SimConfig, policies: &[PolicySpec]) -> Vec<Job> {
+    let names = || Profile::names().join(", ");
+    let unknown = || format!("unknown benchmark {bench:?}; available: {}", names());
+    let profile = or_exit(Profile::by_name(bench).ok_or_else(unknown));
+    or_exit(validated(cfg, policies));
+    matrix_jobs(&[profile], cfg, policies)
+}
+
+/// Runs `jobs` as one campaign, handing `render` the runs; exits 1 when a
+/// job failed.
+fn run_jobs(jobs: &[Job], render: impl FnOnce(&Runs)) {
+    if campaign::run_plan(jobs.to_vec(), render).failed > 0 {
+        std::process::exit(1);
+    }
+}
+
+/// The report of `job`, when it completed.
+fn report<'r>(runs: &'r Runs, job: &Job) -> Option<&'r SimReport> {
+    runs.get(job).run().map(|run| &run.report)
+}
+
+/// A table column: its header and its cell from a run's report and the
+/// baseline's (`None` when the baseline failed).
+type Column = (&'static str, fn(&SimReport, Option<&SimReport>) -> String);
+
+/// A table row: its label and the job whose run fills it.
+type Row<'j> = (String, &'j Job);
+
+const CYCLES: Column = ("cycles", |r, _| r.cycles.to_string());
+const SPEEDUP: Column = ("speedup%", |r, base| {
+    base.map_or(FAILED.into(), |b| format!("{:+.2}", r.speedup_pct_vs(b)))
+});
+const L2I_MPKI: Column = ("l2i_mpki", |r, _| format!("{:.2}", r.l2i_mpki));
+const L2D_MPKI: Column = ("l2d_mpki", |r, _| format!("{:.2}", r.l2d_mpki));
+const STARVE: Column = ("starve", |r, _| r.starvation_cycles.to_string());
+
+/// The columns of `compare`'s and of `sweep`'s table.
+const COMPARE: [Column; 4] = [CYCLES, SPEEDUP, L2I_MPKI, STARVE];
+const SWEEP: [Column; 4] = [SPEEDUP, L2I_MPKI, L2D_MPKI, STARVE];
+
+/// One row per `(label, job)` of `rows`, under `header` and `columns`
+/// read against `base`'s report; a failed job's cells read `FAILED`.
+fn table(header: &str, columns: [Column; 4], base: &Job, rows: Vec<Row>, runs: &Runs) -> Table {
+    let base = report(runs, base);
+    let mut headers = vec![header];
+    headers.extend(columns.map(|c| c.0));
+    let mut t = Table::with_headers(&headers);
+    for (label, job) in rows {
+        let r = report(runs, job);
+        let cells = columns.map(|(_, cell)| r.map_or(FAILED.into(), |r| cell(r, base)));
+        t.row(std::iter::once(label).chain(cells).collect());
+    }
+    t
+}
+
 fn cmd_run(mut args: Vec<String>) {
     let cfg = or_exit(config(&mut args));
     let policy = parse_flag(&mut args, "--policy").or_else(|| args.get(1).cloned());
     let Some(bench) = args.first() else { usage() };
-    let profile = profile_or_exit(bench);
-    let policy = policy.map_or(PolicySpec::PREFERRED, |p| policy_or_exit(&p));
-    let cfg = or_exit(validated(&cfg, &[policy])).remove(0);
-    print_report(&run_sim(&profile, &cfg));
+    let policy = or_exit(policy.map_or(Ok(PolicySpec::PREFERRED), |p| p.parse()));
+    let jobs = jobs_or_exit(bench, &cfg, &[policy]);
+    run_jobs(&jobs, |runs| match report(runs, &jobs[0]) {
+        Some(r) => print_report(r),
+        None => println!("{FAILED}: {}", runs.get(&jobs[0]).describe()),
+    });
+}
+
+/// The policies `compare` runs: the baseline, then `names` (the default
+/// trio when empty), each policy once, in first-seen order.
+fn compare_policies(names: &[String]) -> Result<Vec<PolicySpec>, ParsePolicyError> {
+    let defaults = ["P(8):S&E&R(1/32)", "P(8):S&E", "DRRIP"].map(String::from);
+    let mut policies = vec![PolicySpec::BASELINE];
+    for name in if names.is_empty() { &defaults } else { names } {
+        let p = name.parse()?;
+        if !policies.contains(&p) {
+            policies.push(p);
+        }
+    }
+    Ok(policies)
+}
+
+/// `compare`'s table: one row per job, speedups over the first.
+fn compare_table(jobs: &[Job], runs: &Runs) -> Table {
+    let rows = jobs.iter().map(|j| (j.config.l2_policy.to_string(), j));
+    table("policy", COMPARE, &jobs[0], rows.collect(), runs)
 }
 
 fn cmd_compare(mut args: Vec<String>) {
     let cfg = or_exit(config(&mut args));
-    if args.is_empty() {
-        usage();
-    }
-    let profile = profile_or_exit(&args.remove(0));
-    let mut policies: Vec<PolicySpec> = vec![PolicySpec::BASELINE];
-    if args.is_empty() {
-        policies.push(PolicySpec::PREFERRED);
-        policies.push(policy_or_exit("P(8):S&E"));
-        policies.push(PolicySpec::Drrip);
-    } else {
-        policies.extend(args.iter().map(|s| policy_or_exit(s)));
-    }
-    let runs = or_exit(validated(&cfg, &policies));
-    // One build serves every policy.
-    let program = profile.shared_program();
-    let mut t = Table::with_headers(&["policy", "cycles", "speedup%", "l2i_mpki", "starve"]);
-    let mut base_cycles = None;
-    for cfg in runs {
-        let r = run_sim_on(&program, &profile, &cfg);
-        let base = *base_cycles.get_or_insert(r.cycles);
-        t.row(vec![
-            r.policy.clone(),
-            r.cycles.to_string(),
-            format!("{:+.2}", speedup_pct(base as f64 / r.cycles as f64)),
-            format!("{:.2}", r.l2i_mpki),
-            r.starvation_cycles.to_string(),
-        ]);
-    }
-    println!("benchmark: {}", profile.name);
-    print!("{}", t.render());
+    let Some(bench) = args.first() else { usage() };
+    let jobs = jobs_or_exit(bench, &cfg, &or_exit(compare_policies(&args[1..])));
+    run_jobs(&jobs, |runs| {
+        println!("benchmark: {}", jobs[0].profile.name);
+        print!("{}", compare_table(&jobs, runs).render());
+    });
 }
 
 fn cmd_sweep(mut args: Vec<String>) {
     let cfg = or_exit(config(&mut args));
     let selection = parse_flag(&mut args, "--selection").unwrap_or_else(|| "S&E&R(1/32)".into());
-    if args.is_empty() {
-        usage();
-    }
-    let profile = profile_or_exit(&args.remove(0));
+    let Some(bench) = args.first() else { usage() };
     let ns = [0usize, 2, 4, 6, 8, 10, 12, 14];
-    let specs: Vec<PolicySpec> = ns
-        .iter()
-        .map(|n| policy_or_exit(&format!("P({n}):{selection}")))
-        .collect();
-    let runs = or_exit(validated(&cfg, &specs));
-    // One build serves every policy.
-    let program = profile.shared_program();
-    let base = run_sim_on(
-        &program,
-        &profile,
-        &cfg.clone().with_policy(PolicySpec::BASELINE),
+    let mut policies = vec![PolicySpec::BASELINE];
+    policies.extend(ns.map(|n| or_exit(format!("P({n}):{selection}").parse::<PolicySpec>())));
+    let jobs = jobs_or_exit(bench, &cfg, &policies);
+    let title = format!(
+        "benchmark: {}  selection: {selection}",
+        jobs[0].profile.name
     );
-    let mut t = Table::with_headers(&["N", "speedup%", "l2i_mpki", "l2d_mpki", "starve"]);
-    for (n, cfg) in ns.into_iter().zip(runs) {
-        let r = run_sim_on(&program, &profile, &cfg);
-        t.row(vec![
-            n.to_string(),
-            format!("{:+.2}", r.speedup_pct_vs(&base)),
-            format!("{:.2}", r.l2i_mpki),
-            format!("{:.2}", r.l2d_mpki),
-            r.starvation_cycles.to_string(),
-        ]);
-    }
-    println!("benchmark: {}  selection: {selection}", profile.name);
-    print!("{}", t.render());
+    run_jobs(&jobs, |runs| {
+        let rows = ns.iter().map(|n| n.to_string()).zip(&jobs[1..]).collect();
+        println!("{title}");
+        print!("{}", table("N", SWEEP, &jobs[0], rows, runs).render());
+    });
 }
 
 fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    if args.is_empty() {
-        usage();
-    }
-    let cmd = args.remove(0);
+    let mut args = std::env::args().skip(1);
+    let Some(cmd) = args.next() else { usage() };
+    let args: Vec<String> = args.collect();
     match cmd.as_str() {
         "list" => {
             for p in Profile::all() {
@@ -297,5 +326,43 @@ mod tests {
         assert!(validated(&twelve_way, &[PolicySpec::Srrip]).is_ok());
         let err = validated(&twelve_way, &[PolicySpec::Srrip, PolicySpec::BASELINE]).unwrap_err();
         assert!(err.to_string().contains("power-of-two"), "{err}");
+    }
+
+    #[test]
+    fn compare_lists_each_policy_once_after_the_baseline() {
+        let policies = compare_policies(&args(&["LRU", "P(8):S&E", "M:1"])).unwrap();
+        assert_eq!(
+            policies,
+            [PolicySpec::BASELINE, "P(8):S&E".parse().unwrap()]
+        );
+        let defaults = compare_policies(&[]).unwrap();
+        assert_eq!(defaults[..2], [PolicySpec::BASELINE, PolicySpec::PREFERRED]);
+        assert_eq!(defaults.len(), 4);
+        assert!(compare_policies(&args(&["P(8):X"])).is_err());
+    }
+
+    #[test]
+    fn a_failed_baseline_renders_failed_speedups() {
+        let cfg = config(&mut args(&["--warmup", "1000", "--instrs", "4000"])).unwrap();
+        let policies = compare_policies(&args(&["P(8):S&E"])).unwrap();
+        let jobs = matrix_jobs(&[Profile::by_name("xapian").unwrap()], &cfg, &policies);
+        let baseline = emissary::bench::JobOutcome::Panicked {
+            benchmark: "xapian".into(),
+            policy: "M:1".into(),
+            message: "boom".into(),
+        };
+        let run = jobs[1]
+            .run_checked_metered(&emissary::sim::FaultConfig::none(), None, "main")
+            .unwrap();
+        let completed = emissary::bench::JobOutcome::Completed {
+            run: Box::new(run),
+            resumed: false,
+        };
+        let runs = Runs::from_outcomes(&jobs, vec![baseline, completed]);
+        let rows = compare_table(&jobs, &runs).rows().to_vec();
+        assert_eq!(rows[0], ["M:1", FAILED, FAILED, FAILED, FAILED]);
+        assert_eq!(rows[1][0], "P(8):S&E");
+        assert_ne!(rows[1][1], FAILED, "the run's own cycles still print");
+        assert_eq!(rows[1][2], FAILED, "no speedup without a baseline");
     }
 }
