@@ -1009,7 +1009,7 @@ fn ablation_variants(template: &SimConfig) -> Vec<(&'static str, SimConfig)> {
 }
 
 /// The sweeps the ablation study runs: per benchmark, the baseline and
-/// then the preferred policy under each [`ablation_variants`] config.
+/// then the preferred policy under each `ablation_variants` config.
 pub fn ablations_specs(template: &SimConfig) -> Vec<MatrixSpec> {
     let one = |bench: &str, template: SimConfig, policy: PolicySpec| MatrixSpec {
         profiles: vec![Profile::by_name(bench).expect("ablation profile")],
@@ -1095,7 +1095,7 @@ fn extension_policies() -> Vec<PolicySpec> {
 }
 
 /// The sweeps the extension study runs: every benchmark under
-/// [`extension_policies`].
+/// `extension_policies`.
 pub fn extensions_specs(template: &SimConfig) -> Vec<MatrixSpec> {
     vec![MatrixSpec {
         profiles: Profile::all(),
@@ -1145,7 +1145,7 @@ pub fn l2_sweep_specs(template: &SimConfig) -> Vec<MatrixSpec> {
 }
 
 /// The paper's premise made measurable: §5.3 picks workloads whose code
-/// "do[es] not easily fit into the larger L2 caches", and §5.5 says
+/// "do\[es\] not easily fit into the larger L2 caches", and §5.5 says
 /// EMISSARY matters "in a scenario where L2 capacity is limited". Baseline
 /// IPC and L2 instruction MPKI, and EMISSARY's speedup, as the L2 grows
 /// from 256 KB to 4 MB: the gain should shrink as the footprint fits.

@@ -5,13 +5,10 @@
 
 use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
 
 use emissary_bench::append_log::AppendLog;
 use emissary_bench::results::take_ckpt_errors;
 use emissary_obs::JsonValue;
-use proptest::prelude::*;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir =
@@ -37,33 +34,29 @@ fn record(n: u64) -> String {
 }
 
 /// A healthy four-record log's bytes, written through the log itself.
-fn golden_log() -> &'static str {
-    static LOG: OnceLock<String> = OnceLock::new();
-    LOG.get_or_init(|| {
-        let dir = tmpdir("golden");
-        let (mut log, _) = open_all(&dir);
-        for n in 0..4 {
-            log.append(&record(n)).unwrap();
-        }
-        drop(log);
-        let text = std::fs::read_to_string(dir.join("log.jsonl")).unwrap();
-        assert_eq!(text.lines().count(), 4);
-        let _ = std::fs::remove_dir_all(&dir);
-        text
-    })
+fn golden_log() -> String {
+    let dir = tmpdir("golden");
+    let (mut log, _) = open_all(&dir);
+    for n in 0..4 {
+        log.append(&record(n)).unwrap();
+    }
+    drop(log);
+    let text = std::fs::read_to_string(dir.join("log.jsonl")).unwrap();
+    assert_eq!(text.lines().count(), 4);
+    let _ = std::fs::remove_dir_all(&dir);
+    text
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Truncating the log at ANY byte offset still opens: every complete
-    /// line is accepted, a trailing fragment is quarantined verbatim
-    /// unless it is itself a whole record, and the next append lands on
-    /// its own line — a further open accepts it and quarantines nothing.
-    #[test]
-    fn truncated_log_salvages_at_any_offset(cut in 0usize..golden_log().len() + 1) {
-        static CASE: AtomicUsize = AtomicUsize::new(0);
-        let prefix = &golden_log()[..cut];
+/// Truncating the log at ANY byte offset still opens: every complete
+/// line is accepted, a trailing fragment is quarantined verbatim
+/// unless it is itself a whole record, and the next append lands on
+/// its own line — a further open accepts it and quarantines nothing.
+/// The log is short, so every cut from 0 to its length is checked.
+#[test]
+fn truncated_log_salvages_at_any_offset() {
+    let golden = golden_log();
+    for cut in 0..=golden.len() {
+        let prefix = &golden[..cut];
         let (complete, fragment) = match prefix.rfind('\n') {
             Some(i) => (&prefix[..i + 1], &prefix[i + 1..]),
             None => ("", prefix),
@@ -72,22 +65,26 @@ proptest! {
         let expect_good = complete.lines().count() + usize::from(whole);
         let expect_quarantined = u64::from(!fragment.is_empty() && !whole);
 
-        let dir = tmpdir(&format!("trunc{}", CASE.fetch_add(1, Ordering::Relaxed)));
+        let dir = tmpdir(&format!("trunc{cut}"));
         std::fs::write(dir.join("log.jsonl"), prefix).unwrap();
         let (mut log, seen) = open_all(&dir);
-        prop_assert_eq!(seen.len(), expect_good, "cut at byte {}", cut);
-        prop_assert_eq!(log.quarantined(), expect_quarantined, "cut at byte {}", cut);
+        assert_eq!(seen.len(), expect_good, "cut at byte {cut}");
+        assert_eq!(log.quarantined(), expect_quarantined, "cut at byte {cut}");
         if expect_quarantined > 0 {
-            let q = std::fs::read_to_string(dir.join("log.quarantine")).unwrap();
-            prop_assert_eq!(q, format!("{fragment}\n"));
+            let q = std::fs::read_to_string(dir.join("log.quarantine")).unwrap_or_default();
+            assert_eq!(q, format!("{fragment}\n"), "cut at byte {cut}");
         }
         log.append(&record(99)).unwrap();
         drop(log);
 
         let (log, seen) = open_all(&dir);
-        prop_assert_eq!(seen.len(), expect_good + 1, "cut at byte {}", cut);
-        prop_assert_eq!(seen.last().copied(), Some(99));
-        prop_assert_eq!(log.quarantined(), 0, "salvage must leave a clean segment");
+        assert_eq!(seen.len(), expect_good + 1, "cut at byte {cut}");
+        assert_eq!(seen.last().copied(), Some(99), "cut at byte {cut}");
+        assert_eq!(
+            log.quarantined(),
+            0,
+            "cut at byte {cut}: salvage must leave a clean segment"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -4,17 +4,16 @@
 //! cannot be opened, and poison recovery.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use emissary_bench::checkpoint::{fingerprint, Campaign};
 use emissary_bench::pool::{run_parallel_outcomes_with, JobOutcome, PoolOptions};
 use emissary_bench::results::take_ckpt_errors;
 use emissary_bench::{lock_unpoisoned, FaultInjection, Job};
+use emissary_cache::rng::XorShift64;
 use emissary_core::spec::PolicySpec;
 use emissary_sim::SimConfig;
 use emissary_workloads::Profile;
-use proptest::prelude::*;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("emissary_recovery_{}_{tag}", std::process::id()));
@@ -40,18 +39,15 @@ fn jobs() -> Vec<Job> {
 /// A healthy three-job checkpoint file's bytes, built once and shared by
 /// every truncation case (resume itself is cheap; the simulations are
 /// not).
-fn golden_checkpoint() -> &'static str {
-    static CKPT: OnceLock<String> = OnceLock::new();
-    CKPT.get_or_init(|| {
-        let dir = tmpdir("golden");
-        let c = Campaign::begin_with("camp", &dir, false);
-        let outcomes = run_parallel_outcomes_with(&jobs(), &PoolOptions::with_workers(2), Some(&c));
-        assert!(outcomes.iter().all(|o| o.status() == "completed"));
-        let text = std::fs::read_to_string(c.path()).expect("checkpoint written");
-        assert_eq!(text.lines().count(), 3);
-        let _ = std::fs::remove_dir_all(&dir);
-        text
-    })
+fn golden_checkpoint() -> String {
+    let dir = tmpdir("golden");
+    let c = Campaign::begin_with("camp", &dir, false);
+    let outcomes = run_parallel_outcomes_with(&jobs(), &PoolOptions::with_workers(2), Some(&c));
+    assert!(outcomes.iter().all(|o| o.status() == "completed"));
+    let text = std::fs::read_to_string(c.path()).expect("checkpoint written");
+    assert_eq!(text.lines().count(), 3);
+    let _ = std::fs::remove_dir_all(&dir);
+    text
 }
 
 /// What a resume over `prefix` must reconstruct: full surviving lines are
@@ -67,40 +63,46 @@ fn expected_salvage(prefix: &str) -> (usize, u64) {
     (good, quarantined)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Truncating `campaign.ckpt.jsonl` at ANY byte offset
-    /// still resumes — every record that fully survived is replayed, the
-    /// torn remainder is quarantined, and the rewritten checkpoint is
-    /// clean (a second resume finds nothing left to quarantine).
-    #[test]
-    fn truncated_checkpoint_resumes_at_any_offset(cut in 0usize..golden_checkpoint().len() + 1) {
-        static CASE: AtomicUsize = AtomicUsize::new(0);
-        let text = golden_checkpoint();
+/// Truncating `campaign.ckpt.jsonl` at ANY byte offset
+/// still resumes — every record that fully survived is replayed, the
+/// torn remainder is quarantined, and the rewritten checkpoint is
+/// clean (a second resume finds nothing left to quarantine). The
+/// checkpoint is several KB, so 64 cuts are drawn from `0..=len`.
+#[test]
+fn truncated_checkpoint_resumes_at_any_offset() {
+    let text = golden_checkpoint();
+    let mut rng = XorShift64::new(1);
+    for case in 0..64 {
+        let cut = rng.next_below(text.len() as u64 + 1) as usize;
         let prefix = &text[..cut];
         let (expect_good, expect_quarantined) = expected_salvage(prefix);
 
-        let dir = tmpdir(&format!("trunc{}", CASE.fetch_add(1, Ordering::Relaxed)));
+        let dir = tmpdir(&format!("trunc{case}"));
         let path = dir.join("camp.ckpt.jsonl");
         std::fs::write(&path, prefix).unwrap();
 
+        let at = format!("case {case}: cut at byte {cut}");
         let c = Campaign::begin_with("camp", &dir, true);
-        prop_assert_eq!(c.resumable(), expect_good, "cut at byte {}", cut);
-        prop_assert_eq!(c.quarantined(), expect_quarantined, "cut at byte {}", cut);
+        assert_eq!(c.resumable(), expect_good, "{at}");
+        assert_eq!(c.quarantined(), expect_quarantined, "{at}");
         if expect_quarantined > 0 {
-            let q = std::fs::read_to_string(c.quarantine_path()).unwrap();
-            prop_assert_eq!(q.lines().count() as u64, expect_quarantined);
+            let q = std::fs::read_to_string(c.quarantine_path()).unwrap_or_default();
+            assert_eq!(q.lines().count() as u64, expect_quarantined, "{at}");
             // The quarantined line is the torn fragment, verbatim.
-            prop_assert_eq!(q.lines().next().unwrap(), &prefix[prefix.rfind('\n').map_or(0, |i| i + 1)..]);
+            let fragment = &prefix[prefix.rfind('\n').map_or(0, |i| i + 1)..];
+            assert_eq!(q.lines().next().unwrap(), fragment, "{at}");
         }
         drop(c);
 
         // The salvage rewrote the checkpoint to only the good lines, so a
         // second resume replays the same records and quarantines nothing.
         let c2 = Campaign::begin_with("camp", &dir, true);
-        prop_assert_eq!(c2.resumable(), expect_good);
-        prop_assert_eq!(c2.quarantined(), 0, "salvage must leave a clean segment");
+        assert_eq!(c2.resumable(), expect_good, "{at}");
+        assert_eq!(
+            c2.quarantined(),
+            0,
+            "{at}: salvage must leave a clean segment"
+        );
         drop(c2);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -13,17 +13,18 @@
 //!   do not match the priority criteria".
 //!
 //! Over either base, the policy and its reference must agree on every
-//! victim of any fill, hit, priority-change, reset and invalidate stream.
+//! victim of any fill, hit, priority-change, reset and invalidate stream,
+//! over a fixed number of streams drawn from a fixed-seed xorshift64*.
 
 use std::path::{Path, PathBuf};
 
-use proptest::prelude::*;
-
 use emissary_cache::line::{LineKind, LineState};
 use emissary_cache::policy::{AccessInfo, EmissaryPolicy, RecencyBase, ReplacementPolicy};
+use emissary_cache::rng::XorShift64;
 
 const SETS: usize = 2;
 const WAYS: usize = 8;
+const CASES: u32 = 256;
 
 /// Algorithm 1's victim rule: "if number of high-priority (P = 1) lines
 /// <= N then evict the LRU among the low-priority (P = 0) lines else evict
@@ -164,26 +165,47 @@ enum Op {
     Invalidate { set: usize, way: usize },
 }
 
-fn op_strategy() -> impl Strategy<Value = Op> {
-    prop_oneof![
-        6 => (0..SETS, 0u64..1 << 20, any::<bool>())
-            .prop_map(|(set, tag, high)| Op::Fill { set, tag, high }),
-        4 => (0..SETS, 0..WAYS).prop_map(|(set, way)| Op::Hit { set, way }),
-        3 => (0..SETS, 0..WAYS, any::<bool>())
-            .prop_map(|(set, way, high)| Op::Priority { set, way, high }),
-        1 => Just(Op::Reset),
-        1 => (0..SETS, 0..WAYS).prop_map(|(set, way)| Op::Invalidate { set, way }),
-    ]
+/// A stream of `1..600` ops, drawn fill:hit:priority:reset:invalidate
+/// as 6:4:3:1:1.
+fn draw_ops(rng: &mut XorShift64) -> Vec<Op> {
+    let len = 1 + rng.next_below(599);
+    (0..len)
+        .map(|_| {
+            let set = rng.next_below(SETS as u64) as usize;
+            match rng.next_below(15) {
+                0..6 => Op::Fill {
+                    set,
+                    tag: rng.next_below(1 << 20),
+                    high: rng.one_in(2),
+                },
+                6..10 => Op::Hit {
+                    set,
+                    way: rng.next_below(WAYS as u64) as usize,
+                },
+                10..13 => Op::Priority {
+                    set,
+                    way: rng.next_below(WAYS as u64) as usize,
+                    high: rng.one_in(2),
+                },
+                13 => Op::Reset,
+                _ => Op::Invalidate {
+                    set,
+                    way: rng.next_below(WAYS as u64) as usize,
+                },
+            }
+        })
+        .collect()
 }
 
 /// Runs `ops` through `EmissaryPolicy` over `base` and through `model`,
-/// failing at the first victim on which they differ.
+/// failing case `case` at the first victim on which they differ.
 fn check_victims(
+    case: u32,
     base: RecencyBase,
     n_protect: usize,
     mut model: impl Model,
     ops: &[Op],
-) -> Result<(), TestCaseError> {
+) {
     let mut policy = EmissaryPolicy::new(n_protect, base, SETS, WAYS, "P(ref)");
     let mut lines = vec![LineState::invalid(); SETS * WAYS];
     let info = AccessInfo::demand(LineKind::Instruction);
@@ -198,7 +220,7 @@ fn check_victims(
                         let victim = policy.victim(set, set_lines, &info);
                         got.push(victim);
                         want.push(model.victim(set, set_lines));
-                        prop_assert_eq!(&got, &want, "victim diverged after {:?}", op);
+                        assert_eq!(got, want, "case {case}: victim diverged after {op:?}");
                         victim
                     }
                 };
@@ -236,30 +258,31 @@ fn check_victims(
             }
         }
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// `EmissaryPolicy` over true LRU makes the reference's victim choice
-    /// on every eviction, for every `N` the associativity allows.
-    #[test]
-    fn true_lru_victims_match_the_reference(
-        n_protect in 0usize..WAYS,
-        ops in proptest::collection::vec(op_strategy(), 1..600),
-    ) {
-        check_victims(RecencyBase::TrueLru, n_protect, Reference::new(n_protect), &ops)?;
+/// `EmissaryPolicy` over true LRU makes the reference's victim choice
+/// on every eviction, for every `N` the associativity allows.
+#[test]
+fn true_lru_victims_match_the_reference() {
+    let mut rng = XorShift64::new(1);
+    for case in 0..CASES {
+        let n_protect = rng.next_below(WAYS as u64) as usize;
+        let ops = draw_ops(&mut rng);
+        let model = Reference::new(n_protect);
+        check_victims(case, RecencyBase::TrueLru, n_protect, model, &ops);
     }
+}
 
-    /// `EmissaryPolicy` over tree PLRU makes the tree reference's victim
-    /// choice on every eviction, over the same streams.
-    #[test]
-    fn tree_plru_victims_match_the_reference(
-        n_protect in 0usize..WAYS,
-        ops in proptest::collection::vec(op_strategy(), 1..600),
-    ) {
-        check_victims(RecencyBase::TreePlru, n_protect, TreeReference::new(n_protect), &ops)?;
+/// `EmissaryPolicy` over tree PLRU makes the tree reference's victim
+/// choice on every eviction, over the same streams.
+#[test]
+fn tree_plru_victims_match_the_reference() {
+    let mut rng = XorShift64::new(1);
+    for case in 0..CASES {
+        let n_protect = rng.next_below(WAYS as u64) as usize;
+        let ops = draw_ops(&mut rng);
+        let model = TreeReference::new(n_protect);
+        check_victims(case, RecencyBase::TreePlru, n_protect, model, &ops);
     }
 }
 

@@ -164,7 +164,7 @@ impl Hasher for LineHasher {
 /// a small page map. Each line's latest stamp sits in a dense `u32` table
 /// paged by 4096-line regions, so a footprint of contiguous code costs
 /// about 4 bytes a line. Memory is bounded by the distinct lines, not the
-/// accesses: once the stamps reach [`COMPACT_FACTOR`] times the line
+/// accesses: once the stamps reach `COMPACT_FACTOR` times the line
 /// count, the live stamps are renumbered densely in order, which keeps
 /// every rank and so every bucket.
 ///
