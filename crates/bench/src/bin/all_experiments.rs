@@ -23,6 +23,7 @@
 //! `EMISSARY_RESUME=1` simulates only what is left. A job that failed
 //! (`FAILED` cells, `failed=` above 0) is recovered the same way.
 
+use emissary_bench::checkpoint::UNIFIED_CAMPAIGN;
 use emissary_bench::{campaign, experiments, results, scale};
 
 fn main() {
@@ -46,7 +47,7 @@ fn main() {
         scale::knobs().threads,
     );
     let plan = experiments::plan_jobs(&selected, &cfg);
-    campaign::run_plan(plan, |runs| {
+    campaign::run_plan(UNIFIED_CAMPAIGN, plan, |runs| {
         for entry in &selected {
             eprintln!("=== {} ===", entry.name);
             results::emit(entry.name, &entry.render(&cfg, runs));

@@ -22,6 +22,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
+use emissary_bench::checkpoint::UNIFIED_CAMPAIGN;
 use emissary_bench::metrics::{self, counter_sum, stage_seconds, utilization, STAGES};
 use emissary_obs::{bucket_bound, jsonl_lines, JsonValue, Log2Hist, TraceEvent};
 
@@ -42,7 +43,7 @@ fn main() -> ExitCode {
             })
         }
         "metrics" => {
-            let default = metrics::default_path().display().to_string();
+            let default = metrics::path(UNIFIED_CAMPAIGN).display().to_string();
             run_on_files(&or_default(files, default), |name, text| {
                 print!("{}", analyze_metrics(name, text));
             })

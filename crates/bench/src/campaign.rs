@@ -276,10 +276,17 @@ pub fn prefetch_runs(
 /// Resolves the knobs first, so a malformed value exits 2 before the
 /// unified checkpoint (`results/campaign.ckpt.jsonl`, replayed under
 /// `EMISSARY_RESUME=1`) is opened. Then it prefetches the plan on the
-/// knobs' pool ([`prefetch_runs`]), writes `results/campaign.jsonl`,
-/// calls `render`, and closes with the `campaign summary:` line on stderr
-/// and `results/metrics.jsonl`.
-pub fn run_plan(plan: Vec<Job>, render: impl FnOnce(&Runs)) -> PrefetchSummary {
+/// knobs' pool ([`prefetch_runs`]), writes the run's fault records
+/// ([`results::write_campaign_faults`]), calls `render`, and closes with
+/// the `campaign summary:` line on stderr and the run's metrics snapshot
+/// ([`metrics::path`]).
+///
+/// `run` names those two files. The sweep passes [`UNIFIED_CAMPAIGN`]
+/// (`results/campaign.jsonl` and `results/metrics.jsonl`, which CI and
+/// `emissary-inspect` read); any other name keeps a command from
+/// replacing the sweep's files. Every run shares the checkpoint, so each
+/// replays the jobs the others completed.
+pub fn run_plan(run: &str, plan: Vec<Job>, render: impl FnOnce(&Runs)) -> PrefetchSummary {
     let start = Instant::now();
     let resume = scale::knobs().resume;
     let campaign = Campaign::begin_with(UNIFIED_CAMPAIGN, Path::new("results"), resume);
@@ -305,7 +312,7 @@ pub fn run_plan(plan: Vec<Job>, render: impl FnOnce(&Runs)) -> PrefetchSummary {
         "campaign: prefetched {unique} unique of {requested} requested jobs \
          ({simulated} simulated, {replayed} replayed, {failed} failed) in {wall_seconds:.1}s"
     );
-    results::write_campaign_faults();
+    results::write_campaign_faults(run);
     render(&runs);
     // Metrics aggregates append strictly after the pre-existing fields:
     // CI's campaign-smoke job greps this line for ` failed=0 ` and
@@ -317,7 +324,7 @@ pub fn run_plan(plan: Vec<Job>, render: impl FnOnce(&Runs)) -> PrefetchSummary {
          replayed={replayed} failed={failed} ckpt_quarantined={quarantined} wall={wall:.1}s{}",
         metrics::summary_suffix()
     );
-    let path = metrics::default_path();
+    let path = metrics::path(run);
     match metrics::write_jsonl(&path, &global().snapshot()) {
         Ok(()) => eprintln!("metrics: wrote {}", path.display()),
         Err(e) => eprintln!("metrics: cannot write {}: {e}", path.display()),

@@ -26,6 +26,8 @@ use std::time::Instant;
 use emissary_obs::metrics::global;
 use emissary_obs::{jsonl_lines, Metric, MetricsRegistry};
 
+use crate::checkpoint::UNIFIED_CAMPAIGN;
+
 /// Per-worker stage-span counter family (nanoseconds, `stage`+`worker`
 /// labels).
 pub const STAGE_NS: &str = "emissary_stage_ns_total";
@@ -43,9 +45,17 @@ pub const WORKER_WALL_NS: &str = "emissary_worker_wall_ns_total";
 /// The stage names [`STAGE_NS`] is recorded under, in pipeline order.
 pub const STAGES: &[&str] = &["build", "warmup", "measure", "checkpoint", "render"];
 
-/// Where the campaign's metrics snapshot lands.
-pub fn default_path() -> PathBuf {
-    Path::new("results").join("metrics.jsonl")
+/// Where run `run`'s metrics snapshot lands: the sweep's
+/// ([`UNIFIED_CAMPAIGN`]) at `results/metrics.jsonl`, which
+/// `emissary-inspect metrics` reads by default, and any other run's at
+/// `results/<run>.metrics.jsonl`.
+pub fn path(run: &str) -> PathBuf {
+    let file = if run == UNIFIED_CAMPAIGN {
+        "metrics.jsonl".to_string()
+    } else {
+        format!("{run}.metrics.jsonl")
+    };
+    Path::new("results").join(file)
 }
 
 /// Writes `metrics` to `path` as one `metric` record per line (creating

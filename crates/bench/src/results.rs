@@ -20,7 +20,8 @@
 //!
 //! The runs and failures travel with the [`Experiment`] itself. Faults
 //! that belong to the whole campaign rather than to one experiment go to
-//! `results/campaign.jsonl` once, after the prefetch
+//! `results/campaign.jsonl` (the `emissary` CLI's to
+//! `results/emissary.jsonl`) once, after the prefetch
 //! ([`write_campaign_faults`]): one `trace_error` record per event-trace
 //! sink that failed (the affected run proceeded untraced) and one
 //! `ckpt_error` record per checkpoint I/O failure.
@@ -33,7 +34,6 @@ use std::sync::Mutex;
 use emissary_obs::JsonObject;
 use emissary_sim::SimRun;
 
-use crate::checkpoint::UNIFIED_CAMPAIGN;
 use crate::experiments::Experiment;
 use crate::{lock_unpoisoned, metrics, scale};
 
@@ -191,17 +191,17 @@ pub fn write_experiment(name: &str, exp: &Experiment) -> io::Result<PathBuf> {
     write_file(name, |out| write_records(out, name, exp, &[], &[]))
 }
 
-/// Writes `results/campaign.jsonl`: a meta record plus every `trace_error`
-/// and `ckpt_error` logged so far, draining both logs, and reports the
-/// write on stderr. Call it once, after the prefetch; nothing goes to
-/// stdout.
-pub fn write_campaign_faults() {
+/// Writes `results/<run>.jsonl` (`results/campaign.jsonl` for the sweep):
+/// a meta record plus every `trace_error` and `ckpt_error` logged so far,
+/// draining both logs, and reports the write on stderr. Call it once per
+/// run, after the prefetch; nothing goes to stdout.
+pub fn write_campaign_faults(run: &str) {
     let exp = Experiment::new("Campaign-wide faults".into(), Vec::new());
     let (trace_errors, ckpt_errors) = (take_trace_errors(), take_ckpt_errors());
-    let written = write_file(UNIFIED_CAMPAIGN, |out| {
-        write_records(out, UNIFIED_CAMPAIGN, &exp, &trace_errors, &ckpt_errors)
+    let written = write_file(run, |out| {
+        write_records(out, run, &exp, &trace_errors, &ckpt_errors)
     });
-    report_written(UNIFIED_CAMPAIGN, written);
+    report_written(run, written);
 }
 
 /// Fills `results/<name>.jsonl` with `write`, replacing any previous

@@ -182,8 +182,7 @@ impl FetchEngine {
             }
             BranchClass::CondDirect => {
                 self.stats.cond_branches += 1;
-                let pred_taken = self.tage.predict(branch_pc);
-                self.tage.update(branch_pc, block.taken);
+                let pred_taken = self.tage.update(branch_pc, block.taken);
                 let correct = pred_taken == block.taken;
                 if !correct {
                     self.stats.cond_mispredicts += 1;
@@ -197,8 +196,7 @@ impl FetchEngine {
             }
             BranchClass::IndirectJump | BranchClass::IndirectCall => {
                 self.stats.indirect_branches += 1;
-                let pred = self.ittage.predict(branch_pc);
-                self.ittage.update(branch_pc, block.taken_target);
+                let pred = self.ittage.update(branch_pc, block.taken_target);
                 if block.kind == BranchClass::IndirectCall {
                     self.ras.push(block.fallthrough());
                 }

@@ -83,9 +83,9 @@ impl Ittage {
         (b.target != 0).then_some(b.target)
     }
 
-    /// Trains on the actual target; returns whether the pre-update
-    /// prediction matched.
-    pub fn update(&mut self, pc: u64, target: u64) -> bool {
+    /// Trains on the actual target; returns the pre-update prediction,
+    /// the target [`Ittage::predict`] would have given.
+    pub fn update(&mut self, pc: u64, target: u64) -> Option<u64> {
         self.predictions += 1;
         let predicted = self.predict(pc);
         let correct = predicted == Some(target);
@@ -138,7 +138,7 @@ impl Ittage {
             b.target = target;
         }
         self.thist = (self.thist << 4) ^ (target >> 2);
-        correct
+        predicted
     }
 
     /// `(predictions, mispredictions)` counters.
@@ -188,12 +188,27 @@ mod tests {
         let mut late_misses = 0;
         for rep in 0..3000 {
             let tgt = if rep % 2 == 0 { a } else { b };
-            let correct = i.update(0x8000, tgt);
+            let correct = i.update(0x8000, tgt) == Some(tgt);
             if rep >= 2900 && !correct {
                 late_misses += 1;
             }
         }
         assert!(late_misses <= 20, "late misses = {late_misses}");
+    }
+
+    #[test]
+    fn update_returns_the_prediction_it_trained_on() {
+        let mut i = Ittage::new();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..20_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let pc = 0x4000 + 4 * (state % 32);
+            let target = 0x10_0000 + 64 * ((state >> 32) % 4);
+            let predicted = i.predict(pc);
+            assert_eq!(i.update(pc, target), predicted);
+        }
     }
 
     #[test]

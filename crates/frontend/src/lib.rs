@@ -8,8 +8,6 @@
 //! * [`tage::Tage`] — a TAGE-style conditional branch direction predictor.
 //! * [`ittage::Ittage`] — an ITTAGE-style indirect target predictor.
 //! * [`ras::ReturnAddressStack`] — return address prediction.
-//! * [`ftq::Ftq`] — the Fetch Target Queue (24 entries / 192 instructions)
-//!   decoupling prediction from fetch.
 //! * [`fdip::PrefetchQueue`] — FDIP's prefetch stream: cache-line requests
 //!   generated as blocks enter the FTQ, drained by the simulator with a
 //!   per-cycle bandwidth budget.
@@ -18,6 +16,11 @@
 //!   and next-two-line prefetch, and misprediction detection against the
 //!   architectural (ground-truth) path.
 //!
+//! The Fetch Target Queue (24 blocks / 192 instructions) that decouples
+//! prediction from fetch is not a type here: the simulator keeps it as a
+//! cursor range of its instruction window, next to the decode queue and
+//! the ROB (`emissary_sim`'s machine module).
+//!
 //! The crate is self-contained: the simulator supplies ground-truth block
 //! descriptors and consumes prediction outcomes; no cache or workload types
 //! appear in this API.
@@ -25,7 +28,6 @@
 pub mod btb;
 pub mod engine;
 pub mod fdip;
-pub mod ftq;
 pub mod ittage;
 pub mod ras;
 pub mod tage;
@@ -34,7 +36,6 @@ pub use btb::BranchClass;
 pub use btb::{Btb, BtbEntry};
 pub use engine::{BlockDesc, FetchEngine, FrontendConfig, FrontendStats, Prediction};
 pub use fdip::PrefetchQueue;
-pub use ftq::{Ftq, FtqEntry};
 pub use ittage::Ittage;
 pub use ras::ReturnAddressStack;
 pub use tage::Tage;

@@ -101,7 +101,8 @@ impl Tage {
     }
 
     /// Trains on the actual outcome and advances global history. Returns
-    /// whether the pre-update prediction was correct.
+    /// the pre-update prediction, the direction [`Tage::predict`] would
+    /// have given.
     pub fn update(&mut self, pc: u64, taken: bool) -> bool {
         self.predictions += 1;
         let provider = self.provider(pc);
@@ -147,7 +148,7 @@ impl Tage {
             self.age_useful();
         }
         self.ghist = (self.ghist << 1) | u64::from(taken);
-        correct
+        predicted
     }
 
     fn allocate(&mut self, from_table: usize, pc: u64, taken: bool) {
@@ -225,7 +226,7 @@ mod tests {
         let mut last_100_misses = 0;
         for i in 0..4000 {
             flip = !flip;
-            let correct = t.update(0x8000, flip);
+            let correct = t.update(0x8000, flip) == flip;
             if i >= 3900 && !correct {
                 last_100_misses += 1;
             }
@@ -245,7 +246,7 @@ mod tests {
         for rep in 0..600 {
             for i in 0..8 {
                 let taken = i != 7;
-                let correct = t.update(0xc000, taken);
+                let correct = t.update(0xc000, taken) == taken;
                 if rep >= 550 {
                     n += 1;
                     if !correct {
@@ -271,7 +272,7 @@ mod tests {
             state ^= state >> 7;
             state ^= state << 17;
             let taken = state & 1 == 1;
-            if !t.update(0x1_0000, taken) {
+            if t.update(0x1_0000, taken) != taken {
                 misses += 1;
             }
         }
@@ -281,6 +282,21 @@ mod tests {
             (N * 3 / 10..N * 7 / 10).contains(&misses),
             "misses = {misses}"
         );
+    }
+
+    #[test]
+    fn update_returns_the_prediction_it_trained_on() {
+        let mut t = Tage::new();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..20_000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let pc = 0x4000 + 4 * (state % 64);
+            let taken = state & (1 << 40) != 0;
+            let predicted = t.predict(pc);
+            assert_eq!(t.update(pc, taken), predicted);
+        }
     }
 
     #[test]

@@ -19,6 +19,27 @@
 //! the fetch bubble plus the drained run-ahead — exactly the mechanism the
 //! paper identifies as the source of decode starvation.
 //!
+//! ## The instruction window
+//!
+//! Each true-path instruction lives in one `Slot` of the `Window`, a
+//! ring indexed by sequence number, from the cycle the walker emits it to
+//! its commit. Seqs are handed out at emission, and they are the numbers
+//! decode would give: only true-path instructions enter, in order. Five
+//! cursors cut the ring into the pipeline's queues, oldest first:
+//!
+//! * ROB: `[commit_head, decode_head)`;
+//! * decode queue: `[decode_head, fetch_head)`;
+//! * FTQ: `[fetch_head, ftq_tail)`, with its block lengths in
+//!   `ftq_blocks` (§5.2: at most 24 blocks and 192 instructions);
+//! * the staged block, predicted and waiting for FTQ room:
+//!   `[ftq_tail, emitted)`.
+//!
+//! An instruction moves from one queue to the next when a cursor passes
+//! it, and each stage fills its fields in place: fetch the line's arrival,
+//! decode the operands' ready cycle. An entry has issued once its
+//! completion time (in the completion ring) is no longer `PENDING`, and
+//! is complete once that cycle has passed.
+//!
 //! ## Starvation and priority plumbing
 //!
 //! A cycle is a *decode starvation* when decode could make progress (ROB
@@ -31,6 +52,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
+use std::ops::{Index, IndexMut};
 
 use emissary_cache::addr::line_of;
 use emissary_cache::hierarchy::{Hierarchy, ServedBy};
@@ -38,14 +60,13 @@ use emissary_cache::linemap::LineMap;
 use emissary_cache::rng::XorShift64;
 use emissary_core::reset::ResetSchedule;
 use emissary_core::selection::{MissFlags, SelectionExpr};
-use emissary_frontend::ftq::{Ftq, FtqEntry};
 use emissary_frontend::{BlockDesc, BranchClass, FetchEngine, PrefetchQueue};
 use emissary_obs::{SampleCounters, TraceEvent, Tracer};
 use emissary_stats::reuse::{ReuseBucket, ReuseTracker};
 use emissary_workloads::program::TermClass;
-use emissary_workloads::walker::{DynBlock, DynInstr, DynOp, Walker};
+use emissary_workloads::walker::{DynInstr, DynOp, Walker};
 
-use crate::config::SimConfig;
+use crate::config::{CoreConfig, SimConfig};
 use crate::fault::{FaultConfig, SimAbort};
 use crate::report::ReuseAttribution;
 
@@ -57,35 +78,103 @@ pub(crate) const MAX_DEP_DISTANCE: usize = u8::MAX as usize;
 /// Sentinel for "not yet completed" / "not yet known".
 const PENDING: u64 = u64::MAX;
 
-/// Operation class of a ROB entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OpClass {
-    Alu,
-    Load(u64),
-    Store(u64),
-    Branch,
-}
-
+/// One true-path instruction from emission to commit (see the module
+/// docs). Fetch fills the line fields and decode the scheduler fields; the
+/// completion time lives in the completion ring.
 #[derive(Debug, Clone, Copy)]
-struct RobEntry {
-    seq: u64,
-    op: OpClass,
-    issued: bool,
-    completed_at: u64,
+struct Slot {
+    instr: DynInstr,
     /// Terminator of a mispredicted block: triggers the re-steer.
     mispredict: bool,
-    /// Producers (seq 0 = none).
-    dep1: u64,
-    dep2: u64,
+    /// Cycle the instruction's line arrives.
+    line_ready: u64,
+    /// Reuse bucket of the line at demand-fetch time (Figure 2); cold
+    /// first touches classify as long reuse.
+    bucket: ReuseBucket,
+    /// Level that served (or is serving) the line.
+    source: ServedBy,
     /// First cycle both operands are available, or [`PENDING`] while a
     /// producer has not issued. A producer's completion time is fixed when
     /// it issues, so once known this never changes.
     ready_at: u64,
 }
 
+impl Slot {
+    /// A just-emitted instruction, not yet fetched or decoded.
+    fn emitted(instr: DynInstr, mispredict: bool) -> Self {
+        Self {
+            instr,
+            mispredict,
+            line_ready: PENDING,
+            bucket: ReuseBucket::Long,
+            source: ServedBy::L1,
+            ready_at: PENDING,
+        }
+    }
+}
+
+/// The instruction window: a ring of [`Slot`]s indexed by seq, a power of
+/// two no smaller than the most instructions in flight.
+#[derive(Debug)]
+struct Window(Vec<Slot>);
+
+impl Window {
+    /// A ring for `core` running a program whose longest block has
+    /// `longest_block` instructions. In flight at once are at most a full
+    /// ROB, a decode queue that fetch overfilled by one block, a full FTQ
+    /// and a staged block.
+    fn new(core: &CoreConfig, longest_block: usize) -> Self {
+        let ftq = (core.ftq_instrs as usize).min(core.ftq_entries.saturating_mul(longest_block));
+        let capacity = core.rob_entries + core.decode_queue + ftq + 2 * longest_block;
+        let blank = DynInstr {
+            pc: 0,
+            op: DynOp::Alu,
+            dep1: 0,
+            dep2: 0,
+            is_terminator: false,
+        };
+        Window(vec![
+            Slot::emitted(blank, false);
+            capacity.next_power_of_two()
+        ])
+    }
+
+    fn capacity(&self) -> u64 {
+        self.0.len() as u64
+    }
+}
+
+impl Index<u64> for Window {
+    type Output = Slot;
+
+    fn index(&self, seq: u64) -> &Slot {
+        &self.0[seq as usize & (self.0.len() - 1)]
+    }
+}
+
+impl IndexMut<u64> for Window {
+    fn index_mut(&mut self, seq: u64) -> &mut Slot {
+        let mask = self.0.len() - 1;
+        &mut self.0[seq as usize & mask]
+    }
+}
+
+/// The seqs of instruction `seq`'s two producers, `instr`'s dependence
+/// distances back from it (0 = none, also for a distance reaching past
+/// the first instruction).
+fn producers(seq: u64, instr: &DynInstr) -> [u64; 2] {
+    [instr.dep1, instr.dep2].map(|d| {
+        if d == 0 || u64::from(d) >= seq {
+            0
+        } else {
+            seq - u64::from(d)
+        }
+    })
+}
+
 /// The cycle both producers' results are available, or [`PENDING`] while
 /// either has not issued (`PENDING` is `u64::MAX`, so it wins the `max`).
-fn operands_ready_at(comp_time: &[u64], dep1: u64, dep2: u64) -> u64 {
+fn operands_ready_at(comp_time: &[u64], [dep1, dep2]: [u64; 2]) -> u64 {
     let at = |dep: u64| {
         if dep == 0 {
             0
@@ -137,27 +226,6 @@ fn insert_sorted(list: &mut VecDeque<u64>, seq: u64) {
     }
 }
 
-/// An instruction sitting in the decode queue waiting for its line.
-#[derive(Debug, Clone, Copy)]
-struct Fetched {
-    instr: DynInstr,
-    ready_at: u64,
-    line: u64,
-    mispredict: bool,
-    /// Reuse bucket of the line at demand-fetch time (Figure 2); cold
-    /// first touches classify as long reuse.
-    bucket: ReuseBucket,
-    /// Level that served (or is serving) the line.
-    source: ServedBy,
-}
-
-/// FTQ payload: the block's dynamic instructions plus prediction verdicts.
-#[derive(Debug)]
-struct BlockPayload {
-    instrs: Vec<DynInstr>,
-    mispredicted: bool,
-}
-
 /// Counters accumulated during the measurement window.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct WindowStats {
@@ -183,10 +251,20 @@ pub struct Machine<'p> {
     pub(crate) hierarchy: Hierarchy,
     pub(crate) engine: FetchEngine,
     walker: Walker<'p>,
-    ftq: Ftq<BlockPayload>,
     pfq: PrefetchQueue,
-    decode_queue: VecDeque<Fetched>,
-    rob: VecDeque<RobEntry>,
+    /// Every true-path instruction from emission to commit.
+    window: Window,
+    /// The window's cursors, oldest first (see the module docs): each is
+    /// the seq one past the stage before it.
+    commit_head: u64,
+    decode_head: u64,
+    fetch_head: u64,
+    ftq_tail: u64,
+    emitted: u64,
+    /// Lengths of the FTQ's blocks, oldest first.
+    ftq_blocks: VecDeque<u32>,
+    /// The walker's output buffer, reused for every block.
+    emit_buf: Vec<DynInstr>,
     /// Dispatched but not yet issued instructions (issue-queue occupancy).
     iq_count: usize,
     /// One bit per completion-ring slot, set while that seq is dispatched
@@ -205,10 +283,7 @@ pub struct Machine<'p> {
     lq_count: usize,
     sq_count: usize,
     comp_time: Vec<u64>,
-    next_seq: u64,
     now: u64,
-    /// Staged (already predicted) block waiting for FTQ room.
-    staged: Option<(DynBlock, Vec<DynInstr>, bool)>,
     btb_stall_until: u64,
     /// Wrong-path mode: an unresolved misprediction is in flight.
     wp_active: bool,
@@ -230,15 +305,6 @@ pub struct Machine<'p> {
     /// Open decode-starvation episode: (start cycle, blamed line, level).
     /// Tracked only while tracing is enabled.
     starve_episode: Option<(u64, u64, ServedBy)>,
-    /// Recycled block-instruction buffers: `predict_enqueue` pops one for
-    /// the walker to fill and `fetch` returns it after draining, so the
-    /// steady-state cycle loop never allocates payload `Vec`s. Bounded by
-    /// the FTQ depth plus the staged block.
-    instr_pool: Vec<Vec<DynInstr>>,
-    /// Per-fetch scratch: (line, ready cycle, reuse bucket, serving level)
-    /// for each distinct line the current block touches. Linear scan — a
-    /// block spans a handful of lines — and reused across cycles.
-    line_ready_scratch: Vec<(u64, u64, ReuseBucket, ServedBy)>,
 }
 
 impl<'p> Machine<'p> {
@@ -252,15 +318,22 @@ impl<'p> Machine<'p> {
         );
         let hierarchy = Hierarchy::new(cfg.hierarchy.clone(), cfg.l1_policy, l2_policy);
         let engine = FetchEngine::new(cfg.core.frontend.clone());
-        let ftq = Ftq::new(cfg.core.ftq_entries, cfg.core.ftq_instrs);
+        let longest_block = walker.program().blocks.iter().map(|b| b.len);
+        let window = Window::new(&cfg.core, longest_block.max().unwrap_or(0) as usize);
         Self {
             hierarchy,
             engine,
             walker,
-            ftq,
             pfq: PrefetchQueue::new(64),
-            decode_queue: VecDeque::with_capacity(cfg.core.decode_queue),
-            rob: VecDeque::with_capacity(cfg.core.rob_entries),
+            window,
+            // Seq 0 means "no producer", so numbering starts at 1.
+            commit_head: 1,
+            decode_head: 1,
+            fetch_head: 1,
+            ftq_tail: 1,
+            emitted: 1,
+            ftq_blocks: VecDeque::new(),
+            emit_buf: Vec::new(),
             iq_count: 0,
             unissued: vec![0; COMP_RING / 64],
             waiter_head: vec![NO_EDGE; COMP_RING],
@@ -270,9 +343,7 @@ impl<'p> Machine<'p> {
             lq_count: 0,
             sq_count: 0,
             comp_time: vec![0; COMP_RING],
-            next_seq: 1,
             now: 0,
-            staged: None,
             btb_stall_until: 0,
             wp_active: false,
             wp_pc: 0,
@@ -288,8 +359,6 @@ impl<'p> Machine<'p> {
             total_committed: 0,
             tracer: Tracer::disabled(),
             starve_episode: None,
-            instr_pool: Vec::new(),
-            line_ready_scratch: Vec::new(),
             cfg: cfg.clone(),
         }
     }
@@ -361,10 +430,11 @@ impl<'p> Machine<'p> {
 
     /// Runs the hierarchy invariant auditor (see `emissary_cache::audit`),
     /// emitting one [`TraceEvent::AuditViolation`] per finding when tracing
-    /// is enabled, then checks the issue scheduler's invariants, and
-    /// returns the rendered violations (empty = clean). Scheduler findings
-    /// name no cache level, so they appear only in the returned list.
-    /// Read-only with respect to simulated state.
+    /// is enabled, then checks the instruction window's and the issue
+    /// scheduler's invariants, and returns the rendered violations (empty =
+    /// clean). Window and scheduler findings name no cache level, so they
+    /// appear only in the returned list. Read-only with respect to
+    /// simulated state.
     pub fn run_audit(&mut self) -> Vec<String> {
         let violations = self.hierarchy.audit();
         for v in &violations {
@@ -378,7 +448,51 @@ impl<'p> Machine<'p> {
             });
         }
         let mut found: Vec<String> = violations.iter().map(|v| v.to_string()).collect();
-        found.extend(self.scheduler_violations());
+        let window = self.window_violations();
+        // The scheduler's checks walk the ROB range, which a broken cursor
+        // makes meaningless.
+        if window.is_empty() {
+            found.extend(self.scheduler_violations());
+        }
+        found.extend(window);
+        found
+    }
+
+    /// Whether ROB entry `seq` has issued: its completion time is known.
+    fn issued(&self, seq: u64) -> bool {
+        self.comp_time[ring_slot(seq)] != PENDING
+    }
+
+    /// The window's invariants: the cursors are ordered and span no more
+    /// than the ring, and the FTQ's block lengths sum to its range within
+    /// its entry bound.
+    fn window_violations(&self) -> Vec<String> {
+        let mut found = Vec::new();
+        let cursors = [
+            self.commit_head,
+            self.decode_head,
+            self.fetch_head,
+            self.ftq_tail,
+            self.emitted,
+        ];
+        if !cursors.is_sorted() || self.emitted - self.commit_head > self.window.capacity() {
+            found.push(format!(
+                "window: cursors (commit, decode, fetch, ftq tail, emitted) {cursors:?} \
+                 are out of order or span more than the {}-slot ring",
+                self.window.capacity()
+            ));
+        }
+        let queued: u64 = self.ftq_blocks.iter().map(|&len| u64::from(len)).sum();
+        if Some(queued) != self.ftq_tail.checked_sub(self.fetch_head)
+            || self.ftq_blocks.len() > self.cfg.core.ftq_entries
+        {
+            found.push(format!(
+                "window: {} ftq blocks hold {queued} instructions but the ftq range is [{}, {})",
+                self.ftq_blocks.len(),
+                self.fetch_head,
+                self.ftq_tail
+            ));
+        }
         found
     }
 
@@ -393,16 +507,14 @@ impl<'p> Machine<'p> {
     ///   its popcount is the IQ count.
     fn scheduler_violations(&self) -> Vec<String> {
         let mut found = Vec::new();
-        let front_seq = self.rob.front().map_or(self.next_seq, |e| e.seq);
+        let rob = self.commit_head..self.decode_head;
         let index = |seq: u64| {
-            seq.checked_sub(front_seq)
-                .map(|idx| idx as usize)
-                .filter(|&idx| self.rob.get(idx).is_some_and(|r| r.seq == seq && !r.issued))
+            (rob.contains(&seq) && !self.issued(seq)).then(|| (seq - self.commit_head) as usize)
         };
         // Per ROB index: places on the ready list or timer heap, and
         // producer lists it sits on.
-        let mut queued = vec![0usize; self.rob.len()];
-        let mut linked = vec![0usize; self.rob.len()];
+        let mut queued = vec![0usize; (self.decode_head - self.commit_head) as usize];
+        let mut linked = queued.clone();
         let mut prev = 0;
         for &seq in &self.ready {
             if seq <= prev {
@@ -422,10 +534,10 @@ impl<'p> Machine<'p> {
             match index(seq) {
                 Some(idx) => {
                     queued[idx] += 1;
-                    if self.rob[idx].ready_at != at {
+                    if self.window[seq].ready_at != at {
                         found.push(format!(
                             "scheduler: timer ({at}, {seq}) but the entry's ready_at is {}",
-                            self.rob[idx].ready_at
+                            self.window[seq].ready_at
                         ));
                     }
                 }
@@ -434,65 +546,64 @@ impl<'p> Machine<'p> {
                 )),
             }
         }
-        for producer in self.rob.iter().filter(|e| !e.issued) {
-            let mut edge = self.waiter_head[ring_slot(producer.seq)];
+        for producer in rob.clone().filter(|&seq| !self.issued(seq)) {
+            let mut edge = self.waiter_head[ring_slot(producer)];
             // A corrupted list may cycle; no list is longer than the ROB.
-            for _ in 0..self.rob.len() {
+            for _ in 0..queued.len() {
                 if edge == NO_EDGE {
                     break;
                 }
                 let slot = edge as usize / 2;
-                let seq = producer.seq
-                    + (slot.wrapping_sub(ring_slot(producer.seq)) & (COMP_RING - 1)) as u64;
+                let seq =
+                    producer + (slot.wrapping_sub(ring_slot(producer)) & (COMP_RING - 1)) as u64;
                 match index(seq) {
-                    Some(idx)
-                        if [self.rob[idx].dep1, self.rob[idx].dep2].contains(&producer.seq) =>
-                    {
+                    Some(idx) if producers(seq, &self.window[seq].instr).contains(&producer) => {
                         linked[idx] += 1;
                     }
                     _ => found.push(format!(
-                        "scheduler: seq {} has a waiter {seq} that does not wait on it",
-                        producer.seq
+                        "scheduler: seq {producer} has a waiter {seq} that does not wait on it"
                     )),
                 }
                 edge = self.waiter_next[edge as usize];
             }
         }
         let mut unissued = 0;
-        for (idx, e) in self.rob.iter().enumerate() {
-            let bit = count_set(&self.unissued, e.seq, e.seq + 1) == 1;
-            if bit == e.issued {
+        for (idx, seq) in rob.enumerate() {
+            let issued = self.issued(seq);
+            let bit = count_set(&self.unissued, seq, seq + 1) == 1;
+            if bit == issued {
                 found.push(format!(
-                    "scheduler: seq {} unissued bit is {bit} but issued is {}",
-                    e.seq, e.issued
+                    "scheduler: seq {seq} unissued bit is {bit} but issued is {issued}"
                 ));
             }
-            if e.issued {
+            if issued {
                 continue;
             }
             unissued += 1;
-            let waiting_on = [e.dep1, e.dep2]
+            let e = &self.window[seq];
+            let deps = producers(seq, &e.instr);
+            let waiting_on = deps
                 .iter()
                 .enumerate()
                 .filter(|&(k, &dep)| {
                     dep != 0
-                        && !(k == 1 && dep == e.dep1)
+                        && !(k == 1 && dep == deps[0])
                         && self.comp_time[ring_slot(dep)] == PENDING
                 })
                 .count();
             let places = queued[idx] + usize::from(linked[idx] > 0);
             if places != 1 || linked[idx] != waiting_on {
                 found.push(format!(
-                    "scheduler: seq {} is in {places} places (ready list and timer heap: {}, \
+                    "scheduler: seq {seq} is in {places} places (ready list and timer heap: {}, \
                      waiter lists: {} of its {waiting_on} unissued producers)",
-                    e.seq, queued[idx], linked[idx]
+                    queued[idx], linked[idx]
                 ));
             }
-            let ready_at = operands_ready_at(&self.comp_time, e.dep1, e.dep2);
+            let ready_at = operands_ready_at(&self.comp_time, deps);
             if e.ready_at != PENDING && e.ready_at != ready_at {
                 found.push(format!(
-                    "scheduler: seq {} ready_at {} but its producers complete at {ready_at}",
-                    e.seq, e.ready_at
+                    "scheduler: seq {seq} ready_at {} but its producers complete at {ready_at}",
+                    e.ready_at
                 ));
             }
         }
@@ -533,26 +644,25 @@ impl<'p> Machine<'p> {
     // --- Commit -----------------------------------------------------------
 
     fn commit(&mut self) {
-        let width = self.cfg.core.commit_width;
-        let mut committed = 0;
-        while committed < width {
-            match self.rob.front() {
-                Some(e) if e.completed_at <= self.now => {
-                    let e = self.rob.pop_front().expect("front checked");
-                    match e.op {
-                        OpClass::Load(_) => self.lq_count -= 1,
-                        OpClass::Store(_) => self.sq_count -= 1,
-                        _ => {}
-                    }
-                    committed += 1;
-                }
-                _ => break,
+        let end = self.commit_head + u64::from(self.cfg.core.commit_width);
+        let start = self.commit_head;
+        // An unissued entry's completion time is PENDING, which no cycle
+        // reaches.
+        while self.commit_head < end.min(self.decode_head)
+            && self.comp_time[ring_slot(self.commit_head)] <= self.now
+        {
+            match self.window[self.commit_head].instr.op {
+                DynOp::Load(_) => self.lq_count -= 1,
+                DynOp::Store(_) => self.sq_count -= 1,
+                DynOp::Alu => {}
             }
+            self.commit_head += 1;
         }
-        self.stats.committed += u64::from(committed);
-        self.total_committed += u64::from(committed);
+        let committed = self.commit_head - start;
+        self.stats.committed += committed;
+        self.total_committed += committed;
         if committed == 0 {
-            if self.rob.is_empty() {
+            if self.commit_head == self.decode_head {
                 self.stats.fe_stall_cycles += 1;
             } else {
                 self.stats.be_stall_cycles += 1;
@@ -589,30 +699,30 @@ impl<'p> Machine<'p> {
             return;
         }
         let width = self.cfg.core.issue_width as usize;
-        let window = self.cfg.core.scheduler_window;
+        let scheduler_window = self.cfg.core.scheduler_window;
         let alu_latency = self.cfg.core.alu_latency;
         let resteer_penalty = self.cfg.core.resteer_penalty;
-        // A ready entry is unissued, so the ROB holds it and is non-empty.
-        let front_seq = self.rob[0].seq;
+        let front_seq = self.commit_head;
         let mut issued = 0usize;
         while issued < width {
             let Some(&seq) = self.ready.front() else {
                 break;
             };
             // An entry's rank is the number of unissued entries older than
-            // it. The window is the oldest `window` entries as the cycle
-            // began: the entries issued so far this cycle are all older
-            // than `seq`, so they count towards its rank. An entry fewer than
-            // `window` places behind the ROB head has fewer older entries
-            // than that, so its rank needs no popcount.
-            if (seq - front_seq) as usize >= window
-                && count_set(&self.unissued, front_seq, seq) + issued >= window
+            // it. The scheduler window is the oldest `scheduler_window`
+            // entries as the cycle began: the entries issued so far this
+            // cycle are all older than `seq`, so they count towards its
+            // rank. An entry fewer than `scheduler_window` places behind the
+            // ROB head has fewer older entries than that, so its rank needs
+            // no popcount.
+            if (seq - front_seq) as usize >= scheduler_window
+                && count_set(&self.unissued, front_seq, seq) + issued >= scheduler_window
             {
                 break;
             }
             self.ready.pop_front();
             let Machine {
-                rob,
+                window,
                 hierarchy,
                 comp_time,
                 unissued,
@@ -625,22 +735,20 @@ impl<'p> Machine<'p> {
                 iq_count,
                 ..
             } = self;
-            let e = &mut rob[(seq - front_seq) as usize];
-            let completed_at = match e.op {
-                OpClass::Alu | OpClass::Branch => now + alu_latency,
-                OpClass::Load(addr) => {
+            let e = &window[seq];
+            let completed_at = match e.instr.op {
+                DynOp::Alu => now + alu_latency,
+                DynOp::Load(addr) => {
                     hierarchy
                         .access_data(line_of(addr), now, false, false)
                         .ready_at
                 }
-                OpClass::Store(addr) => {
+                DynOp::Store(addr) => {
                     // Write-allocate now; retire through the store buffer.
                     hierarchy.access_data(line_of(addr), now, true, false);
                     now + 1
                 }
             };
-            e.issued = true;
-            e.completed_at = completed_at;
             if e.mispredict {
                 // The mispredicted branch resolves: schedule the re-steer.
                 *resteer_done_at = Some(completed_at + resteer_penalty);
@@ -658,8 +766,8 @@ impl<'p> Machine<'p> {
                 // Consumers sit within MAX_DEP_DISTANCE after their
                 // producer, so the ring offset recovers the seq.
                 let consumer = seq + (consumer_slot.wrapping_sub(slot) & (COMP_RING - 1)) as u64;
-                let c = &mut rob[(consumer - front_seq) as usize];
-                let at = operands_ready_at(comp_time, c.dep1, c.dep2);
+                let c = &mut window[consumer];
+                let at = operands_ready_at(comp_time, producers(consumer, &c.instr));
                 if at != PENDING {
                     c.ready_at = at;
                     if at <= now {
@@ -683,46 +791,28 @@ impl<'p> Machine<'p> {
             self.cfg.core.lq_entries,
             self.cfg.core.sq_entries,
         );
-        let backend_can_accept = self.rob.len() < rob_cap && self.iq_count < iq_cap;
+        let rob_len = |m: &Self| (m.decode_head - m.commit_head) as usize;
+        let backend_can_accept = rob_len(self) < rob_cap && self.iq_count < iq_cap;
         let mut decoded = 0;
-        while decoded < width {
-            let Some(head) = self.decode_queue.front() else {
-                break;
-            };
-            if head.ready_at > self.now {
-                break;
-            }
-            if self.rob.len() >= rob_cap || self.iq_count >= iq_cap {
+        while decoded < width && self.decode_head < self.fetch_head {
+            let seq = self.decode_head;
+            let Slot {
+                instr, line_ready, ..
+            } = self.window[seq];
+            if line_ready > self.now {
                 break;
             }
-            match head.instr.op {
+            if rob_len(self) >= rob_cap || self.iq_count >= iq_cap {
+                break;
+            }
+            match instr.op {
                 DynOp::Load(_) if self.lq_count >= lq_cap => break,
                 DynOp::Store(_) if self.sq_count >= sq_cap => break,
-                _ => {}
+                DynOp::Load(_) => self.lq_count += 1,
+                DynOp::Store(_) => self.sq_count += 1,
+                DynOp::Alu => {}
             }
-            let f = self.decode_queue.pop_front().expect("front checked");
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let op = match f.instr.op {
-                DynOp::Alu if f.instr.is_terminator => OpClass::Branch,
-                DynOp::Alu => OpClass::Alu,
-                DynOp::Load(a) => {
-                    self.lq_count += 1;
-                    OpClass::Load(a)
-                }
-                DynOp::Store(a) => {
-                    self.sq_count += 1;
-                    OpClass::Store(a)
-                }
-            };
-            let dep = |d: u8| -> u64 {
-                if d == 0 || u64::from(d) >= seq {
-                    0
-                } else {
-                    seq - u64::from(d)
-                }
-            };
-            let (dep1, dep2) = (dep(f.instr.dep1), dep(f.instr.dep2));
+            let deps = producers(seq, &instr);
             let slot = ring_slot(seq);
             self.comp_time[slot] = PENDING;
             self.unissued[slot / 64] |= 1u64 << (slot % 64);
@@ -730,8 +820,8 @@ impl<'p> Machine<'p> {
             // The slot's last occupant issued long ago, emptying its list.
             debug_assert_eq!(self.waiter_head[slot], NO_EDGE);
             // Link onto the waiter list of each distinct unissued producer.
-            for (k, producer) in [dep1, dep2].into_iter().enumerate() {
-                if producer == 0 || (k == 1 && producer == dep1) {
+            for (k, producer) in deps.into_iter().enumerate() {
+                if producer == 0 || (k == 1 && producer == deps[0]) {
                     continue;
                 }
                 let p = ring_slot(producer);
@@ -742,63 +832,55 @@ impl<'p> Machine<'p> {
                 }
             }
             // PENDING exactly when it was linked above.
-            let ready_at = operands_ready_at(&self.comp_time, dep1, dep2);
+            let ready_at = operands_ready_at(&self.comp_time, deps);
             if ready_at <= self.now {
                 // The youngest entry: appending keeps the list ascending.
                 self.ready.push_back(seq);
             } else if ready_at != PENDING {
                 self.timers.push(Reverse((ready_at, seq)));
             }
-            self.rob.push_back(RobEntry {
-                seq,
-                op,
-                issued: false,
-                completed_at: PENDING,
-                mispredict: f.mispredict,
-                dep1,
-                dep2,
-                ready_at,
-            });
+            self.window[seq].ready_at = ready_at;
+            self.decode_head += 1;
             decoded += 1;
             self.stats.decoded += 1;
         }
         // Starvation: decode made zero progress, the back-end had room, and
         // the head instruction exists but its line is still in flight.
         let mut starved_on: Option<(u64, ServedBy)> = None;
-        if decoded == 0 && backend_can_accept {
-            if let Some(head) = self.decode_queue.front() {
-                if head.ready_at > self.now {
-                    starved_on = Some((head.line, head.source));
-                    let empty_iq = self.iq_count == 0;
-                    self.stats.starvation_cycles += 1;
-                    if empty_iq {
-                        self.stats.starvation_empty_iq_cycles += 1;
-                    }
-                    let line = head.line;
-                    let bucket = head.bucket;
-                    let src_idx = match head.source {
-                        ServedBy::L1 | ServedBy::InFlight => 0,
-                        ServedBy::L2 => 1,
-                        ServedBy::L3 => 2,
-                        ServedBy::Memory => 3,
-                    };
-                    self.stats.starve_by_source[src_idx] += 1;
-                    self.pending_flags
-                        .get_or_insert(line, MissFlags::NONE)
-                        .merge(MissFlags {
-                            starved_decode: true,
-                            empty_issue_queue: empty_iq,
-                        });
-                    // Figure 2: attribute the starvation cycle to the
-                    // blamed line's reuse bucket as observed when the line
-                    // was fetched (the fetch itself already refreshed the
-                    // tracker, so the current distance would read ~0).
-                    match bucket {
-                        ReuseBucket::Short => self.stats.reuse_attr.starve_short += 1,
-                        ReuseBucket::Mid => self.stats.reuse_attr.starve_mid += 1,
-                        ReuseBucket::Long => self.stats.reuse_attr.starve_long += 1,
-                    }
-                }
+        let head = self.window[self.decode_head];
+        if decoded == 0
+            && backend_can_accept
+            && self.decode_head < self.fetch_head
+            && head.line_ready > self.now
+        {
+            let line = line_of(head.instr.pc);
+            starved_on = Some((line, head.source));
+            let empty_iq = self.iq_count == 0;
+            self.stats.starvation_cycles += 1;
+            if empty_iq {
+                self.stats.starvation_empty_iq_cycles += 1;
+            }
+            let src_idx = match head.source {
+                ServedBy::L1 | ServedBy::InFlight => 0,
+                ServedBy::L2 => 1,
+                ServedBy::L3 => 2,
+                ServedBy::Memory => 3,
+            };
+            self.stats.starve_by_source[src_idx] += 1;
+            self.pending_flags
+                .get_or_insert(line, MissFlags::NONE)
+                .merge(MissFlags {
+                    starved_decode: true,
+                    empty_issue_queue: empty_iq,
+                });
+            // Figure 2: attribute the starvation cycle to the blamed line's
+            // reuse bucket as observed when the line was fetched (the fetch
+            // itself already refreshed the tracker, so the current distance
+            // would read ~0).
+            match head.bucket {
+                ReuseBucket::Short => self.stats.reuse_attr.starve_short += 1,
+                ReuseBucket::Mid => self.stats.reuse_attr.starve_mid += 1,
+                ReuseBucket::Long => self.stats.reuse_attr.starve_long += 1,
             }
         }
         // Episode bookkeeping is observability-only: it reads simulator
@@ -829,62 +911,32 @@ impl<'p> Machine<'p> {
 
     // --- Fetch --------------------------------------------------------------
 
+    /// Moves the FTQ's oldest block into the decode queue, one block a
+    /// cycle while the decode queue has room. A block's instructions sit
+    /// at consecutive addresses, so its lines form one ascending range:
+    /// each line is demand-accessed once, in order, and stamps its run of
+    /// slots with its arrival.
     fn fetch(&mut self) {
-        if self.decode_queue.len() >= self.cfg.core.decode_queue {
+        if (self.fetch_head - self.decode_head) as usize >= self.cfg.core.decode_queue {
             return;
         }
-        let Some(entry) = self.ftq.pop() else {
+        let Some(len) = self.ftq_blocks.pop_front() else {
             return;
         };
-        let FtqEntry {
-            start: _,
-            num_instrs: _,
-            payload,
-        } = entry;
-        let BlockPayload {
-            instrs,
-            mispredicted,
-        } = payload;
-        // Demand-access each distinct line the block touches. The scratch
-        // is a reused linear-scan buffer (blocks span a handful of lines),
-        // so the steady-state fetch path performs no heap allocation.
-        self.line_ready_scratch.clear();
-        let n = instrs.len();
-        for (i, di) in instrs.iter().enumerate() {
-            let line = line_of(di.pc);
-            let cached = self
-                .line_ready_scratch
-                .iter()
-                .position(|&(l, _, _, _)| l == line);
-            let (ready_at, bucket, source) = match cached {
-                Some(idx) => {
-                    let (_, r, b, s) = self.line_ready_scratch[idx];
-                    (r, b, s)
-                }
-                None => {
-                    let m = self.hierarchy.access_instr(line, self.now, false);
-                    if m.needs_resolution {
-                        self.pending_resolutions.push(Reverse((m.ready_at, line)));
-                    }
-                    let bucket = self.record_fetch_line(line, m.source);
-                    self.line_ready_scratch
-                        .push((line, m.ready_at, bucket, m.source));
-                    (m.ready_at, bucket, m.source)
-                }
-            };
-            self.decode_queue.push_back(Fetched {
-                instr: *di,
-                ready_at,
-                line,
-                mispredict: mispredicted && i == n - 1,
-                bucket,
-                source,
-            });
+        let end = self.fetch_head + u64::from(len);
+        while self.fetch_head < end {
+            let line = line_of(self.window[self.fetch_head].instr.pc);
+            let m = self.hierarchy.access_instr(line, self.now, false);
+            if m.needs_resolution {
+                self.pending_resolutions.push(Reverse((m.ready_at, line)));
+            }
+            let bucket = self.record_fetch_line(line, m.source);
+            while self.fetch_head < end && line_of(self.window[self.fetch_head].instr.pc) == line {
+                let entry = &mut self.window[self.fetch_head];
+                (entry.line_ready, entry.bucket, entry.source) = (m.ready_at, bucket, m.source);
+                self.fetch_head += 1;
+            }
         }
-        // Recycle the payload buffer for the next emitted block.
-        let mut instrs = instrs;
-        instrs.clear();
-        self.instr_pool.push(instrs);
     }
 
     /// Figure 2 accounting for one demand-fetched line; returns the line's
@@ -984,14 +1036,9 @@ impl<'p> Machine<'p> {
         if self.wp_active || self.now < self.btb_stall_until {
             return;
         }
-        if self.staged.is_none() {
-            // Reuse a recycled payload buffer (returned by `fetch`) so the
-            // steady-state loop allocates nothing per block.
-            let mut instrs = self
-                .instr_pool
-                .pop()
-                .unwrap_or_else(|| Vec::with_capacity(16));
-            let block = self.walker.emit_block(&mut instrs);
+        if self.ftq_tail == self.emitted {
+            self.emit_buf.clear();
+            let block = self.walker.emit_block(&mut self.emit_buf);
             let desc = BlockDesc {
                 start: block.start,
                 num_instrs: block.num_instrs,
@@ -1010,35 +1057,31 @@ impl<'p> Machine<'p> {
             }
             if pred.mispredicted {
                 self.stats.branch_mispredicts += 1;
-            }
-            self.staged = Some((block, instrs, pred.mispredicted));
-            if pred.mispredicted {
                 // Wrong-path steering starts where the predictor went.
                 self.wp_pc = pred.predicted_next;
+            }
+            // Stage the block: its instructions take the next seqs.
+            let last = self.emit_buf.len() - 1;
+            for (i, &instr) in self.emit_buf.iter().enumerate() {
+                self.window[self.emitted] = Slot::emitted(instr, pred.mispredicted && i == last);
+                self.emitted += 1;
             }
             if pred.btb_miss {
                 return; // stall before enqueuing
             }
         }
-        // Try to enqueue the staged block.
-        let Some((block, _, _)) = self.staged.as_ref() else {
-            return;
-        };
-        if !self.ftq.can_push(block.num_instrs) {
+        // Enqueue the staged block once the FTQ has room for it.
+        let len = (self.emitted - self.ftq_tail) as u32;
+        if self.ftq_blocks.len() >= self.cfg.core.ftq_entries
+            || (self.ftq_tail - self.fetch_head) as u32 + len > self.cfg.core.ftq_instrs
+        {
             return;
         }
-        let (block, instrs, mispredicted) = self.staged.take().expect("staged checked");
-        self.pfq.enqueue_block(block.start, block.num_instrs);
-        let entry = FtqEntry {
-            start: block.start,
-            num_instrs: block.num_instrs,
-            payload: BlockPayload {
-                instrs,
-                mispredicted,
-            },
-        };
-        self.ftq.push(entry).expect("can_push checked");
-        if mispredicted {
+        self.pfq
+            .enqueue_block(self.window[self.ftq_tail].instr.pc, len);
+        self.ftq_blocks.push_back(len);
+        self.ftq_tail = self.emitted;
+        if self.window[self.emitted - 1].mispredict {
             self.wp_active = true;
         }
     }
@@ -1071,28 +1114,30 @@ impl<'p> Machine<'p> {
              ftq={} ftq_instrs={} staged={} wp_active={} wp_pc={:#x} resteer={:?} \
              btb_stall_until={} lq={} sq={} rob_head={:?} outstanding_misses={}",
             self.now,
-            self.rob.len(),
+            self.decode_head - self.commit_head,
             self.iq_count,
             // The earliest timer: when the next waiting entry becomes due.
             self.timers.peek().map(|&Reverse((at, _))| at),
-            self.rob
-                .iter()
-                .filter(|e| !e.issued)
+            (self.commit_head..self.decode_head)
+                .filter(|&seq| !self.issued(seq))
                 .take(self.cfg.core.scheduler_window)
-                .filter(|e| e.ready_at <= self.now)
+                .filter(|&seq| self.window[seq].ready_at <= self.now)
                 .count(),
-            self.decode_queue.len(),
-            self.decode_queue.front().map(|f| f.ready_at),
-            self.ftq.len(),
-            self.ftq.instr_count(),
-            self.staged.is_some(),
+            self.fetch_head - self.decode_head,
+            (self.decode_head < self.fetch_head).then(|| self.window[self.decode_head].line_ready),
+            self.ftq_blocks.len(),
+            self.ftq_tail - self.fetch_head,
+            self.emitted > self.ftq_tail,
             self.wp_active,
             self.wp_pc,
             self.resteer_done_at,
             self.btb_stall_until,
             self.lq_count,
             self.sq_count,
-            self.rob.front().map(|e| (e.seq, e.issued, e.completed_at)),
+            (self.commit_head < self.decode_head).then(|| {
+                let completed_at = self.comp_time[ring_slot(self.commit_head)];
+                (self.commit_head, completed_at != PENDING, completed_at)
+            }),
             self.hierarchy.outstanding_misses(self.now),
         )
     }
@@ -1142,7 +1187,6 @@ fn term_to_branch_class(class: TermClass) -> BranchClass {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::CoreConfig;
     use emissary_workloads::builder::{build_program, ProgramShape};
     use emissary_workloads::Profile;
 
@@ -1326,7 +1370,9 @@ mod tests {
         let mut m = Machine::new(walker, &quick_cfg());
         m.run_instrs(20_000);
         // Wait for a timer and an entry waiting on an unissued producer.
-        let waiter = |m: &Machine<'_>| m.rob.iter().position(|e| e.ready_at == PENDING);
+        let waiter = |m: &Machine<'_>| {
+            (m.commit_head..m.decode_head).find(|&seq| m.window[seq].ready_at == PENDING)
+        };
         while m.timers.is_empty() || waiter(&m).is_none() {
             m.step();
         }
@@ -1345,8 +1391,8 @@ mod tests {
         m.timers.push(timer);
 
         // An entry dropped from its producer's waiter list.
-        let w = m.rob[waiter(&m).expect("an entry waits")];
-        let producer = [w.dep1, w.dep2]
+        let w = waiter(&m).expect("an entry waits");
+        let producer = producers(w, &m.window[w].instr)
             .into_iter()
             .find(|&d| d != 0 && m.comp_time[ring_slot(d)] == PENDING)
             .expect("a waiting entry has an unissued producer");
@@ -1361,14 +1407,77 @@ mod tests {
         m.ready.truncate(m.ready.len() - 2);
 
         // A known ready_at that disagrees with the producers.
-        let idx = (seq - m.rob[0].seq) as usize;
-        m.rob[idx].ready_at = at + 1;
+        m.window[seq].ready_at = at + 1;
         expect(&mut m, "but its producers complete at");
-        m.rob[idx].ready_at = at;
+        m.window[seq].ready_at = at;
 
         m.iq_count += 1;
         expect(&mut m, "popcount");
         m.iq_count -= 1;
+
+        // A cursor out of order: decode ahead of fetch.
+        let decode_head = std::mem::replace(&mut m.decode_head, m.fetch_head + 1);
+        expect(&mut m, "out of order");
+        m.decode_head = decode_head;
+        assert_eq!(m.run_audit(), Vec::<String>::new());
+    }
+
+    #[test]
+    fn audit_catches_window_corruption() {
+        let program = build_program(&ProgramShape::tiny());
+        let mut m = Machine::new(Walker::new(&program, 1), &quick_cfg());
+        m.run_instrs(20_000);
+        // Wait for every queue of the window to hold something.
+        while m.ftq_blocks.len() < 2 || m.emitted == m.ftq_tail || m.decode_head == m.fetch_head {
+            m.step();
+        }
+        assert_eq!(m.run_audit(), Vec::<String>::new());
+        let expect = |m: &mut Machine<'_>, what: &str| {
+            let violations = m.run_audit();
+            assert!(
+                violations.iter().any(|v| v.contains(what)),
+                "expected a {what:?} violation, got {violations:?}"
+            );
+        };
+        let set = |m: &mut Machine<'_>, [c, d, f, t, e]: [u64; 5]| {
+            (
+                m.commit_head,
+                m.decode_head,
+                m.fetch_head,
+                m.ftq_tail,
+                m.emitted,
+            ) = (c, d, f, t, e);
+        };
+        let cursors = [
+            m.commit_head,
+            m.decode_head,
+            m.fetch_head,
+            m.ftq_tail,
+            m.emitted,
+        ];
+        // Each cursor moved past the next one.
+        for i in 0..4 {
+            let mut broken = cursors;
+            broken[i] = cursors[i + 1] + 1;
+            set(&mut m, broken);
+            expect(&mut m, "out of order");
+        }
+        // More in flight than the ring holds.
+        let mut broken = cursors;
+        broken[4] = cursors[0] + m.window.capacity() + 1;
+        set(&mut m, broken);
+        expect(&mut m, "span more than");
+        set(&mut m, cursors);
+
+        // A block length lost, and one too many blocks.
+        let len = m.ftq_blocks.pop_back().expect("the ftq holds blocks");
+        expect(&mut m, "ftq blocks hold");
+        m.ftq_blocks.push_back(len);
+        let blocks = m.ftq_blocks.clone();
+        m.ftq_blocks
+            .extend(std::iter::repeat_n(0, m.cfg.core.ftq_entries));
+        expect(&mut m, "ftq blocks hold");
+        m.ftq_blocks = blocks;
         assert_eq!(m.run_audit(), Vec::<String>::new());
     }
 
@@ -1378,12 +1487,12 @@ mod tests {
     /// read after the step; up to the first divergence that is exactly
     /// what the old scan saw, because a producer issued this cycle sits
     /// ahead of all its consumers.
-    fn oldest_first_scan(m: &Machine<'_>, window: &[RobEntry], now: u64) -> Vec<u64> {
+    fn oldest_first_scan(m: &Machine<'_>, window: &[(u64, Slot)], now: u64) -> Vec<u64> {
         let done = |dep: u64| dep == 0 || m.comp_time[ring_slot(dep)] <= now;
         window
             .iter()
-            .filter(|e| done(e.dep1) && done(e.dep2))
-            .map(|e| e.seq)
+            .filter(|(seq, e)| producers(*seq, &e.instr).into_iter().all(done))
+            .map(|&(seq, _)| seq)
             .take(m.cfg.core.issue_width as usize)
             .collect()
     }
@@ -1425,16 +1534,18 @@ mod tests {
                 let now = m.now();
                 let due = !m.ready.is_empty()
                     || m.timers.peek().is_some_and(|&Reverse((at, _))| at <= now);
-                let unissued: Vec<RobEntry> = m.rob.iter().filter(|e| !e.issued).copied().collect();
+                let unissued: Vec<(u64, Slot)> = (m.commit_head..m.decode_head)
+                    .filter(|&seq| !m.issued(seq))
+                    .map(|seq| (seq, m.window[seq]))
+                    .collect();
                 m.step();
                 // Commit runs before issue, so every entry unissued before
                 // the step is still in the ROB. Look beyond the window too:
                 // an entry issued from outside it is a divergence.
-                let front_seq = m.rob.front().map_or(m.next_seq, |e| e.seq);
                 let issued: Vec<u64> = unissued
                     .iter()
-                    .map(|e| e.seq)
-                    .filter(|&seq| m.rob[(seq - front_seq) as usize].issued)
+                    .map(|&(seq, _)| seq)
+                    .filter(|&seq| m.issued(seq))
                     .collect();
                 let before = &unissued[..unissued.len().min(window)];
                 let expected = oldest_first_scan(&m, before, now);
@@ -1446,7 +1557,8 @@ mod tests {
                     due || expected.is_empty(),
                     "{bench} ({shape}): nothing was due at cycle {now}, yet {expected:?} were ready"
                 );
-                let violations = m.scheduler_violations();
+                let mut violations = m.window_violations();
+                violations.extend(m.scheduler_violations());
                 assert!(
                     violations.is_empty(),
                     "{bench} ({shape}) after cycle {now}: {violations:?}"
@@ -1474,7 +1586,6 @@ mod tests {
 #[cfg(test)]
 mod scenario_tests {
     use super::*;
-    use crate::config::SimConfig;
     use emissary_workloads::builder::{build_program, ProgramShape};
 
     fn quick_cfg() -> SimConfig {
@@ -1565,6 +1676,103 @@ mod scenario_tests {
         // exceed what prediction enqueued; committed <= decoded.
         assert!(m.stats.committed <= m.stats.decoded);
         assert!(m.stats.issued <= m.stats.decoded);
+    }
+
+    /// Steps a tiny-program machine with `ftq_entries` and `ftq_instrs`
+    /// for 20k cycles, checking both FTQ bounds every cycle, and returns
+    /// how many cycles the staged block waited on each: `(entries,
+    /// instructions)`.
+    fn ftq_waits(entries: usize, instrs: u32) -> (u64, u64) {
+        let program = build_program(&ProgramShape::tiny());
+        let mut cfg = quick_cfg();
+        cfg.core.ftq_entries = entries;
+        cfg.core.ftq_instrs = instrs;
+        let mut m = Machine::new(Walker::new(&program, 1), &cfg);
+        let mut waits = (0, 0);
+        for _ in 0..20_000 {
+            m.step();
+            let held = m.ftq_tail - m.fetch_head;
+            assert!(m.ftq_blocks.len() <= entries && held <= u64::from(instrs));
+            // A block still staged after a cycle whose enqueue ran (no
+            // wrong path, no BTB stall) was refused by a bound.
+            if m.emitted > m.ftq_tail && m.now() > m.btb_stall_until && !m.wp_active {
+                if m.ftq_blocks.len() == entries {
+                    waits.0 += 1;
+                } else {
+                    assert!(held + (m.emitted - m.ftq_tail) > u64::from(instrs));
+                    waits.1 += 1;
+                }
+            }
+        }
+        assert_eq!(m.window_violations(), Vec::<String>::new());
+        waits
+    }
+
+    #[test]
+    fn ftq_entry_bound_holds_back_the_staged_block() {
+        let (entries, instrs) = ftq_waits(2, 192);
+        assert!(entries > 0, "two entries never filled");
+        assert_eq!(instrs, 0, "two tiny-program blocks cannot fill 192 slots");
+    }
+
+    #[test]
+    fn ftq_instruction_bound_holds_back_the_staged_block() {
+        let (entries, instrs) = ftq_waits(24, 16);
+        assert_eq!(entries, 0, "24 blocks cannot fit in 16 instructions");
+        assert!(instrs > 0, "16 instructions never filled");
+    }
+
+    #[test]
+    fn fetch_moves_the_oldest_block_each_cycle_and_stamps_its_lines() {
+        let program = build_program(&ProgramShape::tiny());
+        let mut m = Machine::new(Walker::new(&program, 1), &quick_cfg());
+        let mut fetched = 0;
+        for _ in 0..20_000 {
+            let (head, oldest) = (m.fetch_head, m.ftq_blocks.front().copied());
+            m.step();
+            let moved = m.fetch_head - head;
+            if moved > 0 {
+                assert_eq!(Some(moved), oldest.map(u64::from));
+                fetched += 1;
+            }
+            // Every instruction in the decode queue knows its line's
+            // arrival.
+            for seq in m.decode_head..m.fetch_head {
+                assert_ne!(m.window[seq].line_ready, PENDING, "seq {seq} unfetched");
+            }
+        }
+        assert!(fetched > 100, "only {fetched} blocks fetched");
+    }
+
+    #[test]
+    fn window_holds_every_accepted_core_shape() {
+        // The largest ROB the completion ring accepts, a one-instruction
+        // decode queue, a one-block FTQ and an instruction budget no block
+        // reaches: each runs with a clean window.
+        let program = build_program(&ProgramShape::tiny());
+        let shapes: [fn(&mut CoreConfig); 4] = [
+            |c| c.rob_entries = COMP_RING - MAX_DEP_DISTANCE - 1,
+            |c| c.decode_queue = 1,
+            |c| c.ftq_entries = 1,
+            |c| c.ftq_instrs = u32::MAX,
+        ];
+        for reshape in shapes {
+            let mut cfg = quick_cfg();
+            reshape(&mut cfg.core);
+            assert_eq!(cfg.validate(), Ok(()));
+            let mut m = Machine::new(Walker::new(&program, 1), &cfg);
+            for _ in 0..5_000 {
+                m.step();
+                assert_eq!(
+                    m.window_violations(),
+                    Vec::<String>::new(),
+                    "{:?}",
+                    cfg.core
+                );
+            }
+            assert!(m.total_committed() > 0, "{:?}", cfg.core);
+            assert_eq!(m.run_audit(), Vec::<String>::new(), "{:?}", cfg.core);
+        }
     }
 
     #[test]

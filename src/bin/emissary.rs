@@ -20,8 +20,11 @@
 //! `EMISSARY_THREADS` workers, through the unified checkpoint
 //! `results/campaign.ckpt.jsonl` (so `EMISSARY_RESUME=1` replays any job
 //! a sweep or an earlier command completed at the same windows), with
-//! the `campaign summary:` line on stderr. A failed job prints as a
-//! `FAILED` cell and the command exits 1.
+//! the `campaign summary:` line on stderr. Its fault records and metrics
+//! snapshot go to `results/emissary.jsonl` and
+//! `results/emissary.metrics.jsonl`, so a command never replaces a
+//! sweep's `results/campaign.jsonl` or `results/metrics.jsonl`. A failed
+//! job prints as a `FAILED` cell and the command exits 1.
 
 use emissary::bench::campaign::{self, Runs};
 use emissary::bench::experiments::{matrix_jobs, FAILED};
@@ -152,7 +155,7 @@ fn jobs_or_exit(bench: &str, cfg: &SimConfig, policies: &[PolicySpec]) -> Vec<Jo
 /// Runs `jobs` as one campaign, handing `render` the runs; exits 1 when a
 /// job failed.
 fn run_jobs(jobs: &[Job], render: impl FnOnce(&Runs)) {
-    if campaign::run_plan(jobs.to_vec(), render).failed > 0 {
+    if campaign::run_plan("emissary", jobs.to_vec(), render).failed > 0 {
         std::process::exit(1);
     }
 }

@@ -80,6 +80,37 @@ fn compare_prints_a_named_baseline_once_and_resumes_byte_identically() {
 }
 
 #[test]
+fn a_command_leaves_a_sweeps_summaries_byte_identical() {
+    let dir = tmpdir("summaries");
+    let results = dir.join("results");
+    std::fs::create_dir_all(&results).expect("create results/");
+    let sweep = [
+        (
+            "campaign.jsonl",
+            "{\"record\":\"meta\",\"experiment\":\"campaign\"}\n",
+        ),
+        (
+            "metrics.jsonl",
+            "{\"record\":\"metric\",\"name\":\"sweep\"}\n",
+        ),
+    ];
+    for (file, text) in sweep {
+        std::fs::write(results.join(file), text).expect("write a sweep file");
+    }
+    let out = emissary(&dir, &["compare", "xapian", "P(8):S&E"], None);
+    assert_eq!(out.status.code(), Some(0), "{out:?}");
+    for (file, text) in sweep {
+        let after = std::fs::read(results.join(file)).expect("read a sweep file");
+        assert_eq!(after, text.as_bytes(), "results/{file} changed");
+    }
+    // The command's own summaries sit beside them.
+    for file in ["emissary.jsonl", "emissary.metrics.jsonl"] {
+        assert!(results.join(file).is_file(), "no results/{file}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn bad_input_exits_2_before_the_checkpoint_is_opened() {
     let cases: [(&str, &[&str], Option<&str>); 3] = [
         ("too_many", &["compare", "xapian", "P(16):S&E"], None),
